@@ -1,0 +1,173 @@
+"""Answers pinned across commits, byte for byte.
+
+Criterion 7 compares two runs of the same code; these tests compare the
+current code with files written by a trusted earlier commit:
+
+* ``golden/suite.json`` is a bench suite over every algorithm, including
+  ``fgc`` both on the exact (p, 0) base and above the exact budget (m > 30)
+  on the primal-dual fallback base.  Its CSV (no timing column) and its
+  solutions map are ``golden/suite.csv`` and ``golden/solutions.json``.
+* ``golden/cuts.json`` holds ``is_flex_feasible`` verdicts and witnesses,
+  ``violated_cuts_flex_aug`` members and membership, and the families of
+  ``_stage_families``, over the fixed seeded cases built by :func:`cut_cases`.
+
+A change that alters an answer on purpose rewrites the files with
+``PYTHONPATH=src python tests/test_golden.py`` and says why in its log.
+"""
+
+import json
+import sys
+from pathlib import Path
+from random import Random
+
+from faultnet.bench import bench, solutions_json
+from faultnet.errors import FaultnetError
+from faultnet.flexalg import (
+    _stage_families,
+    fgc_supported,
+    make_fgc_plan,
+    make_flex_st_plan,
+)
+from faultnet.graph import FaultGraph
+from faultnet.oracles import (
+    FlexRequirement,
+    fgc_requirements,
+    is_flex_feasible,
+    violated_cuts_flex_aug,
+)
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def suite_outputs() -> tuple[str, str]:
+    suite = json.loads((GOLDEN / "suite.json").read_text(encoding="utf-8"))
+    records, csv_text, _code = bench(suite, with_timing=False)
+    return csv_text, solutions_json(records)
+
+
+def _random_graph(rng: Random, n: int) -> FaultGraph:
+    specs = []
+    for _ in range(rng.randint(2 * n, 4 * n)):
+        u, v = rng.sample(range(n), 2)
+        specs.append((u, v, round(rng.uniform(0.5, 2.0), 2), rng.choice(("safe", "unsafe"))))
+    return FaultGraph(n, specs)
+
+
+def _requirements(rng: Random, n: int, p: int, q: int) -> tuple:
+    shape = rng.choice(("pair", "pairs", "all"))
+    if shape == "all":
+        return fgc_requirements(n, p, q)
+    count = 1 if shape == "pair" else rng.randint(2, 3)
+    reqs = []
+    for _ in range(count):
+        s, t = rng.sample(range(n), 2)
+        reqs.append(FlexRequirement(s, t, rng.randint(1, p), rng.randint(0, q)))
+    return tuple(reqs)
+
+
+def _thin(rng: Random, g: FaultGraph, reqs, H: frozenset) -> frozenset:
+    """Drop edges of H in random order while it stays feasible for reqs."""
+    order = sorted(H)
+    rng.shuffle(order)
+    for eid in order:
+        if is_flex_feasible(g, reqs, H - {eid})[0]:
+            H = H - {eid}
+    return H
+
+
+def _witness(result) -> list:
+    ok, w = result
+    if ok:
+        return [True]
+    r = w.requirement
+    return [False, [r.s, r.t, r.p, r.q], sorted(w.removed), w.cut.mask]
+
+
+def _family(fam, n: int) -> list:
+    return [
+        fam.label,
+        list(fam.members),
+        [mask for mask in range(1 << n) if fam.membership(mask)],
+    ]
+
+
+def _attempt(fn):
+    try:
+        return fn()
+    except FaultnetError as exc:
+        return type(exc).__name__
+
+
+def cut_cases(count: int = 80) -> list:
+    rng = Random(20240322)
+    out = []
+    for _ in range(count):
+        n = rng.randint(4, 7)
+        g = _random_graph(rng, n)
+        p, q = rng.randint(1, 3), rng.randint(1, 3)
+        reqs = _requirements(rng, n, p, q)
+        H = frozenset(eid for eid in range(g.m) if rng.random() < 0.6)
+        prior = tuple(FlexRequirement(r.s, r.t, r.p, max(0, r.q - 1)) for r in reqs)
+        F1 = _thin(rng, g, prior, g.all_edge_ids())
+        case = {
+            "n": n,
+            "edges": [[e.u, e.v, e.cost, e.safety] for e in g.edges],
+            "reqs": [[r.s, r.t, r.p, r.q] for r in reqs],
+            "H": sorted(H),
+            "F1": sorted(F1),
+            "feasible_H": _witness(is_flex_feasible(g, reqs, H)),
+            "feasible_F1": _witness(is_flex_feasible(g, reqs, F1)),
+            "flex_aug": _attempt(
+                lambda: _family(violated_cuts_flex_aug(g, reqs, F1), n)
+            ),
+        }
+        s, t = reqs[0].s, reqs[0].t
+        plans = []
+        if fgc_supported(p, q):
+            plans.append(("spanning", make_fgc_plan(p, q), fgc_requirements(n, p, q - 1)))
+        if p + q > p * q / 2:
+            plans.append(("st", make_flex_st_plan(p, q, s, t), (FlexRequirement(s, t, p, q - 1),)))
+        stages = {}
+        for scope, plan, base_reqs in plans:
+            F = _thin(rng, g, base_reqs, g.all_edge_ids())
+            stages[scope] = {
+                "p": plan.p,
+                "q": plan.q,
+                "F": sorted(F),
+                "families": [
+                    _attempt(
+                        lambda spec=spec: [
+                            _family(fam, n) for fam in _stage_families(g, F, plan, spec)
+                        ]
+                    )
+                    for spec in plan.stages
+                ],
+            }
+        case["stages"] = stages
+        out.append(case)
+    return out
+
+
+def cut_cases_json() -> str:
+    return json.dumps(cut_cases(), indent=0, sort_keys=True) + "\n"
+
+
+def test_bench_suite_matches_golden():
+    csv_text, sols = suite_outputs()
+    assert csv_text.encode() == (GOLDEN / "suite.csv").read_bytes()
+    assert sols.encode() == (GOLDEN / "solutions.json").read_bytes()
+
+
+def test_cut_answers_match_golden():
+    assert cut_cases_json().encode() == (GOLDEN / "cuts.json").read_bytes()
+
+
+def write_golden() -> None:
+    csv_text, sols = suite_outputs()
+    (GOLDEN / "suite.csv").write_bytes(csv_text.encode())
+    (GOLDEN / "solutions.json").write_bytes(sols.encode())
+    (GOLDEN / "cuts.json").write_bytes(cut_cases_json().encode())
+
+
+if __name__ == "__main__":
+    sys.exit(write_golden())
