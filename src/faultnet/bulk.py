@@ -22,6 +22,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
+from .cover import ecsndp_base
 from .errors import (
     Disconnected,
     InfeasibleAugmentation,
@@ -396,13 +397,14 @@ def solve_flex_sndp(
     if g.m <= exact_budget():
         H, _cost = exact_solve(g, Problem("flex", flex=base_reqs))
     else:
-        H = _ecsndp_base(g, base_reqs)
+        H = ecsndp_base(g, base_reqs)
     max_q = max(r.q for r in reqs)
     for round_index in range(1, max_q + 1):
         active = [(r.s, r.t) for r in reqs if r.q >= round_index]
         if not active:
             break
         best = None
+        unhittable = None
         for t in range(max(1, trees)):
             tree = sample_tree(g, seed=_tree_seed(seed, round_index, t))
             H_P: set[int] = set()
@@ -416,9 +418,10 @@ def solve_flex_sndp(
                 try:
                     picks = greedy_hitting_set(inst)
                 except Unhittable as exc:
-                    raise InfeasibleAugmentation(
-                        f"round {round_index}: {exc}"
-                    ) from exc
+                    # Hittability depends on the tree here, since the tree
+                    # paths join H_work: another tree may still succeed.
+                    unhittable = exc
+                    continue
                 for eid in picks:
                     e = g.edges[eid]
                     added.add(eid)
@@ -428,6 +431,10 @@ def solve_flex_sndp(
             entry = (cost, t, candidate, len(viol), g.total_cost(frozenset(H_P) - H))
             if best is None or entry[0] < best[0] - 1e-12:
                 best = entry
+        if best is None:
+            raise InfeasibleAugmentation(
+                f"round {round_index}: every tree failed, last with {unhittable}"
+            ) from unhittable
         cost, t, H_new, nviol, hp_cost = best
         round_reqs = tuple(
             FlexRequirement(r.s, r.t, r.p, min(r.q, round_index)) for r in reqs
@@ -453,43 +460,6 @@ def solve_flex_sndp(
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails {witness}")
     return H
-
-
-def _ecsndp_base(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> frozenset:
-    """Levelwise primal-dual base for the p_i-edge-connectivity problem,
-    used only when the exact search budget is exceeded."""
-    from .cover import CutFamily, primal_dual_cover
-    from .graph import spanning_cut_masks
-
-    F: frozenset = frozenset()
-    max_p = max(r.p for r in reqs)
-    for k in range(1, max_p + 1):
-        fe = [g.edges[eid] for eid in sorted(F)]
-        level_pairs = [(r.s, r.t) for r in reqs if r.p >= k]
-
-        def membership(mask: int, _fe=fe, _k=k, _pairs=level_pairs) -> bool:
-            if mask <= 0 or mask >= (1 << g.n) - 1:
-                return False
-            if not any(((mask >> s) ^ (mask >> t)) & 1 for s, t in _pairs):
-                return False
-            total = 0
-            for e in _fe:
-                if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-                    total += 1
-                    if total > _k - 1:
-                        return False
-            return total == _k - 1
-
-        members = tuple(m for m in spanning_cut_masks(g.n) if membership(m))
-        fam = CutFamily(
-            graph=g,
-            members=members,
-            membership=membership,
-            ground=g.all_edge_ids() - F,
-            label=f"sndp level {k}",
-        )
-        F = F | primal_dual_cover(fam).edges
-    return F
 
 
 def solve_rsndp(

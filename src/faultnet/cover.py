@@ -8,8 +8,10 @@ Two engines back every augmentation step in the package:
 * :func:`ring_cover_exact` - exact minimum-cost cover for ring families
   (closure-verified), via branch and bound with an LP bound at the root.
 
-Plus :func:`check_uncrossable`, the enumerating property checker used by the
-structure tests, and :func:`exact_cover`, the shared exact set-cover search.
+Plus :func:`ecsndp_base`, the primal-dual (p_i, 0) base that the flexible
+solvers use above the exact search budget, :func:`check_uncrossable`, the
+enumerating property checker used by the structure tests, and
+:func:`exact_cover`, the shared exact set-cover search.
 
 Dual growth runs in exact rational arithmetic (floats convert exactly to
 Fraction), so tight-edge detection never drifts.
@@ -21,8 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
+from .cuts import Boundary, Planes, all_cuts, crossed, cut_index, masks, predicate, separating
 from .errors import NotRingFamily, Uncoverable
-from .graph import FaultGraph, VertexCut
+from .graph import FaultGraph, VertexCut, boundary
 
 
 @dataclass(frozen=True, eq=False)
@@ -43,26 +46,17 @@ class CutFamily:
     ground: frozenset
     label: str = ""
 
-    def boundary_in(self, mask: int, edge_ids: Iterable[int]) -> list[int]:
-        edges = self.graph.edges
-        return [
-            eid
-            for eid in edge_ids
-            if ((mask >> edges[eid].u) ^ (mask >> edges[eid].v)) & 1
-        ]
+    def boundary_in(self, mask: int, edge_ids: Iterable[int]) -> frozenset:
+        return boundary(self.graph, edge_ids, mask)
 
     def is_covered_by(self, A: Iterable[int]) -> bool:
         return not self.violated_members(A)
 
     def violated_members(self, A: Iterable[int]) -> list[int]:
         """Members whose boundary misses A entirely."""
-        edges = self.graph.edges
-        arcs = [(edges[eid].u, edges[eid].v) for eid in sorted(A)]
-        out = []
-        for mask in self.members:
-            if not any(((mask >> u) ^ (mask >> v)) & 1 for u, v in arcs):
-                out.append(mask)
-        return out
+        n = self.graph.n
+        hit = crossed(self.graph, A)
+        return [mask for mask in self.members if not (hit >> cut_index(n, mask)) & 1]
 
     def minimal_violated(self, A: Iterable[int]) -> list[int]:
         """Inclusion-minimal members not yet crossed by A (pairwise
@@ -101,7 +95,8 @@ def primal_dual_cover(fam: CutFamily, costs: Mapping[int, float] | None = None) 
     optimum cover cost.
     """
     cost = _costs_for(fam, costs)
-    edges = fam.graph.edges
+    n = fam.graph.n
+    cross = {eid: crossed(fam.graph, (eid,)) for eid in fam.ground}
     residual = dict(cost)
     duals: dict[int, Fraction] = {}
     chosen: list[int] = []
@@ -111,22 +106,27 @@ def primal_dual_cover(fam: CutFamily, costs: Mapping[int, float] | None = None) 
         if not active:
             break
         candidates = sorted(fam.ground - set(chosen))
-        # load = number of active sets an edge would cross
+        # load = number of active sets an edge would cross; active sets are
+        # counted per cut, so a cut listed twice weighs two.
+        active_bits = [cut_index(n, mask) for mask in active]
+        multiplicity = Planes(all_cuts(n))
+        for bit in active_bits:
+            multiplicity.add(1 << bit)
         loads = {}
-        covered_some = {mask: False for mask in active}
+        reached = 0
         for eid in candidates:
-            e = edges[eid]
-            load = 0
-            for mask in active:
-                if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-                    load += 1
-                    covered_some[mask] = True
+            x = cross[eid]
+            load = sum(
+                (x & plane).bit_count() << k
+                for k, plane in enumerate(multiplicity.planes)
+            )
             if load:
                 loads[eid] = load
-        for mask, ok in covered_some.items():
-            if not ok:
+            reached |= x
+        for mask, bit in zip(active, active_bits):
+            if not (reached >> bit) & 1:
                 raise Uncoverable(
-                    f"violated cut {VertexCut(fam.graph.n, mask).vertices()} has no "
+                    f"violated cut {VertexCut(n, mask).vertices()} has no "
                     f"candidate edge ({fam.label})"
                 )
         delta = min(residual[eid] / load for eid, load in loads.items())
@@ -148,6 +148,31 @@ def primal_dual_cover(fam: CutFamily, costs: Mapping[int, float] | None = None) 
             trace.append(("drop", eid))
     dual_bound = sum(duals.values(), Fraction(0))
     return CoverResult(frozenset(kept), float(dual_bound), tuple(trace))
+
+
+def ecsndp_base(g: FaultGraph, reqs) -> frozenset:
+    """Levelwise primal-dual base for p_i-edge-connectivity between each
+    requirement's pair (s, t), used when the exact search budget is exceeded.
+
+    Level k covers the cuts that separate a pair with p_i >= k and carry
+    exactly k-1 chosen edges, an uncrossable family.
+    """
+    F: frozenset = frozenset()
+    for k in range(1, max(r.p for r in reqs) + 1):
+        scope = 0
+        for r in reqs:
+            if r.p >= k:
+                scope |= separating(g.n, r.s, r.t)
+        level = scope & Boundary(g, F).total.exactly(k - 1)
+        fam = CutFamily(
+            graph=g,
+            members=tuple(masks(g.n, level)),
+            membership=predicate(g.n, level),
+            ground=g.all_edge_ids() - F,
+            label=f"ecsndp level {k}",
+        )
+        F = F | primal_dual_cover(fam).edges
+    return F
 
 
 # -- exact covering -----------------------------------------------------------

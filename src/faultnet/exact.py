@@ -3,9 +3,10 @@
 Branch and bound over edge include/exclude decisions, with feasibility
 pruning in both directions (the chosen set alone, and chosen plus all still
 undecided edges) and an admissible remaining-cost bound read off one violated
-structure.  Flex problems get incrementally-maintained per-cut boundary
-counters, which is what makes the 200-instance acceptance sweeps affordable;
-bulk and relative problems recompute connectivity per node.
+structure.  Flex problems keep their boundary counts over every cut as
+incrementally updated bit planes, which is what makes the 200-instance
+acceptance sweeps affordable; bulk and relative problems recompute
+connectivity per node.
 
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.
@@ -15,8 +16,9 @@ from __future__ import annotations
 
 import os
 
+from .cuts import Boundary, separating
 from .errors import BudgetExceeded, InfeasibleInstance
-from .graph import FaultGraph, connected_components, same_component
+from .graph import FaultGraph, boundary, connected_components, same_component
 from .oracles import (
     BulkScenario,
     Problem,
@@ -35,107 +37,48 @@ def exact_budget() -> int:
 class _FlexChecker:
     """Incremental feasibility for flex problems.
 
-    Canonical cuts are subsets of vertices 0..n-2 (anchor n-1 outside),
-    indexed by mask-1.  For each requirement class the bad-cut counter
-    tracks cuts that currently fail "p safe or p+q total"; feasibility is
-    bad == 0.  ``chosen`` and ``pool`` counters evolve by edge toggles.
+    Keeps the boundary counts of ``chosen`` (0) and ``pool`` (1) over every
+    cut as bit planes, updated by edge toggles.  Requirements are grouped
+    into (p, q) classes; a class constrains the cuts that separate one of
+    its pairs, and a set is feasible when none of those cuts has fewer than
+    p safe and fewer than p+q total edges.
     """
 
     def __init__(self, g: FaultGraph, reqs):
         self.g = g
-        n = g.n
-        self.ncuts = (1 << (n - 1)) - 1
-        classes: dict[tuple[int, int], list[int]] = {}
-        all_pairs_classes = {}
+        scopes: dict[tuple[int, int], int] = {}
         for r in reqs:
-            classes.setdefault((r.p, r.q), []).append((r.s, r.t))
-        # relevant[c] = list of class indices the cut is constrained by
-        self.class_list = sorted(classes.items())
-        self.thresholds = [pq for pq, _ in self.class_list]
-        self.relevant: list[list[int]] = [[] for _ in range(self.ncuts)]
-        for ci, (_pq, pairs) in enumerate(self.class_list):
-            for idx in range(self.ncuts):
-                mask = idx + 1
-                for s, t in pairs:
-                    if ((mask >> s) ^ (mask >> t)) & 1:
-                        self.relevant[idx].append(ci)
-                        break
-        self.safe: list[list[int]] = []
-        self.tot: list[list[int]] = []
-        self.bad: list[list[int]] = []
-        self.cross: list[list[int]] = []
-        for e in g.edges:
-            u, v = e.u, e.v
-            self.cross.append(
-                [
-                    idx
-                    for idx in range(self.ncuts)
-                    if (((idx + 1) >> u) ^ ((idx + 1) >> v)) & 1
-                ]
-            )
-
-    def _status(self, which, idx, ci):
-        p, q = self.thresholds[ci]
-        return self.safe[which][idx] >= p or self.tot[which][idx] >= p + q
+            scopes[(r.p, r.q)] = scopes.get((r.p, r.q), 0) | separating(g.n, r.s, r.t)
+        self.classes = sorted(scopes.items())
+        self.counts: list[Boundary] = []
 
     def toggle(self, which: int, eid: int, delta: int) -> None:
-        e = self.g.edges[eid]
-        safe = self.safe[which]
-        tot = self.tot[which]
-        bad = self.bad[which]
-        ds = delta if e.safe else 0
-        for idx in self.cross[eid]:
-            rel = self.relevant[idx]
-            if not rel:
-                continue
-            before = [self._status(which, idx, ci) for ci in rel]
-            tot[idx] += delta
-            safe[idx] += ds
-            for k, ci in enumerate(rel):
-                after = self._status(which, idx, ci)
-                if before[k] != after:
-                    bad[ci] += 1 if not after else -1
+        if delta > 0:
+            self.counts[which].add(eid)
+        else:
+            self.counts[which].remove(eid)
 
     def init_counts(self, chosen, pool) -> None:
-        # Reset to all-zero counters: every relevant (cut, class) is bad
-        # since p >= 1, then replay the given edge sets.
-        ncls = len(self.class_list)
-        self.safe = [[0] * self.ncuts for _ in range(2)]  # 0 chosen, 1 pool
-        self.tot = [[0] * self.ncuts for _ in range(2)]
-        self.bad = [[0] * ncls for _ in range(2)]
-        per_class = [0] * ncls
-        for idx in range(self.ncuts):
-            for ci in self.relevant[idx]:
-                per_class[ci] += 1
-        for which in range(2):
-            for ci in range(ncls):
-                self.bad[which][ci] = per_class[ci]
-        for eid in chosen:
-            self.toggle(0, eid, +1)
-        for eid in pool:
-            self.toggle(1, eid, +1)
+        self.counts = [Boundary(self.g, chosen), Boundary(self.g, pool)]
+
+    def _bad_cuts(self, which: int):
+        """Cut sets failing each class, in class order."""
+        b = self.counts[which]
+        return (scope & b.deficient(p, q) for (p, q), scope in self.classes)
 
     def chosen_feasible(self) -> bool:
-        return not any(self.bad[0])
+        return not any(self._bad_cuts(0))
 
     def pool_feasible(self) -> bool:
-        return not any(self.bad[1])
+        return not any(self._bad_cuts(1))
 
-    def violated_candidates(self, undecided) -> list[int]:
-        """Edges among ``undecided`` crossing one currently-bad cut."""
-        for ci in range(len(self.class_list)):
-            if self.bad[0][ci] == 0:
-                continue
-            for idx in range(self.ncuts):
-                if ci in self.relevant[idx] and not self._status(0, idx, ci):
-                    mask = idx + 1
-                    g = self.g
-                    return [
-                        eid
-                        for eid in undecided
-                        if ((mask >> g.edges[eid].u) ^ (mask >> g.edges[eid].v)) & 1
-                    ]
-        return []
+    def violated_candidates(self, undecided):
+        """Edges among ``undecided`` crossing the lowest-index bad cut of
+        the first class with one."""
+        for bad in self._bad_cuts(0):
+            if bad:
+                return boundary(self.g, undecided, (bad & -bad).bit_length())
+        return frozenset()
 
 
 class _ScenarioChecker:
@@ -182,15 +125,10 @@ class _ScenarioChecker:
                     comp_of[v] = ci
             for u, v in sc.pairs:
                 if comp_of[u] != comp_of[v]:
-                    side = comps[comp_of[u]]
-                    g = self.g
-                    return [
-                        eid
-                        for eid in undecided
-                        if eid not in sc.fail
-                        and (g.edges[eid].u in side) != (g.edges[eid].v in side)
-                    ]
-        return []
+                    mask = sum(1 << x for x in comps[comp_of[u]])
+                    alive_undecided = (eid for eid in undecided if eid not in sc.fail)
+                    return boundary(self.g, alive_undecided, mask)
+        return frozenset()
 
 
 def _make_checker(g: FaultGraph, problem: Problem):

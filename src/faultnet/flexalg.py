@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .cover import CutFamily, CoverResult, primal_dual_cover, ring_cover_exact
+from .cover import CoverResult, CutFamily, ecsndp_base, primal_dual_cover, ring_cover_exact
+from .cuts import Boundary, all_cuts, masks, predicate, separating
 from .errors import (
     BaseNotFeasible,
     InfeasibleInstance,
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .exact import exact_budget, exact_solve
 from .flow import flow_decompose, min_cost_flow
-from .graph import FaultGraph, spanning_cut_masks, st_cut_masks
+from .graph import FaultGraph, boundary
 from .oracles import FlexRequirement, Problem, fgc_requirements, is_flex_feasible
 
 
@@ -111,78 +112,29 @@ def make_flex_st_plan(p: int, q: int, s: int, t: int) -> StagePlan:
 
 # -- violated-cut machinery ----------------------------------------------------
 
-def _scope_masks(g: FaultGraph, plan: StagePlan):
+def _scope(g: FaultGraph, plan: StagePlan) -> int:
+    """The cut set the plan constrains: every cut, or the s-t cuts."""
     if plan.scope == "spanning":
-        return spanning_cut_masks(g.n)
-    return st_cut_masks(g.n, plan.s, plan.t)
+        return all_cuts(g.n)
+    return separating(g.n, plan.s, plan.t)
 
 
-def _boundary_profile(g: FaultGraph, F: Sequence, mask: int):
-    """(all boundary ids, safe boundary ids) of the F edge list across mask."""
-    bnd, safe = [], []
-    for e in F:
-        if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-            bnd.append(e.id)
-            if e.safe:
-                safe.append(e.id)
-    return bnd, safe
+def _violated_cuts(g: FaultGraph, F: Iterable[int], plan: StagePlan):
+    """(violated cut set, boundary counts of F): in-scope cuts whose
+    F-boundary has exactly p+q-1 edges, fewer than p of them safe."""
+    counts = Boundary(g, F)
+    return _scope(g, plan) & counts.tight(plan.p, plan.q), counts
 
 
 def _violated_membership(g: FaultGraph, F: frozenset, plan: StagePlan):
     """Raw predicate: boundary has exactly p+q-1 edges, fewer than p safe,
     and the cut is in scope."""
-    p, q = plan.p, plan.q
-    fe = [g.edges[eid] for eid in sorted(F)]
-    if plan.scope == "spanning":
-        def membership(mask: int) -> bool:
-            if mask <= 0 or mask >= (1 << g.n) - 1:
-                return False
-            safe = total = 0
-            for e in fe:
-                if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-                    total += 1
-                    if total > p + q - 1:
-                        return False
-                    if e.safe:
-                        safe += 1
-            return total == p + q - 1 and safe < p
-    else:
-        s, t = plan.s, plan.t
-        def membership(mask: int) -> bool:
-            if mask <= 0 or mask >= (1 << g.n) - 1:
-                return False
-            if not ((mask >> s) & 1) or ((mask >> t) & 1):
-                return False
-            safe = total = 0
-            for e in fe:
-                if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-                    total += 1
-                    if total > p + q - 1:
-                        return False
-                    if e.safe:
-                        safe += 1
-            return total == p + q - 1 and safe < p
-    return membership
+    violated, _counts = _violated_cuts(g, F, plan)
+    return predicate(g.n, violated, plan.s if plan.scope == "st" else None)
 
 
 def _feasible_for(g: FaultGraph, F: Iterable[int], plan: StagePlan, q: int) -> bool:
-    if plan.scope == "st":
-        ok, _ = is_flex_feasible(
-            g, [FlexRequirement(plan.s, plan.t, plan.p, q)], F
-        )
-        return ok
-    p = plan.p
-    fe = [g.edges[eid] for eid in sorted(F)]
-    for mask in spanning_cut_masks(g.n):
-        safe = total = 0
-        for e in fe:
-            if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-                total += 1
-                if e.safe:
-                    safe += 1
-        if safe < p and total < p + q:
-            return False
-    return True
+    return not _scope(g, plan) & Boundary(g, F).deficient(plan.p, q)
 
 
 def membership_ciq(
@@ -202,21 +154,20 @@ def membership_ciq(
     the boundary in exactly one edge, those edges are distinct and safe, and
     together they are exactly the cut's safe boundary.
     """
-    plan = StagePlan(p=p, q=q, scope="st", s=s, t=t)
-    if not _violated_membership(g, F, plan)(mask):
+    full = (1 << g.n) - 1
+    if not 0 < mask < full or not (mask >> s) & 1 or (mask >> t) & 1:
         return False
-    fe = [g.edges[eid] for eid in sorted(F)]
-    bnd, safe_bnd = _boundary_profile(g, fe, mask)
-    if len(safe_bnd) != len(Q):
+    bnd = boundary(g, F, mask)
+    safe_bnd = {eid for eid in bnd if g.edges[eid].safe}
+    if len(bnd) != p + q - 1 or len(safe_bnd) >= p or len(safe_bnd) != len(Q):
         return False
-    bnd_set = set(bnd)
     hit_edges = []
     for path in Q:
-        hits = [eid for eid in path if eid in bnd_set]
+        hits = [eid for eid in path if eid in bnd]
         if len(hits) != 1 or not g.edges[hits[0]].safe:
             return False
         hit_edges.append(hits[0])
-    return len(set(hit_edges)) == len(hit_edges) and set(hit_edges) == set(safe_bnd)
+    return len(set(hit_edges)) == len(hit_edges) and set(hit_edges) == safe_bnd
 
 
 def _enumerate_matchings(edge_opts: list[list[int]]) -> list[frozenset]:
@@ -258,26 +209,15 @@ def _ring_families(
     p, q = plan.p, plan.q
     bundle = _cap_flow_bundle(g, F, plan)
     path_sets = bundle.edge_sets
-    membership = _violated_membership(g, F, plan)
-    fe = [g.edges[eid] for eid in sorted(F)]
-    members_i = []
-    for mask in st_cut_masks(g.n, plan.s, plan.t):
-        if membership(mask):
-            _bnd, safe_bnd = _boundary_profile(g, fe, mask)
-            if len(safe_bnd) == i:
-                members_i.append(mask)
+    violated, counts = _violated_cuts(g, F, plan)
     groups: dict[frozenset, list[int]] = {}
-    for mask in members_i:
-        bnd, safe_bnd = _boundary_profile(g, fe, mask)
-        bnd_set = set(bnd)
-        opts = []
-        for eid in safe_bnd:
-            cand = [
-                j
-                for j, pset in enumerate(path_sets)
-                if eid in pset and len(bnd_set & pset) == 1
-            ]
-            opts.append(cand)
+    for mask in masks(g.n, violated & counts.safe.exactly(i), plan.s):
+        bnd = boundary(g, F, mask)
+        opts = [
+            [j for j, pset in enumerate(path_sets) if eid in pset and len(bnd & pset) == 1]
+            for eid in sorted(bnd)
+            if g.edges[eid].safe
+        ]
         qsets = _enumerate_matchings(opts) if all(opts) else []
         if i == 0:
             qsets = [frozenset()]
@@ -310,35 +250,17 @@ def _ring_families(
 def _stage_families(
     g: FaultGraph, F: frozenset, plan: StagePlan, spec: StageSpec
 ) -> list[CutFamily]:
-    membership = _violated_membership(g, F, plan)
     if spec.engine == "ring-exact":
         return _ring_families(g, F, plan, spec.safe_count)
-    fe = [g.edges[eid] for eid in sorted(F)]
-    members = []
-    for mask in _scope_masks(g, plan):
-        if membership(mask):
-            if spec.safe_count is None:
-                members.append(mask)
-            else:
-                _bnd, safe_bnd = _boundary_profile(g, fe, mask)
-                if len(safe_bnd) == spec.safe_count:
-                    members.append(mask)
-    if spec.safe_count is None:
-        stage_membership = membership
-    else:
-        want = spec.safe_count
-
-        def stage_membership(mask: int, _m=membership, _want=want) -> bool:
-            if not _m(mask):
-                return False
-            _bnd, safe_bnd = _boundary_profile(g, fe, mask)
-            return len(safe_bnd) == _want
-
+    violated, counts = _violated_cuts(g, F, plan)
+    if spec.safe_count is not None:
+        violated &= counts.safe.exactly(spec.safe_count)
+    s = plan.s if plan.scope == "st" else None
     return [
         CutFamily(
             graph=g,
-            members=tuple(sorted(members)),
-            membership=stage_membership,
+            members=tuple(masks(g.n, violated, s)),
+            membership=predicate(g.n, violated, s),
             ground=g.all_edge_ids() - F,
             label=f"{plan.scope}({plan.p},{plan.q}) {spec.label}",
         )
@@ -393,38 +315,6 @@ def augment_stages(
 
 # -- spanning solver -----------------------------------------------------------
 
-def _ecss_base(g: FaultGraph, p: int) -> frozenset:
-    """Fallback (p, 0) base: level-by-level connectivity augmentation with
-    primal-dual covers (each level's deficient-cut family is uncrossable)."""
-    F: frozenset = frozenset()
-    for k in range(1, p + 1):
-        fe = [g.edges[eid] for eid in sorted(F)]
-
-        def membership(mask: int, _fe=fe, _k=k) -> bool:
-            if mask <= 0 or mask >= (1 << g.n) - 1:
-                return False
-            total = 0
-            for e in _fe:
-                if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-                    total += 1
-                    if total > _k - 1:
-                        return False
-            return total == _k - 1
-
-        members = tuple(
-            m for m in spanning_cut_masks(g.n) if membership(m)
-        )
-        fam = CutFamily(
-            graph=g,
-            members=members,
-            membership=membership,
-            ground=g.all_edge_ids() - F,
-            label=f"ecss level {k}",
-        )
-        F = F | primal_dual_cover(fam).edges
-    return F
-
-
 def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     """Spanning (p, q) solver within the supported parameter set.
 
@@ -444,7 +334,7 @@ def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
             g, Problem("flex", flex=fgc_requirements(g.n, p, 0))
         )
     else:
-        F = _ecss_base(g, p)
+        F = ecsndp_base(g, fgc_requirements(g.n, p, 0))
     for level in range(1, q + 1):
         plan = make_fgc_plan(p, level)
         F = augment_stages(g, F, p, level, plan)
@@ -513,8 +403,7 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
     caps = [2 if e.safe else 1 for e in g.edges]
     seed = min_cost_flow(g, caps, s, t, 4).support()
     plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
-    membership = _violated_membership(g, seed, plan)
-    violated = [m for m in st_cut_masks(g.n, s, t) if membership(m)]
+    violated = masks(g.n, _violated_cuts(g, seed, plan)[0], s)
     if not violated:
         return seed
     seed_caps = [caps[eid] if eid in seed else 0 for eid in range(g.m)]

@@ -191,20 +191,6 @@ def _flow_arcs(g: FaultGraph, amounts: list[int]) -> dict[int, list[tuple[int, i
     return out
 
 
-def cancel_flow_cycles(g: FaultGraph, f: Flow) -> Flow:
-    """Return the flow with its circulation part removed.
-
-    Extracting ``f.value`` unit paths and recombining them is exactly the
-    input flow minus any directed flow cycles, so this is implemented on top
-    of the canonical decomposition.
-    """
-    amounts = [0] * g.m
-    for path in _decompose_walks(g, f):
-        for eid, forward in path:
-            amounts[eid] += 1 if forward else -1
-    return Flow(f.source, f.sink, f.value, tuple(amounts))
-
-
 def _decompose_walks(g: FaultGraph, f: Flow) -> list[list[tuple[int, bool]]]:
     """Unit s-t paths as (edge id, traversed-forward) lists."""
     for a in f.amounts:

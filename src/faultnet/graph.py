@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 SAFE = "safe"
@@ -34,13 +33,13 @@ def enumeration_budget() -> int:
 class EdgeRec:
     """One undirected edge.  Parallel edges are distinct records.
 
-    Costs are 64-bit floats by default; passing Fraction keeps exact
-    rational arithmetic through the cost-sensitive engines."""
+    Costs are 64-bit floats: :class:`FaultGraph` converts every given cost
+    with ``float``, Fraction included."""
 
     id: int
     u: int
     v: int
-    cost: float | Fraction
+    cost: float
     safe: bool
 
     @property
@@ -166,11 +165,6 @@ class VertexCut:
         return self.contains(s) != self.contains(t)
 
 
-def crosses(mask: int, u: int, v: int) -> bool:
-    """True iff edge (u, v) has exactly one endpoint inside ``mask``."""
-    return bool(((mask >> u) ^ (mask >> v)) & 1)
-
-
 def boundary(g: FaultGraph, F: Iterable[int], S) -> frozenset:
     """Edges of F with exactly one endpoint in S.
 
@@ -256,18 +250,9 @@ def connected_components(g: FaultGraph, F: Iterable[int]) -> list[frozenset]:
     return sorted((frozenset(vs) for vs in groups.values()), key=min)
 
 
-def component_masks(g: FaultGraph, F: Iterable[int]) -> list[int]:
-    """Components of (V, F) as bit masks, sorted by smallest member."""
-    return [sum(1 << v for v in comp) for comp in connected_components(g, F)]
-
-
 def same_component(g: FaultGraph, F: Iterable[int], u: int, v: int) -> bool:
     uf = _UnionFind(g.n)
     for eid in F:
         e = g.edges[eid]
         uf.union(e.u, e.v)
     return uf.find(u) == uf.find(v)
-
-
-def is_connected(g: FaultGraph, F: Iterable[int]) -> bool:
-    return len(connected_components(g, F)) == 1

@@ -22,6 +22,7 @@ oracles before returning, retrying with derived seeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 from .errors import CannotSatisfyFeasibility, ParseError
@@ -106,11 +107,23 @@ def parse(text: str) -> InstanceFile:
         if eid != i:
             raise ParseError(f"edge ids must be dense; got {eid}, wanted {i}")
         cost = float(parts[4])
+        if not math.isfinite(cost):
+            raise ParseError(f"edge {eid}: cost {parts[4]!r} is not finite")
         safety = parts[5]
         if safety not in (SAFE, UNSAFE):
             raise ParseError(f"bad safety label {safety!r}")
         specs.append((u, v, cost, safety))
     kind = expect("problem")[1]
+
+    def index(token: str, bound: int, what: str) -> int:
+        value = int(token)
+        if not 0 <= value < bound:
+            raise ParseError(f"{what} {value} out of range 0..{bound - 1}")
+        return value
+
+    def vertex(token: str) -> int:
+        return index(token, n, "vertex")
+
     flex: list[FlexRequirement] = []
     scenarios: list[BulkScenario] = []
     relative: list[RelativeRequirement] = []
@@ -126,7 +139,7 @@ def parse(text: str) -> InstanceFile:
             if kind == "flex" and parts[0] == "flexpair":
                 flex.append(
                     FlexRequirement(
-                        int(parts[1]), int(parts[2]), int(parts[3]), int(parts[4])
+                        vertex(parts[1]), vertex(parts[2]), int(parts[3]), int(parts[4])
                     )
                 )
             elif kind == "bulk" and parts[0] == "scenario":
@@ -136,16 +149,16 @@ def parse(text: str) -> InstanceFile:
                 fail = (
                     frozenset()
                     if fail_part == "-"
-                    else frozenset(int(x) for x in fail_part.split(","))
+                    else frozenset(index(x, m, "edge id") for x in fail_part.split(","))
                 )
                 pairs = []
                 for token in pair_part.split():
                     a, _, b = token.partition("-")
-                    pairs.append((int(a), int(b)))
+                    pairs.append((vertex(a), vertex(b)))
                 scenarios.append(BulkScenario(fail, tuple(pairs)))
             elif kind == "rsndp" and parts[0] == "relpair":
                 relative.append(
-                    RelativeRequirement(int(parts[1]), int(parts[2]), int(parts[3]))
+                    RelativeRequirement(vertex(parts[1]), vertex(parts[2]), int(parts[3]))
                 )
             else:
                 raise ParseError(f"unexpected line in {kind} block: {ln!r}")

@@ -19,6 +19,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .cover import CutFamily
+from .cuts import Boundary, masks, predicate, separating
 from .errors import (
     BaseNotFeasible,
     EnumerationTooLarge,
@@ -32,8 +33,6 @@ from .graph import (
     connected_components,
     enumeration_budget,
     same_component,
-    spanning_cut_masks,
-    st_cut_masks,
 )
 
 
@@ -169,25 +168,16 @@ def is_flex_feasible(
     """
     _guard_sweep(g.n)
     H = frozenset(H)
-    edges = [g.edges[eid] for eid in sorted(H)]
+    counts = Boundary(g, H)
     for req in reqs:
-        for mask in st_cut_masks(g.n, req.s, req.t):
-            safe = 0
-            total = 0
-            for e in edges:
-                if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-                    total += 1
-                    if e.safe:
-                        safe += 1
-            unsafe = total - safe
-            if total - min(req.q, unsafe) < req.p:
-                bad_unsafe = sorted(
-                    e.id
-                    for e in edges
-                    if not e.safe and ((mask >> e.u) ^ (mask >> e.v)) & 1
-                )
-                B = frozenset(bad_unsafe[: req.q])
-                return False, FlexWitness(req, B, VertexCut(g.n, mask))
+        bad = separating(g.n, req.s, req.t) & counts.deficient(req.p, req.q)
+        if bad:
+            mask = masks(g.n, bad, req.s)[0]
+            bad_unsafe = sorted(
+                eid for eid in boundary(g, H, mask) if not g.edges[eid].safe
+            )
+            B = frozenset(bad_unsafe[: req.q])
+            return False, FlexWitness(req, B, VertexCut(g.n, mask))
     return True, None
 
 
@@ -260,34 +250,18 @@ def violated_cuts_flex_aug(
     ok, witness = is_flex_feasible(g, prior, F1)
     if not ok:
         raise BaseNotFeasible(f"F1 is not (p, q-1)-feasible: {witness}")
-    f1_edges = [g.edges[eid] for eid in sorted(F1)]
-
-    def membership(mask: int) -> bool:
-        safe = 0
-        total = 0
-        for e in f1_edges:
-            if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-                total += 1
-                if e.safe:
-                    safe += 1
-        for r in reqs:
-            if r.q < 1:
-                continue
-            if ((mask >> r.s) ^ (mask >> r.t)) & 1:
-                if total == r.p + r.q - 1 and safe < r.p:
-                    return True
-        return False
-
-    if len(reqs) == 1:
-        masks = st_cut_masks(g.n, reqs[0].s, reqs[0].t)
-    else:
-        masks = spanning_cut_masks(g.n)
-    members = tuple(sorted(m for m in masks if membership(m)))
+    counts = Boundary(g, F1)
+    violated = 0
+    for r in reqs:
+        if r.q >= 1:
+            violated |= separating(g.n, r.s, r.t) & counts.tight(r.p, r.q)
+    s = reqs[0].s if len(reqs) == 1 else None
+    members = tuple(masks(g.n, violated, s))
     ground = g.all_edge_ids() - F1
     return CutFamily(
         graph=g,
         members=members,
-        membership=membership,
+        membership=predicate(g.n, violated),
         ground=ground,
         label=f"flex-aug({len(reqs)} reqs)",
     )

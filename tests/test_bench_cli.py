@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from faultnet.bench import bench, run_cell, solutions_json
 from faultnet.cli import main
 from faultnet.instances import appendix_a_instance, generate, serialize
@@ -125,6 +127,30 @@ class TestCli:
         bad = tmp_path / "bad.fni"
         bad.write_text("garbage\n")
         assert main(["exact", str(bad)]) == 4
+
+    @pytest.mark.parametrize(
+        "command, edge_line, problem_lines",
+        [
+            # A NaN cost used to reach the output as "cost": NaN, invalid JSON.
+            (["exact"], "e 1 1 2 nan safe", ["problem flex", "flexpair 0 2 1 0"]),
+            # An out-of-range bulk pair used to end in a KeyError traceback.
+            (["solve", "--alg", "bulk"], "e 1 1 2 1.0 safe", ["problem bulk", "scenario - | 0-7"]),
+            # An out-of-range scenario edge id used to be silently ignored.
+            (["solve", "--alg", "bulk"], "e 1 1 2 1.0 safe", ["problem bulk", "scenario 99 | 0-2"]),
+        ],
+        ids=["nan-cost", "bulk-pair-out-of-range", "scenario-edge-out-of-range"],
+    )
+    def test_invalid_instance_is_a_parse_error(
+        self, tmp_path, capsys, command, edge_line, problem_lines
+    ):
+        lines = ["faultnet-instance 1", "vertices 3", "edges 3", "e 0 0 1 1.0 safe"]
+        lines += [edge_line, "e 2 0 2 1.0 safe", *problem_lines, "end"]
+        path = tmp_path / "bad.fni"
+        path.write_text("\n".join(lines) + "\n")
+        assert main([command[0], str(path), *command[1:]]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
 
     def test_infeasible_exit_code(self, tmp_path):
         from faultnet.instances import InstanceFile

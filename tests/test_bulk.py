@@ -15,7 +15,7 @@ from faultnet.bulk import (
     solve_flex_sndp,
     solve_rsndp,
 )
-from faultnet.errors import Disconnected, Unhittable
+from faultnet.errors import Disconnected, InfeasibleAugmentation, Unhittable
 from faultnet.exact import exact_solve
 from faultnet.flexalg import solve_flex_st
 from faultnet.graph import FaultGraph, connected_components, same_component
@@ -277,6 +277,42 @@ class TestSolveBulk:
 
 
 class TestFlexSndpDriver:
+    def flex_sndp_unlucky_tree_instance(self):
+        # One sampled tree of this instance (solved with seed 479) leaves an
+        # unhittable violating set; the other trees succeed.
+        return generate(
+            "random-multigraph",
+            n=7,
+            m=14,
+            seed=4796086,
+            params={
+                "problem": "flex-sndp",
+                "p": 1,
+                "q": 2,
+                "skeleton": "mixed",
+                "pairs": [[0, 6, 1, 2], [1, 4, 2, 1]],
+            },
+        )
+
+    def test_unhittable_tree_is_skipped(self):
+        inst = self.flex_sndp_unlucky_tree_instance()
+        g = inst.to_graph()
+        sol = solve_flex_sndp(g, inst.problem.flex, seed=479)
+        ok, _ = is_flex_feasible(g, inst.problem.flex, sol)
+        assert ok
+
+    def test_every_tree_unhittable_raises(self, monkeypatch):
+        import faultnet.bulk as bulk_mod
+
+        def never_hits(inst):
+            raise Unhittable("forced", witness=inst.set_keys[0])
+
+        monkeypatch.setattr(bulk_mod, "greedy_hitting_set", never_hits)
+        inst = self.flex_sndp_unlucky_tree_instance()
+        with pytest.raises(InfeasibleAugmentation) as info:
+            solve_flex_sndp(inst.to_graph(), inst.problem.flex, seed=479)
+        assert isinstance(info.value.__cause__, Unhittable)
+
     def test_all_pairs_10_is_connector(self):
         g = random_graph(41, 6, 12)
         reqs = tuple(FlexRequirement(u, u + 1, 1, 0) for u in range(5))
