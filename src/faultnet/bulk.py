@@ -15,14 +15,14 @@ expansion; the flexible driver additionally seeds with an exact base at the
 from __future__ import annotations
 
 import heapq
-import itertools
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cover import ecsndp_base
+from .cuts import Boundary, masks, separating
 from .errors import (
     Disconnected,
     InfeasibleAugmentation,
@@ -30,7 +30,7 @@ from .errors import (
     Unhittable,
 )
 from .exact import exact_budget, exact_solve
-from .graph import FaultGraph, same_component
+from .graph import FaultGraph, boundary, same_component
 from .oracles import (
     BulkScenario,
     FlexRequirement,
@@ -53,15 +53,13 @@ DEFAULT_TREES = 8
 
 @dataclass(frozen=True)
 class TreeEmbedding:
-    """A spanning tree with path lookup and measured empirical stretch."""
+    """A spanning tree with path lookup."""
 
     root: int
     parent_vertex: tuple[int, ...]
     parent_edge: tuple[int, ...]
     depth: tuple[int, ...]
     tree_edges: frozenset
-    max_stretch: float
-    mean_stretch: float
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
         """Edge ids of the unique tree path between u and v."""
@@ -113,9 +111,9 @@ def sample_tree(g: FaultGraph, costs: Sequence[float] | None = None, seed: int =
     """Random low-ish-stretch spanning tree, deterministic per seed.
 
     Edge costs get a multiplicative log-uniform [1, 2] perturbation, then a
-    shortest-path tree is grown from a random root.  Stretch is measured
-    against true shortest-path distances over all vertex pairs; downstream
-    correctness never depends on it, only expected cost does.
+    shortest-path tree is grown from a random root.  Downstream correctness
+    never depends on the stretch, only expected cost does; measure it with
+    :func:`tree_stretch`.
     """
     if costs is None:
         costs = [e.cost for e in g.edges]
@@ -126,45 +124,36 @@ def sample_tree(g: FaultGraph, costs: Sequence[float] | None = None, seed: int =
     if any(d == float("inf") for d in dist):
         raise Disconnected("graph is not connected")
     depth = [0] * g.n
-    order = sorted(range(g.n), key=lambda v: dist[v])
-    for v in order:
+    for v in sorted(range(g.n), key=lambda v: dist[v]):
         if v != root:
             depth[v] = depth[parent_v[v]] + 1
-    tree_edges = frozenset(parent_e[v] for v in range(g.n) if v != root)
-    # Empirical stretch against the unperturbed metric.
-    tree_cost_to_root = [0.0] * g.n
-    for v in order:
-        if v != root:
-            tree_cost_to_root[v] = (
-                tree_cost_to_root[parent_v[v]] + costs[parent_e[v]]
-            )
-    emb = TreeEmbedding(
+    return TreeEmbedding(
         root=root,
         parent_vertex=tuple(parent_v),
         parent_edge=tuple(parent_e),
         depth=tuple(depth),
-        tree_edges=tree_edges,
-        max_stretch=1.0,
-        mean_stretch=1.0,
+        tree_edges=frozenset(parent_e[v] for v in range(g.n) if v != root),
     )
+
+
+def tree_stretch(
+    g: FaultGraph, tree: TreeEmbedding, costs: Sequence[float] | None = None
+) -> tuple[float, float]:
+    """(max, mean) stretch of the tree over all vertex pairs: tree-path cost
+    over shortest-path distance, both under ``costs`` (default: the edge
+    costs).  Pairs at distance 0 are skipped; with none left it is (1, 1)."""
+    if costs is None:
+        costs = [e.cost for e in g.edges]
     ratios = []
     for u in range(g.n):
         d_g, _pv, _pe = _dijkstra(g, costs, u)
         for v in range(u + 1, g.n):
-            d_t = sum(costs[eid] for eid in emb.path(u, v))
             if d_g[v] > 0:
+                d_t = sum(costs[eid] for eid in tree.path(u, v))
                 ratios.append(d_t / d_g[v])
-    max_s = max(ratios) if ratios else 1.0
-    mean_s = sum(ratios) / len(ratios) if ratios else 1.0
-    return TreeEmbedding(
-        root=emb.root,
-        parent_vertex=emb.parent_vertex,
-        parent_edge=emb.parent_edge,
-        depth=emb.depth,
-        tree_edges=emb.tree_edges,
-        max_stretch=max_s,
-        mean_stretch=mean_s,
-    )
+    if not ratios:
+        return 1.0, 1.0
+    return max(ratios), sum(ratios) / len(ratios)
 
 
 # -- hitting set ------------------------------------------------------------------
@@ -246,11 +235,68 @@ class LevelStats:
     tree_cost_added: float
     cycle_cost_added: float
     violating_sets: int
-    max_stretch: float
 
 
 def _tree_seed(seed: int, level: int, t: int) -> int:
     return (seed * 1_000_003 + level * 1_009 + t) & 0x7FFFFFFF
+
+
+def _best_of_trees(
+    g: FaultGraph,
+    H_prev: frozenset,
+    pairs: Sequence[tuple[int, int]],
+    violating: Callable[[frozenset], list],
+    level: int,
+    seed: int,
+    trees: int,
+) -> tuple[frozenset, LevelStats]:
+    """Cheapest of ``trees`` sampled-tree augmentations of H_prev.
+
+    Each try buys the tree paths of ``pairs``, builds the hitting instance
+    over ``violating(H)``, the violating (failure, pair) tuples left in the
+    result H, and unions the greedy picks' fundamental cycles.  A tree whose
+    instance is unhittable is skipped; when every tree is,
+    InfeasibleAugmentation is raised from the last Unhittable.
+    """
+    best = None
+    unhittable = None
+    for t in range(max(1, trees)):
+        tree = sample_tree(g, seed=_tree_seed(seed, level, t))
+        H_P: set[int] = set()
+        for u, v in pairs:
+            H_P.update(tree.path(u, v))
+        H = H_prev | H_P
+        viol = violating(H)
+        added: set[int] = set()
+        if viol:
+            inst = build_hitting_instance(g, H, tree, viol)
+            try:
+                picks = greedy_hitting_set(inst)
+            except Unhittable as exc:
+                unhittable = exc
+                continue
+            for eid in picks:
+                e = g.edges[eid]
+                added.add(eid)
+                added.update(tree.path(e.u, e.v))
+        candidate = H | added
+        cost = g.total_cost(candidate - H_prev)
+        if best is None or cost < best[0] - 1e-12:
+            hp_cost = g.total_cost(frozenset(H_P) - H_prev)
+            best = (cost, candidate, LevelStats(level, t, hp_cost, cost - hp_cost, len(viol)))
+    if best is None:
+        raise InfeasibleAugmentation(
+            f"level {level}: every tree failed, last with {unhittable}"
+        ) from unhittable
+    cost, candidate, stats = best
+    log.debug(
+        "level %d: tree %d, +%d violating sets, added cost %.6g",
+        level,
+        stats.tree_index,
+        stats.violating_sets,
+        cost,
+    )
+    return candidate, stats
 
 
 def augment_bulk(
@@ -264,64 +310,29 @@ def augment_bulk(
 ) -> frozenset:
     """Lift a solution from level-1 to level (all sub-failures of that size).
 
-    Tries ``trees`` sampled trees and keeps the cheapest feasible outcome;
-    each try buys the terminal tree paths, builds the hitting instance over
-    the violating (failure, pair) tuples, and unions the greedy picks'
-    fundamental cycles.  Unhittable sets mean the instance itself cannot be
-    augmented at this width (hittability does not depend on the tree).
+    The cheapest of ``trees`` tree augmentations over the scenario pairs,
+    hitting the violating (failure, pair) tuples of this level.  A failure
+    set can break every fundamental cycle of one tree and not of another,
+    so a tree whose hitting instance is unhittable is skipped.
     """
     H_prev = frozenset(H_prev)
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
-    best = None
-    for t in range(max(1, trees)):
-        tree = sample_tree(g, seed=_tree_seed(seed, level, t))
-        H_P: set[int] = set()
-        for u, v in pairs:
-            H_P.update(tree.path(u, v))
-        H = H_prev | H_P
-        viol = violating_edge_sets_bulk(g, scenarios, H, level)
-        added_cycles: set[int] = set()
-        if viol:
-            inst = build_hitting_instance(g, H, tree, viol)
-            try:
-                picks = greedy_hitting_set(inst)
-            except Unhittable as exc:
-                raise InfeasibleAugmentation(
-                    f"level {level}: {exc}"
-                ) from exc
-            for eid in picks:
-                e = g.edges[eid]
-                added_cycles.add(eid)
-                added_cycles.update(tree.path(e.u, e.v))
-        candidate = H | added_cycles
-        leftover = violating_edge_sets_bulk(g, scenarios, candidate, level)
-        if leftover:
-            raise InfeasibleAugmentation(
-                f"level {level}: cover left {len(leftover)} violating sets"
-            )
-        cost = g.total_cost(candidate - H_prev)
-        entry = (cost, t, candidate, tree, len(viol), g.total_cost(frozenset(H_P) - H_prev))
-        if best is None or entry[0] < best[0] - 1e-12:
-            best = entry
-    cost, t, candidate, tree, nviol, hp_cost = best
-    if stats_out is not None:
-        stats_out.append(
-            LevelStats(
-                level=level,
-                tree_index=t,
-                tree_cost_added=hp_cost,
-                cycle_cost_added=cost - hp_cost,
-                violating_sets=nviol,
-                max_stretch=tree.max_stretch,
-            )
-        )
-    log.debug(
-        "bulk level %d: tree %d, +%d violating sets, added cost %.6g",
+    candidate, stats = _best_of_trees(
+        g,
+        H_prev,
+        pairs,
+        lambda H: violating_edge_sets_bulk(g, scenarios, H, level),
         level,
-        t,
-        nviol,
-        cost,
+        seed,
+        trees,
     )
+    leftover = violating_edge_sets_bulk(g, scenarios, candidate, level)
+    if leftover:
+        raise InfeasibleAugmentation(
+            f"level {level}: cover left {len(leftover)} violating sets"
+        )
+    if stats_out is not None:
+        stats_out.append(stats)
     return candidate
 
 
@@ -361,22 +372,18 @@ def _flex_violating_sets(
 ) -> list[tuple[frozenset, tuple[int, int]]]:
     """Minimal violating (F, pair) sets for the round's active pairs.
 
-    With H feasible at (p_i, round-1), every minimal violating F for pair i
-    lies inside H, has exactly p_i + round - 1 edges, and at most p_i - 1
-    safe ones; enumeration is restricted accordingly.
+    With H feasible at (p_i, round-1), a minimal violating F for pair i is,
+    by Menger, exactly the H-boundary of an s-t cut with p_i + round - 1
+    edges of H, fewer than p_i of them safe: a tight cut of the kernel.
     """
+    bound = Boundary(g, H)
     out = set()
-    H_sorted = sorted(H)
     for r in reqs:
         if r.q < round_index:
             continue
-        size = r.p + round_index - 1
-        for combo in itertools.combinations(H_sorted, size):
-            F = frozenset(combo)
-            if len(F & g.safe_ids) > r.p - 1:
-                continue
-            if not same_component(g, H - F, r.s, r.t):
-                out.add((F, (r.s, r.t)))
+        tight = separating(g.n, r.s, r.t) & bound.tight(r.p, round_index)
+        for mask in masks(g.n, tight):
+            out.add((boundary(g, H, mask), (r.s, r.t)))
     return sorted(out, key=lambda fp: (sorted(fp[0]), fp[1]))
 
 
@@ -398,44 +405,17 @@ def solve_flex_sndp(
         H, _cost = exact_solve(g, Problem("flex", flex=base_reqs))
     else:
         H = ecsndp_base(g, base_reqs)
-    max_q = max(r.q for r in reqs)
-    for round_index in range(1, max_q + 1):
+    for round_index in range(1, max(r.q for r in reqs) + 1):
         active = [(r.s, r.t) for r in reqs if r.q >= round_index]
-        if not active:
-            break
-        best = None
-        unhittable = None
-        for t in range(max(1, trees)):
-            tree = sample_tree(g, seed=_tree_seed(seed, round_index, t))
-            H_P: set[int] = set()
-            for u, v in active:
-                H_P.update(tree.path(u, v))
-            H_work = H | H_P
-            viol = _flex_violating_sets(g, H_work, reqs, round_index)
-            added: set[int] = set()
-            if viol:
-                inst = build_hitting_instance(g, H_work, tree, viol)
-                try:
-                    picks = greedy_hitting_set(inst)
-                except Unhittable as exc:
-                    # Hittability depends on the tree here, since the tree
-                    # paths join H_work: another tree may still succeed.
-                    unhittable = exc
-                    continue
-                for eid in picks:
-                    e = g.edges[eid]
-                    added.add(eid)
-                    added.update(tree.path(e.u, e.v))
-            candidate = H_work | added
-            cost = g.total_cost(candidate - H)
-            entry = (cost, t, candidate, len(viol), g.total_cost(frozenset(H_P) - H))
-            if best is None or entry[0] < best[0] - 1e-12:
-                best = entry
-        if best is None:
-            raise InfeasibleAugmentation(
-                f"round {round_index}: every tree failed, last with {unhittable}"
-            ) from unhittable
-        cost, t, H_new, nviol, hp_cost = best
+        H_new, stats = _best_of_trees(
+            g,
+            H,
+            active,
+            lambda H_work: _flex_violating_sets(g, H_work, reqs, round_index),
+            round_index,
+            seed,
+            trees,
+        )
         round_reqs = tuple(
             FlexRequirement(r.s, r.t, r.p, min(r.q, round_index)) for r in reqs
         )
@@ -445,16 +425,7 @@ def solve_flex_sndp(
                 f"round {round_index} output fails {witness}"
             )
         if stats_out is not None:
-            stats_out.append(
-                LevelStats(
-                    level=round_index,
-                    tree_index=t,
-                    tree_cost_added=hp_cost,
-                    cycle_cost_added=cost - hp_cost,
-                    violating_sets=nviol,
-                    max_stretch=0.0,
-                )
-            )
+            stats_out.append(stats)
         H = H_new
     ok, witness = is_flex_feasible(g, reqs, H)
     if not ok:

@@ -13,6 +13,7 @@ shared freely; all functions here allocate private state.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -79,6 +80,8 @@ class FaultGraph:
                 raise ValueError(f"edge {eid}: endpoint out of range")
             if u == v:
                 raise ValueError(f"edge {eid}: self-loops are not allowed")
+            if not math.isfinite(cost):
+                raise ValueError(f"edge {eid}: cost {cost!r} is not finite")
             if cost < 0:
                 raise ValueError(f"edge {eid}: negative cost")
             recs.append(EdgeRec(eid, u, v, float(cost), _as_safe_flag(safety)))

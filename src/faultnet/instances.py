@@ -83,7 +83,7 @@ def parse(text: str) -> InstanceFile:
         raise ParseError("empty instance file")
     it = iter(lines)
 
-    def expect(prefix: str) -> list[str]:
+    def expect(prefix: str, arity: int) -> list[str]:
         try:
             ln = next(it)
         except StopIteration:
@@ -91,29 +91,35 @@ def parse(text: str) -> InstanceFile:
         parts = ln.split()
         if parts[0] != prefix:
             raise ParseError(f"expected {prefix!r}, got {ln!r}")
+        if len(parts) != arity:
+            raise ParseError(f"bad {prefix!r} line {ln!r}")
         return parts
 
-    head = expect(FORMAT_NAME)
-    if len(head) != 2 or head[1] != str(FORMAT_VERSION):
+    def number(token: str, kind=int):
+        try:
+            return kind(token)
+        except ValueError:
+            raise ParseError(f"{token!r} is not a valid {kind.__name__}") from None
+
+    head = expect(FORMAT_NAME, 2)
+    if head[1] != str(FORMAT_VERSION):
         raise ParseError(f"unsupported format header {head!r}")
-    n = int(expect("vertices")[1])
-    m = int(expect("edges")[1])
+    n = number(expect("vertices", 2)[1])
+    m = number(expect("edges", 2)[1])
     specs = []
     for i in range(m):
-        parts = expect("e")
-        if len(parts) != 6:
-            raise ParseError(f"bad edge line {parts!r}")
-        eid, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+        parts = expect("e", 6)
+        eid, u, v = (number(x) for x in parts[1:4])
         if eid != i:
             raise ParseError(f"edge ids must be dense; got {eid}, wanted {i}")
-        cost = float(parts[4])
+        cost = number(parts[4], float)
         if not math.isfinite(cost):
             raise ParseError(f"edge {eid}: cost {parts[4]!r} is not finite")
         safety = parts[5]
         if safety not in (SAFE, UNSAFE):
             raise ParseError(f"bad safety label {safety!r}")
         specs.append((u, v, cost, safety))
-    kind = expect("problem")[1]
+    kind = expect("problem", 2)[1]
 
     def index(token: str, bound: int, what: str) -> int:
         value = int(token)

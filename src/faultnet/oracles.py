@@ -187,15 +187,9 @@ def is_bulk_feasible(
     """Every scenario's pairs must be connected in H minus its failure set."""
     H = frozenset(H)
     for j, sc in enumerate(scenarios):
-        alive = H - sc.fail
-        comps = connected_components(g, alive)
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for v in comp:
-                comp_of[v] = ci
-        for u, v in sc.pairs:
-            if comp_of[u] != comp_of[v]:
-                return False, BulkWitness(j, (u, v))
+        broken = _connected_pairs_ok(g, H - sc.fail, sc.pairs)
+        if broken:
+            return False, BulkWitness(j, broken[0])
     return True, None
 
 

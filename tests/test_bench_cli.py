@@ -72,6 +72,16 @@ class TestBench:
         assert rec.error and rec.cost is None
 
 
+def _instance_lines(
+    vertices="vertices 3",
+    edge="e 1 1 2 1.0 safe",
+    problem=("problem flex", "flexpair 0 2 1 0"),
+):
+    """A 3-vertex, 3-edge instance file with one line group replaced."""
+    head = ["faultnet-instance 1", vertices, "edges 3", "e 0 0 1 1.0 safe"]
+    return [*head, edge, "e 2 0 2 1.0 safe", *problem, "end"]
+
+
 class TestCli:
     def test_gen_solve_verify_roundtrip(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.fni"
@@ -129,22 +139,36 @@ class TestCli:
         assert main(["exact", str(bad)]) == 4
 
     @pytest.mark.parametrize(
-        "command, edge_line, problem_lines",
+        "command, lines",
         [
             # A NaN cost used to reach the output as "cost": NaN, invalid JSON.
-            (["exact"], "e 1 1 2 nan safe", ["problem flex", "flexpair 0 2 1 0"]),
+            (["exact"], _instance_lines(edge="e 1 1 2 nan safe")),
             # An out-of-range bulk pair used to end in a KeyError traceback.
-            (["solve", "--alg", "bulk"], "e 1 1 2 1.0 safe", ["problem bulk", "scenario - | 0-7"]),
+            (
+                ["solve", "--alg", "bulk"],
+                _instance_lines(problem=("problem bulk", "scenario - | 0-7")),
+            ),
             # An out-of-range scenario edge id used to be silently ignored.
-            (["solve", "--alg", "bulk"], "e 1 1 2 1.0 safe", ["problem bulk", "scenario 99 | 0-2"]),
+            (
+                ["solve", "--alg", "bulk"],
+                _instance_lines(problem=("problem bulk", "scenario 99 | 0-2")),
+            ),
+            # Bare count and problem lines used to end in an IndexError
+            # traceback, and a non-integer count in a "bad parameters" error.
+            (["exact"], _instance_lines(vertices="vertices")),
+            (["exact"], _instance_lines(problem=("problem", "flexpair 0 2 1 0"))),
+            (["exact"], _instance_lines(vertices="vertices three")),
         ],
-        ids=["nan-cost", "bulk-pair-out-of-range", "scenario-edge-out-of-range"],
+        ids=[
+            "nan-cost",
+            "bulk-pair-out-of-range",
+            "scenario-edge-out-of-range",
+            "bare-vertices",
+            "bare-problem",
+            "non-integer-vertices",
+        ],
     )
-    def test_invalid_instance_is_a_parse_error(
-        self, tmp_path, capsys, command, edge_line, problem_lines
-    ):
-        lines = ["faultnet-instance 1", "vertices 3", "edges 3", "e 0 0 1 1.0 safe"]
-        lines += [edge_line, "e 2 0 2 1.0 safe", *problem_lines, "end"]
+    def test_invalid_instance_is_a_parse_error(self, tmp_path, capsys, command, lines):
         path = tmp_path / "bad.fni"
         path.write_text("\n".join(lines) + "\n")
         assert main([command[0], str(path), *command[1:]]) == 4

@@ -1,3 +1,4 @@
+import itertools
 import math
 from random import Random
 
@@ -6,6 +7,7 @@ import pytest
 from faultnet.bulk import (
     HittingInstance,
     LevelStats,
+    _flex_violating_sets,
     _tree_seed,
     augment_bulk,
     build_hitting_instance,
@@ -14,6 +16,7 @@ from faultnet.bulk import (
     solve_bulk_sndp,
     solve_flex_sndp,
     solve_rsndp,
+    tree_stretch,
 )
 from faultnet.errors import Disconnected, InfeasibleAugmentation, Unhittable
 from faultnet.exact import exact_solve
@@ -23,6 +26,7 @@ from faultnet.instances import appendix_a_instance, generate
 from faultnet.oracles import (
     BulkScenario,
     FlexRequirement,
+    Problem,
     RelativeRequirement,
     expand_flex_to_bulk,
     is_bulk_feasible,
@@ -48,7 +52,7 @@ class TestSampleTree:
         g = FaultGraph(4, [(0, 1, 1, "safe"), (1, 2, 2, "safe"), (2, 3, 1, "safe")])
         tree = sample_tree(g, seed=5)
         assert tree.tree_edges == {0, 1, 2}
-        assert tree.max_stretch == 1.0 and tree.mean_stretch == 1.0
+        assert tree_stretch(g, tree) == (1.0, 1.0)
 
     def test_cycle_drops_one_edge(self):
         n = 6
@@ -59,7 +63,7 @@ class TestSampleTree:
         e = g.edges[dropped]
         # The dropped edge's endpoints go all the way around: stretch n-1.
         assert len(tree.path(e.u, e.v)) == n - 1
-        assert abs(tree.max_stretch - (n - 1)) < 1e-9
+        assert abs(tree_stretch(g, tree)[0] - (n - 1)) < 1e-9
 
     def test_deterministic_per_seed(self):
         g = random_graph(7, 8, 16)
@@ -72,7 +76,7 @@ class TestSampleTree:
 
     def test_stretch_statistics_reported(self):
         g = random_graph(11, 12, 26)
-        stretches = [sample_tree(g, seed=s).mean_stretch for s in range(8)]
+        stretches = [tree_stretch(g, sample_tree(g, seed=s))[1] for s in range(8)]
         assert all(s >= 1.0 - 1e-12 for s in stretches)
 
     def test_disconnected_rejected(self):
@@ -206,6 +210,46 @@ class TestAugmentBulk:
         assert found
 
 
+class TestBestOfTreesUnhittable:
+    """augment_bulk skips a tree whose hitting instance is unhittable."""
+
+    def level_one(self):
+        # Every tree of level 1 leaves violating sets on this instance.
+        inst = bulk_instance(14, width=1)
+        g = inst.to_graph()
+        scen = inst.problem.scenarios
+        return g, scen, augment_bulk(g, scen, frozenset(), 0, seed=1)
+
+    def test_first_unhittable_tree_is_skipped(self, monkeypatch):
+        import faultnet.bulk as bulk_mod
+
+        calls = []
+
+        def first_call_fails(inst):
+            calls.append(inst)
+            if len(calls) == 1:
+                raise Unhittable("forced", witness=inst.set_keys[0])
+            return greedy_hitting_set(inst)
+
+        g, scen, H0 = self.level_one()
+        monkeypatch.setattr(bulk_mod, "greedy_hitting_set", first_call_fails)
+        H1 = augment_bulk(g, scen, H0, 1, seed=1)
+        assert len(calls) > 1
+        assert violating_edge_sets_bulk(g, scen, H1, 1) == []
+
+    def test_every_tree_unhittable_raises(self, monkeypatch):
+        import faultnet.bulk as bulk_mod
+
+        def never_hits(inst):
+            raise Unhittable("forced", witness=inst.set_keys[0])
+
+        g, scen, H0 = self.level_one()
+        monkeypatch.setattr(bulk_mod, "greedy_hitting_set", never_hits)
+        with pytest.raises(InfeasibleAugmentation) as info:
+            augment_bulk(g, scen, H0, 1, seed=1)
+        assert isinstance(info.value.__cause__, Unhittable)
+
+
 class TestSolveBulk:
     def test_width_zero_is_steiner_forest_via_tree_paths(self):
         g = random_graph(31, 7, 13)
@@ -276,6 +320,22 @@ class TestSolveBulk:
             assert len(set(hittable)) == 1
 
 
+def reference_flex_violating_sets(g, H, reqs, round_index):
+    """Every (F, pair) with F a subset of H of p + round - 1 edges, at most
+    p - 1 of them safe, whose removal separates the pair."""
+    out = set()
+    for r in reqs:
+        if r.q < round_index:
+            continue
+        for combo in itertools.combinations(sorted(H), r.p + round_index - 1):
+            F = frozenset(combo)
+            if len(F & g.safe_ids) > r.p - 1:
+                continue
+            if not same_component(g, H - F, r.s, r.t):
+                out.add((F, (r.s, r.t)))
+    return sorted(out, key=lambda fp: (sorted(fp[0]), fp[1]))
+
+
 class TestFlexSndpDriver:
     def flex_sndp_unlucky_tree_instance(self):
         # One sampled tree of this instance (solved with seed 479) leaves an
@@ -343,6 +403,39 @@ class TestFlexSndpDriver:
             ok, _ = is_flex_feasible(g, [req], sol)
             assert ok
 
+    @pytest.mark.parametrize(
+        "n, m, seed, p, q, pairs",
+        [
+            (7, 14, 4796086, 1, 2, [[0, 6, 1, 2], [1, 4, 2, 1]]),
+            (7, 16, 91, 2, 2, [(0, 4, 2, 1), (1, 5, 1, 2)]),
+            (5, 17, 7, 2, 3, [(0, 4, 2, 2), (1, 3, 1, 3)]),
+            (5, 18, 8, 3, 2, [(0, 4, 3, 2), (1, 2, 2, 1)]),
+        ],
+    )
+    def test_violating_sets_match_subset_enumeration(self, n, m, seed, p, q, pairs):
+        # H is feasible at the prior level: the exact optimum there, plus
+        # up to two other edges.
+        inst = generate(
+            "random-multigraph",
+            n=n,
+            m=m,
+            seed=seed,
+            params={"problem": "flex-sndp", "p": p, "q": q, "skeleton": "mixed", "pairs": pairs},
+        )
+        g = inst.to_graph()
+        reqs = inst.problem.flex
+        rng = Random(seed)
+        for round_index in range(1, max(r.q for r in reqs) + 1):
+            prior = tuple(
+                FlexRequirement(r.s, r.t, r.p, min(r.q, round_index - 1)) for r in reqs
+            )
+            H_prior, _cost = exact_solve(g, Problem("flex", flex=prior))
+            rest = sorted(g.all_edge_ids() - H_prior)
+            for extra in range(3):
+                H = H_prior | frozenset(rng.sample(rest, min(extra, len(rest))))
+                got = _flex_violating_sets(g, H, reqs, round_index)
+                assert got == reference_flex_violating_sets(g, H, reqs, round_index)
+
     def test_appendix_a_needs_half_the_safe_edges(self):
         k = 3
         inst = appendix_a_instance(k)
@@ -376,6 +469,21 @@ class TestRsndpDriver:
         assert ok
         # the bridge's failure scenario must not force a second bridge copy
         # (there is none to buy), so the solve simply succeeds.
+
+    def test_unhittable_tree_is_skipped(self):
+        # With seed 14, one tree of level 2 leaves a failure set that no
+        # single fundamental cycle reconnects; the other trees succeed.
+        inst = generate(
+            "random-multigraph",
+            n=7,
+            m=13,
+            seed=1014,
+            params={"problem": "rsndp", "r": 3, "pairs": 2},
+        )
+        g = inst.to_graph()
+        sol = solve_rsndp(g, inst.problem.relative, seed=14)
+        ok, _ = is_rsndp_feasible(g, inst.problem.relative, sol)
+        assert ok
 
     @pytest.mark.parametrize("seed", range(3))
     def test_r3_random_instances(self, seed):

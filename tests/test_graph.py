@@ -97,6 +97,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultGraph(3, [(0, 1, -1.0, "safe")])
 
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cost_rejected(self, cost):
+        with pytest.raises(ValueError, match="not finite"):
+            FaultGraph(2, [(0, 1, cost, "safe")])
+
     def test_endpoint_out_of_range(self):
         with pytest.raises(ValueError):
             FaultGraph(3, [(0, 5, 1.0, "safe")])
