@@ -163,3 +163,23 @@ def random_graph(seed: int, n: int, m: int, safe_prob: float = 0.5) -> FaultGrap
         label = "safe" if rng.random() < safe_prob else "unsafe"
         specs.append((u, v, round(rng.uniform(0.2, 2.0), 3), label))
     return FaultGraph(n, specs)
+
+
+def random_lp(seed: int):
+    """Seeded small LP for ``solve_dense_lp``: (objective, rows, upper bounds).
+
+    Costs take either sign; rows mix negative, zero and positive right-hand
+    sides; upper bounds mix None (free above) and 1.0, so the draws include
+    optimal, infeasible and unbounded LPs.
+    """
+    rng = Random(seed)
+    n = rng.randint(2, 6)
+    objective = [round(rng.uniform(-1.0, 2.0), 3) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 8)):
+        cols = rng.sample(range(n), rng.randint(1, n))
+        terms = [(j, round(rng.uniform(-1.0, 2.0), 3)) for j in cols]
+        rhs = 0.0 if rng.random() < 0.15 else round(rng.uniform(-1.5, 1.5), 3)
+        rows.append((terms, rhs))
+    upper_bounds = [None if rng.random() < 0.4 else 1.0 for _ in range(n)]
+    return objective, rows, upper_bounds

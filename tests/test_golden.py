@@ -10,6 +10,10 @@ current code with files written by a trusted earlier commit:
 * ``golden/cuts.json`` holds ``is_flex_feasible`` verdicts and witnesses,
   ``violated_cuts_flex_aug`` members and membership, and the families of
   ``_stage_families``, over the fixed seeded cases built by :func:`cut_cases`.
+* ``golden/lp.json`` holds the ``repr`` of every float the LP layer returns:
+  ``x``, objective, rounds and every row of seeded ``cutting_plane_flex`` and
+  ``cutting_plane_bulk`` runs, and raw ``solve_dense_lp`` answers, built by
+  :func:`lp_cases`.
 
 A change that alters an answer on purpose rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in its log.
@@ -20,6 +24,7 @@ import sys
 from pathlib import Path
 from random import Random
 
+from faultnet import simplex
 from faultnet.bench import bench, solutions_json
 from faultnet.errors import FaultnetError
 from faultnet.flexalg import (
@@ -29,12 +34,15 @@ from faultnet.flexalg import (
     make_flex_st_plan,
 )
 from faultnet.graph import FaultGraph
+from faultnet.instances import appendix_a_instance, generate
+from faultnet.lp import cutting_plane_bulk, cutting_plane_flex
 from faultnet.oracles import (
     FlexRequirement,
     fgc_requirements,
     is_flex_feasible,
     violated_cuts_flex_aug,
 )
+from oracle_utils import random_lp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -152,6 +160,84 @@ def cut_cases_json() -> str:
     return json.dumps(cut_cases(), indent=0, sort_keys=True) + "\n"
 
 
+def _lp_run(name: str, inst, solve) -> dict:
+    g = inst.to_graph()
+    sol, model = solve(g)
+    return {
+        "name": name,
+        "x": repr(sol.x),
+        "objective": repr(sol.objective),
+        "rounds": sol.rounds,
+        "clean": sol.separation_clean,
+        "rows": [[repr(r.key), repr(r.terms), repr(r.rhs)] for r in model.rows],
+    }
+
+
+def _flex_run(name: str, inst) -> dict:
+    return _lp_run(name, inst, lambda g: cutting_plane_flex(g, inst.problem.flex))
+
+
+def _bulk_run(name: str, inst) -> dict:
+    return _lp_run(name, inst, lambda g: cutting_plane_bulk(g, inst.problem.scenarios))
+
+
+# Hand-written solve_dense_lp cases: (name, objective, rows, upper bounds).
+SIMPLEX_CASES = (
+    ("flipped-rows", [1.0, 2.0, 0.5],
+     [([(0, 1.0), (1, 1.0)], 1.0), ([(0, -1.0)], -0.25), ([(1, -1.0), (2, -1.0)], -1.5)], 1.0),
+    ("rhs-zero", [1.0, 1.0], [([(0, 1.0), (1, -1.0)], 0.0), ([(1, 1.0)], 0.5)], 1.0),
+    ("free-above", [1.0, 3.0], [([(0, 1.0), (1, 1.0)], 2.5)], None),
+    ("mixed-bounds", [1.0, 0.5, 2.0],
+     [([(0, 1.0), (1, 1.0), (2, 1.0)], 2.5), ([(1, 1.0), (2, -1.0)], 0.75)], [None, 1.0, None]),
+    ("infeasible", [1.0, 1.0], [([(0, 1.0), (1, 1.0)], 3.0)], 1.0),
+    ("redundant-row", [1.0, 2.0],
+     [([(0, 1.0), (1, 1.0)], 1.0), ([(0, 1.0), (1, 1.0)], 1.0), ([(0, 2.0), (1, 2.0)], 2.0)], 1.0),
+    ("unbounded", [-1.0, 1.0], [([(0, 1.0), (1, -1.0)], 0.0)], None),
+    ("no-rows", [1.0, -1.0], [], 1.0),
+)
+
+
+def _simplex_answer(objective, rows, upper_bounds) -> list:
+    status, x, value = simplex.solve_dense_lp(objective, rows, upper_bounds)
+    return [status.value, repr(x), repr(value)]
+
+
+def lp_cases() -> dict:
+    flex = []
+    for seed in (1, 2):
+        for p, q in ((2, 1), (2, 2)):
+            for skeleton in ("mixed", "safe"):
+                params = {"problem": "fgc", "p": p, "q": q, "skeleton": skeleton, "safe_prob": 0.45}
+                inst = generate("random-multigraph", n=7, m=15, seed=seed, params=params)
+                flex.append(_flex_run(f"fgc-{p}{q}-{skeleton}-s{seed}", inst))
+        for p, q in ((2, 1), (1, 2)):
+            params = {"problem": "flex-st", "p": p, "q": q, "skeleton": "mixed"}
+            inst = generate("random-multigraph", n=6, m=12, seed=seed, params=params)
+            flex.append(_flex_run(f"flex-st-{p}{q}-s{seed}", inst))
+    for k in (2, 3, 4):
+        flex.append(_flex_run(f"appendix-a-k{k}", appendix_a_instance(k)))
+    bulk = []
+    for seed in (1, 2, 3, 4):
+        params = {"problem": "bulk", "width": 2, "scenarios": 4}
+        inst = generate("random-multigraph", n=7, m=14, seed=seed, params=params)
+        bulk.append(_bulk_run(f"bulk-s{seed}", inst))
+    raw = [[name, _simplex_answer(*case)] for name, *case in SIMPLEX_CASES]
+    raw += [[f"random-{seed}", _simplex_answer(*random_lp(seed))] for seed in range(60)]
+    # Bland's rule takes over after DEGENERATE_LIMIT degenerate pivots in a
+    # row; a limit of 1 makes the seeded LPs exercise it.
+    limit = simplex.DEGENERATE_LIMIT
+    simplex.DEGENERATE_LIMIT = 1
+    try:
+        raw += [[f"bland-{seed}", _simplex_answer(*random_lp(seed))] for seed in range(60)]
+    finally:
+        simplex.DEGENERATE_LIMIT = limit
+    return {"flex": flex, "bulk": bulk, "simplex": raw}
+
+
+def lp_cases_json() -> str:
+    return json.dumps(lp_cases(), indent=0, sort_keys=True) + "\n"
+
+
 def test_bench_suite_matches_golden():
     csv_text, sols = suite_outputs()
     assert csv_text.encode() == (GOLDEN / "suite.csv").read_bytes()
@@ -162,11 +248,16 @@ def test_cut_answers_match_golden():
     assert cut_cases_json().encode() == (GOLDEN / "cuts.json").read_bytes()
 
 
+def test_lp_answers_match_golden():
+    assert lp_cases_json().encode() == (GOLDEN / "lp.json").read_bytes()
+
+
 def write_golden() -> None:
     csv_text, sols = suite_outputs()
     (GOLDEN / "suite.csv").write_bytes(csv_text.encode())
     (GOLDEN / "solutions.json").write_bytes(sols.encode())
     (GOLDEN / "cuts.json").write_bytes(cut_cases_json().encode())
+    (GOLDEN / "lp.json").write_bytes(lp_cases_json().encode())
 
 
 if __name__ == "__main__":
