@@ -123,10 +123,18 @@ def sample_tree(g: FaultGraph, costs: Sequence[float] | None = None, seed: int =
     dist, parent_v, parent_e = _dijkstra(g, weights, root)
     if any(d == float("inf") for d in dist):
         raise Disconnected("graph is not connected")
-    depth = [0] * g.n
-    for v in sorted(range(g.n), key=lambda v: dist[v]):
-        if v != root:
-            depth[v] = depth[parent_v[v]] + 1
+    # Depths follow the parent chains: with zero-cost edges, distance order
+    # can put a child before its parent.
+    depth = [-1] * g.n
+    depth[root] = 0
+    for v in range(g.n):
+        chain = []
+        while depth[v] < 0:
+            chain.append(v)
+            v = parent_v[v]
+        for u in reversed(chain):
+            depth[u] = depth[v] + 1
+            v = u
     return TreeEmbedding(
         root=root,
         parent_vertex=tuple(parent_v),

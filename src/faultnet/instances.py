@@ -311,6 +311,10 @@ def _random_problem(rng: Random, g: FaultGraph, params: dict) -> Problem:
     if target == "flex-sndp":
         reqs = []
         for s, t, p, q in params["pairs"]:
+            if not (0 <= s < n and 0 <= t < n) or s == t:
+                raise ValueError(
+                    f"flex-sndp pair ({s}, {t}) is not two distinct vertices of 0..{n - 1}"
+                )
             reqs.append(FlexRequirement(s, t, p, q))
         return Problem("flex", flex=tuple(reqs))
     if target == "bulk":

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import LpInfeasible
@@ -104,15 +105,30 @@ def _uniform_pq(reqs: Sequence[FlexRequirement]) -> tuple[int, int]:
     return next(iter(pqs))
 
 
-def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]):
-    """Canonical cuts separating at least one requirement pair."""
-    seen = set()
-    for r in reqs:
-        for mask in st_cut_masks(g.n, r.s, r.t):
-            canon = min(mask, ((1 << g.n) - 1) ^ mask)
-            if canon not in seen:
-                seen.add(canon)
-                yield canon
+# The separators sweep the same masks every round, so the mask tuples are
+# cached the way cuts.side is; an entry holds up to 2^(n-1) masks, so the
+# caches are bounded.
+@lru_cache(maxsize=64)
+def _st_cuts(n: int, s: int, t: int) -> tuple[int, ...]:
+    """``st_cut_masks(n, s, t)`` as a tuple."""
+    return tuple(st_cut_masks(n, s, t))
+
+
+@lru_cache(maxsize=64)
+def _canonical_separating(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    full = (1 << n) - 1
+    return tuple(
+        dict.fromkeys(
+            min(mask, full ^ mask) for s, t in pairs for mask in st_cut_masks(n, s, t)
+        )
+    )
+
+
+def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> tuple[int, ...]:
+    """Canonical cuts separating at least one requirement pair, each once,
+    in order of first appearance over the requirements in
+    ``st_cut_masks`` order.  Separation ties break on this order."""
+    return _canonical_separating(g.n, tuple((r.s, r.t) for r in reqs))
 
 
 def separate_flex(
@@ -126,7 +142,8 @@ def separate_flex(
     Capacitated rows are checked first across all separating cuts; if all
     hold, flex cut rows are checked with B chosen by the prefix rule (the
     q unsafe boundary edges with the largest x values).  Ties break to the
-    lexicographically smallest cut mask.
+    first cut in ``_separating_masks`` order, which is not always the
+    smallest mask.
     """
     p, q = _uniform_pq(reqs)
     best_cap = None
@@ -227,7 +244,7 @@ def separate_bulk(
     for j, sc in enumerate(scenarios):
         alive = [e for e in g.edges if e.id not in sc.fail]
         for u, v in sc.pairs:
-            for mask in st_cut_masks(g.n, u, v):
+            for mask in _st_cuts(g.n, u, v):
                 value = sum(
                     x[e.id]
                     for e in alive

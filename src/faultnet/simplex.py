@@ -5,6 +5,11 @@ Sized for desk-scale models (tens of variables, a few hundred rows), which
 is all the cutting-plane driver ever produces.  Pivot rule: Dantzig with
 lowest-index ties, falling back to Bland's rule after 1000 degenerate
 pivots; pivot tolerance 1e-9.  Fully deterministic.
+
+The tableau is allocated once, artificial columns included.  A pivot is one
+rank-1 update of the rows with a nonzero entry in the pivot column; it
+computes the same products and differences, rounded the same way, as
+eliminating those rows one at a time, so answers do not depend on it.
 """
 
 from __future__ import annotations
@@ -50,59 +55,51 @@ def solve_dense_lp(
     m_ub = len(bounded)
     m = m_ge + m_ub
 
-    # Columns: x (n) | surplus/slack for >= rows (m_ge) | ub slacks (m_ub).
+    # Columns: x (n) | surplus/slack for >= rows (m_ge) | ub slacks (m_ub)
+    # | artificials | rhs.  Row i owns column n + i: a surplus (-1) for a
+    # >= row, a slack (+1) for a bound row.  Rows with b < 0 are negated, so
+    # the own column reads +1, and starts the basis, exactly where a row is
+    # a flipped >= row or an unflipped bound row; every other row starts on
+    # an artificial column, placed after the real columns in row order.
     total = n + m_ge + m_ub
-    A = np.zeros((m, total))
     b = np.zeros(m)
-    for i, (terms, rhs) in enumerate(rows):
-        for j, coeff in terms:
-            A[i, j] += coeff
-        A[i, n + i] = -1.0  # surplus
+    for i, (_terms, rhs) in enumerate(rows):
         b[i] = rhs
     for k, j in enumerate(bounded):
+        b[m_ge + k] = ubs[j]
+    flip = b < 0
+    art_rows = np.flatnonzero((np.arange(m) < m_ge) != flip)
+    tab = np.zeros((m, total + len(art_rows) + 1))
+    for i, (terms, _rhs) in enumerate(rows):
+        for j, coeff in terms:
+            tab[i, j] += coeff
+        tab[i, n + i] = -1.0  # surplus
+    for k, j in enumerate(bounded):
         i = m_ge + k
-        A[i, j] = 1.0
-        A[i, n + m_ge + k] = 1.0  # slack
-        b[i] = ubs[j]
-
-    # Normalize to b >= 0 (flips surplus signs where rhs < 0).
-    for i in range(m):
-        if b[i] < 0:
-            A[i, :] *= -1.0
-            b[i] *= -1.0
-
-    # Initial basis: slack columns where they are +1, else artificials.
-    basis = [-1] * m
-    art_cols = []
-    for i in range(m):
-        slack_col = None
-        for j in range(n, total):
-            if A[i, j] == 1.0 and np.count_nonzero(A[:, j]) == 1:
-                slack_col = j
-                break
-        if slack_col is not None and basis.count(slack_col) == 0:
-            basis[i] = slack_col
-    for i in range(m):
-        if basis[i] == -1:
-            art_cols.append(A.shape[1])
-            col = np.zeros((m, 1))
-            col[i, 0] = 1.0
-            A = np.hstack([A, col])
-            basis[i] = A.shape[1] - 1
-
-    tab = np.hstack([A, b.reshape(-1, 1)])
+        tab[i, j] = 1.0
+        tab[i, n + i] = 1.0  # slack
+    tab[flip, :total] *= -1.0
+    b[flip] *= -1.0
+    tab[:, -1] = b
+    basis = list(range(n, total))
+    for k, i in enumerate(art_rows):
+        tab[i, total + k] = 1.0
+        basis[i] = total + k
 
     def pivot(tab, basis, row, col):
+        """Rank-1 update: the same products and differences as eliminating
+        row by row, on the rows with a nonzero pivot-column entry."""
         tab[row, :] /= tab[row, col]
-        for r in range(tab.shape[0]):
-            if r != row and abs(tab[r, col]) > 0:
-                tab[r, :] -= tab[r, col] * tab[row, :]
+        factors = tab[:, col]
+        nz = factors != 0.0
+        nz[row] = False
+        tab[nz] -= factors[nz, None] * tab[row]
         basis[row] = col
 
     def run_phase(tab, basis, c_full):
         """Optimize c_full over the current tableau in place."""
         # Reduced costs row kept separately.
-        z = c_full.copy().astype(float)
+        z = c_full.copy()
         obj = 0.0
         for i, bc in enumerate(basis):
             if c_full[bc] != 0.0:
@@ -112,20 +109,21 @@ def solve_dense_lp(
         bland = False
         for _ in range(MAX_ITERATIONS):
             if bland:
-                enter = next((j for j in range(len(z)) if z[j] < -PIVOT_TOL), None)
+                negative = (z < -PIVOT_TOL).nonzero()[0]
+                enter = int(negative[0]) if negative.size else None
             else:
-                j_min = int(np.argmin(z))
+                j_min = int(z.argmin())
                 enter = j_min if z[j_min] < -PIVOT_TOL else None
             if enter is None:
                 return obj, z
-            ratios = []
-            for i in range(tab.shape[0]):
-                a = tab[i, enter]
-                if a > PIVOT_TOL:
-                    ratios.append((tab[i, -1] / a, i))
-            if not ratios:
+            # Ratio test; argmin takes the first minimum, i.e. the lowest row.
+            col = tab[:, enter]
+            rows_in = (col > PIVOT_TOL).nonzero()[0]
+            if not rows_in.size:
                 raise LpUnbounded("unbounded direction in simplex")
-            theta, row = min(ratios)
+            ratios = tab[rows_in, -1] / col[rows_in]
+            k = int(ratios.argmin())
+            theta, row = ratios[k], int(rows_in[k])
             delta = z[enter]
             pivot(tab, basis, row, enter)
             z = z - delta * tab[row, :-1]
@@ -140,33 +138,25 @@ def solve_dense_lp(
         raise LpUnbounded("simplex iteration limit hit")
 
     # Phase 1: drive artificials to zero.
-    if art_cols:
+    if art_rows.size:
         c1 = np.zeros(tab.shape[1] - 1)
-        for j in art_cols:
-            c1[j] = 1.0
+        c1[total:] = 1.0
         obj1, _ = run_phase(tab, basis, c1)
         if obj1 > 1e-7:
             return SimplexStatus.INFEASIBLE, [0.0] * n, 0.0
         # Pivot remaining artificials out of the basis where possible.
         for i in range(m):
-            if basis[i] in art_cols:
-                done = False
-                for j in range(n + m_ge + m_ub):
-                    if abs(tab[i, j]) > PIVOT_TOL:
-                        pivot(tab, basis, i, j)
-                        done = True
-                        break
-                if not done:
-                    # Redundant row; leave the zero-valued artificial basic.
-                    pass
+            if basis[i] >= total:
+                real = np.flatnonzero(np.abs(tab[i, :total]) > PIVOT_TOL)
+                if real.size:
+                    pivot(tab, basis, i, int(real[0]))
+                # Else a redundant row; leave the zero-valued artificial basic.
         # Freeze artificial columns at zero.
-        for j in art_cols:
-            tab[:, j] = 0.0
+        tab[:, total:-1] = 0.0
 
     # Phase 2.
     c2 = np.zeros(tab.shape[1] - 1)
-    for j in range(n):
-        c2[j] = objective[j]
+    c2[:n] = objective
     try:
         obj2, _ = run_phase(tab, basis, c2)
     except LpUnbounded:

@@ -176,6 +176,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("parse error:")
 
+    @pytest.mark.parametrize(
+        "pair", [[0, 9, 1, 1], [2, 2, 1, 1]], ids=["out-of-range", "s-equals-t"]
+    )
+    def test_gen_rejects_bad_flex_sndp_pair(self, tmp_path, capsys, pair):
+        params = json.dumps({"problem": "flex-sndp", "pairs": [pair]})
+        out = tmp_path / "inst.fni"
+        argv = ["gen", "--kind", "random-multigraph", "--n", "5", "--m", "12"]
+        assert main([*argv, "--params", params, "--out", str(out)]) == 4
+        assert capsys.readouterr().err.startswith("bad parameters:")
+        assert not out.exists()
+
     def test_infeasible_exit_code(self, tmp_path):
         from faultnet.instances import InstanceFile
         from faultnet.oracles import FlexRequirement, Problem

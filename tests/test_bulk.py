@@ -93,6 +93,29 @@ class TestSampleTree:
                 comps = connected_components(g, frozenset(path))
                 assert any(u in c and v in c for c in comps)
 
+    def test_zero_cost_edges_keep_parent_depths(self):
+        g = FaultGraph(3, [(0, 1, 0.0, "safe"), (1, 2, 0.0, "safe")])
+        tree = sample_tree(g, seed=5)
+        assert tree.depth[tree.root] == 0
+        for v in range(g.n):
+            if v != tree.root:
+                assert tree.depth[v] == tree.depth[tree.parent_vertex[v]] + 1
+        assert tree.path(0, 2) == (0, 1)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_zero_cost_path_graph(self, seed):
+        # On a path graph every tree path is the segment between its ends.
+        # The depth check comes first: with wrong depths path() can loop.
+        n = 5
+        g = FaultGraph(n, [(i, i + 1, 0.0, "safe") for i in range(n - 1)])
+        tree = sample_tree(g, seed=seed)
+        for v in range(n):
+            if v != tree.root:
+                assert tree.depth[v] == tree.depth[tree.parent_vertex[v]] + 1
+        for u in range(n):
+            for v in range(u + 1, n):
+                assert sorted(tree.path(u, v)) == list(range(u, v))
+
 
 class TestGreedyHittingSet:
     def test_prefers_cheaper_single_hitter(self):

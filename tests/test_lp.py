@@ -1,10 +1,11 @@
 import itertools
 from random import Random
 
+import numpy as np
 import pytest
 
 from faultnet.exact import exact_solve
-from faultnet.graph import st_cut_masks
+from faultnet.graph import FaultGraph, st_cut_masks
 from faultnet.instances import appendix_a_instance, generate
 from faultnet.lp import (
     LinearProgramModel,
@@ -20,7 +21,14 @@ from faultnet.lp import (
 )
 from faultnet.oracles import BulkScenario, FlexRequirement, Problem
 from faultnet.simplex import SimplexStatus, solve_dense_lp
-from oracle_utils import random_graph
+from oracle_utils import random_graph, random_lp
+
+# scipy.optimize.linprog status codes: 0 optimal, 2 infeasible, 3 unbounded.
+HIGHS_STATUS = {
+    0: SimplexStatus.OPTIMAL,
+    2: SimplexStatus.INFEASIBLE,
+    3: SimplexStatus.UNBOUNDED,
+}
 
 
 class TestSimplex:
@@ -52,6 +60,28 @@ class TestSimplex:
         rows = [([(0, 1.0), (1, 1.0)], 1.0)] * 6 + [([(1, 1.0)], 0.5)]
         status, _x, obj = solve_dense_lp([2.0, 1.0], rows, 1.0)
         assert status is SimplexStatus.OPTIMAL and abs(obj - 1.0) < 1e-9
+
+    @pytest.mark.parametrize("seed", range(50))
+    def test_agrees_with_highs(self, seed):
+        pytest.importorskip("scipy")
+        from scipy.optimize import linprog
+
+        objective, rows, upper_bounds = random_lp(seed)
+        status, _x, value = solve_dense_lp(objective, rows, upper_bounds)
+        a_ub = np.zeros((len(rows), len(objective)))
+        for i, (terms, _rhs) in enumerate(rows):
+            for j, coeff in terms:
+                a_ub[i, j] -= coeff
+        res = linprog(
+            objective,
+            A_ub=a_ub,
+            b_ub=[-rhs for _terms, rhs in rows],
+            bounds=[(0.0, ub) for ub in upper_bounds],
+            method="highs",
+        )
+        assert status is HIGHS_STATUS[res.status]
+        if status is SimplexStatus.OPTIMAL:
+            assert abs(value - res.fun) < 1e-7
 
 
 class TestSolveLp:
@@ -106,6 +136,14 @@ class TestSeparateFlex:
         g = inst.to_graph()
         row = separate_flex(g, inst.problem.flex, [0.0] * g.m)
         assert row is not None and row.key[0] == "cap"
+
+    def test_ties_break_in_separating_order(self):
+        # At x = 0 every separating cut violates its capacitated row by
+        # p(p+q); the first cut of the sweep wins, here the s side {1} (mask
+        # 2), not the smaller canonical mask 1.
+        g = FaultGraph(4, [(0, 1, 1.0, "safe"), (1, 2, 1.0, "unsafe"), (2, 3, 1.0, "safe")])
+        row = separate_flex(g, [FlexRequirement(1, 0, 1, 1)], [0.0] * g.m)
+        assert row.key == ("cap", 2)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_agrees_with_definitional_checker(self, seed):
