@@ -87,8 +87,7 @@ def solve_dense_lp(
         basis[i] = total + k
 
     def pivot(tab, basis, row, col):
-        """Rank-1 update: the same products and differences as eliminating
-        row by row, on the rows with a nonzero pivot-column entry."""
+        """Rank-1 update of the rows with a nonzero pivot-column entry."""
         tab[row, :] /= tab[row, col]
         factors = tab[:, col]
         nz = factors != 0.0

@@ -12,8 +12,8 @@ current code with files written by a trusted earlier commit:
   ``_stage_families``, over the fixed seeded cases built by :func:`cut_cases`.
 * ``golden/lp.json`` holds the ``repr`` of every float the LP layer returns:
   ``x``, objective, rounds and every row of seeded ``cutting_plane_flex`` and
-  ``cutting_plane_bulk`` runs, and raw ``solve_dense_lp`` answers, built by
-  :func:`lp_cases`.
+  ``cutting_plane_bulk`` runs (through ``solve_problem_lp``), and raw
+  ``solve_dense_lp`` answers, built by :func:`lp_cases`.
 
 A change that alters an answer on purpose rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in its log.
@@ -35,7 +35,7 @@ from faultnet.flexalg import (
 )
 from faultnet.graph import FaultGraph
 from faultnet.instances import appendix_a_instance, generate
-from faultnet.lp import cutting_plane_bulk, cutting_plane_flex
+from faultnet.lp import solve_problem_lp
 from faultnet.oracles import (
     FlexRequirement,
     fgc_requirements,
@@ -160,9 +160,8 @@ def cut_cases_json() -> str:
     return json.dumps(cut_cases(), indent=0, sort_keys=True) + "\n"
 
 
-def _lp_run(name: str, inst, solve) -> dict:
-    g = inst.to_graph()
-    sol, model = solve(g)
+def _lp_run(name: str, inst) -> dict:
+    sol, model = solve_problem_lp(inst.to_graph(), inst.problem)
     return {
         "name": name,
         "x": repr(sol.x),
@@ -171,14 +170,6 @@ def _lp_run(name: str, inst, solve) -> dict:
         "clean": sol.separation_clean,
         "rows": [[repr(r.key), repr(r.terms), repr(r.rhs)] for r in model.rows],
     }
-
-
-def _flex_run(name: str, inst) -> dict:
-    return _lp_run(name, inst, lambda g: cutting_plane_flex(g, inst.problem.flex))
-
-
-def _bulk_run(name: str, inst) -> dict:
-    return _lp_run(name, inst, lambda g: cutting_plane_bulk(g, inst.problem.scenarios))
 
 
 # Hand-written solve_dense_lp cases: (name, objective, rows, upper bounds).
@@ -209,18 +200,18 @@ def lp_cases() -> dict:
             for skeleton in ("mixed", "safe"):
                 params = {"problem": "fgc", "p": p, "q": q, "skeleton": skeleton, "safe_prob": 0.45}
                 inst = generate("random-multigraph", n=7, m=15, seed=seed, params=params)
-                flex.append(_flex_run(f"fgc-{p}{q}-{skeleton}-s{seed}", inst))
+                flex.append(_lp_run(f"fgc-{p}{q}-{skeleton}-s{seed}", inst))
         for p, q in ((2, 1), (1, 2)):
             params = {"problem": "flex-st", "p": p, "q": q, "skeleton": "mixed"}
             inst = generate("random-multigraph", n=6, m=12, seed=seed, params=params)
-            flex.append(_flex_run(f"flex-st-{p}{q}-s{seed}", inst))
+            flex.append(_lp_run(f"flex-st-{p}{q}-s{seed}", inst))
     for k in (2, 3, 4):
-        flex.append(_flex_run(f"appendix-a-k{k}", appendix_a_instance(k)))
+        flex.append(_lp_run(f"appendix-a-k{k}", appendix_a_instance(k)))
     bulk = []
     for seed in (1, 2, 3, 4):
         params = {"problem": "bulk", "width": 2, "scenarios": 4}
         inst = generate("random-multigraph", n=7, m=14, seed=seed, params=params)
-        bulk.append(_bulk_run(f"bulk-s{seed}", inst))
+        bulk.append(_lp_run(f"bulk-s{seed}", inst))
     raw = [[name, _simplex_answer(*case)] for name, *case in SIMPLEX_CASES]
     raw += [[f"random-{seed}", _simplex_answer(*random_lp(seed))] for seed in range(60)]
     # Bland's rule takes over after DEGENERATE_LIMIT degenerate pivots in a
