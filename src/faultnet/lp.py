@@ -106,8 +106,7 @@ def _uniform_pq(reqs: Sequence[FlexRequirement]) -> tuple[int, int]:
 
 
 # The separators sweep the same masks every round, so the mask tuples are
-# cached the way cuts.side is; an entry holds up to 2^(n-1) masks, so the
-# caches are bounded.
+# cached.  An entry holds up to 2^(n-1) masks, so each cache is bounded.
 @lru_cache(maxsize=64)
 def _st_cuts(n: int, s: int, t: int) -> tuple[int, ...]:
     """``st_cut_masks(n, s, t)`` as a tuple."""
@@ -116,6 +115,8 @@ def _st_cuts(n: int, s: int, t: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=64)
 def _canonical_separating(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[int, ...]:
+    # Reads st_cut_masks, not _st_cuts: an all-pairs requirement would fill
+    # the per-pair cache with masks that only this one entry needs.
     full = (1 << n) - 1
     return tuple(
         dict.fromkeys(
