@@ -12,7 +12,8 @@ from .flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
 from .flow import Flow, flow_decompose, max_flow_min_cut, min_cost_flow
 from .graph import FaultGraph, VertexCut, boundary, connected_components
 from .instances import InstanceFile, generate, parse, serialize
-from .lp import gap_experiment, separate_bulk, separate_flex, solve_lp
+from .gap import gap_experiment
+from .lp import separate_bulk, separate_flex, solve_lp
 from .oracles import (
     BulkScenario,
     FlexRequirement,

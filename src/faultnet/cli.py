@@ -14,16 +14,15 @@ import sys
 
 from . import bench as bench_mod
 from .errors import (
-    BudgetExceeded,
+    BudgetError,
     CannotSatisfyFeasibility,
-    EnumerationTooLarge,
     FaultnetError,
     InfeasibleInstance,
     ParseError,
-    WidthBudgetExceeded,
 )
+from .gap import gap_experiment
 from .instances import generate, parse, serialize
-from .lp import gap_experiment, solve_problem_lp
+from .lp import solve_problem_lp
 from .oracles import check_problem_feasible
 
 EXIT_INFEASIBLE = 2
@@ -89,6 +88,11 @@ def cmd_exact(args) -> int:
 def cmd_lp(args) -> int:
     inst = _read_instance(args.instance)
     g = inst.to_graph()
+    # As in exact_solve: an instance the whole graph cannot satisfy has no
+    # LP optimum, and is reported as infeasible, not as a simplex failure.
+    ok, _ = check_problem_feasible(g, inst.problem, g.all_edge_ids())
+    if not ok:
+        raise InfeasibleInstance("graph itself is infeasible for the problem")
     sol, model = solve_problem_lp(g, inst.problem)
     if args.dump_model:
         with open(args.dump_model, "w", encoding="utf-8") as fh:
@@ -204,7 +208,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (BudgetExceeded, EnumerationTooLarge, WidthBudgetExceeded) as exc:
+    except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (InfeasibleInstance, CannotSatisfyFeasibility) as exc:

@@ -17,7 +17,11 @@ class NonIntegralFlow(FaultnetError):
     pass
 
 
-class EnumerationTooLarge(FaultnetError):
+class BudgetError(FaultnetError):
+    """A search or sweep would exceed its configured budget."""
+
+
+class EnumerationTooLarge(BudgetError):
     """An exhaustive sweep would exceed the configured budget."""
 
 
@@ -30,7 +34,7 @@ class PriorLevelNotSatisfied(FaultnetError):
     pass
 
 
-class WidthBudgetExceeded(FaultnetError):
+class WidthBudgetExceeded(BudgetError):
     pass
 
 
@@ -84,7 +88,7 @@ class LpUnbounded(FaultnetError):
     pass
 
 
-class BudgetExceeded(FaultnetError):
+class BudgetExceeded(BudgetError):
     pass
 
 

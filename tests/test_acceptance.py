@@ -44,12 +44,8 @@ from faultnet.instances import (
     figure_4_instance,
     generate,
 )
-from faultnet.lp import (
-    gap_experiment,
-    paper_fractional_vector,
-    separate_flex,
-    separate_flex_definitional,
-)
+from faultnet.gap import gap_experiment, paper_fractional_vector
+from faultnet.lp import separate_flex, separate_flex_definitional
 from faultnet.oracles import (
     FlexRequirement,
     Problem,

@@ -200,6 +200,31 @@ class TestCli:
         path.write_text(serialize(inst))
         assert main(["solve", str(path), "--alg", "flex-st"]) == 2
 
+    @pytest.mark.parametrize(
+        "problem",
+        [("problem flex", "flexpair 0 2 2 1"), ("problem bulk", "scenario 1 | 0-2")],
+        ids=["flex", "bulk"],
+    )
+    def test_lp_infeasible_exit_code(self, tmp_path, capsys, problem):
+        # A path whose only 1-2 edge is unsafe: neither (2, 1) flex
+        # connectivity nor the loss of that edge leaves 0 and 2 connected.
+        lines = [
+            "faultnet-instance 1",
+            "vertices 3",
+            "edges 2",
+            "e 0 0 1 1.0 safe",
+            "e 1 1 2 1.0 unsafe",
+            *problem,
+            "end",
+        ]
+        path = tmp_path / "inf.fni"
+        path.write_text("\n".join(lines) + "\n")
+        for command in ("exact", "lp"):
+            assert main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("infeasible:")
+
     def test_budget_exit_code(self, tmp_path, monkeypatch):
         monkeypatch.setenv("FAULTNET_EXACT_BUDGET", "3")
         inst = generate(
@@ -212,6 +237,23 @@ class TestCli:
         path = tmp_path / "big.fni"
         path.write_text(serialize(inst))
         assert main(["exact", str(path)]) == 3
+
+    def test_enumeration_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "4")  # below 2^3 cuts
+        path = tmp_path / "inst.fni"
+        path.write_text("\n".join(_instance_lines()) + "\n")
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"edges": [0, 1, 2]}))
+        assert main(["verify", str(path), str(sol)]) == 3
+        assert "cuts exceed the enumeration budget" in capsys.readouterr().err
+
+    def test_width_budget_exit_code(self, tmp_path, capsys, monkeypatch):
+        # One relative pair with r = 2 expands to 1 + 3 failure sets.
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "2")
+        path = tmp_path / "inst.fni"
+        path.write_text("\n".join(_instance_lines(problem=("problem rsndp", "relpair 0 2 2"))) + "\n")
+        assert main(["solve", str(path), "--alg", "rsndp"]) == 3
+        assert "scenarios exceed the budget" in capsys.readouterr().err
 
     def test_bench_command(self, tmp_path, capsys):
         suite_path = tmp_path / "suite.json"

@@ -78,9 +78,8 @@ def test_decoding_and_membership_cover_both_sides():
 
 # ((x >> a) ^ (x >> b)) & 1 with any operands: "does this edge cross this cut".
 CROSSING_IDIOM = re.compile(r">>\s*[\w.]+\s*\)\s*\^\s*\(.*>>\s*[\w.]+\s*\)\s*\)\s*&\s*1")
-# cuts.py owns the all-cut sweeps, graph.py answers single-cut queries, and
-# lp.py keeps its float-valued separation sums on their own.
-IDIOM_ALLOWED = {"cuts.py", "graph.py", "lp.py"}
+# cuts.py owns the all-cut sweeps and graph.py answers single-cut queries.
+IDIOM_ALLOWED = {"cuts.py", "graph.py"}
 
 
 def test_crossing_idiom_stays_in_the_kernel_modules():

@@ -1,5 +1,6 @@
 import itertools
 from collections import Counter
+from random import Random
 
 import pytest
 
@@ -162,3 +163,50 @@ class TestNonIntegral:
 
         with pytest.raises(NonIntegralFlow):
             flow_decompose(g, bad)
+
+
+def _integer_multigraph(seed: int):
+    """Random multigraph with integer costs and capacities, zeros included."""
+    rng = Random(seed)
+    n = rng.randint(3, 8)
+    specs = []
+    for _ in range(rng.randint(n, 3 * n)):
+        u, v = rng.sample(range(n), 2)
+        specs.append((u, v, rng.randint(0, 9), rng.choice(("safe", "unsafe"))))
+    caps = [rng.randint(0, 3) for _ in specs]
+    return FaultGraph(n, specs), caps, rng
+
+
+class TestAgainstNetworkx:
+    """Each undirected edge is two opposite arcs of the same capacity and
+    cost; parallel arcs are merged for networkx's simple-digraph max flow."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_max_flow_and_min_cost_flow(self, seed):
+        nx = pytest.importorskip("networkx")
+        g, caps, rng = _integer_multigraph(seed)
+        s, t = 0, g.n - 1
+        merged = nx.DiGraph()
+        merged.add_nodes_from(range(g.n))
+        multi = nx.MultiDiGraph()
+        multi.add_nodes_from(range(g.n))
+        for e in g.edges:
+            for a, b in ((e.u, e.v), (e.v, e.u)):
+                if merged.has_edge(a, b):
+                    merged[a][b]["capacity"] += caps[e.id]
+                else:
+                    merged.add_edge(a, b, capacity=caps[e.id])
+                multi.add_edge(a, b, capacity=caps[e.id], weight=int(e.cost))
+
+        value, flow, cut = max_flow_min_cut(g, caps, s, t)
+        assert value == flow.value == nx.maximum_flow_value(merged, s, t)
+        assert cut.contains(s) and not cut.contains(t)
+        assert sum(caps[eid] for eid in boundary(g, g.all_edge_ids(), cut)) == value
+
+        demand = rng.randint(min(1, value), value)
+        multi.nodes[s]["demand"] = -demand
+        multi.nodes[t]["demand"] = demand
+        expected, _flow_dict = nx.network_simplex(multi)
+        cheapest = min_cost_flow(g, caps, s, t, demand)
+        assert cheapest.value == demand
+        assert sum(g.cost_of(eid) * abs(a) for eid, a in enumerate(cheapest.amounts)) == expected

@@ -7,13 +7,12 @@ import pytest
 from faultnet.exact import exact_solve
 from faultnet.graph import FaultGraph, st_cut_masks
 from faultnet.instances import appendix_a_instance, generate
+from faultnet.gap import gap_experiment, paper_fractional_vector
 from faultnet.lp import (
     LinearProgramModel,
     check_augmentation_lp_validity,
     cutting_plane_bulk,
     cutting_plane_flex,
-    gap_experiment,
-    paper_fractional_vector,
     separate_bulk,
     separate_flex,
     separate_flex_definitional,
