@@ -14,6 +14,9 @@ current code with files written by a trusted earlier commit:
   ``x``, objective, rounds and every row of seeded ``cutting_plane_flex`` and
   ``cutting_plane_bulk`` runs (through ``solve_problem_lp``), and raw
   ``solve_dense_lp`` answers, built by :func:`lp_cases`.
+* ``golden/exact.json`` holds the sorted edge ids and the ``repr`` of the
+  cost of ``exact_solve`` on seeded bulk and relative (r = 2 and r = 3)
+  instances, built by :func:`exact_cases`.
 
 A change that alters an answer on purpose rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in its log.
@@ -27,6 +30,7 @@ from random import Random
 from faultnet import simplex
 from faultnet.bench import bench, solutions_json
 from faultnet.errors import FaultnetError
+from faultnet.exact import exact_solve
 from faultnet.flexalg import (
     _stage_families,
     fgc_supported,
@@ -229,6 +233,30 @@ def lp_cases_json() -> str:
     return json.dumps(lp_cases(), indent=0, sort_keys=True) + "\n"
 
 
+# Bulk scenarios of width 2, and relative requirements whose expansion has
+# up to 1 + 16 + 120 = 137 scenarios at r = 3 and m = 16.
+EXACT_SHAPES = (
+    ("bulk", {"problem": "bulk", "width": 2, "scenarios": 4}),
+    ("rsndp-r2", {"problem": "rsndp", "pairs": 2, "r": 2}),
+    ("rsndp-r3", {"problem": "rsndp", "pairs": 2, "r": 3}),
+)
+
+
+def exact_cases(per_shape: int = 20) -> list:
+    out = []
+    for name, params in EXACT_SHAPES:
+        for i in range(per_shape):
+            n, m = 6 + i % 2, 12 + i % 5
+            inst = generate("random-multigraph", n=n, m=m, seed=100 + i, params=params)
+            sol, cost = exact_solve(inst.to_graph(), inst.problem)
+            out.append({"name": f"{name}-{i}", "n": n, "m": m, "edges": sorted(sol), "cost": repr(cost)})
+    return out
+
+
+def exact_cases_json() -> str:
+    return json.dumps(exact_cases(), indent=0, sort_keys=True) + "\n"
+
+
 def test_bench_suite_matches_golden():
     csv_text, sols = suite_outputs()
     assert csv_text.encode() == (GOLDEN / "suite.csv").read_bytes()
@@ -243,12 +271,17 @@ def test_lp_answers_match_golden():
     assert lp_cases_json().encode() == (GOLDEN / "lp.json").read_bytes()
 
 
+def test_exact_answers_match_golden():
+    assert exact_cases_json().encode() == (GOLDEN / "exact.json").read_bytes()
+
+
 def write_golden() -> None:
     csv_text, sols = suite_outputs()
     (GOLDEN / "suite.csv").write_bytes(csv_text.encode())
     (GOLDEN / "solutions.json").write_bytes(sols.encode())
     (GOLDEN / "cuts.json").write_bytes(cut_cases_json().encode())
     (GOLDEN / "lp.json").write_bytes(lp_cases_json().encode())
+    (GOLDEN / "exact.json").write_bytes(exact_cases_json().encode())
 
 
 if __name__ == "__main__":
