@@ -35,6 +35,25 @@ def _read_instance(path: str):
         return parse(fh.read())
 
 
+def _read_solution(path: str, m: int) -> frozenset:
+    """Edge ids of a solution file: {"edges": [distinct ids in 0..m-1]}."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"solution is not JSON: {exc}") from exc
+    if not isinstance(payload, dict) or not isinstance(payload.get("edges"), list):
+        raise ParseError('solution must be an object with an "edges" list')
+    edges = payload["edges"]
+    for eid in edges:
+        # A bool is an int to Python, and a float is never an edge id.
+        if type(eid) is not int or not 0 <= eid < m:
+            raise ParseError(f"solution edge {eid!r} is not an edge id of 0..{m - 1}")
+    if len(set(edges)) < len(edges):
+        raise ParseError("solution repeats an edge id")
+    return frozenset(edges)
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -61,9 +80,7 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     inst = _read_instance(args.instance)
     g = inst.to_graph()
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    edges = frozenset(int(e) for e in payload["edges"])
+    edges = _read_solution(args.solution, g.m)
     ok, witness = check_problem_feasible(g, inst.problem, edges)
     _emit(
         {

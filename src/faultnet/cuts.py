@@ -18,6 +18,7 @@ few big-int operations.  Questions about one given mask go to
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Iterable
 
 from .graph import FaultGraph
@@ -143,6 +144,13 @@ class Planes:
                 equal &= ~plane
         return above | equal
 
+    def equal(self, other: "Planes") -> int:
+        """The cut set of cuts whose count equals their count in ``other``."""
+        differ = 0
+        for a, b in zip_longest(self.planes, other.planes, fillvalue=0):
+            differ |= a ^ b
+        return self.full & ~differ
+
     def exactly(self, c: int) -> int:
         """The cut set of cuts whose count is exactly c."""
         planes = self.planes
@@ -155,13 +163,16 @@ class Planes:
 
 
 class Boundary:
-    """Safe and total boundary counts of an edge set over every cut."""
+    """Safe and total boundary counts of an edge set over every cut.
 
-    __slots__ = ("_cross", "_safe", "safe", "total")
+    ``cross[eid]`` is the cut set of the cuts that edge eid crosses.
+    """
+
+    __slots__ = ("cross", "_safe", "safe", "total")
 
     def __init__(self, g: FaultGraph, edge_ids: Iterable[int] = ()):
         sd = side(g.n)
-        self._cross = [sd[e.u] ^ sd[e.v] for e in g.edges]
+        self.cross = [sd[e.u] ^ sd[e.v] for e in g.edges]
         self._safe = [e.safe for e in g.edges]
         full = all_cuts(g.n)
         self.safe = Planes(full)
@@ -170,13 +181,13 @@ class Boundary:
             self.add(eid)
 
     def add(self, eid: int) -> None:
-        cuts = self._cross[eid]
+        cuts = self.cross[eid]
         self.total.add(cuts)
         if self._safe[eid]:
             self.safe.add(cuts)
 
     def remove(self, eid: int) -> None:
-        cuts = self._cross[eid]
+        cuts = self.cross[eid]
         self.total.remove(cuts)
         if self._safe[eid]:
             self.safe.remove(cuts)

@@ -3,10 +3,13 @@
 Branch and bound over edge include/exclude decisions, with feasibility
 pruning in both directions (the chosen set alone, and chosen plus all still
 undecided edges) and an admissible remaining-cost bound read off one violated
-structure.  Flex problems keep their boundary counts over every cut as
-incrementally updated bit planes, which is what makes the 200-instance
-acceptance sweeps affordable; bulk and relative problems recompute
-connectivity per node.
+cut.  Every fault model is a cut condition here, tested on the bit-plane
+kernel: the boundary counts of the chosen and pool sets over every cut are
+kept as incrementally updated planes.  A flex (p, q) class fails on a cut
+that separates one of its pairs and has fewer than p safe and fewer than p+q
+edges.  A bulk scenario, and each scenario of the bulk expansion of relative
+requirements, fails on a cut that separates one of its pairs when every edge
+crossing it is one the scenario fails.
 
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.
@@ -16,16 +19,10 @@ from __future__ import annotations
 
 import os
 
-from .cuts import Boundary, separating
+from .cuts import Boundary, Planes, separating
 from .errors import BudgetExceeded, InfeasibleInstance
-from .graph import FaultGraph, boundary, connected_components, same_component
-from .oracles import (
-    BulkScenario,
-    Problem,
-    RelativeRequirement,
-    check_problem_feasible,
-    expand_rsndp_to_bulk,
-)
+from .graph import FaultGraph
+from .oracles import Problem, check_problem_feasible, expand_rsndp_to_bulk
 
 COST_EPS = 1e-12
 
@@ -34,109 +31,68 @@ def exact_budget() -> int:
     return int(os.environ.get("FAULTNET_EXACT_BUDGET", "30"))
 
 
-class _FlexChecker:
-    """Incremental feasibility for flex problems.
+class _Checker:
+    """Incremental feasibility over every cut, for any fault model.
 
-    Keeps the boundary counts of ``chosen`` (0) and ``pool`` (1) over every
-    cut as bit planes, updated by edge toggles.  Requirements are grouped
-    into (p, q) classes; a class constrains the cuts that separate one of
-    its pairs, and a set is feasible when none of those cuts has fewer than
-    p safe and fewer than p+q total edges.
+    Keeps the boundary counts of ``chosen`` (0) and ``pool`` (1) as bit
+    planes, updated by edge adds and removes.  Flex requirements are grouped
+    into (p, q) classes, scenarios keep their failure sets; each constrains
+    the cuts that separate one of its pairs.  A scenario fails on such a cut
+    when the set's edges that it fails count as many there as all the set's
+    edges: nothing crossing the cut survives.
     """
 
-    def __init__(self, g: FaultGraph, reqs):
+    def __init__(self, g: FaultGraph, problem: Problem):
         self.g = g
         scopes: dict[tuple[int, int], int] = {}
-        for r in reqs:
+        for r in problem.flex:
             scopes[(r.p, r.q)] = scopes.get((r.p, r.q), 0) | separating(g.n, r.s, r.t)
-        self.classes = sorted(scopes.items())
+        self.classes = [(p, q, scope) for (p, q), scope in sorted(scopes.items())]
+        scenarios = problem.scenarios
+        if problem.kind == "rsndp":
+            scenarios = expand_rsndp_to_bulk(g, problem.relative)
+        self.scenarios = []
+        for sc in scenarios:
+            scope = 0
+            for u, v in sc.pairs:
+                scope |= separating(g.n, u, v)
+            self.scenarios.append((scope, sc.fail))
         self.counts: list[Boundary] = []
+        self.inside: list[bytearray] = []
 
-    def toggle(self, which: int, eid: int, delta: int) -> None:
-        if delta > 0:
-            self.counts[which].add(eid)
-        else:
-            self.counts[which].remove(eid)
-
-    def init_counts(self, chosen, pool) -> None:
+    def reset(self, chosen, pool) -> None:
         self.counts = [Boundary(self.g, chosen), Boundary(self.g, pool)]
+        self.inside = [bytearray(self.g.m), bytearray(self.g.m)]
+        for which, edge_ids in enumerate((chosen, pool)):
+            for eid in edge_ids:
+                self.inside[which][eid] = 1
 
-    def _bad_cuts(self, which: int):
-        """Cut sets failing each class, in class order."""
-        b = self.counts[which]
-        return (scope & b.deficient(p, q) for (p, q), scope in self.classes)
+    def add(self, which: int, eid: int) -> None:
+        self.counts[which].add(eid)
+        self.inside[which][eid] = 1
 
-    def chosen_feasible(self) -> bool:
-        return not any(self._bad_cuts(0))
+    def remove(self, which: int, eid: int) -> None:
+        self.counts[which].remove(eid)
+        self.inside[which][eid] = 0
 
-    def pool_feasible(self) -> bool:
-        return not any(self._bad_cuts(1))
-
-    def violated_candidates(self, undecided):
-        """Edges among ``undecided`` crossing the lowest-index bad cut of
-        the first class with one."""
-        for bad in self._bad_cuts(0):
+    def first_bad(self, which: int):
+        """(bad cuts, failed edges) of the first class, or else scenario,
+        that the set fails (a class fails no edges); None if it is feasible."""
+        counts = self.counts[which]
+        for p, q, scope in self.classes:
+            bad = scope & counts.deficient(p, q)
             if bad:
-                return boundary(self.g, undecided, (bad & -bad).bit_length())
-        return frozenset()
-
-
-class _ScenarioChecker:
-    """Recompute-style feasibility for bulk (and expanded rsndp) problems."""
-
-    def __init__(self, g: FaultGraph, scenarios):
-        self.g = g
-        self.scenarios = scenarios
-        self.chosen: set[int] = set()
-        self.pool: set[int] = set()
-
-    def toggle(self, which, eid, delta):
-        target = self.chosen if which == 0 else self.pool
-        if delta > 0:
-            target.add(eid)
-        else:
-            target.discard(eid)
-
-    def init_counts(self, chosen, pool):
-        self.chosen = set(chosen)
-        self.pool = set(pool)
-
-    def _feasible(self, edge_set) -> bool:
-        for sc in self.scenarios:
-            alive = edge_set - sc.fail
-            for u, v in sc.pairs:
-                if not same_component(self.g, alive, u, v):
-                    return False
-        return True
-
-    def chosen_feasible(self):
-        return self._feasible(self.chosen)
-
-    def pool_feasible(self):
-        return self._feasible(self.pool)
-
-    def violated_candidates(self, undecided):
-        for sc in self.scenarios:
-            alive = self.chosen - sc.fail
-            comps = connected_components(self.g, alive)
-            comp_of = {}
-            for ci, comp in enumerate(comps):
-                for v in comp:
-                    comp_of[v] = ci
-            for u, v in sc.pairs:
-                if comp_of[u] != comp_of[v]:
-                    mask = sum(1 << x for x in comps[comp_of[u]])
-                    alive_undecided = (eid for eid in undecided if eid not in sc.fail)
-                    return boundary(self.g, alive_undecided, mask)
-        return frozenset()
-
-
-def _make_checker(g: FaultGraph, problem: Problem):
-    if problem.kind == "flex":
-        return _FlexChecker(g, problem.flex)
-    if problem.kind == "bulk":
-        return _ScenarioChecker(g, problem.scenarios)
-    return _ScenarioChecker(g, expand_rsndp_to_bulk(g, problem.relative))
+                return bad, ()
+        inside = self.inside[which]
+        for scope, fail in self.scenarios:
+            dead = Planes(counts.total.full)
+            for eid in fail:
+                if inside[eid]:
+                    dead.add(counts.cross[eid])
+            bad = scope & counts.total.equal(dead)
+            if bad:
+                return bad, fail
+        return None
 
 
 def exact_solve(
@@ -156,52 +112,62 @@ def exact_solve(
     if not ok:
         raise InfeasibleInstance("graph itself is infeasible for the problem")
 
-    checker = _make_checker(g, problem)
+    checker = _Checker(g, problem)
     order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
     costs = [g.cost_of(eid) for eid in range(g.m)]
 
     # Greedy seed: keep everything, then drop expensive edges while feasible.
-    checker.init_counts(chosen=range(g.m), pool=range(g.m))
+    checker.reset(chosen=range(g.m), pool=range(g.m))
     kept = set(range(g.m))
     for eid in order:
-        checker.toggle(0, eid, -1)
-        if checker.chosen_feasible():
+        checker.remove(0, eid)
+        if checker.first_bad(0) is None:
             kept.discard(eid)
         else:
-            checker.toggle(0, eid, +1)
+            checker.add(0, eid)
     best_set = frozenset(kept)
     best_cost = sum(costs[eid] for eid in kept)
 
     # Reset counters for the DFS: nothing chosen, everything in the pool.
-    checker.init_counts(chosen=(), pool=range(g.m))
+    # The pool stays feasible at every node: the root's pool is the whole
+    # graph, an exclusion is checked before descending, and an inclusion
+    # leaves the pool as it is.
+    checker.reset(chosen=(), pool=range(g.m))
+    cross = checker.counts[0].cross
 
     def dfs(k: int, cost_in: float) -> None:
         nonlocal best_set, best_cost
         if cost_in >= best_cost - COST_EPS:
             return
-        if checker.chosen_feasible():
+        violated = checker.first_bad(0)
+        if violated is None:
             best_cost = cost_in
             best_set = frozenset(chosen_now)
             return
-        if k == g.m or not checker.pool_feasible():
+        if k == g.m:
             return
-        undecided = order[k:]
-        fix_candidates = checker.violated_candidates(undecided)
-        if fix_candidates:
-            lb = min(costs[eid] for eid in fix_candidates)
-            if cost_in + lb >= best_cost - COST_EPS:
-                return
+        # Any completion adds an undecided edge that crosses the lowest bad
+        # cut and is not failed there.  Undecided edges are sorted by
+        # descending cost, so the last such edge is the cheapest.
+        bad, fail = violated
+        low = bad & -bad
+        for i in range(g.m - 1, k - 1, -1):
+            eid = order[i]
+            if cross[eid] & low and eid not in fail:
+                if cost_in + costs[eid] >= best_cost - COST_EPS:
+                    return
+                break
         eid = order[k]
         # Exclude branch first: expensive edges drop out early.
-        checker.toggle(1, eid, -1)
-        if checker.pool_feasible():
+        checker.remove(1, eid)
+        if checker.first_bad(1) is None:
             dfs(k + 1, cost_in)
-        checker.toggle(1, eid, +1)
+        checker.add(1, eid)
         # Include branch.
         chosen_now.add(eid)
-        checker.toggle(0, eid, +1)
+        checker.add(0, eid)
         dfs(k + 1, cost_in + costs[eid])
-        checker.toggle(0, eid, -1)
+        checker.remove(0, eid)
         chosen_now.discard(eid)
 
     chosen_now: set[int] = set()

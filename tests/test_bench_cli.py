@@ -177,6 +177,32 @@ class TestCli:
         assert captured.err.startswith("parse error:")
 
     @pytest.mark.parametrize(
+        "payload",
+        [
+            # Each used to end in a traceback with exit 1: IndexError,
+            # KeyError and TypeError.
+            {"edges": [0, 1, 99]},
+            {},
+            [1],
+            # Each used to be read as some other edge set: -1 as the last
+            # edge, 0.7 as edge 0 and true as edge 1.
+            {"edges": [-1]},
+            {"edges": [0, 0.7]},
+            {"edges": [True]},
+        ],
+        ids=["out-of-range", "no-edges", "not-an-object", "negative", "float", "bool"],
+    )
+    def test_invalid_solution_is_a_parse_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "inst.fni"
+        path.write_text("\n".join(_instance_lines()) + "\n")
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps(payload))
+        assert main(["verify", str(path), str(sol)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
+
+    @pytest.mark.parametrize(
         "pair", [[0, 9, 1, 1], [2, 2, 1, 1]], ids=["out-of-range", "s-equals-t"]
     )
     def test_gen_rejects_bad_flex_sndp_pair(self, tmp_path, capsys, pair):

@@ -1,4 +1,8 @@
-"""The bit-plane cut kernel against single-cut counts, and its ownership."""
+"""The bit-plane cut kernel against single-cut counts, and its ownership.
+
+The kernel answers cut questions for every algorithm module; union-find
+connectivity stays with the independent oracles.
+"""
 
 import re
 from pathlib import Path
@@ -7,6 +11,7 @@ from random import Random
 import faultnet
 from faultnet.cuts import (
     Boundary,
+    Planes,
     all_cuts,
     cut_index,
     masks,
@@ -58,6 +63,37 @@ def test_planes_match_single_cut_counts_under_adds_and_removes():
                 assert bit(separating(n, s, t), mask) == sep
 
 
+def test_planes_equal_matches_single_cut_counts_under_adds_and_removes():
+    rng = Random(9)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        specs = []
+        for _ in range(rng.randint(1, 16)):
+            u, v = rng.sample(range(n), 2)
+            specs.append((u, v, 1.0, rng.choice(("safe", "unsafe"))))
+        g = FaultGraph(n, specs)
+        counts = [Boundary(g), Boundary(g)]
+        members = [set(), set()]
+        for _ in range(rng.randint(1, 30)):
+            which, eid = rng.randrange(2), rng.randrange(g.m)
+            if eid in members[which]:
+                counts[which].remove(eid)
+                members[which].discard(eid)
+            else:
+                counts[which].add(eid)
+                members[which].add(eid)
+            total_equal = counts[0].total.equal(counts[1].total)
+            assert total_equal == counts[1].total.equal(counts[0].total)
+            safe_equal = counts[0].safe.equal(counts[1].safe)
+            empty = counts[0].total.equal(Planes(all_cuts(n)))
+            for mask in range(1, 1 << (n - 1)):
+                safe0, total0 = boundary_counts(g, members[0], mask)
+                safe1, total1 = boundary_counts(g, members[1], mask)
+                assert bit(total_equal, mask) == (total0 == total1)
+                assert bit(safe_equal, mask) == (safe0 == safe1)
+                assert bit(empty, mask) == (total0 == 0)
+
+
 def test_decoding_and_membership_cover_both_sides():
     rng = Random(8)
     for n in range(2, 7):
@@ -91,3 +127,21 @@ def test_crossing_idiom_stays_in_the_kernel_modules():
     }
     assert "graph.py" in found  # the pattern still recognises the idiom
     assert found <= IDIOM_ALLOWED
+
+
+UNION_FIND = re.compile(r"\b(same_component|connected_components)\b")
+# graph.py defines union-find connectivity, oracles.py keeps it as the
+# reference the cut kernel is tested against, bulk.py tests fundamental
+# cycles with it, and __init__.py re-exports graph's public names.
+UNION_FIND_ALLOWED = {"graph.py", "oracles.py", "bulk.py", "__init__.py"}
+
+
+def test_union_find_connectivity_stays_in_the_oracle_modules():
+    package = Path(faultnet.__file__).parent
+    found = {
+        path.name
+        for path in package.glob("*.py")
+        if UNION_FIND.search(path.read_text(encoding="utf-8"))
+    }
+    assert {"graph.py", "oracles.py"} <= found  # the pattern still matches
+    assert found <= UNION_FIND_ALLOWED

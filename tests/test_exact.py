@@ -12,7 +12,24 @@ from faultnet.oracles import (
     check_problem_feasible,
     fgc_requirements,
 )
-from oracle_utils import dijkstra_cost, kruskal_mst_cost, random_graph
+from oracle_utils import (
+    brute_connected,
+    brute_rsndp_feasible,
+    dijkstra_cost,
+    kruskal_mst_cost,
+    random_graph,
+)
+
+
+def brute_minimum(g, feasible):
+    """Cheapest feasible subset of all 2^m edge subsets."""
+    best = None
+    for bits in range(1 << g.m):
+        H = frozenset(eid for eid in range(g.m) if (bits >> eid) & 1)
+        cost = g.total_cost(H)
+        if (best is None or cost < best) and feasible(H):
+            best = cost
+    return best
 
 
 class TestExactSolve:
@@ -82,3 +99,29 @@ class TestExactSolve:
         ok, _ = check_problem_feasible(g, prob_r, sol_r)
         assert ok
         assert abs(cost_r - 6.0) < 1e-9
+
+
+BRUTE_SHAPES = [
+    ({"problem": "bulk", "width": 2, "scenarios": 4}, seed) for seed in range(6)
+] + [({"problem": "rsndp", "pairs": 2, "r": r}, seed) for r in (2, 3) for seed in range(4)]
+
+
+@pytest.mark.parametrize(
+    "params, seed",
+    BRUTE_SHAPES,
+    ids=[f"{params['problem']}-{params.get('r', params.get('width'))}-{seed}" for params, seed in BRUTE_SHAPES],
+)
+def test_bulk_and_rsndp_optimum_matches_brute_force(params, seed):
+    n, m = 5 + seed % 2, 8 + seed % 3
+    inst = generate("random-multigraph", n=n, m=m, seed=700 + seed, params=params)
+    g, prob = inst.to_graph(), inst.problem
+    if prob.kind == "bulk":
+        def feasible(H):
+            return all(
+                brute_connected(g, H - sc.fail, u, v) for sc in prob.scenarios for u, v in sc.pairs
+            )
+    else:
+        def feasible(H):
+            return brute_rsndp_feasible(g, prob.relative, H)
+    _sol, cost = exact_solve(g, prob)
+    assert abs(cost - brute_minimum(g, feasible)) < 1e-9

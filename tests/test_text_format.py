@@ -1,9 +1,11 @@
-"""Property test over the instance text format: no input ends in a traceback.
+"""Property tests over the input files: no input ends in a traceback.
 
 Generated flex, bulk and rsndp instances, and one infeasible flex instance,
 are mutated line by line, and every CLI command that reads an instance must
 answer with one of its documented exit codes: 0 success, 2 infeasible,
-3 budget exceeded, 4 parse error.
+3 budget exceeded, 4 parse error.  Solution files given to ``verify`` are
+replaced by arbitrary JSON values and mutated character by character; one
+that is not an object with a list of distinct edge ids must exit 4.
 """
 
 import json
@@ -109,6 +111,10 @@ def mutate(text: str, mutations) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _edge_count(text: str) -> int:
+    return sum(line.startswith("e ") for line in text.splitlines())
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
     base=st.sampled_from(range(len(BASES))),
@@ -119,7 +125,69 @@ def test_mutated_instances_end_in_an_exit_code(tmp_path_factory, base, mutations
     path = folder / "inst.fni"
     path.write_text(mutate(BASES[base], mutations))
     sol = folder / "sol.json"
-    edges = sum(line.startswith("e ") for line in BASES[base].splitlines())
-    sol.write_text(json.dumps({"edges": list(range(edges))}))
+    sol.write_text(json.dumps({"edges": list(range(_edge_count(BASES[base])))}))
     for argv in (["exact", str(path)], ["lp", str(path)], ["verify", str(path), str(sol)]):
         assert main(argv) in EXIT_CODES, argv
+
+
+# JSON values a hand-edited solution file may hold: ids around the valid
+# range, and every other kind of value, alone, in lists and in objects.
+json_leaf = st.one_of(
+    st.integers(-2, 12), st.floats(-1.0, 12.0), st.just(float("nan")),
+    st.booleans(), st.none(), st.text(max_size=2),
+)
+json_value = st.recursive(
+    json_leaf,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.sampled_from(["edges", "cost"]), kids, max_size=2),
+    max_leaves=8,
+)
+payloads = st.one_of(
+    st.fixed_dictionaries({"edges": st.lists(st.integers(-1, 8), max_size=5, unique=True)}),
+    st.fixed_dictionaries({"edges": st.lists(json_leaf, max_size=6)}),
+    json_value,
+)
+
+
+def _is_solution(payload, m: int) -> bool:
+    if not isinstance(payload, dict) or not isinstance(payload.get("edges"), list):
+        return False
+    edges = payload["edges"]
+    ids = all(type(e) is int and 0 <= e < m for e in edges)
+    return ids and len(set(edges)) == len(edges)
+
+
+def _verify(tmp_path_factory, base: int, solution_text: str) -> int:
+    folder = tmp_path_factory.mktemp("solution")
+    path = folder / "inst.fni"
+    path.write_text(BASES[base])
+    sol = folder / "sol.json"
+    sol.write_text(solution_text)
+    return main(["verify", str(path), str(sol)])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(base=st.sampled_from(range(len(BASES))), payload=payloads)
+def test_solution_values_are_read_or_rejected(tmp_path_factory, base, payload):
+    code = _verify(tmp_path_factory, base, json.dumps(payload))
+    if _is_solution(payload, _edge_count(BASES[base])):
+        assert code in (0, 2)
+    else:
+        assert code == 4
+
+
+@settings(max_examples=100, derandomize=True, deadline=None, database=None)
+@given(
+    base=st.sampled_from(range(len(BASES))),
+    edits=st.lists(
+        st.tuples(st.integers(0, 60), st.integers(0, 2), st.sampled_from(list('-.,[]{}:"0179etx '))),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_mutated_solutions_end_in_an_exit_code(tmp_path_factory, base, edits):
+    text = json.dumps({"edges": list(range(_edge_count(BASES[base])))})
+    for pos, cut, char in edits:
+        pos %= len(text) + 1
+        text = text[:pos] + char + text[pos + cut:]
+    assert _verify(tmp_path_factory, base, text) in EXIT_CODES
