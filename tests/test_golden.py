@@ -15,8 +15,9 @@ current code with files written by a trusted earlier commit:
   ``cutting_plane_bulk`` runs (through ``solve_problem_lp``), and raw
   ``solve_dense_lp`` answers, built by :func:`lp_cases`.
 * ``golden/exact.json`` holds the sorted edge ids and the ``repr`` of the
-  cost of ``exact_solve`` on seeded bulk and relative (r = 2 and r = 3)
-  instances, built by :func:`exact_cases`.
+  cost of ``exact_solve`` on seeded bulk, relative (r = 2 and r = 3) and
+  flex instances (FGC (2,2), (3,2), (3,3) and (4,4), Flex-ST (2,2) and a
+  three-class flex-sndp mix), built by :func:`exact_cases`.
 
 A change that alters an answer on purpose rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in its log.
@@ -234,7 +235,8 @@ def lp_cases_json() -> str:
 
 
 # Bulk scenarios of width 2, and relative requirements whose expansion has
-# up to 1 + 16 + 120 = 137 scenarios at r = 3 and m = 16.
+# up to 1 + 16 + 120 = 137 scenarios at r = 3 and m = 16: n = 6 + i % 2 and
+# m = 12 + i % 5 for the i-th instance.
 EXACT_SHAPES = (
     ("bulk", {"problem": "bulk", "width": 2, "scenarios": 4}),
     ("rsndp-r2", {"problem": "rsndp", "pairs": 2, "r": 2}),
@@ -242,14 +244,54 @@ EXACT_SHAPES = (
 )
 
 
+def _flex_sizes(p: int, q: int) -> list:
+    """The criterion-2 (n, m, skeleton) rotation: n 5..8, m <= 18."""
+    mixed_cycles = max((p + 1) // 2, (p + q + 1) // 2)
+    safe_cycles = (p + 1) // 2
+    sizes = []
+    for n in (5, 6, 7, 8):
+        if mixed_cycles * n + 2 <= 18:
+            sizes.append((n, min(18, mixed_cycles * n + 4), "mixed"))
+        if safe_cycles * n + 4 <= 18:
+            sizes.append((n, min(18, safe_cycles * n + 6), "safe"))
+    return sizes
+
+
+# Flex instances on the criterion-2 shapes: FGC, Flex-ST between 0 and n-1,
+# and a flex-sndp mix of three (p, q) classes whose skeleton of two mixed
+# cycles certifies every pair.
+FLEX_SNDP_MIX = [[0, 4, 1, 2], [1, 3, 2, 1], [2, 4, 2, 0]]
+FLEX_SHAPES = (
+    ("fgc-22", "fgc", 2, 2),
+    ("fgc-32", "fgc", 3, 2),
+    ("fgc-33", "fgc", 3, 3),
+    ("fgc-44", "fgc", 4, 4),
+    ("flex-st-22", "flex-st", 2, 2),
+    ("flex-sndp-mix", "flex-sndp", 2, 2),
+)
+
+
+def _exact_answer(name: str, n: int, m: int, seed: int, params: dict) -> dict:
+    inst = generate("random-multigraph", n=n, m=m, seed=seed, params=params)
+    sol, cost = exact_solve(inst.to_graph(), inst.problem)
+    return {"name": name, "n": n, "m": m, "edges": sorted(sol), "cost": repr(cost)}
+
+
 def exact_cases(per_shape: int = 20) -> list:
     out = []
     for name, params in EXACT_SHAPES:
         for i in range(per_shape):
-            n, m = 6 + i % 2, 12 + i % 5
-            inst = generate("random-multigraph", n=n, m=m, seed=100 + i, params=params)
-            sol, cost = exact_solve(inst.to_graph(), inst.problem)
-            out.append({"name": f"{name}-{i}", "n": n, "m": m, "edges": sorted(sol), "cost": repr(cost)})
+            out.append(_exact_answer(f"{name}-{i}", 6 + i % 2, 12 + i % 5, 100 + i, params))
+    for k, (name, problem, p, q) in enumerate(FLEX_SHAPES):
+        sizes = _flex_sizes(p, q)
+        for i in range(per_shape):
+            n, m, skeleton = sizes[i % len(sizes)]
+            if problem == "flex-sndp":
+                n, m, skeleton = 5 + i % 2, 12 + i % 4, "mixed"
+            params = {"problem": problem, "p": p, "q": q, "skeleton": skeleton, "safe_prob": 0.45}
+            if problem == "flex-sndp":
+                params["pairs"] = FLEX_SNDP_MIX
+            out.append(_exact_answer(f"{name}-{i}", n, m, 300 + 20 * k + i, params))
     return out
 
 
