@@ -127,6 +127,13 @@ class Planes:
             if not cuts:
                 return
 
+    def count(self, bit: int) -> int:
+        """The count of the one cut at ``bit``."""
+        out = 0
+        for k, plane in enumerate(self.planes):
+            out |= ((plane >> bit) & 1) << k
+        return out
+
     def at_least(self, c: int) -> int:
         """The cut set of cuts whose count is at least c."""
         planes = self.planes

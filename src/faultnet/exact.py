@@ -2,14 +2,23 @@
 
 Branch and bound over edge include/exclude decisions, with feasibility
 pruning in both directions (the chosen set alone, and chosen plus all still
-undecided edges) and an admissible remaining-cost bound read off one violated
-cut.  Every fault model is a cut condition here, tested on the bit-plane
-kernel: the boundary counts of the chosen and pool sets over every cut are
-kept as incrementally updated planes.  A flex (p, q) class fails on a cut
-that separates one of its pairs and has fewer than p safe and fewer than p+q
-edges.  A bulk scenario, and each scenario of the bulk expansion of relative
-requirements, fails on a cut that separates one of its pairs when every edge
-crossing it is one the scenario fails.
+undecided edges) and an admissible remaining-cost bound from a packing of
+violated cuts.  Every fault model is a cut condition here, tested on the
+bit-plane kernel: the boundary counts of the chosen and pool sets over every
+cut are kept as incrementally updated planes.  A flex (p, q) class fails on a
+cut that separates one of its pairs and has fewer than p safe and fewer than
+p+q edges.  A bulk scenario, and each scenario of the bulk expansion of
+relative requirements, fails on a cut that separates one of its pairs when
+every edge crossing it is one the scenario fails.
+
+The bound packs the violated cuts of the first failing class or scenario
+greedily, lowest cut first, so that no two packed cuts share a candidate (an
+undecided edge that crosses the cut and is not failed there), and sums what
+repairing each packed cut costs at least: the cheapest candidate for a
+scenario, and for a flex class the cheaper of the p - s cheapest safe
+candidates and the p + q - t cheapest candidates, with s and t the cut's
+safe and total counts in the chosen set.  A completion repairs every packed
+cut with its own candidates, so the sum never exceeds what it adds.
 
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.
@@ -18,13 +27,21 @@ suite, so it favors simplicity over cleverness everywhere the budget allows.
 from __future__ import annotations
 
 import os
+from bisect import bisect_right
+from math import inf
 
 from .cuts import Boundary, Planes, separating
 from .errors import BudgetExceeded, InfeasibleInstance
 from .graph import FaultGraph
-from .oracles import Problem, check_problem_feasible, expand_rsndp_to_bulk
+from .oracles import (
+    Problem,
+    check_problem_feasible,
+    expand_rsndp_to_bulk,
+    guard_failure_sets,
+)
 
 COST_EPS = 1e-12
+_NO_FAIL: frozenset = frozenset()
 
 
 def exact_budget() -> int:
@@ -76,13 +93,14 @@ class _Checker:
         self.inside[which][eid] = 0
 
     def first_bad(self, which: int):
-        """(bad cuts, failed edges) of the first class, or else scenario,
-        that the set fails (a class fails no edges); None if it is feasible."""
+        """(bad cuts, (p, q), failed edges) of the first class, or else
+        scenario, that the set fails, None if it is feasible.  A class fails
+        no edges; a scenario has no (p, q)."""
         counts = self.counts[which]
         for p, q, scope in self.classes:
             bad = scope & counts.deficient(p, q)
             if bad:
-                return bad, ()
+                return bad, (p, q), _NO_FAIL
         inside = self.inside[which]
         for scope, fail in self.scenarios:
             dead = Planes(counts.total.full)
@@ -91,8 +109,73 @@ class _Checker:
                     dead.add(counts.cross[eid])
             bad = scope & counts.total.equal(dead)
             if bad:
-                return bad, fail
+                return bad, None, fail
         return None
+
+
+class _Packing:
+    """Lower bound on the cost of completing a chosen set: greedy packing of
+    violated cuts with pairwise disjoint candidate sets.
+
+    ``order`` lists the edge ids by descending cost; at depth k the edges at
+    ``order[k:]`` are undecided.  The candidates of a cut for a failure set
+    are the edges that cross it and are not failed, listed once per (failure
+    set, cut) when first needed: their negated order positions from the cheap
+    end, the running sums of their costs and the running unions of their
+    crossing sets, and the positions and cost sums of the safe ones.  The
+    undecided candidates at depth k are a prefix of that list.
+    """
+
+    def __init__(self, g: FaultGraph, order: list[int]):
+        self.order = order
+        self.cross = Boundary(g).cross
+        self.costs = [g.cost_of(eid) for eid in range(g.m)]
+        self.safe = [e.safe for e in g.edges]
+        self.columns: dict = {}
+
+    def column(self, fail: frozenset, low: int) -> tuple:
+        col = self.columns.get((fail, low))
+        if col is None:
+            spots, sums, hits = [], [0.0], [low]
+            safe_spots, safe_sums = [], [0.0]
+            for i in range(len(self.order) - 1, -1, -1):
+                eid = self.order[i]
+                if self.cross[eid] & low and eid not in fail:
+                    spots.append(-i)
+                    sums.append(sums[-1] + self.costs[eid])
+                    hits.append(hits[-1] | self.cross[eid])
+                    if self.safe[eid]:
+                        safe_spots.append(-i)
+                        safe_sums.append(safe_sums[-1] + self.costs[eid])
+            col = self.columns[(fail, low)] = (spots, sums, hits, safe_spots, safe_sums)
+        return col
+
+    def bound(self, counts: Boundary, k: int, violated, cost_in: float, limit: float) -> float:
+        """Repair cost of the packed cuts of ``violated`` (a ``first_bad``
+        answer for the chosen set ``counts``), summed until cost_in plus the
+        sum reaches ``limit``."""
+        bad, pq, fail = violated
+        bound = 0.0
+        while bad:
+            low = bad & -bad
+            spots, sums, hits, safe_spots, safe_sums = self.column(fail, low)
+            reach = bisect_right(spots, -k)  # undecided candidates
+            if pq is None:
+                repair = sums[1] if reach else inf
+            else:
+                p, q = pq
+                bit = low.bit_length() - 1
+                need = p + q - counts.total.count(bit)
+                repair = sums[need] if need <= reach else inf
+                need = p - counts.safe.count(bit)
+                if need <= bisect_right(safe_spots, -k):
+                    repair = min(repair, safe_sums[need])
+            bound += repair
+            if cost_in + bound >= limit:
+                break
+            # Drop every cut that one of these candidates crosses.
+            bad &= ~hits[reach]
+        return bound
 
 
 def exact_solve(
@@ -108,13 +191,20 @@ def exact_solve(
     cap = exact_budget() if budget is None else budget
     if g.m > cap:
         raise BudgetExceeded(f"m={g.m} exceeds exact-search budget {cap}")
-    ok, _ = check_problem_feasible(g, problem, g.all_edge_ids())
-    if not ok:
-        raise InfeasibleInstance("graph itself is infeasible for the problem")
+    if problem.kind == "rsndp":
+        # The whole graph keeps its own connectivity under every failure, so
+        # only the budget of the oracle's failure-set enumeration applies;
+        # the checker's bulk expansion enumerates the same sets.
+        guard_failure_sets(g.m, problem.relative)
+    else:
+        ok, _ = check_problem_feasible(g, problem, g.all_edge_ids())
+        if not ok:
+            raise InfeasibleInstance("graph itself is infeasible for the problem")
 
     checker = _Checker(g, problem)
     order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
-    costs = [g.cost_of(eid) for eid in range(g.m)]
+    packing = _Packing(g, order)
+    costs = packing.costs
 
     # Greedy seed: keep everything, then drop expensive edges while feasible.
     checker.reset(chosen=range(g.m), pool=range(g.m))
@@ -133,7 +223,6 @@ def exact_solve(
     # graph, an exclusion is checked before descending, and an inclusion
     # leaves the pool as it is.
     checker.reset(chosen=(), pool=range(g.m))
-    cross = checker.counts[0].cross
 
     def dfs(k: int, cost_in: float) -> None:
         nonlocal best_set, best_cost
@@ -146,17 +235,13 @@ def exact_solve(
             return
         if k == g.m:
             return
-        # Any completion adds an undecided edge that crosses the lowest bad
-        # cut and is not failed there.  Undecided edges are sorted by
-        # descending cost, so the last such edge is the cheapest.
-        bad, fail = violated
-        low = bad & -bad
-        for i in range(g.m - 1, k - 1, -1):
-            eid = order[i]
-            if cross[eid] & low and eid not in fail:
-                if cost_in + costs[eid] >= best_cost - COST_EPS:
-                    return
-                break
+        # Any completion repairs each packed cut of the violated class or
+        # scenario with its own undecided candidates, so it adds at least the
+        # packing bound.  A pruned subtree holds nothing cheaper than the
+        # incumbent by more than COST_EPS, the only gain that replaces it.
+        limit = best_cost - COST_EPS
+        if cost_in + packing.bound(checker.counts[0], k, violated, cost_in, limit) >= limit:
+            return
         eid = order[k]
         # Exclude branch first: expensive edges drop out early.
         checker.remove(1, eid)

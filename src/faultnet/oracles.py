@@ -193,17 +193,24 @@ def is_bulk_feasible(
     return True, None
 
 
+def guard_failure_sets(m: int, reqs: Sequence[RelativeRequirement]) -> int:
+    """max r_i, once the failure sets F with |F| < max r_i of an m-edge
+    graph are known to fit the enumeration budget."""
+    max_r = max((req.r for req in reqs), default=1)
+    total = sum(comb(m, k) for k in range(max_r))
+    if total > enumeration_budget():
+        raise EnumerationTooLarge(
+            f"{total} failure sets exceed the enumeration budget"
+        )
+    return max_r
+
+
 def is_rsndp_feasible(
     g: FaultGraph, reqs: Sequence[RelativeRequirement], H: Iterable[int]
 ) -> tuple[bool, RsndpWitness | None]:
     """Definition-level check: enumerate all F with |F| < max r_i."""
     H = frozenset(H)
-    max_r = max((req.r for req in reqs), default=1)
-    total = sum(comb(g.m, k) for k in range(max_r))
-    if total > enumeration_budget():
-        raise EnumerationTooLarge(
-            f"{total} failure sets exceed the enumeration budget"
-        )
+    max_r = guard_failure_sets(g.m, reqs)
     all_ids = sorted(g.all_edge_ids())
     for size in range(max_r):
         for combo in itertools.combinations(all_ids, size):

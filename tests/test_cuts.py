@@ -94,6 +94,31 @@ def test_planes_equal_matches_single_cut_counts_under_adds_and_removes():
                 assert bit(empty, mask) == (total0 == 0)
 
 
+def test_planes_count_matches_single_cut_counts_under_adds_and_removes():
+    rng = Random(11)
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        specs = []
+        for _ in range(rng.randint(1, 16)):
+            u, v = rng.sample(range(n), 2)
+            specs.append((u, v, 1.0, rng.choice(("safe", "unsafe"))))
+        g = FaultGraph(n, specs)
+        counts = Boundary(g)
+        members = set()
+        for _ in range(rng.randint(1, 30)):
+            eid = rng.randrange(g.m)
+            if eid in members:
+                counts.remove(eid)
+                members.discard(eid)
+            else:
+                counts.add(eid)
+                members.add(eid)
+            for mask in range(1, 1 << (n - 1)):
+                assert (counts.safe.count(mask - 1), counts.total.count(mask - 1)) == (
+                    boundary_counts(g, members, mask)
+                )
+
+
 def test_decoding_and_membership_cover_both_sides():
     rng = Random(8)
     for n in range(2, 7):

@@ -1,7 +1,11 @@
+from math import inf
+from random import Random
+
 import pytest
 
-from faultnet.errors import BudgetExceeded, InfeasibleInstance
-from faultnet.exact import exact_solve
+from faultnet.cuts import Boundary
+from faultnet.errors import BudgetExceeded, EnumerationTooLarge, InfeasibleInstance
+from faultnet.exact import _Checker, _Packing, exact_solve
 from faultnet.graph import FaultGraph
 from faultnet.instances import appendix_a_instance, generate
 from faultnet.oracles import (
@@ -14,6 +18,7 @@ from faultnet.oracles import (
 )
 from oracle_utils import (
     brute_connected,
+    brute_flex_feasible,
     brute_rsndp_feasible,
     dijkstra_cost,
     kruskal_mst_cost,
@@ -81,6 +86,18 @@ class TestExactSolve:
         with pytest.raises(InfeasibleInstance):
             exact_solve(g, prob)
 
+    def test_rsndp_enumeration_budget(self, monkeypatch):
+        # 1 + 12 + 66 = 79 failure sets of size < 3: the oracle's raise, not
+        # the bulk expansion's, fires one set over the budget.
+        g = random_graph(1, 6, 12)
+        prob = Problem("rsndp", relative=(RelativeRequirement(0, 5, 3),))
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "78")
+        with pytest.raises(EnumerationTooLarge, match="^79 failure sets exceed the enumeration budget$"):
+            exact_solve(g, prob)
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "79")
+        sol, _cost = exact_solve(g, prob)
+        assert check_problem_feasible(g, prob, sol)[0]
+
     def test_bulk_and_rsndp_paths(self):
         # Failing edge 0 leaves the detour 0-3-2 as the only route, and the
         # detour alone already satisfies the scenario: optimum {2, 3} at 4.
@@ -125,3 +142,96 @@ def test_bulk_and_rsndp_optimum_matches_brute_force(params, seed):
             return brute_rsndp_feasible(g, prob.relative, H)
     _sol, cost = exact_solve(g, prob)
     assert abs(cost - brute_minimum(g, feasible)) < 1e-9
+
+
+# Flex classes on two pairs, and a two-class mix.  Unsafe edges cost a third
+# of a safe one on average, so optima mix safe and unsafe edges.
+FLEX_CLASSES = {
+    "11": ((1, 1), (1, 1)),
+    "21": ((2, 1), (2, 1)),
+    "22": ((2, 2), (2, 2)),
+    "mix": ((2, 1), (1, 2)),
+}
+FLEX_BRUTE_SHAPES = [(name, seed) for name in FLEX_CLASSES for seed in range(4)]
+
+
+def _flex_case(name, seed):
+    """The first seeded graph, with n = 5-6 and m = 8-10, whose full edge
+    set meets the requirements of class set ``name``."""
+    n, m = 5 + seed % 2, 8 + seed % 3
+    (p1, q1), (p2, q2) = FLEX_CLASSES[name]
+    reqs = (FlexRequirement(0, n - 1, p1, q1), FlexRequirement(1, 3, p2, q2))
+    for attempt in range(100):
+        g = random_graph(1000 * seed + attempt + 17 * len(name), n, m, safe_prob=0.4)
+        specs = [(e.u, e.v, e.cost if e.safe else round(e.cost / 3, 3), e.safety) for e in g.edges]
+        g = FaultGraph(n, specs)
+        if brute_flex_feasible(g, reqs, g.all_edge_ids()):
+            return g, Problem("flex", flex=reqs)
+    raise AssertionError("no feasible seeded graph")
+
+
+@pytest.mark.parametrize("name, seed", FLEX_BRUTE_SHAPES, ids=[f"{n}-{s}" for n, s in FLEX_BRUTE_SHAPES])
+def test_flex_optimum_matches_brute_force(name, seed):
+    g, prob = _flex_case(name, seed)
+    _sol, cost = exact_solve(g, prob)
+    assert abs(cost - brute_minimum(g, lambda H: brute_flex_feasible(g, prob.flex, H))) < 1e-9
+
+
+def _bound_case(name, seed):
+    """(graph, problem, brute-force feasibility) for the admissibility test."""
+    if name in FLEX_CLASSES:
+        g, prob = _flex_case(name, seed)
+        return g, prob, lambda H: brute_flex_feasible(g, prob.flex, H)
+    params = {
+        "bulk": {"problem": "bulk", "width": 2, "scenarios": 4},
+        "rsndp": {"problem": "rsndp", "pairs": 2, "r": 3},
+    }[name]
+    inst = generate("random-multigraph", n=5 + seed % 2, m=9, seed=800 + seed, params=params)
+    g, prob = inst.to_graph(), inst.problem
+    if prob.kind == "bulk":
+        return g, prob, lambda H: all(
+            brute_connected(g, H - sc.fail, u, v) for sc in prob.scenarios for u, v in sc.pairs
+        )
+    return g, prob, lambda H: brute_rsndp_feasible(g, prob.relative, H)
+
+
+BOUND_CASES = [(name, seed) for name in (*FLEX_CLASSES, "bulk", "rsndp") for seed in range(2)]
+
+
+@pytest.mark.parametrize("name, seed", BOUND_CASES, ids=[f"{n}-{s}" for n, s in BOUND_CASES])
+def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
+    # A partial state of the search: edges order[:k] are decided, ``chosen``
+    # among them; any completion adds a subset of the undecided order[k:].
+    g, prob, feasible = _bound_case(name, seed)
+    order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
+    cross = Boundary(g).cross
+    checker, packing = _Checker(g, prob), _Packing(g, order)
+    rng = Random(seed)
+    checked = stronger = 0
+    for _ in range(80):
+        k = rng.randrange(g.m)
+        chosen = frozenset(eid for eid in order[:k] if rng.random() < 0.5)
+        undecided = order[k:]
+        best = inf
+        for bits in range(1 << len(undecided)):
+            added = frozenset(eid for i, eid in enumerate(undecided) if (bits >> i) & 1)
+            cost = g.total_cost(added)
+            if cost < best and feasible(chosen | added):
+                best = cost
+        checker.reset(chosen=chosen, pool=chosen | set(undecided))
+        violated = checker.first_bad(0)
+        if violated is None or best == inf:
+            continue
+        # A finite limit stops a packing that never drops its cuts.
+        bound = packing.bound(checker.counts[0], k, violated, 0.0, best + 1.0)
+        assert bound <= best + 1e-9
+        bad, _pq, fail = violated
+        low = bad & -bad
+        one_edge = min(g.cost_of(e) for e in undecided if cross[e] & low and e not in fail)
+        checked += 1
+        stronger += bound > one_edge + 1e-9
+    assert checked >= 10
+    if name in FLEX_CLASSES:
+        # A flex cut that needs p - s or p + q - t > 1 edges costs more than
+        # its cheapest candidate: the packing must show that somewhere.
+        assert stronger >= 1
