@@ -183,3 +183,27 @@ def random_lp(seed: int):
         rows.append((terms, rhs))
     upper_bounds = [None if rng.random() < 0.4 else 1.0 for _ in range(n)]
     return objective, rows, upper_bounds
+
+
+def highs_lp(objective, rows, upper_bounds):
+    """(status, objective) of ``solve_dense_lp``'s LP solved by scipy HiGHS.
+
+    Same arguments as ``solve_dense_lp``, with per-variable upper bounds.
+    Status codes are ``scipy.optimize.linprog``'s: 0 optimal, 2 infeasible,
+    3 unbounded.  Callers guard the scipy import with ``importorskip``.
+    """
+    import numpy as np
+    from scipy.optimize import linprog
+
+    a_ub = np.zeros((len(rows), len(objective)))
+    for i, (terms, _rhs) in enumerate(rows):
+        for j, coeff in terms:
+            a_ub[i, j] -= coeff
+    res = linprog(
+        objective,
+        A_ub=a_ub,
+        b_ub=[-rhs for _terms, rhs in rows],
+        bounds=[(0.0, ub) for ub in upper_bounds],
+        method="highs",
+    )
+    return res.status, res.fun

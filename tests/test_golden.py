@@ -13,7 +13,10 @@ current code with files written by a trusted earlier commit:
 * ``golden/lp.json`` holds the ``repr`` of every float the LP layer returns:
   ``x``, objective, rounds and every row of seeded ``cutting_plane_flex`` and
   ``cutting_plane_bulk`` runs (through ``solve_problem_lp``), and raw
-  ``solve_dense_lp`` answers, built by :func:`lp_cases`.
+  ``solve_dense_lp`` answers, built by :func:`lp_cases`.  Each cutting-plane
+  run is also checked against the optimum of its own final rows: they
+  separate clean, and ``solve_dense_lp`` and scipy HiGHS give the pinned
+  objective, so a re-pin that moves ``x`` or the rounds must keep it.
 * ``golden/exact.json`` holds the sorted edge ids and the ``repr`` of the
   cost of ``exact_solve`` on seeded bulk, relative (r = 2 and r = 3) and
   flex instances (FGC (2,2), (3,2), (3,3) and (4,4), Flex-ST (2,2) and a
@@ -23,10 +26,13 @@ A change that alters an answer on purpose rewrites the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why in its log.
 """
 
+import functools
 import json
 import sys
 from pathlib import Path
 from random import Random
+
+import pytest
 
 from faultnet import simplex
 from faultnet.bench import bench, solutions_json
@@ -40,14 +46,14 @@ from faultnet.flexalg import (
 )
 from faultnet.graph import FaultGraph
 from faultnet.instances import appendix_a_instance, generate
-from faultnet.lp import solve_problem_lp
+from faultnet.lp import separate_bulk, separate_flex, solve_problem_lp
 from faultnet.oracles import (
     FlexRequirement,
     fgc_requirements,
     is_flex_feasible,
     violated_cuts_flex_aug,
 )
-from oracle_utils import random_lp
+from oracle_utils import highs_lp, random_lp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -198,25 +204,32 @@ def _simplex_answer(objective, rows, upper_bounds) -> list:
     return [status.value, repr(x), repr(value)]
 
 
-def lp_cases() -> dict:
-    flex = []
+def lp_instances() -> list:
+    """(family, name, instance) of every cutting-plane run in :func:`lp_cases`."""
+    out = []
     for seed in (1, 2):
         for p, q in ((2, 1), (2, 2)):
             for skeleton in ("mixed", "safe"):
                 params = {"problem": "fgc", "p": p, "q": q, "skeleton": skeleton, "safe_prob": 0.45}
                 inst = generate("random-multigraph", n=7, m=15, seed=seed, params=params)
-                flex.append(_lp_run(f"fgc-{p}{q}-{skeleton}-s{seed}", inst))
+                out.append(("flex", f"fgc-{p}{q}-{skeleton}-s{seed}", inst))
         for p, q in ((2, 1), (1, 2)):
             params = {"problem": "flex-st", "p": p, "q": q, "skeleton": "mixed"}
             inst = generate("random-multigraph", n=6, m=12, seed=seed, params=params)
-            flex.append(_lp_run(f"flex-st-{p}{q}-s{seed}", inst))
+            out.append(("flex", f"flex-st-{p}{q}-s{seed}", inst))
     for k in (2, 3, 4):
-        flex.append(_lp_run(f"appendix-a-k{k}", appendix_a_instance(k)))
-    bulk = []
+        out.append(("flex", f"appendix-a-k{k}", appendix_a_instance(k)))
     for seed in (1, 2, 3, 4):
         params = {"problem": "bulk", "width": 2, "scenarios": 4}
         inst = generate("random-multigraph", n=7, m=14, seed=seed, params=params)
-        bulk.append(_lp_run(f"bulk-s{seed}", inst))
+        out.append(("bulk", f"bulk-s{seed}", inst))
+    return out
+
+
+def lp_cases() -> dict:
+    cases = {"flex": [], "bulk": []}
+    for family, name, inst in lp_instances():
+        cases[family].append(_lp_run(name, inst))
     raw = [[name, _simplex_answer(*case)] for name, *case in SIMPLEX_CASES]
     raw += [[f"random-{seed}", _simplex_answer(*random_lp(seed))] for seed in range(60)]
     # Bland's rule takes over after DEGENERATE_LIMIT degenerate pivots in a
@@ -227,7 +240,8 @@ def lp_cases() -> dict:
         raw += [[f"bland-{seed}", _simplex_answer(*random_lp(seed))] for seed in range(60)]
     finally:
         simplex.DEGENERATE_LIMIT = limit
-    return {"flex": flex, "bulk": bulk, "simplex": raw}
+    cases["simplex"] = raw
+    return cases
 
 
 def lp_cases_json() -> str:
@@ -311,6 +325,51 @@ def test_cut_answers_match_golden():
 
 def test_lp_answers_match_golden():
     assert lp_cases_json().encode() == (GOLDEN / "lp.json").read_bytes()
+
+
+LP_INSTANCES = {name: (family, inst) for family, name, inst in lp_instances()}
+
+
+@functools.cache
+def _final_rows(name: str) -> tuple:
+    """(solution, costs, final rows) of one cutting-plane case."""
+    _family, inst = LP_INSTANCES[name]
+    g = inst.to_graph()
+    sol, model = solve_problem_lp(g, inst.problem)
+    return sol, [e.cost for e in g.edges], [(list(r.terms), r.rhs) for r in model.rows]
+
+
+def _pinned_objective(name: str) -> float:
+    family, _inst = LP_INSTANCES[name]
+    cases = json.loads((GOLDEN / "lp.json").read_text(encoding="utf-8"))[family]
+    return float(next(case["objective"] for case in cases if case["name"] == name))
+
+
+@pytest.mark.parametrize("name", LP_INSTANCES)
+def test_cutting_plane_rows_hold_the_pinned_optimum(name):
+    # The final rows separate clean, and a cold solve of them gives the
+    # pinned objective: a re-pin that moves x or the rounds keeps the optimum.
+    family, inst = LP_INSTANCES[name]
+    g = inst.to_graph()
+    sol, costs, rows = _final_rows(name)
+    if family == "flex":
+        leftover = separate_flex(g, inst.problem.flex, sol.x)
+    else:
+        leftover = separate_bulk(g, inst.problem.scenarios, sol.x)
+    assert sol.separation_clean and leftover is None
+    status, _x, cold = simplex.solve_dense_lp(costs, rows, 1.0)
+    assert status is simplex.SimplexStatus.OPTIMAL
+    assert abs(cold - _pinned_objective(name)) <= 1e-9
+    assert abs(sol.objective - _pinned_objective(name)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", LP_INSTANCES)
+def test_cutting_plane_rows_agree_with_highs(name):
+    pytest.importorskip("scipy")
+    _sol, costs, rows = _final_rows(name)
+    code, fun = highs_lp(costs, rows, [1.0] * len(costs))
+    assert code == 0
+    assert abs(fun - _pinned_objective(name)) <= 1e-7
 
 
 def test_exact_answers_match_golden():

@@ -1,7 +1,6 @@
 import itertools
 from random import Random
 
-import numpy as np
 import pytest
 
 from faultnet.exact import exact_solve
@@ -20,7 +19,7 @@ from faultnet.lp import (
 )
 from faultnet.oracles import BulkScenario, FlexRequirement, Problem
 from faultnet.simplex import SimplexStatus, solve_dense_lp
-from oracle_utils import random_graph, random_lp
+from oracle_utils import highs_lp, random_graph, random_lp
 
 # scipy.optimize.linprog status codes: 0 optimal, 2 infeasible, 3 unbounded.
 HIGHS_STATUS = {
@@ -63,24 +62,12 @@ class TestSimplex:
     @pytest.mark.parametrize("seed", range(50))
     def test_agrees_with_highs(self, seed):
         pytest.importorskip("scipy")
-        from scipy.optimize import linprog
-
         objective, rows, upper_bounds = random_lp(seed)
         status, _x, value = solve_dense_lp(objective, rows, upper_bounds)
-        a_ub = np.zeros((len(rows), len(objective)))
-        for i, (terms, _rhs) in enumerate(rows):
-            for j, coeff in terms:
-                a_ub[i, j] -= coeff
-        res = linprog(
-            objective,
-            A_ub=a_ub,
-            b_ub=[-rhs for _terms, rhs in rows],
-            bounds=[(0.0, ub) for ub in upper_bounds],
-            method="highs",
-        )
-        assert status is HIGHS_STATUS[res.status]
+        code, fun = highs_lp(objective, rows, upper_bounds)
+        assert status is HIGHS_STATUS[code]
         if status is SimplexStatus.OPTIMAL:
-            assert abs(value - res.fun) < 1e-7
+            assert abs(value - fun) < 1e-7
 
 
 class TestSolveLp:
