@@ -36,12 +36,13 @@ from .oracles import (
     FlexRequirement,
     Problem,
     RelativeRequirement,
+    _check_prior_levels,
+    _level_violations,
     expand_rsndp_to_bulk,
     fgc_requirements,
     is_bulk_feasible,
     is_flex_feasible,
     is_rsndp_feasible,
-    violating_edge_sets_bulk,
 )
 
 log = logging.getLogger(__name__)
@@ -322,19 +323,24 @@ def augment_bulk(
     hitting the violating (failure, pair) tuples of this level.  A failure
     set can break every fundamental cycle of one tree and not of another,
     so a tree whose hitting instance is unhittable is skipped.
+
+    H_prev must survive every sub-failure of size < level, or
+    PriorLevelNotSatisfied is raised.  It is checked once: every tree's H
+    contains H_prev, so it survives them too.
     """
     H_prev = frozenset(H_prev)
+    _check_prior_levels(g, scenarios, H_prev, level)
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
     candidate, stats = _best_of_trees(
         g,
         H_prev,
         pairs,
-        lambda H: violating_edge_sets_bulk(g, scenarios, H, level),
+        lambda H: _level_violations(g, scenarios, H, level),
         level,
         seed,
         trees,
     )
-    leftover = violating_edge_sets_bulk(g, scenarios, candidate, level)
+    leftover = _level_violations(g, scenarios, candidate, level)
     if leftover:
         raise InfeasibleAugmentation(
             f"level {level}: cover left {len(leftover)} violating sets"

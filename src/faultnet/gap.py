@@ -10,8 +10,9 @@ from .graph import FaultGraph, boundary_counts
 from .instances import appendix_a_instance
 from .lp import cutting_plane_flex, separate_flex
 
-# The LP optimum and the exact integral optimum are reported up to this k.
-SOLVE_LIMIT = 6
+# The LP optimum and the exact integral optimum are reported up to this k;
+# at k = 9, m = 3(k+1) = 30 is the exact budget.
+SOLVE_LIMIT = 9
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ The bulk relaxation has one family: for each scenario (F_j, K_j) and cut S
 separating one of its pairs, x(delta(S) - F_j) >= 1.
 
 Rows are generated lazily: the driver alternates the in-repo simplex with
-a separator until no violated row remains.  Separation works by exhaustive
+a separator until no violated row remains, re-optimising each round by dual
+simplex from the last optimal basis.  Separation works by exhaustive
 sweep over canonical cuts (the polynomial-time enumeration device the desk
 scale replaces) with the exact prefix rule for choosing B: a cut is violated
 for some B iff it is violated for the q unsafe boundary edges of largest
@@ -28,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import LpInfeasible
 from .graph import FaultGraph, VertexCut, boundary, st_cut_masks
 from .oracles import BulkScenario, FlexRequirement, Problem, violated_cuts_flex_aug
-from .simplex import SimplexStatus, solve_dense_lp
+from .simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
 
 ROW_TOL = 1e-7
 MAX_ROUNDS = 10_000
@@ -102,19 +103,20 @@ def _crossing(g: FaultGraph, F: Iterable[int], mask: int) -> tuple[int, ...]:
 def _cutting_plane(
     g: FaultGraph, separate: Separator
 ) -> tuple[FractionalSolution, LinearProgramModel]:
-    """Alternate the simplex with ``separate`` until it finds no row."""
+    """Alternate dual simplex re-optimisation with ``separate`` until it
+    finds no row; each round warm-starts from the last optimal basis."""
     model = LinearProgramModel(g)
-    sol = solve_lp(model)
+    warm = DualReoptimizer([e.cost for e in g.edges])
     for round_index in range(1, MAX_ROUNDS + 1):
-        row = separate(sol.x)
+        x = tuple(warm.x())
+        row = separate(x)
         if row is None:
-            return (
-                FractionalSolution(sol.x, sol.objective, round_index, True),
-                model,
-            )
+            return FractionalSolution(x, warm.objective, round_index, True), model
         if not model.add_row(row):
             raise LpInfeasible(f"separation repeated row {row.key}; numeric trouble")
-        sol = solve_lp(model)
+        status = warm.add_row(row.terms, row.rhs)
+        if status is not SimplexStatus.OPTIMAL:
+            raise LpInfeasible(f"simplex returned {status}")
     raise LpInfeasible("cutting plane failed to converge")
 
 

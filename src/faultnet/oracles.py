@@ -292,7 +292,16 @@ def violating_edge_sets_bulk(
     Results are deduplicated and sorted for reproducibility.
     """
     H = frozenset(H)
-    # Precondition: all strictly smaller sub-failures already survived.
+    _check_prior_levels(g, scenarios, H, level)
+    return _level_violations(g, scenarios, H, level)
+
+
+def _check_prior_levels(
+    g: FaultGraph, scenarios: Sequence[BulkScenario], H: frozenset, level: int
+) -> None:
+    """Raise PriorLevelNotSatisfied unless every pair of every scenario
+    survives each of its sub-failures of size < level in H.  A superset of
+    H passes whenever H does."""
     for j, sc in enumerate(scenarios):
         fail = sorted(sc.fail)
         for size in range(min(level, len(fail) + 1)):
@@ -302,6 +311,13 @@ def violating_edge_sets_bulk(
                     raise PriorLevelNotSatisfied(
                         f"scenario {j}: pair {broken[0]} cut by sub-failure {combo}"
                     )
+
+
+def _level_violations(
+    g: FaultGraph, scenarios: Sequence[BulkScenario], H: frozenset, level: int
+) -> list[tuple[frozenset, tuple[int, int]]]:
+    """The (F, pair) tuples of ``violating_edge_sets_bulk`` without its
+    precondition check."""
     out = set()
     for sc in scenarios:
         fail = sorted(sc.fail)

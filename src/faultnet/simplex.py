@@ -1,15 +1,24 @@
-"""Dense two-phase simplex for small cutting-plane models.
+"""Dense simplex for small cutting-plane models: a cold two-phase solver
+and a warm dual re-optimiser.
 
-Solves  min c.x  subject to  A x >= b,  0 <= x <= ub  in tableau form.
-Sized for desk-scale models (tens of variables, a few hundred rows), which
-is all the cutting-plane driver ever produces.  Pivot rule: Dantzig with
-lowest-index ties, falling back to Bland's rule after 1000 degenerate
-pivots; pivot tolerance 1e-9.  Fully deterministic.
+``solve_dense_lp`` solves  min c.x  subject to  A x >= b,  0 <= x <= ub  in
+tableau form from scratch.  It is the reference: ``solve_lp`` and
+``ring_cover_exact`` call it.  Sized for desk-scale models (tens of
+variables, a few hundred rows).  Pivot rule: Dantzig with lowest-index
+ties, falling back to Bland's rule after 1000 degenerate pivots; pivot
+tolerance 1e-9.  Fully deterministic.
 
 The tableau is allocated once, artificial columns included.  A pivot is one
 rank-1 update of the rows with a nonzero entry in the pivot column; it
 computes the same products and differences, rounded the same way, as
 eliminating those rows one at a time, so answers do not depend on it.
+
+``DualReoptimizer`` serves the cutting-plane driver, whose LP only ever
+gains >= rows over the box 0 <= x <= 1 with costs >= 0.  It keeps the last
+optimal tableau and basis, appends each new row with its own surplus basic,
+and re-optimises by dual simplex (Lemke 1954; Chvátal, *Linear
+Programming*, 1983, ch. 10), so no round repeats phase 1 or the earlier
+rows.
 """
 
 from __future__ import annotations
@@ -29,6 +38,30 @@ class SimplexStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
+
+
+def _pivot(tab, basis, row, col):
+    """Rank-1 update of the rows with a nonzero pivot-column entry."""
+    tab[row, :] /= tab[row, col]
+    factors = tab[:, col]
+    nz = factors != 0.0
+    nz[row] = False
+    tab[nz] -= factors[nz, None] * tab[row]
+    basis[row] = col
+
+
+def _basic_x(tab, basis, ubs) -> list[float]:
+    """Values of the structural variables, with float dust clamped into the box."""
+    x = [0.0] * len(ubs)
+    for i, bc in enumerate(basis):
+        if bc < len(ubs):
+            x[bc] = float(tab[i, -1])
+    for j, ub in enumerate(ubs):
+        if x[j] < 0 and x[j] > -1e-9:
+            x[j] = 0.0
+        if ub is not None and x[j] > ub and x[j] < ub + 1e-9:
+            x[j] = ub
+    return x
 
 
 def solve_dense_lp(
@@ -86,15 +119,6 @@ def solve_dense_lp(
         tab[i, total + k] = 1.0
         basis[i] = total + k
 
-    def pivot(tab, basis, row, col):
-        """Rank-1 update of the rows with a nonzero pivot-column entry."""
-        tab[row, :] /= tab[row, col]
-        factors = tab[:, col]
-        nz = factors != 0.0
-        nz[row] = False
-        tab[nz] -= factors[nz, None] * tab[row]
-        basis[row] = col
-
     def run_phase(tab, basis, c_full):
         """Optimize c_full over the current tableau in place."""
         # Reduced costs row kept separately.
@@ -124,7 +148,7 @@ def solve_dense_lp(
             k = int(ratios.argmin())
             theta, row = ratios[k], int(rows_in[k])
             delta = z[enter]
-            pivot(tab, basis, row, enter)
+            _pivot(tab, basis, row, enter)
             z = z - delta * tab[row, :-1]
             new_obj = obj + theta * delta
             if abs(new_obj - obj) <= PIVOT_TOL:
@@ -148,7 +172,7 @@ def solve_dense_lp(
             if basis[i] >= total:
                 real = np.flatnonzero(np.abs(tab[i, :total]) > PIVOT_TOL)
                 if real.size:
-                    pivot(tab, basis, i, int(real[0]))
+                    _pivot(tab, basis, i, int(real[0]))
                 # Else a redundant row; leave the zero-valued artificial basic.
         # Freeze artificial columns at zero.
         tab[:, total:-1] = 0.0
@@ -161,15 +185,89 @@ def solve_dense_lp(
     except LpUnbounded:
         return SimplexStatus.UNBOUNDED, [0.0] * n, float("-inf")
 
-    x = [0.0] * n
-    for i, bc in enumerate(basis):
-        if bc < n:
-            x[bc] = float(tab[i, -1])
-    # Clamp float dust into the box.
-    for j in range(n):
-        if x[j] < 0 and x[j] > -1e-9:
-            x[j] = 0.0
-        ub = ubs[j]
-        if ub is not None and x[j] > ub and x[j] < ub + 1e-9:
-            x[j] = ub
-    return SimplexStatus.OPTIMAL, x, float(obj2)
+    return SimplexStatus.OPTIMAL, _basic_x(tab, basis, ubs), float(obj2)
+
+
+class DualReoptimizer:
+    """min c.x over 0 <= x <= 1, re-optimised as >=-rows arrive one by one.
+
+    The tableau starts as the bound rows x_j + s_j = 1 with the bound slacks
+    basic.  With c >= 0 that basis is optimal, so phase 1 never runs.
+    ``add_row`` appends a >= row with its own surplus basic, eliminates the
+    basic columns from it, and restores primal feasibility by dual simplex
+    pivots; the basis stays dual feasible throughout.
+    """
+
+    def __init__(self, objective):
+        c = np.asarray(objective, dtype=float)
+        if (c < 0).any():
+            raise ValueError("the warm start needs non-negative costs")
+        n = c.size
+        self.n = n
+        # Columns: x (n) | bound slacks (n) | one surplus per added row | rhs.
+        self.tab = np.hstack([np.eye(n), np.eye(n), np.ones((n, 1))])
+        self.basis = list(range(n, 2 * n))
+        self.z = np.concatenate([c, np.zeros(n)])
+        self.objective = 0.0
+
+    def add_row(self, terms, rhs) -> SimplexStatus:
+        """Add  sum coeff * x_var >= rhs  and re-optimise in place."""
+        m, width = self.tab.shape
+        tab = np.zeros((m + 1, width + 1))
+        tab[:m, : width - 1] = self.tab[:, :-1]
+        tab[:m, -1] = self.tab[:, -1]
+        # -a.x + surplus = -rhs, with the surplus basic in the new row.
+        row = tab[m]
+        for j, coeff in terms:
+            row[j] -= coeff
+        row[width - 1] = 1.0
+        row[-1] = -rhs
+        row -= row[self.basis] @ tab[:m]
+        self.tab = tab
+        self.basis.append(width - 1)
+        self.z = np.append(self.z, 0.0)
+        return self._dual_simplex()
+
+    def x(self) -> list[float]:
+        return _basic_x(self.tab, self.basis, [1.0] * self.n)
+
+    def _dual_simplex(self) -> SimplexStatus:
+        """Dual simplex pivots until the RHS is non-negative.
+
+        Leaving row: the most negative RHS, lowest row first; after
+        DEGENERATE_LIMIT degenerate pivots, Bland's rule (the infeasible row
+        whose basic variable has the lowest index).  Entering column: the
+        min-ratio column, lowest index first.
+        """
+        tab, basis = self.tab, self.basis
+        degenerate = 0
+        bland = False
+        for _ in range(MAX_ITERATIONS):
+            rhs = tab[:, -1]
+            if bland:
+                rows_out = (rhs < -PIVOT_TOL).nonzero()[0]
+                if not rows_out.size:
+                    return SimplexStatus.OPTIMAL
+                row = int(min(rows_out, key=basis.__getitem__))
+            else:
+                row = int(rhs.argmin())
+                if rhs[row] >= -PIVOT_TOL:
+                    return SimplexStatus.OPTIMAL
+            line = tab[row, :-1]
+            cols_in = (line < -PIVOT_TOL).nonzero()[0]
+            if not cols_in.size:
+                return SimplexStatus.INFEASIBLE
+            ratios = self.z[cols_in] / -line[cols_in]
+            enter = int(cols_in[int(ratios.argmin())])
+            delta = self.z[enter]
+            _pivot(tab, basis, row, enter)
+            self.z = self.z - delta * tab[row, :-1]
+            gain = float(delta * tab[row, -1])
+            self.objective += gain
+            if gain <= PIVOT_TOL:
+                degenerate += 1
+                if degenerate >= DEGENERATE_LIMIT:
+                    bland = True
+            else:
+                degenerate = 0
+        raise LpUnbounded("simplex iteration limit hit")

@@ -133,6 +133,12 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert payload["integral_opt"] == 7.5
 
+    def test_gap_k9_reports_the_lp_optimum(self, capsys):
+        assert main(["gap", "--k", "9"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["lp_objective"] is not None
+        assert payload["integral_opt"] == 55.0
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.fni"
         bad.write_text("garbage\n")

@@ -18,7 +18,12 @@ from faultnet.bulk import (
     solve_rsndp,
     tree_stretch,
 )
-from faultnet.errors import Disconnected, InfeasibleAugmentation, Unhittable
+from faultnet.errors import (
+    Disconnected,
+    InfeasibleAugmentation,
+    PriorLevelNotSatisfied,
+    Unhittable,
+)
 from faultnet.exact import exact_solve
 from faultnet.flexalg import solve_flex_st
 from faultnet.graph import FaultGraph, connected_components, same_component
@@ -197,6 +202,33 @@ class TestAugmentBulk:
         assert violating_edge_sets_bulk(g, scen, H1, 1) == []
         _opt, opt_cost = exact_solve(g, inst.problem)
         assert g.total_cost(H1) >= opt_cost - 1e-9
+
+    def test_prior_levels_checked_once_on_h_prev(self, monkeypatch):
+        import faultnet.bulk as bulk_mod
+
+        inst = bulk_instance(5, width=1)
+        g = inst.to_graph()
+        scen = inst.problem.scenarios
+        H0 = augment_bulk(g, scen, frozenset(), 0, seed=1)
+        checked = []
+        original = bulk_mod._check_prior_levels
+
+        def record(g, scenarios, H, level):
+            checked.append(H)
+            original(g, scenarios, H, level)
+
+        monkeypatch.setattr(bulk_mod, "_check_prior_levels", record)
+        H1 = augment_bulk(g, scen, H0, 1, seed=1, trees=4)
+        assert checked == [H0]
+        assert violating_edge_sets_bulk(g, scen, H1, 1) == []
+
+    def test_h_prev_missing_a_lower_level_raises(self):
+        # The empty set fails level 0 (no failure at all), even though every
+        # tree's paths would connect the pairs.
+        inst = bulk_instance(5, width=1)
+        g = inst.to_graph()
+        with pytest.raises(PriorLevelNotSatisfied):
+            augment_bulk(g, inst.problem.scenarios, frozenset(), 1, seed=1)
 
     def test_fundamental_cycles_reconnect(self):
         # Every greedy pick's cycle must join the two sides of a set it hits.

@@ -18,7 +18,8 @@ from faultnet.lp import (
     solve_lp,
 )
 from faultnet.oracles import BulkScenario, FlexRequirement, Problem
-from faultnet.simplex import SimplexStatus, solve_dense_lp
+from faultnet import simplex
+from faultnet.simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
 from oracle_utils import highs_lp, random_graph, random_lp
 
 # scipy.optimize.linprog status codes: 0 optimal, 2 infeasible, 3 unbounded.
@@ -68,6 +69,69 @@ class TestSimplex:
         assert status is HIGHS_STATUS[code]
         if status is SimplexStatus.OPTIMAL:
             assert abs(value - fun) < 1e-7
+
+
+def _row_sequence(seed: int):
+    """Seeded costs >= 0 and a sequence of >= rows for ``DualReoptimizer``.
+
+    Coefficients are mostly positive, like cut rows, with some negative ones
+    and right-hand sides of either sign; repeated and zero-cost columns make
+    degenerate pivots, and some sequences turn infeasible.
+    """
+    rng = Random(seed)
+    n = rng.randint(2, 8)
+    costs = [0.0 if rng.random() < 0.2 else round(rng.uniform(0.1, 2.0), 3) for _ in range(n)]
+    rows = []
+    for _ in range(rng.randint(1, 14)):
+        if rows and rng.random() < 0.15:
+            rows.append(rng.choice(rows))
+            continue
+        cols = rng.sample(range(n), rng.randint(1, n))
+        terms = [(j, rng.choice((1.0, 1.0, 2.0, 3.0, round(rng.uniform(-1.0, 2.0), 3)))) for j in cols]
+        rows.append((terms, round(rng.uniform(-0.5, 1.5), 3)))
+    return costs, rows
+
+
+class TestDualReoptimizer:
+    def _check_sequence(self, seed):
+        costs, rows = _row_sequence(seed)
+        warm = DualReoptimizer(costs)
+        for i, (terms, rhs) in enumerate(rows):
+            status = warm.add_row(terms, rhs)
+            cold_status, _x, cold = solve_dense_lp(costs, rows[: i + 1], 1.0)
+            assert status is cold_status
+            if status is not SimplexStatus.OPTIMAL:
+                return
+            assert abs(warm.objective - cold) <= 1e-9
+            x = warm.x()
+            assert all(0.0 <= v <= 1.0 for v in x)
+            assert abs(sum(c * v for c, v in zip(costs, x)) - cold) <= 1e-9
+            for row_terms, row_rhs in rows[: i + 1]:
+                assert sum(coeff * x[j] for j, coeff in row_terms) >= row_rhs - 1e-9
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_cold_solve_after_every_row(self, seed):
+        self._check_sequence(seed)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_cold_solve_under_blands_rule(self, seed, monkeypatch):
+        monkeypatch.setattr(simplex, "DEGENERATE_LIMIT", 1)
+        self._check_sequence(seed)
+
+    def test_starts_at_zero(self):
+        warm = DualReoptimizer([1.0, 0.0, 2.5])
+        assert warm.x() == [0.0, 0.0, 0.0] and warm.objective == 0.0
+
+    def test_row_beyond_the_box_is_infeasible(self):
+        m = 4
+        warm = DualReoptimizer([1.0] * m)
+        assert warm.add_row([(0, 1.0), (1, 1.0)], 1.0) is SimplexStatus.OPTIMAL
+        terms = [(j, 1.0) for j in range(m)]
+        assert warm.add_row(terms, float(m + 1)) is SimplexStatus.INFEASIBLE
+
+    def test_negative_cost_rejected(self):
+        with pytest.raises(ValueError):
+            DualReoptimizer([1.0, -0.5])
 
 
 class TestSolveLp:
@@ -299,6 +363,14 @@ class TestGapExperiment:
         assert rep.separation_clean
         assert abs(rep.integral_opt - 7.5) < 1e-9
         assert rep.small_safe_candidates_rejected
+
+    def test_k9_reports_lp_and_integral_optimum(self):
+        # m = 3(k+1) = 30 is the exact budget; the LP is solved warm.
+        rep = gap_experiment(9)
+        assert rep.lp_objective is not None
+        assert rep.lp_objective <= rep.integral_opt
+        assert rep.separation_clean
+        assert rep.integral_opt == 55.0
 
     def test_k1_smallest_case(self):
         rep = gap_experiment(1)
