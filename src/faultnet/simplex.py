@@ -13,7 +13,7 @@ rank-1 update of the rows with a nonzero entry in the pivot column; it
 computes the same products and differences, rounded the same way, as
 eliminating those rows one at a time, so answers do not depend on it.
 
-``DualReoptimizer`` serves the cutting-plane driver, whose LP only ever
+``DualReoptimizer`` serves the cutting-plane loop, whose LP only ever
 gains >= rows over the box 0 <= x <= 1 with costs >= 0.  It keeps the last
 optimal tableau and basis, appends each new row with its own surplus basic,
 and re-optimises by dual simplex (Lemke 1954; Chvátal, *Linear
