@@ -217,9 +217,9 @@ def lp_instances() -> list:
             params = {"problem": "flex-st", "p": p, "q": q, "skeleton": "mixed"}
             inst = generate("random-multigraph", n=6, m=12, seed=seed, params=params)
             out.append(("flex", f"flex-st-{p}{q}-s{seed}", inst))
-    for k in (2, 3, 4):
+    for k in (2, 3, 4, 5, 6, 7, 8, 9):
         out.append(("flex", f"appendix-a-k{k}", appendix_a_instance(k)))
-    for seed in (1, 2, 3, 4):
+    for seed in (1, 2, 3, 4, 5, 6, 7, 8):
         params = {"problem": "bulk", "width": 2, "scenarios": 4}
         inst = generate("random-multigraph", n=7, m=14, seed=seed, params=params)
         out.append(("bulk", f"bulk-s{seed}", inst))
