@@ -208,18 +208,19 @@ def spanning_cut_masks(n: int) -> Iterator[int]:
         yield mask
 
 
-def st_cut_masks(n: int, s: int, t: int) -> Iterator[int]:
-    """All cuts with s inside and t outside (each separating cut once)."""
+def st_cut_masks(n: int, s: int, t: int) -> list[int]:
+    """All cuts with s inside and t outside (each separating cut once).
+
+    Entry ``sub`` holds the vertices other than s and t whose rank among
+    them is a set bit of ``sub``: each such vertex doubles the list."""
     if s == t:
         raise ValueError("s == t")
-    rest = [v for v in range(n) if v != s and v != t]
-    base = 1 << s
-    for sub in range(1 << len(rest)):
-        mask = base
-        for i, v in enumerate(rest):
-            if (sub >> i) & 1:
-                mask |= 1 << v
-        yield mask
+    out = [1 << s]
+    for v in range(n):
+        if v != s and v != t:
+            bit = 1 << v
+            out += [mask | bit for mask in out]
+    return out
 
 
 class _UnionFind:

@@ -16,8 +16,14 @@ sweep over canonical cuts (the polynomial-time enumeration device the desk
 scale replaces) with the exact prefix rule for choosing B: a cut is violated
 for some B iff it is violated for the q unsafe boundary edges of largest
 fractional value.  The graph and the cut list stay fixed for a whole run, so
-each run reads every cut's boundary once, through ``graph.boundary``, into a
-table that the separator then sweeps every round.
+each run builds one bool crossing matrix (cuts x edges) once, and every round
+prices all cuts with a few vector operations on it.  Those operations keep the
+arithmetic of a loop over each cut's crossing edges: sums run left to right in
+edge-id order (``np.add.accumulate``, never ``@`` or ``np.sum``, which may
+reorder them), and the most violated cut is chosen by the loop's scan, where a
+later cut wins only by more than 1e-15.  So every round picks the same row,
+bit for bit, as a plain loop would.  The definitional checks below stay on
+``graph.boundary`` as independent references.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .errors import LpInfeasible
 from .graph import FaultGraph, VertexCut, boundary, st_cut_masks
@@ -134,59 +142,84 @@ def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> list[in
     in order of first appearance over the requirements in
     ``st_cut_masks`` order.  Separation ties break on this order."""
     full = (1 << g.n) - 1
-    return list(
-        dict.fromkeys(
-            min(mask, full ^ mask) for r in reqs for mask in st_cut_masks(g.n, r.s, r.t)
-        )
-    )
+    masks = np.concatenate([np.array(st_cut_masks(g.n, r.s, r.t), dtype=np.int64) for r in reqs])
+    canonical = np.minimum(masks, full ^ masks)
+    _values, first = np.unique(canonical, return_index=True)
+    return canonical[np.sort(first)].tolist()
 
 
-def _flex_table(
-    g: FaultGraph, reqs: Sequence[FlexRequirement]
-) -> list[tuple[int, tuple[int, ...]]]:
-    """(mask, crossing edge ids) for every cut of ``_separating_masks``."""
-    return [(mask, _crossing(g, range(g.m), mask)) for mask in _separating_masks(g, reqs)]
+def _crossing_matrix(g: FaultGraph, masks: Sequence[int]) -> np.ndarray:
+    """Bool (cuts x edges) matrix: row i marks the edges crossing masks[i]."""
+    side = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(g.n)) & 1
+    u = [e.u for e in g.edges]
+    v = [e.v for e in g.edges]
+    return side[:, u] != side[:, v]
+
+
+def _id_order_sums(weights: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as a loop over edge ids adds them.
+
+    ``@`` and ``np.sum`` may reorder the additions and change the last bits."""
+    if weights.shape[1] == 0:
+        return np.zeros(weights.shape[0])
+    return np.add.accumulate(weights, axis=1)[:, -1]
+
+
+def _top_sums(values: np.ndarray, q: int) -> np.ndarray:
+    """Per row, the sum of its q largest entries (-inf marks no entry),
+    added largest first, as a loop over the row sorted by value adds them."""
+    top = np.sort(values, axis=1)[:, ::-1][:, :q]
+    total = np.zeros(len(values))
+    for col in np.where(np.isneginf(top), 0.0, top).T:
+        total = total + col
+    return total
+
+
+def _scan(viol: np.ndarray) -> int | None:
+    """Index that ``if v > ROW_TOL and v > best + 1e-15: best = v`` keeps.
+
+    That is the first violated entry, then each later entry that beats the
+    kept one by more than 1e-15; ``argmax`` could pick a later near-tie."""
+    hits = (viol > ROW_TOL).nonzero()[0]
+    if hits.size == 0:
+        return None
+    best = int(hits[0])
+    while True:
+        later = (viol[best + 1 :] > viol[best] + 1e-15).nonzero()[0]
+        if later.size == 0:
+            return best
+        best += 1 + int(later[0])
 
 
 def _flex_separator(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> Separator:
     p, q = _uniform_pq(reqs)
     safe = [e.safe for e in g.edges]
-    table = _flex_table(g, reqs)
+    masks = _separating_masks(g, reqs)
+    crossing = _crossing_matrix(g, masks)
+    safe_crossing = crossing & np.array(safe, dtype=bool)
+    unsafe_cols = np.array([eid for eid in range(g.m) if not safe[eid]], dtype=np.intp)
+    unsafe_crossing = crossing[:, unsafe_cols]
 
     def separate(x: Sequence[float]) -> LpRow | None:
-        best_cap = None
-        best_flex = None
-        for mask, ids in table:
-            safe_sum = 0.0
-            unsafe = []
-            boundary_sum = 0.0
-            for eid in ids:
-                value = x[eid]
-                boundary_sum += value
-                if safe[eid]:
-                    safe_sum += value
-                else:
-                    unsafe.append((value, eid))
-            cap_value = (p + q) * safe_sum + p * (boundary_sum - safe_sum)
-            cap_viol = p * (p + q) - cap_value
-            if cap_viol > ROW_TOL and (best_cap is None or cap_viol > best_cap[0] + 1e-15):
-                best_cap = (cap_viol, mask, ids)
-            # Prefix rule: remove the q unsafe edges with the largest x.
-            unsafe.sort(key=lambda t: (-t[0], t[1]))
-            reduced = boundary_sum - sum(val for val, _eid in unsafe[:q])
-            flex_viol = p - reduced
-            if flex_viol > ROW_TOL and (best_flex is None or flex_viol > best_flex[0] + 1e-15):
-                B = tuple(sorted(eid for _val, eid in unsafe[:q]))
-                best_flex = (flex_viol, mask, ids, B)
-        if best_cap is not None:
-            _viol, mask, ids = best_cap
+        xs = np.asarray(x, dtype=float)
+        boundary_sum = _id_order_sums(np.where(crossing, xs, 0.0))
+        safe_sum = _id_order_sums(np.where(safe_crossing, xs, 0.0))
+        cap_value = (p + q) * safe_sum + p * (boundary_sum - safe_sum)
+        best = _scan(p * (p + q) - cap_value)
+        if best is not None:
+            ids = crossing[best].nonzero()[0].tolist()
             terms = tuple((eid, float(p + q) if safe[eid] else float(p)) for eid in ids)
-            return LpRow(key=("cap", mask), terms=terms, rhs=float(p * (p + q)))
-        if best_flex is not None:
-            _viol, mask, ids, B = best_flex
-            terms = tuple((eid, 1.0) for eid in ids if eid not in B)
-            return LpRow(key=("flex", mask, B), terms=terms, rhs=float(p))
-        return None
+            return LpRow(key=("cap", masks[best]), terms=terms, rhs=float(p * (p + q)))
+        # Prefix rule: remove the q unsafe edges with the largest x.
+        removed = _top_sums(np.where(unsafe_crossing, xs[unsafe_cols], -np.inf), q)
+        best = _scan(p - (boundary_sum - removed))
+        if best is None:
+            return None
+        ids = crossing[best].nonzero()[0].tolist()
+        unsafe = sorted((-x[eid], eid) for eid in ids if not safe[eid])
+        B = tuple(sorted(eid for _neg, eid in unsafe[:q]))
+        terms = tuple((eid, 1.0) for eid in ids if eid not in B)
+        return LpRow(key=("flex", masks[best], B), terms=terms, rhs=float(p))
 
     return separate
 
@@ -198,8 +231,13 @@ def separate_flex(
 
     Capacitated rows are checked first across all separating cuts; if all
     hold, flex cut rows are checked with B chosen by the prefix rule (the
-    q unsafe boundary edges with the largest x values).  Ties break to the
-    first cut in ``_separating_masks`` order, which is not always the
+    q unsafe boundary edges with the largest x values, ties to the lower
+    id).  Every cut is priced at once from the run's crossing matrix: the
+    boundary and safe sums add x in edge-id order, and the top-q sum adds
+    each cut's q largest unsafe values, largest first, padded with 0.0.
+    The winner is the first violated cut in ``_separating_masks`` order,
+    replaced only by a later cut whose violation is larger by more than
+    1e-15, so near-ties go to the earlier cut, which is not always the
     smallest mask.
     """
     return _flex_separator(g, reqs)(x)
@@ -212,7 +250,8 @@ def separate_flex_definitional(
     True iff no violated constraint exists."""
     p, q = _uniform_pq(reqs)
     unsafe_ids = sorted(g.unsafe_ids)
-    for _mask, ids in _flex_table(g, reqs):
+    for mask in _separating_masks(g, reqs):
+        ids = _crossing(g, range(g.m), mask)
         safe_sum = sum(x[eid] for eid in ids if g.edges[eid].safe)
         unsafe_sum = sum(x[eid] for eid in ids if not g.edges[eid].safe)
         if (p + q) * safe_sum + p * unsafe_sum < p * (p + q) - ROW_TOL:
@@ -234,24 +273,24 @@ def cutting_plane_flex(
 # -- separation: bulk ------------------------------------------------------------
 
 def _bulk_separator(g: FaultGraph, scenarios: Sequence[BulkScenario]) -> Separator:
-    # (scenario index, mask, crossing ids outside the failure set) per
-    # scenario, pair and s-t cut, in sweep order.
-    table = []
-    for j, sc in enumerate(scenarios):
-        alive = [eid for eid in range(g.m) if eid not in sc.fail]
-        for u, v in sc.pairs:
-            table += [(j, mask, _crossing(g, alive, mask)) for mask in st_cut_masks(g.n, u, v)]
+    # One row per scenario, pair and s-t cut, in sweep order; a row marks
+    # the crossing edges outside the scenario's failure set.
+    keys = [
+        (j, mask)
+        for j, sc in enumerate(scenarios)
+        for u, v in sc.pairs
+        for mask in st_cut_masks(g.n, u, v)
+    ]
+    alive = np.array([[eid not in sc.fail for eid in range(g.m)] for sc in scenarios], dtype=bool)
+    crossing = _crossing_matrix(g, [mask for _j, mask in keys])
+    crossing &= alive.reshape(len(scenarios), g.m)[[j for j, _mask in keys]]
 
     def separate(x: Sequence[float]) -> LpRow | None:
-        best = None
-        for j, mask, ids in table:
-            viol = 1.0 - sum(x[eid] for eid in ids)
-            if viol > ROW_TOL and (best is None or viol > best[0] + 1e-15):
-                best = (viol, j, mask, ids)
+        best = _scan(1.0 - _id_order_sums(np.where(crossing, np.asarray(x, dtype=float), 0.0)))
         if best is None:
             return None
-        _viol, j, mask, ids = best
-        return LpRow(key=("bulk", j, mask), terms=tuple((eid, 1.0) for eid in ids), rhs=1.0)
+        ids = crossing[best].nonzero()[0].tolist()
+        return LpRow(key=("bulk", *keys[best]), terms=tuple((eid, 1.0) for eid in ids), rhs=1.0)
 
     return separate
 

@@ -11,6 +11,7 @@ import itertools
 from random import Random
 
 from faultnet.graph import FaultGraph
+from faultnet.lp import ROW_TOL, LpRow
 
 
 def brute_min_cut(g: FaultGraph, caps, s: int, t: int) -> int:
@@ -207,3 +208,88 @@ def highs_lp(objective, rows, upper_bounds):
         method="highs",
     )
     return res.status, res.fun
+
+
+def nested_st_masks(n: int, s: int, t: int):
+    """Cuts with s inside and t outside: entry ``sub`` adds the vertices
+    other than s and t whose rank among them is a set bit of ``sub``."""
+    rest = [v for v in range(n) if v != s and v != t]
+    for sub in range(1 << len(rest)):
+        mask = 1 << s
+        for i, v in enumerate(rest):
+            if (sub >> i) & 1:
+                mask |= 1 << v
+        yield mask
+
+
+def _crossing_ids(g: FaultGraph, ids, mask: int) -> tuple:
+    return tuple(eid for eid in ids if ((mask >> g.edges[eid].u) ^ (mask >> g.edges[eid].v)) & 1)
+
+
+def loop_sum(values) -> float:
+    """Left-to-right float sum (Python >= 3.12's ``sum`` compensates)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def loop_separate_flex(g: FaultGraph, reqs, x):
+    """Reference flex separator: a loop over every cut's crossing edges.
+
+    Cuts in first-appearance order of their canonical side over the
+    requirements' s-t cuts; the capacitated row of the most violated cut if
+    any, else the flex row with B the q unsafe crossing edges of largest x
+    (ties to the lower id).  A later cut replaces the kept one only when its
+    violation is larger by more than 1e-15.
+    """
+    (p, q), = {(r.p, r.q) for r in reqs}
+    full = (1 << g.n) - 1
+    masks = dict.fromkeys(
+        min(mask, full ^ mask) for r in reqs for mask in nested_st_masks(g.n, r.s, r.t)
+    )
+    best_cap = None
+    best_flex = None
+    for mask in masks:
+        ids = _crossing_ids(g, range(g.m), mask)
+        boundary_sum = loop_sum(x[eid] for eid in ids)
+        safe_sum = loop_sum(x[eid] for eid in ids if g.edges[eid].safe)
+        cap_viol = p * (p + q) - ((p + q) * safe_sum + p * (boundary_sum - safe_sum))
+        if cap_viol > ROW_TOL and (best_cap is None or cap_viol > best_cap[0] + 1e-15):
+            best_cap = (cap_viol, mask, ids)
+        unsafe = sorted(
+            ((x[eid], eid) for eid in ids if not g.edges[eid].safe),
+            key=lambda t: (-t[0], t[1]),
+        )
+        flex_viol = p - (boundary_sum - loop_sum(val for val, _eid in unsafe[:q]))
+        if flex_viol > ROW_TOL and (best_flex is None or flex_viol > best_flex[0] + 1e-15):
+            B = tuple(sorted(eid for _val, eid in unsafe[:q]))
+            best_flex = (flex_viol, mask, ids, B)
+    if best_cap is not None:
+        _viol, mask, ids = best_cap
+        terms = tuple((eid, float(p + q) if g.edges[eid].safe else float(p)) for eid in ids)
+        return LpRow(key=("cap", mask), terms=terms, rhs=float(p * (p + q)))
+    if best_flex is not None:
+        _viol, mask, ids, B = best_flex
+        terms = tuple((eid, 1.0) for eid in ids if eid not in B)
+        return LpRow(key=("flex", mask, B), terms=terms, rhs=float(p))
+    return None
+
+
+def loop_separate_bulk(g: FaultGraph, scenarios, x):
+    """Reference bulk separator: per scenario, pair and s-t cut in that
+    order, x summed over the crossing edges outside the failure set; the
+    most violated row, with the same 1e-15 rule as ``loop_separate_flex``."""
+    best = None
+    for j, sc in enumerate(scenarios):
+        alive = [eid for eid in range(g.m) if eid not in sc.fail]
+        for u, v in sc.pairs:
+            for mask in nested_st_masks(g.n, u, v):
+                ids = _crossing_ids(g, alive, mask)
+                viol = 1.0 - loop_sum(x[eid] for eid in ids)
+                if viol > ROW_TOL and (best is None or viol > best[0] + 1e-15):
+                    best = (viol, j, mask, ids)
+    if best is None:
+        return None
+    _viol, j, mask, ids = best
+    return LpRow(key=("bulk", j, mask), terms=tuple((eid, 1.0) for eid in ids), rhs=1.0)

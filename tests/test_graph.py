@@ -12,7 +12,7 @@ from faultnet.graph import (
     st_cut_masks,
 )
 from faultnet.instances import appendix_a_instance
-from oracle_utils import random_graph
+from oracle_utils import nested_st_masks, random_graph
 
 
 def four_cycle():
@@ -133,6 +133,12 @@ class TestCutEnumeration:
         assert len(masks) == 2 ** (n - 2)
         for mask in masks:
             assert (mask >> s) & 1 and not (mask >> t) & 1
+
+    def test_st_masks_order(self):
+        # LP separation breaks ties on this order.
+        for n in range(2, 10):
+            for s, t in itertools.permutations(range(n), 2):
+                assert list(st_cut_masks(n, s, t)) == list(nested_st_masks(n, s, t))
 
     def test_vertex_cut_canonical(self):
         cut = VertexCut(4, 0b1010)

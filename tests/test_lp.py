@@ -1,6 +1,7 @@
 import itertools
 from random import Random
 
+import numpy as np
 import pytest
 
 from faultnet.exact import exact_solve
@@ -17,10 +18,17 @@ from faultnet.lp import (
     separate_flex_definitional,
     solve_lp,
 )
-from faultnet.oracles import BulkScenario, FlexRequirement, Problem
-from faultnet import simplex
+from faultnet.oracles import BulkScenario, FlexRequirement, Problem, fgc_requirements
+from faultnet import lp, simplex
 from faultnet.simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
-from oracle_utils import highs_lp, random_graph, random_lp
+from oracle_utils import (
+    highs_lp,
+    loop_separate_bulk,
+    loop_sum,
+    loop_separate_flex,
+    random_graph,
+    random_lp,
+)
 
 # scipy.optimize.linprog status codes: 0 optimal, 2 infeasible, 3 unbounded.
 HIGHS_STATUS = {
@@ -273,6 +281,162 @@ class TestSeparateBulk:
         assert sol.separation_clean
         _opt_sol, opt = exact_solve(g, inst.problem)
         assert sol.objective <= opt + 1e-6
+
+
+# Separator inputs: uniform draws; values from THIRDS, whose sums make float
+# near-ties; the same leaning to 1, so that capacitated rows hold and flex
+# rows decide; all zero and all one.
+THIRDS = (0.0, 1 / 3, 1 / 2, 2 / 3, 1.0)
+
+
+def _x_vectors(rng: Random, m: int) -> list:
+    return [
+        [rng.random() for _ in range(m)],
+        [rng.choice(THIRDS) for _ in range(m)],
+        [rng.choice(THIRDS[2:] + (1.0, 1.0)) for _ in range(m)],
+        [0.0] * m,
+        [1.0] * m,
+    ]
+
+
+def _flex_case(seed: int):
+    """n = 5..8, q = 0..3 and one pair, two or three pairs, or all pairs."""
+    rng = Random(seed)
+    n, q, shape = 5 + seed % 4, seed // 4 % 4, seed // 16 % 3
+    p = rng.randint(1, 3)
+    g = random_graph(seed + 900, n, rng.randint(2 * n, 3 * n), rng.choice((0.3, 0.5, 0.7)))
+    if shape == 2:
+        reqs = fgc_requirements(n, p, q)
+    else:
+        count = 1 + shape * rng.randint(1, 2)
+        reqs = [FlexRequirement(*rng.sample(range(n), 2), p, q) for _ in range(count)]
+    return g, reqs, _x_vectors(rng, g.m)
+
+
+def _bulk_case(seed: int):
+    """n = 5..8, two to four scenarios of up to three failed edges and two
+    or three pairs each."""
+    rng = Random(seed)
+    n = 5 + seed % 4
+    g = random_graph(seed + 950, n, rng.randint(2 * n, 3 * n))
+    scenarios = [
+        BulkScenario(
+            frozenset(rng.sample(range(g.m), rng.randint(0, 3))),
+            tuple(tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(2, 3))),
+        )
+        for _ in range(rng.randint(2, 4))
+    ]
+    return g, scenarios, _x_vectors(rng, g.m)
+
+
+CUTTING_PLANE_CASES = {
+    "appendix-a-k5": lambda: appendix_a_instance(5),
+    "fgc-22": lambda: generate(
+        "random-multigraph", n=7, m=15, seed=3,
+        params={"problem": "fgc", "p": 2, "q": 2, "skeleton": "mixed", "safe_prob": 0.45},
+    ),
+    "bulk": lambda: generate(
+        "random-multigraph", n=7, m=14, seed=5,
+        params={"problem": "bulk", "width": 2, "scenarios": 4},
+    ),
+}
+
+
+class TestSeparatorsMatchLoop:
+    """The vectorised separators return the reference loop's row, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_flex_rows_identical(self, seed):
+        g, reqs, xs = _flex_case(seed)
+        for x in xs:
+            assert repr(separate_flex(g, reqs, x)) == repr(loop_separate_flex(g, reqs, x))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_bulk_rows_identical(self, seed):
+        g, scenarios, xs = _bulk_case(seed)
+        for x in xs:
+            assert repr(separate_bulk(g, scenarios, x)) == repr(loop_separate_bulk(g, scenarios, x))
+
+    def test_cases_reach_every_outcome(self):
+        flex, bulk = set(), set()
+        for seed in range(48):
+            g, reqs, xs = _flex_case(seed)
+            flex |= {row and row.key[0] for row in (loop_separate_flex(g, reqs, x) for x in xs)}
+        for seed in range(24):
+            g, scenarios, xs = _bulk_case(seed)
+            bulk |= {row and row.key[0] for row in (loop_separate_bulk(g, scenarios, x) for x in xs)}
+        assert flex == {"cap", "flex", None} and bulk == {"bulk", None}
+
+    @pytest.mark.parametrize("name", CUTTING_PLANE_CASES)
+    def test_every_cutting_plane_round(self, name):
+        # The simplex's x at every round of a real run, near-ties included.
+        inst = CUTTING_PLANE_CASES[name]()
+        g = inst.to_graph()
+        if inst.problem.kind == "flex":
+            args = (g, inst.problem.flex)
+            fast, loop = lp._flex_separator(*args), loop_separate_flex
+        else:
+            args = (g, inst.problem.scenarios)
+            fast, loop = lp._bulk_separator(*args), loop_separate_bulk
+        rounds = []
+
+        def checked(x):
+            row = fast(x)
+            assert repr(row) == repr(loop(*args, x))
+            rounds.append(row)
+            return row
+
+        sol, _model = lp._cutting_plane(g, checked)
+        assert sol.separation_clean and len(rounds) == sol.rounds > 1
+
+
+class TestVectorKernels:
+    """The separators' vector steps keep a loop's float arithmetic."""
+
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 17, 40])
+    def test_id_order_sums(self, m):
+        rng = Random(m)
+        values = lambda: rng.choice((0.0, 1 / 3, rng.random(), 1e-3 * rng.random()))
+        rows = [[values() for _ in range(m)] for _ in range(30)]
+        sums = lp._id_order_sums(np.array(rows, dtype=float).reshape(30, m))
+        assert [repr(v) for v in sums.tolist()] == [repr(loop_sum(row)) for row in rows]
+
+    @pytest.mark.parametrize("q", [0, 1, 2, 3, 9, 12])
+    def test_top_sums(self, q):
+        rng = Random(q)
+        values = lambda: rng.choice((-np.inf, 1 / 3, 2 / 3, rng.random()))
+        rows = [[values() for _ in range(11)] for _ in range(30)]
+        sums = lp._top_sums(np.array(rows), q)
+        expected = [loop_sum(sorted((v for v in row if v > -np.inf), reverse=True)[:q]) for row in rows]
+        assert [repr(v) for v in sums.tolist()] == [repr(v) for v in expected]
+
+    def test_scan_keeps_the_earlier_near_tie(self):
+        # Index 1 beats index 0 by more than 1e-15; index 2 beats index 1 by
+        # less, so the loop keeps 1 where argmax would pick 2.
+        viol = np.array([1.0, 1.0 + 1.4e-15, 1.0 + 1.9e-15])
+        assert viol[1] > viol[0] + 1e-15 and viol[2] <= viol[1] + 1e-15
+        assert lp._scan(viol) == 1 and int(viol.argmax()) == 2
+
+    def test_scan_margin_is_strict(self):
+        # 1.0 + 1.1e-15 rounds to 1.0 + 1e-15 itself, so it does not beat 1.0.
+        assert lp._scan(np.array([1.0, 1.0 + 1.1e-15, 1.0 + 1.9e-15])) == 2
+        assert lp._scan(np.array([1.0, 1.0 + 1.1e-15])) == 0
+
+    def test_scan_tolerance(self):
+        assert lp._scan(np.array([lp.ROW_TOL, 0.0, -1.0])) is None
+        assert lp._scan(np.array([], dtype=float)) is None
+        assert lp._scan(np.array([0.0, 2 * lp.ROW_TOL, 2 * lp.ROW_TOL])) == 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_scan_matches_loop(self, seed):
+        rng = Random(seed)
+        base = rng.choice((1.0, 0.25, 3.0))
+        viol = [base + rng.randint(-2, 12) * 2.0 ** -52 * base for _ in range(rng.randint(1, 40))]
+        best = None
+        for i, v in enumerate(viol):
+            if v > lp.ROW_TOL and (best is None or v > viol[best] + 1e-15):
+                best = i
+        assert lp._scan(np.array(viol)) == best
 
 
 class TestAugmentationValidity:
