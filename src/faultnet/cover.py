@@ -19,11 +19,12 @@ Fraction), so tight-edge detection never drifts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .cuts import Boundary, Planes, all_cuts, crossed, cut_index, masks, predicate, separating
+from .cuts import Boundary, crossed, cut_index, masks, predicate, separating
 from .errors import NotRingFamily, Uncoverable
 from .graph import FaultGraph, VertexCut, boundary
 
@@ -109,16 +110,15 @@ def primal_dual_cover(fam: CutFamily, costs: Mapping[int, float] | None = None) 
         # load = number of active sets an edge would cross; active sets are
         # counted per cut, so a cut listed twice weighs two.
         active_bits = [cut_index(n, mask) for mask in active]
-        multiplicity = Planes(all_cuts(n))
-        for bit in active_bits:
-            multiplicity.add(1 << bit)
+        by_multiplicity: dict[int, int] = {}  # multiplicity -> cut set
+        for bit, times in Counter(active_bits).items():
+            by_multiplicity[times] = by_multiplicity.get(times, 0) | (1 << bit)
         loads = {}
         reached = 0
         for eid in candidates:
             x = cross[eid]
             load = sum(
-                (x & plane).bit_count() << k
-                for k, plane in enumerate(multiplicity.planes)
+                times * (x & cuts).bit_count() for times, cuts in by_multiplicity.items()
             )
             if load:
                 loads[eid] = load
@@ -163,7 +163,8 @@ def ecsndp_base(g: FaultGraph, reqs) -> frozenset:
         for r in reqs:
             if r.p >= k:
                 scope |= separating(g.n, r.s, r.t)
-        level = scope & Boundary(g, F).total.exactly(k - 1)
+        counts = Boundary(g, F)
+        level = scope & counts.exactly(counts.total, k - 1)
         fam = CutFamily(
             graph=g,
             members=tuple(masks(g.n, level)),

@@ -1,41 +1,122 @@
-"""Bit-plane cut kernel: boundary counts of an edge set over every cut at once.
+"""Packed cut kernel: boundary counts of an edge set over every cut at once.
 
 Sweeps over all vertex cuts use one canonical index: the cut {S, V-S} is
 named by its side that excludes the anchor vertex n-1, a mask c in
-1..2^(n-1)-1, and sits at bit c-1.  A *cut set* is a Python int over that
-index.  ``side(n)[v]`` is the cut set of the cuts whose named side contains
-v, so an edge (u, v) crosses exactly the cuts in ``side[u] ^ side[v]``, and
-a pair (s, t) is separated by the same expression.
+1..2^(n-1)-1, and sits at index c-1.  A *cut set* is a Python int with bit
+c-1 set for each cut in it.  ``side(n)[v]`` is the cut set of the cuts whose
+named side contains v, so an edge (u, v) crosses exactly the cuts in
+``side[u] ^ side[v]``, and a pair (s, t) is separated by the same expression.
 
-The boundary counts of an edge set are kept as bit-sliced planes, plane k
-holding bit k of every cut's count.  Adding an edge is a ripple-carry add
-of its crossing set and removing one is a borrow; threshold tests are
-comparators that return cut sets.  Every predicate over all cuts is then a
-few big-int operations.  Questions about one given mask go to
-:func:`faultnet.graph.boundary` and :func:`faultnet.graph.boundary_counts`.
+The boundary counts of an edge set are kept packed: in a graph with m edges
+every cut owns a field of w = m.bit_length() + 1 bits of one Python int, the
+field of cut index i at bits i*w .. i*w+w-1, in cut index order.  A count
+never exceeds m, so the top bit of each field, its *guard*, stays clear.
+Adding an edge is one big-int add of its packed crossing set (a 1 in the
+field of each cut it crosses) and removing one is a subtract.  A threshold
+test adds a per-field offset and keeps the guard bits: count + 2^(w-1) - c
+carries into the guard exactly when count >= c, and never into the next
+field.  The answer is a *guard set*, the packed twin of a cut set; the
+exact search works on guard sets throughout and :meth:`Layout.compact`
+turns one into a cut set in one linear pass.  Questions about one given
+mask go to :func:`faultnet.graph.boundary` and
+:func:`faultnet.graph.boundary_counts`.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import zip_longest
 from typing import Callable, Iterable
 
 from .graph import FaultGraph
 
 
+def _repeat(block: int, period: int, total: int) -> int:
+    """``block``, one period of ``period`` bits, repeated up to ``total``
+    bits (``total`` is ``period`` times a power of two), by doubling."""
+    while period < total:
+        block |= block << period
+        period <<= 1
+    return block
+
+
 @lru_cache(maxsize=None)
 def side(n: int) -> tuple[int, ...]:
     """``side(n)[v]``: the cut set of cuts whose named side contains v."""
-    count = 1 << (n - 1)  # masks 0..2^(n-1)-1; mask 0 is no cut
+    return _side(n, 1)
+
+
+def _side(n: int, width: int) -> tuple[int, ...]:
+    """``side(n)`` with every bit spread to the low bit of a ``width``-bit
+    field.  Bit c of the pattern is mask c, and mask 0 (no cut) is shifted
+    out at the end."""
+    count = (1 << (n - 1)) * width  # masks 0..2^(n-1)-1
     out = []
+    unit = 1  # one low bit per field over the first half-period
     for v in range(n - 1):
         half = 1 << v
-        block = ((1 << half) - 1) << half  # masks with bit v, one period
-        repeat = ((1 << count) - 1) // ((1 << (2 * half)) - 1)
-        out.append((block * repeat) >> 1)
+        if v:
+            unit |= unit << ((half >> 1) * width)
+        out.append(_repeat(unit << (half * width), 2 * half * width, count) >> width)
     out.append(0)  # the anchor is never on the named side
     return tuple(out)
+
+
+class Layout:
+    """Packed per-cut fields of ``width`` bits for an n-vertex graph.
+
+    ``side[v]`` is the packed twin of ``side(n)[v]``, ``ones`` has a 1 in
+    every field and ``guards`` the guard bit of every field.
+    """
+
+    __slots__ = ("n", "width", "side", "ones", "guards")
+
+    def __init__(self, n: int, width: int):
+        self.n = n
+        self.width = width
+        self.side = _side(n, width)
+        self.ones = _repeat(1, width, (1 << (n - 1)) * width) >> width
+        self.guards = self.ones << (width - 1)
+
+    def offset(self, c: int) -> int:
+        """Added to packed counts, sets the guard of every field whose count
+        is at least c."""
+        top = 1 << (self.width - 1)
+        return min(max(top - c, 0), top) * self.ones
+
+    def at_least(self, counts: int, c: int) -> int:
+        """The guard set of cuts whose packed count is at least c."""
+        return (counts + self.offset(c)) & self.guards
+
+    def exactly(self, counts: int, c: int) -> int:
+        """The guard set of cuts whose packed count is exactly c."""
+        return self.at_least(counts, c) ^ self.at_least(counts, c + 1)
+
+    def equal(self, a: int, b: int) -> int:
+        """The guard set of cuts whose counts in ``a`` and ``b`` are equal."""
+        return self.guards & ~((a ^ b) + self.offset(1))
+
+    def count(self, counts: int, index: int) -> int:
+        """The count of the one cut at ``index``."""
+        return (counts >> (index * self.width)) & ((1 << self.width) - 1)
+
+    def compact(self, guards: int) -> int:
+        """The cut set of a guard set."""
+        if not guards:
+            return 0
+        fields = (1 << (self.n - 1)) - 1
+        return int(format(guards, f"0{fields * self.width}b")[:: self.width], 2)
+
+
+def layout_of(g: FaultGraph) -> Layout:
+    """The shared layout of g's boundary counts, which never exceed m."""
+    return _layout(g.n, g.m.bit_length() + 1)
+
+
+# Bounded: at n = 24 one layout holds about n * 2^23 * width bits, some
+# 150 MB at width 6.
+@lru_cache(maxsize=8)
+def _layout(n: int, width: int) -> Layout:
+    return Layout(n, width)
 
 
 def all_cuts(n: int) -> int:
@@ -74,16 +155,30 @@ def masks(n: int, cuts: int, s: int | None = None) -> list[int]:
     anchor, or with ``s`` given, the side that contains s."""
     full = (1 << n) - 1
     out = []
-    while cuts:
-        low = cuts & -cuts
-        mask = low.bit_length()
+    bits = format(cuts, "b")[::-1]
+    index = bits.find("1")
+    while index >= 0:
+        mask = index + 1
         if s is not None and not (mask >> s) & 1:
             mask ^= full
         out.append(mask)
-        cuts ^= low
+        index = bits.find("1", index + 1)
     if s is not None:
         out.sort()
     return out
+
+
+def first_mask(n: int, cuts: int, s: int) -> int:
+    """``masks(n, cuts, s)[0]`` for a nonempty ``cuts``, decoding one cut.
+
+    A named side that holds s is its own s-side and lacks the anchor; the
+    others are s-sides only complemented, and then hold the anchor, so
+    they are all larger and the largest named side gives the smallest.
+    """
+    with_s = cuts & side(n)[s]
+    if with_s:
+        return (with_s & -with_s).bit_length()
+    return ((1 << n) - 1) ^ (cuts & ~side(n)[s]).bit_length()
 
 
 def predicate(n: int, cuts: int, s: int | None = None) -> Callable[[int], bool]:
@@ -99,112 +194,51 @@ def predicate(n: int, cuts: int, s: int | None = None) -> Callable[[int], bool]:
     return member
 
 
-class Planes:
-    """A count per cut, bit-sliced: ``planes[k]`` is bit k of every count."""
-
-    __slots__ = ("full", "planes")
-
-    def __init__(self, full: int):
-        self.full = full
-        self.planes: list[int] = []
-
-    def add(self, cuts: int) -> None:
-        """Count one more on every cut in ``cuts`` (ripple carry)."""
-        planes = self.planes
-        for k, plane in enumerate(planes):
-            planes[k] = plane ^ cuts
-            cuts &= plane
-            if not cuts:
-                return
-        planes.append(cuts)
-
-    def remove(self, cuts: int) -> None:
-        """Count one less on every cut in ``cuts``, each counted (borrow)."""
-        planes = self.planes
-        for k, plane in enumerate(planes):
-            planes[k] = plane ^ cuts
-            cuts &= ~plane
-            if not cuts:
-                return
-
-    def count(self, bit: int) -> int:
-        """The count of the one cut at ``bit``."""
-        out = 0
-        for k, plane in enumerate(self.planes):
-            out |= ((plane >> bit) & 1) << k
-        return out
-
-    def at_least(self, c: int) -> int:
-        """The cut set of cuts whose count is at least c."""
-        planes = self.planes
-        if c <= 0:
-            return self.full
-        if c >> len(planes):
-            return 0
-        above, equal = 0, self.full
-        for k in range(len(planes) - 1, -1, -1):
-            plane = planes[k]
-            if (c >> k) & 1:
-                equal &= plane
-            else:
-                above |= equal & plane
-                equal &= ~plane
-        return above | equal
-
-    def equal(self, other: "Planes") -> int:
-        """The cut set of cuts whose count equals their count in ``other``."""
-        differ = 0
-        for a, b in zip_longest(self.planes, other.planes, fillvalue=0):
-            differ |= a ^ b
-        return self.full & ~differ
-
-    def exactly(self, c: int) -> int:
-        """The cut set of cuts whose count is exactly c."""
-        planes = self.planes
-        if c < 0 or c >> len(planes):
-            return 0
-        equal = self.full
-        for k, plane in enumerate(planes):
-            equal &= plane if (c >> k) & 1 else ~plane
-        return equal
-
-
 class Boundary:
     """Safe and total boundary counts of an edge set over every cut.
 
-    ``cross[eid]`` is the cut set of the cuts that edge eid crosses.
+    ``safe`` and ``total`` are packed counts in ``layout``, and
+    ``cross[eid]`` is the packed crossing set of edge eid.
     """
 
-    __slots__ = ("cross", "_safe", "safe", "total")
+    __slots__ = ("layout", "cross", "_safe", "safe", "total")
 
     def __init__(self, g: FaultGraph, edge_ids: Iterable[int] = ()):
-        sd = side(g.n)
+        self.layout = layout_of(g)
+        sd = self.layout.side
         self.cross = [sd[e.u] ^ sd[e.v] for e in g.edges]
         self._safe = [e.safe for e in g.edges]
-        full = all_cuts(g.n)
-        self.safe = Planes(full)
-        self.total = Planes(full)
+        self.safe = 0
+        self.total = 0
         for eid in edge_ids:
             self.add(eid)
 
     def add(self, eid: int) -> None:
         cuts = self.cross[eid]
-        self.total.add(cuts)
+        self.total += cuts
         if self._safe[eid]:
-            self.safe.add(cuts)
+            self.safe += cuts
 
     def remove(self, eid: int) -> None:
         cuts = self.cross[eid]
-        self.total.remove(cuts)
+        self.total -= cuts
         if self._safe[eid]:
-            self.safe.remove(cuts)
+            self.safe -= cuts
+
+    def exactly(self, counts: int, c: int) -> int:
+        """The cut set of cuts whose ``counts`` (``safe`` or ``total``) read
+        exactly c."""
+        return self.layout.compact(self.layout.exactly(counts, c))
 
     def deficient(self, p: int, q: int) -> int:
         """Cuts with fewer than p safe and fewer than p+q edges: the cuts
         that fail (p, q)-flex-connectivity for a pair they separate."""
-        return self.safe.full & ~(self.safe.at_least(p) | self.total.at_least(p + q))
+        lay = self.layout
+        enough = lay.at_least(self.safe, p) | lay.at_least(self.total, p + q)
+        return lay.compact(lay.guards ^ enough)
 
     def tight(self, p: int, q: int) -> int:
         """Cuts with exactly p+q-1 edges, fewer than p of them safe: the
         cuts that lifting (p, q-1) to (p, q) must cover."""
-        return self.total.exactly(p + q - 1) & ~self.safe.at_least(p)
+        lay = self.layout
+        return lay.compact(lay.exactly(self.total, p + q - 1) & ~lay.at_least(self.safe, p))

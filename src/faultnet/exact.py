@@ -4,12 +4,13 @@ Branch and bound over edge include/exclude decisions, with feasibility
 pruning in both directions (the chosen set alone, and chosen plus all still
 undecided edges) and an admissible remaining-cost bound from a packing of
 violated cuts.  Every fault model is a cut condition here, tested on the
-bit-plane kernel: the boundary counts of the chosen and pool sets over every
-cut are kept as incrementally updated planes.  A flex (p, q) class fails on a
-cut that separates one of its pairs and has fewer than p safe and fewer than
-p+q edges.  A bulk scenario, and each scenario of the bulk expansion of
-relative requirements, fails on a cut that separates one of its pairs when
-every edge crossing it is one the scenario fails.
+packed cut kernel: the boundary counts of the chosen and pool sets over every
+cut are packed counters, updated by one big-int add or subtract per edge, and
+every test and cut set stays in the kernel's guard-bit form.  A flex (p, q)
+class fails on a cut that separates one of its pairs and has fewer than p
+safe and fewer than p+q edges.  A bulk scenario, and each scenario of the
+bulk expansion of relative requirements, fails on a cut that separates one
+of its pairs when every edge crossing it is one the scenario fails.
 
 The bound packs the violated cuts of the first failing class or scenario
 greedily, lowest cut first, so that no two packed cuts share a candidate (an
@@ -30,7 +31,7 @@ import os
 from bisect import bisect_right
 from math import inf
 
-from .cuts import Boundary, Planes, separating
+from .cuts import Boundary, layout_of
 from .errors import BudgetExceeded, InfeasibleInstance
 from .graph import FaultGraph
 from .oracles import (
@@ -51,29 +52,38 @@ def exact_budget() -> int:
 class _Checker:
     """Incremental feasibility over every cut, for any fault model.
 
-    Keeps the boundary counts of ``chosen`` (0) and ``pool`` (1) as bit
-    planes, updated by edge adds and removes.  Flex requirements are grouped
-    into (p, q) classes, scenarios keep their failure sets; each constrains
-    the cuts that separate one of its pairs.  A scenario fails on such a cut
-    when the set's edges that it fails count as many there as all the set's
-    edges: nothing crossing the cut survives.
+    Keeps the packed boundary counts of ``chosen`` (0) and ``pool`` (1),
+    updated by edge adds and removes.  Flex requirements are grouped into
+    (p, q) classes, scenarios keep their failure sets; each constrains the
+    cuts that separate one of its pairs, its scope, kept as a guard set.  A
+    class holds the offsets of its two thresholds.  A scenario fails on a
+    cut in scope when the set's edges that it fails count as many there as
+    all the set's edges: nothing crossing the cut survives.
     """
 
     def __init__(self, g: FaultGraph, problem: Problem):
         self.g = g
-        scopes: dict[tuple[int, int], int] = {}
+        lay = layout_of(g)
+        sd, shift = lay.side, lay.width - 1
+
+        def scope(pairs) -> int:
+            out = 0
+            for u, v in pairs:
+                out |= sd[u] ^ sd[v]
+            return out << shift
+
+        pairs: dict[tuple[int, int], list] = {}
         for r in problem.flex:
-            scopes[(r.p, r.q)] = scopes.get((r.p, r.q), 0) | separating(g.n, r.s, r.t)
-        self.classes = [(p, q, scope) for (p, q), scope in sorted(scopes.items())]
+            pairs.setdefault((r.p, r.q), []).append((r.s, r.t))
+        self.classes = [
+            (scope(pairs[p, q]), (p, q), lay.offset(p), lay.offset(p + q))
+            for p, q in sorted(pairs)
+        ]
         scenarios = problem.scenarios
         if problem.kind == "rsndp":
             scenarios = expand_rsndp_to_bulk(g, problem.relative)
-        self.scenarios = []
-        for sc in scenarios:
-            scope = 0
-            for u, v in sc.pairs:
-                scope |= separating(g.n, u, v)
-            self.scenarios.append((scope, sc.fail))
+        self.scenarios = [(scope(sc.pairs), sc.fail) for sc in scenarios]
+        self.nonzero = lay.offset(1)
         self.counts: list[Boundary] = []
         self.inside: list[bytearray] = []
 
@@ -93,21 +103,23 @@ class _Checker:
         self.inside[which][eid] = 0
 
     def first_bad(self, which: int):
-        """(bad cuts, (p, q), failed edges) of the first class, or else
+        """(bad guard set, (p, q), failed edges) of the first class, or else
         scenario, that the set fails, None if it is feasible.  A class fails
         no edges; a scenario has no (p, q)."""
         counts = self.counts[which]
-        for p, q, scope in self.classes:
-            bad = scope & counts.deficient(p, q)
+        safe, total = counts.safe, counts.total
+        for scope, pq, safe_offset, total_offset in self.classes:
+            bad = scope & ~((safe + safe_offset) | (total + total_offset))
             if bad:
-                return bad, (p, q), _NO_FAIL
-        inside = self.inside[which]
+                return bad, pq, _NO_FAIL
+        inside, cross = self.inside[which], counts.cross
         for scope, fail in self.scenarios:
-            dead = Planes(counts.total.full)
+            dead = 0
             for eid in fail:
                 if inside[eid]:
-                    dead.add(counts.cross[eid])
-            bad = scope & counts.total.equal(dead)
+                    dead += cross[eid]
+            # Layout.equal(total, dead), its offset precomputed.
+            bad = scope & ~((total ^ dead) + self.nonzero)
             if bad:
                 return bad, None, fail
         return None
@@ -122,19 +134,24 @@ class _Packing:
     are the edges that cross it and are not failed, listed once per (failure
     set, cut) when first needed: their negated order positions from the cheap
     end, the running sums of their costs and the running unions of their
-    crossing sets, and the positions and cost sums of the safe ones.  The
-    undecided candidates at depth k are a prefix of that list.
+    crossing guard sets, and the positions and cost sums of the safe ones.
+    The undecided candidates at depth k are a prefix of that list.
     """
 
     def __init__(self, g: FaultGraph, order: list[int]):
         self.order = order
-        self.cross = Boundary(g).cross
+        counts = Boundary(g)
+        self.width = counts.layout.width
+        self.field = (1 << self.width) - 1
+        self.cross = [cuts << (self.width - 1) for cuts in counts.cross]
         self.costs = [g.cost_of(eid) for eid in range(g.m)]
         self.safe = [e.safe for e in g.edges]
         self.columns: dict = {}
 
-    def column(self, fail: frozenset, low: int) -> tuple:
-        col = self.columns.get((fail, low))
+    def column(self, fail: frozenset, low: int, top: int) -> tuple:
+        """The candidate column of the cut whose guard is ``low``, at bit
+        ``top - 1``."""
+        col = self.columns.get((fail, top))
         if col is None:
             spots, sums, hits = [], [0.0], [low]
             safe_spots, safe_sums = [], [0.0]
@@ -147,7 +164,7 @@ class _Packing:
                     if self.safe[eid]:
                         safe_spots.append(-i)
                         safe_sums.append(safe_sums[-1] + self.costs[eid])
-            col = self.columns[(fail, low)] = (spots, sums, hits, safe_spots, safe_sums)
+            col = self.columns[(fail, top)] = (spots, sums, hits, safe_spots, safe_sums)
         return col
 
     def bound(self, counts: Boundary, k: int, violated, cost_in: float, limit: float) -> float:
@@ -158,16 +175,17 @@ class _Packing:
         bound = 0.0
         while bad:
             low = bad & -bad
-            spots, sums, hits, safe_spots, safe_sums = self.column(fail, low)
+            top = low.bit_length()
+            spots, sums, hits, safe_spots, safe_sums = self.column(fail, low, top)
             reach = bisect_right(spots, -k)  # undecided candidates
             if pq is None:
                 repair = sums[1] if reach else inf
             else:
                 p, q = pq
-                bit = low.bit_length() - 1
-                need = p + q - counts.total.count(bit)
+                field = top - self.width  # the cut's field starts here
+                need = p + q - ((counts.total >> field) & self.field)
                 repair = sums[need] if need <= reach else inf
-                need = p - counts.safe.count(bit)
+                need = p - ((counts.safe >> field) & self.field)
                 if need <= bisect_right(safe_spots, -k):
                     repair = min(repair, safe_sums[need])
             bound += repair

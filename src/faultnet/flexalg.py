@@ -211,7 +211,7 @@ def _ring_families(
     path_sets = bundle.edge_sets
     violated, counts = _violated_cuts(g, F, plan)
     groups: dict[frozenset, list[int]] = {}
-    for mask in masks(g.n, violated & counts.safe.exactly(i), plan.s):
+    for mask in masks(g.n, violated & counts.exactly(counts.safe, i), plan.s):
         bnd = boundary(g, F, mask)
         opts = [
             [j for j, pset in enumerate(path_sets) if eid in pset and len(bnd & pset) == 1]
@@ -254,7 +254,7 @@ def _stage_families(
         return _ring_families(g, F, plan, spec.safe_count)
     violated, counts = _violated_cuts(g, F, plan)
     if spec.safe_count is not None:
-        violated &= counts.safe.exactly(spec.safe_count)
+        violated &= counts.exactly(counts.safe, spec.safe_count)
     s = plan.s if plan.scope == "st" else None
     return [
         CutFamily(

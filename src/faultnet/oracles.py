@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .cover import CutFamily
-from .cuts import Boundary, masks, predicate, separating
+from .cuts import Boundary, first_mask, masks, predicate, separating
 from .errors import (
     BaseNotFeasible,
     EnumerationTooLarge,
@@ -172,7 +172,7 @@ def is_flex_feasible(
     for req in reqs:
         bad = separating(g.n, req.s, req.t) & counts.deficient(req.p, req.q)
         if bad:
-            mask = masks(g.n, bad, req.s)[0]
+            mask = first_mask(g.n, bad, req.s)
             bad_unsafe = sorted(
                 eid for eid in boundary(g, H, mask) if not g.edges[eid].safe
             )

@@ -12,6 +12,7 @@ from random import Random
 
 import pytest
 
+from faultnet import flexalg
 from faultnet.bench import bench, solutions_json
 from faultnet.bulk import (
     _tree_seed,
@@ -178,6 +179,48 @@ def test_criterion_2_ratio_ceilings(kind, p, q, ceiling):
     print(
         f"\ncriterion 2: PASS {label} on {count} instances, worst ratio "
         f"{worst:.3f} <= {ceiling}, zero infeasible, {elapsed:.1f}s"
+    )
+
+
+# Above the exact-search budget solve_fgc builds its (p, 0) base with the
+# levelwise primal-dual cover.ecsndp_base.  A zero budget, set around
+# solve_fgc only, forces that path on the first criterion-2 instances of
+# each (p, q), whose optimum the exact search still reaches.  The base has
+# no factor-2 guarantee, so no ceiling is asserted.
+FALLBACK_CONFIGS = [(2, 2), (2, 3), (3, 2), (3, 3)]
+
+
+def test_criterion_2_fallback_base_is_feasible_and_never_beats_the_optimum():
+    start = time.perf_counter()
+    worst = 0.0
+    count = 0
+    for p, q in FALLBACK_CONFIGS:
+        for idx in range(10):
+            n, m, skeleton = _ratio_shape("fgc", p, q, idx)
+            inst = _fgc_inst(idx * 7919 + p * 131 + q * 17, p, q, n, m, skeleton)
+            g = inst.to_graph()
+            bases = []
+
+            def counted_base(*args, _base=flexalg.ecsndp_base):
+                bases.append(args)
+                return _base(*args)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setenv("FAULTNET_EXACT_BUDGET", "0")
+                mp.setattr(flexalg, "ecsndp_base", counted_base)
+                sol = solve_fgc(g, p, q)
+            assert len(bases) == 1
+            ok, _ = is_flex_feasible(g, fgc_requirements(g.n, p, q), sol)
+            assert ok, (p, q, idx)
+            _opt_sol, opt = exact_solve(g, inst.problem, budget=30)
+            cost = g.total_cost(sol)
+            assert opt <= cost + 1e-9, (p, q, idx, opt, cost)
+            worst = max(worst, cost / opt)
+            count += 1
+    elapsed = time.perf_counter() - start
+    print(
+        f"\ncriterion 2 fallback: PASS ecsndp_base on {count} instances, all "
+        f"feasible, worst ratio {worst:.3f}, {elapsed:.1f}s"
     )
 
 

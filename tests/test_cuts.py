@@ -1,4 +1,4 @@
-"""The bit-plane cut kernel against single-cut counts, and its ownership.
+"""The packed cut kernel against single-cut counts, and its ownership.
 
 The kernel answers cut questions for every algorithm module; union-find
 connectivity stays with the independent oracles.
@@ -11,19 +11,29 @@ from random import Random
 import faultnet
 from faultnet.cuts import (
     Boundary,
-    Planes,
+    Layout,
     all_cuts,
     cut_index,
+    first_mask,
     masks,
     predicate,
     separating,
     side,
 )
-from faultnet.graph import FaultGraph, boundary_counts
+from faultnet.graph import MAX_SWEEP_N, FaultGraph, boundary_counts
 
 
 def bit(cuts, mask):
     return (cuts >> (mask - 1)) & 1 == 1
+
+
+def at_least(counts, packed, c):
+    """The cut set of cuts whose packed counts read at least c."""
+    return counts.layout.compact(counts.layout.at_least(packed, c))
+
+
+def equal(counts, a, b):
+    return counts.layout.compact(counts.layout.equal(a, b))
 
 
 def test_side_lists_the_cuts_containing_each_vertex():
@@ -36,15 +46,53 @@ def test_side_lists_the_cuts_containing_each_vertex():
             ]
 
 
-def test_planes_match_single_cut_counts_under_adds_and_removes():
+def test_packed_side_spreads_side_to_the_low_bit_of_each_field():
+    for n in range(1, 9):
+        ncuts = (1 << (n - 1)) - 1
+        for width in range(1, 6):
+            lay = Layout(n, width)
+            assert lay.ones == sum(1 << (i * width) for i in range(ncuts))
+            assert lay.guards == lay.ones << (width - 1)
+            assert lay.compact(lay.guards) == all_cuts(n)
+            for v in range(n):
+                assert lay.side[v] == sum(
+                    1 << ((c - 1) * width) for c in range(1, ncuts + 1) if (c >> v) & 1
+                )
+                assert lay.compact(lay.side[v] << (width - 1)) == side(n)[v]
+
+
+def test_side_and_packed_layout_at_the_sweep_cap():
+    n = MAX_SWEEP_N
+    rng = Random(24)
+    picks = [rng.randrange(1, 1 << (n - 1)) for _ in range(40)] + [1, (1 << (n - 1)) - 1]
+    try:
+        sd = side(n)
+        assert sd[n - 1] == 0
+        assert all(sd[v].bit_length() <= (1 << (n - 1)) - 1 for v in range(n))
+        lay = Layout(n, 2)
+        for c in picks:
+            for v in range(n):
+                assert bit(sd[v], c) == bool((c >> v) & 1)
+                assert lay.count(lay.side[v], c - 1) == (c >> v) & 1
+        assert lay.ones.bit_length() == 2 * ((1 << (n - 1)) - 2) + 1
+        assert lay.compact(lay.side[n - 2] << 1) == sd[n - 2]
+    finally:
+        side.cache_clear()  # about 24 MB at this n
+
+
+def _random_case(rng):
+    n = rng.randint(2, 6)
+    specs = []
+    for _ in range(rng.randint(1, 16)):
+        u, v = rng.sample(range(n), 2)
+        specs.append((u, v, 1.0, rng.choice(("safe", "unsafe"))))
+    return n, FaultGraph(n, specs)
+
+
+def test_packed_counts_match_single_cut_counts_under_adds_and_removes():
     rng = Random(7)
     for _ in range(60):
-        n = rng.randint(2, 6)
-        specs = []
-        for _ in range(rng.randint(1, 16)):
-            u, v = rng.sample(range(n), 2)
-            specs.append((u, v, 1.0, rng.choice(("safe", "unsafe"))))
-        g = FaultGraph(n, specs)
+        n, g = _random_case(rng)
         F = [eid for eid in range(g.m) if rng.random() < 0.8]
         counts = Boundary(g, F)
         dropped = [eid for eid in F if rng.random() < 0.3]
@@ -54,24 +102,19 @@ def test_planes_match_single_cut_counts_under_adds_and_removes():
         for c in range(-1, 7):
             for mask in range(1, 1 << (n - 1)):
                 safe, total = boundary_counts(g, kept, mask)
-                assert bit(counts.total.at_least(c), mask) == (total >= c)
-                assert bit(counts.total.exactly(c), mask) == (total == c)
-                assert bit(counts.safe.at_least(c), mask) == (safe >= c)
-                assert bit(counts.safe.exactly(c), mask) == (safe == c)
+                assert bit(at_least(counts, counts.total, c), mask) == (total >= c)
+                assert bit(counts.exactly(counts.total, c), mask) == (total == c)
+                assert bit(at_least(counts, counts.safe, c), mask) == (safe >= c)
+                assert bit(counts.exactly(counts.safe, c), mask) == (safe == c)
                 s, t = rng.sample(range(n), 2)
                 sep = bool((mask >> s) & 1) != bool((mask >> t) & 1)
                 assert bit(separating(n, s, t), mask) == sep
 
 
-def test_planes_equal_matches_single_cut_counts_under_adds_and_removes():
+def test_packed_counts_equal_matches_single_cut_counts_under_adds_and_removes():
     rng = Random(9)
     for _ in range(60):
-        n = rng.randint(2, 6)
-        specs = []
-        for _ in range(rng.randint(1, 16)):
-            u, v = rng.sample(range(n), 2)
-            specs.append((u, v, 1.0, rng.choice(("safe", "unsafe"))))
-        g = FaultGraph(n, specs)
+        n, g = _random_case(rng)
         counts = [Boundary(g), Boundary(g)]
         members = [set(), set()]
         for _ in range(rng.randint(1, 30)):
@@ -82,10 +125,10 @@ def test_planes_equal_matches_single_cut_counts_under_adds_and_removes():
             else:
                 counts[which].add(eid)
                 members[which].add(eid)
-            total_equal = counts[0].total.equal(counts[1].total)
-            assert total_equal == counts[1].total.equal(counts[0].total)
-            safe_equal = counts[0].safe.equal(counts[1].safe)
-            empty = counts[0].total.equal(Planes(all_cuts(n)))
+            total_equal = equal(counts[0], counts[0].total, counts[1].total)
+            assert total_equal == equal(counts[0], counts[1].total, counts[0].total)
+            safe_equal = equal(counts[0], counts[0].safe, counts[1].safe)
+            empty = equal(counts[0], counts[0].total, 0)
             for mask in range(1, 1 << (n - 1)):
                 safe0, total0 = boundary_counts(g, members[0], mask)
                 safe1, total1 = boundary_counts(g, members[1], mask)
@@ -94,15 +137,10 @@ def test_planes_equal_matches_single_cut_counts_under_adds_and_removes():
                 assert bit(empty, mask) == (total0 == 0)
 
 
-def test_planes_count_matches_single_cut_counts_under_adds_and_removes():
+def test_packed_counts_count_matches_single_cut_counts_under_adds_and_removes():
     rng = Random(11)
     for _ in range(60):
-        n = rng.randint(2, 6)
-        specs = []
-        for _ in range(rng.randint(1, 16)):
-            u, v = rng.sample(range(n), 2)
-            specs.append((u, v, 1.0, rng.choice(("safe", "unsafe"))))
-        g = FaultGraph(n, specs)
+        n, g = _random_case(rng)
         counts = Boundary(g)
         members = set()
         for _ in range(rng.randint(1, 30)):
@@ -113,10 +151,43 @@ def test_planes_count_matches_single_cut_counts_under_adds_and_removes():
             else:
                 counts.add(eid)
                 members.add(eid)
+            lay = counts.layout
             for mask in range(1, 1 << (n - 1)):
-                assert (counts.safe.count(mask - 1), counts.total.count(mask - 1)) == (
+                assert (lay.count(counts.safe, mask - 1), lay.count(counts.total, mask - 1)) == (
                     boundary_counts(g, members, mask)
                 )
+
+
+def test_thresholds_at_the_field_width_edges():
+    # Every edge leaves vertex 0, so the cut {0} counts all m of them: the
+    # largest count a field must hold, at each m where the width changes.
+    for m in (0, 1, 2, 3, 4, 7, 8, 15, 16):
+        for n in (2, 4):
+            specs = [(0, 1 + i % (n - 1), 1.0, ("safe", "unsafe")[i % 3 == 2]) for i in range(m)]
+            g = FaultGraph(n, specs)
+            counts = Boundary(g, range(m))
+            lay = counts.layout
+            assert lay.width == m.bit_length() + 1
+            assert counts.total & lay.guards == 0
+            assert lay.count(counts.total, 0) == m
+            top = 1 << (lay.width - 1)
+            for step in range(m + 1):
+                members = range(step, m)
+                for c in (-1, 0, 1, m - 1, m, m + 1, top - 1, top):
+                    for mask in range(1, 1 << (n - 1)):
+                        safe, total = boundary_counts(g, members, mask)
+                        assert bit(at_least(counts, counts.total, c), mask) == (total >= c)
+                        assert bit(at_least(counts, counts.safe, c), mask) == (safe >= c)
+                        assert bit(counts.exactly(counts.total, c), mask) == (total == c)
+                        assert bit(counts.exactly(counts.safe, c), mask) == (safe == c)
+                        for q in (0, 1, 2):
+                            short = safe < c and total < c + q
+                            assert bit(counts.deficient(c, q), mask) == short
+                            tight = total == c + q - 1 and safe < c
+                            assert bit(counts.tight(c, q), mask) == tight
+                if step < m:
+                    counts.remove(step)
+            assert counts.total == counts.safe == 0
 
 
 def test_decoding_and_membership_cover_both_sides():
@@ -135,6 +206,20 @@ def test_decoding_and_membership_cover_both_sides():
             assert sorted(full ^ m if (m >> s) & 1 == 0 else m for m in named) == s_sides
             assert [m for m in range(1 << n) if predicate(n, cuts, s)(m)] == s_sides
         assert cut_index(n, 0) == cut_index(n, full) == -1
+
+
+def test_first_mask_is_the_first_decoded_s_side():
+    rng = Random(12)
+    for n in range(2, 8):
+        ncuts = (1 << (n - 1)) - 1
+        for _ in range(40):
+            cuts = rng.getrandbits(ncuts) or 1
+            for s in range(n):
+                assert first_mask(n, cuts, s) == masks(n, cuts, s)[0]
+                # Sets whose s-sides are all complemented named sides.
+                without_s = cuts & ~side(n)[s]
+                if without_s:
+                    assert first_mask(n, without_s, s) == masks(n, without_s, s)[0]
 
 
 # ((x >> a) ^ (x >> b)) & 1 with any operands: "does this edge cross this cut".

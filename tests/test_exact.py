@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from faultnet.cuts import Boundary
+from faultnet.cuts import crossed, layout_of
 from faultnet.errors import BudgetExceeded, EnumerationTooLarge, InfeasibleInstance
 from faultnet.exact import _Checker, _Packing, exact_solve
 from faultnet.graph import FaultGraph
@@ -204,7 +204,8 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
     # among them; any completion adds a subset of the undecided order[k:].
     g, prob, feasible = _bound_case(name, seed)
     order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
-    cross = Boundary(g).cross
+    cross = [crossed(g, (eid,)) for eid in range(g.m)]
+    layout = layout_of(g)
     checker, packing = _Checker(g, prob), _Packing(g, order)
     rng = Random(seed)
     checked = stronger = 0
@@ -226,7 +227,7 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
         bound = packing.bound(checker.counts[0], k, violated, 0.0, best + 1.0)
         assert bound <= best + 1e-9
         bad, _pq, fail = violated
-        low = bad & -bad
+        low = layout.compact(bad & -bad)  # the first bad cut, as a cut set
         one_edge = min(g.cost_of(e) for e in undecided if cross[e] & low and e not in fail)
         checked += 1
         stronger += bound > one_edge + 1e-9
