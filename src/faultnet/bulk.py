@@ -6,6 +6,14 @@ each remaining violating (failure set, pair) with a fundamental cycle
 {e} + tree path of e, chosen by the greedy hitting-set rule.  Several trees
 are tried per level and the cheapest feasible outcome kept.
 
+Every connectivity question of the loop is a cut condition answered on the
+packed cut kernel.  F cuts a pair in H when a cut that separates the pair is
+a zero cut of H - F: its count in H equals the count of F's edges in H
+(``Layout.equal``).  Those cuts are the dead cuts of (F, pair), and a
+fundamental cycle C reconnects the pair exactly when the edges of C - F
+cross every dead cut.  The union-find oracles stay the reference the kernel
+answers are tested against.
+
 The flexible and relative drivers reduce to this machinery through scenario
 expansion; the flexible driver additionally seeds with an exact base at the
 (p_i, 0) level and activates pairs round by round, honoring heterogeneous
@@ -15,14 +23,14 @@ expansion; the flexible driver additionally seeds with an exact base at the
 from __future__ import annotations
 
 import heapq
+import itertools
 import logging
 from dataclasses import dataclass
-from fractions import Fraction
 from random import Random
 from typing import Callable, Iterable, Sequence
 
 from .cover import ecsndp_base
-from .cuts import Boundary, masks, separating
+from .cuts import Boundary, layout_of, masks, separating
 from .errors import (
     Disconnected,
     InfeasibleAugmentation,
@@ -30,14 +38,13 @@ from .errors import (
     Unhittable,
 )
 from .exact import exact_budget, exact_solve
-from .graph import FaultGraph, boundary, same_component
+from .graph import FaultGraph, boundary
 from .oracles import (
     BulkScenario,
     FlexRequirement,
     Problem,
     RelativeRequirement,
     _check_prior_levels,
-    _level_violations,
     expand_rsndp_to_bulk,
     fgc_requirements,
     is_bulk_feasible,
@@ -171,13 +178,32 @@ def tree_stretch(
 class HittingInstance:
     """Sets = violating (failure, pair) tuples; elements = candidate edges.
 
-    An element e hits a set when the fundamental cycle {e} + tree path of e
-    reconnects the pair after the failure; its cost is the cycle cost."""
+    An element e hits a set (F, pair) when the fundamental cycle C = {e} +
+    tree path of e reconnects the pair in H - F: when the edges of C - F
+    cross every dead cut of (F, pair), a cut that separates the pair and
+    that no edge of H - F crosses.  Its cost is the cycle cost."""
 
     set_keys: tuple
     elements: tuple[int, ...]
     costs: dict
     hits: dict  # element id -> frozenset of set indices
+
+
+def _dead(cross: list[int], F: frozenset, H: frozenset) -> int:
+    """The packed counts of F's edges in H."""
+    dead = 0
+    for eid in F:
+        if eid in H:
+            dead += cross[eid]
+    return dead
+
+
+def _crossed(cross: list[int], edge_ids: Iterable[int]) -> int:
+    """The packed set of cuts that one of the edges crosses."""
+    out = 0
+    for eid in edge_ids:
+        out |= cross[eid]
+    return out
 
 
 def build_hitting_instance(
@@ -186,6 +212,15 @@ def build_hitting_instance(
     tree: TreeEmbedding,
     viol: Sequence[tuple[frozenset, tuple[int, int]]],
 ) -> HittingInstance:
+    counts = Boundary(g, H)
+    lay, cross = counts.layout, counts.cross
+    shift = lay.width - 1
+    # The dead cuts of each set, moved from the guard bits to the low bits
+    # of their fields, where the packed crossing sets have theirs.
+    dead_cuts = [
+        (F, (lay.scope((pair,)) & lay.equal(counts.total, _dead(cross, F, H))) >> shift)
+        for F, pair in viol
+    ]
     elements = tuple(sorted(g.all_edge_ids() - H))
     costs = {}
     hits = {}
@@ -193,9 +228,11 @@ def build_hitting_instance(
         e = g.edges[eid]
         cycle = frozenset({eid}) | frozenset(tree.path(e.u, e.v))
         costs[eid] = g.total_cost(cycle)
+        whole = _crossed(cross, cycle)
         hit = []
-        for si, (F, (u, v)) in enumerate(viol):
-            if same_component(g, (H | cycle) - F, u, v):
+        for si, (F, dead) in enumerate(dead_cuts):
+            alive = whole if F.isdisjoint(cycle) else _crossed(cross, cycle - F)
+            if not dead & ~alive:
                 hit.append(si)
         hits[eid] = frozenset(hit)
     keys = tuple((tuple(sorted(F)), pair) for F, pair in viol)
@@ -205,33 +242,35 @@ def build_hitting_instance(
 def greedy_hitting_set(inst: HittingInstance) -> list[int]:
     """Classic greedy: max newly-hit-per-cost, ties to the smallest element.
 
-    Ratios compare exactly (rational cross-multiplication), so runs are
-    reproducible bit for bit."""
+    Ratios compare exactly, by integer cross-multiplication with each
+    cost's integer ratio, so runs are reproducible bit for bit."""
+    ratio = {eid: inst.costs[eid].as_integer_ratio() for eid in inst.elements}
     uncovered = set(range(len(inst.set_keys)))
     picks: list[int] = []
     while uncovered:
-        best = None  # (newly, cost, eid)
+        best = None  # (newly, cost numerator, cost denominator, eid)
         for eid in inst.elements:
             newly = len(inst.hits[eid] & uncovered)
             if newly == 0:
                 continue
-            if best is None:
-                best = (newly, inst.costs[eid], eid)
-                continue
-            b_new, b_cost, b_eid = best
-            # newly / cost > b_new / b_cost, exactly.
-            lhs = Fraction(newly) * Fraction(b_cost)
-            rhs = Fraction(b_new) * Fraction(inst.costs[eid])
-            if lhs > rhs or (lhs == rhs and eid < b_eid):
-                best = (newly, inst.costs[eid], eid)
+            num, den = ratio[eid]
+            if best is not None:
+                b_new, b_num, b_den, b_eid = best
+                # newly / cost > b_new / b_cost, exactly: both sides times
+                # the positive den * b_den.
+                lhs = newly * b_num * den
+                rhs = b_new * num * b_den
+                if not (lhs > rhs or (lhs == rhs and eid < b_eid)):
+                    continue
+            best = (newly, num, den, eid)
         if best is None:
             si = min(uncovered)
             raise Unhittable(
                 f"set {inst.set_keys[si]} cannot be hit by any element",
                 witness=inst.set_keys[si],
             )
-        picks.append(best[2])
-        uncovered -= inst.hits[best[2]]
+        picks.append(best[3])
+        uncovered -= inst.hits[best[3]]
     return picks
 
 
@@ -244,6 +283,41 @@ class LevelStats:
     tree_cost_added: float
     cycle_cost_added: float
     violating_sets: int
+
+
+def _violations_of_level(
+    g: FaultGraph, scenarios: Sequence[BulkScenario], level: int
+) -> Callable[[frozenset], list[tuple[frozenset, tuple[int, int]]]]:
+    """``oracles._level_violations`` at ``level``, as a function of H, on
+    the cut kernel.
+
+    Each failure set F of ``level`` edges inside some scenario is listed
+    once, with the pairs of every scenario that holds it; F cuts a pair in H
+    when a cut that separates the pair is a zero cut of H - F.  The sets
+    and pairs are listed sorted, so the output is the oracle's sorted list.
+    """
+    lay = layout_of(g)
+    cross = Boundary(g).cross
+    pairs_of: dict[tuple[int, ...], set] = {}
+    for sc in scenarios:
+        for combo in itertools.combinations(sorted(sc.fail), level):
+            pairs_of.setdefault(combo, set()).update(sc.pairs)
+    checks = []
+    for combo in sorted(pairs_of):
+        pairs = sorted(pairs_of[combo])
+        scoped = [(pair, lay.scope((pair,))) for pair in pairs]
+        checks.append((frozenset(combo), lay.scope(pairs), scoped))
+
+    def violations(H: frozenset) -> list[tuple[frozenset, tuple[int, int]]]:
+        total = sum(cross[eid] for eid in H)
+        out = []
+        for F, scope, scoped in checks:
+            zero = scope & lay.equal(total, _dead(cross, F, H))
+            if zero:
+                out.extend((F, pair) for pair, pair_scope in scoped if zero & pair_scope)
+        return out
+
+    return violations
 
 
 def _tree_seed(seed: int, level: int, t: int) -> int:
@@ -331,16 +405,11 @@ def augment_bulk(
     H_prev = frozenset(H_prev)
     _check_prior_levels(g, scenarios, H_prev, level)
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
+    violations = _violations_of_level(g, scenarios, level)
     candidate, stats = _best_of_trees(
-        g,
-        H_prev,
-        pairs,
-        lambda H: _level_violations(g, scenarios, H, level),
-        level,
-        seed,
-        trees,
+        g, H_prev, pairs, violations, level, seed, trees
     )
-    leftover = _level_violations(g, scenarios, candidate, level)
+    leftover = violations(candidate)
     if leftover:
         raise InfeasibleAugmentation(
             f"level {level}: cover left {len(leftover)} violating sets"

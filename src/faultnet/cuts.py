@@ -95,6 +95,14 @@ class Layout:
         """The guard set of cuts whose counts in ``a`` and ``b`` are equal."""
         return self.guards & ~((a ^ b) + self.offset(1))
 
+    def scope(self, pairs: Iterable[tuple[int, int]]) -> int:
+        """The guard set of the cuts that separate one of the pairs."""
+        sd = self.side
+        out = 0
+        for u, v in pairs:
+            out |= sd[u] ^ sd[v]
+        return out << (self.width - 1)
+
     def count(self, counts: int, index: int) -> int:
         """The count of the one cut at ``index``."""
         return (counts >> (index * self.width)) & ((1 << self.width) - 1)

@@ -64,25 +64,17 @@ class _Checker:
     def __init__(self, g: FaultGraph, problem: Problem):
         self.g = g
         lay = layout_of(g)
-        sd, shift = lay.side, lay.width - 1
-
-        def scope(pairs) -> int:
-            out = 0
-            for u, v in pairs:
-                out |= sd[u] ^ sd[v]
-            return out << shift
-
         pairs: dict[tuple[int, int], list] = {}
         for r in problem.flex:
             pairs.setdefault((r.p, r.q), []).append((r.s, r.t))
         self.classes = [
-            (scope(pairs[p, q]), (p, q), lay.offset(p), lay.offset(p + q))
+            (lay.scope(pairs[p, q]), (p, q), lay.offset(p), lay.offset(p + q))
             for p, q in sorted(pairs)
         ]
         scenarios = problem.scenarios
         if problem.kind == "rsndp":
             scenarios = expand_rsndp_to_bulk(g, problem.relative)
-        self.scenarios = [(scope(sc.pairs), sc.fail) for sc in scenarios]
+        self.scenarios = [(lay.scope(sc.pairs), sc.fail) for sc in scenarios]
         self.nonzero = lay.offset(1)
         self.counts: list[Boundary] = []
         self.inside: list[bytearray] = []

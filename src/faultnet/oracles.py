@@ -372,23 +372,27 @@ def expand_rsndp_to_bulk(
 
     For each F with |F| <= max r_i - 1 keep the pairs with r_i > |F| that G
     itself still connects after removing F; empty scenarios are dropped.
+    G - F connects a pair when no cut that separates it is a zero cut of
+    G - F, one that only edges of F cross: on the packed counts of all of
+    G's edges, a cut whose count equals that of F's edges alone
+    (``Layout.equal``).
     """
     reqs = tuple(reqs)
     width = max(r.r for r in reqs) - 1
     total = sum(comb(g.m, k) for k in range(width + 1))
     if total > enumeration_budget():
         raise WidthBudgetExceeded(f"{total} scenarios exceed the budget")
-    all_ids = sorted(g.all_edge_ids())
+    counts = Boundary(g, g.all_edge_ids())
+    lay, cross = counts.layout, counts.cross
+    scoped = [(r.r, (r.s, r.t), lay.scope([(r.s, r.t)])) for r in reqs]
     out = []
     for size in range(width + 1):
-        for combo in itertools.combinations(all_ids, size):
-            F = frozenset(combo)
-            alive = g.all_edge_ids() - F
-            pairs = [
-                (r.s, r.t)
-                for r in reqs
-                if r.r > size and same_component(g, alive, r.s, r.t)
-            ]
+        for combo in itertools.combinations(range(g.m), size):
+            dead = 0
+            for eid in combo:
+                dead += cross[eid]
+            zero = lay.equal(counts.total, dead)
+            pairs = [pair for r, pair, scope in scoped if r > size and not zero & scope]
             if pairs:
-                out.append(BulkScenario(F, tuple(sorted(set(pairs)))))
+                out.append(BulkScenario(frozenset(combo), tuple(sorted(set(pairs)))))
     return tuple(out)

@@ -8,10 +8,14 @@ implementations under test.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 from random import Random
 
-from faultnet.graph import FaultGraph
+from faultnet.bulk import HittingInstance
+from faultnet.errors import Unhittable
+from faultnet.graph import FaultGraph, same_component
 from faultnet.lp import ROW_TOL, LpRow
+from faultnet.oracles import BulkScenario
 
 
 def brute_min_cut(g: FaultGraph, caps, s: int, t: int) -> int:
@@ -90,6 +94,72 @@ def brute_rsndp_feasible(g: FaultGraph, reqs, H) -> bool:
                 if in_g and not in_h:
                     return False
     return True
+
+
+def union_find_expand_rsndp(g: FaultGraph, reqs) -> tuple:
+    """``expand_rsndp_to_bulk`` with one union-find per (F, requirement):
+    for each F with |F| < max r_i, the pairs with r_i > |F| that G - F
+    still connects."""
+    all_ids = sorted(g.all_edge_ids())
+    out = []
+    for size in range(max(r.r for r in reqs)):
+        for combo in itertools.combinations(all_ids, size):
+            F = frozenset(combo)
+            alive = g.all_edge_ids() - F
+            pairs = [
+                (r.s, r.t)
+                for r in reqs
+                if r.r > size and same_component(g, alive, r.s, r.t)
+            ]
+            if pairs:
+                out.append(BulkScenario(F, tuple(sorted(set(pairs)))))
+    return tuple(out)
+
+
+def union_find_hitting_instance(g: FaultGraph, H, tree, viol) -> HittingInstance:
+    """``build_hitting_instance`` with one union-find per (element, set): e
+    hits (F, (u, v)) when (H | cycle of e) - F connects u and v."""
+    elements = tuple(sorted(g.all_edge_ids() - H))
+    costs = {}
+    hits = {}
+    for eid in elements:
+        e = g.edges[eid]
+        cycle = frozenset({eid}) | frozenset(tree.path(e.u, e.v))
+        costs[eid] = g.total_cost(cycle)
+        hits[eid] = frozenset(
+            si
+            for si, (F, (u, v)) in enumerate(viol)
+            if same_component(g, (H | cycle) - F, u, v)
+        )
+    keys = tuple((tuple(sorted(F)), pair) for F, pair in viol)
+    return HittingInstance(keys, elements, costs, hits)
+
+
+def fraction_greedy_hitting_set(inst: HittingInstance) -> list[int]:
+    """``greedy_hitting_set`` with every ratio compared as a Fraction: max
+    newly-hit-per-cost, ties to the smallest element."""
+    uncovered = set(range(len(inst.set_keys)))
+    picks = []
+    while uncovered:
+        best = None  # (newly, cost, eid)
+        for eid in inst.elements:
+            newly = len(inst.hits[eid] & uncovered)
+            if newly == 0:
+                continue
+            if best is None:
+                best = (newly, inst.costs[eid], eid)
+                continue
+            b_new, b_cost, b_eid = best
+            lhs = Fraction(newly) * Fraction(b_cost)
+            rhs = Fraction(b_new) * Fraction(inst.costs[eid])
+            if lhs > rhs or (lhs == rhs and eid < b_eid):
+                best = (newly, inst.costs[eid], eid)
+        if best is None:
+            si = min(uncovered)
+            raise Unhittable(f"set {inst.set_keys[si]} cannot be hit", witness=inst.set_keys[si])
+        picks.append(best[2])
+        uncovered -= inst.hits[best[2]]
+    return picks
 
 
 def brute_set_cover(rows, costs):

@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -9,6 +10,7 @@ from faultnet.bulk import (
     LevelStats,
     _flex_violating_sets,
     _tree_seed,
+    _violations_of_level,
     augment_bulk,
     build_hitting_instance,
     greedy_hitting_set,
@@ -33,13 +35,22 @@ from faultnet.oracles import (
     FlexRequirement,
     Problem,
     RelativeRequirement,
+    _level_violations,
     expand_flex_to_bulk,
+    expand_rsndp_to_bulk,
     is_bulk_feasible,
     is_flex_feasible,
     is_rsndp_feasible,
     violating_edge_sets_bulk,
 )
-from oracle_utils import brute_set_cover, kruskal_mst_cost, random_graph
+from oracle_utils import (
+    brute_set_cover,
+    fraction_greedy_hitting_set,
+    kruskal_mst_cost,
+    random_graph,
+    union_find_expand_rsndp,
+    union_find_hitting_instance,
+)
 
 
 def bulk_instance(seed, n=7, m=14, width=2, scenarios=4):
@@ -182,6 +193,70 @@ class TestGreedyHittingSet:
         ]
         best_cost, _ = brute_set_cover(rows, costs)
         assert got <= (1 + math.log(n_sets)) * best_cost + 1e-9
+
+    @staticmethod
+    def two_elements(newly, costs):
+        """Element i hits newly[i] sets of its own."""
+        hits, start = {}, 0
+        for eid, k in enumerate(newly):
+            hits[eid] = frozenset(range(start, start + k))
+            start += k
+        return HittingInstance(
+            set_keys=tuple((f"s{i}",) for i in range(start)),
+            elements=tuple(range(len(newly))),
+            costs=dict(enumerate(costs)),
+            hits=hits,
+        )
+
+    @pytest.mark.parametrize(
+        "newly, costs, picks",
+        [
+            # 1 * 0.5 == 5 * 0.1 in floats, but 5 * Fraction(0.1) is larger:
+            # element 1 has the better ratio and a float test would tie.
+            ((1, 5), (0.1, 0.5), [1, 0]),
+            ((1, 9), (0.1, 0.9), [1, 0]),
+            # 5 * 0.14 == 7 * 0.1 in floats, and 7 * Fraction(0.1) is larger.
+            ((5, 7), (0.1, 0.14), [0, 1]),
+            # 3 * 0.1 and 1 * 0.3 differ in floats too.
+            ((1, 3), (0.1, 0.3), [1, 0]),
+            ((3, 1), (0.3, 0.1), [0, 1]),
+            # Exact ties go to the smallest element.
+            ((2, 4), (1, 2), [0, 1]),
+            ((4, 2), (Fraction(2, 3), Fraction(1, 3)), [0, 1]),
+            ((1, 3), (Fraction(1, 3), Fraction(1, 1)), [0, 1]),
+            ((3, 1), (3, Fraction(1, 3)), [1, 0]),
+        ],
+    )
+    def test_near_ties_compare_exactly(self, newly, costs, picks):
+        inst = self.two_elements(newly, costs)
+        assert greedy_hitting_set(inst) == picks
+        assert fraction_greedy_hitting_set(inst) == picks
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_picks_match_the_fraction_loop(self, seed):
+        rng = Random(seed)
+        n_sets = rng.randint(1, 14)
+        n_elems = rng.randint(1, 9)
+        # Few distinct costs and hit counts, so near-ties are common.
+        pool = [0.1, 0.2, 0.3, 0.5, 0.7, 0.9, 1.4, 3, Fraction(1, 3), Fraction(2, 3)]
+        hits = {
+            e: frozenset(s for s in range(n_sets) if rng.random() < 0.5)
+            for e in range(n_elems)
+        }
+        inst = HittingInstance(
+            set_keys=tuple((f"s{i}",) for i in range(n_sets)),
+            elements=tuple(rng.sample(range(n_elems), n_elems)),
+            costs={e: rng.choice(pool) for e in range(n_elems)},
+            hits=hits,
+        )
+        try:
+            expected = fraction_greedy_hitting_set(inst)
+        except Unhittable as err:
+            with pytest.raises(Unhittable) as got:
+                greedy_hitting_set(inst)
+            assert got.value.witness == err.witness
+        else:
+            assert greedy_hitting_set(inst) == expected
 
 
 class TestAugmentBulk:
@@ -555,6 +630,102 @@ class TestRsndpDriver:
         assert ok
         _opt, opt_cost = exact_solve(g, inst.problem)
         assert g.total_cost(sol) >= opt_cost - 1e-9
+
+
+def kernel_case(kind, n, seed):
+    """(g, scenarios, flex requirements) of a seeded bulk, rsndp or
+    flex-sndp instance on n vertices: bulk widths cycle through 1-3 and r
+    through 2-3; rsndp and flex-sndp go through their bulk expansions."""
+    if kind == "bulk":
+        params = {"problem": "bulk", "width": 1 + seed % 3, "scenarios": 4}
+    elif kind == "rsndp":
+        params = {"problem": "rsndp", "r": 2 + seed % 2, "pairs": 2}
+    else:
+        pairs = [(0, n - 1, 1, 2), (1, n - 2, 2, 1)]
+        params = {"problem": "flex-sndp", "p": 2, "q": 2, "skeleton": "mixed", "pairs": pairs}
+    inst = generate("random-multigraph", n=n, m=2 * n + 1, seed=seed, params=params)
+    g = inst.to_graph()
+    problem = inst.problem
+    if kind == "bulk":
+        return g, problem.scenarios, ()
+    if kind == "rsndp":
+        return g, expand_rsndp_to_bulk(g, problem.relative), ()
+    return g, expand_flex_to_bulk(g, problem.flex), problem.flex
+
+
+class TestKernelMatchesUnionFind:
+    """The bulk driver's cut-kernel answers against the union-find ones."""
+
+    @staticmethod
+    def work_sets(g, scenarios, rng):
+        """Edge sets to test in: none, all, random subsets, and failure sets
+        themselves, in which every separating cut of a pair is dead."""
+        ids = sorted(g.all_edge_ids())
+        sets = [frozenset(), frozenset(ids)]
+        sets += [frozenset(rng.sample(ids, round(share * g.m))) for share in (0.3, 0.5, 0.7)]
+        failures = sorted({sc.fail for sc in scenarios if sc.fail}, key=sorted)
+        sets += rng.sample(failures, min(2, len(failures)))
+        return sets
+
+    @pytest.mark.parametrize("kind", ("bulk", "rsndp", "flex-sndp"))
+    def test_violations_and_hit_sets_match(self, kind):
+        seen = {"outside H": 0, "meets cycle": 0, "all dead": 0, "hits": 0}
+        for n in range(5, 9):
+            for seed in (n, n + 11):
+                g, scenarios, flex = kernel_case(kind, n, seed)
+                rng = Random(seed)
+                width = max(len(sc.fail) for sc in scenarios)
+                for H in self.work_sets(g, scenarios, rng):
+                    tree = sample_tree(g, seed=rng.randrange(1 << 30))
+                    lists = []
+                    for level in range(width + 1):
+                        viol = _violations_of_level(g, scenarios, level)(H)
+                        assert viol == _level_violations(g, scenarios, H, level)
+                        lists.append(viol)
+                    for round_index in range(1, max((r.q for r in flex), default=0) + 1):
+                        lists.append(_flex_violating_sets(g, H, flex, round_index))
+                    for viol in lists:
+                        got = build_hitting_instance(g, H, tree, viol)
+                        assert got == union_find_hitting_instance(g, H, tree, viol)
+                        for F, _pair in viol:
+                            seen["outside H"] += not F <= H
+                            seen["all dead"] += H <= F
+                        for eid in got.elements:
+                            e = g.edges[eid]
+                            cycle = frozenset({eid}) | frozenset(tree.path(e.u, e.v))
+                            seen["meets cycle"] += sum(
+                                not F.isdisjoint(cycle) for F, _pair in viol
+                            )
+                            seen["hits"] += len(got.hits[eid])
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("n", range(5, 9))
+    @pytest.mark.parametrize("r", (2, 3))
+    def test_rsndp_expansion_matches(self, n, r):
+        for seed in range(3):
+            inst = generate(
+                "random-multigraph",
+                n=n,
+                m=2 * n,
+                seed=100 * r + 10 * n + seed,
+                params={"problem": "rsndp", "r": r, "pairs": 3},
+            )
+            g = inst.to_graph()
+            reqs = inst.problem.relative
+            assert expand_rsndp_to_bulk(g, reqs) == union_find_expand_rsndp(g, reqs)
+
+    def test_rsndp_expansion_drops_pairs_that_g_minus_f_cuts(self):
+        # A triangle: G - F separates 0 from 2 only when F holds the chord
+        # (edge 2) and one edge of the path 0-1-2.
+        g = FaultGraph(3, [(0, 1, 1, "safe"), (1, 2, 1, "safe"), (0, 2, 1, "safe")])
+        reqs = (RelativeRequirement(0, 2, 3), RelativeRequirement(0, 1, 2))
+        got = expand_rsndp_to_bulk(g, reqs)
+        assert got == union_find_expand_rsndp(g, reqs)
+        kept = {sc.fail: sc.pairs for sc in got}
+        assert kept[frozenset()] == ((0, 1), (0, 2))
+        assert kept[frozenset({0})] == ((0, 1), (0, 2))
+        assert frozenset({1, 2}) not in kept  # 0-2 cut; (0, 1) has r = 2
+        assert kept[frozenset({0, 1})] == ((0, 2),)
 
 
 class TestCostTelescoping:

@@ -190,6 +190,23 @@ def test_thresholds_at_the_field_width_edges():
             assert counts.total == counts.safe == 0
 
 
+def test_scope_is_the_guard_form_of_the_separating_sets():
+    rng = Random(11)
+    for n in range(2, 9):
+        for width in (1, 2, 5):
+            lay = Layout(n, width)
+            assert lay.scope(()) == 0
+            for _ in range(6):
+                pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3))]
+                want = 0
+                for s, t in pairs:
+                    want |= separating(n, s, t)
+                got = lay.scope(pairs)
+                assert got & ~lay.guards == 0
+                assert lay.compact(got) == want
+                assert lay.scope(pairs[:1]) == lay.scope([pairs[0][::-1]])
+
+
 def test_decoding_and_membership_cover_both_sides():
     rng = Random(8)
     for n in range(2, 7):
@@ -241,9 +258,9 @@ def test_crossing_idiom_stays_in_the_kernel_modules():
 
 UNION_FIND = re.compile(r"\b(same_component|connected_components)\b")
 # graph.py defines union-find connectivity, oracles.py keeps it as the
-# reference the cut kernel is tested against, bulk.py tests fundamental
-# cycles with it, and __init__.py re-exports graph's public names.
-UNION_FIND_ALLOWED = {"graph.py", "oracles.py", "bulk.py", "__init__.py"}
+# reference the cut kernel is tested against, and __init__.py re-exports
+# graph's public names.
+UNION_FIND_ALLOWED = {"graph.py", "oracles.py", "__init__.py"}
 
 
 def test_union_find_connectivity_stays_in_the_oracle_modules():
