@@ -21,6 +21,20 @@ candidates and the p + q - t cheapest candidates, with s and t the cut's
 safe and total counts in the chosen set.  A completion repairs every packed
 cut with its own candidates, so the sum never exceeds what it adds.
 
+A flex class whose scope holds every singleton cut {v}, as an all-pairs
+(FGC) class does, adds a degree bound: half the sum, over the singleton
+cuts it finds violated, of each cut's repair cost by the same rule, over
+the undecided edges at v.  A completion repairs every such cut with edges
+at its vertex, and each edge is at two vertices, so it adds at least half
+the sum.  The DFS prunes on the larger of the two bounds; which bound runs
+is fixed once per search, so other searches run the packing alone.
+
+Both bounds are admissible: a pruned subtree holds only completions that
+the DFS's cost check would reject anyway, since the incumbent is replaced
+only on a gain above COST_EPS.  A stronger bound therefore visits fewer
+nodes but finds the same incumbents in the same order, and the answer does
+not change.
+
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.
 """
@@ -119,7 +133,8 @@ class _Checker:
 
 class _Packing:
     """Lower bound on the cost of completing a chosen set: greedy packing of
-    violated cuts with pairwise disjoint candidate sets.
+    violated cuts with pairwise disjoint candidate sets, and for spanning
+    classes a degree bound over the singleton cuts.
 
     ``order`` lists the edge ids by descending cost; at depth k the edges at
     ``order[k:]`` are undecided.  The candidates of a cut for a failure set
@@ -128,9 +143,14 @@ class _Packing:
     end, the running sums of their costs and the running unions of their
     crossing guard sets, and the positions and cost sums of the safe ones.
     The undecided candidates at depth k are a prefix of that list.
+
+    ``spanning`` holds (p, p + q) of each of the checker's ``classes`` whose
+    scope holds every singleton cut {v}.  Only then does ``vertices`` list,
+    per vertex, the field shift of its singleton cut and two tables, one for
+    its incident edges and one for its safe ones, each cheapest first.
     """
 
-    def __init__(self, g: FaultGraph, order: list[int]):
+    def __init__(self, g: FaultGraph, order: list[int], classes: list):
         self.order = order
         counts = Boundary(g)
         self.width = counts.layout.width
@@ -139,6 +159,37 @@ class _Packing:
         self.costs = [g.cost_of(eid) for eid in range(g.m)]
         self.safe = [e.safe for e in g.edges]
         self.columns: dict = {}
+        self.spanning = []
+        self.vertices = []
+        if not classes:  # no flex pair, maybe n = 1
+            return
+        # The cut {v} is named by v's own bit, and the anchor's by all the
+        # other vertices (at n = 2 both name the one cut).
+        shifts = [((1 << v) - 1) * self.width for v in range(g.n - 1)]
+        shifts.append(((1 << (g.n - 1)) - 2) * self.width)
+        singles = sum(1 << (shift + self.width - 1) for shift in set(shifts))
+        for scope, (p, q), _safe_offset, _total_offset in classes:
+            if scope & singles == singles:
+                self.spanning.append((p, p + q))
+        if self.spanning:
+            at = {eid: i for i, eid in enumerate(order)}
+            for v, shift in enumerate(shifts):
+                incident = sorted(g.incident(v), key=at.__getitem__, reverse=True)
+                safe = [eid for eid in incident if self.safe[eid]]
+                self.vertices.append((shift, *self._table(incident, at), *self._table(safe, at)))
+
+    def _table(self, edges: list[int], at: dict) -> tuple:
+        """Running cost sums of ``edges``, cheapest first, and at each depth
+        k how many of them are undecided: the undecided ones are a prefix."""
+        sums = [0.0]
+        for eid in edges:
+            sums.append(sums[-1] + self.costs[eid])
+        undecided = [0] * (len(self.order) + 1)
+        for eid in edges:
+            undecided[at[eid]] += 1
+        for k in range(len(self.order) - 1, -1, -1):
+            undecided[k] += undecided[k + 1]
+        return sums, undecided
 
     def column(self, fail: frozenset, low: int, top: int) -> tuple:
         """The candidate column of the cut whose guard is ``low``, at bit
@@ -187,6 +238,42 @@ class _Packing:
             bad &= ~hits[reach]
         return bound
 
+    def degree(self, counts: Boundary, k: int, cost_in: float, limit: float) -> float:
+        """Half the summed repair costs of the singleton cuts that a spanning
+        class finds violated in the chosen set ``counts``, summed until
+        cost_in plus the half reaches ``limit``.  A cut {v} that several
+        classes violate is charged its dearest repair."""
+        total, safe, field = counts.total, counts.safe, self.field
+        twice = 2.0 * (limit - cost_in)
+        bound = 0.0
+        for shift, sums, undecided, safe_sums, safe_undecided in self.vertices:
+            t = (total >> shift) & field
+            s = (safe >> shift) & field
+            worst = 0.0
+            for p, pq in self.spanning:
+                if t < pq and s < p:
+                    need = pq - t
+                    repair = sums[need] if need <= undecided[k] else inf
+                    need = p - s
+                    if need <= safe_undecided[k] and safe_sums[need] < repair:
+                        repair = safe_sums[need]
+                    if repair > worst:
+                        worst = repair
+            bound += worst
+            if bound >= twice:
+                break
+        return bound / 2
+
+    def spanning_bound(
+        self, counts: Boundary, k: int, violated, cost_in: float, limit: float
+    ) -> float:
+        """The larger of the degree and packing bounds; the packing is left
+        out when the degree bound alone reaches ``limit``."""
+        bound = self.degree(counts, k, cost_in, limit)
+        if cost_in + bound >= limit:
+            return bound
+        return max(bound, self.bound(counts, k, violated, cost_in, limit))
+
 
 def exact_solve(
     g: FaultGraph, problem: Problem, budget: int | None = None
@@ -213,7 +300,9 @@ def exact_solve(
 
     checker = _Checker(g, problem)
     order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
-    packing = _Packing(g, order)
+    packing = _Packing(g, order, checker.classes)
+    # Chosen once per search: only spanning classes pay for the degree bound.
+    bound = packing.spanning_bound if packing.spanning else packing.bound
     costs = packing.costs
 
     # Greedy seed: keep everything, then drop expensive edges while feasible.
@@ -247,10 +336,11 @@ def exact_solve(
             return
         # Any completion repairs each packed cut of the violated class or
         # scenario with its own undecided candidates, so it adds at least the
-        # packing bound.  A pruned subtree holds nothing cheaper than the
+        # packing bound, and for a spanning class at least the degree bound
+        # too.  A pruned subtree holds nothing cheaper than the
         # incumbent by more than COST_EPS, the only gain that replaces it.
         limit = best_cost - COST_EPS
-        if cost_in + packing.bound(checker.counts[0], k, violated, cost_in, limit) >= limit:
+        if cost_in + bound(checker.counts[0], k, violated, cost_in, limit) >= limit:
             return
         eid = order[k]
         # Exclude branch first: expensive edges drop out early.

@@ -23,7 +23,7 @@ oracles before returning, retrying with derived seeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from random import Random
 from .errors import CannotSatisfyFeasibility, ParseError
 from .graph import SAFE, UNSAFE, FaultGraph
@@ -43,15 +43,24 @@ FORMAT_VERSION = 1
 
 @dataclass(frozen=True)
 class InstanceFile:
-    """Parsed instance: graph payload plus exactly one problem block."""
+    """Parsed instance: graph payload plus exactly one problem block.
+
+    The graph is built once, on the first ``to_graph`` call (``parse`` makes
+    it to validate), and shared after that: a FaultGraph never mutates.  Its
+    slot stays out of ``__init__``, ``repr``, equality and hashing, so
+    ``dataclasses.replace`` gives a copy that builds its own.
+    """
 
     n: int
     edge_specs: tuple[tuple[int, int, float, str], ...]
     problem: Problem
     version: int = FORMAT_VERSION
+    _graph: FaultGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_graph(self) -> FaultGraph:
-        return FaultGraph(self.n, self.edge_specs)
+        if self._graph is None:
+            object.__setattr__(self, "_graph", FaultGraph(self.n, self.edge_specs))
+        return self._graph
 
 
 def serialize(inst: InstanceFile) -> str:

@@ -2,17 +2,20 @@
 
 Everything here is deliberately definitional: exhaustive enumeration over
 cuts, failure subsets, or path sets.  None of it shares code paths with the
-implementations under test.
+implementations under test; ``counting_search_calls`` only counts the exact
+search's calls.
 """
 
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
 from faultnet.bulk import HittingInstance
 from faultnet.errors import Unhittable
+from faultnet.exact import _Checker, _Packing
 from faultnet.graph import FaultGraph, same_component
 from faultnet.lp import ROW_TOL, LpRow
 from faultnet.oracles import BulkScenario
@@ -76,6 +79,28 @@ def brute_flex_feasible(g: FaultGraph, reqs, H) -> bool:
                     if crossing < req.p:
                         return False
     return True
+
+
+def global_flex_oracle(g: FaultGraph, p: int, q: int):
+    """Feasibility test for all-pairs (p, q) requirements: every vertex cut
+    keeps p edges after any q unsafe failures, that is, has p safe or p+q
+    crossing edges.  Each cut's crossing edges are an edge-id bitmask, so a
+    test costs two popcounts per cut."""
+    cuts = []
+    for mask in range(1, 1 << (g.n - 1)):
+        ids = _crossing_ids(g, range(g.m), mask)
+        cuts.append(
+            (sum(1 << eid for eid in ids), sum(1 << eid for eid in ids if g.edges[eid].safe))
+        )
+
+    def feasible(H) -> bool:
+        bits = sum(1 << eid for eid in H)
+        return all(
+            (bits & safe).bit_count() >= p or (bits & cross).bit_count() >= p + q
+            for cross, safe in cuts
+        )
+
+    return feasible
 
 
 def brute_rsndp_feasible(g: FaultGraph, reqs, H) -> bool:
@@ -363,3 +388,26 @@ def loop_separate_bulk(g: FaultGraph, scenarios, x):
         return None
     _viol, j, mask, ids = best
     return LpRow(key=("bulk", j, mask), terms=tuple((eid, 1.0) for eid in ids), rhs=1.0)
+
+
+@contextmanager
+def counting_search_calls():
+    """Counts the exact search's ``_Checker.first_bad`` and ``_Packing.bound``
+    calls while active: both are wrapped on their classes and restored on
+    exit.  Yields the dict of counts, keyed by method name."""
+    counts = {"first_bad": 0, "bound": 0}
+    first_bad, bound = _Checker.first_bad, _Packing.bound
+
+    def counted_first_bad(self, *args):
+        counts["first_bad"] += 1
+        return first_bad(self, *args)
+
+    def counted_bound(self, *args):
+        counts["bound"] += 1
+        return bound(self, *args)
+
+    _Checker.first_bad, _Packing.bound = counted_first_bad, counted_bound
+    try:
+        yield counts
+    finally:
+        _Checker.first_bad, _Packing.bound = first_bad, bound

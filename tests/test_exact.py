@@ -20,7 +20,9 @@ from oracle_utils import (
     brute_connected,
     brute_flex_feasible,
     brute_rsndp_feasible,
+    counting_search_calls,
     dijkstra_cost,
+    global_flex_oracle,
     kruskal_mst_cost,
     random_graph,
 )
@@ -177,11 +179,30 @@ def test_flex_optimum_matches_brute_force(name, seed):
     assert abs(cost - brute_minimum(g, lambda H: brute_flex_feasible(g, prob.flex, H))) < 1e-9
 
 
+# Spanning (all-pairs) classes, for which the search adds the degree bound.
+FGC_CLASSES = {"fgc20": (2, 0), "fgc21": (2, 1), "fgc30": (3, 0)}
+
+
+def _fgc_case(name, seed):
+    """The first seeded graph, with n = 5-6 and m = 10-11, whose full edge
+    set meets all-pairs requirements ``name``."""
+    n, m = 5 + seed % 2, 10 + seed % 2
+    p, q = FGC_CLASSES[name]
+    for attempt in range(100):
+        g = random_graph(1000 * seed + attempt + 7 * p + q, n, m, safe_prob=0.4)
+        feasible = global_flex_oracle(g, p, q)
+        if feasible(g.all_edge_ids()):
+            return g, Problem("flex", flex=fgc_requirements(n, p, q)), feasible
+    raise AssertionError("no feasible seeded graph")
+
+
 def _bound_case(name, seed):
     """(graph, problem, brute-force feasibility) for the admissibility test."""
     if name in FLEX_CLASSES:
         g, prob = _flex_case(name, seed)
         return g, prob, lambda H: brute_flex_feasible(g, prob.flex, H)
+    if name in FGC_CLASSES:
+        return _fgc_case(name, seed)
     params = {
         "bulk": {"problem": "bulk", "width": 2, "scenarios": 4},
         "rsndp": {"problem": "rsndp", "pairs": 2, "r": 3},
@@ -195,7 +216,9 @@ def _bound_case(name, seed):
     return g, prob, lambda H: brute_rsndp_feasible(g, prob.relative, H)
 
 
-BOUND_CASES = [(name, seed) for name in (*FLEX_CLASSES, "bulk", "rsndp") for seed in range(2)]
+BOUND_CASES = [
+    (name, seed) for name in (*FLEX_CLASSES, *FGC_CLASSES, "bulk", "rsndp") for seed in range(2)
+]
 
 
 @pytest.mark.parametrize("name, seed", BOUND_CASES, ids=[f"{n}-{s}" for n, s in BOUND_CASES])
@@ -206,9 +229,12 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
     order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
     cross = [crossed(g, (eid,)) for eid in range(g.m)]
     layout = layout_of(g)
-    checker, packing = _Checker(g, prob), _Packing(g, order)
+    checker = _Checker(g, prob)
+    packing = _Packing(g, order, checker.classes)
+    # Only the all-pairs classes hold every singleton cut in scope.
+    assert bool(packing.spanning) == (name in FGC_CLASSES)
     rng = Random(seed)
-    checked = stronger = 0
+    checked = stronger = degree_wins = 0
     for _ in range(80):
         k = rng.randrange(g.m)
         chosen = frozenset(eid for eid in order[:k] if rng.random() < 0.5)
@@ -226,6 +252,12 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
         # A finite limit stops a packing that never drops its cuts.
         bound = packing.bound(checker.counts[0], k, violated, 0.0, best + 1.0)
         assert bound <= best + 1e-9
+        if packing.spanning:
+            degree = packing.degree(checker.counts[0], k, 0.0, best + 1.0)
+            combined = packing.spanning_bound(checker.counts[0], k, violated, 0.0, best + 1.0)
+            assert degree <= best + 1e-9 and combined <= best + 1e-9
+            assert combined == max(bound, degree)
+            degree_wins += degree > bound + 1e-9
         bad, _pq, fail = violated
         low = layout.compact(bad & -bad)  # the first bad cut, as a cut set
         one_edge = min(g.cost_of(e) for e in undecided if cross[e] & low and e not in fail)
@@ -236,3 +268,69 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
         # A flex cut that needs p - s or p + q - t > 1 edges costs more than
         # its cheapest candidate: the packing must show that somewhere.
         assert stronger >= 1
+    if name in FGC_CLASSES:
+        # Violated singleton cuts whose repairs the packing cannot all count
+        # (their candidates overlap) must lift the bound somewhere.
+        assert degree_wins >= 1
+
+
+# Search work, as calls of the checker's scan (one per node and one per
+# exclusion tried) and of the packing bound (one per node that survives the
+# cost and feasibility checks).  The degree bound of spanning classes runs
+# beside the packing and is not counted here.
+def _search_calls(insts, problem_of):
+    with counting_search_calls() as counts:
+        for inst in insts:
+            exact_solve(inst.to_graph(), problem_of(inst))
+    return dict(counts)
+
+
+def _ratio_sweep_graphs():
+    """Six FGC graphs of the ratio-sweep's largest shape, n = 8, m = 18."""
+    params = {"problem": "fgc", "p": 3, "q": 2, "skeleton": "safe", "safe_prob": 0.45}
+    return [generate("random-multigraph", n=8, m=18, seed=seed, params=params) for seed in range(6)]
+
+
+@pytest.mark.parametrize(
+    "p, q, parent",
+    [
+        # Before the degree bound, these searches made 2594 first_bad and
+        # 1450 bound calls for (3, 0), the base of solve_fgc, and 2455 and
+        # 1371 for the (3, 2) baseline; with it, 1178/505 and 1119/477.
+        (3, 0, {"first_bad": 2594, "bound": 1450}),
+        (3, 2, {"first_bad": 2455, "bound": 1371}),
+    ],
+)
+def test_degree_bound_cuts_the_spanning_search(p, q, parent):
+    counts = _search_calls(
+        _ratio_sweep_graphs(), lambda inst: Problem("flex", flex=fgc_requirements(inst.n, p, q))
+    )
+    for name, calls in parent.items():
+        assert counts[name] <= 0.6 * calls
+
+
+SAME_SEARCH_SHAPES = {
+    "flex-st": {"problem": "flex-st", "p": 2, "q": 2, "skeleton": "mixed", "safe_prob": 0.45},
+    "flex-sndp": {
+        "problem": "flex-sndp", "p": 1, "q": 2, "skeleton": "mixed", "pairs": [[0, 6, 1, 2], [1, 4, 2, 1]]
+    },
+    "bulk": {"problem": "bulk", "width": 2, "scenarios": 4},
+    "rsndp": {"problem": "rsndp", "pairs": 2, "r": 2},
+}
+
+
+@pytest.mark.parametrize(
+    "name, parent",
+    [
+        # Counts from before the degree bound: no class of these problems
+        # holds every singleton cut, so the search must not change.
+        ("flex-st", {"first_bad": 505, "bound": 260}),
+        ("flex-sndp", {"first_bad": 803, "bound": 442}),
+        ("bulk", {"first_bad": 610, "bound": 314}),
+        ("rsndp", {"first_bad": 798, "bound": 415}),
+    ],
+)
+def test_other_searches_do_the_same_work(name, parent):
+    params = SAME_SEARCH_SHAPES[name]
+    insts = [generate("random-multigraph", n=7, m=14, seed=seed, params=params) for seed in range(4)]
+    assert _search_calls(insts, lambda inst: inst.problem) == parent

@@ -1,7 +1,11 @@
+from dataclasses import replace
+
 import pytest
 
+from faultnet import instances
+from faultnet.bench import run_cell
 from faultnet.errors import ParseError
-from faultnet.graph import boundary_counts
+from faultnet.graph import FaultGraph, boundary_counts
 from faultnet.instances import (
     appendix_a_instance,
     figure_1_instance,
@@ -57,6 +61,31 @@ class TestRoundTrip:
             "random-multigraph", n=6, m=12, seed=3, params={"problem": "fgc", "p": 2, "q": 1}
         )
         assert serialize(a) == serialize(b)
+
+    def test_parse_builds_the_graph_once(self, monkeypatch):
+        built = []
+
+        def counting_graph(n, specs):
+            built.append(n)
+            return FaultGraph(n, specs)
+
+        params = {"problem": "fgc", "p": 2, "q": 1}
+        text = serialize(generate("random-multigraph", n=6, m=12, seed=7, params=params))
+        monkeypatch.setattr(instances, "FaultGraph", counting_graph)
+        inst = parse(text)  # validates by building the graph
+        assert len(built) == 1
+        g = inst.to_graph()
+        assert inst.to_graph() is g and len(built) == 1
+        # One bench cell shares the parsed graph through solve and verify.
+        rec = run_cell(text, "fgc-21", "fgc", seed=0, want_exact=True)
+        assert not rec.error and rec.feasible and len(built) == 2
+        # Equality, hashing and repr ignore the cached graph, and a replaced
+        # copy builds its own.
+        twin = parse(text)
+        assert twin == inst and hash(twin) == hash(inst) and "_graph" not in repr(inst)
+        copy = replace(inst, problem=inst.problem)
+        assert copy == inst and copy.to_graph() is not g
+        assert copy.to_graph().edges == g.edges and len(built) == 4
 
     def test_parse_errors(self):
         with pytest.raises(ParseError):
