@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass
 
 from .bulk import solve_bulk_sndp, solve_flex_sndp, solve_rsndp
-from .errors import BudgetExceeded, FaultnetError
+from .errors import BudgetExceeded, FaultnetError, ParseError
 from .exact import exact_solve
 from .flexalg import (
     fgc_guarantee,
@@ -175,13 +175,44 @@ def run_cell(inst_text: str, instance_id: str, algorithm: str, seed: int, want_e
     return rec
 
 
-def _cells_of_suite(suite: dict) -> list[tuple[str, str, str, int, bool]]:
-    """Flatten a suite dict into (instance text, id, algorithm, seed, exact)."""
+def _suite_list(suite: dict, key: str, ok, what: str, default=None) -> list:
+    """``suite[key]``, which must be a list whose items all pass ``ok``."""
+    items = suite.get(key, default)
+    if not isinstance(items, list) or not all(map(ok, items)):
+        raise ParseError(f"suite {key!r} must be a list of {what}")
+    return items
+
+
+def _instance_entry(entry) -> bool:
+    return isinstance(entry, str) or (
+        isinstance(entry, dict)
+        and isinstance(entry.get("kind"), str)
+        and isinstance(entry.get("id", ""), str)
+        and all(entry.get(k) is None or type(entry[k]) is int for k in ("n", "m", "seed"))
+        and isinstance(entry.get("params", {}), dict)
+    )
+
+
+def _cells_of_suite(suite) -> list[tuple[str, str, str, int, bool]]:
+    """Flatten a suite into (instance text, id, algorithm, seed, exact).
+
+    Raises :class:`ParseError` unless the suite has the shape the README
+    documents, with every algorithm name known.
+    """
     from .instances import generate
 
-    want_exact = bool(suite.get("exact", False))
+    if not isinstance(suite, dict):
+        raise ParseError("suite must be a JSON object")
+    want_exact = suite.get("exact", False)
+    if not isinstance(want_exact, bool):
+        raise ParseError('suite "exact" must be true or false')
+    entries = _suite_list(suite, "instances", _instance_entry, "paths or generator objects")
+    algorithms = _suite_list(
+        suite, "algorithms", ALGORITHMS.__contains__, f"names from {', '.join(ALGORITHMS)}"
+    )
+    seeds = _suite_list(suite, "seeds", lambda x: type(x) is int, "integers", [0])
     insts = []
-    for entry in suite["instances"]:
+    for entry in entries:
         if isinstance(entry, str):
             with open(entry, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -197,9 +228,9 @@ def _cells_of_suite(suite: dict) -> list[tuple[str, str, str, int, bool]]:
             insts.append((entry.get("id", entry["kind"]), serialize(inst)))
     cells = []
     for inst_id, text in insts:
-        for algorithm in suite["algorithms"]:
-            for seed in suite.get("seeds", [0]):
-                cells.append((text, inst_id, algorithm, int(seed), want_exact))
+        for algorithm in algorithms:
+            for seed in seeds:
+                cells.append((text, inst_id, algorithm, seed, want_exact))
     return cells
 
 

@@ -13,14 +13,18 @@ solvers use above the exact search budget, :func:`check_uncrossable`, the
 enumerating property checker used by the structure tests, and
 :func:`exact_cover`, the shared exact set-cover search.
 
-Dual growth runs in exact rational arithmetic (floats convert exactly to
-Fraction), so tight-edge detection never drifts.
+A :class:`CutFamily` holds its members as one kernel cut set (see
+:mod:`faultnet.cuts`), so the violated members under a partial cover are
+one mask-and of cut sets, and an edge's load in the dual growth is the
+popcount of its crossing set over the active cuts.  Dual growth runs in
+exact rational arithmetic (floats convert exactly to Fraction), so
+tight-edge detection never drifts.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -31,39 +35,42 @@ from .graph import FaultGraph, VertexCut, boundary
 
 @dataclass(frozen=True, eq=False)
 class CutFamily:
-    """Intensional family of vertex cuts over a fixed partial solution.
+    """A family of vertex cuts over a fixed partial solution.
 
-    ``members`` holds every member once, in canonical orientation (s-side
-    for single-pair problems, anchor-free side for spanning ones) as sorted
-    bit masks.  ``membership`` is the raw symmetric predicate, callable on
-    any mask including non-canonical orientations; the uncrossability
-    checker uses it directly.  ``ground`` is the candidate edge set a cover
-    may buy from.
+    ``cuts`` is the family as one kernel cut set.  ``side`` orients its
+    members: each member is the side of its cut that holds vertex ``side``,
+    or the anchor-free side when ``side`` is None.  ``members`` decodes the
+    cut set once into those sides, as sorted bit masks.  ``membership`` is
+    the family's own predicate on any mask, which the uncrossability checker
+    and the ring verifier call directly.  It need not be symmetric: the stage
+    and ring families of single-pair plans accept only the s-side of a cut,
+    the spanning and ``violated_cuts_flex_aug`` families either side.
+    ``ground`` is the candidate edge set a cover may buy from.
     """
 
     graph: FaultGraph
-    members: tuple[int, ...]
+    cuts: int
     membership: Callable[[int], bool]
     ground: frozenset
     label: str = ""
+    side: int | None = None
+
+    @cached_property
+    def members(self) -> tuple[int, ...]:
+        return tuple(masks(self.graph.n, self.cuts, self.side))
 
     def boundary_in(self, mask: int, edge_ids: Iterable[int]) -> frozenset:
         return boundary(self.graph, edge_ids, mask)
 
-    def is_covered_by(self, A: Iterable[int]) -> bool:
-        return not self.violated_members(A)
-
-    def violated_members(self, A: Iterable[int]) -> list[int]:
-        """Members whose boundary misses A entirely."""
-        n = self.graph.n
-        hit = crossed(self.graph, A)
-        return [mask for mask in self.members if not (hit >> cut_index(n, mask)) & 1]
+    def violated(self, A: Iterable[int]) -> int:
+        """The cut set of members that no edge of A crosses."""
+        return self.cuts & ~crossed(self.graph, A)
 
     def minimal_violated(self, A: Iterable[int]) -> list[int]:
         """Inclusion-minimal members not yet crossed by A (pairwise
         non-nested by construction)."""
-        viol = self.violated_members(A)
-        viol.sort(key=lambda m: (bin(m).count("1"), m))
+        viol = masks(self.graph.n, self.violated(A), self.side)
+        viol.sort(key=lambda m: (m.bit_count(), m))
         minimal = []
         for mask in viol:
             if not any((prev & ~mask) == 0 for prev in minimal):
@@ -80,13 +87,7 @@ class CoverResult:
     trace: tuple[tuple[str, int], ...]
 
 
-def _costs_for(fam: CutFamily, costs) -> dict[int, Fraction]:
-    if costs is None:
-        return {eid: Fraction(fam.graph.cost_of(eid)) for eid in fam.ground}
-    return {eid: Fraction(costs[eid]) for eid in fam.ground}
-
-
-def primal_dual_cover(fam: CutFamily, costs: Mapping[int, float] | None = None) -> CoverResult:
+def primal_dual_cover(fam: CutFamily) -> CoverResult:
     """Cover the family by synchronized dual growth plus reverse delete.
 
     Duals grow uniformly on all currently minimal violated sets; the edge
@@ -95,43 +96,34 @@ def primal_dual_cover(fam: CutFamily, costs: Mapping[int, float] | None = None) 
     twice the returned dual lower bound, which itself never exceeds the
     optimum cover cost.
     """
-    cost = _costs_for(fam, costs)
-    n = fam.graph.n
-    cross = {eid: crossed(fam.graph, (eid,)) for eid in fam.ground}
-    residual = dict(cost)
-    duals: dict[int, Fraction] = {}
+    g = fam.graph
+    cross = {eid: crossed(g, (eid,)) for eid in fam.ground}
+    residual = {eid: Fraction(g.cost_of(eid)) for eid in fam.ground}
+    dual_bound = Fraction(0)
     chosen: list[int] = []
     trace: list[tuple[str, int]] = []
     while True:
-        active = fam.minimal_violated(chosen)
-        if not active:
+        minimal = fam.minimal_violated(chosen)
+        if not minimal:
             break
-        candidates = sorted(fam.ground - set(chosen))
-        # load = number of active sets an edge would cross; active sets are
-        # counted per cut, so a cut listed twice weighs two.
-        active_bits = [cut_index(n, mask) for mask in active]
-        by_multiplicity: dict[int, int] = {}  # multiplicity -> cut set
-        for bit, times in Counter(active_bits).items():
-            by_multiplicity[times] = by_multiplicity.get(times, 0) | (1 << bit)
+        active = sum(1 << cut_index(g.n, mask) for mask in minimal)
+        # load = number of active cuts an edge would cross
         loads = {}
         reached = 0
-        for eid in candidates:
+        for eid in sorted(fam.ground - set(chosen)):
             x = cross[eid]
-            load = sum(
-                times * (x & cuts).bit_count() for times, cuts in by_multiplicity.items()
-            )
+            load = (x & active).bit_count()
             if load:
                 loads[eid] = load
             reached |= x
-        for mask, bit in zip(active, active_bits):
-            if not (reached >> bit) & 1:
-                raise Uncoverable(
-                    f"violated cut {VertexCut(n, mask).vertices()} has no "
-                    f"candidate edge ({fam.label})"
-                )
+        if active & ~reached:
+            mask = masks(g.n, active & ~reached, fam.side)[0]
+            raise Uncoverable(
+                f"violated cut {VertexCut(g.n, mask).vertices()} has no "
+                f"candidate edge ({fam.label})"
+            )
         delta = min(residual[eid] / load for eid, load in loads.items())
-        for mask in active:
-            duals[mask] = duals.get(mask, Fraction(0)) + delta
+        dual_bound += delta * len(minimal)
         tight = None
         for eid in sorted(loads):
             residual[eid] -= delta * loads[eid]
@@ -143,10 +135,9 @@ def primal_dual_cover(fam: CutFamily, costs: Mapping[int, float] | None = None) 
     kept = list(chosen)
     for eid in reversed(chosen):
         trial = [x for x in kept if x != eid]
-        if fam.is_covered_by(trial):
+        if not fam.violated(trial):
             kept = trial
             trace.append(("drop", eid))
-    dual_bound = sum(duals.values(), Fraction(0))
     return CoverResult(frozenset(kept), float(dual_bound), tuple(trace))
 
 
@@ -167,7 +158,7 @@ def ecsndp_base(g: FaultGraph, reqs) -> frozenset:
         level = scope & counts.exactly(counts.total, k - 1)
         fam = CutFamily(
             graph=g,
-            members=tuple(masks(g.n, level)),
+            cuts=level,
             membership=predicate(g.n, level),
             ground=g.all_edge_ids() - F,
             label=f"ecsndp level {k}",
@@ -284,7 +275,7 @@ def _ring_verify(fam: CutFamily) -> None:
                 )
 
 
-def ring_cover_exact(fam: CutFamily, costs: Mapping[int, float] | None = None) -> frozenset:
+def ring_cover_exact(fam: CutFamily) -> frozenset:
     """Exact min-cost cover of a ring family.
 
     Verifies the ring property by enumeration, solves the covering problem
@@ -295,11 +286,7 @@ def ring_cover_exact(fam: CutFamily, costs: Mapping[int, float] | None = None) -
     if not fam.members:
         return frozenset()
     _ring_verify(fam)
-    cost = (
-        {eid: fam.graph.cost_of(eid) for eid in fam.ground}
-        if costs is None
-        else {eid: float(costs[eid]) for eid in fam.ground}
-    )
+    cost = {eid: fam.graph.cost_of(eid) for eid in fam.ground}
     ground = sorted(fam.ground)
     rows = []
     for mask in fam.members:

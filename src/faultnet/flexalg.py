@@ -21,7 +21,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .cover import CoverResult, CutFamily, ecsndp_base, primal_dual_cover, ring_cover_exact
-from .cuts import Boundary, all_cuts, masks, predicate, separating
+from .cuts import Boundary, all_cuts, cut_index, masks, predicate, separating
 from .errors import (
     BaseNotFeasible,
     InfeasibleInstance,
@@ -44,9 +44,6 @@ class PathBundle:
     @property
     def edge_sets(self) -> tuple[frozenset, ...]:
         return tuple(frozenset(p) for p in self.paths)
-
-    def __len__(self) -> int:
-        return len(self.paths)
 
 
 @dataclass(frozen=True)
@@ -210,7 +207,7 @@ def _ring_families(
     bundle = _cap_flow_bundle(g, F, plan)
     path_sets = bundle.edge_sets
     violated, counts = _violated_cuts(g, F, plan)
-    groups: dict[frozenset, list[int]] = {}
+    groups: dict[frozenset, int] = {}  # path subset -> cut set
     for mask in masks(g.n, violated & counts.exactly(counts.safe, i), plan.s):
         bnd = boundary(g, F, mask)
         opts = [
@@ -227,14 +224,14 @@ def _ring_families(
                 f"stage {i} (p={p}, q={q})"
             )
         for qs in qsets:
-            groups.setdefault(qs, []).append(mask)
+            groups[qs] = groups.get(qs, 0) | (1 << cut_index(g.n, mask))
     families = []
     ground = g.all_edge_ids() - F
     for qs in sorted(groups, key=sorted):
         Q = [bundle.paths[j] for j in sorted(qs)]
         fam = CutFamily(
             graph=g,
-            members=tuple(sorted(groups[qs])),
+            cuts=groups[qs],
             membership=(
                 lambda mask, Q=tuple(Q): membership_ciq(
                     g, mask, Q, F, p, q, plan.s, plan.t
@@ -242,6 +239,7 @@ def _ring_families(
             ),
             ground=ground,
             label=f"C_{i}^{sorted(qs)}",
+            side=plan.s,
         )
         families.append(fam)
     return families
@@ -259,10 +257,11 @@ def _stage_families(
     return [
         CutFamily(
             graph=g,
-            members=tuple(masks(g.n, violated, s)),
+            cuts=violated,
             membership=predicate(g.n, violated, s),
             ground=g.all_edge_ids() - F,
             label=f"{plan.scope}({plan.p},{plan.q}) {spec.label}",
+            side=s,
         )
     ]
 
@@ -403,32 +402,35 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
     caps = [2 if e.safe else 1 for e in g.edges]
     seed = min_cost_flow(g, caps, s, t, 4).support()
     plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
-    violated = masks(g.n, _violated_cuts(g, seed, plan)[0], s)
+    violated = _violated_cuts(g, seed, plan)[0]
     if not violated:
         return seed
     seed_caps = [caps[eid] if eid in seed else 0 for eid in range(g.m)]
     flow = min_cost_flow(g, seed_caps, s, t, 4)
     bundle = PathBundle(tuple(flow_decompose(g, flow)))
     ground = g.all_edge_ids() - seed
-    covered: set[int] = set()
+    covered = 0
     result = set(seed)
     for idx in range(3):
         Q = (bundle.paths[idx],)
-        members = tuple(
-            m for m in violated if membership_ciq(g, m, Q, seed, 2, 2, s, t)
+        cuts = sum(
+            1 << cut_index(g.n, m)
+            for m in masks(g.n, violated, s)
+            if membership_ciq(g, m, Q, seed, 2, 2, s, t)
         )
-        covered.update(members)
+        covered |= cuts
         fam = CutFamily(
             graph=g,
-            members=members,
+            cuts=cuts,
             membership=(
                 lambda mask, Q=Q: membership_ciq(g, mask, Q, seed, 2, 2, s, t)
             ),
             ground=ground,
             label=f"C_1^P{idx + 1}",
+            side=s,
         )
         result |= ring_cover_exact(fam)
-    if covered != set(violated):
+    if covered != violated:
         raise StageCoverFailed(
             "some violated cut escaped the three path-indexed ring families"
         )

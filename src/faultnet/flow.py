@@ -40,6 +40,24 @@ def _normalize_caps(g: FaultGraph, cap) -> list[int]:
     return [int(c) for c in caps]
 
 
+def _augment(g: FaultGraph, caps, flow: list[int], parent, s: int, t: int, limit) -> int:
+    """Push the bottleneck residual, at most ``limit``, along the ``parent``
+    path from s to t (``parent[y]`` is the (edge id, tail) arc into y);
+    returns the amount pushed."""
+    arcs = []
+    y = t
+    while y != s:
+        eid, x = parent[y]
+        arcs.append((eid, x == g.edges[eid].u))
+        y = x
+    bottleneck = min(
+        limit, *(caps[eid] - flow[eid] if fwd else caps[eid] + flow[eid] for eid, fwd in arcs)
+    )
+    for eid, fwd in arcs:
+        flow[eid] += bottleneck if fwd else -bottleneck
+    return bottleneck
+
+
 def max_flow_min_cut(g: FaultGraph, cap, s: int, t: int) -> tuple[int, Flow, VertexCut]:
     """Edmonds-Karp max flow with the residual-reachable minimum cut.
 
@@ -71,22 +89,7 @@ def max_flow_min_cut(g: FaultGraph, cap, s: int, t: int) -> tuple[int, Flow, Ver
                     queue.append(y)
         if parent[t] is None:
             break
-        # Bottleneck along the found path.
-        bottleneck = None
-        y = t
-        while y != s:
-            eid, x = parent[y]
-            e = edges[eid]
-            residual = caps[eid] - flow[eid] if x == e.u else caps[eid] + flow[eid]
-            bottleneck = residual if bottleneck is None else min(bottleneck, residual)
-            y = x
-        y = t
-        while y != s:
-            eid, x = parent[y]
-            e = edges[eid]
-            flow[eid] += bottleneck if x == e.u else -bottleneck
-            y = x
-        value += bottleneck
+        value += _augment(g, caps, flow, parent, s, t, float("inf"))
     # Min cut: vertices reachable from s in the final residual network.
     reach = 1 << s
     queue = deque([s])
@@ -158,21 +161,7 @@ def min_cost_flow(g: FaultGraph, cap, s: int, t: int, demand: int) -> Flow:
         for v in range(g.n):
             if dist[v] < INF:
                 potential[v] += dist[v]
-        bottleneck = remaining
-        y = t
-        while y != s:
-            eid, x = parent[y]
-            e = edges[eid]
-            residual = caps[eid] - flow[eid] if x == e.u else caps[eid] + flow[eid]
-            bottleneck = min(bottleneck, residual)
-            y = x
-        y = t
-        while y != s:
-            eid, x = parent[y]
-            e = edges[eid]
-            flow[eid] += bottleneck if x == e.u else -bottleneck
-            y = x
-        remaining -= bottleneck
+        remaining -= _augment(g, caps, flow, parent, s, t, remaining)
     return Flow(s, t, demand, tuple(flow))
 
 
@@ -191,8 +180,14 @@ def _flow_arcs(g: FaultGraph, amounts: list[int]) -> dict[int, list[tuple[int, i
     return out
 
 
-def _decompose_walks(g: FaultGraph, f: Flow) -> list[list[tuple[int, bool]]]:
-    """Unit s-t paths as (edge id, traversed-forward) lists."""
+def flow_decompose(g: FaultGraph, f: Flow) -> list[tuple[int, ...]]:
+    """Split an integral flow into ``f.value`` unit s-t paths of edge ids.
+
+    Paths come out shortest-hop first with edge-id tie-breaks, so the
+    decomposition is canonical.  Any directed flow cycles carry no s-t value
+    and are discarded (equivalent to cancelling them first); the multiset
+    union of path edges then consumes the cycle-free flow exactly.
+    """
     for a in f.amounts:
         if a != int(a):
             raise NonIntegralFlow(f"edge amount {a} is not integral")
@@ -216,22 +211,10 @@ def _decompose_walks(g: FaultGraph, f: Flow) -> list[list[tuple[int, bool]]]:
         path = []
         y = f.sink
         while y != f.source:
-            eid, x = parent[y]
-            path.append((eid, amounts[eid] > 0))
-            y = x
+            eid, y = parent[y]
+            path.append(eid)
         path.reverse()
-        for eid, _fwd in path:
+        for eid in path:
             amounts[eid] += -1 if amounts[eid] > 0 else 1
-        paths.append(path)
+        paths.append(tuple(path))
     return paths
-
-
-def flow_decompose(g: FaultGraph, f: Flow) -> list[tuple[int, ...]]:
-    """Split an integral flow into ``f.value`` unit s-t paths of edge ids.
-
-    Paths come out shortest-hop first with edge-id tie-breaks, so the
-    decomposition is canonical.  Any directed flow cycles carry no s-t value
-    and are discarded (equivalent to cancelling them first); the multiset
-    union of path edges then consumes the cycle-free flow exactly.
-    """
-    return [tuple(eid for eid, _fwd in path) for path in _decompose_walks(g, f)]

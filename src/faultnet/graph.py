@@ -125,10 +125,6 @@ class FaultGraph:
     def total_cost(self, edge_ids: Iterable[int]) -> float:
         return sum(self.edges[eid].cost for eid in edge_ids)
 
-    def other_end(self, eid: int, v: int) -> int:
-        e = self.edges[eid]
-        return e.v if v == e.u else e.u
-
     def __repr__(self) -> str:
         return f"FaultGraph(n={self.n}, m={self.m})"
 

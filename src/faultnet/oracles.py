@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .cover import CutFamily
-from .cuts import Boundary, first_mask, masks, predicate, separating
+from .cuts import Boundary, first_mask, predicate, separating
 from .errors import (
     BaseNotFeasible,
     EnumerationTooLarge,
@@ -256,15 +256,13 @@ def violated_cuts_flex_aug(
     for r in reqs:
         if r.q >= 1:
             violated |= separating(g.n, r.s, r.t) & counts.tight(r.p, r.q)
-    s = reqs[0].s if len(reqs) == 1 else None
-    members = tuple(masks(g.n, violated, s))
-    ground = g.all_edge_ids() - F1
     return CutFamily(
         graph=g,
-        members=members,
+        cuts=violated,
         membership=predicate(g.n, violated),
-        ground=ground,
+        ground=g.all_edge_ids() - F1,
         label=f"flex-aug({len(reqs)} reqs)",
+        side=reqs[0].s if len(reqs) == 1 else None,
     )
 
 

@@ -3,20 +3,24 @@
 Everything here is deliberately definitional: exhaustive enumeration over
 cuts, failure subsets, or path sets.  None of it shares code paths with the
 implementations under test; ``counting_search_calls`` only counts the exact
-search's calls.
+search's calls, and ``list_primal_dual_cover`` keeps the cover engine's
+earlier member-list form as its reference.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
 from faultnet.bulk import HittingInstance
-from faultnet.errors import Unhittable
+from faultnet.cover import CoverResult
+from faultnet.cuts import crossed, cut_index
+from faultnet.errors import Uncoverable, Unhittable
 from faultnet.exact import _Checker, _Packing
-from faultnet.graph import FaultGraph, same_component
+from faultnet.graph import FaultGraph, VertexCut, same_component
 from faultnet.lp import ROW_TOL, LpRow
 from faultnet.oracles import BulkScenario
 
@@ -199,6 +203,79 @@ def brute_set_cover(rows, costs):
                 if best is None or cost < best[0] - 1e-12:
                     best = (cost, frozenset(combo))
     return best
+
+
+def _violated_members(fam, A) -> list[int]:
+    """Members of ``fam.members`` whose boundary misses A entirely."""
+    n = fam.graph.n
+    hit = crossed(fam.graph, A)
+    return [mask for mask in fam.members if not (hit >> cut_index(n, mask)) & 1]
+
+
+def _minimal_violated(fam, A) -> list[int]:
+    viol = _violated_members(fam, A)
+    viol.sort(key=lambda m: (bin(m).count("1"), m))
+    minimal = []
+    for mask in viol:
+        if not any((prev & ~mask) == 0 for prev in minimal):
+            minimal.append(mask)
+    return minimal
+
+
+def list_primal_dual_cover(fam) -> CoverResult:
+    """The primal-dual cover over the member list: per-mask duals, and loads
+    summed over multiplicity planes (a cut listed twice weighs two).  The
+    reference for ``faultnet.cover.primal_dual_cover``."""
+    cost = {eid: Fraction(fam.graph.cost_of(eid)) for eid in fam.ground}
+    n = fam.graph.n
+    cross = {eid: crossed(fam.graph, (eid,)) for eid in fam.ground}
+    residual = dict(cost)
+    duals: dict[int, Fraction] = {}
+    chosen: list[int] = []
+    trace: list[tuple[str, int]] = []
+    while True:
+        active = _minimal_violated(fam, chosen)
+        if not active:
+            break
+        candidates = sorted(fam.ground - set(chosen))
+        active_bits = [cut_index(n, mask) for mask in active]
+        by_multiplicity: dict[int, int] = {}  # multiplicity -> cut set
+        for bit, times in Counter(active_bits).items():
+            by_multiplicity[times] = by_multiplicity.get(times, 0) | (1 << bit)
+        loads = {}
+        reached = 0
+        for eid in candidates:
+            x = cross[eid]
+            load = sum(
+                times * (x & cuts).bit_count() for times, cuts in by_multiplicity.items()
+            )
+            if load:
+                loads[eid] = load
+            reached |= x
+        for mask, bit in zip(active, active_bits):
+            if not (reached >> bit) & 1:
+                raise Uncoverable(
+                    f"violated cut {VertexCut(n, mask).vertices()} has no "
+                    f"candidate edge ({fam.label})"
+                )
+        delta = min(residual[eid] / load for eid, load in loads.items())
+        for mask in active:
+            duals[mask] = duals.get(mask, Fraction(0)) + delta
+        tight = None
+        for eid in sorted(loads):
+            residual[eid] -= delta * loads[eid]
+            if residual[eid] <= 0 and tight is None:
+                tight = eid
+        chosen.append(tight)
+        trace.append(("add", tight))
+    kept = list(chosen)
+    for eid in reversed(chosen):
+        trial = [x for x in kept if x != eid]
+        if not _violated_members(fam, trial):
+            kept = trial
+            trace.append(("drop", eid))
+    dual_bound = sum(duals.values(), Fraction(0))
+    return CoverResult(frozenset(kept), float(dual_bound), tuple(trace))
 
 
 def kruskal_mst_cost(g: FaultGraph) -> float:

@@ -209,6 +209,35 @@ class TestCli:
         assert captured.err.startswith("parse error:")
 
     @pytest.mark.parametrize(
+        "suite",
+        [
+            # Each used to end in a traceback with exit 1: KeyError,
+            # AttributeError and three TypeErrors.
+            {},
+            [],
+            {"instances": 3, "algorithms": ["exact"]},
+            {"instances": [7], "algorithms": ["exact"]},
+            {
+                "instances": [{"kind": "random-multigraph", "n": 5, "m": 8, "params": 3}],
+                "algorithms": ["exact"],
+            },
+            # Used to become one error row per cell.
+            {"instances": [{"kind": "figure-1"}], "algorithms": ["fastest"]},
+        ],
+        ids=["empty", "list", "instances-int", "entry-int", "params-int", "unknown-algorithm"],
+    )
+    def test_malformed_suite_is_a_parse_error(self, tmp_path, capsys, suite):
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps(suite))
+        out = tmp_path / "run.csv"
+        assert main(["bench", str(path), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("parse error:")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "pair", [[0, 9, 1, 1], [2, 2, 1, 1]], ids=["out-of-range", "s-equals-t"]
     )
     def test_gen_rejects_bad_flex_sndp_pair(self, tmp_path, capsys, pair):

@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from faultnet import cover
 from faultnet.cover import (
     CutFamily,
     check_uncrossable,
@@ -11,9 +12,10 @@ from faultnet.cover import (
     ring_cover_exact,
     uncross_pair_ok,
 )
+from faultnet.cuts import cut_index
 from faultnet.errors import NotRingFamily, Uncoverable
 from faultnet.exact import exact_solve
-from faultnet.flexalg import make_fgc_plan, _stage_families
+from faultnet.flexalg import make_fgc_plan, _stage_families, solve_fgc
 from faultnet.graph import FaultGraph, boundary_counts
 from faultnet.instances import (
     figure_1_instance,
@@ -27,18 +29,108 @@ from faultnet.oracles import (
     fgc_requirements,
     violated_cuts_flex_aug,
 )
-from oracle_utils import brute_set_cover
+from oracle_utils import brute_set_cover, list_primal_dual_cover
+from test_acceptance import FALLBACK_CONFIGS, _fgc_inst, _ratio_shape
 
 
-def family_from_members(g, members, ground=None):
+def family_from_members(g, members, ground=None, side=None):
+    """The family of the given masks, all oriented by ``side`` (the side
+    holding that vertex, or the anchor-free side when None)."""
     mem = frozenset(members)
-    return CutFamily(
+    cuts = 0
+    for mask in mem:
+        cuts |= 1 << cut_index(g.n, mask)
+    fam = CutFamily(
         graph=g,
-        members=tuple(sorted(mem)),
+        cuts=cuts,
         membership=lambda mask: mask in mem,
         ground=frozenset(ground if ground is not None else g.all_edge_ids()),
         label="test",
+        side=side,
     )
+    assert fam.members == tuple(sorted(mem))
+    return fam
+
+
+def single_member_family():
+    g = FaultGraph(
+        3, [(0, 1, 5.0, "safe"), (0, 1, 2.0, "safe"), (1, 2, 1.0, "safe")]
+    )
+    return family_from_members(g, {0b001})
+
+
+def uncoverable_family():
+    g = FaultGraph(3, [(0, 1, 1.0, "safe"), (1, 2, 1.0, "safe")])
+    return family_from_members(g, {0b001}, ground={1})  # edge 1 misses the cut
+
+
+def nested_chain_family():
+    # chain 0-1-2-3 plus a long chord 0-3; nested cuts {0},{0,1},{0,1,2}
+    g = FaultGraph(
+        4,
+        [
+            (0, 1, 3.0, "safe"),
+            (1, 2, 4.0, "safe"),
+            (2, 3, 5.0, "safe"),
+            (0, 3, 2.0, "safe"),
+        ],
+    )
+    return family_from_members(g, {0b0001, 0b0011, 0b0111}, ground={3}, side=0)
+
+
+def two_minimal_family():
+    g = FaultGraph(4, [(0, 1, 1, "safe"), (1, 2, 1, "safe"), (2, 3, 1, "safe")])
+    return family_from_members(g, {0b0001, 0b0100})
+
+
+def closure_failing_family():
+    # properly intersecting members whose intersection is missing
+    g = FaultGraph(4, [(0, 1, 1, "safe"), (1, 2, 1, "safe"), (2, 3, 1, "safe"), (0, 3, 1, "safe")])
+    return family_from_members(g, {0b0001, 0b0011, 0b1001}, side=0)
+
+
+def path_ring_families(seed):
+    """Ring subfamilies harvested from a real (2, 2) single-pair seed: the
+    violated cuts of the flow seed, split by the first three flow paths."""
+    from faultnet.flexalg import StagePlan, _violated_membership, membership_ciq
+    from faultnet.flow import flow_decompose, min_cost_flow
+    from faultnet.graph import st_cut_masks
+
+    inst = generate(
+        "random-multigraph",
+        n=6,
+        m=16,
+        seed=seed,
+        params={
+            "problem": "flex-st",
+            "p": 2,
+            "q": 2,
+            "skeleton": "mixed",
+            "safe_prob": 0.3,
+        },
+    )
+    g = inst.to_graph()
+    caps = [2 if e.safe else 1 for e in g.edges]
+    seed_set = min_cost_flow(g, caps, 0, 5, 4).support()
+    plan = StagePlan(p=2, q=2, scope="st", s=0, t=5)
+    membership = _violated_membership(g, seed_set, plan)
+    violated = [m for m in st_cut_masks(g.n, 0, 5) if membership(m)]
+    if not violated:
+        return []
+    seed_caps = [caps[eid] if eid in seed_set else 0 for eid in range(g.m)]
+    paths = flow_decompose(g, min_cost_flow(g, seed_caps, 0, 5, 4))
+    ground = g.all_edge_ids() - seed_set
+    families = []
+    for idx in range(3):
+        Q = (paths[idx],)
+        members = [
+            m
+            for m in violated
+            if membership_ciq(g, m, Q, seed_set, 2, 2, 0, 5)
+        ]
+        if members:
+            families.append(family_from_members(g, members, ground=ground, side=0))
+    return families
 
 
 def family_rows(fam):
@@ -62,10 +154,7 @@ def fgc_instance(seed, n=6, m=14, p=2, q=2, skeleton="mixed"):
 
 class TestPrimalDual:
     def test_single_member_picks_cheapest_crossing_edge(self):
-        g = FaultGraph(
-            3, [(0, 1, 5.0, "safe"), (0, 1, 2.0, "safe"), (1, 2, 1.0, "safe")]
-        )
-        fam = family_from_members(g, {0b001})
+        fam = single_member_family()
         result = primal_dual_cover(fam)
         assert result.edges == {1}
         assert result.dual_lower_bound == 2.0
@@ -110,71 +199,21 @@ class TestPrimalDual:
                 assert fam.minimal_violated(result.edges - {eid}) != []
 
     def test_uncoverable(self):
-        g = FaultGraph(3, [(0, 1, 1.0, "safe"), (1, 2, 1.0, "safe")])
-        fam = family_from_members(g, {0b001}, ground={1})  # edge 1 misses the cut
         with pytest.raises(Uncoverable):
-            primal_dual_cover(fam)
+            primal_dual_cover(uncoverable_family())
 
 
 class TestRingCoverExact:
     def test_nested_chain_shared_edge(self):
-        # chain 0-1-2-3 plus a long chord 0-3; nested cuts {0},{0,1},{0,1,2}
-        g = FaultGraph(
-            4,
-            [
-                (0, 1, 3.0, "safe"),
-                (1, 2, 4.0, "safe"),
-                (2, 3, 5.0, "safe"),
-                (0, 3, 2.0, "safe"),
-            ],
-        )
-        fam = family_from_members(g, {0b0001, 0b0011, 0b0111}, ground={3})
-        assert ring_cover_exact(fam) == {3}
+        assert ring_cover_exact(nested_chain_family()) == {3}
 
     def test_path_families_match_brute_force_ilp(self):
         # Ring subfamilies harvested from real (2, 2) single-pair seeds:
         # the exact cover must equal the subset-enumeration ILP optimum.
-        from faultnet.flexalg import StagePlan, _violated_membership, membership_ciq
-        from faultnet.flow import flow_decompose, min_cost_flow
-
         checked = 0
         for seed in range(20):
-            inst = generate(
-                "random-multigraph",
-                n=6,
-                m=16,
-                seed=seed,
-                params={
-                    "problem": "flex-st",
-                    "p": 2,
-                    "q": 2,
-                    "skeleton": "mixed",
-                    "safe_prob": 0.3,
-                },
-            )
-            g = inst.to_graph()
-            caps = [2 if e.safe else 1 for e in g.edges]
-            seed_set = min_cost_flow(g, caps, 0, 5, 4).support()
-            plan = StagePlan(p=2, q=2, scope="st", s=0, t=5)
-            membership = _violated_membership(g, seed_set, plan)
-            from faultnet.graph import st_cut_masks
-
-            violated = [m for m in st_cut_masks(g.n, 0, 5) if membership(m)]
-            if not violated:
-                continue
-            seed_caps = [caps[eid] if eid in seed_set else 0 for eid in range(g.m)]
-            paths = flow_decompose(g, min_cost_flow(g, seed_caps, 0, 5, 4))
-            ground = g.all_edge_ids() - seed_set
-            for idx in range(3):
-                Q = (paths[idx],)
-                members = [
-                    m
-                    for m in violated
-                    if membership_ciq(g, m, Q, seed_set, 2, 2, 0, 5)
-                ]
-                if not members:
-                    continue
-                fam = family_from_members(g, members, ground=ground)
+            for fam in path_ring_families(seed):
+                g = fam.graph
                 got = ring_cover_exact(fam)
                 rows = family_rows(fam)
                 best = brute_set_cover(
@@ -187,23 +226,16 @@ class TestRingCoverExact:
         assert checked >= 3
 
     def test_not_ring_family_two_minimal(self):
-        g = FaultGraph(4, [(0, 1, 1, "safe"), (1, 2, 1, "safe"), (2, 3, 1, "safe")])
-        fam = family_from_members(g, {0b0001, 0b0100})
         with pytest.raises(NotRingFamily):
-            ring_cover_exact(fam)
+            ring_cover_exact(two_minimal_family())
 
     def test_not_ring_family_closure(self):
-        # properly intersecting members whose intersection is missing
-        g = FaultGraph(4, [(0, 1, 1, "safe"), (1, 2, 1, "safe"), (2, 3, 1, "safe"), (0, 3, 1, "safe")])
-        fam = family_from_members(g, {0b0001, 0b0011, 0b1001})
         with pytest.raises(NotRingFamily):
-            ring_cover_exact(fam)
+            ring_cover_exact(closure_failing_family())
 
     def test_uncoverable_member(self):
-        g = FaultGraph(3, [(0, 1, 1.0, "safe"), (1, 2, 1.0, "safe")])
-        fam = family_from_members(g, {0b001}, ground={1})
         with pytest.raises(Uncoverable):
-            ring_cover_exact(fam)
+            ring_cover_exact(uncoverable_family())
 
 
 class TestExactCover:
@@ -308,3 +340,74 @@ class TestUncrossable:
                 ok, _ = check_uncrossable(fam)
                 assert ok
                 F = F | primal_dual_cover(fam).edges
+
+
+def assert_matches_list_reference(fam):
+    """The cover of ``fam`` equals the member-list reference exactly: the
+    same edges, the same dual bound as a float (``==``), the same trace."""
+    try:
+        want = list_primal_dual_cover(fam)
+    except Uncoverable:
+        with pytest.raises(Uncoverable):
+            primal_dual_cover(fam)
+        return None
+    got = primal_dual_cover(fam)
+    assert got.edges == want.edges, fam.label
+    assert got.dual_lower_bound == want.dual_lower_bound, fam.label
+    assert got.trace == want.trace, fam.label
+    return got
+
+
+class TestListReference:
+    """``primal_dual_cover`` on a cut set against the member-list reference
+    with per-mask duals and multiplicity planes."""
+
+    def test_hand_built_families(self):
+        families = [
+            single_member_family(),
+            uncoverable_family(),
+            nested_chain_family(),
+            two_minimal_family(),
+            closure_failing_family(),
+        ]
+        for seed in range(20):
+            families += path_ring_families(seed)
+        covered = [assert_matches_list_reference(fam) for fam in families]
+        assert sum(r is not None for r in covered) >= 10
+        assert covered[1] is None  # the uncoverable family raises in both
+
+    def test_stage_families_of_fgc_plans(self):
+        compared = drops = 0
+        for p, q in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 2), (4, 3)]:
+            plan = make_fgc_plan(p, q)
+            for seed in range(8):
+                g = fgc_instance(seed + 100 * p + 10 * q, p=p, q=q)
+                F = solve_fgc(g, p, q - 1)
+                for spec in plan.stages:
+                    for fam in _stage_families(g, F, plan, spec):
+                        result = assert_matches_list_reference(fam)
+                        F = F | result.edges
+                        compared += bool(fam.members)
+                        drops += any(step == "drop" for step, _eid in result.trace)
+        assert compared >= 50
+        assert drops >= 1
+
+    def test_every_fallback_base_level(self):
+        # The criterion-2 fallback instances, with the exact search budget
+        # at 0 so that solve_fgc runs cover.ecsndp_base.
+        levels = []
+
+        def checked(fam):
+            levels.append(fam.label)
+            return assert_matches_list_reference(fam)
+
+        for p, q in FALLBACK_CONFIGS:
+            for idx in range(10):
+                n, m, skeleton = _ratio_shape("fgc", p, q, idx)
+                g = _fgc_inst(idx * 7919 + p * 131 + q * 17, p, q, n, m, skeleton).to_graph()
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setenv("FAULTNET_EXACT_BUDGET", "0")
+                    mp.setattr(cover, "primal_dual_cover", checked)
+                    solve_fgc(g, p, q)
+        assert all(label.startswith("ecsndp level") for label in levels)
+        assert len(levels) == sum(p for p, _q in FALLBACK_CONFIGS) * 10
