@@ -32,7 +32,7 @@ from .flexalg import (
     solve_flex_st,
     solve_flex_st_22,
 )
-from .instances import InstanceFile, parse, serialize
+from .instances import InstanceFile, parse, read_text, serialize
 from .oracles import check_problem_feasible
 
 CSV_HEADER = "instance,algorithm,seed,cost,exact_opt,ratio,feasible,guarantee,wall_ms,error"
@@ -214,9 +214,7 @@ def _cells_of_suite(suite) -> list[tuple[str, str, str, int, bool]]:
     insts = []
     for entry in entries:
         if isinstance(entry, str):
-            with open(entry, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            insts.append((entry, text))
+            insts.append((entry, read_text(entry)))
         else:
             inst = generate(
                 entry["kind"],

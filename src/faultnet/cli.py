@@ -21,7 +21,7 @@ from .errors import (
     ParseError,
 )
 from .gap import gap_experiment
-from .instances import generate, parse, serialize
+from .instances import generate, parse, read_text, serialize
 from .lp import solve_problem_lp
 from .oracles import check_problem_feasible
 
@@ -31,8 +31,7 @@ EXIT_PARSE = 4
 
 
 def _read_instance(path: str):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    return parse(read_text(path))
 
 
 def _read_solution(path: str, m: int) -> frozenset:
@@ -146,7 +145,10 @@ def cmd_gen(args) -> int:
 
 def cmd_bench(args) -> int:
     with open(args.suite, "r", encoding="utf-8") as fh:
-        suite = json.load(fh)
+        try:
+            suite = json.load(fh)
+        except ValueError as exc:
+            raise ParseError(f"suite is not JSON: {exc}") from exc
     records, csv_text, code = bench_mod.bench(
         suite,
         jobs=args.jobs,

@@ -31,6 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .cuts import Boundary, crossed, cut_index, masks, predicate, separating
 from .errors import NotRingFamily, Uncoverable
 from .graph import FaultGraph, VertexCut, boundary
+from .simplex import SimplexStatus, solve_dense_lp
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,13 +308,11 @@ def ring_cover_exact(fam: CutFamily) -> frozenset:
 
 
 def _covering_lp_bound(rows: Sequence[frozenset], costs: Mapping[int, float]) -> float:
-    from .simplex import SimplexStatus, solve_dense_lp
-
     universe = sorted(set().union(*rows))
     col = {e: j for j, e in enumerate(universe)}
     obj = [costs[e] for e in universe]
     lp_rows = [([(col[e], 1.0) for e in sorted(r)], 1.0) for r in rows]
-    status, x, objective = solve_dense_lp(obj, lp_rows, upper_bounds=1.0)
+    status, x, objective = solve_dense_lp(obj, lp_rows)
     if status is not SimplexStatus.OPTIMAL:
         raise Uncoverable("covering LP infeasible")
     return objective

@@ -36,17 +36,6 @@ from .oracles import FlexRequirement, Problem, fgc_requirements, is_flex_feasibl
 
 
 @dataclass(frozen=True)
-class PathBundle:
-    """Unit s-t paths from a flow decomposition, with their edge sets."""
-
-    paths: tuple[tuple[int, ...], ...]
-
-    @property
-    def edge_sets(self) -> tuple[frozenset, ...]:
-        return tuple(frozenset(p) for p in self.paths)
-
-
-@dataclass(frozen=True)
 class StageSpec:
     label: str
     safe_count: int | None  # None = all violated cuts as one family
@@ -184,14 +173,14 @@ def _enumerate_matchings(edge_opts: list[list[int]]) -> list[frozenset]:
     return sorted(results, key=sorted)
 
 
-def _cap_flow_bundle(g: FaultGraph, F: frozenset, plan: StagePlan) -> PathBundle:
-    """Decomposed flow of value p(p+q) inside (V, F) under the stage caps."""
+def _cap_flow_paths(g: FaultGraph, F: frozenset, plan: StagePlan) -> list[tuple[int, ...]]:
+    """Unit s-t paths of a flow of value p(p+q) inside (V, F) under the stage caps."""
     p, q = plan.p, plan.q
     caps = [0] * g.m
     for eid in F:
         caps[eid] = p + q if g.edges[eid].safe else p
     flow = min_cost_flow(g, caps, plan.s, plan.t, p * (p + q))
-    return PathBundle(tuple(flow_decompose(g, flow)))
+    return flow_decompose(g, flow)
 
 
 def _ring_families(
@@ -204,8 +193,8 @@ def _ring_families(
     construction cannot cover the family and is reported, not papered over.
     """
     p, q = plan.p, plan.q
-    bundle = _cap_flow_bundle(g, F, plan)
-    path_sets = bundle.edge_sets
+    paths = _cap_flow_paths(g, F, plan)
+    path_sets = [frozenset(path) for path in paths]
     violated, counts = _violated_cuts(g, F, plan)
     groups: dict[frozenset, int] = {}  # path subset -> cut set
     for mask in masks(g.n, violated & counts.exactly(counts.safe, i), plan.s):
@@ -228,7 +217,7 @@ def _ring_families(
     families = []
     ground = g.all_edge_ids() - F
     for qs in sorted(groups, key=sorted):
-        Q = [bundle.paths[j] for j in sorted(qs)]
+        Q = [paths[j] for j in sorted(qs)]
         fam = CutFamily(
             graph=g,
             cuts=groups[qs],
@@ -407,12 +396,12 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
         return seed
     seed_caps = [caps[eid] if eid in seed else 0 for eid in range(g.m)]
     flow = min_cost_flow(g, seed_caps, s, t, 4)
-    bundle = PathBundle(tuple(flow_decompose(g, flow)))
+    paths = flow_decompose(g, flow)
     ground = g.all_edge_ids() - seed
     covered = 0
     result = set(seed)
     for idx in range(3):
-        Q = (bundle.paths[idx],)
+        Q = (paths[idx],)
         cuts = sum(
             1 << cut_index(g.n, m)
             for m in masks(g.n, violated, s)

@@ -86,6 +86,15 @@ def serialize(inst: InstanceFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_text(path: str) -> str:
+    """The text of an instance file; ParseError unless it is UTF-8."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8: {exc}") from exc
+
+
 def parse(text: str) -> InstanceFile:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -318,8 +327,14 @@ def _random_problem(rng: Random, g: FaultGraph, params: dict) -> Problem:
             flex=(FlexRequirement(0, n - 1, params.get("p", 1), params.get("q", 0)),),
         )
     if target == "flex-sndp":
+        pairs = params.get("pairs")
+        if not isinstance(pairs, (list, tuple)) or not all(
+            isinstance(r, (list, tuple)) and len(r) == 4 and all(type(v) is int for v in r)
+            for r in pairs
+        ):
+            raise ValueError(f"flex-sndp pairs must be a list of [s, t, p, q] integers, got {pairs!r}")
         reqs = []
-        for s, t, p, q in params["pairs"]:
+        for s, t, p, q in pairs:
             if not (0 <= s < n and 0 <= t < n) or s == t:
                 raise ValueError(
                     f"flex-sndp pair ({s}, {t}) is not two distinct vertices of 0..{n - 1}"
@@ -353,6 +368,8 @@ def _random_problem(rng: Random, g: FaultGraph, params: dict) -> Problem:
     if target == "rsndp":
         reqs = []
         count = params.get("pairs", 2)
+        if count > n * (n - 1) // 2:
+            raise ValueError(f"rsndp pairs={count} exceeds the {n * (n - 1) // 2} vertex pairs")
         r = params.get("r", 2)
         seen = set()
         while len(reqs) < count:
@@ -367,6 +384,24 @@ def _random_problem(rng: Random, g: FaultGraph, params: dict) -> Problem:
 
 
 MAX_GENERATE_ATTEMPTS = 200
+# Generator parameters that must be integers; "pairs" is one too when it is
+# a count (bulk and rsndp), not flex-sndp's list of requirements.
+_INT_PARAMS = ("p", "q", "k", "r", "width", "scenarios")
+
+
+def _checked_params(params) -> dict:
+    """A copy of the generator parameters; ValueError for a shape they cannot have."""
+    if params is None:
+        return {}
+    if not isinstance(params, dict):
+        raise ValueError(f"generator parameters must be an object, got {params!r}")
+    ints = _INT_PARAMS + (("pairs",) if params.get("problem") in ("bulk", "rsndp") else ())
+    for key in ints:
+        if key in params and type(params[key]) is not int:
+            raise ValueError(f"parameter {key!r} must be an integer, got {params[key]!r}")
+    if "safe_prob" in params and type(params["safe_prob"]) not in (int, float):
+        raise ValueError(f"parameter 'safe_prob' must be a number, got {params['safe_prob']!r}")
+    return dict(params)
 
 
 def generate(
@@ -382,9 +417,9 @@ def generate(
     params["problem"]), appendix-a (params["k"]), figure-1, figure-3,
     figure-4.
     """
-    params = dict(params or {})
+    params = _checked_params(params)
     if kind == "appendix-a":
-        return appendix_a_instance(int(params.get("k", 2)))
+        return appendix_a_instance(params.get("k", 2))
     if kind == "figure-1":
         return figure_1_instance()
     if kind == "figure-3":

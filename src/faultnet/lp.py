@@ -9,9 +9,11 @@ The flexible-connectivity relaxation has two row families over x_e in [0,1]:
 The bulk relaxation has one family: for each scenario (F_j, K_j) and cut S
 separating one of its pairs, x(delta(S) - F_j) >= 1.
 
-Rows are generated lazily: the driver alternates the in-repo simplex with
-a separator until no violated row remains, re-optimising each round by dual
-simplex from the last optimal basis.  Separation works by exhaustive
+Both relaxations are solved by the package's one simplex method, the dual
+simplex of ``faultnet.simplex``: ``solve_lp`` adds a model's rows to it at
+once, and the cutting-plane driver adds them lazily, alternating it with a
+separator until no violated row remains and re-optimising each round from
+the last optimal basis.  Separation works by exhaustive
 sweep over canonical cuts (the polynomial-time enumeration device the desk
 scale replaces) with the exact prefix rule for choosing B: a cut is violated
 for some B iff it is violated for the q unsafe boundary edges of largest
@@ -94,7 +96,7 @@ def solve_lp(model: LinearProgramModel) -> FractionalSolution:
     g = model.g
     obj = [e.cost for e in g.edges]
     rows = [(list(r.terms), r.rhs) for r in model.rows]
-    status, x, objective = solve_dense_lp(obj, rows, upper_bounds=1.0)
+    status, x, objective = solve_dense_lp(obj, rows)
     if status is not SimplexStatus.OPTIMAL:
         raise LpInfeasible(f"simplex returned {status}")
     return FractionalSolution(tuple(x), objective, rounds=0, separation_clean=False)

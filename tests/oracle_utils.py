@@ -3,8 +3,10 @@
 Everything here is deliberately definitional: exhaustive enumeration over
 cuts, failure subsets, or path sets.  None of it shares code paths with the
 implementations under test; ``counting_search_calls`` only counts the exact
-search's calls, and ``list_primal_dual_cover`` keeps the cover engine's
-earlier member-list form as its reference.
+search's calls, ``list_primal_dual_cover`` keeps the cover engine's
+earlier member-list form as its reference, and ``two_phase_lp`` keeps the
+cold two-phase primal simplex as the reference for the package's dual
+simplex.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 
+import numpy as np
+
+from faultnet import simplex
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult
 from faultnet.cuts import crossed, cut_index
-from faultnet.errors import Uncoverable, Unhittable
+from faultnet.errors import LpUnbounded, Uncoverable, Unhittable
 from faultnet.exact import _Checker, _Packing
 from faultnet.graph import FaultGraph, VertexCut, same_component
 from faultnet.lp import ROW_TOL, LpRow
@@ -339,7 +344,7 @@ def random_graph(seed: int, n: int, m: int, safe_prob: float = 0.5) -> FaultGrap
 
 
 def random_lp(seed: int):
-    """Seeded small LP for ``solve_dense_lp``: (objective, rows, upper bounds).
+    """Seeded small LP for ``two_phase_lp``: (objective, rows, upper bounds).
 
     Costs take either sign; rows mix negative, zero and positive right-hand
     sides; upper bounds mix None (free above) and 1.0, so the draws include
@@ -358,14 +363,177 @@ def random_lp(seed: int):
     return objective, rows, upper_bounds
 
 
-def highs_lp(objective, rows, upper_bounds):
-    """(status, objective) of ``solve_dense_lp``'s LP solved by scipy HiGHS.
+def _pivot(tab, basis, row, col):
+    """Rank-1 update of the rows with a nonzero pivot-column entry."""
+    tab[row, :] /= tab[row, col]
+    factors = tab[:, col]
+    nz = factors != 0.0
+    nz[row] = False
+    tab[nz] -= factors[nz, None] * tab[row]
+    basis[row] = col
 
-    Same arguments as ``solve_dense_lp``, with per-variable upper bounds.
+
+def two_phase_lp(objective, rows, upper_bounds):
+    """Reference LP solve by a cold two-phase primal simplex.
+
+    Minimizes objective subject to sparse >=-rows and 0 <= x <= ub, where
+    upper_bounds is a scalar or per-variable bound (None = free above) and
+    costs take either sign.  Rows are (terms, rhs) with terms = [(var
+    index, coeff), ...].  Returns (status, x, objective value) as
+    ``simplex.solve_dense_lp`` does.  Pivot rule: Dantzig with lowest-index
+    ties, Bland's rule after ``simplex.DEGENERATE_LIMIT`` degenerate pivots
+    (read at call time, so tests can patch it); tolerance
+    ``simplex.PIVOT_TOL``.
+
+    The tableau is allocated once, artificial columns included.  Row i owns
+    column n + i: a surplus (-1) for a >= row, a slack (+1) for a bound row.
+    Rows with b < 0 are negated, so the own column reads +1, and starts the
+    basis, exactly where a row is a flipped >= row or an unflipped bound row;
+    every other row starts on an artificial column, placed after the real
+    columns in row order.
+    """
+    tol = simplex.PIVOT_TOL
+    n = len(objective)
+    if isinstance(upper_bounds, (int, float)) or upper_bounds is None:
+        ubs = [upper_bounds] * n
+    else:
+        ubs = list(upper_bounds)
+    bounded = [j for j in range(n) if ubs[j] is not None]
+
+    m_ge = len(rows)
+    m_ub = len(bounded)
+    m = m_ge + m_ub
+
+    # Columns: x (n) | surplus/slack for >= rows (m_ge) | ub slacks (m_ub)
+    # | artificials | rhs.
+    total = n + m_ge + m_ub
+    b = np.zeros(m)
+    for i, (_terms, rhs) in enumerate(rows):
+        b[i] = rhs
+    for k, j in enumerate(bounded):
+        b[m_ge + k] = ubs[j]
+    flip = b < 0
+    art_rows = np.flatnonzero((np.arange(m) < m_ge) != flip)
+    tab = np.zeros((m, total + len(art_rows) + 1))
+    for i, (terms, _rhs) in enumerate(rows):
+        for j, coeff in terms:
+            tab[i, j] += coeff
+        tab[i, n + i] = -1.0  # surplus
+    for k, j in enumerate(bounded):
+        i = m_ge + k
+        tab[i, j] = 1.0
+        tab[i, n + i] = 1.0  # slack
+    tab[flip, :total] *= -1.0
+    b[flip] *= -1.0
+    tab[:, -1] = b
+    basis = list(range(n, total))
+    for k, i in enumerate(art_rows):
+        tab[i, total + k] = 1.0
+        basis[i] = total + k
+
+    def run_phase(tab, basis, c_full):
+        """Optimize c_full over the current tableau in place."""
+        # Reduced costs row kept separately.
+        z = c_full.copy()
+        obj = 0.0
+        for i, bc in enumerate(basis):
+            if c_full[bc] != 0.0:
+                z -= c_full[bc] * tab[i, :-1]
+                obj += c_full[bc] * tab[i, -1]
+        degenerate = 0
+        bland = False
+        for _ in range(simplex.MAX_ITERATIONS):
+            if bland:
+                negative = (z < -tol).nonzero()[0]
+                enter = int(negative[0]) if negative.size else None
+            else:
+                j_min = int(z.argmin())
+                enter = j_min if z[j_min] < -tol else None
+            if enter is None:
+                return obj
+            # Ratio test; argmin takes the first minimum, i.e. the lowest row.
+            col = tab[:, enter]
+            rows_in = (col > tol).nonzero()[0]
+            if not rows_in.size:
+                raise LpUnbounded("unbounded direction in simplex")
+            ratios = tab[rows_in, -1] / col[rows_in]
+            k = int(ratios.argmin())
+            theta, row = ratios[k], int(rows_in[k])
+            delta = z[enter]
+            _pivot(tab, basis, row, enter)
+            z = z - delta * tab[row, :-1]
+            new_obj = obj + theta * delta
+            if abs(new_obj - obj) <= tol:
+                degenerate += 1
+                if degenerate >= simplex.DEGENERATE_LIMIT:
+                    bland = True
+            else:
+                degenerate = 0
+            obj = new_obj
+        raise LpUnbounded("simplex iteration limit hit")
+
+    # Phase 1: drive artificials to zero.
+    if art_rows.size:
+        c1 = np.zeros(tab.shape[1] - 1)
+        c1[total:] = 1.0
+        if run_phase(tab, basis, c1) > 1e-7:
+            return simplex.SimplexStatus.INFEASIBLE, [0.0] * n, 0.0
+        # Pivot remaining artificials out of the basis where possible.
+        for i in range(m):
+            if basis[i] >= total:
+                real = np.flatnonzero(np.abs(tab[i, :total]) > tol)
+                if real.size:
+                    _pivot(tab, basis, i, int(real[0]))
+                # Else a redundant row; leave the zero-valued artificial basic.
+        # Freeze artificial columns at zero.
+        tab[:, total:-1] = 0.0
+
+    # Phase 2.
+    c2 = np.zeros(tab.shape[1] - 1)
+    c2[:n] = objective
+    try:
+        obj2 = run_phase(tab, basis, c2)
+    except LpUnbounded:
+        return simplex.SimplexStatus.UNBOUNDED, [0.0] * n, float("-inf")
+
+    # Structural values, with float dust clamped into the box.
+    x = [0.0] * n
+    for i, bc in enumerate(basis):
+        if bc < n:
+            x[bc] = float(tab[i, -1])
+    for j, ub in enumerate(ubs):
+        if x[j] < 0 and x[j] > -1e-9:
+            x[j] = 0.0
+        if ub is not None and x[j] > ub and x[j] < ub + 1e-9:
+            x[j] = ub
+    return simplex.SimplexStatus.OPTIMAL, x, float(obj2)
+
+
+def assert_solve_matches_reference(costs, rows) -> float:
+    """Check ``simplex.solve_dense_lp`` against ``two_phase_lp`` on the unit box.
+
+    Costs must be >= 0.  Both must report the same status; on an optimum
+    the objectives agree within 1e-9, and the package's x lies in the box
+    and satisfies every row.  Returns the package's objective.
+    """
+    status, x, value = simplex.solve_dense_lp(costs, rows)
+    ref_status, _x, ref_value = two_phase_lp(costs, rows, 1.0)
+    assert status is ref_status
+    if status is simplex.SimplexStatus.OPTIMAL:
+        assert abs(value - ref_value) <= 1e-9
+        assert all(0.0 <= v <= 1.0 for v in x)
+        for terms, rhs in rows:
+            assert sum(coeff * x[j] for j, coeff in terms) >= rhs - 1e-9
+    return value
+
+
+def highs_lp(objective, rows, upper_bounds):
+    """(status, objective) of ``two_phase_lp``'s LP solved by scipy HiGHS.
+
+    Same arguments as ``two_phase_lp``, with per-variable upper bounds.
     Status codes are ``scipy.optimize.linprog``'s: 0 optimal, 2 infeasible,
     3 unbounded.  Callers guard the scipy import with ``importorskip``.
     """
-    import numpy as np
     from scipy.optimize import linprog
 
     a_ub = np.zeros((len(rows), len(objective)))

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import faultnet
 from faultnet.bench import bench, run_cell, solutions_json
 from faultnet.cli import main
 from faultnet.instances import appendix_a_instance, generate, serialize
@@ -164,6 +169,8 @@ class TestCli:
             (["exact"], _instance_lines(vertices="vertices")),
             (["exact"], _instance_lines(problem=("problem", "flexpair 0 2 1 0"))),
             (["exact"], _instance_lines(vertices="vertices three")),
+            # Not UTF-8: used to exit 4 with "bad parameters:".
+            (["exact"], b"faultnet-instance 1\nvertices 3 \xff\n"),
         ],
         ids=[
             "nan-cost",
@@ -172,11 +179,15 @@ class TestCli:
             "bare-vertices",
             "bare-problem",
             "non-integer-vertices",
+            "not-utf8",
         ],
     )
     def test_invalid_instance_is_a_parse_error(self, tmp_path, capsys, command, lines):
         path = tmp_path / "bad.fni"
-        path.write_text("\n".join(lines) + "\n")
+        if isinstance(lines, bytes):
+            path.write_bytes(lines)
+        else:
+            path.write_text("\n".join(lines) + "\n")
         assert main([command[0], str(path), *command[1:]]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -223,12 +234,17 @@ class TestCli:
             },
             # Used to become one error row per cell.
             {"instances": [{"kind": "figure-1"}], "algorithms": ["fastest"]},
+            # Not JSON: used to exit 4 with "bad parameters:".
+            b'{"instances": [',
         ],
-        ids=["empty", "list", "instances-int", "entry-int", "params-int", "unknown-algorithm"],
+        ids=[
+            "empty", "list", "instances-int", "entry-int", "params-int", "unknown-algorithm",
+            "not-json",
+        ],
     )
     def test_malformed_suite_is_a_parse_error(self, tmp_path, capsys, suite):
         path = tmp_path / "suite.json"
-        path.write_text(json.dumps(suite))
+        path.write_bytes(suite if isinstance(suite, bytes) else json.dumps(suite).encode())
         out = tmp_path / "run.csv"
         assert main(["bench", str(path), "--out", str(out)]) == 4
         captured = capsys.readouterr()
@@ -246,6 +262,63 @@ class TestCli:
         argv = ["gen", "--kind", "random-multigraph", "--n", "5", "--m", "12"]
         assert main([*argv, "--params", params, "--out", str(out)]) == 4
         assert capsys.readouterr().err.startswith("bad parameters:")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            # Each used to end in a TypeError traceback with exit 1.
+            ["gen", "--n", "5", "--m", "9", "--params", "[1]"],
+            ["gen", "--n", "5", "--m", "9", "--params", '{"p": "a"}'],
+            ["gen", "--n", "5", "--m", "9", "--params", '{"problem": "bulk", "pairs": "2"}'],
+            ["gen", "--n", "5", "--m", "9", "--params", '{"safe_prob": "x"}'],
+            # Used to end in a KeyError traceback.
+            ["gen", "--n", "5", "--m", "9", "--params", '{"problem": "flex-sndp"}'],
+            # Used never to return: 4 vertices have only 6 distinct pairs.
+            ["gen", "--n", "4", "--m", "8", "--params", '{"problem": "rsndp", "pairs": 7}'],
+            ["bench", "{suite}", "--out", "{out}"],
+        ],
+        ids=[
+            "params-list",
+            "p-string",
+            "pairs-string",
+            "safe-prob-string",
+            "flex-sndp-no-pairs",
+            "rsndp-too-many-pairs",
+            "bench-p-string",
+        ],
+    )
+    def test_bad_generator_parameters(self, tmp_path, command):
+        suite = tmp_path / "suite.json"
+        entry = {"kind": "random-multigraph", "n": 5, "m": 9, "params": {"p": "a"}}
+        suite.write_text(json.dumps({"instances": [entry], "algorithms": ["exact"]}))
+        out = tmp_path / "run.csv"
+        argv = [{"{suite}": str(suite), "{out}": str(out)}.get(arg, arg) for arg in command]
+        if argv[0] == "gen":
+            argv[1:1] = ["--kind", "random-multigraph"]
+        env = dict(os.environ, PYTHONPATH=str(Path(faultnet.__file__).parents[1]))
+        # A subprocess with a timeout, so a generator that loops fails the
+        # test instead of stalling the suite.
+        done = subprocess.run(
+            [sys.executable, "-m", "faultnet.cli", *argv],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 4
+        assert done.stdout == ""
+        assert done.stderr.startswith("bad parameters:")
+        assert len(done.stderr.splitlines()) == 1
+        assert not out.exists()
+
+    def test_suite_listing_a_non_utf8_instance_is_a_parse_error(self, tmp_path, capsys):
+        inst = tmp_path / "inst.fni"
+        inst.write_bytes(b"\xfe\xff")
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"instances": [str(inst)], "algorithms": ["exact"]}))
+        out = tmp_path / "run.csv"
+        # Used to exit 4 with "bad parameters:" and the decoder's words.
+        assert main(["bench", str(suite), "--out", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("parse error:")
         assert not out.exists()
 
     def test_infeasible_exit_code(self, tmp_path):

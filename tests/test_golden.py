@@ -13,9 +13,10 @@ current code with files written by a trusted earlier commit:
 * ``golden/lp.json`` holds the ``repr`` of every float the LP layer returns:
   ``x``, objective, rounds and every row of seeded ``cutting_plane_flex`` and
   ``cutting_plane_bulk`` runs (through ``solve_problem_lp``), and raw
-  ``solve_dense_lp`` answers, built by :func:`lp_cases`.  Each cutting-plane
-  run is also checked against the optimum of its own final rows: they
-  separate clean, and ``solve_dense_lp`` and scipy HiGHS give the pinned
+  answers of the two-phase reference simplex ``oracle_utils.two_phase_lp``,
+  built by :func:`lp_cases`.  Each cutting-plane run is also checked against
+  the optimum of its own final rows: they separate clean, and the reference,
+  the package's ``solve_dense_lp`` and scipy HiGHS give the pinned
   objective, so a re-pin that moves ``x`` or the rounds must keep it.
 * ``golden/exact.json`` holds the sorted edge ids and the ``repr`` of the
   cost of ``exact_solve`` on seeded bulk, relative (r = 2 and r = 3) and
@@ -53,7 +54,7 @@ from faultnet.oracles import (
     is_flex_feasible,
     violated_cuts_flex_aug,
 )
-from oracle_utils import highs_lp, random_lp
+from oracle_utils import assert_solve_matches_reference, highs_lp, random_lp, two_phase_lp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -183,7 +184,7 @@ def _lp_run(name: str, inst) -> dict:
     }
 
 
-# Hand-written solve_dense_lp cases: (name, objective, rows, upper bounds).
+# Hand-written two_phase_lp cases: (name, objective, rows, upper bounds).
 SIMPLEX_CASES = (
     ("flipped-rows", [1.0, 2.0, 0.5],
      [([(0, 1.0), (1, 1.0)], 1.0), ([(0, -1.0)], -0.25), ([(1, -1.0), (2, -1.0)], -1.5)], 1.0),
@@ -200,7 +201,7 @@ SIMPLEX_CASES = (
 
 
 def _simplex_answer(objective, rows, upper_bounds) -> list:
-    status, x, value = simplex.solve_dense_lp(objective, rows, upper_bounds)
+    status, x, value = two_phase_lp(objective, rows, upper_bounds)
     return [status.value, repr(x), repr(value)]
 
 
@@ -347,8 +348,9 @@ def _pinned_objective(name: str) -> float:
 
 @pytest.mark.parametrize("name", LP_INSTANCES)
 def test_cutting_plane_rows_hold_the_pinned_optimum(name):
-    # The final rows separate clean, and a cold solve of them gives the
-    # pinned objective: a re-pin that moves x or the rounds keeps the optimum.
+    # The final rows separate clean, and a cold solve of them, by the
+    # reference and by the package, gives the pinned objective: a re-pin
+    # that moves x or the rounds keeps the optimum.
     family, inst = LP_INSTANCES[name]
     g = inst.to_graph()
     sol, costs, rows = _final_rows(name)
@@ -357,9 +359,11 @@ def test_cutting_plane_rows_hold_the_pinned_optimum(name):
     else:
         leftover = separate_bulk(g, inst.problem.scenarios, sol.x)
     assert sol.separation_clean and leftover is None
-    status, _x, cold = simplex.solve_dense_lp(costs, rows, 1.0)
+    status, _x, cold = two_phase_lp(costs, rows, 1.0)
     assert status is simplex.SimplexStatus.OPTIMAL
     assert abs(cold - _pinned_objective(name)) <= 1e-9
+    package = assert_solve_matches_reference(costs, rows)
+    assert abs(package - _pinned_objective(name)) <= 1e-9
     assert abs(sol.objective - _pinned_objective(name)) <= 1e-9
 
 

@@ -22,12 +22,14 @@ from faultnet.oracles import BulkScenario, FlexRequirement, Problem, fgc_require
 from faultnet import lp, simplex
 from faultnet.simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
 from oracle_utils import (
+    assert_solve_matches_reference,
     highs_lp,
     loop_separate_bulk,
     loop_sum,
     loop_separate_flex,
     random_graph,
     random_lp,
+    two_phase_lp,
 )
 
 # scipy.optimize.linprog status codes: 0 optimal, 2 infeasible, 3 unbounded.
@@ -39,24 +41,26 @@ HIGHS_STATUS = {
 
 
 class TestSimplex:
+    """The two-phase reference simplex of ``oracle_utils``."""
+
     def test_lower_bounded_variable(self):
-        status, x, obj = solve_dense_lp([1.0], [([(0, 1.0)], 0.5)], 1.0)
+        status, x, obj = two_phase_lp([1.0], [([(0, 1.0)], 0.5)], 1.0)
         assert status is SimplexStatus.OPTIMAL
         assert abs(x[0] - 0.5) < 1e-9 and abs(obj - 0.5) < 1e-9
 
     def test_parallel_edges_pick_cheaper(self):
-        status, x, obj = solve_dense_lp(
+        status, x, obj = two_phase_lp(
             [1.0, 2.0], [([(0, 1.0), (1, 1.0)], 1.0)], 1.0
         )
         assert status is SimplexStatus.OPTIMAL and abs(obj - 1.0) < 1e-9
 
     def test_infeasible(self):
-        status, _x, _obj = solve_dense_lp([1.0], [([(0, 1.0)], 2.0)], 1.0)
+        status, _x, _obj = two_phase_lp([1.0], [([(0, 1.0)], 2.0)], 1.0)
         assert status is SimplexStatus.INFEASIBLE
 
     def test_multiple_rows(self):
         # min x0 + x1 with x0 + x1 >= 1, x0 >= 0.25
-        status, x, obj = solve_dense_lp(
+        status, x, obj = two_phase_lp(
             [1.0, 1.0],
             [([(0, 1.0), (1, 1.0)], 1.0), ([(0, 1.0)], 0.25)],
             1.0,
@@ -65,14 +69,14 @@ class TestSimplex:
 
     def test_degenerate_rows_terminate(self):
         rows = [([(0, 1.0), (1, 1.0)], 1.0)] * 6 + [([(1, 1.0)], 0.5)]
-        status, _x, obj = solve_dense_lp([2.0, 1.0], rows, 1.0)
+        status, _x, obj = two_phase_lp([2.0, 1.0], rows, 1.0)
         assert status is SimplexStatus.OPTIMAL and abs(obj - 1.0) < 1e-9
 
     @pytest.mark.parametrize("seed", range(50))
     def test_agrees_with_highs(self, seed):
         pytest.importorskip("scipy")
         objective, rows, upper_bounds = random_lp(seed)
-        status, _x, value = solve_dense_lp(objective, rows, upper_bounds)
+        status, _x, value = two_phase_lp(objective, rows, upper_bounds)
         code, fun = highs_lp(objective, rows, upper_bounds)
         assert status is HIGHS_STATUS[code]
         if status is SimplexStatus.OPTIMAL:
@@ -103,10 +107,12 @@ def _row_sequence(seed: int):
 class TestDualReoptimizer:
     def _check_sequence(self, seed):
         costs, rows = _row_sequence(seed)
+        # The package's cold solve: all rows added at once.
+        assert_solve_matches_reference(costs, rows)
         warm = DualReoptimizer(costs)
         for i, (terms, rhs) in enumerate(rows):
             status = warm.add_row(terms, rhs)
-            cold_status, _x, cold = solve_dense_lp(costs, rows[: i + 1], 1.0)
+            cold_status, _x, cold = two_phase_lp(costs, rows[: i + 1], 1.0)
             assert status is cold_status
             if status is not SimplexStatus.OPTIMAL:
                 return
@@ -140,6 +146,8 @@ class TestDualReoptimizer:
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError):
             DualReoptimizer([1.0, -0.5])
+        with pytest.raises(ValueError):
+            solve_dense_lp([1.0, -0.5], [([(0, 1.0)], 0.5)])
 
 
 class TestSolveLp:
