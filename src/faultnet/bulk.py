@@ -3,8 +3,8 @@
 Level-by-level augmentation: to satisfy all sub-failures of size `level`,
 sample a spanning tree, buy the tree paths of every terminal pair, then hit
 each remaining violating (failure set, pair) with a fundamental cycle
-{e} + tree path of e, chosen by the greedy hitting-set rule.  Several trees
-are tried per level and the cheapest feasible outcome kept.
+{e} + tree path of e, chosen by the greedy hitting-set rule.  ``TREES`` = 8
+trees are tried per level and the cheapest feasible outcome kept.
 
 Every connectivity question of the loop is a cut condition answered on the
 packed cut kernel.  F cuts a pair in H when a cut that separates the pair is
@@ -15,21 +15,19 @@ cross every dead cut.  The union-find oracles stay the reference the kernel
 answers are tested against.
 
 The flexible and relative drivers reduce to this machinery through scenario
-expansion; the flexible driver additionally seeds with an exact base at the
-(p_i, 0) level and activates pairs round by round, honoring heterogeneous
-(p_i, q_i) requirements.
+expansion; the flexible driver additionally seeds with
+:func:`faultnet.flexalg.flex_base` at the (p_i, 0) level and activates pairs
+round by round, honoring heterogeneous (p_i, q_i) requirements.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-import logging
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .cover import ecsndp_base
 from .cuts import Boundary, layout_of, masks, separating
 from .errors import (
     Disconnected,
@@ -37,24 +35,20 @@ from .errors import (
     InfeasibleInstance,
     Unhittable,
 )
-from .exact import exact_budget, exact_solve
+from .flexalg import flex_base
 from .graph import FaultGraph, boundary
 from .oracles import (
     BulkScenario,
     FlexRequirement,
-    Problem,
     RelativeRequirement,
     _check_prior_levels,
     expand_rsndp_to_bulk,
-    fgc_requirements,
     is_bulk_feasible,
     is_flex_feasible,
     is_rsndp_feasible,
 )
 
-log = logging.getLogger(__name__)
-
-DEFAULT_TREES = 8
+TREES = 8  # sampled trees per level
 
 
 # -- spanning tree embeddings ---------------------------------------------------
@@ -276,15 +270,6 @@ def greedy_hitting_set(inst: HittingInstance) -> list[int]:
 
 # -- one augmentation level --------------------------------------------------------
 
-@dataclass
-class LevelStats:
-    level: int
-    tree_index: int
-    tree_cost_added: float
-    cycle_cost_added: float
-    violating_sets: int
-
-
 def _violations_of_level(
     g: FaultGraph, scenarios: Sequence[BulkScenario], level: int
 ) -> Callable[[frozenset], list[tuple[frozenset, tuple[int, int]]]]:
@@ -331,9 +316,8 @@ def _best_of_trees(
     violating: Callable[[frozenset], list],
     level: int,
     seed: int,
-    trees: int,
-) -> tuple[frozenset, LevelStats]:
-    """Cheapest of ``trees`` sampled-tree augmentations of H_prev.
+) -> frozenset:
+    """Cheapest of ``TREES`` sampled-tree augmentations of H_prev.
 
     Each try buys the tree paths of ``pairs``, builds the hitting instance
     over ``violating(H)``, the violating (failure, pair) tuples left in the
@@ -343,7 +327,7 @@ def _best_of_trees(
     """
     best = None
     unhittable = None
-    for t in range(max(1, trees)):
+    for t in range(TREES):
         tree = sample_tree(g, seed=_tree_seed(seed, level, t))
         H_P: set[int] = set()
         for u, v in pairs:
@@ -365,21 +349,12 @@ def _best_of_trees(
         candidate = H | added
         cost = g.total_cost(candidate - H_prev)
         if best is None or cost < best[0] - 1e-12:
-            hp_cost = g.total_cost(frozenset(H_P) - H_prev)
-            best = (cost, candidate, LevelStats(level, t, hp_cost, cost - hp_cost, len(viol)))
+            best = (cost, candidate)
     if best is None:
         raise InfeasibleAugmentation(
             f"level {level}: every tree failed, last with {unhittable}"
         ) from unhittable
-    cost, candidate, stats = best
-    log.debug(
-        "level %d: tree %d, +%d violating sets, added cost %.6g",
-        level,
-        stats.tree_index,
-        stats.violating_sets,
-        cost,
-    )
-    return candidate, stats
+    return best[1]
 
 
 def augment_bulk(
@@ -388,12 +363,10 @@ def augment_bulk(
     H_prev: Iterable[int],
     level: int,
     seed: int = 0,
-    trees: int = DEFAULT_TREES,
-    stats_out: list | None = None,
 ) -> frozenset:
     """Lift a solution from level-1 to level (all sub-failures of that size).
 
-    The cheapest of ``trees`` tree augmentations over the scenario pairs,
+    The cheapest of ``TREES`` tree augmentations over the scenario pairs,
     hitting the violating (failure, pair) tuples of this level.  A failure
     set can break every fundamental cycle of one tree and not of another,
     so a tree whose hitting instance is unhittable is skipped.
@@ -406,16 +379,12 @@ def augment_bulk(
     _check_prior_levels(g, scenarios, H_prev, level)
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
     violations = _violations_of_level(g, scenarios, level)
-    candidate, stats = _best_of_trees(
-        g, H_prev, pairs, violations, level, seed, trees
-    )
+    candidate = _best_of_trees(g, H_prev, pairs, violations, level, seed)
     leftover = violations(candidate)
     if leftover:
         raise InfeasibleAugmentation(
             f"level {level}: cover left {len(leftover)} violating sets"
         )
-    if stats_out is not None:
-        stats_out.append(stats)
     return candidate
 
 
@@ -427,8 +396,6 @@ def solve_bulk_sndp(
     g: FaultGraph,
     scenarios: Sequence[BulkScenario],
     seed: int = 0,
-    trees: int = DEFAULT_TREES,
-    stats_out: list | None = None,
 ) -> frozenset:
     """Full pipeline: levels 0..width of augment_bulk, oracle-verified."""
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
@@ -436,9 +403,7 @@ def solve_bulk_sndp(
         raise InfeasibleInstance(f"graph cannot satisfy scenario {witness}")
     H: frozenset = frozenset()
     for level in range(bulk_width(scenarios) + 1):
-        H = augment_bulk(
-            g, scenarios, H, level, seed=seed, trees=trees, stats_out=stats_out
-        )
+        H = augment_bulk(g, scenarios, H, level, seed=seed)
     ok, witness = is_bulk_feasible(g, scenarios, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails scenario {witness}")
@@ -474,42 +439,32 @@ def solve_flex_sndp(
     g: FaultGraph,
     reqs: Sequence[FlexRequirement],
     seed: int = 0,
-    trees: int = DEFAULT_TREES,
-    stats_out: list | None = None,
 ) -> frozenset:
-    """Heterogeneous flexible SNDP: exact base at (p_i, 0), then one
+    """Heterogeneous flexible SNDP: ``flex_base`` at (p_i, 0), then one
     cut-cover round per unsafe-failure level with per-pair activation."""
     reqs = tuple(reqs)
     ok, witness = is_flex_feasible(g, reqs, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph cannot satisfy {witness}")
-    base_reqs = tuple(FlexRequirement(r.s, r.t, r.p, 0) for r in reqs)
-    if g.m <= exact_budget():
-        H, _cost = exact_solve(g, Problem("flex", flex=base_reqs))
-    else:
-        H = ecsndp_base(g, base_reqs)
+    H = flex_base(g, tuple(FlexRequirement(r.s, r.t, r.p, 0) for r in reqs))
     for round_index in range(1, max(r.q for r in reqs) + 1):
         active = [(r.s, r.t) for r in reqs if r.q >= round_index]
-        H_new, stats = _best_of_trees(
+        H = _best_of_trees(
             g,
             H,
             active,
             lambda H_work: _flex_violating_sets(g, H_work, reqs, round_index),
             round_index,
             seed,
-            trees,
         )
         round_reqs = tuple(
             FlexRequirement(r.s, r.t, r.p, min(r.q, round_index)) for r in reqs
         )
-        ok, witness = is_flex_feasible(g, round_reqs, H_new)
+        ok, witness = is_flex_feasible(g, round_reqs, H)
         if not ok:
             raise InfeasibleAugmentation(
                 f"round {round_index} output fails {witness}"
             )
-        if stats_out is not None:
-            stats_out.append(stats)
-        H = H_new
     ok, witness = is_flex_feasible(g, reqs, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails {witness}")
@@ -520,14 +475,12 @@ def solve_rsndp(
     g: FaultGraph,
     reqs: Sequence[RelativeRequirement],
     seed: int = 0,
-    trees: int = DEFAULT_TREES,
-    stats_out: list | None = None,
 ) -> frozenset:
     """Relative SNDP through scenario expansion, oracle-verified."""
     scenarios = expand_rsndp_to_bulk(g, reqs)
     if not scenarios:
         return frozenset()
-    H = solve_bulk_sndp(g, scenarios, seed=seed, trees=trees, stats_out=stats_out)
+    H = solve_bulk_sndp(g, scenarios, seed=seed)
     ok, witness = is_rsndp_feasible(g, reqs, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails {witness}")

@@ -60,9 +60,6 @@ class CutFamily:
     def members(self) -> tuple[int, ...]:
         return tuple(masks(self.graph.n, self.cuts, self.side))
 
-    def boundary_in(self, mask: int, edge_ids: Iterable[int]) -> frozenset:
-        return boundary(self.graph, edge_ids, mask)
-
     def violated(self, A: Iterable[int]) -> int:
         """The cut set of members that no edge of A crosses."""
         return self.cuts & ~crossed(self.graph, A)
@@ -291,7 +288,7 @@ def ring_cover_exact(fam: CutFamily) -> frozenset:
     ground = sorted(fam.ground)
     rows = []
     for mask in fam.members:
-        row = frozenset(fam.boundary_in(mask, ground))
+        row = boundary(fam.graph, ground, mask)
         if not row:
             raise Uncoverable(
                 f"{fam.label}: member {VertexCut(fam.graph.n, mask).vertices()} "

@@ -1,11 +1,12 @@
 """Constant-factor algorithms for flexible connectivity.
 
-Spanning case (solve_fgc): exact base at level (p, 0), then one augmentation
-round per unsafe-failure level.  A round is a single uncrossable-family
-primal-dual cover when p <= 2 or when lifting to level 1, and otherwise runs
-in p stages keyed by the number of safe edges on the violated boundary
-(supported for q <= 3 and for q = 4 with even p; odd p at q = 4 has a
-non-uncrossable final stage and is rejected at planning time).
+Spanning case (solve_fgc): a base at level (p, 0) from flex_base (the exact
+optimum within the search budget, else the primal-dual ecsndp_base), then
+one augmentation round per unsafe-failure level.  A round is a single
+uncrossable-family primal-dual cover when p <= 2 or when lifting to level 1,
+and otherwise runs in p stages keyed by the number of safe edges on the
+violated boundary (supported for q <= 3 and for q = 4 with even p; odd p at
+q = 4 has a non-uncrossable final stage and is rejected at planning time).
 
 Single-pair case (solve_flex_st, solve_flex_st_22): each round seeds the
 partial solution with the support of a min-cost flow under capacities
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Sequence
 
-from .cover import CoverResult, CutFamily, ecsndp_base, primal_dual_cover, ring_cover_exact
+from .cover import CutFamily, ecsndp_base, primal_dual_cover, ring_cover_exact
 from .cuts import Boundary, all_cuts, cut_index, masks, predicate, separating
 from .errors import (
     BaseNotFeasible,
@@ -39,12 +40,15 @@ from .oracles import FlexRequirement, Problem, fgc_requirements, is_flex_feasibl
 class StageSpec:
     label: str
     safe_count: int | None  # None = all violated cuts as one family
-    engine: str  # "primal-dual" | "ring-exact"
 
 
 @dataclass(frozen=True)
 class StagePlan:
-    """Per-level augmentation plan: target (p, q), scope, ordered stages."""
+    """Per-level augmentation plan: target (p, q), scope, ordered stages.
+
+    The scope picks the cover engine: spanning stages are one primal-dual
+    family each, s-t stages are ring families covered exactly.
+    """
 
     p: int
     q: int
@@ -52,15 +56,6 @@ class StagePlan:
     s: int = 0
     t: int = 0
     stages: tuple[StageSpec, ...] = ()
-
-
-@dataclass(frozen=True)
-class StageRecord:
-    label: str
-    families: int
-    added: frozenset
-    cost: float
-    dual_lower_bound: float | None
 
 
 def fgc_supported(p: int, q: int) -> bool:
@@ -74,10 +69,10 @@ def make_fgc_plan(p: int, q: int) -> StagePlan:
     if p < 1 or q < 1:
         raise UnsupportedParameters(f"no augmentation plan for (p, q)=({p}, {q})")
     if p <= 2 or q == 1:
-        stages = (StageSpec("all-violated", None, "primal-dual"),)
+        stages = (StageSpec("all-violated", None),)
     elif q in (2, 3) or (q == 4 and p % 2 == 0):
         stages = tuple(
-            StageSpec(f"safe={i}", i, "primal-dual") for i in range(p)
+            StageSpec(f"safe={i}", i) for i in range(p)
         )
     else:
         raise UnsupportedParameters(
@@ -92,7 +87,7 @@ def make_flex_st_plan(p: int, q: int, s: int, t: int) -> StagePlan:
         raise ParameterConditionViolated(
             f"(p, q)=({p}, {q}) violates p+q > pq/2"
         )
-    stages = tuple(StageSpec(f"safe={i}", i, "ring-exact") for i in range(p))
+    stages = tuple(StageSpec(f"safe={i}", i) for i in range(p))
     return StagePlan(p=p, q=q, scope="st", s=s, t=t, stages=stages)
 
 
@@ -110,13 +105,6 @@ def _violated_cuts(g: FaultGraph, F: Iterable[int], plan: StagePlan):
     F-boundary has exactly p+q-1 edges, fewer than p of them safe."""
     counts = Boundary(g, F)
     return _scope(g, plan) & counts.tight(plan.p, plan.q), counts
-
-
-def _violated_membership(g: FaultGraph, F: frozenset, plan: StagePlan):
-    """Raw predicate: boundary has exactly p+q-1 edges, fewer than p safe,
-    and the cut is in scope."""
-    violated, _counts = _violated_cuts(g, F, plan)
-    return predicate(g.n, violated, plan.s if plan.scope == "st" else None)
 
 
 def _feasible_for(g: FaultGraph, F: Iterable[int], plan: StagePlan, q: int) -> bool:
@@ -237,68 +225,52 @@ def _ring_families(
 def _stage_families(
     g: FaultGraph, F: frozenset, plan: StagePlan, spec: StageSpec
 ) -> list[CutFamily]:
-    if spec.engine == "ring-exact":
+    if plan.scope == "st":
         return _ring_families(g, F, plan, spec.safe_count)
     violated, counts = _violated_cuts(g, F, plan)
     if spec.safe_count is not None:
         violated &= counts.exactly(counts.safe, spec.safe_count)
-    s = plan.s if plan.scope == "st" else None
     return [
         CutFamily(
             graph=g,
             cuts=violated,
-            membership=predicate(g.n, violated, s),
+            membership=predicate(g.n, violated),
             ground=g.all_edge_ids() - F,
-            label=f"{plan.scope}({plan.p},{plan.q}) {spec.label}",
-            side=s,
+            label=f"spanning({plan.p},{plan.q}) {spec.label}",
         )
     ]
 
 
-def augment_stages_detailed(
-    g: FaultGraph, F: Iterable[int], p: int, q: int, plan: StagePlan
-) -> tuple[frozenset, list[StageRecord]]:
-    """Run the plan's stages, growing F; returns the result and per-stage
-    cover records.  F must already be feasible at (p, q-1)."""
-    if (p, q) != (plan.p, plan.q):
-        raise ValueError("plan parameters disagree with the call")
+def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozenset:
+    """Run the plan's stages, growing F.  F must already be feasible at
+    (plan.p, plan.q - 1)."""
+    p, q = plan.p, plan.q
     F = frozenset(F)
     if not _feasible_for(g, F, plan, q - 1):
         raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
-    records = []
     for spec in plan.stages:
-        families = _stage_families(g, F, plan, spec)
         added: set[int] = set()
-        dual = 0.0
-        for fam in families:
-            if spec.engine == "primal-dual":
-                result: CoverResult = primal_dual_cover(fam)
-                added |= result.edges
-                dual += result.dual_lower_bound
-            else:
+        for fam in _stage_families(g, F, plan, spec):
+            if plan.scope == "st":
                 added |= ring_cover_exact(fam)
-        records.append(
-            StageRecord(
-                label=spec.label,
-                families=len(families),
-                added=frozenset(added),
-                cost=g.total_cost(added),
-                dual_lower_bound=dual if spec.engine == "primal-dual" else None,
-            )
-        )
+            else:
+                added |= primal_dual_cover(fam).edges
         F = F | added
     if not _feasible_for(g, F, plan, q):
         raise StageCoverFailed(
             f"stages completed but the result is not ({p}, {q})-feasible"
         )
-    return F, records
+    return F
 
 
-def augment_stages(
-    g: FaultGraph, F: Iterable[int], p: int, q: int, plan: StagePlan
-) -> frozenset:
-    out, _records = augment_stages_detailed(g, F, p, q, plan)
-    return out
+def flex_base(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> frozenset:
+    """A (p_i, 0) base for the flexible solvers: the exact optimum when the
+    edge count is within ``exact_budget()``, otherwise ``ecsndp_base``, the
+    level-by-level primal-dual of Goemans et al. (SODA 1994)."""
+    if g.m <= exact_budget():
+        F, _cost = exact_solve(g, Problem("flex", flex=tuple(reqs)))
+        return F
+    return ecsndp_base(g, reqs)
 
 
 # -- spanning solver -----------------------------------------------------------
@@ -306,9 +278,9 @@ def augment_stages(
 def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     """Spanning (p, q) solver within the supported parameter set.
 
-    Exact base at (p, 0) when the edge count is within the search budget,
-    then one augmentation round per level 1..q following the per-level plan.
-    The result is oracle-verified before returning.
+    ``flex_base`` at (p, 0), then one augmentation round per level 1..q
+    following the per-level plan.  The result is oracle-verified before
+    returning.
     """
     if not fgc_supported(p, q):
         raise UnsupportedParameters(f"(p, q)=({p}, {q}) is outside the supported set")
@@ -317,15 +289,9 @@ def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     probe = StagePlan(p=p, q=q, scope="spanning")
     if not _feasible_for(g, g.all_edge_ids(), probe, q):
         raise InfeasibleInstance(f"graph is not ({p}, {q})-feasible")
-    if g.m <= exact_budget():
-        F, _cost = exact_solve(
-            g, Problem("flex", flex=fgc_requirements(g.n, p, 0))
-        )
-    else:
-        F = ecsndp_base(g, fgc_requirements(g.n, p, 0))
+    F = flex_base(g, fgc_requirements(g.n, p, 0))
     for level in range(1, q + 1):
-        plan = make_fgc_plan(p, level)
-        F = augment_stages(g, F, p, level, plan)
+        F = augment_stages(g, F, make_fgc_plan(p, level))
     return F
 
 
@@ -364,8 +330,7 @@ def solve_flex_st(g: FaultGraph, s: int, t: int, p: int, q: int) -> frozenset:
     for level in range(1, q + 1):
         caps = [p + level if e.safe else p for e in g.edges]
         seed = min_cost_flow(g, caps, s, t, p * (p + level)).support()
-        plan = make_flex_st_plan(p, level, s, t)
-        F = augment_stages(g, F | seed, p, level, plan)
+        F = augment_stages(g, F | seed, make_flex_st_plan(p, level, s, t))
     return F
 
 

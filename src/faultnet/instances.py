@@ -384,6 +384,10 @@ def _random_problem(rng: Random, g: FaultGraph, params: dict) -> Problem:
 
 
 MAX_GENERATE_ATTEMPTS = 200
+# Every generator parameter any kind reads.
+_PARAM_KEYS = frozenset(
+    ("problem", "p", "q", "skeleton", "safe_prob", "width", "scenarios", "pairs", "r", "k")
+)
 # Generator parameters that must be integers; "pairs" is one too when it is
 # a count (bulk and rsndp), not flex-sndp's list of requirements.
 _INT_PARAMS = ("p", "q", "k", "r", "width", "scenarios")
@@ -395,12 +399,19 @@ def _checked_params(params) -> dict:
         return {}
     if not isinstance(params, dict):
         raise ValueError(f"generator parameters must be an object, got {params!r}")
+    unknown = [key for key in params if key not in _PARAM_KEYS]
+    if unknown:
+        raise ValueError(f"unknown generator parameters {unknown!r}")
     ints = _INT_PARAMS + (("pairs",) if params.get("problem") in ("bulk", "rsndp") else ())
     for key in ints:
         if key in params and type(params[key]) is not int:
             raise ValueError(f"parameter {key!r} must be an integer, got {params[key]!r}")
     if "safe_prob" in params and type(params["safe_prob"]) not in (int, float):
         raise ValueError(f"parameter 'safe_prob' must be a number, got {params['safe_prob']!r}")
+    if params.get("skeleton", "safe") not in ("safe", "mixed"):
+        raise ValueError(f"parameter 'skeleton' must be 'safe' or 'mixed', got {params['skeleton']!r}")
+    if params.get("problem") == "bulk" and params.get("scenarios", 4) < 1:
+        raise ValueError(f"bulk needs scenarios >= 1, got {params['scenarios']}")
     return dict(params)
 
 

@@ -38,6 +38,7 @@ from faultnet.flexalg import (
     solve_flex_st_22,
 )
 from faultnet.flow import min_cost_flow
+from faultnet.graph import boundary
 from faultnet.instances import (
     appendix_a_instance,
     figure_1_instance,
@@ -440,7 +441,7 @@ def test_criterion_6_primal_dual_certificates():
                 assert ok
                 result = primal_dual_cover(fam)
                 rows = [
-                    frozenset(fam.boundary_in(mk, fam.ground)) for mk in fam.members
+                    boundary(g, fam.ground, mk) for mk in fam.members
                 ]
                 _best, opt = exact_cover(
                     rows, {eid: g.cost_of(eid) for eid in fam.ground}

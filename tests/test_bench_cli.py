@@ -276,6 +276,12 @@ class TestCli:
             ["gen", "--n", "5", "--m", "9", "--params", '{"problem": "flex-sndp"}'],
             # Used never to return: 4 vertices have only 6 distinct pairs.
             ["gen", "--n", "4", "--m", "8", "--params", '{"problem": "rsndp", "pairs": 7}'],
+            # Used to retry every attempt and exit 2 as infeasible.
+            ["gen", "--n", "5", "--m", "9", "--params", '{"problem": "bulk", "scenarios": -3}'],
+            # Used to exit 0: any skeleton but "safe" built a mixed one, and
+            # a misspelt key fell back to its default.
+            ["gen", "--n", "5", "--m", "9", "--params", '{"skeleton": 5}'],
+            ["gen", "--n", "5", "--m", "9", "--params", '{"problem": "bulk", "scenario": 2}'],
             ["bench", "{suite}", "--out", "{out}"],
         ],
         ids=[
@@ -285,6 +291,9 @@ class TestCli:
             "safe-prob-string",
             "flex-sndp-no-pairs",
             "rsndp-too-many-pairs",
+            "bulk-negative-scenarios",
+            "skeleton-number",
+            "unknown-key",
             "bench-p-string",
         ],
     )

@@ -7,7 +7,6 @@ import pytest
 
 from faultnet.bulk import (
     HittingInstance,
-    LevelStats,
     _flex_violating_sets,
     _tree_seed,
     _violations_of_level,
@@ -263,7 +262,7 @@ class TestAugmentBulk:
     def test_no_violations_adds_tree_paths_only(self):
         g = random_graph(21, 6, 12, safe_prob=1.0)
         scenarios = (BulkScenario(frozenset(), ((0, 5),)),)
-        out = augment_bulk(g, scenarios, frozenset(), 0, seed=3, trees=2)
+        out = augment_bulk(g, scenarios, frozenset(), 0, seed=3)
         # level 0 with an empty prior: exactly H_P of the winning tree
         assert out
         assert same_component(g, out, 0, 5)
@@ -293,7 +292,7 @@ class TestAugmentBulk:
             original(g, scenarios, H, level)
 
         monkeypatch.setattr(bulk_mod, "_check_prior_levels", record)
-        H1 = augment_bulk(g, scen, H0, 1, seed=1, trees=4)
+        H1 = augment_bulk(g, scen, H0, 1, seed=1)
         assert checked == [H0]
         assert violating_edge_sets_bulk(g, scen, H1, 1) == []
 
@@ -389,14 +388,23 @@ class TestSolveBulk:
         assert ok
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_width_two_feasible_with_ratio(self, seed):
+    def test_width_two_feasible_with_ratio(self, seed, monkeypatch):
+        import faultnet.bulk as bulk_mod
+
         inst = bulk_instance(seed + 50, width=2)
         g = inst.to_graph()
-        stats: list[LevelStats] = []
-        sol = solve_bulk_sndp(g, inst.problem.scenarios, seed=seed, stats_out=stats)
+        levels = []
+        original = bulk_mod.augment_bulk
+
+        def record(g, scenarios, H_prev, level, seed=0):
+            levels.append(level)
+            return original(g, scenarios, H_prev, level, seed=seed)
+
+        monkeypatch.setattr(bulk_mod, "augment_bulk", record)
+        sol = solve_bulk_sndp(g, inst.problem.scenarios, seed=seed)
         ok, _ = is_bulk_feasible(g, inst.problem.scenarios, sol)
         assert ok
-        assert stats and all(s.level == i for i, s in enumerate(stats))
+        assert levels and all(level == i for i, level in enumerate(levels))
         _opt, opt_cost = exact_solve(g, inst.problem)
         assert g.total_cost(sol) >= opt_cost - 1e-9
 
@@ -729,7 +737,9 @@ class TestKernelMatchesUnionFind:
 
 
 class TestCostTelescoping:
-    def test_level_stats_sum_to_total(self):
+    def test_level_stats_sum_to_total(self, monkeypatch):
+        import faultnet.bulk as bulk_mod
+
         inst = generate(
             "random-multigraph",
             n=7,
@@ -738,7 +748,15 @@ class TestCostTelescoping:
             params={"problem": "bulk", "width": 2, "scenarios": 4},
         )
         g = inst.to_graph()
-        stats = []
-        sol = solve_bulk_sndp(g, inst.problem.scenarios, seed=3, stats_out=stats)
-        total_logged = sum(s.tree_cost_added + s.cycle_cost_added for s in stats)
-        assert abs(total_logged - g.total_cost(sol)) < 1e-9
+        added = []
+        original = bulk_mod.augment_bulk
+
+        def record(g, scenarios, H_prev, level, seed=0):
+            H = original(g, scenarios, H_prev, level, seed=seed)
+            added.append(g.total_cost(H - frozenset(H_prev)))
+            return H
+
+        monkeypatch.setattr(bulk_mod, "augment_bulk", record)
+        sol = solve_bulk_sndp(g, inst.problem.scenarios, seed=3)
+        assert added
+        assert abs(sum(added) - g.total_cost(sol)) < 1e-9

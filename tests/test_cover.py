@@ -12,11 +12,11 @@ from faultnet.cover import (
     ring_cover_exact,
     uncross_pair_ok,
 )
-from faultnet.cuts import cut_index
+from faultnet.cuts import cut_index, predicate
 from faultnet.errors import NotRingFamily, Uncoverable
 from faultnet.exact import exact_solve
 from faultnet.flexalg import make_fgc_plan, _stage_families, solve_fgc
-from faultnet.graph import FaultGraph, boundary_counts
+from faultnet.graph import FaultGraph, boundary, boundary_counts
 from faultnet.instances import (
     figure_1_instance,
     figure_3_instance,
@@ -92,7 +92,7 @@ def closure_failing_family():
 def path_ring_families(seed):
     """Ring subfamilies harvested from a real (2, 2) single-pair seed: the
     violated cuts of the flow seed, split by the first three flow paths."""
-    from faultnet.flexalg import StagePlan, _violated_membership, membership_ciq
+    from faultnet.flexalg import StagePlan, _violated_cuts, membership_ciq
     from faultnet.flow import flow_decompose, min_cost_flow
     from faultnet.graph import st_cut_masks
 
@@ -113,7 +113,7 @@ def path_ring_families(seed):
     caps = [2 if e.safe else 1 for e in g.edges]
     seed_set = min_cost_flow(g, caps, 0, 5, 4).support()
     plan = StagePlan(p=2, q=2, scope="st", s=0, t=5)
-    membership = _violated_membership(g, seed_set, plan)
+    membership = predicate(g.n, _violated_cuts(g, seed_set, plan)[0], plan.s)
     violated = [m for m in st_cut_masks(g.n, 0, 5) if membership(m)]
     if not violated:
         return []
@@ -134,7 +134,7 @@ def path_ring_families(seed):
 
 
 def family_rows(fam):
-    return [frozenset(fam.boundary_in(m, fam.ground)) for m in fam.members]
+    return [boundary(fam.graph, fam.ground, m) for m in fam.members]
 
 
 def fgc_instance(seed, n=6, m=14, p=2, q=2, skeleton="mixed"):

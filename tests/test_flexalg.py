@@ -3,6 +3,8 @@ from math import comb
 
 import pytest
 
+from faultnet.cover import ring_cover_exact
+from faultnet.cuts import predicate
 from faultnet.errors import (
     BaseNotFeasible,
     InfeasibleInstance,
@@ -12,9 +14,9 @@ from faultnet.errors import (
 from faultnet.exact import exact_solve
 from faultnet.flexalg import (
     StagePlan,
-    _violated_membership,
+    _stage_families,
+    _violated_cuts,
     augment_stages,
-    augment_stages_detailed,
     fgc_guarantee,
     flex_st_guarantee,
     make_fgc_plan,
@@ -25,7 +27,7 @@ from faultnet.flexalg import (
     solve_flex_st_22,
 )
 from faultnet.flow import flow_decompose, min_cost_flow
-from faultnet.graph import FaultGraph, boundary_counts, st_cut_masks
+from faultnet.graph import FaultGraph, boundary, boundary_counts, st_cut_masks
 from faultnet.instances import generate
 from faultnet.oracles import (
     FlexRequirement,
@@ -117,12 +119,11 @@ class TestAugmentStages:
         g = inst.to_graph()
         base, _ = exact_solve(g, Problem("flex", flex=fgc_requirements(g.n, 2, 2)))
         plan = make_fgc_plan(2, 2)
-        out = augment_stages(g, base, 2, 2, plan)
+        out = augment_stages(g, base, plan)
         assert out == frozenset(base)
 
     def test_per_stage_cover_within_twice_stage_optimum(self):
         from faultnet.cover import exact_cover
-        from faultnet.flexalg import _stage_families
 
         checked = 0
         for seed in range(60):
@@ -140,10 +141,7 @@ class TestAugmentStages:
                     from faultnet.cover import primal_dual_cover
 
                     result = primal_dual_cover(fam)
-                    rows = [
-                        frozenset(fam.boundary_in(m, fam.ground))
-                        for m in fam.members
-                    ]
+                    rows = [boundary(g, fam.ground, m) for m in fam.members]
                     _s, opt = exact_cover(
                         rows, {eid: g.cost_of(eid) for eid in fam.ground}
                     )
@@ -163,11 +161,10 @@ class TestAugmentStages:
         g = inst.to_graph()
         plan = make_fgc_plan(2, 2)
         with pytest.raises(BaseNotFeasible):
-            augment_stages(g, frozenset(), 2, 2, plan)
+            augment_stages(g, frozenset(), plan)
 
     def test_monotone_stage_invariant(self):
         # After stage i no violated cut carries i or fewer safe edges.
-        from faultnet.flexalg import _stage_families
         from faultnet.cover import primal_dual_cover
 
         for seed in (4, 9):
@@ -181,7 +178,7 @@ class TestAugmentStages:
             for stage_index, spec in enumerate(plan.stages):
                 for fam in _stage_families(g, F, plan, spec):
                     F = F | primal_dual_cover(fam).edges
-                membership = _violated_membership(g, F, plan)
+                membership = predicate(g.n, _violated_cuts(g, F, plan)[0])
                 for mask in range(1, (1 << g.n) - 1):
                     if membership(mask):
                         safe, _tot = boundary_counts(g, F, mask)
@@ -240,7 +237,7 @@ class TestMembershipCiq:
     def test_i0_reduces_to_zero_safe_boundary(self):
         g, s, t, F, _paths = self._seeded(2)
         plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
-        membership = _violated_membership(g, F, plan)
+        membership = predicate(g.n, _violated_cuts(g, F, plan)[0], s)
         for mask in st_cut_masks(g.n, s, t):
             expected = membership(mask) and boundary_counts(g, F, mask)[0] == 0
             assert membership_ciq(g, mask, (), F, 2, 2, s, t) == expected
@@ -252,7 +249,7 @@ class TestMembershipCiq:
         p = q = 2
         g, s, t, F, paths = self._seeded(seed + 40, p=p, q=q)
         plan = StagePlan(p=p, q=q, scope="st", s=s, t=t)
-        membership = _violated_membership(g, F, plan)
+        membership = predicate(g.n, _violated_cuts(g, F, plan)[0], s)
         for mask in st_cut_masks(g.n, s, t):
             if not membership(mask):
                 continue
@@ -276,7 +273,7 @@ class TestMembershipCiq:
             caps = [2 if e.safe else 1 for e in g.edges]
             seed_set = min_cost_flow(g, caps, s, t, 4).support()
             plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
-            membership = _violated_membership(g, seed_set, plan)
+            membership = predicate(g.n, _violated_cuts(g, seed_set, plan)[0], s)
             violated = [m for m in st_cut_masks(g.n, s, t) if membership(m)]
             if not violated:
                 continue
@@ -323,9 +320,15 @@ class TestStageCosts:
                 caps = [p + level if e.safe else p for e in g.edges]
                 seed_set = min_cost_flow(g, caps, 0, g.n - 1, p * (p + level)).support()
                 plan = make_flex_st_plan(p, level, 0, g.n - 1)
-                F, records = augment_stages_detailed(g, base | seed_set, p, level, plan)
-                for i, rec in enumerate(records):
-                    assert rec.cost <= comb(p * (p + level), i) * opt + 1e-9
+                # Replay the stages: each stage's exact ring covers together.
+                F = base | seed_set
+                for i, spec in enumerate(plan.stages):
+                    added = set()
+                    for fam in _stage_families(g, F, plan, spec):
+                        added |= ring_cover_exact(fam)
+                    assert g.total_cost(added) <= comb(p * (p + level), i) * opt + 1e-9
+                    F = F | added
+                assert F == augment_stages(g, base | seed_set, plan)
                 base = F
 
 

@@ -10,7 +10,7 @@ from faultnet.errors import (
     PriorLevelNotSatisfied,
 )
 from faultnet.exact import exact_solve
-from faultnet.graph import FaultGraph, boundary_counts
+from faultnet.graph import FaultGraph, boundary, boundary_counts
 from faultnet.instances import appendix_a_instance, figure_1_instance
 from faultnet.oracles import (
     BulkScenario,
@@ -190,7 +190,7 @@ class TestViolatedCutsFlexAug:
             fam = violated_cuts_flex_aug(g, [req], base)
             if not fam.members:
                 continue
-            rows = [frozenset(fam.boundary_in(m, fam.ground)) for m in fam.members]
+            rows = [boundary(g, fam.ground, m) for m in fam.members]
             cover, _cost = exact_cover(rows, {eid: g.cost_of(eid) for eid in fam.ground})
             ok, _ = is_flex_feasible(g, [req], base | cover)
             assert ok
