@@ -9,7 +9,7 @@ from .bulk import (
 from .cover import check_uncrossable, primal_dual_cover, ring_cover_exact
 from .exact import exact_solve
 from .flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
-from .flow import Flow, flow_decompose, max_flow_min_cut, min_cost_flow
+from .flow import Flow, flow_decompose, min_cost_flow
 from .graph import FaultGraph, VertexCut, boundary, connected_components
 from .instances import InstanceFile, generate, parse, serialize
 from .gap import gap_experiment
@@ -35,7 +35,6 @@ __all__ = [
     "boundary",
     "connected_components",
     "Flow",
-    "max_flow_min_cut",
     "min_cost_flow",
     "flow_decompose",
     "FlexRequirement",

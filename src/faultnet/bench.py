@@ -33,7 +33,7 @@ from .flexalg import (
     solve_flex_st_22,
 )
 from .instances import InstanceFile, parse, read_text, serialize
-from .oracles import check_problem_feasible
+from .oracles import check_problem_feasible, uniform_pq
 
 CSV_HEADER = "instance,algorithm,seed,cost,exact_opt,ratio,feasible,guarantee,wall_ms,error"
 
@@ -84,11 +84,11 @@ class RunRecord:
         )
 
 
-def _uniform_pq(inst: InstanceFile):
-    pqs = {(r.p, r.q) for r in inst.problem.flex}
-    if len(pqs) != 1:
+def _uniform_pq(inst: InstanceFile) -> tuple[int, int]:
+    pq = uniform_pq(inst.problem.flex)
+    if pq is None:
         raise FaultnetError("algorithm needs a uniform (p, q)")
-    return next(iter(pqs))
+    return pq
 
 
 def run_algorithm(inst: InstanceFile, algorithm: str, seed: int) -> frozenset:

@@ -109,18 +109,15 @@ def _dijkstra(g: FaultGraph, weights: Sequence[float], root: int):
     return dist, parent_v, parent_e
 
 
-def sample_tree(g: FaultGraph, costs: Sequence[float] | None = None, seed: int = 0) -> TreeEmbedding:
+def sample_tree(g: FaultGraph, seed: int = 0) -> TreeEmbedding:
     """Random low-ish-stretch spanning tree, deterministic per seed.
 
     Edge costs get a multiplicative log-uniform [1, 2] perturbation, then a
     shortest-path tree is grown from a random root.  Downstream correctness
-    never depends on the stretch, only expected cost does; measure it with
-    :func:`tree_stretch`.
+    never depends on the stretch, only expected cost does.
     """
-    if costs is None:
-        costs = [e.cost for e in g.edges]
     rng = Random(seed)
-    weights = [c * (2.0 ** rng.random()) for c in costs]
+    weights = [e.cost * (2.0 ** rng.random()) for e in g.edges]
     root = rng.randrange(g.n)
     dist, parent_v, parent_e = _dijkstra(g, weights, root)
     if any(d == float("inf") for d in dist):
@@ -144,26 +141,6 @@ def sample_tree(g: FaultGraph, costs: Sequence[float] | None = None, seed: int =
         depth=tuple(depth),
         tree_edges=frozenset(parent_e[v] for v in range(g.n) if v != root),
     )
-
-
-def tree_stretch(
-    g: FaultGraph, tree: TreeEmbedding, costs: Sequence[float] | None = None
-) -> tuple[float, float]:
-    """(max, mean) stretch of the tree over all vertex pairs: tree-path cost
-    over shortest-path distance, both under ``costs`` (default: the edge
-    costs).  Pairs at distance 0 are skipped; with none left it is (1, 1)."""
-    if costs is None:
-        costs = [e.cost for e in g.edges]
-    ratios = []
-    for u in range(g.n):
-        d_g, _pv, _pe = _dijkstra(g, costs, u)
-        for v in range(u + 1, g.n):
-            if d_g[v] > 0:
-                d_t = sum(costs[eid] for eid in tree.path(u, v))
-                ratios.append(d_t / d_g[v])
-    if not ratios:
-        return 1.0, 1.0
-    return max(ratios), sum(ratios) / len(ratios)
 
 
 # -- hitting set ------------------------------------------------------------------

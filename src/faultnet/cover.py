@@ -325,19 +325,15 @@ def uncross_pair_ok(membership: Callable[[int], bool], a: int, b: int) -> bool:
     )
 
 
-def check_uncrossable(
-    fam: CutFamily, domain: Iterable[int] | None = None
-) -> tuple[bool, tuple[VertexCut, VertexCut] | None]:
+def check_uncrossable(fam: CutFamily) -> tuple[bool, tuple[VertexCut, VertexCut] | None]:
     """Enumerate member pairs over the full cut domain and test uncrossing.
 
-    ``domain`` defaults to every nonempty proper subset of the vertices, so
-    both orientations of each member are examined, exactly as the raw
-    definition reads.  Returns the first violating (A, B) if any.
+    The domain is every nonempty proper subset of the vertices, so both
+    orientations of each member are examined, exactly as the raw definition
+    reads.  Returns the first violating (A, B) if any.
     """
     n = fam.graph.n
-    if domain is None:
-        domain = range(1, (1 << n) - 1)
-    members = [m for m in domain if fam.membership(m)]
+    members = [m for m in range(1, (1 << n) - 1) if fam.membership(m)]
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
             if not uncross_pair_ok(fam.membership, a, b):

@@ -1,4 +1,4 @@
-"""Integral max-flow / min-cut, min-cost flow, and flow decomposition.
+"""Integral min-cost flow and flow decomposition.
 
 All routines work on the undirected :class:`~faultnet.graph.FaultGraph` with
 integer per-edge capacities.  A flow assigns each edge a signed integer
@@ -13,7 +13,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from .errors import InfeasibleDemand, NonIntegralFlow, SourceEqualsSink
-from .graph import FaultGraph, VertexCut
+from .graph import FaultGraph
 
 
 @dataclass(frozen=True)
@@ -56,58 +56,6 @@ def _augment(g: FaultGraph, caps, flow: list[int], parent, s: int, t: int, limit
     for eid, fwd in arcs:
         flow[eid] += bottleneck if fwd else -bottleneck
     return bottleneck
-
-
-def max_flow_min_cut(g: FaultGraph, cap, s: int, t: int) -> tuple[int, Flow, VertexCut]:
-    """Edmonds-Karp max flow with the residual-reachable minimum cut.
-
-    Returns (value, flow, cut) where ``cut`` is the s-side of a minimum
-    capacity cut.  Capacities must be non-negative integers (scalar or
-    per-edge); the returned flow is integral.
-    """
-    if s == t:
-        raise SourceEqualsSink(f"source {s} equals sink {t}")
-    caps = _normalize_caps(g, cap)
-    flow = [0] * g.m
-    edges = g.edges
-    value = 0
-    while True:
-        # BFS in the residual network; arcs scanned in edge-id order.
-        parent: list[tuple[int, int] | None] = [None] * g.n
-        parent[s] = (-1, s)
-        queue = deque([s])
-        while queue and parent[t] is None:
-            x = queue.popleft()
-            for eid in g.incident(x):
-                e = edges[eid]
-                y = e.v if x == e.u else e.u
-                if parent[y] is not None:
-                    continue
-                residual = caps[eid] - flow[eid] if x == e.u else caps[eid] + flow[eid]
-                if residual > 0:
-                    parent[y] = (eid, x)
-                    queue.append(y)
-        if parent[t] is None:
-            break
-        value += _augment(g, caps, flow, parent, s, t, float("inf"))
-    # Min cut: vertices reachable from s in the final residual network.
-    reach = 1 << s
-    queue = deque([s])
-    seen = [False] * g.n
-    seen[s] = True
-    while queue:
-        x = queue.popleft()
-        for eid in g.incident(x):
-            e = edges[eid]
-            y = e.v if x == e.u else e.u
-            if seen[y]:
-                continue
-            residual = caps[eid] - flow[eid] if x == e.u else caps[eid] + flow[eid]
-            if residual > 0:
-                seen[y] = True
-                reach |= 1 << y
-                queue.append(y)
-    return value, Flow(s, t, value, tuple(flow)), VertexCut(g.n, reach)
 
 
 def min_cost_flow(g: FaultGraph, cap, s: int, t: int, demand: int) -> Flow:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 SAFE = "safe"
 UNSAFE = "unsafe"
@@ -115,10 +115,6 @@ class FaultGraph:
     def incident(self, v: int) -> tuple[int, ...]:
         return self._incident[v]
 
-    def endpoints(self, eid: int) -> tuple[int, int]:
-        e = self.edges[eid]
-        return e.u, e.v
-
     def cost_of(self, eid: int) -> float:
         return self.edges[eid].cost
 
@@ -134,8 +130,7 @@ class VertexCut:
     """One side S of a vertex cut, as a bit mask over vertices.
 
     The canonical orientation for spanning problems excludes the anchor
-    vertex ``n-1``; for s-t problems it contains ``s``.  ``canonical_spanning``
-    flips to whichever side satisfies the anchor rule.
+    vertex ``n-1``; for s-t problems it contains ``s``.
     """
 
     n: int
@@ -151,17 +146,6 @@ class VertexCut:
 
     def contains(self, v: int) -> bool:
         return bool((self.mask >> v) & 1)
-
-    def complement(self) -> "VertexCut":
-        full = (1 << self.n) - 1
-        return VertexCut(self.n, full ^ self.mask)
-
-    def canonical_spanning(self) -> "VertexCut":
-        anchor = self.n - 1
-        return self.complement() if self.contains(anchor) else self
-
-    def separates(self, s: int, t: int) -> bool:
-        return self.contains(s) != self.contains(t)
 
 
 def boundary(g: FaultGraph, F: Iterable[int], S) -> frozenset:
@@ -192,16 +176,6 @@ def boundary_counts(g: FaultGraph, F: Iterable[int], mask: int) -> tuple[int, in
             if e.safe:
                 safe += 1
     return safe, total
-
-
-def spanning_cut_masks(n: int) -> Iterator[int]:
-    """All canonical spanning cuts: nonempty subsets of vertices 0..n-2.
-
-    Each unordered cut {S, V-S} appears exactly once, as the side that
-    excludes the anchor vertex n-1.
-    """
-    for mask in range(1, 1 << (n - 1)):
-        yield mask
 
 
 def st_cut_masks(n: int, s: int, t: int) -> list[int]:

@@ -188,9 +188,14 @@ def parse(text: str) -> InstanceFile:
                 raise ParseError(f"unexpected line in {kind} block: {ln!r}")
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad line {ln!r}: {exc}") from exc
-    problem = Problem(kind, flex=tuple(flex), scenarios=tuple(scenarios), relative=tuple(relative))
-    inst = InstanceFile(n=n, edge_specs=tuple(specs), problem=problem)
-    inst.to_graph()  # validates endpoints, costs, self-loops
+    try:
+        problem = Problem(
+            kind, flex=tuple(flex), scenarios=tuple(scenarios), relative=tuple(relative)
+        )
+        inst = InstanceFile(n=n, edge_specs=tuple(specs), problem=problem)
+        inst.to_graph()  # validates endpoints, costs, self-loops
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
     return inst
 
 
@@ -410,8 +415,17 @@ def _checked_params(params) -> dict:
         raise ValueError(f"parameter 'safe_prob' must be a number, got {params['safe_prob']!r}")
     if params.get("skeleton", "safe") not in ("safe", "mixed"):
         raise ValueError(f"parameter 'skeleton' must be 'safe' or 'mixed', got {params['skeleton']!r}")
-    if params.get("problem") == "bulk" and params.get("scenarios", 4) < 1:
+    if not 0 <= params.get("safe_prob", 0) <= 1:
+        raise ValueError(f"safe_prob must lie in [0, 1], got {params['safe_prob']}")
+    problem = params.get("problem")
+    if problem == "bulk" and params.get("scenarios", 4) < 1:
         raise ValueError(f"bulk needs scenarios >= 1, got {params['scenarios']}")
+    if problem == "bulk" and params.get("width", 1) < 0:
+        raise ValueError(f"width must be >= 0, got {params['width']}")
+    if problem in ("bulk", "rsndp") and params.get("pairs", 2) < 1:
+        raise ValueError(f"pairs must be >= 1, got {params['pairs']}")
+    if problem == "rsndp" and params.get("r", 2) < 1:
+        raise ValueError(f"r must be >= 1, got {params['r']}")
     return dict(params)
 
 
@@ -441,6 +455,8 @@ def generate(
         raise ValueError(f"unknown instance kind {kind!r}")
     if n is None or m is None:
         raise ValueError("random kinds need n and m")
+    if params.get("problem") == "bulk" and params.get("width", 1) > m:
+        raise ValueError(f"width must be at most m={m}, got {params['width']}")
     for attempt in range(MAX_GENERATE_ATTEMPTS):
         rng = Random((seed, kind, attempt).__repr__())
         specs = _random_connected_specs(rng, n, m, kind, params)

@@ -24,21 +24,21 @@ arithmetic of a loop over each cut's crossing edges: sums run left to right in
 edge-id order (``np.add.accumulate``, never ``@`` or ``np.sum``, which may
 reorder them), and the most violated cut is chosen by the loop's scan, where a
 later cut wins only by more than 1e-15.  So every round picks the same row,
-bit for bit, as a plain loop would.  The definitional checks below stay on
-``graph.boundary`` as independent references.
+bit for bit, as a plain loop would.  The tests keep slow definitional
+checks of both row families, over every cut and every failure set B, in
+``tests/oracle_utils.py``.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import LpInfeasible
-from .graph import FaultGraph, VertexCut, boundary, st_cut_masks
-from .oracles import BulkScenario, FlexRequirement, Problem, violated_cuts_flex_aug
+from .graph import FaultGraph, st_cut_masks
+from .oracles import BulkScenario, FlexRequirement, Problem, uniform_pq
 from .simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
 
 ROW_TOL = 1e-7
@@ -105,11 +105,6 @@ def solve_lp(model: LinearProgramModel) -> FractionalSolution:
 Separator = Callable[[Sequence[float]], LpRow | None]
 
 
-def _crossing(g: FaultGraph, F: Iterable[int], mask: int) -> tuple[int, ...]:
-    """Edges of F crossing ``mask``, in id order."""
-    return tuple(sorted(boundary(g, F, mask)))
-
-
 def _cutting_plane(
     g: FaultGraph, separate: Separator
 ) -> tuple[FractionalSolution, LinearProgramModel]:
@@ -131,13 +126,6 @@ def _cutting_plane(
 
 
 # -- separation: flexible connectivity ----------------------------------------
-
-def _uniform_pq(reqs: Sequence[FlexRequirement]) -> tuple[int, int]:
-    pqs = {(r.p, r.q) for r in reqs}
-    if len(pqs) != 1:
-        raise ValueError("the LP relaxation needs a uniform (p, q)")
-    return next(iter(pqs))
-
 
 def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> list[int]:
     """Canonical cuts separating at least one requirement pair, each once,
@@ -194,7 +182,10 @@ def _scan(viol: np.ndarray) -> int | None:
 
 
 def _flex_separator(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> Separator:
-    p, q = _uniform_pq(reqs)
+    pq = uniform_pq(reqs)
+    if pq is None:
+        raise ValueError("the LP relaxation needs a uniform (p, q)")
+    p, q = pq
     safe = [e.safe for e in g.edges]
     masks = _separating_masks(g, reqs)
     crossing = _crossing_matrix(g, masks)
@@ -243,27 +234,6 @@ def separate_flex(
     smallest mask.
     """
     return _flex_separator(g, reqs)(x)
-
-
-def separate_flex_definitional(
-    g: FaultGraph, reqs: Sequence[FlexRequirement], x: Sequence[float]
-) -> bool:
-    """Slow reference check: all cuts x all B subsets, no prefix shortcut.
-    True iff no violated constraint exists."""
-    p, q = _uniform_pq(reqs)
-    unsafe_ids = sorted(g.unsafe_ids)
-    for mask in _separating_masks(g, reqs):
-        ids = _crossing(g, range(g.m), mask)
-        safe_sum = sum(x[eid] for eid in ids if g.edges[eid].safe)
-        unsafe_sum = sum(x[eid] for eid in ids if not g.edges[eid].safe)
-        if (p + q) * safe_sum + p * unsafe_sum < p * (p + q) - ROW_TOL:
-            return False
-        for size in range(q + 1):
-            for B in itertools.combinations(unsafe_ids, size):
-                value = sum(x[eid] for eid in ids if eid not in B)
-                if value < p - ROW_TOL:
-                    return False
-    return True
 
 
 def cutting_plane_flex(
@@ -318,20 +288,3 @@ def solve_problem_lp(
     if problem.kind == "bulk":
         return cutting_plane_bulk(g, problem.scenarios)
     raise ValueError("no LP relaxation wired for this problem kind")
-
-
-# -- augmentation validity (fractional cover of violated cuts) --------------------
-
-def check_augmentation_lp_validity(
-    g: FaultGraph,
-    reqs: Sequence[FlexRequirement],
-    x: Sequence[float],
-    F1: Iterable[int],
-) -> tuple[bool, VertexCut | None]:
-    """Every violated cut of F1 must carry >= 1 unit of x outside F1."""
-    F1 = frozenset(F1)
-    outside = [eid for eid in range(g.m) if eid not in F1]
-    for mask in violated_cuts_flex_aug(g, reqs, F1).members:
-        if sum(x[eid] for eid in _crossing(g, outside, mask)) < 1.0 - ROW_TOL:
-            return False, VertexCut(g.n, mask)
-    return True, None

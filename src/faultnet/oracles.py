@@ -88,6 +88,13 @@ def fgc_requirements(n: int, p: int, q: int) -> tuple[FlexRequirement, ...]:
     )
 
 
+def uniform_pq(reqs: Sequence[FlexRequirement]) -> tuple[int, int] | None:
+    """The (p, q) that every requirement shares, or None when they differ
+    or there are none."""
+    pqs = {(r.p, r.q) for r in reqs}
+    return next(iter(pqs)) if len(pqs) == 1 else None
+
+
 @dataclass(frozen=True)
 class Problem:
     """One instance's requirement block: exactly one fault model."""
@@ -108,12 +115,9 @@ class Problem:
         if not payloads[self.kind]:
             raise ValueError(f"{self.kind} problem with empty requirements")
 
-    def is_uniform_flex(self) -> bool:
-        return self.kind == "flex" and len({(r.p, r.q) for r in self.flex}) == 1
-
     def is_fgc(self, n: int) -> bool:
         """All-pairs uniform flex requirements: the spanning problem."""
-        if not self.is_uniform_flex():
+        if self.kind != "flex" or uniform_pq(self.flex) is None:
             return False
         pairs = {(min(r.s, r.t), max(r.s, r.t)) for r in self.flex}
         return pairs == {(u, v) for u in range(n) for v in range(u + 1, n)}

@@ -4,15 +4,16 @@ Everything here is deliberately definitional: exhaustive enumeration over
 cuts, failure subsets, or path sets.  None of it shares code paths with the
 implementations under test; ``counting_search_calls`` only counts the exact
 search's calls, ``list_primal_dual_cover`` keeps the cover engine's
-earlier member-list form as its reference, and ``two_phase_lp`` keeps the
+earlier member-list form as its reference, ``two_phase_lp`` keeps the
 cold two-phase primal simplex as the reference for the package's dual
-simplex.
+simplex, and ``max_flow_min_cut`` is an Edmonds-Karp max flow that shares
+only the capacity check and the augmenting step with ``min_cost_flow``.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
@@ -23,11 +24,12 @@ from faultnet import simplex
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult
 from faultnet.cuts import crossed, cut_index
-from faultnet.errors import LpUnbounded, Uncoverable, Unhittable
+from faultnet.errors import LpUnbounded, SourceEqualsSink, Uncoverable, Unhittable
 from faultnet.exact import _Checker, _Packing
+from faultnet.flow import Flow, _augment, _normalize_caps
 from faultnet.graph import FaultGraph, VertexCut, same_component
 from faultnet.lp import ROW_TOL, LpRow
-from faultnet.oracles import BulkScenario
+from faultnet.oracles import BulkScenario, violated_cuts_flex_aug
 
 
 def brute_min_cut(g: FaultGraph, caps, s: int, t: int) -> int:
@@ -46,6 +48,58 @@ def brute_min_cut(g: FaultGraph, caps, s: int, t: int) -> int:
         )
         best = value if best is None else min(best, value)
     return best
+
+
+def max_flow_min_cut(g: FaultGraph, cap, s: int, t: int) -> tuple[int, Flow, VertexCut]:
+    """Edmonds-Karp max flow with the residual-reachable minimum cut.
+
+    Returns (value, flow, cut) where ``cut`` is the s-side of a minimum
+    capacity cut.  Capacities must be non-negative integers (scalar or
+    per-edge); the returned flow is integral.
+    """
+    if s == t:
+        raise SourceEqualsSink(f"source {s} equals sink {t}")
+    caps = _normalize_caps(g, cap)
+    flow = [0] * g.m
+    edges = g.edges
+    value = 0
+    while True:
+        # BFS in the residual network; arcs scanned in edge-id order.
+        parent: list[tuple[int, int] | None] = [None] * g.n
+        parent[s] = (-1, s)
+        queue = deque([s])
+        while queue and parent[t] is None:
+            x = queue.popleft()
+            for eid in g.incident(x):
+                e = edges[eid]
+                y = e.v if x == e.u else e.u
+                if parent[y] is not None:
+                    continue
+                residual = caps[eid] - flow[eid] if x == e.u else caps[eid] + flow[eid]
+                if residual > 0:
+                    parent[y] = (eid, x)
+                    queue.append(y)
+        if parent[t] is None:
+            break
+        value += _augment(g, caps, flow, parent, s, t, float("inf"))
+    # Min cut: vertices reachable from s in the final residual network.
+    reach = 1 << s
+    queue = deque([s])
+    seen = [False] * g.n
+    seen[s] = True
+    while queue:
+        x = queue.popleft()
+        for eid in g.incident(x):
+            e = edges[eid]
+            y = e.v if x == e.u else e.u
+            if seen[y]:
+                continue
+            residual = caps[eid] - flow[eid] if x == e.u else caps[eid] + flow[eid]
+            if residual > 0:
+                seen[y] = True
+                reach |= 1 << y
+                queue.append(y)
+    return value, Flow(s, t, value, tuple(flow)), VertexCut(g.n, reach)
 
 
 def brute_connected(g: FaultGraph, edges, u: int, v: int) -> bool:
@@ -322,6 +376,21 @@ def dijkstra_cost(g: FaultGraph, s: int, t: int) -> float:
                 dist[y] = nd
                 heapq.heappush(heap, (nd, y))
     return float("inf")
+
+
+def tree_stretch(g: FaultGraph, tree) -> tuple[float, float]:
+    """(max, mean) stretch of the tree over all vertex pairs: tree-path cost
+    over shortest-path distance.  Pairs at distance 0 are skipped; with none
+    left it is (1, 1)."""
+    ratios = []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            d_g = dijkstra_cost(g, u, v)
+            if d_g > 0:
+                ratios.append(g.total_cost(tree.path(u, v)) / d_g)
+    if not ratios:
+        return 1.0, 1.0
+    return max(ratios), sum(ratios) / len(ratios)
 
 
 def random_graph(seed: int, n: int, m: int, safe_prob: float = 0.5) -> FaultGraph:
@@ -656,3 +725,34 @@ def counting_search_calls():
         yield counts
     finally:
         _Checker.first_bad, _Packing.bound = first_bad, bound
+
+
+def separate_flex_definitional(g: FaultGraph, reqs, x) -> bool:
+    """Slow reference check: all cuts x all B subsets, no prefix shortcut.
+    True iff no violated constraint exists."""
+    (p, q), = {(r.p, r.q) for r in reqs}
+    full = (1 << g.n) - 1
+    masks = {min(mask, full ^ mask) for r in reqs for mask in nested_st_masks(g.n, r.s, r.t)}
+    unsafe_ids = sorted(g.unsafe_ids)
+    for mask in masks:
+        ids = _crossing_ids(g, range(g.m), mask)
+        safe_sum = sum(x[eid] for eid in ids if g.edges[eid].safe)
+        unsafe_sum = sum(x[eid] for eid in ids if not g.edges[eid].safe)
+        if (p + q) * safe_sum + p * unsafe_sum < p * (p + q) - ROW_TOL:
+            return False
+        for size in range(q + 1):
+            for B in itertools.combinations(unsafe_ids, size):
+                value = sum(x[eid] for eid in ids if eid not in B)
+                if value < p - ROW_TOL:
+                    return False
+    return True
+
+
+def check_augmentation_lp_validity(g: FaultGraph, reqs, x, F1) -> tuple[bool, VertexCut | None]:
+    """Every violated cut of F1 must carry >= 1 unit of x outside F1."""
+    F1 = frozenset(F1)
+    outside = [eid for eid in range(g.m) if eid not in F1]
+    for mask in violated_cuts_flex_aug(g, reqs, F1).members:
+        if sum(x[eid] for eid in _crossing_ids(g, outside, mask)) < 1.0 - ROW_TOL:
+            return False, VertexCut(g.n, mask)
+    return True, None

@@ -47,7 +47,7 @@ from faultnet.instances import (
     generate,
 )
 from faultnet.gap import gap_experiment, paper_fractional_vector
-from faultnet.lp import separate_flex, separate_flex_definitional
+from faultnet.lp import separate_flex
 from faultnet.oracles import (
     FlexRequirement,
     Problem,
@@ -61,7 +61,7 @@ from faultnet.oracles import (
     violated_cuts_flex_aug,
     violating_edge_sets_bulk,
 )
-from oracle_utils import random_graph
+from oracle_utils import random_graph, separate_flex_definitional
 
 A_MASK = 0b0011
 B_MASK = 0b0110

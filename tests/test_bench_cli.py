@@ -171,6 +171,9 @@ class TestCli:
             (["exact"], _instance_lines(vertices="vertices three")),
             # Not UTF-8: used to exit 4 with "bad parameters:".
             (["exact"], b"faultnet-instance 1\nvertices 3 \xff\n"),
+            # Graph and problem validation: used to exit 4 with "bad parameters:".
+            (["exact"], _instance_lines(edge="e 1 1 1 1.0 safe")),
+            (["exact"], _instance_lines(problem=("problem flex",))),
         ],
         ids=[
             "nan-cost",
@@ -180,6 +183,8 @@ class TestCli:
             "bare-problem",
             "non-integer-vertices",
             "not-utf8",
+            "self-loop",
+            "flex-without-pairs",
         ],
     )
     def test_invalid_instance_is_a_parse_error(self, tmp_path, capsys, command, lines):

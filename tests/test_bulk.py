@@ -17,7 +17,6 @@ from faultnet.bulk import (
     solve_bulk_sndp,
     solve_flex_sndp,
     solve_rsndp,
-    tree_stretch,
 )
 from faultnet.errors import (
     Disconnected,
@@ -47,6 +46,7 @@ from oracle_utils import (
     fraction_greedy_hitting_set,
     kruskal_mst_cost,
     random_graph,
+    tree_stretch,
     union_find_expand_rsndp,
     union_find_hitting_instance,
 )

@@ -24,7 +24,6 @@ from faultnet.instances import (
     generate,
 )
 from faultnet.oracles import (
-    FlexRequirement,
     Problem,
     fgc_requirements,
     violated_cuts_flex_aug,

@@ -30,12 +30,11 @@ from faultnet.flow import flow_decompose, min_cost_flow
 from faultnet.graph import FaultGraph, boundary, boundary_counts, st_cut_masks
 from faultnet.instances import generate
 from faultnet.oracles import (
-    FlexRequirement,
     Problem,
     fgc_requirements,
     is_flex_feasible,
 )
-from oracle_utils import brute_set_cover, kruskal_mst_cost
+from oracle_utils import kruskal_mst_cost
 
 
 def fgc_instance(seed, n=6, m=14, p=2, q=2, skeleton="mixed", safe_prob=0.5):

@@ -6,10 +6,10 @@ import pytest
 
 from faultnet.errors import InfeasibleDemand, SourceEqualsSink
 from faultnet.exact import exact_solve
-from faultnet.flow import flow_decompose, max_flow_min_cut, min_cost_flow
+from faultnet.flow import flow_decompose, min_cost_flow
 from faultnet.graph import FaultGraph, boundary
 from faultnet.instances import generate
-from oracle_utils import brute_min_cut, random_graph
+from oracle_utils import brute_min_cut, max_flow_min_cut, random_graph
 
 
 class TestMaxFlow:

@@ -1,7 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Static checks on the package's and the tests' syntax trees.
 
-No linter ships with the project, so this walks each module's syntax tree.
-``__init__.py`` is left out: its imports are the package's re-exports.
+No linter ships with the project, so these walk each module's syntax tree:
+- every name a module imports is read in that module, in the package and
+  in the tests alike; ``__init__.py`` is left out, because its imports are
+  the package's re-exports;
+- every top-level function or class of the package is referenced somewhere
+  in the package other than at its own definition, or is a public name in
+  ``faultnet.__all__``.  Code that only tests call belongs in the tests.
 """
 
 import ast
@@ -11,9 +16,9 @@ import pytest
 
 import faultnet
 
-MODULES = sorted(
-    path for path in Path(faultnet.__file__).parent.glob("*.py") if path.name != "__init__.py"
-)
+PACKAGE = sorted(Path(faultnet.__file__).parent.glob("*.py"))
+MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,11 +34,48 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def unreferenced(sources: list[str], public) -> list[str]:
+    """Top-level functions and classes of the given modules that no code
+    outside their own definition names, as a variable or as an attribute,
+    and that ``public`` does not list.  Imports are not references."""
+    defined = []
+    referenced = set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = stmt.name
+                defined.append(own)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name is not None and name != own:
+                    referenced.add(name)
+    return [name for name in defined if name not in referenced and name not in public]
+
+
 def test_checker_sees_an_unused_import():
     source = "import heapq\nfrom typing import Callable, Sequence\nx: Sequence = heapq.nlargest\n"
     assert unused_imports(source) == ["Callable"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda path: path.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_sees_an_orphan():
+    # ``orphan`` calls only itself; ``helper`` is called from another module
+    # through an attribute; ``Public`` is listed as public.
+    lib = (
+        "def orphan(n):\n    return orphan(n - 1) if n else 0\n\n"
+        "def helper():\n    return 1\n\n"
+        "class Public:\n    pass\n"
+    )
+    user = "from . import lib\n\ndef run():\n    return lib.helper()\n"
+    assert unreferenced([lib, user], public={"Public", "run"}) == ["orphan"]
+    assert unreferenced([lib, user], public={"Public", "run", "orphan"}) == []
+
+
+def test_package_code_has_a_package_caller():
+    sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
+    assert unreferenced(sources, public=set(faultnet.__all__)) == []

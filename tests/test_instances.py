@@ -1,10 +1,12 @@
+import json
 from dataclasses import replace
 
 import pytest
 
 from faultnet import instances
 from faultnet.bench import run_cell
-from faultnet.errors import ParseError
+from faultnet.cli import main
+from faultnet.errors import CannotSatisfyFeasibility, ParseError
 from faultnet.graph import FaultGraph, boundary_counts
 from faultnet.instances import (
     appendix_a_instance,
@@ -97,6 +99,13 @@ class TestRoundTrip:
             parse(good.replace("end", ""))
         with pytest.raises(ParseError):
             parse(good.replace("unsafe", "grey"))
+        # Graph and problem validation used to reach the caller as a plain
+        # ValueError; the message is kept.
+        assert "e 0 0 2 " in good and "flexpair 0 1 1 1\n" in good
+        with pytest.raises(ParseError, match="^edge 0: self-loops are not allowed$"):
+            parse(good.replace("e 0 0 2 ", "e 0 2 2 "))
+        with pytest.raises(ParseError, match="^flex problem with empty requirements$"):
+            parse(good.replace("flexpair 0 1 1 1\n", ""))
 
 
 class TestFixedInstances:
@@ -174,3 +183,45 @@ class TestGenerators:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             generate("mystery", n=5, m=8, seed=0)
+
+    @pytest.mark.parametrize(
+        "params, name",
+        [
+            ({"problem": "bulk", "width": -1}, "width"),
+            ({"problem": "bulk", "width": 13}, "width"),
+            ({"problem": "bulk", "pairs": 0}, "pairs"),
+            ({"problem": "rsndp", "pairs": 0}, "pairs"),
+            ({"problem": "rsndp", "r": 0}, "r"),
+            ({"safe_prob": 7}, "safe_prob"),
+            ({"safe_prob": -0.5}, "safe_prob"),
+        ],
+        ids=[
+            "bulk-negative-width",
+            "bulk-width-above-m",
+            "bulk-no-pairs",
+            "rsndp-no-pairs",
+            "rsndp-r-zero",
+            "safe-prob-above-one",
+            "safe-prob-negative",
+        ],
+    )
+    def test_out_of_range_parameter_is_named(self, capsys, params, name):
+        # None of these used to name its parameter: the bulk and rsndp-r
+        # values failed inside the random module ("empty range for
+        # randrange()", "Sample larger than population"), rsndp pairs 0 as a
+        # problem with empty requirements, and the safe_prob values passed.
+        with pytest.raises(ValueError, match=f"^{name} "):
+            generate("random-multigraph", n=5, m=12, seed=0, params=params)
+        argv = ["gen", "--kind", "random-multigraph", "--n", "5", "--m", "12"]
+        assert main([*argv, "--params", json.dumps(params)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"bad parameters: {name} ")
+
+    def test_unsatisfiable_requirement_exhausts_the_attempts(self, capsys):
+        # Four edges on four vertices never give one pair 5 edge-disjoint paths.
+        params = {"problem": "flex-sndp", "pairs": [[0, 1, 5, 0]]}
+        with pytest.raises(CannotSatisfyFeasibility, match="after 200 attempts"):
+            generate("random-multigraph", n=4, m=4, seed=0, params=params)
+        argv = ["gen", "--kind", "random-multigraph", "--n", "4", "--m", "4"]
+        assert main([*argv, "--params", json.dumps(params)]) == 2
+        assert capsys.readouterr().err.startswith("infeasible: no feasible random-multigraph")

@@ -8,14 +8,14 @@ from faultnet.exact import exact_solve
 from faultnet.graph import FaultGraph, st_cut_masks
 from faultnet.instances import appendix_a_instance, generate
 from faultnet.gap import gap_experiment, paper_fractional_vector
+from faultnet.errors import LpInfeasible
 from faultnet.lp import (
     LinearProgramModel,
-    check_augmentation_lp_validity,
+    LpRow,
     cutting_plane_bulk,
     cutting_plane_flex,
     separate_bulk,
     separate_flex,
-    separate_flex_definitional,
     solve_lp,
 )
 from faultnet.oracles import BulkScenario, FlexRequirement, Problem, fgc_requirements
@@ -23,12 +23,14 @@ from faultnet import lp, simplex
 from faultnet.simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
 from oracle_utils import (
     assert_solve_matches_reference,
+    check_augmentation_lp_validity,
     highs_lp,
     loop_separate_bulk,
     loop_sum,
     loop_separate_flex,
     random_graph,
     random_lp,
+    separate_flex_definitional,
     two_phase_lp,
 )
 
@@ -156,6 +158,13 @@ class TestSolveLp:
         sol = solve_lp(LinearProgramModel(g))
         assert sol.objective == 0.0
 
+    def test_row_above_the_variable_bound_is_infeasible(self):
+        # x0 lies in [0, 1], so the one row x0 >= 2 has no solution.
+        model = LinearProgramModel(random_graph(1, 5, 8))
+        model.add_row(LpRow(key=("above-bound",), terms=((0, 1.0),), rhs=2.0))
+        with pytest.raises(LpInfeasible, match="INFEASIBLE"):
+            solve_lp(model)
+
     def test_appendix_a_k4_objective_at_most_fifteen(self):
         inst = appendix_a_instance(4)
         g = inst.to_graph()
@@ -189,6 +198,12 @@ class TestSeparateFlex:
         )
         g = inst.to_graph()
         assert separate_flex(g, inst.problem.flex, [1.0] * g.m) is None
+
+    def test_mixed_requirements_are_rejected(self):
+        g = appendix_a_instance(1).to_graph()
+        reqs = [FlexRequirement(0, 1, 1, 1), FlexRequirement(0, 2, 2, 1)]
+        with pytest.raises(ValueError, match="^the LP relaxation needs a uniform"):
+            separate_flex(g, reqs, [1.0] * g.m)
 
     def test_appendix_a_vector_is_clean(self):
         for k in (1, 2, 4):

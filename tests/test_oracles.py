@@ -23,6 +23,7 @@ from faultnet.oracles import (
     is_bulk_feasible,
     is_flex_feasible,
     is_rsndp_feasible,
+    uniform_pq,
     violated_cuts_flex_aug,
     violating_edge_sets_bulk,
 )
@@ -315,3 +316,13 @@ class TestWidthBudget:
             expand_flex_to_bulk(g, [FlexRequirement(0, 5, 2, 2)])
         with pytest.raises(WidthBudgetExceeded):
             expand_rsndp_to_bulk(g, [RelativeRequirement(0, 5, 3)])
+
+
+class TestUniformPq:
+    def test_shared_pair_or_none(self):
+        a, b = FlexRequirement(0, 1, 2, 1), FlexRequirement(1, 2, 2, 1)
+        c = FlexRequirement(0, 2, 1, 1)
+        assert uniform_pq([a, b]) == (2, 1)
+        assert uniform_pq([a, c]) is None and uniform_pq([]) is None
+        assert Problem("flex", flex=(a, b, FlexRequirement(0, 2, 2, 1))).is_fgc(3)
+        assert not Problem("flex", flex=(a, b, c)).is_fgc(3)
