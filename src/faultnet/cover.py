@@ -13,12 +13,13 @@ solvers use above the exact search budget, :func:`check_uncrossable`, the
 enumerating property checker used by the structure tests, and
 :func:`exact_cover`, the shared exact set-cover search.
 
-A :class:`CutFamily` holds its members as one kernel cut set (see
-:mod:`faultnet.cuts`), so the violated members under a partial cover are
-one mask-and of cut sets, and an edge's load in the dual growth is the
-popcount of its crossing set over the active cuts.  Dual growth runs in
-exact rational arithmetic (floats convert exactly to Fraction), so
-tight-edge detection never drifts.
+A :class:`CutFamily` is one kernel cut set (see :mod:`faultnet.cuts`),
+optionally oriented by one vertex.  Its members and its membership test both decode
+that set, the violated members under a partial cover are one mask-and of
+cut sets, and an edge's load in the dual growth is the popcount of its
+crossing set over the active cuts.  Dual growth runs in exact rational
+arithmetic (floats convert exactly to Fraction), so tight-edge detection
+never drifts.
 """
 
 from __future__ import annotations
@@ -41,17 +42,14 @@ class CutFamily:
     ``cuts`` is the family as one kernel cut set.  ``side`` orients its
     members: each member is the side of its cut that holds vertex ``side``,
     or the anchor-free side when ``side`` is None.  ``members`` decodes the
-    cut set once into those sides, as sorted bit masks.  ``membership`` is
-    the family's own predicate on any mask, which the uncrossability checker
-    and the ring verifier call directly.  It need not be symmetric: the stage
-    and ring families of single-pair plans accept only the s-side of a cut,
-    the spanning and ``violated_cuts_flex_aug`` families either side.
+    cut set once into those sides, as sorted bit masks.  ``contains`` is the
+    membership test on any mask: a side of a cut in ``cuts`` and, with
+    ``side`` set, the side that holds it (with ``side`` None, either side).
     ``ground`` is the candidate edge set a cover may buy from.
     """
 
     graph: FaultGraph
     cuts: int
-    membership: Callable[[int], bool]
     ground: frozenset
     label: str = ""
     side: int | None = None
@@ -59,6 +57,10 @@ class CutFamily:
     @cached_property
     def members(self) -> tuple[int, ...]:
         return tuple(masks(self.graph.n, self.cuts, self.side))
+
+    @cached_property
+    def contains(self) -> Callable[[int], bool]:
+        return predicate(self.graph.n, self.cuts, self.side)
 
     def violated(self, A: Iterable[int]) -> int:
         """The cut set of members that no edge of A crosses."""
@@ -157,7 +159,6 @@ def ecsndp_base(g: FaultGraph, reqs) -> frozenset:
         fam = CutFamily(
             graph=g,
             cuts=level,
-            membership=predicate(g.n, level),
             ground=g.all_edge_ids() - F,
             label=f"ecsndp level {k}",
         )
@@ -266,7 +267,7 @@ def _ring_verify(fam: CutFamily) -> None:
             inter = a & b
             if inter == 0 or (a & ~b) == 0 or (b & ~a) == 0:
                 continue  # not properly intersecting
-            if not (fam.membership(inter) and fam.membership(a | b)):
+            if not (fam.contains(inter) and fam.contains(a | b)):
                 raise NotRingFamily(
                     f"{fam.label}: closure fails for a properly intersecting pair",
                     witness=(a, b),
@@ -328,14 +329,14 @@ def uncross_pair_ok(membership: Callable[[int], bool], a: int, b: int) -> bool:
 def check_uncrossable(fam: CutFamily) -> tuple[bool, tuple[VertexCut, VertexCut] | None]:
     """Enumerate member pairs over the full cut domain and test uncrossing.
 
-    The domain is every nonempty proper subset of the vertices, so both
-    orientations of each member are examined, exactly as the raw definition
-    reads.  Returns the first violating (A, B) if any.
+    The domain is every nonempty proper subset of the vertices, so a family
+    without a ``side`` has both orientations of each member examined,
+    exactly as the raw definition reads.  Returns the first violating (A, B) if any.
     """
     n = fam.graph.n
-    members = [m for m in range(1, (1 << n) - 1) if fam.membership(m)]
+    members = [m for m in range(1, (1 << n) - 1) if fam.contains(m)]
     for i, a in enumerate(members):
         for b in members[i + 1 :]:
-            if not uncross_pair_ok(fam.membership, a, b):
+            if not uncross_pair_ok(fam.contains, a, b):
                 return False, (VertexCut(n, a), VertexCut(n, b))
     return True, None

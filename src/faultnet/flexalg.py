@@ -22,7 +22,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .cover import CutFamily, ecsndp_base, primal_dual_cover, ring_cover_exact
-from .cuts import Boundary, all_cuts, cut_index, masks, predicate, separating
+from .cuts import Boundary, all_cuts, cut_index, first_mask, masks, separating
 from .errors import (
     BaseNotFeasible,
     InfeasibleInstance,
@@ -111,39 +111,6 @@ def _feasible_for(g: FaultGraph, F: Iterable[int], plan: StagePlan, q: int) -> b
     return not _scope(g, plan) & Boundary(g, F).deficient(plan.p, q)
 
 
-def membership_ciq(
-    g: FaultGraph,
-    mask: int,
-    Q: Sequence[Iterable[int]],
-    F: frozenset,
-    p: int,
-    q: int,
-    s: int,
-    t: int,
-) -> bool:
-    """Is the cut in the ring subfamily keyed by the path subset Q?
-
-    True iff the cut is violated (boundary of exactly p+q-1 F-edges, fewer
-    than p safe, separating s from t with s inside), each path of Q meets
-    the boundary in exactly one edge, those edges are distinct and safe, and
-    together they are exactly the cut's safe boundary.
-    """
-    full = (1 << g.n) - 1
-    if not 0 < mask < full or not (mask >> s) & 1 or (mask >> t) & 1:
-        return False
-    bnd = boundary(g, F, mask)
-    safe_bnd = {eid for eid in bnd if g.edges[eid].safe}
-    if len(bnd) != p + q - 1 or len(safe_bnd) >= p or len(safe_bnd) != len(Q):
-        return False
-    hit_edges = []
-    for path in Q:
-        hits = [eid for eid in path if eid in bnd]
-        if len(hits) != 1 or not g.edges[hits[0]].safe:
-            return False
-        hit_edges.append(hits[0])
-    return len(set(hit_edges)) == len(hit_edges) and set(hit_edges) == safe_bnd
-
-
 def _enumerate_matchings(edge_opts: list[list[int]]) -> list[frozenset]:
     """All sets of distinct path indices formed by picking one option per
     safe edge (perfect matchings of the candidacy relation)."""
@@ -171,6 +138,30 @@ def _cap_flow_paths(g: FaultGraph, F: frozenset, plan: StagePlan) -> list[tuple[
     return flow_decompose(g, flow)
 
 
+def _path_groups(
+    g: FaultGraph, F: frozenset, cuts: int, paths: Sequence[Sequence[int]], s: int
+) -> dict[frozenset, int]:
+    """Map each path subset to the cut set of the cuts in ``cuts`` it matches.
+
+    A subset matches a cut when its paths take the cut's safe F-boundary
+    edges one each: every path meets the boundary exactly once, at a
+    distinct safe edge.  A cut with no safe boundary edge matches the
+    empty subset.
+    """
+    path_sets = [frozenset(path) for path in paths]
+    groups: dict[frozenset, int] = {}
+    for mask in masks(g.n, cuts, s):
+        bnd = boundary(g, F, mask)
+        opts = [
+            [j for j, pset in enumerate(path_sets) if eid in pset and len(bnd & pset) == 1]
+            for eid in sorted(bnd)
+            if g.edges[eid].safe
+        ]
+        for qs in _enumerate_matchings(opts):
+            groups[qs] = groups.get(qs, 0) | (1 << cut_index(g.n, mask))
+    return groups
+
+
 def _ring_families(
     g: FaultGraph, F: frozenset, plan: StagePlan, i: int
 ) -> list[CutFamily]:
@@ -180,46 +171,29 @@ def _ring_families(
     subfamily (guaranteed under p+q > pq/2); anything else means the stage
     construction cannot cover the family and is reported, not papered over.
     """
-    p, q = plan.p, plan.q
-    paths = _cap_flow_paths(g, F, plan)
-    path_sets = [frozenset(path) for path in paths]
     violated, counts = _violated_cuts(g, F, plan)
-    groups: dict[frozenset, int] = {}  # path subset -> cut set
-    for mask in masks(g.n, violated & counts.exactly(counts.safe, i), plan.s):
-        bnd = boundary(g, F, mask)
-        opts = [
-            [j for j, pset in enumerate(path_sets) if eid in pset and len(bnd & pset) == 1]
-            for eid in sorted(bnd)
-            if g.edges[eid].safe
-        ]
-        qsets = _enumerate_matchings(opts) if all(opts) else []
-        if i == 0:
-            qsets = [frozenset()]
-        if not qsets:
-            raise StageCoverFailed(
-                f"violated cut {bin(mask)} has no qualifying path subset at "
-                f"stage {i} (p={p}, q={q})"
-            )
-        for qs in qsets:
-            groups[qs] = groups.get(qs, 0) | (1 << cut_index(g.n, mask))
-    families = []
+    stage = violated & counts.exactly(counts.safe, i)
+    groups = _path_groups(g, F, stage, _cap_flow_paths(g, F, plan), plan.s)
+    covered = 0
+    for cuts in groups.values():
+        covered |= cuts
+    if covered != stage:
+        mask = first_mask(g.n, stage & ~covered, plan.s)
+        raise StageCoverFailed(
+            f"violated cut {bin(mask)} has no qualifying path subset at "
+            f"stage {i} (p={plan.p}, q={plan.q})"
+        )
     ground = g.all_edge_ids() - F
-    for qs in sorted(groups, key=sorted):
-        Q = [paths[j] for j in sorted(qs)]
-        fam = CutFamily(
+    return [
+        CutFamily(
             graph=g,
             cuts=groups[qs],
-            membership=(
-                lambda mask, Q=tuple(Q): membership_ciq(
-                    g, mask, Q, F, p, q, plan.s, plan.t
-                )
-            ),
             ground=ground,
             label=f"C_{i}^{sorted(qs)}",
             side=plan.s,
         )
-        families.append(fam)
-    return families
+        for qs in sorted(groups, key=sorted)
+    ]
 
 
 def _stage_families(
@@ -234,7 +208,6 @@ def _stage_families(
         CutFamily(
             graph=g,
             cuts=violated,
-            membership=predicate(g.n, violated),
             ground=g.all_edge_ids() - F,
             label=f"spanning({plan.p},{plan.q}) {spec.label}",
         )
@@ -362,26 +335,15 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
     seed_caps = [caps[eid] if eid in seed else 0 for eid in range(g.m)]
     flow = min_cost_flow(g, seed_caps, s, t, 4)
     paths = flow_decompose(g, flow)
+    groups = _path_groups(g, seed, violated, paths, s)
     ground = g.all_edge_ids() - seed
     covered = 0
     result = set(seed)
     for idx in range(3):
-        Q = (paths[idx],)
-        cuts = sum(
-            1 << cut_index(g.n, m)
-            for m in masks(g.n, violated, s)
-            if membership_ciq(g, m, Q, seed, 2, 2, s, t)
-        )
+        cuts = groups.get(frozenset({idx}), 0)
         covered |= cuts
         fam = CutFamily(
-            graph=g,
-            cuts=cuts,
-            membership=(
-                lambda mask, Q=Q: membership_ciq(g, mask, Q, seed, 2, 2, s, t)
-            ),
-            ground=ground,
-            label=f"C_1^P{idx + 1}",
-            side=s,
+            graph=g, cuts=cuts, ground=ground, label=f"C_1^P{idx + 1}", side=s
         )
         result |= ring_cover_exact(fam)
     if covered != violated:

@@ -19,7 +19,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from .cover import CutFamily
-from .cuts import Boundary, first_mask, predicate, separating
+from .cuts import Boundary, first_mask, separating
 from .errors import (
     BaseNotFeasible,
     EnumerationTooLarge,
@@ -263,7 +263,6 @@ def violated_cuts_flex_aug(
     return CutFamily(
         graph=g,
         cuts=violated,
-        membership=predicate(g.n, violated),
         ground=g.all_edge_ids() - F1,
         label=f"flex-aug({len(reqs)} reqs)",
         side=reqs[0].s if len(reqs) == 1 else None,

@@ -8,6 +8,8 @@ earlier member-list form as its reference, ``two_phase_lp`` keeps the
 cold two-phase primal simplex as the reference for the package's dual
 simplex, and ``max_flow_min_cut`` is an Edmonds-Karp max flow that shares
 only the capacity check and the augmenting step with ``min_cost_flow``.
+``membership_ciq`` is the definition of a path-indexed ring family, cut by
+cut, that the single-pair solvers' path grouping must reproduce.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -27,7 +30,7 @@ from faultnet.cuts import crossed, cut_index
 from faultnet.errors import LpUnbounded, SourceEqualsSink, Uncoverable, Unhittable
 from faultnet.exact import _Checker, _Packing
 from faultnet.flow import Flow, _augment, _normalize_caps
-from faultnet.graph import FaultGraph, VertexCut, same_component
+from faultnet.graph import FaultGraph, VertexCut, boundary, same_component
 from faultnet.lp import ROW_TOL, LpRow
 from faultnet.oracles import BulkScenario, violated_cuts_flex_aug
 
@@ -262,6 +265,39 @@ def brute_set_cover(rows, costs):
                 if best is None or cost < best[0] - 1e-12:
                     best = (cost, frozenset(combo))
     return best
+
+
+def membership_ciq(
+    g: FaultGraph,
+    mask: int,
+    Q: Sequence[Iterable[int]],
+    F: frozenset,
+    p: int,
+    q: int,
+    s: int,
+    t: int,
+) -> bool:
+    """Is the cut in the ring subfamily keyed by the path subset Q?
+
+    True iff the cut is violated (boundary of exactly p+q-1 F-edges, fewer
+    than p safe, separating s from t with s inside), each path of Q meets
+    the boundary in exactly one edge, those edges are distinct and safe, and
+    together they are exactly the cut's safe boundary.
+    """
+    full = (1 << g.n) - 1
+    if not 0 < mask < full or not (mask >> s) & 1 or (mask >> t) & 1:
+        return False
+    bnd = boundary(g, F, mask)
+    safe_bnd = {eid for eid in bnd if g.edges[eid].safe}
+    if len(bnd) != p + q - 1 or len(safe_bnd) >= p or len(safe_bnd) != len(Q):
+        return False
+    hit_edges = []
+    for path in Q:
+        hits = [eid for eid in path if eid in bnd]
+        if len(hits) != 1 or not g.edges[hits[0]].safe:
+            return False
+        hit_edges.append(hits[0])
+    return len(set(hit_edges)) == len(hit_edges) and set(hit_edges) == safe_bnd
 
 
 def _violated_members(fam, A) -> list[int]:

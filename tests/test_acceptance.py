@@ -276,7 +276,7 @@ def test_criterion_3_uncrossability_suite():
         fam = violated_cuts_flex_aug(g, fgc_requirements(4, p, q), g.all_edge_ids())
         ok, pair = check_uncrossable(fam)
         assert not ok
-        assert not uncross_pair_ok(fam.membership, A_MASK, B_MASK)
+        assert not uncross_pair_ok(fam.contains, A_MASK, B_MASK)
 
     # Ring verification of constructed path subfamilies (the exact cover
     # raises NotRingFamily if closure or unique-minimality ever fails).

@@ -28,7 +28,7 @@ from faultnet.oracles import (
     fgc_requirements,
     violated_cuts_flex_aug,
 )
-from oracle_utils import brute_set_cover, list_primal_dual_cover
+from oracle_utils import brute_set_cover, list_primal_dual_cover, membership_ciq
 from test_acceptance import FALLBACK_CONFIGS, _fgc_inst, _ratio_shape
 
 
@@ -42,7 +42,6 @@ def family_from_members(g, members, ground=None, side=None):
     fam = CutFamily(
         graph=g,
         cuts=cuts,
-        membership=lambda mask: mask in mem,
         ground=frozenset(ground if ground is not None else g.all_edge_ids()),
         label="test",
         side=side,
@@ -91,7 +90,7 @@ def closure_failing_family():
 def path_ring_families(seed):
     """Ring subfamilies harvested from a real (2, 2) single-pair seed: the
     violated cuts of the flow seed, split by the first three flow paths."""
-    from faultnet.flexalg import StagePlan, _violated_cuts, membership_ciq
+    from faultnet.flexalg import StagePlan, _violated_cuts
     from faultnet.flow import flow_decompose, min_cost_flow
     from faultnet.graph import st_cut_masks
 
@@ -273,7 +272,7 @@ class TestUncrossable:
         ok, pair = check_uncrossable(fam)
         assert not ok
         assert {pair[0].mask, pair[1].mask} == {0b0011, 0b0110}
-        assert not uncross_pair_ok(fam.membership, 0b0011, 0b0110)
+        assert not uncross_pair_ok(fam.contains, 0b0011, 0b0110)
 
     def test_figure_3_counterexample(self):
         inst = figure_3_instance()
@@ -281,7 +280,7 @@ class TestUncrossable:
         fam = violated_cuts_flex_aug(g, fgc_requirements(4, 3, 4), g.all_edge_ids())
         ok, pair = check_uncrossable(fam)
         assert not ok
-        assert not uncross_pair_ok(fam.membership, 0b0011, 0b0110)
+        assert not uncross_pair_ok(fam.contains, 0b0011, 0b0110)
 
     def test_figure_4_counterexample_in_stage_c3(self):
         inst = figure_4_instance()
@@ -290,11 +289,11 @@ class TestUncrossable:
         fam = violated_cuts_flex_aug(g, fgc_requirements(4, 4, 5), F)
         # Both named cuts carry exactly 3 safe edges (stage family C_3).
         for mask in (0b0011, 0b0110):
-            assert fam.membership(mask)
+            assert fam.contains(mask)
             assert boundary_counts(g, F, mask)[0] == 3
         ok, _pair = check_uncrossable(fam)
         assert not ok
-        assert not uncross_pair_ok(fam.membership, 0b0011, 0b0110)
+        assert not uncross_pair_ok(fam.contains, 0b0011, 0b0110)
 
     def test_lemma_structure_corner_boundaries(self):
         # Member pairs whose intersection/union (or both differences) carry
@@ -306,14 +305,14 @@ class TestUncrossable:
                 g, Problem("flex", flex=fgc_requirements(6, p, q - 1))
             )
             fam = violated_cuts_flex_aug(g, fgc_requirements(6, p, q), base)
-            members = [m for m in range(1, (1 << g.n) - 1) if fam.membership(m)]
+            members = [m for m in range(1, (1 << g.n) - 1) if fam.contains(m)]
             for a, b in itertools.combinations(members, 2):
                 du = boundary_counts(g, base, a | b)[1]
                 di = boundary_counts(g, base, a & b)[1]
                 dab = boundary_counts(g, base, a & ~b)[1]
                 dba = boundary_counts(g, base, b & ~a)[1]
                 if (du == di == p + q - 1) or (dab == dba == p + q - 1):
-                    assert uncross_pair_ok(fam.membership, a, b)
+                    assert uncross_pair_ok(fam.contains, a, b)
 
     @pytest.mark.parametrize("p,q", [(3, 2), (3, 3), (4, 2), (4, 3)])
     def test_stage_families_uncrossable_q_le_3(self, p, q):

@@ -21,7 +21,6 @@ from faultnet.flexalg import (
     flex_st_guarantee,
     make_fgc_plan,
     make_flex_st_plan,
-    membership_ciq,
     solve_fgc,
     solve_flex_st,
     solve_flex_st_22,
@@ -34,7 +33,7 @@ from faultnet.oracles import (
     fgc_requirements,
     is_flex_feasible,
 )
-from oracle_utils import kruskal_mst_cost
+from oracle_utils import kruskal_mst_cost, membership_ciq
 
 
 def fgc_instance(seed, n=6, m=14, p=2, q=2, skeleton="mixed", safe_prob=0.5):

@@ -8,8 +8,9 @@ current code with files written by a trusted earlier commit:
   on the primal-dual fallback base.  Its CSV (no timing column) and its
   solutions map are ``golden/suite.csv`` and ``golden/solutions.json``.
 * ``golden/cuts.json`` holds ``is_flex_feasible`` verdicts and witnesses,
-  ``violated_cuts_flex_aug`` members and membership, and the families of
-  ``_stage_families``, over the fixed seeded cases built by :func:`cut_cases`.
+  ``violated_cuts_flex_aug`` members and the masks its ``contains``
+  accepts, and the families of ``_stage_families``, over the fixed seeded
+  cases built by :func:`cut_cases`.
 * ``golden/lp.json`` holds the ``repr`` of every float the LP layer returns:
   ``x``, objective, rounds and every row of seeded ``cutting_plane_flex`` and
   ``cutting_plane_bulk`` runs (through ``solve_problem_lp``), and raw
@@ -107,7 +108,7 @@ def _family(fam, n: int) -> list:
     return [
         fam.label,
         list(fam.members),
-        [mask for mask in range(1 << n) if fam.membership(mask)],
+        [mask for mask in range(1 << n) if fam.contains(mask)],
     ]
 
 

@@ -144,8 +144,8 @@ class TestViolatedCutsFlexAug:
         g = inst.to_graph()
         fam = violated_cuts_flex_aug(g, fgc_requirements(4, 3, 2), g.all_edge_ids())
         A, B = 0b0011, 0b0110
-        assert fam.membership(A) and fam.membership(B)
-        assert not fam.membership(A | B) and not fam.membership(B & ~A)
+        assert fam.contains(A) and fam.contains(B)
+        assert not fam.contains(A | B) and not fam.contains(B & ~A)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_enumerator_equals_definitional_filter(self, seed):
