@@ -14,12 +14,12 @@ enumerating property checker used by the structure tests, and
 :func:`exact_cover`, the shared exact set-cover search.
 
 A :class:`CutFamily` is one kernel cut set (see :mod:`faultnet.cuts`),
-optionally oriented by one vertex.  Its members and its membership test both decode
-that set, the violated members under a partial cover are one mask-and of
-cut sets, and an edge's load in the dual growth is the popcount of its
-crossing set over the active cuts.  Dual growth runs in exact rational
-arithmetic (floats convert exactly to Fraction), so tight-edge detection
-never drifts.
+optionally oriented by one vertex.  Its members and its membership test
+both decode that set, the violated members under a partial cover are one
+mask-and of cut sets, and an edge's load in the dual growth is the popcount
+of its crossing set over the active cuts.  Dual growth runs in exact
+rational arithmetic (floats convert exactly to Fraction), so tight-edge
+detection never drifts.
 """
 
 from __future__ import annotations

@@ -18,6 +18,7 @@ indexed by path subsets, each solved exactly.  Requires p+q > pq/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import comb
 from typing import Iterable, Sequence
 
@@ -111,23 +112,6 @@ def _feasible_for(g: FaultGraph, F: Iterable[int], plan: StagePlan, q: int) -> b
     return not _scope(g, plan) & Boundary(g, F).deficient(plan.p, q)
 
 
-def _enumerate_matchings(edge_opts: list[list[int]]) -> list[frozenset]:
-    """All sets of distinct path indices formed by picking one option per
-    safe edge (perfect matchings of the candidacy relation)."""
-    results: set[frozenset] = set()
-
-    def rec(k: int, used: tuple[int, ...]):
-        if k == len(edge_opts):
-            results.add(frozenset(used))
-            return
-        for j in edge_opts[k]:
-            if j not in used:
-                rec(k + 1, used + (j,))
-
-    rec(0, ())
-    return sorted(results, key=sorted)
-
-
 def _cap_flow_paths(g: FaultGraph, F: frozenset, plan: StagePlan) -> list[tuple[int, ...]]:
     """Unit s-t paths of a flow of value p(p+q) inside (V, F) under the stage caps."""
     p, q = plan.p, plan.q
@@ -144,8 +128,8 @@ def _path_groups(
     """Map each path subset to the cut set of the cuts in ``cuts`` it matches.
 
     A subset matches a cut when its paths take the cut's safe F-boundary
-    edges one each: every path meets the boundary exactly once, at a
-    distinct safe edge.  A cut with no safe boundary edge matches the
+    edges one each, every path meeting the boundary exactly once (so no
+    path can take two edges).  A cut with no safe boundary edge matches the
     empty subset.
     """
     path_sets = [frozenset(path) for path in paths]
@@ -157,7 +141,8 @@ def _path_groups(
             for eid in sorted(bnd)
             if g.edges[eid].safe
         ]
-        for qs in _enumerate_matchings(opts):
+        for picks in product(*opts):
+            qs = frozenset(picks)
             groups[qs] = groups.get(qs, 0) | (1 << cut_index(g.n, mask))
     return groups
 
@@ -185,13 +170,7 @@ def _ring_families(
         )
     ground = g.all_edge_ids() - F
     return [
-        CutFamily(
-            graph=g,
-            cuts=groups[qs],
-            ground=ground,
-            label=f"C_{i}^{sorted(qs)}",
-            side=plan.s,
-        )
+        CutFamily(graph=g, cuts=groups[qs], ground=ground, label=f"C_{i}^{sorted(qs)}", side=plan.s)
         for qs in sorted(groups, key=sorted)
     ]
 
@@ -333,8 +312,7 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
     if not violated:
         return seed
     seed_caps = [caps[eid] if eid in seed else 0 for eid in range(g.m)]
-    flow = min_cost_flow(g, seed_caps, s, t, 4)
-    paths = flow_decompose(g, flow)
+    paths = flow_decompose(g, min_cost_flow(g, seed_caps, s, t, 4))
     groups = _path_groups(g, seed, violated, paths, s)
     ground = g.all_edge_ids() - seed
     covered = 0
@@ -342,10 +320,9 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
     for idx in range(3):
         cuts = groups.get(frozenset({idx}), 0)
         covered |= cuts
-        fam = CutFamily(
-            graph=g, cuts=cuts, ground=ground, label=f"C_1^P{idx + 1}", side=s
+        result |= ring_cover_exact(
+            CutFamily(graph=g, cuts=cuts, ground=ground, label=f"C_1^P{idx + 1}", side=s)
         )
-        result |= ring_cover_exact(fam)
     if covered != violated:
         raise StageCoverFailed(
             "some violated cut escaped the three path-indexed ring families"

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from random import Random
 from .errors import CannotSatisfyFeasibility, ParseError
-from .graph import SAFE, UNSAFE, FaultGraph
+from .graph import MAX_SWEEP_N, SAFE, UNSAFE, FaultGraph
 from .oracles import (
     BulkScenario,
     FlexRequirement,
@@ -208,8 +208,8 @@ def appendix_a_instance(k: int) -> InstanceFile:
     unsafe s-v edges of cost 1/2 and one safe v-t edge of cost k+1.  Edge
     ids per block i: 3i, 3i+1 unsafe, 3i+2 safe.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= MAX_SWEEP_N - 3:
+        raise ValueError(f"k must lie in [1, {MAX_SWEEP_N - 3}] (n = k + 3), got {k}")
     specs = []
     for i in range(k + 1):
         v = 2 + i
@@ -455,6 +455,8 @@ def generate(
         raise ValueError(f"unknown instance kind {kind!r}")
     if n is None or m is None:
         raise ValueError("random kinds need n and m")
+    if n < 2:
+        raise ValueError(f"n must be >= 2 for random kinds, got {n}")
     if params.get("problem") == "bulk" and params.get("width", 1) > m:
         raise ValueError(f"width must be at most m={m}, got {params['width']}")
     for attempt in range(MAX_GENERATE_ATTEMPTS):

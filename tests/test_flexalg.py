@@ -1,9 +1,10 @@
+import ast
 import itertools
 from math import comb
 
 import pytest
 
-from faultnet.cover import ring_cover_exact
+from faultnet.cover import CutFamily, ring_cover_exact
 from faultnet.cuts import predicate
 from faultnet.errors import (
     BaseNotFeasible,
@@ -14,6 +15,9 @@ from faultnet.errors import (
 from faultnet.exact import exact_solve
 from faultnet.flexalg import (
     StagePlan,
+    _cap_flow_paths,
+    _path_groups,
+    _ring_families,
     _stage_families,
     _violated_cuts,
     augment_stages,
@@ -29,9 +33,11 @@ from faultnet.flow import flow_decompose, min_cost_flow
 from faultnet.graph import FaultGraph, boundary, boundary_counts, st_cut_masks
 from faultnet.instances import generate
 from faultnet.oracles import (
+    FlexRequirement,
     Problem,
     fgc_requirements,
     is_flex_feasible,
+    violated_cuts_flex_aug,
 )
 from oracle_utils import kruskal_mst_cost, membership_ciq
 
@@ -302,6 +308,92 @@ class TestMembershipCiq:
                     or total >= 4
                     or (safe == 1 and unsafe == 2)
                 )
+
+
+FLEX_ST_PARAMS = [
+    (p, q) for p in range(1, 5) for q in range(1, 4) if p + q > p * q / 2
+]
+
+
+class TestPathGroups:
+    """The path-subset grouping against the cut-by-cut definition
+    ``membership_ciq``: a family built from a group contains exactly the
+    masks the definition accepts."""
+
+    @pytest.mark.parametrize("p,q", FLEX_ST_PARAMS)
+    def test_ring_families_match_the_definition(self, p, q):
+        # Replay the top level of solve_flex_st.  At p = 1 or q = 1 the
+        # capacitated seed leaves no violated cut, so no family forms.
+        found = 0
+        for seed in range(2):
+            g = st_instance(seed, p=p, q=q, safe_prob=0.35).to_graph()
+            s, t = 0, g.n - 1
+            caps = [p + q if e.safe else p for e in g.edges]
+            F = solve_flex_st(g, s, t, p, q - 1)
+            F = F | min_cost_flow(g, caps, s, t, p * (p + q)).support()
+            plan = make_flex_st_plan(p, q, s, t)
+            for i in range(p):
+                paths = _cap_flow_paths(g, F, plan)
+                added = set()
+                for fam in _ring_families(g, F, plan, i):
+                    Q = [paths[j] for j in ast.literal_eval(fam.label.split("^")[1])]
+                    for mask in range(1 << g.n):
+                        assert fam.contains(mask) == membership_ciq(g, mask, Q, F, p, q, s, t)
+                    added |= ring_cover_exact(fam)
+                    found += 1
+                F = F | added
+        assert found or p == 1 or q == 1
+
+    def test_22_path_groups_match_the_definition(self):
+        found = 0
+        plan = StagePlan(p=2, q=2, scope="st", s=0, t=5)
+        for seed in range(12):
+            g = st_instance(seed, m=16, safe_prob=0.3).to_graph()
+            caps = [2 if e.safe else 1 for e in g.edges]
+            seed_set = min_cost_flow(g, caps, 0, 5, 4).support()
+            violated = _violated_cuts(g, seed_set, plan)[0]
+            seed_caps = [caps[eid] if eid in seed_set else 0 for eid in range(g.m)]
+            paths = flow_decompose(g, min_cost_flow(g, seed_caps, 0, 5, 4))
+            groups = _path_groups(g, seed_set, violated, paths, 0)
+            for idx in range(3):
+                fam = CutFamily(
+                    graph=g,
+                    cuts=groups.get(frozenset({idx}), 0),
+                    ground=g.all_edge_ids() - seed_set,
+                    side=0,
+                )
+                found += bool(fam.cuts)
+                for mask in range(1 << g.n):
+                    expected = membership_ciq(g, mask, (paths[idx],), seed_set, 2, 2, 0, 5)
+                    assert fam.contains(mask) == expected
+        assert found
+
+    def test_flex_aug_contains_follows_the_orientation(self):
+        # A single-pair family holds the s-side of each cut, a spanning
+        # family either side.
+        for single in (True, False):
+            found = False
+            for seed in range(10):
+                if single:
+                    g = st_instance(seed + 20, safe_prob=0.3).to_graph()
+                    reqs = [FlexRequirement(0, g.n - 1, 2, 2)]
+                    F1 = solve_flex_st(g, 0, g.n - 1, 2, 1)
+                else:
+                    g = fgc_instance(seed + 20).to_graph()
+                    reqs = fgc_requirements(g.n, 2, 2)
+                    F1, _ = exact_solve(g, Problem("flex", flex=fgc_requirements(g.n, 2, 1)))
+                fam = violated_cuts_flex_aug(g, reqs, F1)
+                if not fam.cuts:
+                    continue
+                found = True
+                full = (1 << g.n) - 1
+                sides = set(fam.members)
+                if single:
+                    assert all(mask & 1 for mask in sides)
+                else:
+                    sides |= {full ^ mask for mask in sides}
+                assert {mask for mask in range(1 << g.n) if fam.contains(mask)} == sides
+            assert found
 
 
 class TestStageCosts:

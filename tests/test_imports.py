@@ -6,10 +6,14 @@ No linter ships with the project, so these walk each module's syntax tree:
   the package's re-exports;
 - every top-level function or class of the package is referenced somewhere
   in the package other than at its own definition, or is a public name in
-  ``faultnet.__all__``.  Code that only tests call belongs in the tests.
+  ``faultnet.__all__``.  Code that only tests call belongs in the tests;
+- every backticked dotted name in ``README.md``, such as ``graph.boundary``
+  or ``faultnet.cuts``, resolves to a package module or attribute.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +23,8 @@ import faultnet
 PACKAGE = sorted(Path(faultnet.__file__).parent.glob("*.py"))
 MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
+README = Path(__file__).parent.parent / "README.md"
+DOTTED_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -79,3 +85,41 @@ def test_checker_sees_an_orphan():
 def test_package_code_has_a_package_caller():
     sources = [path.read_text(encoding="utf-8") for path in PACKAGE]
     assert unreferenced(sources, public=set(faultnet.__all__)) == []
+
+
+def resolves(name: str) -> bool:
+    """Is the dotted name a package module or attribute?  A name not
+    starting with ``faultnet`` is read inside the package."""
+    parts = name.split(".")
+    if parts[0] != "faultnet":
+        parts.insert(0, "faultnet")
+    obj = faultnet
+    for depth, part in enumerate(parts[1:], 2):
+        try:
+            obj = getattr(obj, part) if hasattr(obj, part) else importlib.import_module(
+                ".".join(parts[:depth])
+            )
+        except ImportError:
+            return False
+    return True
+
+
+def unresolved_names(text: str) -> list[str]:
+    """Backticked dotted names in ``text`` that do not resolve."""
+    return [name for name in sorted(set(DOTTED_NAME.findall(text))) if not resolves(name)]
+
+
+def test_checker_sees_a_stale_name():
+    text = (
+        "Cuts go to `graph.boundary` in `faultnet.cuts`; "
+        "`graph.gone`, `faultnet.nowhere` and `simplex.DualReoptimizer.gone` do not exist."
+    )
+    assert unresolved_names(text) == [
+        "faultnet.nowhere", "graph.gone", "simplex.DualReoptimizer.gone"
+    ]
+
+
+def test_readme_names_resolve():
+    text = README.read_text(encoding="utf-8")
+    assert DOTTED_NAME.findall(text)
+    assert unresolved_names(text) == []

@@ -7,7 +7,7 @@ from faultnet import instances
 from faultnet.bench import run_cell
 from faultnet.cli import main
 from faultnet.errors import CannotSatisfyFeasibility, ParseError
-from faultnet.graph import FaultGraph, boundary_counts
+from faultnet.graph import MAX_SWEEP_N, FaultGraph, boundary_counts
 from faultnet.instances import (
     appendix_a_instance,
     figure_1_instance,
@@ -216,6 +216,28 @@ class TestGenerators:
         assert main([*argv, "--params", json.dumps(params)]) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"bad parameters: {name} ")
+
+    @pytest.mark.parametrize("kind", ["random-multigraph", "random-geometric"])
+    @pytest.mark.parametrize("n", [1, 0, -2])
+    def test_vertex_count_below_two_is_named(self, capsys, kind, n):
+        # n = 1 used to hang: its one skeleton cycle is a self-loop, and the
+        # extras loop redrew u == v forever.  n <= 0 failed inside the
+        # random module ("empty range for randrange()").
+        with pytest.raises(ValueError, match="^n "):
+            generate(kind, n=n, m=3, seed=0)
+        assert main(["gen", "--kind", kind, "--n", str(n), "--m", "3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("bad parameters: n ")
+
+    def test_appendix_a_k_stays_within_the_sweep_cap(self, capsys):
+        # n = k + 3, so k = 21 is the largest instance the other commands
+        # accept; k = 30 used to write a 33-vertex file.
+        assert appendix_a_instance(21).to_graph().n == MAX_SWEEP_N
+        with pytest.raises(ValueError, match="^k "):
+            appendix_a_instance(22)
+        assert main(["gen", "--kind", "appendix-a", "--params", json.dumps({"k": 30})]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("bad parameters: k ")
 
     def test_unsatisfiable_requirement_exhausts_the_attempts(self, capsys):
         # Four edges on four vertices never give one pair 5 edge-disjoint paths.
