@@ -14,10 +14,13 @@ fundamental cycle C reconnects the pair exactly when the edges of C - F
 cross every dead cut.  The union-find oracles stay the reference the kernel
 answers are tested against.
 
-The flexible and relative drivers reduce to this machinery through scenario
-expansion; the flexible driver additionally seeds with
-:func:`faultnet.flexalg.flex_base` at the (p_i, 0) level and activates pairs
-round by round, honoring heterogeneous (p_i, q_i) requirements.
+The flexible and relative drivers reduce to this machinery.  The relative
+driver expands its requirements into an explicit scenario list.  The
+flexible driver seeds with :func:`faultnet.flexalg.flex_base` at the
+(p_i, 0) level and activates pairs round by round, honoring heterogeneous
+(p_i, q_i) requirements; each round's violating sets are the H-boundaries
+of the kernel's tight cuts (``_flex_violating_sets``), with no scenario
+expansion.
 """
 
 from __future__ import annotations

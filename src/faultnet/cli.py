@@ -2,7 +2,9 @@
 
 Commands: solve, verify, exact, lp, gap, gen, bench.  Machine-readable
 output: JSON summaries on stdout, CSV to a file for bench.  Exit codes:
-0 success, 2 infeasible instance/solution, 3 budget exceeded, 4 parse error.
+0 success, 1 the algorithm does not apply to the instance or one of its
+steps failed, 2 infeasible instance/solution, 3 budget exceeded, 4 parse
+error.
 """
 
 from __future__ import annotations

@@ -2,11 +2,9 @@
 
 Spanning case (solve_fgc): a base at level (p, 0) from flex_base (the exact
 optimum within the search budget, else the primal-dual ecsndp_base), then
-one augmentation round per unsafe-failure level.  A round is a single
-uncrossable-family primal-dual cover when p <= 2 or when lifting to level 1,
-and otherwise runs in p stages keyed by the number of safe edges on the
-violated boundary (supported for q <= 3 and for q = 4 with even p; odd p at
-q = 4 has a non-uncrossable final stage and is rejected at planning time).
+one augmentation round per unsafe-failure level as make_fgc_plan lays it
+out.  That is the solver's only (p, q) case split: its supported set
+(fgc_plans) and its guarantee (fgc_guarantee) are read off the plans.
 
 Single-pair case (solve_flex_st, solve_flex_st_22): each round seeds the
 partial solution with the support of a min-cost flow under capacities
@@ -38,17 +36,13 @@ from .oracles import FlexRequirement, Problem, fgc_requirements, is_flex_feasibl
 
 
 @dataclass(frozen=True)
-class StageSpec:
-    label: str
-    safe_count: int | None  # None = all violated cuts as one family
-
-
-@dataclass(frozen=True)
 class StagePlan:
     """Per-level augmentation plan: target (p, q), scope, ordered stages.
 
-    The scope picks the cover engine: spanning stages are one primal-dual
-    family each, s-t stages are ring families covered exactly.
+    A stage is the safe-boundary count of the violated cuts it covers, or
+    None for all violated cuts at once.  The scope picks the cover engine:
+    spanning stages are one primal-dual family each, s-t stages are ring
+    families covered exactly.
     """
 
     p: int
@@ -56,40 +50,39 @@ class StagePlan:
     scope: str  # "spanning" | "st"
     s: int = 0
     t: int = 0
-    stages: tuple[StageSpec, ...] = ()
-
-
-def fgc_supported(p: int, q: int) -> bool:
-    if p < 1 or q < 0:
-        return False
-    return q <= 3 or p == 2 or (q == 4 and p % 2 == 0)
+    stages: tuple[int | None, ...] = ()
 
 
 def make_fgc_plan(p: int, q: int) -> StagePlan:
-    """Plan for lifting a (p, q-1)-feasible spanning solution to (p, q)."""
+    """Plan for lifting a (p, q-1)-feasible spanning solution to (p, q).
+
+    One uncrossable family when p <= 2 or q = 1; p stages, the violated cuts
+    with 0..p-1 safe boundary edges, when q is 2 or 3, or 4 with p even.
+    Elsewhere no stage split is known to be uncrossable.
+    """
     if p < 1 or q < 1:
         raise UnsupportedParameters(f"no augmentation plan for (p, q)=({p}, {q})")
     if p <= 2 or q == 1:
-        stages = (StageSpec("all-violated", None),)
+        stages = (None,)
     elif q in (2, 3) or (q == 4 and p % 2 == 0):
-        stages = tuple(
-            StageSpec(f"safe={i}", i) for i in range(p)
-        )
+        stages = tuple(range(p))
     else:
-        raise UnsupportedParameters(
-            f"stage families for (p, q)=({p}, {q}) are not uncrossable"
-            + (" (odd p, q=4)" if q == 4 else "")
-        )
+        raise UnsupportedParameters(f"no uncrossable stage families lift p={p} to level {q}")
     return StagePlan(p=p, q=q, scope="spanning", stages=stages)
+
+
+def fgc_plans(p: int, q: int) -> list[StagePlan]:
+    """The plans of levels 1..q of a spanning (p, q) solve.  Raises
+    UnsupportedParameters when p < 1, q < 0 or some level has no plan."""
+    if p < 1 or q < 0:
+        raise UnsupportedParameters(f"(p, q)=({p}, {q}) is outside the supported set")
+    return [make_fgc_plan(p, level) for level in range(1, q + 1)]
 
 
 def make_flex_st_plan(p: int, q: int, s: int, t: int) -> StagePlan:
     if p + q <= p * q / 2:
-        raise ParameterConditionViolated(
-            f"(p, q)=({p}, {q}) violates p+q > pq/2"
-        )
-    stages = tuple(StageSpec(f"safe={i}", i) for i in range(p))
-    return StagePlan(p=p, q=q, scope="st", s=s, t=t, stages=stages)
+        raise ParameterConditionViolated(f"(p, q)=({p}, {q}) violates p+q > pq/2")
+    return StagePlan(p=p, q=q, scope="st", s=s, t=t, stages=tuple(range(p)))
 
 
 # -- violated-cut machinery ----------------------------------------------------
@@ -176,19 +169,21 @@ def _ring_families(
 
 
 def _stage_families(
-    g: FaultGraph, F: frozenset, plan: StagePlan, spec: StageSpec
+    g: FaultGraph, F: frozenset, plan: StagePlan, stage: int | None
 ) -> list[CutFamily]:
     if plan.scope == "st":
-        return _ring_families(g, F, plan, spec.safe_count)
+        return _ring_families(g, F, plan, stage)
     violated, counts = _violated_cuts(g, F, plan)
-    if spec.safe_count is not None:
-        violated &= counts.exactly(counts.safe, spec.safe_count)
+    label = "all-violated"
+    if stage is not None:
+        violated &= counts.exactly(counts.safe, stage)
+        label = f"safe={stage}"
     return [
         CutFamily(
             graph=g,
             cuts=violated,
             ground=g.all_edge_ids() - F,
-            label=f"spanning({plan.p},{plan.q}) {spec.label}",
+            label=f"spanning({plan.p},{plan.q}) {label}",
         )
     ]
 
@@ -200,9 +195,9 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozense
     F = frozenset(F)
     if not _feasible_for(g, F, plan, q - 1):
         raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
-    for spec in plan.stages:
+    for stage in plan.stages:
         added: set[int] = set()
-        for fam in _stage_families(g, F, plan, spec):
+        for fam in _stage_families(g, F, plan, stage):
             if plan.scope == "st":
                 added |= ring_cover_exact(fam)
             else:
@@ -228,41 +223,30 @@ def flex_base(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> frozenset:
 # -- spanning solver -----------------------------------------------------------
 
 def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
-    """Spanning (p, q) solver within the supported parameter set.
+    """Spanning (p, q) solver for the (p, q) that ``fgc_plans`` accepts.
 
     ``flex_base`` at (p, 0), then one augmentation round per level 1..q
     following the per-level plan.  The result is oracle-verified before
     returning.
     """
-    if not fgc_supported(p, q):
-        raise UnsupportedParameters(f"(p, q)=({p}, {q}) is outside the supported set")
+    plans = fgc_plans(p, q)
     if g.n < 2:
         return frozenset()
     probe = StagePlan(p=p, q=q, scope="spanning")
     if not _feasible_for(g, g.all_edge_ids(), probe, q):
         raise InfeasibleInstance(f"graph is not ({p}, {q})-feasible")
     F = flex_base(g, fgc_requirements(g.n, p, 0))
-    for level in range(1, q + 1):
-        F = augment_stages(g, F, make_fgc_plan(p, level))
+    for plan in plans:
+        F = augment_stages(g, F, plan)
     return F
 
 
-def fgc_guarantee(p: int, q: int) -> float:
-    """Published worst-case ratio for the supported spanning parameters."""
-    if q == 0:
-        return 2.0
-    best = float("inf")
-    if p <= 2:
-        best = 2 * q + 2
-    if q == 1:
-        best = min(best, 4)
-    elif q == 2:
-        best = min(best, 2 * p + 4)
-    elif q == 3:
-        best = min(best, 4 * p + 4)
-    elif q == 4 and p % 2 == 0:
-        best = min(best, 6 * p + 4)
-    return best
+def fgc_guarantee(p: int, q: int) -> int:
+    """The ratio this construction guarantees at (p, q): 2 for a (p, 0)
+    base within factor 2 of optimal, plus 2 for each primal-dual cover of
+    an uncrossable family that the level plans run.  Raises
+    UnsupportedParameters where ``fgc_plans`` does."""
+    return 2 + 2 * sum(len(plan.stages) for plan in fgc_plans(p, q))
 
 
 # -- single-pair solvers ---------------------------------------------------------
@@ -274,15 +258,15 @@ def solve_flex_st(g: FaultGraph, s: int, t: int, p: int, q: int) -> frozenset:
     seeding (support of a min-cost flow of p(p+j) units under caps p+j safe
     / p unsafe) followed by the staged ring-family covers.
     """
-    make_flex_st_plan(p, q, s, t)  # parameter hypothesis check
+    plans = [make_flex_st_plan(p, level, s, t) for level in range(1, q + 1)]
     ok, _ = is_flex_feasible(g, [FlexRequirement(s, t, p, q)], g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph is not ({p}, {q})-flex-connected for the pair")
     F = min_cost_flow(g, 1, s, t, p).support()
-    for level in range(1, q + 1):
-        caps = [p + level if e.safe else p for e in g.edges]
-        seed = min_cost_flow(g, caps, s, t, p * (p + level)).support()
-        F = augment_stages(g, F | seed, make_flex_st_plan(p, level, s, t))
+    for plan in plans:
+        caps = [p + plan.q if e.safe else p for e in g.edges]
+        seed = min_cost_flow(g, caps, s, t, p * (p + plan.q)).support()
+        F = augment_stages(g, F | seed, plan)
     return F
 
 

@@ -2,8 +2,13 @@
 
 Three fault models share the same verification style: exhaustively sweep the
 relevant failure/cut space and either certify feasibility or return a
-constructive witness.  Oracles here are deliberately the slow, definitional
-kind; every algorithm in the package is validated against them.
+constructive witness; every algorithm in the package is validated against
+them.  ``is_flex_feasible``, ``violated_cuts_flex_aug`` and
+``expand_rsndp_to_bulk`` sweep every cut at once on the packed cut kernel
+(``faultnet.cuts``).  The bulk and relative checks (``is_bulk_feasible``,
+``is_rsndp_feasible``, ``violating_edge_sets_bulk``) enumerate failure sets
+and test connectivity by union-find, one failure set at a time, and
+``expand_flex_to_bulk`` enumerates failure sets by their safe-edge count.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -15,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb
 from typing import Iterable, Sequence
 
@@ -167,14 +173,15 @@ def is_flex_feasible(
 
     Uses the cut form of the definition (sweep all s-t cuts; a cut is bad for
     requirement i when it has fewer than p_i safe edges and fewer than
-    p_i + q_i total edges).  On failure returns the witness (B, cut) with B
-    the worst unsafe edges on the violating boundary.
+    p_i + q_i total edges).  The bad cuts of each (p, q) class are computed
+    once.  On failure returns the witness (B, cut) of the first failing
+    requirement, with B the worst unsafe edges on the violating boundary.
     """
     _guard_sweep(g.n)
     H = frozenset(H)
-    counts = Boundary(g, H)
+    deficient = cache(Boundary(g, H).deficient)
     for req in reqs:
-        bad = separating(g.n, req.s, req.t) & counts.deficient(req.p, req.q)
+        bad = separating(g.n, req.s, req.t) & deficient(req.p, req.q)
         if bad:
             mask = first_mask(g.n, bad, req.s)
             bad_unsafe = sorted(

@@ -262,7 +262,7 @@ def test_criterion_3_uncrossability_suite():
             for spec in plan.stages:
                 for fam in _stage_families(g, F, plan, spec):
                     ok, pair = check_uncrossable(fam)
-                    assert ok, (p, q, spec.label, pair)
+                    assert ok, (p, q, spec, pair)
                     families_checked += 1
                     F = F | primal_dual_cover(fam).edges
 

@@ -349,6 +349,35 @@ class TestCli:
         assert main(["solve", str(path), "--alg", "flex-st"]) == 2
 
     @pytest.mark.parametrize(
+        "alg,pq",
+        [("fgc", "3 5"), ("flex-st", "1 0")],
+        ids=["fgc-outside-the-supported-set", "flex-st-on-all-pairs"],
+    )
+    def test_inapplicable_algorithm_exits_1(self, tmp_path, capsys, alg, pq):
+        # The 3-vertex graph need not be feasible: both refuse first.
+        pairs = [f"flexpair {s} {t} {pq}" for s, t in ((0, 1), (0, 2), (1, 2))]
+        path = tmp_path / "inst.fni"
+        path.write_text("\n".join(_instance_lines(problem=("problem flex", *pairs))) + "\n")
+        assert main(["solve", str(path), "--alg", alg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("\n") == 1
+
+    def test_fgc_solves_p1_above_q3(self, tmp_path, capsys):
+        inst = generate(
+            "random-multigraph",
+            n=6,
+            m=22,
+            seed=2,
+            params={"problem": "fgc", "p": 1, "q": 5, "skeleton": "mixed"},
+        )
+        path = tmp_path / "inst.fni"
+        path.write_text(serialize(inst))
+        assert main(["solve", str(path), "--alg", "fgc"]) == 0
+        assert json.loads(capsys.readouterr().out)["feasible"] is True
+
+    @pytest.mark.parametrize(
         "problem",
         [("problem flex", "flexpair 0 2 2 1"), ("problem bulk", "scenario 1 | 0-2")],
         ids=["flex", "bulk"],

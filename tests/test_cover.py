@@ -15,7 +15,7 @@ from faultnet.cover import (
 from faultnet.cuts import cut_index, predicate
 from faultnet.errors import NotRingFamily, Uncoverable
 from faultnet.exact import exact_solve
-from faultnet.flexalg import make_fgc_plan, _stage_families, solve_fgc
+from faultnet.flexalg import fgc_plans, make_fgc_plan, _stage_families, solve_fgc
 from faultnet.graph import FaultGraph, boundary, boundary_counts
 from faultnet.instances import (
     figure_1_instance,
@@ -338,6 +338,24 @@ class TestUncrossable:
                 ok, _ = check_uncrossable(fam)
                 assert ok
                 F = F | primal_dual_cover(fam).edges
+
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_stage_families_uncrossable_p1(self, q):
+        # At p = 1 a violated cut has no safe edge and exactly q boundary
+        # edges, so the one family of every level uncrosses.  Replays
+        # solve_fgc from its (1, 0) base through every level.
+        crossing_pairs_possible = 0
+        for seed in range(6):
+            g = fgc_instance(seed + 10 * q, n=7, p=1, q=q)
+            F, _ = exact_solve(g, Problem("flex", flex=fgc_requirements(7, 1, 0)))
+            for plan in fgc_plans(1, q):
+                for spec in plan.stages:
+                    for fam in _stage_families(g, F, plan, spec):
+                        ok, _ = check_uncrossable(fam)
+                        assert ok
+                        crossing_pairs_possible += plan.q >= 4 and len(fam.members) >= 2
+                        F = F | primal_dual_cover(fam).edges
+        assert crossing_pairs_possible
 
 
 def assert_matches_list_reference(fam):

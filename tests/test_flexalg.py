@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from faultnet.cover import CutFamily, ring_cover_exact
-from faultnet.cuts import predicate
+from faultnet.cuts import cut_index, predicate
 from faultnet.errors import (
     BaseNotFeasible,
     InfeasibleInstance,
@@ -22,6 +22,7 @@ from faultnet.flexalg import (
     _violated_cuts,
     augment_stages,
     fgc_guarantee,
+    fgc_plans,
     flex_st_guarantee,
     make_fgc_plan,
     make_flex_st_plan,
@@ -115,6 +116,33 @@ class TestSolveFgc:
         g = FaultGraph(3, [(0, 1, 1, "safe"), (1, 2, 1, "safe")])
         with pytest.raises(InfeasibleInstance):
             solve_fgc(g, 2, 0)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    @pytest.mark.parametrize("q", range(7))
+    def test_support_and_guarantee_follow_the_plans(self, p, q):
+        # Supported: p <= 2 for any q, any p for q <= 3, even p at q = 4.
+        # The guarantee is 2 for the base plus 2 per stage: one stage at
+        # level 1 or when p <= 2, p stages at every other level.
+        g = FaultGraph(2, [(0, 1, 1, "safe")] * 6)  # (p, q)-feasible for p <= 6
+        if p <= 2 or q <= 3 or (q == 4 and p % 2 == 0):
+            stages = q if p <= 2 else min(q, 1) + p * max(q - 1, 0)
+            assert sum(len(plan.stages) for plan in fgc_plans(p, q)) == stages
+            assert fgc_guarantee(p, q) == 2 + 2 * stages
+            assert len(solve_fgc(g, p, q)) == p
+        else:
+            for call in (fgc_plans, fgc_guarantee, lambda p, q: solve_fgc(g, p, q)):
+                with pytest.raises(UnsupportedParameters, match=r"level [45]\b"):
+                    call(p, q)
+
+    @pytest.mark.parametrize("q", [4, 5])
+    def test_p1_above_q3_within_guarantee(self, q):
+        for seed in range(4):
+            inst = fgc_instance(seed, p=1, q=q)
+            g = inst.to_graph()
+            sol = solve_fgc(g, 1, q)
+            assert is_flex_feasible(g, fgc_requirements(g.n, 1, q), sol)[0]
+            _opt_sol, opt = exact_solve(g, inst.problem)
+            assert g.total_cost(sol) <= fgc_guarantee(1, q) * opt + 1e-9
 
 
 class TestAugmentStages:
@@ -367,6 +395,26 @@ class TestPathGroups:
                     expected = membership_ciq(g, mask, (paths[idx],), seed_set, 2, 2, 0, 5)
                     assert fam.contains(mask) == expected
         assert found
+
+    def test_a_path_meeting_the_boundary_twice_takes_no_edge(self):
+        # The cut {0, 1} has boundary edges 0 (safe), 1 (unsafe) and 2
+        # (safe).  Path 0 crosses it three times, at both safe edges; paths
+        # 1 and 2 cross it once each, at edges 0 and 2.  Only a path that
+        # meets the boundary exactly once may take a safe edge, so {1, 2} is
+        # the cut's only group.
+        g = FaultGraph(
+            4,
+            [
+                (0, 2, 1, "safe"),
+                (2, 1, 1, "unsafe"),
+                (1, 3, 1, "safe"),
+                (2, 3, 1, "unsafe"),
+                (0, 1, 1, "unsafe"),
+            ],
+        )
+        paths = [(0, 1, 2), (0, 3), (4, 2)]
+        cut = 1 << cut_index(g.n, 0b0011)
+        assert _path_groups(g, g.all_edge_ids(), cut, paths, 0) == {frozenset({1, 2}): cut}
 
     def test_flex_aug_contains_follows_the_orientation(self):
         # A single-pair family holds the s-side of each cut, a spanning

@@ -42,8 +42,7 @@ from faultnet.errors import FaultnetError
 from faultnet.exact import exact_solve
 from faultnet.flexalg import (
     _stage_families,
-    fgc_supported,
-    make_fgc_plan,
+    fgc_plans,
     make_flex_st_plan,
 )
 from faultnet.graph import FaultGraph
@@ -143,9 +142,8 @@ def cut_cases(count: int = 80) -> list:
             ),
         }
         s, t = reqs[0].s, reqs[0].t
-        plans = []
-        if fgc_supported(p, q):
-            plans.append(("spanning", make_fgc_plan(p, q), fgc_requirements(n, p, q - 1)))
+        # Every p, q in 1..3 has a spanning plan.
+        plans = [("spanning", fgc_plans(p, q)[-1], fgc_requirements(n, p, q - 1))]
         if p + q > p * q / 2:
             plans.append(("st", make_flex_st_plan(p, q, s, t), (FlexRequirement(s, t, p, q - 1),)))
         stages = {}
