@@ -3,12 +3,13 @@
 Three fault models share the same verification style: exhaustively sweep the
 relevant failure/cut space and either certify feasibility or return a
 constructive witness; every algorithm in the package is validated against
-them.  ``is_flex_feasible``, ``violated_cuts_flex_aug`` and
-``expand_rsndp_to_bulk`` sweep every cut at once on the packed cut kernel
-(``faultnet.cuts``).  The bulk and relative checks (``is_bulk_feasible``,
-``is_rsndp_feasible``, ``violating_edge_sets_bulk``) enumerate failure sets
-and test connectivity by union-find, one failure set at a time, and
-``expand_flex_to_bulk`` enumerates failure sets by their safe-edge count.
+them.  ``is_flex_feasible`` and ``violated_cuts_flex_aug`` sweep every cut
+at once on the packed cut kernel (``faultnet.cuts``), and
+``expand_rsndp_to_bulk`` finds each failure set's zero cuts on it.  The
+bulk and relative checks (``is_bulk_feasible``, ``is_rsndp_feasible``,
+``violating_edge_sets_bulk``) enumerate failure sets and test connectivity
+by union-find, one failure set at a time, and ``expand_flex_to_bulk``
+enumerates failure sets by their safe-edge count.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q

@@ -396,7 +396,7 @@ class TestPathGroups:
                     assert fam.contains(mask) == expected
         assert found
 
-    def test_a_path_meeting_the_boundary_twice_takes_no_edge(self):
+    def test_a_path_meeting_the_boundary_more_than_once_takes_no_edge(self):
         # The cut {0, 1} has boundary edges 0 (safe), 1 (unsafe) and 2
         # (safe).  Path 0 crosses it three times, at both safe edges; paths
         # 1 and 2 cross it once each, at edges 0 and 2.  Only a path that
