@@ -8,11 +8,11 @@ trees are tried per level and the cheapest feasible outcome kept.
 
 Every connectivity question of the loop is a cut condition answered on the
 packed cut kernel.  F cuts a pair in H when a cut that separates the pair is
-a zero cut of H - F: its count in H equals the count of F's edges in H
-(``Layout.equal``).  Those cuts are the dead cuts of (F, pair), and a
-fundamental cycle C reconnects the pair exactly when the edges of C - F
-cross every dead cut.  The union-find oracles stay the reference the kernel
-answers are tested against.
+a zero cut of H - F, one that F cuts off in H
+(:meth:`faultnet.cuts.Boundary.cut_off`).  Those cuts are the dead cuts of
+(F, pair), and a fundamental cycle C reconnects the pair exactly when the
+edges of C - F cross every dead cut.  The union-find oracles stay the
+reference the kernel answers are tested against.
 
 The flexible and relative drivers reduce to this machinery.  The relative
 driver expands its requirements into an explicit scenario list.  The
@@ -155,21 +155,13 @@ class HittingInstance:
     An element e hits a set (F, pair) when the fundamental cycle C = {e} +
     tree path of e reconnects the pair in H - F: when the edges of C - F
     cross every dead cut of (F, pair), a cut that separates the pair and
-    that no edge of H - F crosses.  Its cost is the cycle cost."""
+    that F cuts off in H (``Boundary.cut_off``).  Its cost is the cycle
+    cost."""
 
     set_keys: tuple
     elements: tuple[int, ...]
     costs: dict
     hits: dict  # element id -> frozenset of set indices
-
-
-def _dead(cross: list[int], F: frozenset, H: frozenset) -> int:
-    """The packed counts of F's edges in H."""
-    dead = 0
-    for eid in F:
-        if eid in H:
-            dead += cross[eid]
-    return dead
 
 
 def _crossed(cross: list[int], edge_ids: Iterable[int]) -> int:
@@ -191,10 +183,7 @@ def build_hitting_instance(
     shift = lay.width - 1
     # The dead cuts of each set, moved from the guard bits to the low bits
     # of their fields, where the packed crossing sets have theirs.
-    dead_cuts = [
-        (F, (lay.scope((pair,)) & lay.equal(counts.total, _dead(cross, F, H))) >> shift)
-        for F, pair in viol
-    ]
+    dead_cuts = [(F, (lay.scope((pair,)) & counts.cut_off(F)) >> shift) for F, pair in viol]
     elements = tuple(sorted(g.all_edge_ids() - H))
     costs = {}
     hits = {}
@@ -258,11 +247,10 @@ def _violations_of_level(
 
     Each failure set F of ``level`` edges inside some scenario is listed
     once, with the pairs of every scenario that holds it; F cuts a pair in H
-    when a cut that separates the pair is a zero cut of H - F.  The sets
-    and pairs are listed sorted, so the output is the oracle's sorted list.
+    when F cuts off a cut that separates the pair.  The sets and pairs are
+    listed sorted, so the output is the oracle's sorted list.
     """
     lay = layout_of(g)
-    cross = Boundary(g).cross
     pairs_of: dict[tuple[int, ...], set] = {}
     for sc in scenarios:
         for combo in itertools.combinations(sorted(sc.fail), level):
@@ -274,10 +262,10 @@ def _violations_of_level(
         checks.append((frozenset(combo), lay.scope(pairs), scoped))
 
     def violations(H: frozenset) -> list[tuple[frozenset, tuple[int, int]]]:
-        total = sum(cross[eid] for eid in H)
+        counts = Boundary(g, H)
         out = []
         for F, scope, scoped in checks:
-            zero = scope & lay.equal(total, _dead(cross, F, H))
+            zero = scope & counts.cut_off(F)
             if zero:
                 out.extend((F, pair) for pair, pair_scope in scoped if zero & pair_scope)
         return out

@@ -17,8 +17,10 @@ test adds a per-field offset and keeps the guard bits: count + 2^(w-1) - c
 carries into the guard exactly when count >= c, and never into the next
 field.  The answer is a *guard set*, the packed twin of a cut set; the
 exact search works on guard sets throughout and :meth:`Layout.compact`
-turns one into a cut set in one linear pass.  Questions about one given
-mask go to :func:`faultnet.graph.boundary` and
+turns one into a cut set in one linear pass.  A failure set F cuts off a
+pair in an edge set H when a cut that separates the pair is crossed only by
+edges of F; :meth:`Boundary.cut_off` answers that for every cut at once.
+Questions about one given mask go to :func:`faultnet.graph.boundary` and
 :func:`faultnet.graph.boundary_counts`.
 """
 
@@ -65,10 +67,11 @@ class Layout:
     """Packed per-cut fields of ``width`` bits for an n-vertex graph.
 
     ``side[v]`` is the packed twin of ``side(n)[v]``, ``ones`` has a 1 in
-    every field and ``guards`` the guard bit of every field.
+    every field, ``guards`` the guard bit of every field and ``nonzero`` is
+    ``offset(1)``.
     """
 
-    __slots__ = ("n", "width", "side", "ones", "guards")
+    __slots__ = ("n", "width", "side", "ones", "guards", "nonzero")
 
     def __init__(self, n: int, width: int):
         self.n = n
@@ -76,6 +79,7 @@ class Layout:
         self.side = _side(n, width)
         self.ones = _repeat(1, width, (1 << (n - 1)) * width) >> width
         self.guards = self.ones << (width - 1)
+        self.nonzero = self.offset(1)
 
     def offset(self, c: int) -> int:
         """Added to packed counts, sets the guard of every field whose count
@@ -93,7 +97,7 @@ class Layout:
 
     def equal(self, a: int, b: int) -> int:
         """The guard set of cuts whose counts in ``a`` and ``b`` are equal."""
-        return self.guards & ~((a ^ b) + self.offset(1))
+        return self.guards & ~((a ^ b) + self.nonzero)
 
     def scope(self, pairs: Iterable[tuple[int, int]]) -> int:
         """The guard set of the cuts that separate one of the pairs."""
@@ -205,17 +209,19 @@ def predicate(n: int, cuts: int, s: int | None = None) -> Callable[[int], bool]:
 class Boundary:
     """Safe and total boundary counts of an edge set over every cut.
 
-    ``safe`` and ``total`` are packed counts in ``layout``, and
-    ``cross[eid]`` is the packed crossing set of edge eid.
+    ``safe`` and ``total`` are packed counts in ``layout``,
+    ``cross[eid]`` is the packed crossing set of edge eid and
+    ``inside[eid]`` is 1 while the set holds edge eid.
     """
 
-    __slots__ = ("layout", "cross", "_safe", "safe", "total")
+    __slots__ = ("layout", "cross", "_safe", "inside", "safe", "total")
 
     def __init__(self, g: FaultGraph, edge_ids: Iterable[int] = ()):
         self.layout = layout_of(g)
         sd = self.layout.side
         self.cross = [sd[e.u] ^ sd[e.v] for e in g.edges]
         self._safe = [e.safe for e in g.edges]
+        self.inside = bytearray(g.m)
         self.safe = 0
         self.total = 0
         for eid in edge_ids:
@@ -226,12 +232,25 @@ class Boundary:
         self.total += cuts
         if self._safe[eid]:
             self.safe += cuts
+        self.inside[eid] = 1
 
     def remove(self, eid: int) -> None:
         cuts = self.cross[eid]
         self.total -= cuts
         if self._safe[eid]:
             self.safe -= cuts
+        self.inside[eid] = 0
+
+    def cut_off(self, fail: Iterable[int]) -> int:
+        """The guard set of cuts that no edge of the set outside ``fail``
+        crosses: the set's edges in ``fail`` count there as many as all of
+        its edges."""
+        inside, cross = self.inside, self.cross
+        dead = 0
+        for eid in fail:
+            if inside[eid]:
+                dead += cross[eid]
+        return self.layout.equal(self.total, dead)
 
     def exactly(self, counts: int, c: int) -> int:
         """The cut set of cuts whose ``counts`` (``safe`` or ``total``) read

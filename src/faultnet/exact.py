@@ -10,7 +10,8 @@ every test and cut set stays in the kernel's guard-bit form.  A flex (p, q)
 class fails on a cut that separates one of its pairs and has fewer than p
 safe and fewer than p+q edges.  A bulk scenario, and each scenario of the
 bulk expansion of relative requirements, fails on a cut that separates one
-of its pairs when every edge crossing it is one the scenario fails.
+of its pairs when every edge crossing it is one the scenario fails: a cut
+its failure set cuts off (:meth:`faultnet.cuts.Boundary.cut_off`).
 
 The bound packs the violated cuts of the first failing class or scenario
 greedily, lowest cut first, so that no two packed cuts share a candidate (an
@@ -67,12 +68,12 @@ class _Checker:
     """Incremental feasibility over every cut, for any fault model.
 
     Keeps the packed boundary counts of ``chosen`` (0) and ``pool`` (1),
-    updated by edge adds and removes.  Flex requirements are grouped into
-    (p, q) classes, scenarios keep their failure sets; each constrains the
-    cuts that separate one of its pairs, its scope, kept as a guard set.  A
-    class holds the offsets of its two thresholds.  A scenario fails on a
-    cut in scope when the set's edges that it fails count as many there as
-    all the set's edges: nothing crossing the cut survives.
+    which the search updates by edge adds and removes.  Flex requirements
+    are grouped into (p, q) classes, scenarios keep their failure sets; each
+    constrains the cuts that separate one of its pairs, its scope, kept as a
+    guard set.  A class holds the offsets of its two thresholds.  A scenario
+    fails on a cut in scope that its failure set cuts off
+    (:meth:`Boundary.cut_off`): nothing crossing the cut survives.
     """
 
     def __init__(self, g: FaultGraph, problem: Problem):
@@ -89,24 +90,10 @@ class _Checker:
         if problem.kind == "rsndp":
             scenarios = expand_rsndp_to_bulk(g, problem.relative)
         self.scenarios = [(lay.scope(sc.pairs), sc.fail) for sc in scenarios]
-        self.nonzero = lay.offset(1)
         self.counts: list[Boundary] = []
-        self.inside: list[bytearray] = []
 
     def reset(self, chosen, pool) -> None:
         self.counts = [Boundary(self.g, chosen), Boundary(self.g, pool)]
-        self.inside = [bytearray(self.g.m), bytearray(self.g.m)]
-        for which, edge_ids in enumerate((chosen, pool)):
-            for eid in edge_ids:
-                self.inside[which][eid] = 1
-
-    def add(self, which: int, eid: int) -> None:
-        self.counts[which].add(eid)
-        self.inside[which][eid] = 1
-
-    def remove(self, which: int, eid: int) -> None:
-        self.counts[which].remove(eid)
-        self.inside[which][eid] = 0
 
     def first_bad(self, which: int):
         """(bad guard set, (p, q), failed edges) of the first class, or else
@@ -118,14 +105,8 @@ class _Checker:
             bad = scope & ~((safe + safe_offset) | (total + total_offset))
             if bad:
                 return bad, pq, _NO_FAIL
-        inside, cross = self.inside[which], counts.cross
         for scope, fail in self.scenarios:
-            dead = 0
-            for eid in fail:
-                if inside[eid]:
-                    dead += cross[eid]
-            # Layout.equal(total, dead), its offset precomputed.
-            bad = scope & ~((total ^ dead) + self.nonzero)
+            bad = scope & counts.cut_off(fail)
             if bad:
                 return bad, None, fail
         return None
@@ -307,13 +288,14 @@ def exact_solve(
 
     # Greedy seed: keep everything, then drop expensive edges while feasible.
     checker.reset(chosen=range(g.m), pool=range(g.m))
+    chosen = checker.counts[0]
     kept = set(range(g.m))
     for eid in order:
-        checker.remove(0, eid)
+        chosen.remove(eid)
         if checker.first_bad(0) is None:
             kept.discard(eid)
         else:
-            checker.add(0, eid)
+            chosen.add(eid)
     best_set = frozenset(kept)
     best_cost = sum(costs[eid] for eid in kept)
 
@@ -322,6 +304,7 @@ def exact_solve(
     # graph, an exclusion is checked before descending, and an inclusion
     # leaves the pool as it is.
     checker.reset(chosen=(), pool=range(g.m))
+    chosen, pool = checker.counts
 
     def dfs(k: int, cost_in: float) -> None:
         nonlocal best_set, best_cost
@@ -340,19 +323,19 @@ def exact_solve(
         # too.  A pruned subtree holds nothing cheaper than the
         # incumbent by more than COST_EPS, the only gain that replaces it.
         limit = best_cost - COST_EPS
-        if cost_in + bound(checker.counts[0], k, violated, cost_in, limit) >= limit:
+        if cost_in + bound(chosen, k, violated, cost_in, limit) >= limit:
             return
         eid = order[k]
         # Exclude branch first: expensive edges drop out early.
-        checker.remove(1, eid)
+        pool.remove(eid)
         if checker.first_bad(1) is None:
             dfs(k + 1, cost_in)
-        checker.add(1, eid)
+        pool.add(eid)
         # Include branch.
         chosen_now.add(eid)
-        checker.add(0, eid)
+        chosen.add(eid)
         dfs(k + 1, cost_in + costs[eid])
-        checker.remove(0, eid)
+        chosen.remove(eid)
         chosen_now.discard(eid)
 
     chosen_now: set[int] = set()

@@ -188,6 +188,9 @@ def parse(text: str) -> InstanceFile:
                 raise ParseError(f"unexpected line in {kind} block: {ln!r}")
         except (ValueError, IndexError) as exc:
             raise ParseError(f"bad line {ln!r}: {exc}") from exc
+    trailing = next(it, None)
+    if trailing is not None:
+        raise ParseError(f"unexpected line after 'end': {trailing!r}")
     try:
         problem = Problem(
             kind, flex=tuple(flex), scenarios=tuple(scenarios), relative=tuple(relative)

@@ -36,7 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import LpInfeasible
+from .errors import LpInfeasible, UnsupportedParameters
 from .graph import FaultGraph, st_cut_masks
 from .oracles import BulkScenario, FlexRequirement, Problem, uniform_pq
 from .simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
@@ -184,7 +184,7 @@ def _scan(viol: np.ndarray) -> int | None:
 def _flex_separator(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> Separator:
     pq = uniform_pq(reqs)
     if pq is None:
-        raise ValueError("the LP relaxation needs a uniform (p, q)")
+        raise UnsupportedParameters("the LP relaxation needs a uniform (p, q)")
     p, q = pq
     safe = [e.safe for e in g.edges]
     masks = _separating_masks(g, reqs)
@@ -287,4 +287,4 @@ def solve_problem_lp(
         return cutting_plane_flex(g, problem.flex)
     if problem.kind == "bulk":
         return cutting_plane_bulk(g, problem.scenarios)
-    raise ValueError("no LP relaxation wired for this problem kind")
+    raise UnsupportedParameters("no LP relaxation wired for this problem kind")

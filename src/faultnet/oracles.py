@@ -5,11 +5,12 @@ relevant failure/cut space and either certify feasibility or return a
 constructive witness; every algorithm in the package is validated against
 them.  ``is_flex_feasible`` and ``violated_cuts_flex_aug`` sweep every cut
 at once on the packed cut kernel (``faultnet.cuts``), and
-``expand_rsndp_to_bulk`` finds each failure set's zero cuts on it.  The
-bulk and relative checks (``is_bulk_feasible``, ``is_rsndp_feasible``,
-``violating_edge_sets_bulk``) enumerate failure sets and test connectivity
-by union-find, one failure set at a time, and ``expand_flex_to_bulk``
-enumerates failure sets by their safe-edge count.
+``expand_rsndp_to_bulk`` asks it which cuts each failure set cuts off
+(``Boundary.cut_off``).  The bulk and relative checks
+(``is_bulk_feasible``, ``is_rsndp_feasible``, ``violating_edge_sets_bulk``)
+enumerate failure sets and test connectivity by union-find, one failure set
+at a time, and ``expand_flex_to_bulk`` enumerates failure sets by their
+safe-edge count.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -71,6 +72,8 @@ class BulkScenario:
     def __post_init__(self):
         if not self.pairs:
             raise ValueError("scenario with no pairs")
+        if any(s == t for s, t in self.pairs):
+            raise ValueError("s == t in bulk scenario")
 
 
 @dataclass(frozen=True)
@@ -382,9 +385,8 @@ def expand_rsndp_to_bulk(
     For each F with |F| <= max r_i - 1 keep the pairs with r_i > |F| that G
     itself still connects after removing F; empty scenarios are dropped.
     G - F connects a pair when no cut that separates it is a zero cut of
-    G - F, one that only edges of F cross: on the packed counts of all of
-    G's edges, a cut whose count equals that of F's edges alone
-    (``Layout.equal``).
+    G - F, one that only edges of F cross: a cut that F cuts off in G
+    (:meth:`faultnet.cuts.Boundary.cut_off`).
     """
     reqs = tuple(reqs)
     width = max(r.r for r in reqs) - 1
@@ -392,15 +394,11 @@ def expand_rsndp_to_bulk(
     if total > enumeration_budget():
         raise WidthBudgetExceeded(f"{total} scenarios exceed the budget")
     counts = Boundary(g, g.all_edge_ids())
-    lay, cross = counts.layout, counts.cross
-    scoped = [(r.r, (r.s, r.t), lay.scope([(r.s, r.t)])) for r in reqs]
+    scoped = [(r.r, (r.s, r.t), counts.layout.scope([(r.s, r.t)])) for r in reqs]
     out = []
     for size in range(width + 1):
         for combo in itertools.combinations(range(g.m), size):
-            dead = 0
-            for eid in combo:
-                dead += cross[eid]
-            zero = lay.equal(counts.total, dead)
+            zero = counts.cut_off(combo)
             pairs = [pair for r, pair, scope in scoped if r > size and not zero & scope]
             if pairs:
                 out.append(BulkScenario(frozenset(combo), tuple(sorted(set(pairs)))))

@@ -364,6 +364,28 @@ class TestCli:
         assert captured.err.startswith("error:")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "params,message",
+        [
+            ({"problem": "rsndp", "r": 2, "pairs": 2}, "no LP relaxation wired for this problem kind"),
+            (
+                {"problem": "flex-sndp", "pairs": [[0, 4, 1, 0], [1, 3, 1, 1]]},
+                "the LP relaxation needs a uniform (p, q)",
+            ),
+        ],
+        ids=["rsndp", "flex-without-uniform-pq"],
+    )
+    def test_lp_without_a_relaxation_exits_1(self, tmp_path, capsys, params, message):
+        # Valid instances used to exit 4 with "bad parameters:".
+        path = tmp_path / "inst.fni"
+        argv = ["gen", "--kind", "random-multigraph", "--n", "5", "--m", "10", "--seed", "1"]
+        assert main([*argv, "--params", json.dumps(params), "--out", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["lp", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_fgc_solves_p1_above_q3(self, tmp_path, capsys):
         inst = generate(
             "random-multigraph",

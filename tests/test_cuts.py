@@ -129,12 +129,21 @@ def test_packed_counts_equal_matches_single_cut_counts_under_adds_and_removes():
             assert total_equal == equal(counts[0], counts[1].total, counts[0].total)
             safe_equal = equal(counts[0], counts[0].safe, counts[1].safe)
             empty = equal(counts[0], counts[0].total, 0)
+            # Failure sets: empty, inside the set, partly outside it, and a
+            # superset of it.
+            inner = {eid for eid in members[0] if rng.random() < 0.5}
+            outer = set(rng.sample(range(g.m), rng.randint(1, g.m)))
+            fails = [set(), inner, inner | outer, members[0] | outer]
+            cut_off = [counts[0].layout.compact(counts[0].cut_off(F)) for F in fails]
             for mask in range(1, 1 << (n - 1)):
                 safe0, total0 = boundary_counts(g, members[0], mask)
                 safe1, total1 = boundary_counts(g, members[1], mask)
                 assert bit(total_equal, mask) == (total0 == total1)
                 assert bit(safe_equal, mask) == (safe0 == safe1)
                 assert bit(empty, mask) == (total0 == 0)
+                for F, off in zip(fails, cut_off):
+                    alive = boundary_counts(g, members[0] - F, mask)[1]
+                    assert bit(off, mask) == (alive == 0)
 
 
 def test_packed_counts_count_matches_single_cut_counts_under_adds_and_removes():
@@ -254,6 +263,22 @@ def test_crossing_idiom_stays_in_the_kernel_modules():
     }
     assert "graph.py" in found  # the pattern still recognises the idiom
     assert found <= IDIOM_ALLOWED
+
+
+# Layout.equal of two packed counts, or a failure set's crossing sets summed
+# into one: "which cuts does this failure set cut off", Boundary.cut_off.
+ZERO_CUT_IDIOM = re.compile(r"\.equal\(|\+=\s*cross\[")
+
+
+def test_zero_cut_idiom_stays_in_the_kernel():
+    package = Path(faultnet.__file__).parent
+    found = {
+        path.name
+        for path in package.glob("*.py")
+        if ZERO_CUT_IDIOM.search(path.read_text(encoding="utf-8"))
+    }
+    assert "cuts.py" in found  # the pattern still recognises the idiom
+    assert found <= {"cuts.py"}
 
 
 UNION_FIND = re.compile(r"\b(same_component|connected_components)\b")

@@ -106,6 +106,19 @@ class TestRoundTrip:
             parse(good.replace("e 0 0 2 ", "e 0 2 2 "))
         with pytest.raises(ParseError, match="^flex problem with empty requirements$"):
             parse(good.replace("flexpair 0 1 1 1\n", ""))
+        # A requirement after 'end' used to be dropped without a word; blank
+        # lines there stay allowed.
+        assert parse(good + "\n\n") == parse(good)
+        with pytest.raises(ParseError, match="^unexpected line after 'end': 'flexpair 0 2 1 1'$"):
+            parse(good + "flexpair 0 2 1 1\n")
+        # A scenario pair (v, v) used to parse, then fail only in the LP.
+        bulk = (
+            "faultnet-instance 1\nvertices 2\nedges 1\ne 0 0 1 1.0 safe\n"
+            "problem bulk\nscenario - | 0-0\nend\n"
+        )
+        parse(bulk.replace("0-0", "0-1"))
+        with pytest.raises(ParseError, match="s == t in bulk scenario$"):
+            parse(bulk)
 
 
 class TestFixedInstances:

@@ -8,7 +8,7 @@ from faultnet.exact import exact_solve
 from faultnet.graph import FaultGraph, st_cut_masks
 from faultnet.instances import appendix_a_instance, generate
 from faultnet.gap import gap_experiment, paper_fractional_vector
-from faultnet.errors import LpInfeasible
+from faultnet.errors import LpInfeasible, UnsupportedParameters
 from faultnet.lp import (
     LinearProgramModel,
     LpRow,
@@ -202,7 +202,7 @@ class TestSeparateFlex:
     def test_mixed_requirements_are_rejected(self):
         g = appendix_a_instance(1).to_graph()
         reqs = [FlexRequirement(0, 1, 1, 1), FlexRequirement(0, 2, 2, 1)]
-        with pytest.raises(ValueError, match="^the LP relaxation needs a uniform"):
+        with pytest.raises(UnsupportedParameters, match="^the LP relaxation needs a uniform"):
             separate_flex(g, reqs, [1.0] * g.m)
 
     def test_appendix_a_vector_is_clean(self):

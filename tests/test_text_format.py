@@ -3,9 +3,12 @@
 Generated flex, bulk and rsndp instances, and one infeasible flex instance,
 are mutated line by line, and every CLI command that reads an instance must
 answer with one of its documented exit codes: 0 success, 2 infeasible,
-3 budget exceeded, 4 parse error.  Solution files given to ``verify`` are
-replaced by arbitrary JSON values and mutated character by character; one
-that is not an object with a list of distinct edge ids must exit 4.
+3 budget exceeded, 4 parse error.  ``lp`` may also exit 1, the algorithm
+does not apply, but only on an rsndp instance or a flex instance without a
+uniform (p, q), which have no LP relaxation.  Solution files given to
+``verify`` are replaced by arbitrary JSON values and mutated character by
+character; one that is not an object with a list of distinct edge ids must
+exit 4.
 """
 
 import json
@@ -16,7 +19,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from faultnet.cli import main
-from faultnet.instances import generate, serialize
+from faultnet.errors import ParseError
+from faultnet.instances import generate, parse, serialize
+from faultnet.oracles import uniform_pq
 
 EXIT_CODES = {0, 2, 3, 4}
 
@@ -115,6 +120,15 @@ def _edge_count(text: str) -> int:
     return sum(line.startswith("e ") for line in text.splitlines())
 
 
+def _has_no_lp(text: str) -> bool:
+    """Does the text parse to a problem with no LP relaxation?"""
+    try:
+        problem = parse(text).problem
+    except ParseError:
+        return False
+    return problem.kind == "rsndp" or (problem.kind == "flex" and uniform_pq(problem.flex) is None)
+
+
 @settings(max_examples=200, derandomize=True, deadline=None, database=None)
 @given(
     base=st.sampled_from(range(len(BASES))),
@@ -123,11 +137,14 @@ def _edge_count(text: str) -> int:
 def test_mutated_instances_end_in_an_exit_code(tmp_path_factory, base, mutations):
     folder = tmp_path_factory.mktemp("mutant")
     path = folder / "inst.fni"
-    path.write_text(mutate(BASES[base], mutations))
+    text = mutate(BASES[base], mutations)
+    path.write_text(text)
     sol = folder / "sol.json"
     sol.write_text(json.dumps({"edges": list(range(_edge_count(BASES[base])))}))
-    for argv in (["exact", str(path)], ["lp", str(path)], ["verify", str(path), str(sol)]):
+    for argv in (["exact", str(path)], ["verify", str(path), str(sol)]):
         assert main(argv) in EXIT_CODES, argv
+    lp_codes = EXIT_CODES | {1} if _has_no_lp(text) else EXIT_CODES
+    assert main(["lp", str(path)]) in lp_codes
 
 
 # JSON values a hand-edited solution file may hold: ids around the valid
