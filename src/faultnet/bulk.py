@@ -6,6 +6,15 @@ each remaining violating (failure set, pair) with a fundamental cycle
 {e} + tree path of e, chosen by the greedy hitting-set rule.  ``TREES`` = 8
 trees are tried per level and the cheapest feasible outcome kept.
 
+A tree is evaluated only if it can still win: once a best is kept, a tree
+whose paths alone (H - H_prev) cost more than best * (1 + 1e-9) is
+skipped, since costs are >= 0, each of its candidates holds H, and a float
+sum of at most m terms >= 0 is within relative m * 2^-53 of its exact
+value in any order.  Each distinct H is evaluated once per level: its
+Boundary and violating sets are kept in a per-loop memo, and that one
+Boundary also serves the hitting instance.  Neither shortcut can change
+the kept tree.
+
 Every connectivity question of the loop is a cut condition answered on the
 packed cut kernel.  F cuts a pair in H when a cut that separates the pair is
 a zero cut of H - F, one that F cuts off in H
@@ -177,8 +186,12 @@ def build_hitting_instance(
     H: frozenset,
     tree: TreeEmbedding,
     viol: Sequence[tuple[frozenset, tuple[int, int]]],
+    counts: Boundary | None = None,
 ) -> HittingInstance:
-    counts = Boundary(g, H)
+    """The hitting instance of ``viol`` in H over the tree's fundamental
+    cycles; ``counts`` is H's Boundary when the caller already has it."""
+    if counts is None:
+        counts = Boundary(g, H)
     lay, cross = counts.layout, counts.cross
     shift = lay.width - 1
     # The dead cuts of each set, moved from the guard bits to the low bits
@@ -241,9 +254,9 @@ def greedy_hitting_set(inst: HittingInstance) -> list[int]:
 
 def _violations_of_level(
     g: FaultGraph, scenarios: Sequence[BulkScenario], level: int
-) -> Callable[[frozenset], list[tuple[frozenset, tuple[int, int]]]]:
-    """``oracles._level_violations`` at ``level``, as a function of H, on
-    the cut kernel.
+) -> Callable[..., list[tuple[frozenset, tuple[int, int]]]]:
+    """``oracles._level_violations`` at ``level``, as a function of H (and
+    optionally H's Boundary), on the cut kernel.
 
     Each failure set F of ``level`` edges inside some scenario is listed
     once, with the pairs of every scenario that holds it; F cuts a pair in H
@@ -261,8 +274,11 @@ def _violations_of_level(
         scoped = [(pair, lay.scope((pair,))) for pair in pairs]
         checks.append((frozenset(combo), lay.scope(pairs), scoped))
 
-    def violations(H: frozenset) -> list[tuple[frozenset, tuple[int, int]]]:
-        counts = Boundary(g, H)
+    def violations(
+        H: frozenset, counts: Boundary | None = None
+    ) -> list[tuple[frozenset, tuple[int, int]]]:
+        if counts is None:
+            counts = Boundary(g, H)
         out = []
         for F, scope, scoped in checks:
             zero = scope & counts.cut_off(F)
@@ -281,30 +297,48 @@ def _best_of_trees(
     g: FaultGraph,
     H_prev: frozenset,
     pairs: Sequence[tuple[int, int]],
-    violating: Callable[[frozenset], list],
+    violating: Callable[[frozenset, Boundary], list],
     level: int,
     seed: int,
 ) -> frozenset:
     """Cheapest of ``TREES`` sampled-tree augmentations of H_prev.
 
     Each try buys the tree paths of ``pairs``, builds the hitting instance
-    over ``violating(H)``, the violating (failure, pair) tuples left in the
-    result H, and unions the greedy picks' fundamental cycles.  A tree whose
-    instance is unhittable is skipped; when every tree is,
-    InfeasibleAugmentation is raised from the last Unhittable.
+    over ``violating(H, counts)``, the violating (failure, pair) tuples left
+    in the result H given H's Boundary, and unions the greedy picks'
+    fundamental cycles.  A tree whose instance is unhittable is skipped;
+    when every tree is, InfeasibleAugmentation is raised from the last
+    Unhittable.
+
+    Two shortcuts leave the result unchanged.  A tree is not evaluated when
+    a best is kept and its paths alone, H - H_prev, cost more than
+    best * (1 + 1e-9): costs are >= 0 and each candidate of the tree holds
+    H, and a float sum of k <= m terms >= 0 lies within relative k * 2^-53
+    of its exact value in any order, so the candidate's float cost is still
+    >= best, and only a cost below best - 1e-12 replaces it.  Without a
+    kept best no tree is skipped, so the unhittable path is as before.  And
+    each distinct H is evaluated once: its Boundary and violating sets are
+    kept for the loop, and a later tree with the same H reuses them (the
+    hitting instance still depends on the tree).
     """
     best = None
     unhittable = None
+    seen: dict[frozenset, tuple[Boundary, list]] = {}
     for t in range(TREES):
         tree = sample_tree(g, seed=_tree_seed(seed, level, t))
         H_P: set[int] = set()
         for u, v in pairs:
             H_P.update(tree.path(u, v))
         H = H_prev | H_P
-        viol = violating(H)
+        if best is not None and g.total_cost(H - H_prev) > best[0] * (1 + 1e-9):
+            continue
+        if H not in seen:
+            counts = Boundary(g, H)
+            seen[H] = (counts, violating(H, counts))
+        counts, viol = seen[H]
         added: set[int] = set()
         if viol:
-            inst = build_hitting_instance(g, H, tree, viol)
+            inst = build_hitting_instance(g, H, tree, viol, counts)
             try:
                 picks = greedy_hitting_set(inst)
             except Unhittable as exc:
@@ -385,14 +419,17 @@ def _flex_violating_sets(
     H: frozenset,
     reqs: Sequence[FlexRequirement],
     round_index: int,
+    bound: Boundary | None = None,
 ) -> list[tuple[frozenset, tuple[int, int]]]:
-    """Minimal violating (F, pair) sets for the round's active pairs.
+    """Minimal violating (F, pair) sets for the round's active pairs;
+    ``bound`` is H's Boundary when the caller already has it.
 
     With H feasible at (p_i, round-1), a minimal violating F for pair i is,
     by Menger, exactly the H-boundary of an s-t cut with p_i + round - 1
     edges of H, fewer than p_i of them safe: a tight cut of the kernel.
     """
-    bound = Boundary(g, H)
+    if bound is None:
+        bound = Boundary(g, H)
     out = set()
     for r in reqs:
         if r.q < round_index:
@@ -421,7 +458,7 @@ def solve_flex_sndp(
             g,
             H,
             active,
-            lambda H_work: _flex_violating_sets(g, H_work, reqs, round_index),
+            lambda H_work, counts: _flex_violating_sets(g, H_work, reqs, round_index, counts),
             round_index,
             seed,
         )

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .gap import gap_experiment
 from .instances import generate, parse, read_text, serialize
-from .lp import solve_problem_lp
+from .lp import require_lp_relaxation, solve_problem_lp
 from .oracles import check_problem_feasible
 
 EXIT_INFEASIBLE = 2
@@ -106,8 +106,11 @@ def cmd_exact(args) -> int:
 def cmd_lp(args) -> int:
     inst = _read_instance(args.instance)
     g = inst.to_graph()
-    # As in exact_solve: an instance the whole graph cannot satisfy has no
-    # LP optimum, and is reported as infeasible, not as a simplex failure.
+    # A problem with no relaxation is refused first, from its requirements
+    # alone.  Then, as in exact_solve: an instance the whole graph cannot
+    # satisfy has no LP optimum, and is reported as infeasible, not as a
+    # simplex failure.
+    require_lp_relaxation(inst.problem)
     ok, _ = check_problem_feasible(g, inst.problem, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance("graph itself is infeasible for the problem")

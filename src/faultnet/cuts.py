@@ -206,21 +206,40 @@ def predicate(n: int, cuts: int, s: int | None = None) -> Callable[[int], bool]:
     return member
 
 
+def crossing_table(g: FaultGraph) -> tuple[tuple[int, ...], tuple[bool, ...]]:
+    """(cross, safe) of g: ``cross[eid]`` is the packed crossing set of edge
+    eid in ``layout_of(g)`` and ``safe[eid]`` its safe flag.
+
+    Built on the first call and kept on g itself, never in a module cache, so
+    it lives exactly as long as the graph.  Both are tuples, shared read-only
+    by every :class:`Boundary` of g.
+    """
+    table = g._crossing
+    if table is None:
+        sd = layout_of(g).side
+        table = g._crossing = (
+            tuple(sd[e.u] ^ sd[e.v] for e in g.edges),
+            tuple(e.safe for e in g.edges),
+        )
+    return table
+
+
 class Boundary:
     """Safe and total boundary counts of an edge set over every cut.
 
     ``safe`` and ``total`` are packed counts in ``layout``,
     ``cross[eid]`` is the packed crossing set of edge eid and
-    ``inside[eid]`` is 1 while the set holds edge eid.
+    ``inside[eid]`` is 1 while the set holds edge eid.  ``cross`` and the
+    safe flags are g's :func:`crossing_table`, built once per graph and
+    shared by all of its Boundaries, so a Boundary costs one pass over
+    its own edges.
     """
 
     __slots__ = ("layout", "cross", "_safe", "inside", "safe", "total")
 
     def __init__(self, g: FaultGraph, edge_ids: Iterable[int] = ()):
         self.layout = layout_of(g)
-        sd = self.layout.side
-        self.cross = [sd[e.u] ^ sd[e.v] for e in g.edges]
-        self._safe = [e.safe for e in g.edges]
+        self.cross, self._safe = crossing_table(g)
         self.inside = bytearray(g.m)
         self.safe = 0
         self.total = 0

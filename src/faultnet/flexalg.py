@@ -94,15 +94,20 @@ def _scope(g: FaultGraph, plan: StagePlan) -> int:
     return separating(g.n, plan.s, plan.t)
 
 
-def _violated_cuts(g: FaultGraph, F: Iterable[int], plan: StagePlan):
+def _violated_cuts(
+    g: FaultGraph, F: Iterable[int], plan: StagePlan, counts: Boundary | None = None
+):
     """(violated cut set, boundary counts of F): in-scope cuts whose
-    F-boundary has exactly p+q-1 edges, fewer than p of them safe."""
-    counts = Boundary(g, F)
+    F-boundary has exactly p+q-1 edges, fewer than p of them safe.
+    ``counts`` is F's Boundary when the caller already has it."""
+    if counts is None:
+        counts = Boundary(g, F)
     return _scope(g, plan) & counts.tight(plan.p, plan.q), counts
 
 
-def _feasible_for(g: FaultGraph, F: Iterable[int], plan: StagePlan, q: int) -> bool:
-    return not _scope(g, plan) & Boundary(g, F).deficient(plan.p, q)
+def _feasible_for(g: FaultGraph, counts: Boundary, plan: StagePlan, q: int) -> bool:
+    """Whether the set that ``counts`` holds is (plan.p, q)-feasible in scope."""
+    return not _scope(g, plan) & counts.deficient(plan.p, q)
 
 
 def _cap_flow_paths(g: FaultGraph, F: frozenset, plan: StagePlan) -> list[tuple[int, ...]]:
@@ -141,7 +146,7 @@ def _path_groups(
 
 
 def _ring_families(
-    g: FaultGraph, F: frozenset, plan: StagePlan, i: int
+    g: FaultGraph, F: frozenset, plan: StagePlan, i: int, counts: Boundary | None = None
 ) -> list[CutFamily]:
     """The nonempty C_i^Q subfamilies of stage i, one per useful path subset.
 
@@ -149,7 +154,7 @@ def _ring_families(
     subfamily (guaranteed under p+q > pq/2); anything else means the stage
     construction cannot cover the family and is reported, not papered over.
     """
-    violated, counts = _violated_cuts(g, F, plan)
+    violated, counts = _violated_cuts(g, F, plan, counts)
     stage = violated & counts.exactly(counts.safe, i)
     groups = _path_groups(g, F, stage, _cap_flow_paths(g, F, plan), plan.s)
     covered = 0
@@ -169,11 +174,15 @@ def _ring_families(
 
 
 def _stage_families(
-    g: FaultGraph, F: frozenset, plan: StagePlan, stage: int | None
+    g: FaultGraph,
+    F: frozenset,
+    plan: StagePlan,
+    stage: int | None,
+    counts: Boundary | None = None,
 ) -> list[CutFamily]:
     if plan.scope == "st":
-        return _ring_families(g, F, plan, stage)
-    violated, counts = _violated_cuts(g, F, plan)
+        return _ring_families(g, F, plan, stage, counts)
+    violated, counts = _violated_cuts(g, F, plan, counts)
     label = "all-violated"
     if stage is not None:
         violated &= counts.exactly(counts.safe, stage)
@@ -190,20 +199,26 @@ def _stage_families(
 
 def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozenset:
     """Run the plan's stages, growing F.  F must already be feasible at
-    (plan.p, plan.q - 1)."""
+    (plan.p, plan.q - 1).
+
+    One Boundary of F serves the opening check, every stage's violated cuts
+    and the closing check; each bought edge is added to it."""
     p, q = plan.p, plan.q
     F = frozenset(F)
-    if not _feasible_for(g, F, plan, q - 1):
+    counts = Boundary(g, F)
+    if not _feasible_for(g, counts, plan, q - 1):
         raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
     for stage in plan.stages:
         added: set[int] = set()
-        for fam in _stage_families(g, F, plan, stage):
+        for fam in _stage_families(g, F, plan, stage, counts):
             if plan.scope == "st":
                 added |= ring_cover_exact(fam)
             else:
                 added |= primal_dual_cover(fam).edges
+        for eid in added - F:
+            counts.add(eid)
         F = F | added
-    if not _feasible_for(g, F, plan, q):
+    if not _feasible_for(g, counts, plan, q):
         raise StageCoverFailed(
             f"stages completed but the result is not ({p}, {q})-feasible"
         )
@@ -233,7 +248,7 @@ def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     if g.n < 2:
         return frozenset()
     probe = StagePlan(p=p, q=q, scope="spanning")
-    if not _feasible_for(g, g.all_edge_ids(), probe, q):
+    if not _feasible_for(g, Boundary(g, g.all_edge_ids()), probe, q):
         raise InfeasibleInstance(f"graph is not ({p}, {q})-feasible")
     F = flex_base(g, fgc_requirements(g.n, p, 0))
     for plan in plans:

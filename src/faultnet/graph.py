@@ -8,7 +8,10 @@ over dense edge ids.  Vertex cuts are bit masks over vertices, wrapped in
 for exhaustive 2^n cut sweeps, so ``n`` is capped at :data:`MAX_SWEEP_N`.
 
 Thread safety: a FaultGraph never mutates after construction and can be
-shared freely; all functions here allocate private state.
+shared freely; all functions here allocate private state.  Its one lazily
+filled field, the crossing table of :func:`faultnet.cuts.crossing_table`,
+is a pure function of the graph, so a racing second fill stores an equal
+value.
 """
 
 from __future__ import annotations
@@ -66,7 +69,7 @@ class FaultGraph:
     semantics); parallel edges are allowed and common.
     """
 
-    __slots__ = ("n", "edges", "_safe_ids", "_unsafe_ids", "_incident")
+    __slots__ = ("n", "edges", "_safe_ids", "_unsafe_ids", "_incident", "_crossing")
 
     def __init__(self, n: int, edge_specs: Sequence[tuple]):
         if n < 1:
@@ -94,6 +97,7 @@ class FaultGraph:
             incident[e.u].append(e.id)
             incident[e.v].append(e.id)
         self._incident = tuple(tuple(ids) for ids in incident)
+        self._crossing = None  # filled by faultnet.cuts.crossing_table
 
     # -- basic accessors ---------------------------------------------------
 

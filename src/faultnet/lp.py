@@ -181,11 +181,16 @@ def _scan(viol: np.ndarray) -> int | None:
         best += 1 + int(later[0])
 
 
-def _flex_separator(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> Separator:
+def _lp_pq(reqs: Sequence[FlexRequirement]) -> tuple[int, int]:
+    """The uniform (p, q) the flex relaxation needs, else UnsupportedParameters."""
     pq = uniform_pq(reqs)
     if pq is None:
         raise UnsupportedParameters("the LP relaxation needs a uniform (p, q)")
-    p, q = pq
+    return pq
+
+
+def _flex_separator(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> Separator:
+    p, q = _lp_pq(reqs)
     safe = [e.safe for e in g.edges]
     masks = _separating_masks(g, reqs)
     crossing = _crossing_matrix(g, masks)
@@ -280,11 +285,20 @@ def cutting_plane_bulk(
     return _cutting_plane(g, _bulk_separator(g, scenarios))
 
 
+def require_lp_relaxation(problem: Problem) -> None:
+    """Raise UnsupportedParameters unless the problem has an LP relaxation
+    here: flex with a uniform (p, q), or bulk.  It reads only the
+    requirements, so callers can refuse before any graph-wide work."""
+    if problem.kind == "flex":
+        _lp_pq(problem.flex)
+    elif problem.kind != "bulk":
+        raise UnsupportedParameters("no LP relaxation wired for this problem kind")
+
+
 def solve_problem_lp(
     g: FaultGraph, problem: Problem
 ) -> tuple[FractionalSolution, LinearProgramModel]:
+    require_lp_relaxation(problem)
     if problem.kind == "flex":
         return cutting_plane_flex(g, problem.flex)
-    if problem.kind == "bulk":
-        return cutting_plane_bulk(g, problem.scenarios)
-    raise UnsupportedParameters("no LP relaxation wired for this problem kind")
+    return cutting_plane_bulk(g, problem.scenarios)

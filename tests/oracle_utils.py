@@ -10,6 +10,9 @@ simplex, and ``max_flow_min_cut`` is an Edmonds-Karp max flow that shares
 only the capacity check and the augmenting step with ``min_cost_flow``.
 ``membership_ciq`` is the definition of a path-indexed ring family, cut by
 cut, that the single-pair solvers' path grouping must reproduce.
+``plain_best_of_trees`` keeps the bulk driver's best-of-trees loop as it was
+before it skipped trees and memoised edge sets: every tree evaluated, every
+H's violations recomputed.
 """
 
 from __future__ import annotations
@@ -23,11 +26,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from faultnet import simplex
+from faultnet import bulk, simplex
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult
-from faultnet.cuts import crossed, cut_index
-from faultnet.errors import LpUnbounded, SourceEqualsSink, Uncoverable, Unhittable
+from faultnet.cuts import Boundary, crossed, cut_index
+from faultnet.errors import (
+    InfeasibleAugmentation,
+    LpUnbounded,
+    SourceEqualsSink,
+    Uncoverable,
+    Unhittable,
+)
 from faultnet.exact import _Checker, _Packing
 from faultnet.flow import Flow, _augment, _normalize_caps
 from faultnet.graph import FaultGraph, VertexCut, boundary, same_component
@@ -251,6 +260,43 @@ def fraction_greedy_hitting_set(inst: HittingInstance) -> list[int]:
         picks.append(best[2])
         uncovered -= inst.hits[best[2]]
     return picks
+
+
+def plain_best_of_trees(g: FaultGraph, H_prev, pairs, violating, level: int, seed: int):
+    """``bulk._best_of_trees`` without its shortcuts: each of the ``TREES``
+    trees is evaluated in full and each H's violations are recomputed.  The
+    tree, hitting-set and greedy steps are looked up on ``faultnet.bulk`` at
+    call time, so a test that patches them there patches both loops."""
+    best = None
+    unhittable = None
+    for t in range(bulk.TREES):
+        tree = bulk.sample_tree(g, seed=bulk._tree_seed(seed, level, t))
+        H_P: set[int] = set()
+        for u, v in pairs:
+            H_P.update(tree.path(u, v))
+        H = H_prev | H_P
+        viol = violating(H, Boundary(g, H))
+        added: set[int] = set()
+        if viol:
+            inst = bulk.build_hitting_instance(g, H, tree, viol)
+            try:
+                picks = bulk.greedy_hitting_set(inst)
+            except Unhittable as exc:
+                unhittable = exc
+                continue
+            for eid in picks:
+                e = g.edges[eid]
+                added.add(eid)
+                added.update(tree.path(e.u, e.v))
+        candidate = H | added
+        cost = g.total_cost(candidate - H_prev)
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, candidate)
+    if best is None:
+        raise InfeasibleAugmentation(
+            f"level {level}: every tree failed, last with {unhittable}"
+        ) from unhittable
+    return best[1]
 
 
 def brute_set_cover(rows, costs):

@@ -375,12 +375,19 @@ class TestCli:
         ],
         ids=["rsndp", "flex-without-uniform-pq"],
     )
-    def test_lp_without_a_relaxation_exits_1(self, tmp_path, capsys, params, message):
-        # Valid instances used to exit 4 with "bad parameters:".
+    def test_lp_without_a_relaxation_exits_1(self, tmp_path, capsys, monkeypatch, params, message):
+        # Valid instances used to exit 4 with "bad parameters:".  They are
+        # refused from their requirements, before the whole-graph check.
+        import faultnet.cli as cli
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("the whole-graph check ran before the refusal")
+
         path = tmp_path / "inst.fni"
         argv = ["gen", "--kind", "random-multigraph", "--n", "5", "--m", "10", "--seed", "1"]
         assert main([*argv, "--params", json.dumps(params), "--out", str(path)]) == 0
         capsys.readouterr()
+        monkeypatch.setattr(cli, "check_problem_feasible", not_called)
         assert main(["lp", str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -6,7 +6,9 @@ from random import Random
 import pytest
 
 from faultnet.bulk import (
+    TREES,
     HittingInstance,
+    _best_of_trees,
     _flex_violating_sets,
     _tree_seed,
     _violations_of_level,
@@ -18,8 +20,10 @@ from faultnet.bulk import (
     solve_flex_sndp,
     solve_rsndp,
 )
+from faultnet.cuts import Boundary
 from faultnet.errors import (
     Disconnected,
+    FaultnetError,
     InfeasibleAugmentation,
     PriorLevelNotSatisfied,
     Unhittable,
@@ -45,6 +49,7 @@ from oracle_utils import (
     brute_set_cover,
     fraction_greedy_hitting_set,
     kruskal_mst_cost,
+    plain_best_of_trees,
     random_graph,
     tree_stretch,
     union_find_expand_rsndp,
@@ -659,6 +664,206 @@ def kernel_case(kind, n, seed):
     if kind == "rsndp":
         return g, expand_rsndp_to_bulk(g, problem.relative), ()
     return g, expand_flex_to_bulk(g, problem.flex), problem.flex
+
+
+def best_of_trees_instance(kind, seed):
+    """A seeded instance of the kind bench's bulk-relative cells solve."""
+    if kind == "bulk":
+        params = {"problem": "bulk", "width": 2, "scenarios": 4}
+    elif kind == "rsndp":
+        params = {"problem": "rsndp", "pairs": 2, "r": 2}
+    else:
+        params = {
+            "problem": "flex-sndp",
+            "p": 1,
+            "q": 2,
+            "skeleton": "mixed",
+            "pairs": [[0, 6, 1, 2], [1, 4, 2, 1]],
+        }
+        return generate("random-multigraph", n=7, m=14 + seed % 3, seed=seed, params=params)
+    return generate("random-multigraph", n=7, m=13 + seed % 4, seed=seed, params=params)
+
+
+def solve_kind(kind, inst, seed):
+    g = inst.to_graph()
+    if kind == "bulk":
+        return solve_bulk_sndp(g, inst.problem.scenarios, seed=seed)
+    if kind == "rsndp":
+        return solve_rsndp(g, inst.problem.relative, seed=seed)
+    return solve_flex_sndp(g, inst.problem.flex, seed=seed)
+
+
+class TestBestOfTreesShortcuts:
+    """``_best_of_trees`` skips trees that cannot win and evaluates each
+    edge set once, and still returns what the plain loop returns."""
+
+    @staticmethod
+    def checked(monkeypatch):
+        """Patch ``_best_of_trees`` to run the plain loop next to it and
+        compare result or InfeasibleAugmentation text; returns the list of
+        compared calls, as ("ok" | "raised"), and a dict that counts the
+        hitting instances each loop built."""
+        import faultnet.bulk as bulk_mod
+
+        fast = bulk_mod._best_of_trees
+        build = bulk_mod.build_hitting_instance
+        compared = []
+        built = {"plain": 0, "fast": 0, "now": "plain"}
+
+        def counted_build(*args, **kwargs):
+            built[built["now"]] += 1
+            return build(*args, **kwargs)
+
+        def both(g, H_prev, pairs, violating, level, seed):
+            built["now"] = "plain"
+            try:
+                want = plain_best_of_trees(g, H_prev, pairs, violating, level, seed)
+            except InfeasibleAugmentation as exc:
+                built["now"] = "fast"
+                with pytest.raises(InfeasibleAugmentation) as info:
+                    fast(g, H_prev, pairs, violating, level, seed)
+                assert str(info.value) == str(exc)
+                assert str(info.value.__cause__) == str(exc.__cause__)
+                compared.append("raised")
+                raise
+            built["now"] = "fast"
+            got = fast(g, H_prev, pairs, violating, level, seed)
+            assert got == want
+            compared.append("ok")
+            return got
+
+        monkeypatch.setattr(bulk_mod, "_best_of_trees", both)
+        monkeypatch.setattr(bulk_mod, "build_hitting_instance", counted_build)
+        return compared, built
+
+    @pytest.mark.parametrize("kind", ("bulk", "rsndp", "flex-sndp"))
+    def test_matches_the_plain_loop(self, kind, monkeypatch):
+        compared, built = self.checked(monkeypatch)
+        solved = 0
+        for seed in range(100):
+            inst = best_of_trees_instance(kind, seed)
+            try:
+                solve_kind(kind, inst, seed)
+            except FaultnetError:
+                continue
+            solved += 1
+        assert solved >= 75
+        assert compared.count("ok") >= solved
+        assert built["fast"] < built["plain"]  # trees were skipped
+
+    def test_matches_the_plain_loop_past_an_unhittable_tree(self, monkeypatch):
+        # One tree of this instance leaves an unhittable set (see
+        # TestFlexSndpDriver); the others succeed.
+        compared, _built = self.checked(monkeypatch)
+        inst = TestFlexSndpDriver().flex_sndp_unlucky_tree_instance()
+        solve_flex_sndp(inst.to_graph(), inst.problem.flex, seed=479)
+        assert compared and set(compared) == {"ok"}
+
+    @pytest.mark.parametrize("kind", ("bulk", "rsndp"))
+    def test_every_tree_unhittable_matches(self, kind, monkeypatch):
+        # With no set hittable, a level whose every tree leaves violating
+        # sets raises.  On these sparse instances some levels do.
+        import faultnet.bulk as bulk_mod
+
+        def never_hits(inst):
+            raise Unhittable("forced", witness=inst.set_keys[0])
+
+        monkeypatch.setattr(bulk_mod, "greedy_hitting_set", never_hits)
+        compared, _built = self.checked(monkeypatch)
+        params = {
+            "bulk": {"problem": "bulk", "width": 2, "scenarios": 4},
+            "rsndp": {"problem": "rsndp", "pairs": 2, "r": 2},
+        }[kind]
+        raised = 0
+        for seed in range(40):
+            inst = generate("random-multigraph", n=6, m=10, seed=seed, params=params)
+            try:
+                solve_kind(kind, inst, seed)
+            except InfeasibleAugmentation:
+                raised += 1
+            except FaultnetError:
+                pass
+        assert raised >= 3
+        assert compared.count("raised") == raised
+
+    def test_every_tree_unhittable_matches_flex(self, monkeypatch):
+        import faultnet.bulk as bulk_mod
+
+        def never_hits(inst):
+            raise Unhittable("forced", witness=inst.set_keys[0])
+
+        monkeypatch.setattr(bulk_mod, "greedy_hitting_set", never_hits)
+        compared, _built = self.checked(monkeypatch)
+        inst = TestFlexSndpDriver().flex_sndp_unlucky_tree_instance()
+        with pytest.raises(InfeasibleAugmentation):
+            solve_flex_sndp(inst.to_graph(), inst.problem.flex, seed=479)
+        assert compared == ["raised"]
+
+    def test_skip_fires_on_dear_tree_paths(self, monkeypatch):
+        # Pair (0, 2) has two parallel 0.1 edges, so a tree through one of
+        # them is fixed by the other for 0.2.  A tree rooted at 1 or 3 joins
+        # 0 and 2 through 3 instead, paths of cost 2: it cannot win.
+        import faultnet.bulk as bulk_mod
+
+        g = FaultGraph(
+            4,
+            [(0, 2, 0.1, "safe"), (0, 2, 0.1, "safe"), (3, 0, 1.0, "safe"),
+             (3, 2, 1.0, "safe"), (1, 3, 1.0, "safe")],
+        )
+        scenarios = [BulkScenario(frozenset({0}), ((0, 2),)), BulkScenario(frozenset({1}), ((0, 2),))]
+        violations = _violations_of_level(g, scenarios, 1)
+        calls = {"sample_tree": 0, "build_hitting_instance": 0}
+
+        def counted(name):
+            original = getattr(bulk_mod, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(bulk_mod, name, counted(name))
+        for seed in range(4):
+            want = plain_best_of_trees(g, frozenset(), [(0, 2)], violations, 1, seed)
+            for name in calls:
+                calls[name] = 0
+            got = _best_of_trees(g, frozenset(), [(0, 2)], violations, 1, seed)
+            assert got == want == frozenset({0, 1})
+            assert calls["sample_tree"] == TREES
+            assert calls["build_hitting_instance"] < TREES
+
+    def test_one_boundary_per_distinct_edge_set(self, monkeypatch):
+        # Level 1 of a pinned bulk instance: every tree leaves violating
+        # sets, and each H used to be counted once per tree for its
+        # violations and again for its hitting instance.
+        inst = bulk_instance(14, width=1)
+        g = inst.to_graph()
+        scenarios = inst.problem.scenarios
+        pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
+        H0 = augment_bulk(g, scenarios, frozenset(), 0, seed=2)
+        level_one = _violations_of_level(g, scenarios, 1)
+        evaluated = []
+
+        def violating(H, *counts):
+            evaluated.append(H)
+            return level_one(H, *counts)
+
+        built = []
+        init = Boundary.__init__
+
+        def counting_init(self, g, edge_ids=()):
+            built.append(1)
+            init(self, g, edge_ids)
+
+        monkeypatch.setattr(Boundary, "__init__", counting_init)
+        H1 = _best_of_trees(g, H0, pairs, violating, 1, 2)
+        monkeypatch.undo()
+        assert level_one(H1) == []
+        assert any(level_one(H) for H in evaluated)
+        assert len(built) <= len(set(evaluated))
+        assert len(set(evaluated)) == len(evaluated)
 
 
 class TestKernelMatchesUnionFind:

@@ -8,11 +8,14 @@ import re
 from pathlib import Path
 from random import Random
 
+import pytest
+
 import faultnet
 from faultnet.cuts import (
     Boundary,
     Layout,
     all_cuts,
+    crossing_table,
     cut_index,
     first_mask,
     masks,
@@ -165,6 +168,29 @@ def test_packed_counts_count_matches_single_cut_counts_under_adds_and_removes():
                 assert (lay.count(counts.safe, mask - 1), lay.count(counts.total, mask - 1)) == (
                     boundary_counts(g, members, mask)
                 )
+
+
+def test_crossing_table_is_built_once_per_graph_and_read_only():
+    g = FaultGraph(4, [(0, 1, 1, "safe"), (1, 2, 1, "unsafe"), (2, 3, 1, "safe")])
+    # Same n and m, other edges: the table follows the edges, not the shape.
+    h = FaultGraph(4, [(0, 3, 1, "unsafe"), (1, 2, 1, "unsafe"), (0, 2, 1, "safe")])
+    cross, safe = crossing_table(g)
+    assert crossing_table(g)[0] is cross
+    assert Boundary(g).cross is cross and Boundary(g, [0]).cross is cross
+    assert crossing_table(h) != (cross, safe)
+    lay = Boundary(h).layout
+    for graph in (g, h):
+        got_cross, got_safe = crossing_table(graph)
+        assert got_cross == tuple(lay.side[e.u] ^ lay.side[e.v] for e in graph.edges)
+        assert got_safe == tuple(e.safe for e in graph.edges)
+    assert safe == (True, False, True)
+    with pytest.raises(TypeError):
+        cross[0] = 0
+    with pytest.raises(TypeError):
+        safe[0] = False
+    with pytest.raises(TypeError):
+        Boundary(g).cross[1] = 0
+    assert crossing_table(g) == (cross, safe)
 
 
 def test_thresholds_at_the_field_width_edges():

@@ -5,7 +5,7 @@ from math import comb
 import pytest
 
 from faultnet.cover import CutFamily, ring_cover_exact
-from faultnet.cuts import cut_index, predicate
+from faultnet.cuts import Boundary, cut_index, predicate
 from faultnet.errors import (
     BaseNotFeasible,
     InfeasibleInstance,
@@ -215,6 +215,40 @@ class TestAugmentStages:
                     if membership(mask):
                         safe, _tot = boundary_counts(g, F, mask)
                         assert safe > stage_index
+
+    @pytest.mark.parametrize("scope", ("spanning", "st"))
+    def test_one_boundary_per_call(self, scope, monkeypatch):
+        # The opening check, each stage and the closing check share one
+        # Boundary of F, grown by each bought edge.
+        built = []
+        init = Boundary.__init__
+
+        def counting_init(self, g, edge_ids=()):
+            built.append(1)
+            init(self, g, edge_ids)
+
+        grown = 0
+        for seed in range(4):
+            if scope == "spanning":
+                g = fgc_instance(seed + 50, p=3, q=2, safe_prob=0.4).to_graph()
+                F, _ = exact_solve(g, Problem("flex", flex=fgc_requirements(g.n, 3, 1)))
+                plan = make_fgc_plan(3, 2)
+            else:
+                inst = st_instance(seed)
+                g = inst.to_graph()
+                r = inst.problem.flex[0]
+                # Level 2 as solve_flex_st runs it: level 1, then the seeding.
+                plan = make_flex_st_plan(r.p, 2, r.s, r.t)
+                caps = [r.p + 2 if e.safe else r.p for e in g.edges]
+                F = solve_flex_st(g, r.s, r.t, r.p, 1)
+                F |= min_cost_flow(g, caps, r.s, r.t, r.p * (r.p + 2)).support()
+            built.clear()
+            monkeypatch.setattr(Boundary, "__init__", counting_init)
+            out = augment_stages(g, F, plan)
+            monkeypatch.undo()
+            assert len(built) == 1
+            grown += out != frozenset(F)
+        assert grown
 
 
 class TestSolveFlexSt:
