@@ -215,7 +215,7 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozense
                 added |= ring_cover_exact(fam)
             else:
                 added |= primal_dual_cover(fam).edges
-        for eid in added - F:
+        for eid in added:  # every family's ground lies outside F
             counts.add(eid)
         F = F | added
     if not _feasible_for(g, counts, plan, q):
