@@ -340,4 +340,7 @@ def exact_solve(
 
     chosen_now: set[int] = set()
     dfs(0, 0.0)
+    # dfs holds itself through its closure cell; emptying the cell frees the
+    # search state and the graph on return, not at the next cyclic collection.
+    del dfs
     return best_set, best_cost
