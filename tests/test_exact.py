@@ -1,3 +1,5 @@
+import gc
+import sys
 from math import inf
 from random import Random
 
@@ -81,6 +83,21 @@ class TestExactSolve:
         prob = Problem("flex", flex=(FlexRequirement(0, 5, 1, 0),))
         with pytest.raises(BudgetExceeded):
             exact_solve(g, prob, budget=5)
+
+    def test_search_state_is_freed_on_return(self):
+        # With the cyclic collector off, nothing of a finished search may
+        # still hold the graph.
+        g = random_graph(3, 6, 12)
+        prob = Problem("flex", flex=fgc_requirements(g.n, 1, 1))
+        exact_solve(g, prob)  # warm every cache the search may fill
+        before = sys.getrefcount(g)
+        gc.disable()
+        try:
+            exact_solve(g, prob)
+            after = sys.getrefcount(g)
+        finally:
+            gc.enable()
+        assert after == before
 
     def test_infeasible_instance(self):
         g = FaultGraph(3, [(0, 1, 1, "unsafe"), (1, 2, 1, "unsafe")])
