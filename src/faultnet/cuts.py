@@ -19,7 +19,8 @@ field.  The answer is a *guard set*, the packed twin of a cut set; the
 exact search works on guard sets throughout and :meth:`Layout.compact`
 turns one into a cut set in one linear pass.  A failure set F cuts off a
 pair in an edge set H when a cut that separates the pair is crossed only by
-edges of F; :meth:`Boundary.cut_off` answers that for every cut at once.
+edges of F; :meth:`Boundary.cut_off` answers that for every cut at once,
+and :meth:`Layout.cut_off` for packed counts kept outside a Boundary.
 Questions about one given mask go to :func:`faultnet.graph.boundary` and
 :func:`faultnet.graph.boundary_counts`.
 """
@@ -106,6 +107,18 @@ class Layout:
         for u, v in pairs:
             out |= sd[u] ^ sd[v]
         return out << (self.width - 1)
+
+    def cut_off(self, cross, total: int, inside, fail: Iterable[int]) -> int:
+        """The guard set of cuts that no edge of a set outside ``fail``
+        crosses, for the set with packed total counts ``total`` that holds
+        edge eid while ``inside[eid]``; ``cross`` is its graph's packed
+        crossing table.  The set's edges in ``fail`` count there as many as
+        all of its edges."""
+        dead = 0
+        for eid in fail:
+            if inside[eid]:
+                dead += cross[eid]
+        return self.equal(total, dead)
 
     def count(self, counts: int, index: int) -> int:
         """The count of the one cut at ``index``."""
@@ -262,14 +275,8 @@ class Boundary:
 
     def cut_off(self, fail: Iterable[int]) -> int:
         """The guard set of cuts that no edge of the set outside ``fail``
-        crosses: the set's edges in ``fail`` count there as many as all of
-        its edges."""
-        inside, cross = self.inside, self.cross
-        dead = 0
-        for eid in fail:
-            if inside[eid]:
-                dead += cross[eid]
-        return self.layout.equal(self.total, dead)
+        crosses (:meth:`Layout.cut_off`)."""
+        return self.layout.cut_off(self.cross, self.total, self.inside, fail)
 
     def exactly(self, counts: int, c: int) -> int:
         """The cut set of cuts whose ``counts`` (``safe`` or ``total``) read

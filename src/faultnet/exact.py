@@ -1,34 +1,49 @@
 """Exact exponential baseline: provably minimum-cost feasible edge sets.
 
 Branch and bound over edge include/exclude decisions, with feasibility
-pruning in both directions (the chosen set alone, and chosen plus all still
-undecided edges) and an admissible remaining-cost bound from a packing of
-violated cuts.  Every fault model is a cut condition here, tested on the
-packed cut kernel: the boundary counts of the chosen and pool sets over every
-cut are packed counters, updated by one big-int add or subtract per edge, and
-every test and cut set stays in the kernel's guard-bit form.  A flex (p, q)
-class fails on a cut that separates one of its pairs and has fewer than p
-safe and fewer than p+q edges.  A bulk scenario, and each scenario of the
-bulk expansion of relative requirements, fails on a cut that separates one
-of its pairs when every edge crossing it is one the scenario fails: a cut
-its failure set cuts off (:meth:`faultnet.cuts.Boundary.cut_off`).
+pruning in both directions (the chosen set alone, and the pool: chosen plus
+all still undecided edges) and admissible remaining-cost bounds.  Every
+fault model is a cut condition here, tested on the packed cut kernel: the
+boundary counts of an edge set over every cut are packed ints, changed by
+one big-int add or subtract per edge, and every test and cut set stays in
+the kernel's guard-bit form.  A flex (p, q) class fails on a cut that
+separates one of its pairs and has fewer than p safe and fewer than p+q
+edges.  A bulk scenario, and each scenario of the bulk expansion of
+relative requirements, fails on a cut that separates one of its pairs when
+every edge crossing it is one the scenario fails: a cut its failure set
+cuts off (:meth:`faultnet.cuts.Layout.cut_off`).
 
-The bound packs the violated cuts of the first failing class or scenario
-greedily, lowest cut first, so that no two packed cuts share a candidate (an
-undecided edge that crosses the cut and is not failed there), and sums what
-repairing each packed cut costs at least: the cheapest candidate for a
-scenario, and for a flex class the cheaper of the p - s cheapest safe
-candidates and the p + q - t cheapest candidates, with s and t the cut's
-safe and total counts in the chosen set.  A completion repairs every packed
-cut with its own candidates, so the sum never exceeds what it adds.
+The search is one recursive kernel.  The chosen set's packed total and safe
+counts go down the recursion as arguments, so a child's are its parent's
+plus at most one edge's crossing set; the pool's are updated in place and
+restored on return.  A bytearray per set records which edges it holds, for
+the scenario test.  The edge count and every table are read into locals
+once per search.
+
+The packing bound packs the violated cuts of the first failing class or
+scenario greedily, lowest cut first, so that no two packed cuts share a
+candidate (an undecided edge that crosses the cut and is not failed there),
+and sums what repairing each packed cut costs at least: the cheapest
+candidate for a scenario, and for a flex class the cheaper of the p - s
+cheapest safe candidates and the p + q - t cheapest candidates, with s and
+t the cut's safe and total counts in the chosen set.  A completion repairs
+every packed cut with its own candidates, so the sum never exceeds what it
+adds.
 
 A flex class whose scope holds every singleton cut {v}, as an all-pairs
-(FGC) class does, adds a degree bound: half the sum, over the singleton
-cuts it finds violated, of each cut's repair cost by the same rule, over
-the undecided edges at v.  A completion repairs every such cut with edges
-at its vertex, and each edge is at two vertices, so it adds at least half
-the sum.  The DFS prunes on the larger of the two bounds; which bound runs
-is fixed once per search, so other searches run the packing alone.
+(FGC) class does, adds a degree bound: half the sum, over the vertices, of
+what repairing the cut {v} costs at least by the same rule over the
+undecided edges at v, 0 where no such class finds it violated.  A
+completion repairs every such cut with edges at its vertex, and each edge
+is at two vertices, so it adds at least half the sum.  The kernel keeps
+these repair costs in a degree table, one entry per vertex.  Deciding edge
+``order[k]`` changes the chosen degree and the undecided edges of its two
+endpoints only, so a child recomputes just those two entries and the
+parent restores them on return.  The bound adds the entries in vertex
+order, one ``+=`` at a time, and stops once the sum reaches the limit, so
+each value is bitwise the one a fresh sum over the vertices gives.  The
+DFS prunes on the degree bound first and then on the packing; which bounds
+run is fixed once per search, so other searches run the packing alone.
 
 Both bounds are admissible: a pruned subtree holds only completions that
 the DFS's cost check would reject anyway, since the incumbent is replaced
@@ -42,13 +57,12 @@ suite, so it favors simplicity over cleverness everywhere the budget allows.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_right
 from math import inf
 
-from .cuts import Boundary, layout_of
+from .cuts import Boundary, crossing_table, layout_of
 from .errors import BudgetExceeded, InfeasibleInstance
-from .graph import FaultGraph
+from .graph import FaultGraph, env_budget
 from .oracles import (
     Problem,
     check_problem_feasible,
@@ -61,24 +75,24 @@ _NO_FAIL: frozenset = frozenset()
 
 
 def exact_budget() -> int:
-    return int(os.environ.get("FAULTNET_EXACT_BUDGET", "30"))
+    return env_budget("FAULTNET_EXACT_BUDGET", 30)
 
 
 class _Checker:
-    """Incremental feasibility over every cut, for any fault model.
+    """Feasibility of an edge set over every cut, for any fault model.
 
-    Keeps the packed boundary counts of ``chosen`` (0) and ``pool`` (1),
-    which the search updates by edge adds and removes.  Flex requirements
-    are grouped into (p, q) classes, scenarios keep their failure sets; each
-    constrains the cuts that separate one of its pairs, its scope, kept as a
-    guard set.  A class holds the offsets of its two thresholds.  A scenario
-    fails on a cut in scope that its failure set cuts off
-    (:meth:`Boundary.cut_off`): nothing crossing the cut survives.
+    The set is given by its packed ``total`` and ``safe`` boundary counts
+    and by ``inside``, where ``inside[eid]`` is 1 while it holds edge eid.
+    Flex requirements are grouped into (p, q) classes, scenarios keep their
+    failure sets; each constrains the cuts that separate one of its pairs,
+    its scope, kept as a guard set.  A class holds the offsets of its two
+    thresholds.  A scenario fails on a cut in scope that its failure set
+    cuts off (:meth:`Layout.cut_off`): nothing crossing the cut survives.
     """
 
     def __init__(self, g: FaultGraph, problem: Problem):
-        self.g = g
-        lay = layout_of(g)
+        self.layout = lay = layout_of(g)
+        self.cross, _safe = crossing_table(g)
         pairs: dict[tuple[int, int], list] = {}
         for r in problem.flex:
             pairs.setdefault((r.p, r.q), []).append((r.s, r.t))
@@ -90,32 +104,27 @@ class _Checker:
         if problem.kind == "rsndp":
             scenarios = expand_rsndp_to_bulk(g, problem.relative)
         self.scenarios = [(lay.scope(sc.pairs), sc.fail) for sc in scenarios]
-        self.counts: list[Boundary] = []
 
-    def reset(self, chosen, pool) -> None:
-        self.counts = [Boundary(self.g, chosen), Boundary(self.g, pool)]
-
-    def first_bad(self, which: int):
+    def first_bad(self, total: int, safe: int, inside):
         """(bad guard set, (p, q), failed edges) of the first class, or else
         scenario, that the set fails, None if it is feasible.  A class fails
         no edges; a scenario has no (p, q)."""
-        counts = self.counts[which]
-        safe, total = counts.safe, counts.total
         for scope, pq, safe_offset, total_offset in self.classes:
             bad = scope & ~((safe + safe_offset) | (total + total_offset))
             if bad:
                 return bad, pq, _NO_FAIL
         for scope, fail in self.scenarios:
-            bad = scope & counts.cut_off(fail)
+            bad = scope & self.layout.cut_off(self.cross, total, inside, fail)
             if bad:
                 return bad, None, fail
         return None
 
 
 class _Packing:
-    """Lower bound on the cost of completing a chosen set: greedy packing of
-    violated cuts with pairwise disjoint candidate sets, and for spanning
-    classes a degree bound over the singleton cuts.
+    """Lower bounds on the cost of completing a chosen set: a greedy packing
+    of violated cuts with pairwise disjoint candidate sets, and for spanning
+    classes the repair costs of the singleton cuts that the degree bound
+    sums.
 
     ``order`` lists the edge ids by descending cost; at depth k the edges at
     ``order[k:]`` are undecided.  The candidates of a cut for a failure set
@@ -126,9 +135,14 @@ class _Packing:
     The undecided candidates at depth k are a prefix of that list.
 
     ``spanning`` holds (p, p + q) of each of the checker's ``classes`` whose
-    scope holds every singleton cut {v}.  Only then does ``vertices`` list,
-    per vertex, the field shift of its singleton cut and two tables, one for
-    its incident edges and one for its safe ones, each cheapest first.
+    scope holds every singleton cut {v}.  Only then do ``vertices`` list,
+    per vertex, two tables, one for its incident edges and one for its safe
+    ones, each cheapest first; ``shifts`` the field shift of its singleton
+    cut; and ``ends`` the two endpoints of each edge of ``order``.  The
+    search's degree table holds, at depth k for a chosen set, one entry per
+    vertex v: :meth:`repair` of v's chosen and safe degrees at k.  Between
+    depths k - 1 and k only the entries of the endpoints of ``order[k - 1]``
+    change, and :meth:`refresh` recomputes just those.
     """
 
     def __init__(self, g: FaultGraph, order: list[int], classes: list):
@@ -142,6 +156,8 @@ class _Packing:
         self.columns: dict = {}
         self.spanning = []
         self.vertices = []
+        self.shifts = []
+        self.ends = []
         if not classes:  # no flex pair, maybe n = 1
             return
         # The cut {v} is named by v's own bit, and the anchor's by all the
@@ -154,10 +170,12 @@ class _Packing:
                 self.spanning.append((p, p + q))
         if self.spanning:
             at = {eid: i for i, eid in enumerate(order)}
-            for v, shift in enumerate(shifts):
+            for v in range(g.n):
                 incident = sorted(g.incident(v), key=at.__getitem__, reverse=True)
                 safe = [eid for eid in incident if self.safe[eid]]
-                self.vertices.append((shift, *self._table(incident, at), *self._table(safe, at)))
+                self.vertices.append((*self._table(incident, at), *self._table(safe, at)))
+            self.shifts = shifts
+            self.ends = [(g.edges[eid].u, g.edges[eid].v) for eid in order]
 
     def _table(self, edges: list[int], at: dict) -> tuple:
         """Running cost sums of ``edges``, cheapest first, and at each depth
@@ -174,44 +192,49 @@ class _Packing:
 
     def column(self, fail: frozenset, low: int, top: int) -> tuple:
         """The candidate column of the cut whose guard is ``low``, at bit
-        ``top - 1``."""
-        col = self.columns.get((fail, top))
-        if col is None:
-            spots, sums, hits = [], [0.0], [low]
-            safe_spots, safe_sums = [], [0.0]
-            for i in range(len(self.order) - 1, -1, -1):
-                eid = self.order[i]
-                if self.cross[eid] & low and eid not in fail:
-                    spots.append(-i)
-                    sums.append(sums[-1] + self.costs[eid])
-                    hits.append(hits[-1] | self.cross[eid])
-                    if self.safe[eid]:
-                        safe_spots.append(-i)
-                        safe_sums.append(safe_sums[-1] + self.costs[eid])
-            col = self.columns[(fail, top)] = (spots, sums, hits, safe_spots, safe_sums)
+        ``top - 1``, built and kept in ``columns`` on first use."""
+        spots, sums, hits = [], [0.0], [low]
+        safe_spots, safe_sums = [], [0.0]
+        for i in range(len(self.order) - 1, -1, -1):
+            eid = self.order[i]
+            if self.cross[eid] & low and eid not in fail:
+                spots.append(-i)
+                sums.append(sums[-1] + self.costs[eid])
+                hits.append(hits[-1] | self.cross[eid])
+                if self.safe[eid]:
+                    safe_spots.append(-i)
+                    safe_sums.append(safe_sums[-1] + self.costs[eid])
+        col = self.columns[(fail, top)] = (spots, sums, hits, safe_spots, safe_sums)
         return col
 
-    def bound(self, counts: Boundary, k: int, violated, cost_in: float, limit: float) -> float:
+    def bound(
+        self, total: int, safe: int, k: int, violated, cost_in: float, limit: float
+    ) -> float:
         """Repair cost of the packed cuts of ``violated`` (a ``first_bad``
-        answer for the chosen set ``counts``), summed until cost_in plus the
-        sum reaches ``limit``."""
+        answer for the chosen set with packed counts ``total`` and
+        ``safe``), summed until cost_in plus the sum reaches ``limit``."""
         bad, pq, fail = violated
+        if pq is not None:
+            p, q = pq
+        columns, width, mask = self.columns, self.width, self.field
         bound = 0.0
         while bad:
             low = bad & -bad
             top = low.bit_length()
-            spots, sums, hits, safe_spots, safe_sums = self.column(fail, low, top)
+            col = columns.get((fail, top))
+            if col is None:
+                col = self.column(fail, low, top)
+            spots, sums, hits, safe_spots, safe_sums = col
             reach = bisect_right(spots, -k)  # undecided candidates
             if pq is None:
                 repair = sums[1] if reach else inf
             else:
-                p, q = pq
-                field = top - self.width  # the cut's field starts here
-                need = p + q - ((counts.total >> field) & self.field)
+                field = top - width  # the cut's field starts here
+                need = p + q - ((total >> field) & mask)
                 repair = sums[need] if need <= reach else inf
-                need = p - ((counts.safe >> field) & self.field)
-                if need <= bisect_right(safe_spots, -k):
-                    repair = min(repair, safe_sums[need])
+                need = p - ((safe >> field) & mask)
+                if need <= bisect_right(safe_spots, -k) and safe_sums[need] < repair:
+                    repair = safe_sums[need]
             bound += repair
             if cost_in + bound >= limit:
                 break
@@ -219,41 +242,31 @@ class _Packing:
             bad &= ~hits[reach]
         return bound
 
-    def degree(self, counts: Boundary, k: int, cost_in: float, limit: float) -> float:
-        """Half the summed repair costs of the singleton cuts that a spanning
-        class finds violated in the chosen set ``counts``, summed until
-        cost_in plus the half reaches ``limit``.  A cut {v} that several
-        classes violate is charged its dearest repair."""
-        total, safe, field = counts.total, counts.safe, self.field
-        twice = 2.0 * (limit - cost_in)
-        bound = 0.0
-        for shift, sums, undecided, safe_sums, safe_undecided in self.vertices:
-            t = (total >> shift) & field
-            s = (safe >> shift) & field
-            worst = 0.0
-            for p, pq in self.spanning:
-                if t < pq and s < p:
-                    need = pq - t
-                    repair = sums[need] if need <= undecided[k] else inf
-                    need = p - s
-                    if need <= safe_undecided[k] and safe_sums[need] < repair:
-                        repair = safe_sums[need]
-                    if repair > worst:
-                        worst = repair
-            bound += worst
-            if bound >= twice:
-                break
-        return bound / 2
+    def repair(self, v: int, t: int, s: int, k: int) -> float:
+        """What repairing the singleton cut {v} costs at least at depth k,
+        with t chosen and s safe edges at v: the dearest repair over the
+        spanning classes that find it violated, 0 if none does."""
+        sums, undecided, safe_sums, safe_undecided = self.vertices[v]
+        worst = 0.0
+        for p, pq in self.spanning:
+            if t < pq and s < p:
+                need = pq - t
+                repair = sums[need] if need <= undecided[k] else inf
+                need = p - s
+                if need <= safe_undecided[k] and safe_sums[need] < repair:
+                    repair = safe_sums[need]
+                if repair > worst:
+                    worst = repair
+        return worst
 
-    def spanning_bound(
-        self, counts: Boundary, k: int, violated, cost_in: float, limit: float
-    ) -> float:
-        """The larger of the degree and packing bounds; the packing is left
-        out when the degree bound alone reaches ``limit``."""
-        bound = self.degree(counts, k, cost_in, limit)
-        if cost_in + bound >= limit:
-            return bound
-        return max(bound, self.bound(counts, k, violated, cost_in, limit))
+    def refresh(self, table: list[float], k: int, total: int, safe: int) -> None:
+        """Bring the degree ``table`` from depth k - 1 to depth k (k >= 1)
+        for the chosen set with packed counts ``total`` and ``safe``: only
+        the endpoints of ``order[k - 1]`` change."""
+        field, shifts = self.field, self.shifts
+        for v in self.ends[k - 1]:
+            shift = shifts[v]
+            table[v] = self.repair(v, (total >> shift) & field, (safe >> shift) & field, k)
 
 
 def exact_solve(
@@ -282,40 +295,51 @@ def exact_solve(
     checker = _Checker(g, problem)
     order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
     packing = _Packing(g, order, checker.classes)
-    # Chosen once per search: only spanning classes pay for the degree bound.
-    bound = packing.spanning_bound if packing.spanning else packing.bound
     costs = packing.costs
+    first_bad = checker.first_bad
 
     # Greedy seed: keep everything, then drop expensive edges while feasible.
-    checker.reset(chosen=range(g.m), pool=range(g.m))
-    chosen = checker.counts[0]
+    whole = Boundary(g, range(g.m))
+    pool_total, pool_safe = whole.total, whole.safe
     kept = set(range(g.m))
     for eid in order:
-        chosen.remove(eid)
-        if checker.first_bad(0) is None:
+        whole.remove(eid)
+        if first_bad(whole.total, whole.safe, whole.inside) is None:
             kept.discard(eid)
         else:
-            chosen.add(eid)
+            whole.add(eid)
     best_set = frozenset(kept)
     best_cost = sum(costs[eid] for eid in kept)
 
-    # Reset counters for the DFS: nothing chosen, everything in the pool.
-    # The pool stays feasible at every node: the root's pool is the whole
-    # graph, an exclusion is checked before descending, and an inclusion
-    # leaves the pool as it is.
-    checker.reset(chosen=(), pool=range(g.m))
-    chosen, pool = checker.counts
+    # The DFS starts with nothing chosen and everything in the pool.  The
+    # pool stays feasible at every node: the root's pool is the whole graph,
+    # an exclusion is checked before descending, and an inclusion leaves the
+    # pool as it is.
+    m = g.m
+    cross, safe_flags = crossing_table(g)
+    steps = [
+        (eid, cross[eid], cross[eid] if safe_flags[eid] else 0, costs[eid]) for eid in order
+    ]
+    inside = bytearray(m)
+    pool_inside = bytearray(b"\x01") * m
+    # The incumbent is copied from this set, not rebuilt from ``inside``:
+    # its iteration order, which later cost sums follow, depends on the
+    # set's history.
+    chosen_now: set[int] = set()
+    bound, refresh, ends = packing.bound, packing.refresh, packing.ends
+    spanning = bool(packing.spanning)
+    table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
 
-    def dfs(k: int, cost_in: float) -> None:
-        nonlocal best_set, best_cost
+    def dfs(k: int, cost_in: float, total: int, safe: int) -> None:
+        nonlocal best_set, best_cost, pool_total, pool_safe
         if cost_in >= best_cost - COST_EPS:
             return
-        violated = checker.first_bad(0)
+        violated = first_bad(total, safe, inside)
         if violated is None:
             best_cost = cost_in
             best_set = frozenset(chosen_now)
             return
-        if k == g.m:
+        if k == m:
             return
         # Any completion repairs each packed cut of the violated class or
         # scenario with its own undecided candidates, so it adds at least the
@@ -323,24 +347,44 @@ def exact_solve(
         # too.  A pruned subtree holds nothing cheaper than the
         # incumbent by more than COST_EPS, the only gain that replaces it.
         limit = best_cost - COST_EPS
-        if cost_in + bound(chosen, k, violated, cost_in, limit) >= limit:
+        if spanning:
+            if k:
+                refresh(table, k, total, safe)
+            # One += at a time: the builtin sum compensates from Python 3.12.
+            twice = 2.0 * (limit - cost_in)
+            degree = 0.0
+            for repair in table:
+                degree += repair
+                if degree >= twice:
+                    break
+            if cost_in + degree / 2 >= limit:
+                return
+        if cost_in + bound(total, safe, k, violated, cost_in, limit) >= limit:
             return
-        eid = order[k]
+        eid, cuts, safe_cuts, cost = steps[k]
+        if spanning:
+            u, w = ends[k]
+            saved = table[u], table[w]
         # Exclude branch first: expensive edges drop out early.
-        pool.remove(eid)
-        if checker.first_bad(1) is None:
-            dfs(k + 1, cost_in)
-        pool.add(eid)
+        pool_total -= cuts
+        pool_safe -= safe_cuts
+        pool_inside[eid] = 0
+        if first_bad(pool_total, pool_safe, pool_inside) is None:
+            dfs(k + 1, cost_in, total, safe)
+        pool_total += cuts
+        pool_safe += safe_cuts
+        pool_inside[eid] = 1
         # Include branch.
+        inside[eid] = 1
         chosen_now.add(eid)
-        chosen.add(eid)
-        dfs(k + 1, cost_in + costs[eid])
-        chosen.remove(eid)
+        dfs(k + 1, cost_in + cost, total + cuts, safe + safe_cuts)
+        inside[eid] = 0
         chosen_now.discard(eid)
+        if spanning:
+            table[u], table[w] = saved
 
-    chosen_now: set[int] = set()
-    dfs(0, 0.0)
+    dfs(0, 0.0, 0, 0)
     # dfs holds itself through its closure cell; emptying the cell frees the
-    # search state and the graph on return, not at the next cyclic collection.
+    # search state on return, not at the next cyclic collection.
     del dfs
     return best_set, best_cost

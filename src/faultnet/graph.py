@@ -28,9 +28,25 @@ UNSAFE = "unsafe"
 MAX_SWEEP_N = 24
 
 
+def env_budget(name: str, default: int) -> int:
+    """The budget in environment variable ``name``, or ``default`` when it
+    is unset.  A value that is not a non-negative integer raises a
+    ``ValueError`` that names the variable."""
+    raw = os.environ.get(name)
+    if raw is None:
+        return default
+    try:
+        value = int(raw)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
+    return value
+
+
 def enumeration_budget() -> int:
     """Subset-enumeration budget used by the oracles (env-overridable)."""
-    return int(os.environ.get("FAULTNET_ENUM_BUDGET", "2000000"))
+    return env_budget("FAULTNET_ENUM_BUDGET", 2_000_000)
 
 
 @dataclass(frozen=True)

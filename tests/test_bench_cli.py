@@ -444,6 +444,26 @@ class TestCli:
         path.write_text(serialize(inst))
         assert main(["exact", str(path)]) == 3
 
+    @pytest.mark.parametrize("value", ["abc", "", "1e3", "-1"])
+    @pytest.mark.parametrize("var", ["FAULTNET_EXACT_BUDGET", "FAULTNET_ENUM_BUDGET"])
+    def test_bad_budget_variable_is_named(self, tmp_path, capsys, monkeypatch, var, value):
+        # fgc reads both: the exact budget picks its base, and the final
+        # feasibility check sweeps cuts under the enumeration budget.
+        inst = generate(
+            "random-multigraph",
+            n=5,
+            m=10,
+            seed=1,
+            params={"problem": "fgc", "p": 1, "q": 1},
+        )
+        path = tmp_path / "inst.fni"
+        path.write_text(serialize(inst))
+        monkeypatch.setenv(var, value)
+        assert main(["solve", str(path), "--alg", "fgc"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"bad parameters: {var} must be a non-negative integer, got {value!r}\n"
+
     def test_enumeration_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "4")  # below 2^3 cuts
         path = tmp_path / "inst.fni"

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from faultnet.cuts import crossed, layout_of
+from faultnet.cuts import Boundary, crossed, layout_of
 from faultnet.errors import BudgetExceeded, EnumerationTooLarge, InfeasibleInstance
 from faultnet.exact import _Checker, _Packing, exact_solve
 from faultnet.graph import FaultGraph
@@ -238,6 +238,16 @@ BOUND_CASES = [
 ]
 
 
+def _fresh_table(g, packing, chosen, k):
+    """The degree table from scratch: the repair of each vertex at depth k,
+    from its chosen and safe degrees counted edge by edge."""
+    table = []
+    for v in range(g.n):
+        mine = [eid for eid in g.incident(v) if eid in chosen]
+        table.append(packing.repair(v, len(mine), sum(g.edges[eid].safe for eid in mine), k))
+    return table
+
+
 @pytest.mark.parametrize("name, seed", BOUND_CASES, ids=[f"{n}-{s}" for n, s in BOUND_CASES])
 def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
     # A partial state of the search: edges order[:k] are decided, ``chosen``
@@ -262,18 +272,20 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
             cost = g.total_cost(added)
             if cost < best and feasible(chosen | added):
                 best = cost
-        checker.reset(chosen=chosen, pool=chosen | set(undecided))
-        violated = checker.first_bad(0)
+        counts = Boundary(g, chosen)
+        violated = checker.first_bad(counts.total, counts.safe, counts.inside)
         if violated is None or best == inf:
             continue
         # A finite limit stops a packing that never drops its cuts.
-        bound = packing.bound(checker.counts[0], k, violated, 0.0, best + 1.0)
+        bound = packing.bound(counts.total, counts.safe, k, violated, 0.0, best + 1.0)
         assert bound <= best + 1e-9
         if packing.spanning:
-            degree = packing.degree(checker.counts[0], k, 0.0, best + 1.0)
-            combined = packing.spanning_bound(checker.counts[0], k, violated, 0.0, best + 1.0)
-            assert degree <= best + 1e-9 and combined <= best + 1e-9
-            assert combined == max(bound, degree)
+            # The whole degree bound, without the search's early stop.
+            degree = 0.0
+            for repair in _fresh_table(g, packing, chosen, k):
+                degree += repair
+            degree /= 2
+            assert degree <= best + 1e-9
             degree_wins += degree > bound + 1e-9
         bad, _pq, fail = violated
         low = layout.compact(bad & -bad)  # the first bad cut, as a cut set
@@ -289,6 +301,38 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
         # Violated singleton cuts whose repairs the packing cannot all count
         # (their candidates overlap) must lift the bound somewhere.
         assert degree_wins >= 1
+
+
+FGC_BOUND_CASES = [(name, seed) for name, seed in BOUND_CASES if name in FGC_CLASSES]
+
+
+@pytest.mark.parametrize("name, seed", FGC_BOUND_CASES, ids=[f"{n}-{s}" for n, s in FGC_BOUND_CASES])
+def test_degree_table_matches_a_fresh_computation(name, seed):
+    # Random include/exclude paths from the root, as the search walks them:
+    # after each decision ``refresh`` recomputes the decided edge's two
+    # endpoints, and every entry must be bitwise the fresh repair.
+    g, prob, _feasible = _bound_case(name, seed)
+    order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
+    packing = _Packing(g, order, _Checker(g, prob).classes)
+    rng = Random(seed)
+    states = moved = 0
+    for _ in range(20):
+        chosen: set[int] = set()
+        counts = Boundary(g)
+        table = _fresh_table(g, packing, chosen, 0)
+        for k, eid in enumerate(order, start=1):
+            if rng.random() < 0.5:
+                chosen.add(eid)
+                counts.add(eid)
+            before = list(table)
+            packing.refresh(table, k, counts.total, counts.safe)
+            fresh = _fresh_table(g, packing, chosen, k)
+            assert list(map(float.hex, table)) == list(map(float.hex, fresh))
+            states += 1
+            moved += table != before
+    assert states == 20 * g.m
+    # The entries do move along the paths, so equality is not vacuous.
+    assert moved >= states // 4
 
 
 # Search work, as calls of the checker's scan (one per node and one per
@@ -308,12 +352,21 @@ def _ratio_sweep_graphs():
     return [generate("random-multigraph", n=8, m=18, seed=seed, params=params) for seed in range(6)]
 
 
+# With the degree bound, the searches below make exactly these calls.  The
+# pin also fails a search that bypasses the counted methods, which the
+# ratio to the parent counts alone would pass with 0 calls.
+SPANNING_CALLS = {
+    (3, 0): {"first_bad": 1178, "bound": 505},
+    (3, 2): {"first_bad": 1119, "bound": 477},
+}
+
+
 @pytest.mark.parametrize(
     "p, q, parent",
     [
         # Before the degree bound, these searches made 2594 first_bad and
         # 1450 bound calls for (3, 0), the base of solve_fgc, and 2455 and
-        # 1371 for the (3, 2) baseline; with it, 1178/505 and 1119/477.
+        # 1371 for the (3, 2) baseline.
         (3, 0, {"first_bad": 2594, "bound": 1450}),
         (3, 2, {"first_bad": 2455, "bound": 1371}),
     ],
@@ -322,6 +375,7 @@ def test_degree_bound_cuts_the_spanning_search(p, q, parent):
     counts = _search_calls(
         _ratio_sweep_graphs(), lambda inst: Problem("flex", flex=fgc_requirements(inst.n, p, q))
     )
+    assert counts == SPANNING_CALLS[p, q]
     for name, calls in parent.items():
         assert counts[name] <= 0.6 * calls
 
