@@ -35,12 +35,13 @@ def env_budget(name: str, default: int) -> int:
     raw = os.environ.get(name)
     if raw is None:
         return default
+    message = f"{name} must be a non-negative integer, got {raw!r}"
     try:
         value = int(raw)
     except ValueError:
-        value = -1
+        raise ValueError(message) from None
     if value < 0:
-        raise ValueError(f"{name} must be a non-negative integer, got {raw!r}")
+        raise ValueError(message)
     return value
 
 
