@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 from .cuts import Boundary, crossed, cut_index, masks, predicate, separating
 from .errors import NotRingFamily, Uncoverable
-from .graph import FaultGraph, VertexCut, boundary
+from .graph import FaultGraph, VertexCut, boundary, guard_sweep
 from .simplex import SimplexStatus, solve_dense_lp
 
 
@@ -334,6 +334,7 @@ def check_uncrossable(fam: CutFamily) -> tuple[bool, tuple[VertexCut, VertexCut]
     exactly as the raw definition reads.  Returns the first violating (A, B) if any.
     """
     n = fam.graph.n
+    guard_sweep(n)
     members = [m for m in range(1, (1 << n) - 1) if fam.contains(m)]
     for i, a in enumerate(members):
         for b in members[i + 1 :]:

@@ -23,6 +23,9 @@ edges of F; :meth:`Boundary.cut_off` answers that for every cut at once,
 and :meth:`Layout.cut_off` for packed counts kept outside a Boundary.
 Questions about one given mask go to :func:`faultnet.graph.boundary` and
 :func:`faultnet.graph.boundary_counts`.
+A graph's first :func:`layout_of` call checks its sweep against the
+enumeration budget (:func:`faultnet.graph.guard_sweep`), before any of its
+packed structures is built.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable
 
-from .graph import FaultGraph
+from .graph import FaultGraph, guard_sweep
 
 
 def _repeat(block: int, period: int, total: int) -> int:
@@ -133,8 +136,13 @@ class Layout:
 
 
 def layout_of(g: FaultGraph) -> Layout:
-    """The shared layout of g's boundary counts, which never exceed m."""
-    return _layout(g.n, g.m.bit_length() + 1)
+    """The shared layout of g's boundary counts, which never exceed m;
+    kept on g after the first call's :func:`guard_sweep`."""
+    lay = g._layout
+    if lay is None:
+        guard_sweep(g.n)
+        lay = g._layout = _layout(g.n, g.m.bit_length() + 1)
+    return lay
 
 
 # Bounded: at n = 24 one layout holds about n * 2^23 * width bits, some

@@ -34,10 +34,6 @@ class PriorLevelNotSatisfied(FaultnetError):
     pass
 
 
-class WidthBudgetExceeded(BudgetError):
-    pass
-
-
 class Uncoverable(FaultnetError):
     """Some violated cut has no candidate edge crossing it."""
 

@@ -63,12 +63,7 @@ from math import inf
 from .cuts import Boundary, crossing_table, layout_of
 from .errors import BudgetExceeded, InfeasibleInstance
 from .graph import FaultGraph, env_budget
-from .oracles import (
-    Problem,
-    check_problem_feasible,
-    expand_rsndp_to_bulk,
-    guard_failure_sets,
-)
+from .oracles import Problem, check_problem_feasible, expand_rsndp_to_bulk
 
 COST_EPS = 1e-12
 _NO_FAIL: frozenset = frozenset()
@@ -282,12 +277,7 @@ def exact_solve(
     cap = exact_budget() if budget is None else budget
     if g.m > cap:
         raise BudgetExceeded(f"m={g.m} exceeds exact-search budget {cap}")
-    if problem.kind == "rsndp":
-        # The whole graph keeps its own connectivity under every failure, so
-        # only the budget of the oracle's failure-set enumeration applies;
-        # the checker's bulk expansion enumerates the same sets.
-        guard_failure_sets(g.m, problem.relative)
-    else:
+    if problem.kind != "rsndp":  # G keeps its own connectivity under any failure
         ok, _ = check_problem_feasible(g, problem, g.all_edge_ids())
         if not ok:
             raise InfeasibleInstance("graph itself is infeasible for the problem")

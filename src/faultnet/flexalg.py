@@ -241,8 +241,9 @@ def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     """Spanning (p, q) solver for the (p, q) that ``fgc_plans`` accepts.
 
     ``flex_base`` at (p, 0), then one augmentation round per level 1..q
-    following the per-level plan.  The result is oracle-verified before
-    returning.
+    following the per-level plan.  The graph is checked (p, q)-feasible
+    first and each level checks its result, so the result is checked at
+    (p, q) for q >= 1; at q = 0 the base is returned as built.
     """
     plans = fgc_plans(p, q)
     if g.n < 2:

@@ -8,10 +8,10 @@ over dense edge ids.  Vertex cuts are bit masks over vertices, wrapped in
 for exhaustive 2^n cut sweeps, so ``n`` is capped at :data:`MAX_SWEEP_N`.
 
 Thread safety: a FaultGraph never mutates after construction and can be
-shared freely; all functions here allocate private state.  Its one lazily
-filled field, the crossing table of :func:`faultnet.cuts.crossing_table`,
-is a pure function of the graph, so a racing second fill stores an equal
-value.
+shared freely; all functions here allocate private state.  Its two lazily
+filled fields, the packed layout of :func:`faultnet.cuts.layout_of` and
+the crossing table of :func:`faultnet.cuts.crossing_table`, are pure
+functions of the graph, so a racing second fill stores an equal value.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+from .errors import EnumerationTooLarge
 
 SAFE = "safe"
 UNSAFE = "unsafe"
@@ -46,8 +48,16 @@ def env_budget(name: str, default: int) -> int:
 
 
 def enumeration_budget() -> int:
-    """Subset-enumeration budget used by the oracles (env-overridable)."""
+    """Budget of every exhaustive enumeration, of cuts or of failure sets
+    (env-overridable)."""
     return env_budget("FAULTNET_ENUM_BUDGET", 2_000_000)
+
+
+def guard_sweep(n: int) -> None:
+    """Raise EnumerationTooLarge unless the 2^n cuts of an n-vertex graph
+    fit the enumeration budget."""
+    if (1 << n) > enumeration_budget():
+        raise EnumerationTooLarge(f"2^{n} cuts exceed the enumeration budget")
 
 
 @dataclass(frozen=True)
@@ -86,7 +96,7 @@ class FaultGraph:
     semantics); parallel edges are allowed and common.
     """
 
-    __slots__ = ("n", "edges", "_safe_ids", "_unsafe_ids", "_incident", "_crossing")
+    __slots__ = ("n", "edges", "_safe_ids", "_unsafe_ids", "_incident", "_layout", "_crossing")
 
     def __init__(self, n: int, edge_specs: Sequence[tuple]):
         if n < 1:
@@ -114,6 +124,7 @@ class FaultGraph:
             incident[e.u].append(e.id)
             incident[e.v].append(e.id)
         self._incident = tuple(tuple(ids) for ids in incident)
+        self._layout = None  # filled by faultnet.cuts.layout_of
         self._crossing = None  # filled by faultnet.cuts.crossing_table
 
     # -- basic accessors ---------------------------------------------------

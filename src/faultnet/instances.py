@@ -195,11 +195,20 @@ def parse(text: str) -> InstanceFile:
         problem = Problem(
             kind, flex=tuple(flex), scenarios=tuple(scenarios), relative=tuple(relative)
         )
+        _check_q(problem, m)
         inst = InstanceFile(n=n, edge_specs=tuple(specs), problem=problem)
         inst.to_graph()  # validates endpoints, costs, self-loops
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return inst
+
+
+def _check_q(problem: Problem, m: int) -> None:
+    """ValueError for a flex q above the edge count m: each unit of q is one
+    solver level, and no more than m edges can fail."""
+    for r in problem.flex:
+        if r.q > m:
+            raise ValueError(f"flex requirement ({r.s}, {r.t}) has q={r.q} above m={m} edges")
 
 
 # -- fixed constructions -------------------------------------------------------
@@ -472,6 +481,7 @@ def generate(
             problem = _random_problem(rng, g, params)
         except CannotSatisfyFeasibility:
             continue
+        _check_q(problem, m)
         ok, _ = check_problem_feasible(g, problem, g.all_edge_ids())
         if ok:
             return InstanceFile(n=n, edge_specs=tuple(specs), problem=problem)

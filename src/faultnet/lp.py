@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import LpInfeasible, UnsupportedParameters
-from .graph import FaultGraph, st_cut_masks
+from .graph import FaultGraph, guard_sweep, st_cut_masks
 from .oracles import BulkScenario, FlexRequirement, Problem, uniform_pq
 from .simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
 
@@ -131,6 +131,7 @@ def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> list[in
     """Canonical cuts separating at least one requirement pair, each once,
     in order of first appearance over the requirements in
     ``st_cut_masks`` order.  Separation ties break on this order."""
+    guard_sweep(g.n)
     full = (1 << g.n) - 1
     masks = np.concatenate([np.array(st_cut_masks(g.n, r.s, r.t), dtype=np.int64) for r in reqs])
     canonical = np.minimum(masks, full ^ masks)
@@ -252,6 +253,7 @@ def cutting_plane_flex(
 def _bulk_separator(g: FaultGraph, scenarios: Sequence[BulkScenario]) -> Separator:
     # One row per scenario, pair and s-t cut, in sweep order; a row marks
     # the crossing edges outside the scenario's failure set.
+    guard_sweep(g.n)
     keys = [
         (j, mask)
         for j, sc in enumerate(scenarios)

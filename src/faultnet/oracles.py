@@ -10,7 +10,8 @@ at once on the packed cut kernel (``faultnet.cuts``), and
 (``is_bulk_feasible``, ``is_rsndp_feasible``, ``violating_edge_sets_bulk``)
 enumerate failure sets and test connectivity by union-find, one failure set
 at a time, and ``expand_flex_to_bulk`` enumerates failure sets by their
-safe-edge count.
+safe-edge count.  Every failure-set enumeration here that no input lists
+is checked against the enumeration budget by :func:`guard_failure_sets`.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -28,12 +29,7 @@ from typing import Iterable, Sequence
 
 from .cover import CutFamily
 from .cuts import Boundary, first_mask, separating
-from .errors import (
-    BaseNotFeasible,
-    EnumerationTooLarge,
-    PriorLevelNotSatisfied,
-    WidthBudgetExceeded,
-)
+from .errors import BaseNotFeasible, EnumerationTooLarge, PriorLevelNotSatisfied
 from .graph import (
     FaultGraph,
     VertexCut,
@@ -165,11 +161,6 @@ class RsndpWitness:
 
 # -- flex feasibility --------------------------------------------------------
 
-def _guard_sweep(n: int):
-    if (1 << n) > enumeration_budget():
-        raise EnumerationTooLarge(f"2^{n} cuts exceed the enumeration budget")
-
-
 def is_flex_feasible(
     g: FaultGraph, reqs: Sequence[FlexRequirement], H: Iterable[int]
 ) -> tuple[bool, FlexWitness | None]:
@@ -181,7 +172,6 @@ def is_flex_feasible(
     once.  On failure returns the witness (B, cut) of the first failing
     requirement, with B the worst unsafe edges on the violating boundary.
     """
-    _guard_sweep(g.n)
     H = frozenset(H)
     deficient = cache(Boundary(g, H).deficient)
     for req in reqs:
@@ -208,16 +198,12 @@ def is_bulk_feasible(
     return True, None
 
 
-def guard_failure_sets(m: int, reqs: Sequence[RelativeRequirement]) -> int:
-    """max r_i, once the failure sets F with |F| < max r_i of an m-edge
-    graph are known to fit the enumeration budget."""
-    max_r = max((req.r for req in reqs), default=1)
-    total = sum(comb(m, k) for k in range(max_r))
+def guard_failure_sets(m: int, width: int) -> None:
+    """Raise EnumerationTooLarge unless the failure sets of at most
+    ``width`` edges of an m-edge graph fit the enumeration budget."""
+    total = sum(comb(m, k) for k in range(width + 1))
     if total > enumeration_budget():
-        raise EnumerationTooLarge(
-            f"{total} failure sets exceed the enumeration budget"
-        )
-    return max_r
+        raise EnumerationTooLarge(f"{total} failure sets exceed the enumeration budget")
 
 
 def is_rsndp_feasible(
@@ -225,10 +211,10 @@ def is_rsndp_feasible(
 ) -> tuple[bool, RsndpWitness | None]:
     """Definition-level check: enumerate all F with |F| < max r_i."""
     H = frozenset(H)
-    max_r = guard_failure_sets(g.m, reqs)
-    all_ids = sorted(g.all_edge_ids())
+    max_r = max((req.r for req in reqs), default=1)
+    guard_failure_sets(g.m, max_r - 1)
     for size in range(max_r):
-        for combo in itertools.combinations(all_ids, size):
+        for combo in itertools.combinations(range(g.m), size):
             F = frozenset(combo)
             g_alive = g.all_edge_ids() - F
             h_alive = H - F
@@ -255,7 +241,6 @@ def violated_cuts_flex_aug(
     family's canonical member orientation is the s-side for a single pair
     and the anchor-free side otherwise.
     """
-    _guard_sweep(g.n)
     reqs = tuple(reqs)
     if not reqs:
         raise ValueError("no requirements")
@@ -355,13 +340,10 @@ def expand_flex_to_bulk(
     """
     reqs = tuple(reqs)
     width = max(r.p + r.q - 1 for r in reqs)
-    total = sum(comb(g.m, k) for k in range(width + 1))
-    if total > enumeration_budget():
-        raise WidthBudgetExceeded(f"{total} scenarios exceed the budget")
-    all_ids = sorted(g.all_edge_ids())
+    guard_failure_sets(g.m, width)
     grouped: dict[frozenset, list[tuple[int, int]]] = {}
     for size in range(width + 1):
-        for combo in itertools.combinations(all_ids, size):
+        for combo in itertools.combinations(range(g.m), size):
             F = frozenset(combo)
             n_safe = len(F & g.safe_ids)
             pairs = [
@@ -390,9 +372,7 @@ def expand_rsndp_to_bulk(
     """
     reqs = tuple(reqs)
     width = max(r.r for r in reqs) - 1
-    total = sum(comb(g.m, k) for k in range(width + 1))
-    if total > enumeration_budget():
-        raise WidthBudgetExceeded(f"{total} scenarios exceed the budget")
+    guard_failure_sets(g.m, width)
     counts = Boundary(g, g.all_edge_ids())
     scoped = [(r.r, (r.s, r.t), counts.layout.scope([(r.s, r.t)])) for r in reqs]
     out = []

@@ -9,7 +9,7 @@ import pytest
 import faultnet
 from faultnet.bench import bench, run_cell, solutions_json
 from faultnet.cli import main
-from faultnet.instances import appendix_a_instance, generate, serialize
+from faultnet.instances import appendix_a_instance, figure_1_instance, generate, serialize
 
 
 def small_suite(tmp_path):
@@ -75,6 +75,20 @@ class TestBench:
         inst = appendix_a_instance(1)
         rec = run_cell(serialize(inst), "appa", "fgc", 0, False)
         assert rec.error and rec.cost is None
+
+    def test_infeasible_output_fails_the_run(self, monkeypatch):
+        import faultnet.bench as bench_mod
+
+        monkeypatch.setattr(bench_mod, "run_algorithm", lambda inst, algorithm, seed: frozenset())
+        suite = {"instances": [{"id": "fig1", "kind": "figure-1"}], "algorithms": ["exact"]}
+        _records, csv_text, code = bench(suite, with_timing=False)
+        assert code == 2
+        _header, row, _summary = csv_text.splitlines()
+        assert row.split(",")[6:] == ["false", "1", "", "infeasible-output"]
+        _records, csv_text, code = bench(suite, with_timing=False, allow_infeasible=True)
+        assert code == 0
+        _header, row, _summary = csv_text.splitlines()
+        assert row.split(",")[6:] == ["false", "1", "", ""]
 
 
 def _instance_lines(
@@ -174,6 +188,9 @@ class TestCli:
             # Graph and problem validation: used to exit 4 with "bad parameters:".
             (["exact"], _instance_lines(edge="e 1 1 1 1.0 safe")),
             (["exact"], _instance_lines(problem=("problem flex",))),
+            (["exact"], ["faultnet-instance 2", *_instance_lines()[1:]]),
+            (["exact"], _instance_lines()[:5]),
+            (["exact"], _instance_lines()[:-1]),
         ],
         ids=[
             "nan-cost",
@@ -185,6 +202,9 @@ class TestCli:
             "not-utf8",
             "self-loop",
             "flex-without-pairs",
+            "wrong-version",
+            "cut-short-in-the-edges",
+            "no-end-line",
         ],
     )
     def test_invalid_instance_is_a_parse_error(self, tmp_path, capsys, command, lines):
@@ -241,10 +261,11 @@ class TestCli:
             {"instances": [{"kind": "figure-1"}], "algorithms": ["fastest"]},
             # Not JSON: used to exit 4 with "bad parameters:".
             b'{"instances": [',
+            {"instances": [], "algorithms": ["exact"], "exact": 1},
         ],
         ids=[
             "empty", "list", "instances-int", "entry-int", "params-int", "unknown-algorithm",
-            "not-json",
+            "not-json", "exact-not-bool",
         ],
     )
     def test_malformed_suite_is_a_parse_error(self, tmp_path, capsys, suite):
@@ -348,16 +369,53 @@ class TestCli:
         path.write_text(serialize(inst))
         assert main(["solve", str(path), "--alg", "flex-st"]) == 2
 
+    def test_missing_file_exit_code(self, tmp_path, capsys):
+        assert main(["exact", str(tmp_path / "absent.fni")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("missing file:")
+
+    def test_gen_without_out_writes_the_instance_to_stdout(self, capsys):
+        assert main(["gen", "--kind", "figure-1"]) == 0
+        assert capsys.readouterr().out == serialize(figure_1_instance())
+
+    @pytest.mark.parametrize("source", ["file", "gen"])
+    def test_flex_q_above_the_edge_count_is_refused(self, tmp_path, capsys, source):
+        # Any q used to be accepted, and the solvers run one level per unit
+        # of q: q = 10**9 never returned.
+        path = tmp_path / "inst.fni"
+
+        def run(q):
+            if source == "file":
+                problem = ("problem flex", f"flexpair 0 2 1 {q}")
+                path.write_text("\n".join(_instance_lines(problem=problem)) + "\n")
+                return main(["solve", str(path), "--alg", "flex-st"])
+            params = json.dumps({"problem": "flex-st", "p": 1, "q": q})
+            argv = ["gen", "--kind", "random-multigraph", "--n", "4", "--m", "6"]
+            return main([*argv, "--params", params, "--out", str(path)])
+
+        m = 3 if source == "file" else 6
+        assert run(m) == 0
+        capsys.readouterr()
+        assert run(m + 1) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"has q={m + 1} above m={m} edges" in captured.err
+
     @pytest.mark.parametrize(
         "alg,pq",
         [("fgc", "3 5"), ("flex-st", "1 0")],
         ids=["fgc-outside-the-supported-set", "flex-st-on-all-pairs"],
     )
     def test_inapplicable_algorithm_exits_1(self, tmp_path, capsys, alg, pq):
-        # The 3-vertex graph need not be feasible: both refuse first.
+        # The 3-vertex graph need not be feasible: both refuse first.  Two
+        # more edges keep q = 5 within the edge count.
         pairs = [f"flexpair {s} {t} {pq}" for s, t in ((0, 1), (0, 2), (1, 2))]
+        lines = _instance_lines(problem=("problem flex", *pairs))
+        lines[2] = "edges 5"
+        lines[6:6] = ["e 3 0 1 1.0 unsafe", "e 4 1 2 1.0 unsafe"]
         path = tmp_path / "inst.fni"
-        path.write_text("\n".join(_instance_lines(problem=("problem flex", *pairs))) + "\n")
+        path.write_text("\n".join(lines) + "\n")
         assert main(["solve", str(path), "--alg", alg]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -413,7 +471,8 @@ class TestCli:
     )
     def test_lp_infeasible_exit_code(self, tmp_path, capsys, problem):
         # A path whose only 1-2 edge is unsafe: neither (2, 1) flex
-        # connectivity nor the loss of that edge leaves 0 and 2 connected.
+        # connectivity nor the loss of that edge leaves 0 and 2 connected,
+        # so exact, lp and the problem's solver all exit 2.
         lines = [
             "faultnet-instance 1",
             "vertices 3",
@@ -425,8 +484,9 @@ class TestCli:
         ]
         path = tmp_path / "inf.fni"
         path.write_text("\n".join(lines) + "\n")
-        for command in ("exact", "lp"):
-            assert main([command, str(path)]) == 2
+        alg = "bulk" if problem[0] == "problem bulk" else "flex-sndp"
+        for command in (["exact"], ["lp"], ["solve", "--alg", alg]):
+            assert main([command[0], str(path), *command[1:]]) == 2
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err.startswith("infeasible:")
@@ -473,13 +533,32 @@ class TestCli:
         assert main(["verify", str(path), str(sol)]) == 3
         assert "cuts exceed the enumeration budget" in capsys.readouterr().err
 
+    def test_cut_sweeps_at_n21_are_refused_by_default(self, tmp_path, capsys, monkeypatch):
+        # Each used to sweep all 2^21 cuts and exit 0, exact and lp after 10
+        # to 20 s on a 2-CPU x86_64 host.  verify checks a bulk instance by
+        # union-find and still answers.
+        monkeypatch.delenv("FAULTNET_ENUM_BUDGET", raising=False)
+        path = tmp_path / "n21.fni"
+        params = json.dumps({"problem": "bulk", "width": 1, "scenarios": 2, "pairs": 1})
+        argv = ["gen", "--kind", "random-multigraph", "--n", "21", "--m", "26", "--seed", "1"]
+        assert main([*argv, "--params", params, "--out", str(path)]) == 0
+        for command in (["exact"], ["solve", "--alg", "bulk"], ["lp"]):
+            capsys.readouterr()
+            assert main([command[0], str(path), *command[1:]]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "budget exceeded: 2^21 cuts exceed the enumeration budget\n"
+        sol = tmp_path / "sol.json"
+        sol.write_text(json.dumps({"edges": list(range(26))}))
+        assert main(["verify", str(path), str(sol)]) == 0
+
     def test_width_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # One relative pair with r = 2 expands to 1 + 3 failure sets.
         monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "2")
         path = tmp_path / "inst.fni"
         path.write_text("\n".join(_instance_lines(problem=("problem rsndp", "relpair 0 2 2"))) + "\n")
         assert main(["solve", str(path), "--alg", "rsndp"]) == 3
-        assert "scenarios exceed the budget" in capsys.readouterr().err
+        assert "failure sets exceed the enumeration budget" in capsys.readouterr().err
 
     def test_bench_command(self, tmp_path, capsys):
         suite_path = tmp_path / "suite.json"

@@ -613,6 +613,19 @@ class TestRsndpDriver:
         # the bridge's failure scenario must not force a second bridge copy
         # (there is none to buy), so the solve simply succeeds.
 
+    def test_pairs_the_graph_never_connects_need_no_edges(self):
+        # Two triangles: G itself leaves every pair across them cut, under
+        # every failure set, so no scenario survives the expansion.
+        g = FaultGraph(
+            6,
+            [
+                (0, 1, 1, "safe"), (1, 2, 1, "safe"), (2, 0, 1, "safe"),
+                (3, 4, 1, "safe"), (4, 5, 1, "safe"), (5, 3, 1, "safe"),
+            ],
+        )
+        reqs = (RelativeRequirement(0, 5, 1), RelativeRequirement(1, 4, 2))
+        assert solve_rsndp(g, reqs, seed=0) == frozenset()
+
     def test_unhittable_tree_is_skipped(self):
         # With seed 14, one tree of level 2 leaves a failure set that no
         # single fundamental cycle reconnects; the other trees succeed.

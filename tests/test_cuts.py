@@ -4,6 +4,7 @@ The kernel answers cut questions for every algorithm module; union-find
 connectivity stays with the independent oracles.
 """
 
+import ast
 import re
 from pathlib import Path
 from random import Random
@@ -323,3 +324,37 @@ def test_union_find_connectivity_stays_in_the_oracle_modules():
     }
     assert {"graph.py", "oracles.py"} <= found  # the pattern still matches
     assert found <= UNION_FIND_ALLOWED
+
+
+# A read of the enumeration budget.  graph.py defines it and checks every
+# cut sweep in guard_sweep; oracles.guard_failure_sets checks every
+# failure-set enumeration.  A read anywhere else is a second copy of a guard.
+BUDGET_READ = re.compile(r"\benumeration_budget\(")
+BUDGET_READERS = {
+    ("graph.py", "enumeration_budget"),
+    ("graph.py", "guard_sweep"),
+    ("oracles.py", "guard_failure_sets"),
+}
+
+
+def _matching_definitions(path: Path, pattern: re.Pattern) -> set[tuple[str, str]]:
+    """(file name, top-level function or class) of each line of the module
+    that matches; "" for a line outside them."""
+    text = path.read_text(encoding="utf-8")
+    spans = [
+        (node.lineno, node.end_lineno, node.name)
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+    return {
+        (path.name, next((name for lo, hi, name in spans if lo <= lineno <= hi), ""))
+        for lineno, line in enumerate(text.splitlines(), 1)
+        if pattern.search(line)
+    }
+
+
+def test_each_budget_is_read_in_one_place():
+    package = Path(faultnet.__file__).parent
+    found = set().union(*(_matching_definitions(path, BUDGET_READ) for path in package.glob("*.py")))
+    assert ("graph.py", "guard_sweep") in found  # the pattern still matches
+    assert found <= BUDGET_READERS

@@ -106,8 +106,8 @@ class TestExactSolve:
             exact_solve(g, prob)
 
     def test_rsndp_enumeration_budget(self, monkeypatch):
-        # 1 + 12 + 66 = 79 failure sets of size < 3: the oracle's raise, not
-        # the bulk expansion's, fires one set over the budget.
+        # 1 + 12 + 66 = 79 failure sets of size < 3: the bulk expansion's
+        # guard fires one set over the budget.
         g = random_graph(1, 6, 12)
         prob = Problem("rsndp", relative=(RelativeRequirement(0, 5, 3),))
         monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "78")

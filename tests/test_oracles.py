@@ -308,13 +308,11 @@ class TestExpansions:
 
 class TestWidthBudget:
     def test_expansion_budget_guard(self, monkeypatch):
-        from faultnet.errors import WidthBudgetExceeded
-
         monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "10")
         g = random_graph(3, 6, 12)
-        with pytest.raises(WidthBudgetExceeded):
+        with pytest.raises(EnumerationTooLarge):
             expand_flex_to_bulk(g, [FlexRequirement(0, 5, 2, 2)])
-        with pytest.raises(WidthBudgetExceeded):
+        with pytest.raises(EnumerationTooLarge):
             expand_rsndp_to_bulk(g, [RelativeRequirement(0, 5, 3)])
 
 
