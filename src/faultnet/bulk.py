@@ -20,8 +20,10 @@ packed cut kernel.  F cuts a pair in H when a cut that separates the pair is
 a zero cut of H - F, one that F cuts off in H
 (:meth:`faultnet.cuts.Boundary.cut_off`).  Those cuts are the dead cuts of
 (F, pair), and a fundamental cycle C reconnects the pair exactly when the
-edges of C - F cross every dead cut.  The union-find oracles stay the
-reference the kernel answers are tested against.
+edges of C - F cross every dead cut.  The level oracle and the
+precondition on H_prev are the kernel's, in :mod:`faultnet.oracles`; only
+the drivers' final checks use union-find.  Levels 0..width enumerate the
+sum of 2^|F_j| sub-failures, checked against the enumeration budget first.
 
 The flexible and relative drivers reduce to this machinery.  The relative
 driver expands its requirements into an explicit scenario list.  The
@@ -35,12 +37,11 @@ expansion.
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .cuts import Boundary, layout_of, masks, separating
+from .cuts import Boundary, masks, separating
 from .errors import (
     Disconnected,
     InfeasibleAugmentation,
@@ -54,7 +55,9 @@ from .oracles import (
     FlexRequirement,
     RelativeRequirement,
     _check_prior_levels,
+    _violations_of_level,
     expand_rsndp_to_bulk,
+    guard_failure_sets,
     is_bulk_feasible,
     is_flex_feasible,
     is_rsndp_feasible,
@@ -252,43 +255,6 @@ def greedy_hitting_set(inst: HittingInstance) -> list[int]:
 
 # -- one augmentation level --------------------------------------------------------
 
-def _violations_of_level(
-    g: FaultGraph, scenarios: Sequence[BulkScenario], level: int
-) -> Callable[..., list[tuple[frozenset, tuple[int, int]]]]:
-    """``oracles._level_violations`` at ``level``, as a function of H (and
-    optionally H's Boundary), on the cut kernel.
-
-    Each failure set F of ``level`` edges inside some scenario is listed
-    once, with the pairs of every scenario that holds it; F cuts a pair in H
-    when F cuts off a cut that separates the pair.  The sets and pairs are
-    listed sorted, so the output is the oracle's sorted list.
-    """
-    lay = layout_of(g)
-    pairs_of: dict[tuple[int, ...], set] = {}
-    for sc in scenarios:
-        for combo in itertools.combinations(sorted(sc.fail), level):
-            pairs_of.setdefault(combo, set()).update(sc.pairs)
-    checks = []
-    for combo in sorted(pairs_of):
-        pairs = sorted(pairs_of[combo])
-        scoped = [(pair, lay.scope((pair,))) for pair in pairs]
-        checks.append((frozenset(combo), lay.scope(pairs), scoped))
-
-    def violations(
-        H: frozenset, counts: Boundary | None = None
-    ) -> list[tuple[frozenset, tuple[int, int]]]:
-        if counts is None:
-            counts = Boundary(g, H)
-        out = []
-        for F, scope, scoped in checks:
-            zero = scope & counts.cut_off(F)
-            if zero:
-                out.extend((F, pair) for pair, pair_scope in scoped if zero & pair_scope)
-        return out
-
-    return violations
-
-
 def _tree_seed(seed: int, level: int, t: int) -> int:
     return (seed * 1_000_003 + level * 1_009 + t) & 0x7FFFFFFF
 
@@ -375,7 +341,8 @@ def augment_bulk(
 
     H_prev must survive every sub-failure of size < level, or
     PriorLevelNotSatisfied is raised.  It is checked once: every tree's H
-    contains H_prev, so it survives them too.
+    contains H_prev, so it survives them too.  That check and the level
+    oracle run on the cut kernel, with no union-find call.
     """
     H_prev = frozenset(H_prev)
     _check_prior_levels(g, scenarios, H_prev, level)
@@ -399,7 +366,9 @@ def solve_bulk_sndp(
     scenarios: Sequence[BulkScenario],
     seed: int = 0,
 ) -> frozenset:
-    """Full pipeline: levels 0..width of augment_bulk, oracle-verified."""
+    """Full pipeline: levels 0..width of augment_bulk, oracle-verified,
+    once the scenarios' sub-failures fit the enumeration budget."""
+    guard_failure_sets([len(sc.fail) for sc in scenarios], bulk_width(scenarios))
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph cannot satisfy scenario {witness}")

@@ -142,10 +142,9 @@ class _Packing:
 
     def __init__(self, g: FaultGraph, order: list[int], classes: list):
         self.order = order
-        counts = Boundary(g)
-        self.width = counts.layout.width
+        self.width = layout_of(g).width
         self.field = (1 << self.width) - 1
-        self.cross = [cuts << (self.width - 1) for cuts in counts.cross]
+        self.cross = [cuts << (self.width - 1) for cuts in crossing_table(g)[0]]
         self.costs = [g.cost_of(eid) for eid in range(g.m)]
         self.safe = [e.safe for e in g.edges]
         self.columns: dict = {}

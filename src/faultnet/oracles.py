@@ -6,12 +6,15 @@ constructive witness; every algorithm in the package is validated against
 them.  ``is_flex_feasible`` and ``violated_cuts_flex_aug`` sweep every cut
 at once on the packed cut kernel (``faultnet.cuts``), and
 ``expand_rsndp_to_bulk`` asks it which cuts each failure set cuts off
-(``Boundary.cut_off``).  The bulk and relative checks
-(``is_bulk_feasible``, ``is_rsndp_feasible``, ``violating_edge_sets_bulk``)
-enumerate failure sets and test connectivity by union-find, one failure set
-at a time, and ``expand_flex_to_bulk`` enumerates failure sets by their
-safe-edge count.  Every failure-set enumeration here that no input lists
-is checked against the enumeration budget by :func:`guard_failure_sets`.
+(``Boundary.cut_off``).  So does the bulk level oracle
+(``_violations_of_level``), which ``violating_edge_sets_bulk`` and the
+driver's precondition ``_check_prior_levels`` ask.  The checks of record
+``is_bulk_feasible`` and ``is_rsndp_feasible`` test connectivity by
+union-find, one failure set at a time, and ``expand_flex_to_bulk``
+enumerates failure sets by their safe-edge count.  Every failure-set
+enumeration here that no input lists is checked against the enumeration
+budget by :func:`guard_failure_sets`; the bulk driver checks there the
+sub-failures of its scenarios.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -25,10 +28,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .cover import CutFamily
-from .cuts import Boundary, first_mask, separating
+from .cuts import Boundary, first_mask, layout_of, separating
 from .errors import BaseNotFeasible, EnumerationTooLarge, PriorLevelNotSatisfied
 from .graph import (
     FaultGraph,
@@ -186,6 +189,15 @@ def is_flex_feasible(
     return True, None
 
 
+def _connected_pairs_ok(g, alive, pairs):
+    comps = connected_components(g, alive)
+    comp_of = {}
+    for ci, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = ci
+    return [(u, v) for u, v in pairs if comp_of[u] != comp_of[v]]
+
+
 def is_bulk_feasible(
     g: FaultGraph, scenarios: Sequence[BulkScenario], H: Iterable[int]
 ) -> tuple[bool, BulkWitness | None]:
@@ -198,10 +210,11 @@ def is_bulk_feasible(
     return True, None
 
 
-def guard_failure_sets(m: int, width: int) -> None:
-    """Raise EnumerationTooLarge unless the failure sets of at most
-    ``width`` edges of an m-edge graph fit the enumeration budget."""
-    total = sum(comb(m, k) for k in range(width + 1))
+def guard_failure_sets(sizes: Iterable[int], width: int) -> None:
+    """Raise EnumerationTooLarge unless the subsets of at most ``width``
+    elements of sets of the given ``sizes`` (``(m,)`` for an m-edge graph)
+    fit the enumeration budget."""
+    total = sum(comb(size, k) for size in sizes for k in range(width + 1))
     if total > enumeration_budget():
         raise EnumerationTooLarge(f"{total} failure sets exceed the enumeration budget")
 
@@ -212,7 +225,7 @@ def is_rsndp_feasible(
     """Definition-level check: enumerate all F with |F| < max r_i."""
     H = frozenset(H)
     max_r = max((req.r for req in reqs), default=1)
-    guard_failure_sets(g.m, max_r - 1)
+    guard_failure_sets((g.m,), max_r - 1)
     for size in range(max_r):
         for combo in itertools.combinations(range(g.m), size):
             F = frozenset(combo)
@@ -267,15 +280,6 @@ def violated_cuts_flex_aug(
 
 # -- bulk violated edge sets --------------------------------------------------
 
-def _connected_pairs_ok(g, alive, pairs):
-    comps = connected_components(g, alive)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    return [(u, v) for u, v in pairs if comp_of[u] != comp_of[v]]
-
-
 def violating_edge_sets_bulk(
     g: FaultGraph,
     scenarios: Sequence[BulkScenario],
@@ -284,13 +288,14 @@ def violating_edge_sets_bulk(
 ) -> list[tuple[frozenset, tuple[int, int]]]:
     """All (F, pair) with F inside some scenario, |F| = level, pair cut off.
 
-    Requires H to satisfy every sub-scenario of size < level; that makes
-    each returned F minimal (no proper subset disconnects the pair).
-    Results are deduplicated and sorted for reproducibility.
+    Requires H to satisfy every sub-scenario of size < level, or raises
+    PriorLevelNotSatisfied; that makes each returned F minimal (no proper
+    subset disconnects the pair).  Results are deduplicated and sorted for
+    reproducibility.  Both steps run on the cut kernel.
     """
     H = frozenset(H)
     _check_prior_levels(g, scenarios, H, level)
-    return _level_violations(g, scenarios, H, level)
+    return _violations_of_level(g, scenarios, level)(H)
 
 
 def _check_prior_levels(
@@ -298,33 +303,59 @@ def _check_prior_levels(
 ) -> None:
     """Raise PriorLevelNotSatisfied unless every pair of every scenario
     survives each of its sub-failures of size < level in H.  A superset of
-    H passes whenever H does."""
-    for j, sc in enumerate(scenarios):
-        fail = sorted(sc.fail)
-        for size in range(min(level, len(fail) + 1)):
-            for combo in itertools.combinations(fail, size):
-                broken = _connected_pairs_ok(g, H - frozenset(combo), sc.pairs)
-                if broken:
-                    raise PriorLevelNotSatisfied(
-                        f"scenario {j}: pair {broken[0]} cut by sub-failure {combo}"
-                    )
+    H passes whenever H does.  A failure set that cuts a pair still cuts
+    it when more edges fail, so only size min(level - 1, |F_j|) is asked
+    of the level oracle."""
+    if level == 0:
+        return
+    counts = Boundary(g, H)
+    sizes = [min(level - 1, len(sc.fail)) for sc in scenarios]
+    for size in sorted(set(sizes)):
+        group = [sc for sc, k in zip(scenarios, sizes) if k == size]
+        for F, pair in _violations_of_level(g, group, size)(H, counts)[:1]:
+            raise PriorLevelNotSatisfied(f"pair {pair} cut by sub-failure {tuple(sorted(F))}")
 
 
-def _level_violations(
-    g: FaultGraph, scenarios: Sequence[BulkScenario], H: frozenset, level: int
-) -> list[tuple[frozenset, tuple[int, int]]]:
-    """The (F, pair) tuples of ``violating_edge_sets_bulk`` without its
-    precondition check."""
-    out = set()
+def _violations_of_level(
+    g: FaultGraph, scenarios: Sequence[BulkScenario], level: int
+) -> Callable[..., list[tuple[frozenset, tuple[int, int]]]]:
+    """The level oracle: the (F, pair) tuples of ``violating_edge_sets_bulk``
+    at ``level`` without its precondition check, as a function of H (and
+    optionally H's Boundary), on the cut kernel.
+
+    Each failure set F of ``level`` edges inside some scenario is listed
+    once, with the pairs of every scenario that holds it; F cuts a pair in H
+    when F cuts off a cut that separates the pair.  The sets and pairs are
+    listed sorted, so the output is sorted.  Each pair's scope, and each
+    distinct pair list's, is computed once.
+    """
+    lay = layout_of(g)
+    pairs_of: dict[tuple[int, ...], set] = {}
     for sc in scenarios:
-        fail = sorted(sc.fail)
-        if len(fail) < level:
-            continue
-        for combo in itertools.combinations(fail, level):
-            F = frozenset(combo)
-            for pair in _connected_pairs_ok(g, H - F, sc.pairs):
-                out.add((F, pair))
-    return sorted(out, key=lambda fp: (sorted(fp[0]), fp[1]))
+        for combo in itertools.combinations(sorted(sc.fail), level):
+            pairs_of.setdefault(combo, set()).update(sc.pairs)
+    single = {pair: lay.scope((pair,)) for sc in scenarios for pair in sc.pairs}
+    shared: dict[tuple, tuple[int, list]] = {}
+    checks = []
+    for combo in sorted(pairs_of):
+        pairs = tuple(sorted(pairs_of[combo]))
+        if pairs not in shared:
+            shared[pairs] = (lay.scope(pairs), [(pair, single[pair]) for pair in pairs])
+        checks.append((frozenset(combo), *shared[pairs]))
+
+    def violations(
+        H: frozenset, counts: Boundary | None = None
+    ) -> list[tuple[frozenset, tuple[int, int]]]:
+        if counts is None:
+            counts = Boundary(g, H)
+        out = []
+        for F, scope, scoped in checks:
+            zero = scope & counts.cut_off(F)
+            if zero:
+                out.extend((F, pair) for pair, pair_scope in scoped if zero & pair_scope)
+        return out
+
+    return violations
 
 
 # -- expansions into the bulk model -------------------------------------------
@@ -340,7 +371,7 @@ def expand_flex_to_bulk(
     """
     reqs = tuple(reqs)
     width = max(r.p + r.q - 1 for r in reqs)
-    guard_failure_sets(g.m, width)
+    guard_failure_sets((g.m,), width)
     grouped: dict[frozenset, list[tuple[int, int]]] = {}
     for size in range(width + 1):
         for combo in itertools.combinations(range(g.m), size):
@@ -372,7 +403,7 @@ def expand_rsndp_to_bulk(
     """
     reqs = tuple(reqs)
     width = max(r.r for r in reqs) - 1
-    guard_failure_sets(g.m, width)
+    guard_failure_sets((g.m,), width)
     counts = Boundary(g, g.all_edge_ids())
     scoped = [(r.r, (r.s, r.t), counts.layout.scope([(r.s, r.t)])) for r in reqs]
     out = []

@@ -12,7 +12,11 @@ only the capacity check and the augmenting step with ``min_cost_flow``.
 cut, that the single-pair solvers' path grouping must reproduce.
 ``plain_best_of_trees`` keeps the bulk driver's best-of-trees loop as it was
 before it skipped trees and memoised edge sets: every tree evaluated, every
-H's violations recomputed.
+H's violations recomputed.  ``union_find_violating_edge_sets_bulk``,
+``union_find_check_prior_levels`` and ``union_find_level_violations`` are
+the bulk level question answered by one union-find per sub-failure, the
+reference for the package's level oracle and precondition on the cut
+kernel; the precondition re-enumerates every smaller size.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from faultnet.cuts import Boundary, crossed, cut_index
 from faultnet.errors import (
     InfeasibleAugmentation,
     LpUnbounded,
+    PriorLevelNotSatisfied,
     SourceEqualsSink,
     Uncoverable,
     Unhittable,
@@ -41,7 +46,7 @@ from faultnet.exact import _Checker, _Packing
 from faultnet.flow import Flow, _augment, _normalize_caps
 from faultnet.graph import FaultGraph, VertexCut, boundary, same_component
 from faultnet.lp import ROW_TOL, LpRow
-from faultnet.oracles import BulkScenario, violated_cuts_flex_aug
+from faultnet.oracles import BulkScenario, _connected_pairs_ok, violated_cuts_flex_aug
 
 
 def brute_min_cut(g: FaultGraph, caps, s: int, t: int) -> int:
@@ -214,6 +219,57 @@ def union_find_expand_rsndp(g: FaultGraph, reqs) -> tuple:
             if pairs:
                 out.append(BulkScenario(F, tuple(sorted(set(pairs)))))
     return tuple(out)
+
+
+def union_find_violating_edge_sets_bulk(
+    g: FaultGraph,
+    scenarios: Sequence[BulkScenario],
+    H: Iterable[int],
+    level: int,
+) -> list[tuple[frozenset, tuple[int, int]]]:
+    """All (F, pair) with F inside some scenario, |F| = level, pair cut off.
+
+    Requires H to satisfy every sub-scenario of size < level; that makes
+    each returned F minimal (no proper subset disconnects the pair).
+    Results are deduplicated and sorted for reproducibility.
+    """
+    H = frozenset(H)
+    union_find_check_prior_levels(g, scenarios, H, level)
+    return union_find_level_violations(g, scenarios, H, level)
+
+
+def union_find_check_prior_levels(
+    g: FaultGraph, scenarios: Sequence[BulkScenario], H: frozenset, level: int
+) -> None:
+    """Raise PriorLevelNotSatisfied unless every pair of every scenario
+    survives each of its sub-failures of size < level in H.  A superset of
+    H passes whenever H does."""
+    for j, sc in enumerate(scenarios):
+        fail = sorted(sc.fail)
+        for size in range(min(level, len(fail) + 1)):
+            for combo in itertools.combinations(fail, size):
+                broken = _connected_pairs_ok(g, H - frozenset(combo), sc.pairs)
+                if broken:
+                    raise PriorLevelNotSatisfied(
+                        f"scenario {j}: pair {broken[0]} cut by sub-failure {combo}"
+                    )
+
+
+def union_find_level_violations(
+    g: FaultGraph, scenarios: Sequence[BulkScenario], H: frozenset, level: int
+) -> list[tuple[frozenset, tuple[int, int]]]:
+    """The (F, pair) tuples of ``union_find_violating_edge_sets_bulk``
+    without its precondition check."""
+    out = set()
+    for sc in scenarios:
+        fail = sorted(sc.fail)
+        if len(fail) < level:
+            continue
+        for combo in itertools.combinations(fail, level):
+            F = frozenset(combo)
+            for pair in _connected_pairs_ok(g, H - F, sc.pairs):
+                out.add((F, pair))
+    return sorted(out, key=lambda fp: (sorted(fp[0]), fp[1]))
 
 
 def union_find_hitting_instance(g: FaultGraph, H, tree, viol) -> HittingInstance:

@@ -59,9 +59,12 @@ from faultnet.oracles import (
     is_flex_feasible,
     is_rsndp_feasible,
     violated_cuts_flex_aug,
-    violating_edge_sets_bulk,
 )
-from oracle_utils import random_graph, separate_flex_definitional
+from oracle_utils import (
+    random_graph,
+    separate_flex_definitional,
+    union_find_violating_edge_sets_bulk,
+)
 
 A_MASK = 0b0011
 B_MASK = 0b0110
@@ -380,7 +383,7 @@ def test_criterion_5_bulk_pipeline():
         # per-level violated-set emptiness on the final solution
         width = max((len(sc.fail) for sc in scen), default=0)
         for level in range(width + 1):
-            assert violating_edge_sets_bulk(g, scen, sol, level) == []
+            assert union_find_violating_edge_sets_bulk(g, scen, sol, level) == []
         _opt_sol, opt = exact_solve(g, inst.problem)
         worst_ratio = max(worst_ratio, g.total_cost(sol) / opt)
         ratios += 1
@@ -393,7 +396,7 @@ def test_criterion_5_bulk_pipeline():
                 H_P.update(tree.path(u, v))
         H_work = frozenset(H_P)
         try:
-            viol = violating_edge_sets_bulk(g, scen, H_work, 1)
+            viol = union_find_violating_edge_sets_bulk(g, scen, H_work, 1)
         except Exception:
             viol = []
         if viol:

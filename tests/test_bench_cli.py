@@ -101,6 +101,16 @@ def _instance_lines(
     return [*head, edge, "e 2 0 2 1.0 safe", *problem, "end"]
 
 
+def _parallel_lines(per_side, failed):
+    """A 3-vertex file of ``per_side`` parallel safe 0-1 edges and as many
+    1-2 edges, with one bulk scenario for pair 0-2 that fails ``failed`` of
+    them, half on each side."""
+    edges = [f"e {i} {i // per_side} {i // per_side + 1} {1 + i % 3}.0 safe" for i in range(2 * per_side)]
+    fail = [*range(failed // 2), *range(per_side, per_side + failed - failed // 2)]
+    head = ["faultnet-instance 1", "vertices 3", f"edges {2 * per_side}"]
+    return [*head, *edges, "problem bulk", f"scenario {','.join(map(str, fail))} | 0-2", "end"]
+
+
 class TestCli:
     def test_gen_solve_verify_roundtrip(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.fni"
@@ -559,6 +569,35 @@ class TestCli:
         path.write_text("\n".join(_instance_lines(problem=("problem rsndp", "relpair 0 2 2"))) + "\n")
         assert main(["solve", str(path), "--alg", "rsndp"]) == 3
         assert "failure sets exceed the enumeration budget" in capsys.readouterr().err
+
+    def test_bulk_sub_failures_are_refused_by_default(self, tmp_path, capsys, monkeypatch):
+        # One scenario of 24 failed edges has 2^24 sub-failures, above the
+        # default budget of 2,000,000.  The bulk driver enumerated them level
+        # by level and did not return within 30 s; exact still answers.
+        monkeypatch.delenv("FAULTNET_ENUM_BUDGET", raising=False)
+        path = tmp_path / "parallel.fni"
+        path.write_text("\n".join(_parallel_lines(15, 24)) + "\n")
+        message = "16777216 failure sets exceed the enumeration budget"
+        assert main(["solve", str(path), "--alg", "bulk"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"budget exceeded: {message}\n"
+        suite = {"instances": [str(path)], "algorithms": ["bulk", "exact"], "seeds": [0]}
+        records, csv_text, code = bench(suite, with_timing=False)
+        assert code == 0
+        assert [r.error for r in records] == [f"EnumerationTooLarge: {message}", ""]
+        assert f",EnumerationTooLarge: {message}\n" in csv_text
+
+    @pytest.mark.parametrize("failed, code", [(6, 0), (7, 3)])
+    def test_bulk_sub_failure_budget_is_exact(self, tmp_path, capsys, monkeypatch, failed, code):
+        # A scenario of k failed edges has 2^k sub-failures: 2^6 fit a budget
+        # of 2^6, 2^7 do not.  The 2^3 cuts of the graph fit either way.
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", str(2**6))
+        path = tmp_path / "parallel.fni"
+        path.write_text("\n".join(_parallel_lines(5, failed)) + "\n")
+        assert main(["solve", str(path), "--alg", "bulk"]) == code
+        err = capsys.readouterr().err
+        assert ("128 failure sets exceed the enumeration budget" in err) == (code == 3)
 
     def test_bench_command(self, tmp_path, capsys):
         suite_path = tmp_path / "suite.json"

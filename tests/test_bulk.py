@@ -37,7 +37,7 @@ from faultnet.oracles import (
     FlexRequirement,
     Problem,
     RelativeRequirement,
-    _level_violations,
+    _check_prior_levels,
     expand_flex_to_bulk,
     expand_rsndp_to_bulk,
     is_bulk_feasible,
@@ -52,8 +52,10 @@ from oracle_utils import (
     plain_best_of_trees,
     random_graph,
     tree_stretch,
+    union_find_check_prior_levels,
     union_find_expand_rsndp,
     union_find_hitting_instance,
+    union_find_level_violations,
 )
 
 
@@ -300,6 +302,25 @@ class TestAugmentBulk:
         H1 = augment_bulk(g, scen, H0, 1, seed=1)
         assert checked == [H0]
         assert violating_edge_sets_bulk(g, scen, H1, 1) == []
+
+    def test_augment_bulk_makes_no_union_find_call(self, monkeypatch):
+        # The precondition and the level oracle both run on the cut kernel.
+        import faultnet.oracles as oracles_mod
+
+        def refuse(*_args):
+            raise AssertionError("union-find call")
+
+        inst = bulk_instance(5, width=2)
+        g = inst.to_graph()
+        scen = inst.problem.scenarios
+        H = frozenset()
+        monkeypatch.setattr(oracles_mod, "connected_components", refuse)
+        for level in range(3):
+            H = augment_bulk(g, scen, H, level, seed=1)
+        with pytest.raises(PriorLevelNotSatisfied):
+            augment_bulk(g, scen, frozenset(), 2, seed=1)
+        monkeypatch.undo()
+        assert is_bulk_feasible(g, scen, H) == (True, None)
 
     def test_h_prev_missing_a_lower_level_raises(self):
         # The empty set fails level 0 (no failure at all), even though every
@@ -908,7 +929,7 @@ class TestKernelMatchesUnionFind:
                     lists = []
                     for level in range(width + 1):
                         viol = _violations_of_level(g, scenarios, level)(H)
-                        assert viol == _level_violations(g, scenarios, H, level)
+                        assert viol == union_find_level_violations(g, scenarios, H, level)
                         lists.append(viol)
                     for round_index in range(1, max((r.q for r in flex), default=0) + 1):
                         lists.append(_flex_violating_sets(g, H, flex, round_index))
@@ -926,6 +947,28 @@ class TestKernelMatchesUnionFind:
                             )
                             seen["hits"] += len(got.hits[eid])
         assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("kind", ("bulk", "rsndp"))
+    def test_prior_level_check_matches(self, kind):
+        # The kernel tests one sub-failure size per scenario, the reference
+        # every size below the level; they raise on the same (H, level).
+        outcomes = []
+        for n in range(5, 9):
+            for seed in (n, n + 11):
+                g, scenarios, _flex = kernel_case(kind, n, seed)
+                width = max(len(sc.fail) for sc in scenarios)
+                for H in self.work_sets(g, scenarios, Random(seed)):
+                    for level in range(width + 2):
+                        raised = []
+                        for check in (_check_prior_levels, union_find_check_prior_levels):
+                            try:
+                                check(g, scenarios, H, level)
+                                raised.append(False)
+                            except PriorLevelNotSatisfied:
+                                raised.append(True)
+                        assert raised[0] == raised[1], (kind, n, seed, sorted(H), level)
+                        outcomes.append(raised[0])
+        assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
     @pytest.mark.parametrize("n", range(5, 9))
     @pytest.mark.parametrize("r", (2, 3))
