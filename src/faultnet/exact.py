@@ -31,7 +31,7 @@ every packed cut with its own candidates, so the sum never exceeds what it
 adds.
 
 A flex class whose scope holds every singleton cut {v}, as an all-pairs
-(FGC) class does, adds a degree bound: half the sum, over the vertices, of
+(FGC) class does, has a degree bound: half the sum, over the vertices, of
 what repairing the cut {v} costs at least by the same rule over the
 undecided edges at v, 0 where no such class finds it violated.  A
 completion repairs every such cut with edges at its vertex, and each edge
@@ -41,15 +41,23 @@ these repair costs in a degree table, one entry per vertex.  Deciding edge
 endpoints only, so a child recomputes just those two entries and the
 parent restores them on return.  The bound adds the entries in vertex
 order, one ``+=`` at a time, and stops once the sum reaches the limit, so
-each value is bitwise the one a fresh sum over the vertices gives.  The
-DFS prunes on the degree bound first and then on the packing; which bounds
-run is fixed once per search, so other searches run the packing alone.
+each value is bitwise the one a fresh sum over the vertices gives.
+
+Which bounds prune is fixed once per search.  When every constraint is a
+spanning class (every flex class holds every singleton cut and there are
+no scenarios, the FGC case), the degree table alone prunes and the packing
+never runs.  There the packing would run only at nodes the degree bound
+failed to prune, and it prunes few of those (2,135 of 24,786 on the seed-1
+20-second ``ratio-sweep`` list), so it costs more than the nodes it saves.  With a
+mix of spanning and other classes the DFS prunes on the degree table and
+then on the packing, since the degree table does not see the other
+classes' cuts; with no spanning class it prunes on the packing alone.
 
 Both bounds are admissible: a pruned subtree holds only completions that
 the DFS's cost check would reject anyway, since the incumbent is replaced
-only on a gain above COST_EPS.  A stronger bound therefore visits fewer
-nodes but finds the same incumbents in the same order, and the answer does
-not change.
+only on a gain above COST_EPS.  So whichever bounds run, the search finds
+the same incumbents in the same order, and the answer does not change; a
+weaker bound only visits more nodes.
 
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.
@@ -317,6 +325,10 @@ def exact_solve(
     chosen_now: set[int] = set()
     bound, refresh, ends = packing.bound, packing.refresh, packing.ends
     spanning = bool(packing.spanning)
+    # Which bounds run is fixed here: the degree table alone when every
+    # constraint is a spanning class, else the packing, after the degree
+    # table when some class is spanning.
+    packs = not spanning or len(packing.spanning) < len(checker.classes) or bool(checker.scenarios)
     table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
 
     def dfs(k: int, cost_in: float, total: int, safe: int) -> None:
@@ -332,9 +344,9 @@ def exact_solve(
             return
         # Any completion repairs each packed cut of the violated class or
         # scenario with its own undecided candidates, so it adds at least the
-        # packing bound, and for a spanning class at least the degree bound
-        # too.  A pruned subtree holds nothing cheaper than the
-        # incumbent by more than COST_EPS, the only gain that replaces it.
+        # packing bound, and with a spanning class at least the degree bound.
+        # A pruned subtree holds nothing cheaper than the incumbent by more
+        # than COST_EPS, the only gain that replaces it.
         limit = best_cost - COST_EPS
         if spanning:
             if k:
@@ -348,7 +360,7 @@ def exact_solve(
                     break
             if cost_in + degree / 2 >= limit:
                 return
-        if cost_in + bound(total, safe, k, violated, cost_in, limit) >= limit:
+        if packs and cost_in + bound(total, safe, k, violated, cost_in, limit) >= limit:
             return
         eid, cuts, safe_cuts, cost = steps[k]
         if spanning:
