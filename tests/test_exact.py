@@ -337,8 +337,8 @@ def test_degree_table_matches_a_fresh_computation(name, seed):
 
 # Search work, as calls of the checker's scan (one per node and one per
 # exclusion tried) and of the packing bound (one per node that survives the
-# cost and feasibility checks).  The degree bound of spanning classes runs
-# beside the packing and is not counted here.
+# cost and feasibility checks).  The degree bound is not counted here; an
+# FGC search prunes on it alone and makes no bound call.
 def _search_calls(insts, problem_of):
     with counting_search_calls() as counts:
         for inst in insts:
@@ -352,12 +352,13 @@ def _ratio_sweep_graphs():
     return [generate("random-multigraph", n=8, m=18, seed=seed, params=params) for seed in range(6)]
 
 
-# With the degree bound, the searches below make exactly these calls.  The
-# pin also fails a search that bypasses the counted methods, which the
-# ratio to the parent counts alone would pass with 0 calls.
+# Pruned on the degree table alone, the searches below make exactly these
+# calls: more checker scans than with the packing beside it (1178 and 1119),
+# but no packing bound.  The first_bad pin also fails a search that
+# bypasses the checker, which the ratio to the parent counts would pass.
 SPANNING_CALLS = {
-    (3, 0): {"first_bad": 1178, "bound": 505},
-    (3, 2): {"first_bad": 1119, "bound": 477},
+    (3, 0): {"first_bad": 1510, "bound": 0},
+    (3, 2): {"first_bad": 1427, "bound": 0},
 }
 
 

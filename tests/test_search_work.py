@@ -27,7 +27,7 @@ from workloads import WORKLOADS, run_cells  # noqa: E402
 
 SECONDS = 5
 SEARCH_CALLS = {
-    "ratio-sweep": {"first_bad": 16899, "bound": 7084},
+    "ratio-sweep": {"first_bad": 20482, "bound": 895},
     "bulk-relative": {"first_bad": 43642, "bound": 23290},
 }
 
