@@ -48,10 +48,11 @@ spanning class (every flex class holds every singleton cut and there are
 no scenarios, the FGC case), the degree table alone prunes and the packing
 never runs.  There the packing would run only at nodes the degree bound
 failed to prune, and it prunes few of those (2,135 of 24,786 on the seed-1
-20-second ``ratio-sweep`` list), so it costs more than the nodes it saves.  With a
-mix of spanning and other classes the DFS prunes on the degree table and
-then on the packing, since the degree table does not see the other
-classes' cuts; with no spanning class it prunes on the packing alone.
+20-second ``ratio-sweep`` list), so it costs more than the nodes it
+saves.  With a mix of spanning and other classes the DFS prunes on the
+degree table and then on the packing, since the degree table does not see
+the other classes' cuts; with no spanning class it prunes on the packing
+alone.
 
 Both bounds are admissible: a pruned subtree holds only completions that
 the DFS's cost check would reject anyway, since the incumbent is replaced
@@ -107,6 +108,11 @@ class _Checker:
         if problem.kind == "rsndp":
             scenarios = expand_rsndp_to_bulk(g, problem.relative)
         self.scenarios = [(lay.scope(sc.pairs), sc.fail) for sc in scenarios]
+        # A scenario cuts off only cuts with at most |F_j| edges of the set.
+        self.reach = 0
+        for scope, _fail in self.scenarios:
+            self.reach |= scope
+        self.few_offset = lay.offset(max((len(sc.fail) for sc in scenarios), default=0) + 1)
 
     def first_bad(self, total: int, safe: int, inside):
         """(bad guard set, (p, q), failed edges) of the first class, or else
@@ -116,6 +122,8 @@ class _Checker:
             bad = scope & ~((safe + safe_offset) | (total + total_offset))
             if bad:
                 return bad, pq, _NO_FAIL
+        if not self.reach & ~(total + self.few_offset):
+            return None
         for scope, fail in self.scenarios:
             bad = scope & self.layout.cut_off(self.cross, total, inside, fail)
             if bad:

@@ -335,6 +335,35 @@ def test_degree_table_matches_a_fresh_computation(name, seed):
     assert moved >= states // 4
 
 
+@pytest.mark.parametrize("name", ("bulk", "rsndp"))
+def test_scenario_check_skips_sets_with_no_light_cut(name):
+    # A scenario cuts off only cuts with at most |F_j| edges of the set, so
+    # first_bad answers None without a scan when no in-scope cut is that
+    # light.  It must give the scan's answer and brute force's verdict.
+    skipped = scanned = 0
+    for seed in range(4):
+        g, prob, feasible = _bound_case(name, seed)
+        checker = _Checker(g, prob)
+        rng = Random(seed)
+        for _ in range(60):
+            keep = rng.choice((0.5, 0.8, 1.0))
+            H = frozenset(eid for eid in range(g.m) if rng.random() < keep)
+            counts = Boundary(g, H)
+            got = checker.first_bad(counts.total, counts.safe, counts.inside)
+            scan = next(
+                ((bad, None, fail) for scope, fail in checker.scenarios
+                 if (bad := scope & counts.cut_off(fail))),
+                None,
+            )
+            assert got == scan
+            assert (got is None) == feasible(H)
+            if got is None:
+                light = checker.reach & ~(counts.total + checker.few_offset)
+                skipped += not light
+                scanned += bool(light)
+    assert skipped >= 10 and scanned >= 10
+
+
 # Search work, as calls of the checker's scan (one per node and one per
 # exclusion tried) and of the packing bound (one per node that survives the
 # cost and feasibility checks).  The degree bound is not counted here; an
