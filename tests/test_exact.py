@@ -410,6 +410,58 @@ def test_degree_bound_cuts_the_spanning_search(p, q, parent):
         assert counts[name] <= 0.6 * calls
 
 
+def _boundary_case(seed):
+    """A seeded graph, n = 5 and m = 11-12, that meets all-pairs (2, 0)
+    plus (3, 0) between vertices 0 and 1, with both requirement sets."""
+    n, m = 5, 11 + seed % 2
+    fgc = fgc_requirements(n, 2, 0)
+    mixed = fgc + (FlexRequirement(0, 1, 3, 0),)
+    for attempt in range(100):
+        g = random_graph(100 * seed + attempt, n, m)
+        if brute_flex_feasible(g, mixed, g.all_edge_ids()):
+            return g, fgc, mixed
+    raise AssertionError("no feasible seeded graph")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_only_an_all_spanning_search_drops_the_packing(seed):
+    # FGC alone: every class spanning, no scenario, so the degree table alone
+    # prunes.  The same classes plus a non-spanning pair class: the degree
+    # table cannot see the pair's cuts, so the packing still runs.
+    g, fgc, mixed = _boundary_case(seed)
+    for reqs, packs in ((fgc, False), (mixed, True)):
+        prob = Problem("flex", flex=reqs)
+        checker = _Checker(g, prob)
+        order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
+        assert len(_Packing(g, order, checker.classes).spanning) == 1
+        with counting_search_calls() as counts:
+            _sol, cost = exact_solve(g, prob)
+        assert (counts["bound"] > 0) == packs
+        assert abs(cost - brute_minimum(g, lambda H: brute_flex_feasible(g, reqs, H))) < 1e-9
+
+
+def _fallback_sized_instances():
+    """Six FGC instances of the fallback path's shapes: (2, 2), (3, 2) and
+    (3, 3), n = 9-10, m = 32-38, above the default exact budget of 30."""
+    insts = []
+    for i, (p, q) in enumerate([(2, 2), (3, 2), (3, 3)] * 2):
+        params = {"problem": "fgc", "p": p, "q": q, "skeleton": ("mixed", "safe")[(i // 2) % 2],
+                  "safe_prob": 0.45}
+        insts.append(generate("random-multigraph", n=(9, 10)[i % 2], m=32 + (i * 3) % 7,
+                              seed=i, params=params))
+    return insts
+
+
+def test_fallback_sized_spanning_search_work():
+    # The work of the exact search at the size the fallback path runs, with
+    # its m cap lifted.  With the packing beside the degree table these
+    # searches made 14,537 first_bad and 5,736 bound calls.
+    with counting_search_calls() as counts:
+        for inst in _fallback_sized_instances():
+            exact_solve(inst.to_graph(), inst.problem, budget=60)
+    assert dict(counts) == {"first_bad": 15645, "bound": 0}
+
+
 SAME_SEARCH_SHAPES = {
     "flex-st": {"problem": "flex-st", "p": 2, "q": 2, "skeleton": "mixed", "safe_prob": 0.45},
     "flex-sndp": {
