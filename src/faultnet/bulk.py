@@ -331,6 +331,7 @@ def augment_bulk(
     H_prev: Iterable[int],
     level: int,
     seed: int = 0,
+    oracles: list | None = None,
 ) -> frozenset:
     """Lift a solution from level-1 to level (all sub-failures of that size).
 
@@ -343,9 +344,17 @@ def augment_bulk(
     PriorLevelNotSatisfied is raised.  It is checked once: every tree's H
     contains H_prev, so it survives them too.  That check and the level
     oracle run on the cut kernel, with no union-find call.
+
+    ``oracles``, when given, is a list that carries the level oracle of
+    these scenarios from one level to the next: it holds level - 1's, if
+    any, which answers the precondition, and is left holding this level's.
+    :func:`solve_bulk_sndp` passes one list through its levels, so each
+    oracle is built once and freed before the next one is built.
     """
     H_prev = frozenset(H_prev)
-    _check_prior_levels(g, scenarios, H_prev, level)
+    prior = oracles.pop() if oracles else None
+    _check_prior_levels(g, scenarios, H_prev, level, prior)
+    del prior
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
     violations = _violations_of_level(g, scenarios, level)
     candidate = _best_of_trees(g, H_prev, pairs, violations, level, seed)
@@ -354,6 +363,8 @@ def augment_bulk(
         raise InfeasibleAugmentation(
             f"level {level}: cover left {len(leftover)} violating sets"
         )
+    if oracles is not None:
+        oracles.append(violations)
     return candidate
 
 
@@ -367,14 +378,17 @@ def solve_bulk_sndp(
     seed: int = 0,
 ) -> frozenset:
     """Full pipeline: levels 0..width of augment_bulk, oracle-verified,
-    once the scenarios' sub-failures fit the enumeration budget."""
+    once the scenarios' sub-failures fit the enumeration budget.  Each
+    level oracle is built once: level L's also answers level L + 1's
+    precondition for size L."""
     guard_failure_sets([len(sc.fail) for sc in scenarios], bulk_width(scenarios))
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph cannot satisfy scenario {witness}")
     H: frozenset = frozenset()
+    oracles: list = []
     for level in range(bulk_width(scenarios) + 1):
-        H = augment_bulk(g, scenarios, H, level, seed=seed)
+        H = augment_bulk(g, scenarios, H, level, seed=seed, oracles=oracles)
     ok, witness = is_bulk_feasible(g, scenarios, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails scenario {witness}")

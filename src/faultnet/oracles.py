@@ -299,20 +299,33 @@ def violating_edge_sets_bulk(
 
 
 def _check_prior_levels(
-    g: FaultGraph, scenarios: Sequence[BulkScenario], H: frozenset, level: int
+    g: FaultGraph,
+    scenarios: Sequence[BulkScenario],
+    H: frozenset,
+    level: int,
+    prior: Callable | None = None,
 ) -> None:
     """Raise PriorLevelNotSatisfied unless every pair of every scenario
     survives each of its sub-failures of size < level in H.  A superset of
     H passes whenever H does.  A failure set that cuts a pair still cuts
     it when more edges fail, so only size min(level - 1, |F_j|) is asked
-    of the level oracle."""
+    of the level oracle.
+
+    ``prior``, when given, is the level oracle of level - 1 for the same
+    scenarios.  It answers for size level - 1: a scenario with fewer failed
+    edges lists no set of that size, so it gives what the oracle of the
+    scenarios asked at that size would, and that one is not built again."""
     if level == 0:
         return
     counts = Boundary(g, H)
     sizes = [min(level - 1, len(sc.fail)) for sc in scenarios]
     for size in sorted(set(sizes)):
-        group = [sc for sc, k in zip(scenarios, sizes) if k == size]
-        for F, pair in _violations_of_level(g, group, size)(H, counts)[:1]:
+        if size == level - 1 and prior is not None:
+            oracle = prior
+        else:
+            group = [sc for sc, k in zip(scenarios, sizes) if k == size]
+            oracle = _violations_of_level(g, group, size)
+        for F, pair in oracle(H, counts)[:1]:
             raise PriorLevelNotSatisfied(f"pair {pair} cut by sub-failure {tuple(sorted(F))}")
 
 

@@ -294,9 +294,9 @@ class TestAugmentBulk:
         checked = []
         original = bulk_mod._check_prior_levels
 
-        def record(g, scenarios, H, level):
+        def record(g, scenarios, H, level, *prior):
             checked.append(H)
-            original(g, scenarios, H, level)
+            original(g, scenarios, H, level, *prior)
 
         monkeypatch.setattr(bulk_mod, "_check_prior_levels", record)
         H1 = augment_bulk(g, scen, H0, 1, seed=1)
@@ -406,6 +406,37 @@ class TestBestOfTreesUnhittable:
 
 
 class TestSolveBulk:
+    @pytest.mark.parametrize("case, builds", [("parallel", 7), ("generated", 5)])
+    def test_each_level_oracle_is_built_once(self, monkeypatch, case, builds):
+        # Level L's oracle also answers level L + 1's precondition for size
+        # L, so a width-w run builds w + 1 oracles, plus one per level for
+        # the scenarios with fewer than level - 1 failed edges (one set each).
+        # Both runs built 13 and 8 when each check built its own.
+        import faultnet.bulk as bulk_mod
+        import faultnet.oracles as oracles_mod
+
+        if case == "parallel":
+            # Three vertices, 5 parallel safe edges per side; one scenario
+            # fails 3 on each side for pair 0-2.
+            g = FaultGraph(3, [(i // 5, i // 5 + 1, 1.0 + i % 3, "safe") for i in range(10)])
+            scenarios = (BulkScenario(frozenset({0, 1, 2, 5, 6, 7}), ((0, 2),)),)
+        else:
+            inst = bulk_instance(1, width=3)
+            g, scenarios = inst.to_graph(), inst.problem.scenarios
+            assert sorted(len(sc.fail) for sc in scenarios) == [1, 1, 2, 3]
+        built = []
+        original = oracles_mod._violations_of_level
+
+        def record(g, scenarios, level):
+            built.append(level)
+            return original(g, scenarios, level)
+
+        monkeypatch.setattr(bulk_mod, "_violations_of_level", record)
+        monkeypatch.setattr(oracles_mod, "_violations_of_level", record)
+        H = solve_bulk_sndp(g, scenarios, seed=1)
+        assert len(built) == builds
+        assert is_bulk_feasible(g, scenarios, H) == (True, None)
+
     def test_width_zero_is_steiner_forest_via_tree_paths(self):
         g = random_graph(31, 7, 13)
         scenarios = (BulkScenario(frozenset(), ((0, 6), (1, 2))),)
@@ -422,9 +453,9 @@ class TestSolveBulk:
         levels = []
         original = bulk_mod.augment_bulk
 
-        def record(g, scenarios, H_prev, level, seed=0):
+        def record(g, scenarios, H_prev, level, seed=0, **oracles):
             levels.append(level)
-            return original(g, scenarios, H_prev, level, seed=seed)
+            return original(g, scenarios, H_prev, level, seed=seed, **oracles)
 
         monkeypatch.setattr(bulk_mod, "augment_bulk", record)
         sol = solve_bulk_sndp(g, inst.problem.scenarios, seed=seed)
@@ -1014,8 +1045,8 @@ class TestCostTelescoping:
         added = []
         original = bulk_mod.augment_bulk
 
-        def record(g, scenarios, H_prev, level, seed=0):
-            H = original(g, scenarios, H_prev, level, seed=seed)
+        def record(g, scenarios, H_prev, level, seed=0, **oracles):
+            H = original(g, scenarios, H_prev, level, seed=seed, **oracles)
             added.append(g.total_cost(H - frozenset(H_prev)))
             return H
 
