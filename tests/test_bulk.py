@@ -1001,6 +1001,30 @@ class TestKernelMatchesUnionFind:
                         outcomes.append(raised[0])
         assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
 
+    @pytest.mark.parametrize("kind", ("bulk", "rsndp"))
+    def test_prior_level_check_given_the_last_oracle(self, kind):
+        # Handed the level - 1 oracle, as solve_bulk_sndp hands it, the check
+        # raises on the same (H, level), with the same message, as when it
+        # builds every oracle itself.
+        outcomes = []
+        for n in range(5, 9):
+            for seed in (n, n + 11):
+                g, scenarios, _flex = kernel_case(kind, n, seed)
+                width = max(len(sc.fail) for sc in scenarios)
+                for H in self.work_sets(g, scenarios, Random(seed)):
+                    for level in range(1, width + 2):
+                        prior = _violations_of_level(g, scenarios, level - 1)
+                        messages = []
+                        for given in ((), (prior,)):
+                            try:
+                                _check_prior_levels(g, scenarios, H, level, *given)
+                                messages.append(None)
+                            except PriorLevelNotSatisfied as exc:
+                                messages.append(str(exc))
+                        assert messages[0] == messages[1], (kind, n, seed, sorted(H), level)
+                        outcomes.append(messages[0] is None)
+        assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
+
     @pytest.mark.parametrize("n", range(5, 9))
     @pytest.mark.parametrize("r", (2, 3))
     def test_rsndp_expansion_matches(self, n, r):
