@@ -312,9 +312,9 @@ def _check_prior_levels(
     of the level oracle.
 
     ``prior``, when given, is the level oracle of level - 1 for the same
-    scenarios.  It answers for size level - 1: a scenario with fewer failed
-    edges lists no set of that size, so it gives what the oracle of the
-    scenarios asked at that size would, and that one is not built again."""
+    scenarios, and answers for size level - 1 in place of a new one: a
+    scenario with fewer failed edges lists no set of that size, so both
+    list the same sets."""
     if level == 0:
         return
     counts = Boundary(g, H)

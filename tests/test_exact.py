@@ -440,24 +440,17 @@ def test_only_an_all_spanning_search_drops_the_packing(seed):
         assert abs(cost - brute_minimum(g, lambda H: brute_flex_feasible(g, reqs, H))) < 1e-9
 
 
-def _fallback_sized_instances():
-    """Six FGC instances of the fallback path's shapes: (2, 2), (3, 2) and
-    (3, 3), n = 9-10, m = 32-38, above the default exact budget of 30."""
-    insts = []
-    for i, (p, q) in enumerate([(2, 2), (3, 2), (3, 3)] * 2):
-        params = {"problem": "fgc", "p": p, "q": q, "skeleton": ("mixed", "safe")[(i // 2) % 2],
-                  "safe_prob": 0.45}
-        insts.append(generate("random-multigraph", n=(9, 10)[i % 2], m=32 + (i * 3) % 7,
-                              seed=i, params=params))
-    return insts
-
-
 def test_fallback_sized_spanning_search_work():
-    # The work of the exact search at the size the fallback path runs, with
-    # its m cap lifted.  With the packing beside the degree table these
+    # The exact search's work on six FGC instances of the fallback path's
+    # shapes, (2, 2), (3, 2) and (3, 3) at n = 9-10 and m = 32-38, with the
+    # m cap of 30 lifted.  With the packing beside the degree table these
     # searches made 14,537 first_bad and 5,736 bound calls.
     with counting_search_calls() as counts:
-        for inst in _fallback_sized_instances():
+        for i, (p, q) in enumerate([(2, 2), (3, 2), (3, 3)] * 2):
+            skeleton = ("mixed", "safe")[(i // 2) % 2]
+            params = {"problem": "fgc", "p": p, "q": q, "skeleton": skeleton, "safe_prob": 0.45}
+            n, m = (9, 10)[i % 2], 32 + (i * 3) % 7
+            inst = generate("random-multigraph", n=n, m=m, seed=i, params=params)
             exact_solve(inst.to_graph(), inst.problem, budget=60)
     assert dict(counts) == {"first_bad": 15645, "bound": 0}
 
