@@ -333,10 +333,9 @@ def exact_solve(
     chosen_now: set[int] = set()
     bound, refresh, ends = packing.bound, packing.refresh, packing.ends
     spanning = bool(packing.spanning)
-    # Which bounds run is fixed here: the degree table alone when every
-    # constraint is a spanning class, else the packing, after the degree
-    # table when some class is spanning.
-    packs = not spanning or len(packing.spanning) < len(checker.classes) or bool(checker.scenarios)
+    # The packing runs only when some constraint is not a spanning class:
+    # an FGC search prunes on the degree table alone.
+    packs = len(packing.spanning) < len(checker.classes) or bool(checker.scenarios)
     table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
 
     def dfs(k: int, cost_in: float, total: int, safe: int) -> None:
