@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cuts import Boundary, crossed, cut_index, masks, predicate, separating
@@ -95,11 +95,21 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     smallest id).  When the family is uncrossable the result costs at most
     twice the returned dual lower bound, which itself never exceeds the
     optimum cover cost.
+
+    The growth is exact on integers.  Each residual cost and the dual bound
+    are numerators over one common denominator ``den``, at first the lcm of
+    the costs' ``as_integer_ratio`` denominators.  A step grows by the least
+    residual / load, found by cross-multiplication; if that load exceeds 1
+    every numerator and ``den`` are scaled by it, and their gcd is divided
+    out.  The bound is ``dual / den`` in correctly rounded int division, the
+    float of the same rational.
     """
     g = fam.graph
     cross = {eid: crossed(g, (eid,)) for eid in fam.ground}
-    residual = {eid: Fraction(g.cost_of(eid)) for eid in fam.ground}
-    dual_bound = Fraction(0)
+    ratios = {eid: g.cost_of(eid).as_integer_ratio() for eid in fam.ground}
+    den = lcm(*(d for _n, d in ratios.values()))
+    residual = {eid: num * (den // d) for eid, (num, d) in ratios.items()}
+    dual = 0
     chosen: list[int] = []
     trace: list[tuple[str, int]] = []
     while True:
@@ -122,13 +132,28 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
                 f"violated cut {VertexCut(g.n, mask).vertices()} has no "
                 f"candidate edge ({fam.label})"
             )
-        delta = min(residual[eid] / load for eid, load in loads.items())
-        dual_bound += delta * len(minimal)
+        # delta = r / l, the least residual / load
+        r, l = None, 1
+        for eid, load in loads.items():
+            if r is None or residual[eid] * l < r * load:
+                r, l = residual[eid], load
+        if l > 1:
+            for eid in residual:
+                residual[eid] *= l
+            dual *= l
+            den *= l
+        dual += r * len(minimal)
         tight = None
         for eid in sorted(loads):
-            residual[eid] -= delta * loads[eid]
+            residual[eid] -= r * loads[eid]
             if residual[eid] <= 0 and tight is None:
                 tight = eid
+        if l > 1:
+            common = gcd(den, dual, *residual.values())
+            for eid in residual:
+                residual[eid] //= common
+            dual //= common
+            den //= common
         chosen.append(tight)
         trace.append(("add", tight))
     # Reverse delete: drop in reverse addition order when still covering.
@@ -138,7 +163,7 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
         if not fam.violated(trial):
             kept = trial
             trace.append(("drop", eid))
-    return CoverResult(frozenset(kept), float(dual_bound), tuple(trace))
+    return CoverResult(frozenset(kept), dual / den, tuple(trace))
 
 
 def ecsndp_base(g: FaultGraph, reqs) -> frozenset:
