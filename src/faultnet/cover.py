@@ -25,11 +25,11 @@ detection never drifts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .cuts import Boundary, crossed, cut_index, masks, predicate, separating
+from .cuts import Boundary, all_cuts, crossed, masks, predicate, separating, side
 from .errors import NotRingFamily, Uncoverable
 from .graph import FaultGraph, VertexCut, boundary, guard_sweep
 from .simplex import SimplexStatus, solve_dense_lp
@@ -66,16 +66,53 @@ class CutFamily:
         """The cut set of members that no edge of A crosses."""
         return self.cuts & ~crossed(self.graph, A)
 
+    def minimal(self, cuts: int) -> int:
+        """The cut set of the inclusion-minimal members among ``cuts``.
+
+        A member is minimal unless it lies above one step up from another:
+        that member grown by one vertex, then by any more.  Growing a member
+        by a vertex v other than ``side`` and the anchor moves its bit by
+        2^v: up where the member is its cut's named side, down where it is
+        the complement.  Growing a named side by the anchor gives the
+        complement of the rest, a reversal of the cut index.  So the
+        members above another one are a few shifts of the cut set.
+        """
+        low, high, dims, width = _orientation(self.graph.n, self.side)
+        a, b = cuts & low, cuts & high
+        up_a = up_b = 0
+        for sd_v, shift in dims:  # one step up
+            up_a |= (a & ~sd_v) << shift
+            up_b |= (b & sd_v) >> shift
+        for sd_v, shift in dims:  # and any more
+            up_a |= (up_a & ~sd_v) << shift
+            up_b |= (up_b & sd_v) >> shift
+        above = up_a | up_b
+        if width:
+            grown = (a | up_a) & ((1 << width) - 1)
+            if grown:
+                above |= int(format(grown, f"0{width}b")[::-1], 2)
+        return cuts & ~above
+
     def minimal_violated(self, A: Iterable[int]) -> list[int]:
         """Inclusion-minimal members not yet crossed by A (pairwise
-        non-nested by construction)."""
-        viol = masks(self.graph.n, self.violated(A), self.side)
-        viol.sort(key=lambda m: (m.bit_count(), m))
-        minimal = []
-        for mask in viol:
-            if not any((prev & ~mask) == 0 for prev in minimal):
-                minimal.append(mask)
-        return minimal
+        non-nested), sorted."""
+        return masks(self.graph.n, self.minimal(self.violated(A)), self.side)
+
+
+@lru_cache(maxsize=None)
+def _orientation(n: int, s: int | None) -> tuple[int, int, tuple[tuple[int, int], ...], int]:
+    """(low, high, dims, width) of members oriented by ``s``: the cut sets
+    of cuts whose member is the named side (``low``) or its complement
+    (``high``, members that hold the anchor), each vertex v that a member
+    may grow by, other than ``s`` and the anchor, as (``side(n)[v]``,
+    2^v), and the width of the index reversal that grows a named side by
+    the anchor (0 when no member grows that way)."""
+    sd = side(n)
+    every = all_cuts(n)
+    low = every if s is None else sd[s]
+    dims = tuple((sd[v], 1 << v) for v in range(n - 1) if v != s)
+    width = (1 << (n - 1)) - 2 if s is not None and low else 0
+    return low, every ^ low, dims, width
 
 
 @dataclass(frozen=True)
@@ -110,17 +147,18 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     den = lcm(*(d for _n, d in ratios.values()))
     residual = {eid: num * (den // d) for eid, (num, d) in ratios.items()}
     dual = 0
+    candidates = sorted(fam.ground)
+    violated = fam.cuts
     chosen: list[int] = []
     trace: list[tuple[str, int]] = []
     while True:
-        minimal = fam.minimal_violated(chosen)
-        if not minimal:
+        active = fam.minimal(violated)
+        if not active:
             break
-        active = sum(1 << cut_index(g.n, mask) for mask in minimal)
         # load = number of active cuts an edge would cross
         loads = {}
         reached = 0
-        for eid in sorted(fam.ground - set(chosen)):
+        for eid in candidates:
             x = cross[eid]
             load = (x & active).bit_count()
             if load:
@@ -142,10 +180,10 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
                 residual[eid] *= l
             dual *= l
             den *= l
-        dual += r * len(minimal)
+        dual += r * active.bit_count()
         tight = None
-        for eid in sorted(loads):
-            residual[eid] -= r * loads[eid]
+        for eid, load in loads.items():
+            residual[eid] -= r * load
             if residual[eid] <= 0 and tight is None:
                 tight = eid
         if l > 1:
@@ -154,6 +192,8 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
                 residual[eid] //= common
             dual //= common
             den //= common
+        candidates.remove(tight)
+        violated &= ~cross[tight]
         chosen.append(tight)
         trace.append(("add", tight))
     # Reverse delete: drop in reverse addition order when still covering.
