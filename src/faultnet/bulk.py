@@ -346,13 +346,17 @@ def augment_bulk(
     oracle run on the cut kernel, with no union-find call.
 
     ``oracles``, when given, is a list that carries the level oracle of
-    these scenarios from one level to the next: it holds level - 1's, if
-    any, which answers the precondition, and is left holding this level's.
+    these scenarios from one level to the next, with the result it has
+    cleared: it holds level - 1's, if any, which answers the precondition,
+    and is left holding this level's.  When H_prev is that cleared result,
+    the oracle's answer on it is known to be empty and is not asked again.
     :func:`solve_bulk_sndp` passes one list through its levels, so each
     oracle is built once and freed before the next one is built.
     """
     H_prev = frozenset(H_prev)
-    prior = oracles.pop() if oracles else None
+    prior, cleared = oracles.pop() if oracles else (None, None)
+    if H_prev == cleared:
+        prior = _nothing_left
     _check_prior_levels(g, scenarios, H_prev, level, prior)
     del prior
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
@@ -364,8 +368,13 @@ def augment_bulk(
             f"level {level}: cover left {len(leftover)} violating sets"
         )
     if oracles is not None:
-        oracles.append(violations)
+        oracles.append((violations, candidate))
     return candidate
+
+
+def _nothing_left(H: frozenset, counts: Boundary | None = None) -> list:
+    """The level oracle's answer on the result it has just cleared."""
+    return []
 
 
 def bulk_width(scenarios: Sequence[BulkScenario]) -> int:
@@ -380,7 +389,8 @@ def solve_bulk_sndp(
     """Full pipeline: levels 0..width of augment_bulk, oracle-verified,
     once the scenarios' sub-failures fit the enumeration budget.  Each
     level oracle is built once: level L's also answers level L + 1's
-    precondition for size L."""
+    precondition for size L, and is not asked again about level L's own
+    result, which its closing check has just cleared."""
     guard_failure_sets([len(sc.fail) for sc in scenarios], bulk_width(scenarios))
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
     if not ok:

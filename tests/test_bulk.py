@@ -437,6 +437,54 @@ class TestSolveBulk:
         assert len(built) == builds
         assert is_bulk_feasible(g, scenarios, H) == (True, None)
 
+    @pytest.mark.parametrize("case, asked", [("parallel", 0), ("generated", 1)])
+    def test_precondition_skips_only_the_cleared_result(self, monkeypatch, case, asked):
+        # Level L + 1's precondition would ask level L's oracle about level
+        # L's result, which that oracle's closing check has just cleared; that
+        # one question is skipped.  A smaller size is still asked: the
+        # generated case's size 1 at level 3, on an oracle of its own.  Both
+        # runs asked 6 and 4 questions when the cleared one was asked again.
+        import faultnet.bulk as bulk_mod
+        import faultnet.oracles as oracles_mod
+
+        if case == "parallel":
+            g = FaultGraph(3, [(i // 5, i // 5 + 1, 1.0 + i % 3, "safe") for i in range(10)])
+            scenarios = (BulkScenario(frozenset({0, 1, 2, 5, 6, 7}), ((0, 2),)),)
+        else:
+            inst = bulk_instance(1, width=3)
+            g, scenarios = inst.to_graph(), inst.problem.scenarios
+        inside = []
+        questions = []
+        build, check = oracles_mod._violations_of_level, bulk_mod._check_prior_levels
+
+        def counted_build(g, scenarios, level):
+            oracle = build(g, scenarios, level)
+
+            def counted(H, counts=None):
+                questions.append(bool(inside))
+                return oracle(H, counts)
+
+            return counted
+
+        def counted_check(*args):
+            inside.append(True)
+            try:
+                check(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(bulk_mod, "_violations_of_level", counted_build)
+        monkeypatch.setattr(oracles_mod, "_violations_of_level", counted_build)
+        monkeypatch.setattr(bulk_mod, "_check_prior_levels", counted_check)
+        H = solve_bulk_sndp(g, scenarios, seed=1)
+        assert is_bulk_feasible(g, scenarios, H) == (True, None)
+        assert questions.count(True) == asked
+        # A caller that carries no oracle is asked every size, as before.
+        questions.clear()
+        H0 = augment_bulk(g, scenarios, frozenset(), 0, seed=1)
+        augment_bulk(g, scenarios, H0, 1, seed=1)
+        assert questions.count(True) == 1
+
     def test_width_zero_is_steiner_forest_via_tree_paths(self):
         g = random_graph(31, 7, 13)
         scenarios = (BulkScenario(frozenset(), ((0, 6), (1, 2))),)
