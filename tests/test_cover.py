@@ -12,7 +12,7 @@ from faultnet.cover import (
     ring_cover_exact,
     uncross_pair_ok,
 )
-from faultnet.cuts import cut_index, predicate
+from faultnet.cuts import all_cuts, cut_index, masks, predicate
 from faultnet.errors import NotRingFamily, Uncoverable
 from faultnet.exact import exact_solve
 from faultnet.flexalg import fgc_plans, make_fgc_plan, _stage_families, solve_fgc
@@ -28,7 +28,12 @@ from faultnet.oracles import (
     fgc_requirements,
     violated_cuts_flex_aug,
 )
-from oracle_utils import brute_set_cover, list_primal_dual_cover, membership_ciq
+from oracle_utils import (
+    _minimal_violated,
+    brute_set_cover,
+    list_primal_dual_cover,
+    membership_ciq,
+)
 from test_acceptance import FALLBACK_CONFIGS, _fgc_inst, _ratio_shape
 
 
@@ -201,6 +206,30 @@ class TestPrimalDual:
             primal_dual_cover(uncoverable_family())
 
 
+class TestMinimalMembers:
+    """``CutFamily.minimal`` on the cut kernel against the pairwise filter
+    over decoded members."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_random_cut_sets(self, n):
+        rng = Random(n)
+        g = FaultGraph(n, [(v, (v + 1) % n, 1.0, "safe") for v in range(n)])
+        every = all_cuts(n)
+        for side in (None, *range(n)):
+            for density in (0.05, 0.3, 0.7, 1.0):
+                for _ in range(12):
+                    cuts = sum(
+                        1 << i for i in range(every.bit_length()) if rng.random() < density
+                    )
+                    fam = CutFamily(graph=g, cuts=cuts, ground=g.all_edge_ids(), side=side)
+                    A = rng.sample(range(g.m), rng.randint(0, 2))
+                    assert fam.minimal_violated(A) == sorted(_minimal_violated(fam, A)), (
+                        side,
+                        bin(cuts),
+                        A,
+                    )
+
+
 class TestRingCoverExact:
     def test_nested_chain_shared_edge(self):
         assert ring_cover_exact(nested_chain_family()) == {3}
@@ -358,20 +387,65 @@ class TestUncrossable:
         assert crossing_pairs_possible
 
 
+def cover_and_kept_sets(fam):
+    """``primal_dual_cover(fam)`` and the minimal violated cut set its
+    growth saw at each step, in step order (the last one empty)."""
+    kept = []
+    minimal = CutFamily.minimal
+
+    def recorded(self, cuts):
+        out = minimal(self, cuts)
+        if self is fam:
+            kept.append(out)
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(CutFamily, "minimal", recorded)
+        return primal_dual_cover(fam), kept
+
+
 def assert_matches_list_reference(fam):
     """The cover of ``fam`` equals the member-list reference exactly: the
-    same edges, the same dual bound as a float (``==``), the same trace."""
+    same edges, the same dual bound to the bit, the same trace, and at each
+    growth step the same minimal violated members."""
     try:
         want = list_primal_dual_cover(fam)
     except Uncoverable:
         with pytest.raises(Uncoverable):
             primal_dual_cover(fam)
         return None
-    got = primal_dual_cover(fam)
+    got, kept = cover_and_kept_sets(fam)
     assert got.edges == want.edges, fam.label
-    assert got.dual_lower_bound == want.dual_lower_bound, fam.label
+    assert got.dual_lower_bound.hex() == want.dual_lower_bound.hex(), fam.label
     assert got.trace == want.trace, fam.label
+    added = [eid for step, eid in got.trace if step == "add"]
+    assert len(kept) == len(added) + 1, fam.label
+    for step, cuts in enumerate(kept):
+        want_minimal = sorted(_minimal_violated(fam, added[:step]))
+        assert masks(fam.graph.n, cuts, fam.side) == want_minimal, (fam.label, step)
     return got
+
+
+# Costs whose binary exponents span the whole float range, with 0.0, 1/3 and
+# 0.1, which no finite binary fraction holds.
+ADVERSARIAL_COSTS = (5e-324, 2.0**-60, 0.1, 1 / 3, 1e300, 0.0)
+
+
+def adversarial_family(seed):
+    """A random family on a cycle plus chords, its edge costs drawn with
+    repeats from ADVERSARIAL_COSTS and 1.0, so that costs tie and duals of
+    every magnitude add up."""
+    rng = Random(seed)
+    n = rng.randint(3, 7)
+    pairs = [(v, (v + 1) % n) for v in range(n)]
+    pairs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+    costs = rng.choices((*ADVERSARIAL_COSTS, 1.0), k=rng.randint(2, 4))
+    g = FaultGraph(n, [(u, v, rng.choice(costs), "safe") for u, v in pairs])
+    cuts = 0
+    while not cuts:
+        cuts = rng.getrandbits(all_cuts(n).bit_length())
+    side = rng.choice([None, *range(n)])
+    return CutFamily(graph=g, cuts=cuts, ground=g.all_edge_ids(), label=f"costs {seed}", side=side)
 
 
 class TestListReference:
@@ -391,6 +465,15 @@ class TestListReference:
         covered = [assert_matches_list_reference(fam) for fam in families]
         assert sum(r is not None for r in covered) >= 10
         assert covered[1] is None  # the uncoverable family raises in both
+
+    def test_adversarial_costs(self):
+        # Exact growth only: float residuals miss ties and tight edges here,
+        # and a float running sum of the duals rounds each step.
+        results = [assert_matches_list_reference(adversarial_family(seed)) for seed in range(300)]
+        assert all(result is not None for result in results)
+        bounds = {result.dual_lower_bound for result in results}
+        assert 0.0 in bounds and max(bounds) >= 1e300 and min(bounds - {0.0}) < 1e-300
+        assert sum(len(result.trace) > 3 for result in results) >= 100
 
     def test_stage_families_of_fgc_plans(self):
         compared = drops = 0
