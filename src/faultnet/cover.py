@@ -16,10 +16,12 @@ enumerating property checker used by the structure tests, and
 A :class:`CutFamily` is one kernel cut set (see :mod:`faultnet.cuts`),
 optionally oriented by one vertex.  Its members and its membership test
 both decode that set, the violated members under a partial cover are one
-mask-and of cut sets, and an edge's load in the dual growth is the popcount
-of its crossing set over the active cuts.  Dual growth runs in exact
-rational arithmetic (floats convert exactly to Fraction), so tight-edge
-detection never drifts.
+mask-and of cut sets, their inclusion-minimal members a few shifts of that
+cut set (:meth:`CutFamily.minimal`), and an edge's load in the dual growth
+is the popcount of its crossing set over the active cuts.  Dual growth runs
+in exact integer arithmetic over one common denominator (every float cost is
+a binary fraction), so tight-edge detection never drifts and the dual bound
+is the correctly rounded float of the exact rational.
 """
 
 from __future__ import annotations
@@ -69,13 +71,14 @@ class CutFamily:
     def minimal(self, cuts: int) -> int:
         """The cut set of the inclusion-minimal members among ``cuts``.
 
-        A member is minimal unless it lies above one step up from another:
-        that member grown by one vertex, then by any more.  Growing a member
-        by a vertex v other than ``side`` and the anchor moves its bit by
-        2^v: up where the member is its cut's named side, down where it is
-        the complement.  Growing a named side by the anchor gives the
-        complement of the rest, a reversal of the cut index.  So the
-        members above another one are a few shifts of the cut set.
+        The sides strictly above a member are that member grown by one
+        vertex and then by any more.  Growing a member by a vertex v other
+        than ``side`` and the anchor moves its cut's bit by 2^v: up when the
+        member is the named side (the side without the anchor), down when it
+        is the complement.  Growing a named side by the anchor gives the
+        complement of the rest, the cut index reversed.  So the members
+        above another one are a few shifts of ``cuts``, and the minimal ones
+        are the rest.
         """
         low, high, dims, width = _orientation(self.graph.n, self.side)
         a, b = cuts & low, cuts & high
@@ -92,11 +95,6 @@ class CutFamily:
             if grown:
                 above |= int(format(grown, f"0{width}b")[::-1], 2)
         return cuts & ~above
-
-    def minimal_violated(self, A: Iterable[int]) -> list[int]:
-        """Inclusion-minimal members not yet crossed by A (pairwise
-        non-nested), sorted."""
-        return masks(self.graph.n, self.minimal(self.violated(A)), self.side)
 
 
 @lru_cache(maxsize=None)
@@ -139,7 +137,9 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     residual / load, found by cross-multiplication; if that load exceeds 1
     every numerator and ``den`` are scaled by it, and their gcd is divided
     out.  The bound is ``dual / den`` in correctly rounded int division, the
-    float of the same rational.
+    float of the same rational.  The violated cut set is kept from step to
+    step, less each chosen edge's crossing set, and each step grows on its
+    minimal members (:meth:`CutFamily.minimal`).
     """
     g = fam.graph
     cross = {eid: crossed(g, (eid,)) for eid in fam.ground}

@@ -61,6 +61,7 @@ from faultnet.oracles import (
     violated_cuts_flex_aug,
 )
 from oracle_utils import (
+    _minimal_violated,
     random_graph,
     separate_flex_definitional,
     union_find_violating_edge_sets_bulk,
@@ -452,9 +453,9 @@ def test_criterion_6_primal_dual_certificates():
                 cost = g.total_cost(result.edges)
                 assert cost <= 2 * result.dual_lower_bound + 1e-9
                 assert result.dual_lower_bound <= opt + 1e-9
-                assert fam.minimal_violated(result.edges) == []
+                assert _minimal_violated(fam, result.edges) == []
                 for eid in result.edges:
-                    assert fam.minimal_violated(result.edges - {eid}) != []
+                    assert _minimal_violated(fam, result.edges - {eid}) != []
                 covers += 1
                 F = F | result.edges
         if covers >= 25:

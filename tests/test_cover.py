@@ -196,10 +196,10 @@ class TestPrimalDual:
             if not fam.members:
                 continue
             result = primal_dual_cover(fam)
-            assert fam.minimal_violated(result.edges) == []
+            assert _minimal_violated(fam, result.edges) == []
             assert g.total_cost(result.edges) <= 2 * result.dual_lower_bound + 1e-9
             for eid in result.edges:
-                assert fam.minimal_violated(result.edges - {eid}) != []
+                assert _minimal_violated(fam, result.edges - {eid}) != []
 
     def test_uncoverable(self):
         with pytest.raises(Uncoverable):
@@ -223,7 +223,8 @@ class TestMinimalMembers:
                     )
                     fam = CutFamily(graph=g, cuts=cuts, ground=g.all_edge_ids(), side=side)
                     A = rng.sample(range(g.m), rng.randint(0, 2))
-                    assert fam.minimal_violated(A) == sorted(_minimal_violated(fam, A)), (
+                    got = masks(n, fam.minimal(fam.violated(A)), side)
+                    assert got == sorted(_minimal_violated(fam, A)), (
                         side,
                         bin(cuts),
                         A,
