@@ -1,14 +1,14 @@
 """Primal-dual cover results pinned across commits.
 
-No answer digest reads a cover's dual lower bound, its add/drop trace or
-the covers that a solver later discards, so this pins them here.  It runs
-the seed-1 cell list of ``ratio-sweep`` and ``fgc-fallback`` in
-``perfbench/workloads.py``, sized as ``python3 perfbench/run.py --seed 1
---seconds 5`` sizes it, records every ``cover.primal_dual_cover`` result in
-call order, and compares the sha256 over ``float.hex`` of each dual bound,
-its trace and its sorted edges, plus the totals of calls, add steps and drop
-steps, with the values a trusted earlier commit gave.  The dual bound must
-not move by a bit: it is the certificate below the optimum.
+No answer digest reads a cover's dual lower bound or its add/drop trace,
+so this pins them here.  It runs the seed-1 cell list of ``ratio-sweep``
+and ``fgc-fallback`` in ``perfbench/workloads.py``, sized as ``python3
+perfbench/run.py --seed 1 --seconds 5`` sizes it, records every
+``cover.primal_dual_cover`` result in call order, and compares the sha256
+over ``float.hex`` of each dual bound, its trace and its sorted edges, plus
+the totals of calls, add steps and drop steps, with the values a trusted
+earlier commit gave.  The dual bound must not move by a bit: it is the
+certificate below the optimum.
 """
 
 import hashlib
