@@ -331,7 +331,7 @@ def augment_bulk(
     H_prev: Iterable[int],
     level: int,
     seed: int = 0,
-    oracles: list | None = None,
+    cleared: list | None = None,
 ) -> frozenset:
     """Lift a solution from level-1 to level (all sub-failures of that size).
 
@@ -345,20 +345,17 @@ def augment_bulk(
     contains H_prev, so it survives them too.  That check and the level
     oracle run on the cut kernel, with no union-find call.
 
-    ``oracles``, when given, is a list that carries the level oracle of
-    these scenarios from one level to the next, with the result it has
-    cleared: it holds level - 1's, if any, which answers the precondition,
-    and is left holding this level's.  When H_prev is that cleared result,
-    the oracle's answer on it is known to be empty and is not asked again.
-    :func:`solve_bulk_sndp` passes one list through its levels, so each
-    oracle is built once and freed before the next one is built.
+    ``cleared``, when given, is a list that carries one level's result to
+    the next: it holds level - 1's result, if any, which level - 1's
+    closing check has cleared, and is left holding this level's.  When
+    H_prev is that result, the precondition's answer for size level - 1 is
+    known to be empty, so that size is not asked and its oracle is not
+    built.  :func:`solve_bulk_sndp` passes one list through its levels, so
+    each level oracle is built once.
     """
     H_prev = frozenset(H_prev)
-    prior, cleared = oracles.pop() if oracles else (None, None)
-    if H_prev == cleared:
-        prior = _nothing_left
+    prior = _nothing_left if cleared and H_prev == cleared.pop() else None
     _check_prior_levels(g, scenarios, H_prev, level, prior)
-    del prior
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
     violations = _violations_of_level(g, scenarios, level)
     candidate = _best_of_trees(g, H_prev, pairs, violations, level, seed)
@@ -367,13 +364,13 @@ def augment_bulk(
         raise InfeasibleAugmentation(
             f"level {level}: cover left {len(leftover)} violating sets"
         )
-    if oracles is not None:
-        oracles.append((violations, candidate))
+    if cleared is not None:
+        cleared.append(candidate)
     return candidate
 
 
 def _nothing_left(H: frozenset, counts: Boundary | None = None) -> list:
-    """The level oracle's answer on the result it has just cleared."""
+    """The level oracle's answer on the result its closing check cleared."""
     return []
 
 
@@ -388,17 +385,16 @@ def solve_bulk_sndp(
 ) -> frozenset:
     """Full pipeline: levels 0..width of augment_bulk, oracle-verified,
     once the scenarios' sub-failures fit the enumeration budget.  Each
-    level oracle is built once: level L's also answers level L + 1's
-    precondition for size L, and is not asked again about level L's own
-    result, which its closing check has just cleared."""
+    level oracle is built once: level L + 1's precondition skips size L,
+    since level L's closing check has cleared its result."""
     guard_failure_sets([len(sc.fail) for sc in scenarios], bulk_width(scenarios))
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph cannot satisfy scenario {witness}")
     H: frozenset = frozenset()
-    oracles: list = []
+    cleared: list = []
     for level in range(bulk_width(scenarios) + 1):
-        H = augment_bulk(g, scenarios, H, level, seed=seed, oracles=oracles)
+        H = augment_bulk(g, scenarios, H, level, seed=seed, cleared=cleared)
     ok, witness = is_bulk_feasible(g, scenarios, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails scenario {witness}")

@@ -311,8 +311,8 @@ def _check_prior_levels(
     it when more edges fail, so only size min(level - 1, |F_j|) is asked
     of the level oracle.
 
-    ``prior``, when given, is the level oracle of level - 1 for the same
-    scenarios, and answers for size level - 1 in place of a new one: a
+    ``prior``, when given, answers for size level - 1 in place of a new
+    level oracle, as level - 1's oracle for the same scenarios would: a
     scenario with fewer failed edges lists no set of that size, so both
     list the same sets."""
     if level == 0:

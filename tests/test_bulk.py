@@ -408,10 +408,11 @@ class TestBestOfTreesUnhittable:
 class TestSolveBulk:
     @pytest.mark.parametrize("case, builds", [("parallel", 7), ("generated", 5)])
     def test_each_level_oracle_is_built_once(self, monkeypatch, case, builds):
-        # Level L's oracle also answers level L + 1's precondition for size
-        # L, so a width-w run builds w + 1 oracles, plus one per level for
-        # the scenarios with fewer than level - 1 failed edges (one set each).
-        # Both runs built 13 and 8 when each check built its own.
+        # Level L + 1's precondition skips size L, whose result level L's
+        # closing check cleared, so a width-w run builds w + 1 oracles, plus
+        # one per level for the scenarios with fewer than level - 1 failed
+        # edges (one set each).  Both runs built 13 and 8 when each check
+        # built its own.
         import faultnet.bulk as bulk_mod
         import faultnet.oracles as oracles_mod
 
@@ -479,11 +480,28 @@ class TestSolveBulk:
         H = solve_bulk_sndp(g, scenarios, seed=1)
         assert is_bulk_feasible(g, scenarios, H) == (True, None)
         assert questions.count(True) == asked
-        # A caller that carries no oracle is asked every size, as before.
+        # A caller that carries no result, or another result than H_prev, is
+        # asked every size, as before.
         questions.clear()
         H0 = augment_bulk(g, scenarios, frozenset(), 0, seed=1)
         augment_bulk(g, scenarios, H0, 1, seed=1)
         assert questions.count(True) == 1
+        augment_bulk(g, scenarios, H0, 1, seed=1, cleared=[frozenset()])
+        assert questions.count(True) == 2
+        augment_bulk(g, scenarios, H0, 1, seed=1, cleared=[H0])
+        assert questions.count(True) == 2
+
+    def test_a_carried_result_does_not_excuse_another_h_prev(self):
+        # The skip holds only for the exact result carried: an H_prev that
+        # fails level 0 still raises when a feasible result is carried.
+        inst = bulk_instance(5, width=1)
+        g, scenarios = inst.to_graph(), inst.problem.scenarios
+        cleared: list = []
+        H0 = augment_bulk(g, scenarios, frozenset(), 0, seed=1, cleared=cleared)
+        assert cleared == [H0] and H0
+        with pytest.raises(PriorLevelNotSatisfied):
+            augment_bulk(g, scenarios, frozenset(), 1, seed=1, cleared=cleared)
+        assert cleared == []
 
     def test_width_zero_is_steiner_forest_via_tree_paths(self):
         g = random_graph(31, 7, 13)
@@ -501,9 +519,9 @@ class TestSolveBulk:
         levels = []
         original = bulk_mod.augment_bulk
 
-        def record(g, scenarios, H_prev, level, seed=0, **oracles):
+        def record(g, scenarios, H_prev, level, seed=0, **kwargs):
             levels.append(level)
-            return original(g, scenarios, H_prev, level, seed=seed, **oracles)
+            return original(g, scenarios, H_prev, level, seed=seed, **kwargs)
 
         monkeypatch.setattr(bulk_mod, "augment_bulk", record)
         sol = solve_bulk_sndp(g, inst.problem.scenarios, seed=seed)
@@ -1117,8 +1135,8 @@ class TestCostTelescoping:
         added = []
         original = bulk_mod.augment_bulk
 
-        def record(g, scenarios, H_prev, level, seed=0, **oracles):
-            H = original(g, scenarios, H_prev, level, seed=seed, **oracles)
+        def record(g, scenarios, H_prev, level, seed=0, **kwargs):
+            H = original(g, scenarios, H_prev, level, seed=seed, **kwargs)
             added.append(g.total_cost(H - frozenset(H_prev)))
             return H
 
