@@ -22,8 +22,11 @@ a zero cut of H - F, one that F cuts off in H
 (F, pair), and a fundamental cycle C reconnects the pair exactly when the
 edges of C - F cross every dead cut.  The level oracle and the
 precondition on H_prev are the kernel's, in :mod:`faultnet.oracles`; only
-the drivers' final checks use union-find.  Levels 0..width enumerate the
-sum of 2^|F_j| sub-failures, checked against the enumeration budget first.
+the drivers' final checks use union-find.  No level lists sub-failures:
+once H survives every smaller one, a violating F of a level is, by
+Menger, the H-boundary of a cut with exactly that many edges of H, all
+inside the scenario's failure set.  The sum of 2^|F_j| sub-failures is
+still checked against the enumeration budget first.
 
 The flexible and relative drivers reduce to this machinery.  The relative
 driver expands its requirements into an explicit scenario list.  The
@@ -31,7 +34,8 @@ flexible driver seeds with :func:`faultnet.flexalg.flex_base` at the
 (p_i, 0) level and activates pairs round by round, honoring heterogeneous
 (p_i, q_i) requirements; each round's violating sets are the H-boundaries
 of the kernel's tight cuts (``_flex_violating_sets``), with no scenario
-expansion.
+expansion.  One decoder (:func:`faultnet.oracles._cut_boundaries`) turns
+the cuts of a bulk level and of a flexible round into edge sets.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .cuts import Boundary, masks, separating
+from .cuts import Boundary, separating
 from .errors import (
     Disconnected,
     InfeasibleAugmentation,
@@ -49,12 +53,13 @@ from .errors import (
     Unhittable,
 )
 from .flexalg import flex_base
-from .graph import FaultGraph, boundary
+from .graph import FaultGraph
 from .oracles import (
     BulkScenario,
     FlexRequirement,
     RelativeRequirement,
     _check_prior_levels,
+    _cut_boundaries,
     _violations_of_level,
     expand_rsndp_to_bulk,
     guard_failure_sets,
@@ -331,7 +336,6 @@ def augment_bulk(
     H_prev: Iterable[int],
     level: int,
     seed: int = 0,
-    cleared: list | None = None,
 ) -> frozenset:
     """Lift a solution from level-1 to level (all sub-failures of that size).
 
@@ -342,20 +346,13 @@ def augment_bulk(
 
     H_prev must survive every sub-failure of size < level, or
     PriorLevelNotSatisfied is raised.  It is checked once: every tree's H
-    contains H_prev, so it survives them too.  That check and the level
-    oracle run on the cut kernel, with no union-find call.
-
-    ``cleared``, when given, is a list that carries one level's result to
-    the next: it holds level - 1's result, if any, which level - 1's
-    closing check has cleared, and is left holding this level's.  When
-    H_prev is that result, the precondition's answer for size level - 1 is
-    known to be empty, so that size is not asked and its oracle is not
-    built.  :func:`solve_bulk_sndp` passes one list through its levels, so
-    each level oracle is built once.
+    contains H_prev, so it survives them too, and that is what the level
+    oracle needs to read each violating set off a cut's H-boundary.  The
+    check and the oracle run on the cut kernel, with no union-find call
+    and no listing of sub-failures.
     """
     H_prev = frozenset(H_prev)
-    prior = _nothing_left if cleared and H_prev == cleared.pop() else None
-    _check_prior_levels(g, scenarios, H_prev, level, prior)
+    _check_prior_levels(g, scenarios, H_prev, level)
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
     violations = _violations_of_level(g, scenarios, level)
     candidate = _best_of_trees(g, H_prev, pairs, violations, level, seed)
@@ -364,14 +361,7 @@ def augment_bulk(
         raise InfeasibleAugmentation(
             f"level {level}: cover left {len(leftover)} violating sets"
         )
-    if cleared is not None:
-        cleared.append(candidate)
     return candidate
-
-
-def _nothing_left(H: frozenset, counts: Boundary | None = None) -> list:
-    """The level oracle's answer on the result its closing check cleared."""
-    return []
 
 
 def bulk_width(scenarios: Sequence[BulkScenario]) -> int:
@@ -383,18 +373,16 @@ def solve_bulk_sndp(
     scenarios: Sequence[BulkScenario],
     seed: int = 0,
 ) -> frozenset:
-    """Full pipeline: levels 0..width of augment_bulk, oracle-verified,
-    once the scenarios' sub-failures fit the enumeration budget.  Each
-    level oracle is built once: level L + 1's precondition skips size L,
-    since level L's closing check has cleared its result."""
+    """Full pipeline: levels 0..width of augment_bulk, oracle-verified.
+    The levels list no sub-failure, but scenarios whose sub-failures do
+    not fit the enumeration budget are still refused first."""
     guard_failure_sets([len(sc.fail) for sc in scenarios], bulk_width(scenarios))
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph cannot satisfy scenario {witness}")
     H: frozenset = frozenset()
-    cleared: list = []
     for level in range(bulk_width(scenarios) + 1):
-        H = augment_bulk(g, scenarios, H, level, seed=seed, cleared=cleared)
+        H = augment_bulk(g, scenarios, H, level, seed=seed)
     ok, witness = is_bulk_feasible(g, scenarios, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails scenario {witness}")
@@ -419,14 +407,12 @@ def _flex_violating_sets(
     """
     if bound is None:
         bound = Boundary(g, H)
-    out = set()
-    for r in reqs:
-        if r.q < round_index:
-            continue
-        tight = separating(g.n, r.s, r.t) & bound.tight(r.p, round_index)
-        for mask in masks(g.n, tight):
-            out.add((boundary(g, H, mask), (r.s, r.t)))
-    return sorted(out, key=lambda fp: (sorted(fp[0]), fp[1]))
+    tight = [
+        ((r.s, r.t), separating(g.n, r.s, r.t) & bound.tight(r.p, round_index))
+        for r in reqs
+        if r.q >= round_index
+    ]
+    return _cut_boundaries(g, H, tight)
 
 
 def solve_flex_sndp(

@@ -6,15 +6,16 @@ constructive witness; every algorithm in the package is validated against
 them.  ``is_flex_feasible`` and ``violated_cuts_flex_aug`` sweep every cut
 at once on the packed cut kernel (``faultnet.cuts``), and
 ``expand_rsndp_to_bulk`` asks it which cuts each failure set cuts off
-(``Boundary.cut_off``).  So does the bulk level oracle
-(``_violations_of_level``), which ``violating_edge_sets_bulk`` and the
-driver's precondition ``_check_prior_levels`` ask.  The checks of record
-``is_bulk_feasible`` and ``is_rsndp_feasible`` test connectivity by
-union-find, one failure set at a time, and ``expand_flex_to_bulk``
-enumerates failure sets by their safe-edge count.  Every failure-set
-enumeration here that no input lists is checked against the enumeration
-budget by :func:`guard_failure_sets`; the bulk driver checks there the
-sub-failures of its scenarios.
+(``Boundary.cut_off``).  So do the bulk level oracle
+(``_violations_of_level``, which ``violating_edge_sets_bulk`` asks) and
+its precondition (``_check_prior_levels``), once per scenario: they list
+no sub-failure, but read each violating set off the H-boundary of a cut
+(``_cut_boundaries``).  The checks of record ``is_bulk_feasible`` and
+``is_rsndp_feasible`` test connectivity by union-find, one failure set at
+a time, and ``expand_flex_to_bulk`` enumerates failure sets by their
+safe-edge count.  Every failure-set enumeration here that no input lists
+is checked against the enumeration budget by :func:`guard_failure_sets`;
+the bulk driver still checks there the sub-failures of its scenarios.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -31,7 +32,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .cover import CutFamily
-from .cuts import Boundary, first_mask, layout_of, separating
+from .cuts import Boundary, first_mask, layout_of, masks, separating
 from .errors import BaseNotFeasible, EnumerationTooLarge, PriorLevelNotSatisfied
 from .graph import (
     FaultGraph,
@@ -213,7 +214,9 @@ def is_bulk_feasible(
 def guard_failure_sets(sizes: Iterable[int], width: int) -> None:
     """Raise EnumerationTooLarge unless the subsets of at most ``width``
     elements of sets of the given ``sizes`` (``(m,)`` for an m-edge graph)
-    fit the enumeration budget."""
+    fit the enumeration budget.  The expansions and ``is_rsndp_feasible``
+    list those subsets; the bulk driver no longer does, but keeps the
+    refusal for its scenarios' sub-failures."""
     total = sum(comb(size, k) for size in sizes for k in range(width + 1))
     if total > enumeration_budget():
         raise EnumerationTooLarge(f"{total} failure sets exceed the enumeration budget")
@@ -299,33 +302,32 @@ def violating_edge_sets_bulk(
 
 
 def _check_prior_levels(
-    g: FaultGraph,
-    scenarios: Sequence[BulkScenario],
-    H: frozenset,
-    level: int,
-    prior: Callable | None = None,
+    g: FaultGraph, scenarios: Sequence[BulkScenario], H: frozenset, level: int
 ) -> None:
     """Raise PriorLevelNotSatisfied unless every pair of every scenario
     survives each of its sub-failures of size < level in H.  A superset of
-    H passes whenever H does.  A failure set that cuts a pair still cuts
-    it when more edges fail, so only size min(level - 1, |F_j|) is asked
-    of the level oracle.
+    H passes whenever H does.
 
-    ``prior``, when given, answers for size level - 1 in place of a new
-    level oracle, as level - 1's oracle for the same scenarios would: a
-    scenario with fewer failed edges lists no set of that size, so both
-    list the same sets."""
+    A sub-failure F of F_j cuts a pair exactly when a cut S that separates
+    the pair has δ_H(S) inside F, and δ_H(S) is then a sub-failure of F_j
+    that cuts the pair with no more edges than F.  So each scenario takes
+    one packed test: a cut in its pairs' scope with at most level - 1
+    edges of H that F_j cuts off.  The message names, for the first
+    failing scenario, a smallest such δ_H(S), a minimal sub-failure, and
+    the pair it cuts."""
     if level == 0:
         return
     counts = Boundary(g, H)
-    sizes = [min(level - 1, len(sc.fail)) for sc in scenarios]
-    for size in sorted(set(sizes)):
-        if size == level - 1 and prior is not None:
-            oracle = prior
-        else:
-            group = [sc for sc, k in zip(scenarios, sizes) if k == size]
-            oracle = _violations_of_level(g, group, size)
-        for F, pair in oracle(H, counts)[:1]:
+    lay = counts.layout
+    light = ~lay.at_least(counts.total, level)
+    for sc in scenarios:
+        bad = light & lay.scope(sc.pairs)
+        if bad:
+            bad &= counts.cut_off(sc.fail)
+        if bad:
+            cuts = lay.compact(bad)
+            scoped = [(pair, cuts & separating(g.n, *pair)) for pair in sc.pairs]
+            F, pair = min(_cut_boundaries(g, H, scoped), key=lambda fp: len(fp[0]))
             raise PriorLevelNotSatisfied(f"pair {pair} cut by sub-failure {tuple(sorted(F))}")
 
 
@@ -336,39 +338,46 @@ def _violations_of_level(
     at ``level`` without its precondition check, as a function of H (and
     optionally H's Boundary), on the cut kernel.
 
-    Each failure set F of ``level`` edges inside some scenario is listed
-    once, with the pairs of every scenario that holds it; F cuts a pair in H
-    when F cuts off a cut that separates the pair.  The sets and pairs are
-    listed sorted, so the output is sorted.  Each pair's scope, and each
-    distinct pair list's, is computed once.
+    Its answer is right for every H that meets the precondition.  Then a
+    failure set F of ``level`` edges inside F_j that cuts a pair is, by
+    Menger, the H-boundary of a cut S that separates the pair: δ_H(S) lies
+    inside F and cuts the pair, so it has at least ``level`` edges and is
+    F.  The violating sets are therefore the δ_H(S) of the cuts in a
+    pair's scope with exactly ``level`` edges of H that F_j cuts off: one
+    ``cut_off(F_j)`` per scenario with at least ``level`` failed edges,
+    then one decode of each pair's cuts (:func:`_cut_boundaries`).
     """
     lay = layout_of(g)
-    pairs_of: dict[tuple[int, ...], set] = {}
-    for sc in scenarios:
-        for combo in itertools.combinations(sorted(sc.fail), level):
-            pairs_of.setdefault(combo, set()).update(sc.pairs)
-    single = {pair: lay.scope((pair,)) for sc in scenarios for pair in sc.pairs}
-    shared: dict[tuple, tuple[int, list]] = {}
-    checks = []
-    for combo in sorted(pairs_of):
-        pairs = tuple(sorted(pairs_of[combo]))
-        if pairs not in shared:
-            shared[pairs] = (lay.scope(pairs), [(pair, single[pair]) for pair in pairs])
-        checks.append((frozenset(combo), *shared[pairs]))
+    checks = [
+        (sc.fail, lay.scope(sc.pairs), [(pair, lay.scope((pair,))) for pair in sc.pairs])
+        for sc in scenarios
+        if len(sc.fail) >= level
+    ]
 
     def violations(
         H: frozenset, counts: Boundary | None = None
     ) -> list[tuple[frozenset, tuple[int, int]]]:
         if counts is None:
             counts = Boundary(g, H)
-        out = []
-        for F, scope, scoped in checks:
-            zero = scope & counts.cut_off(F)
-            if zero:
-                out.extend((F, pair) for pair, pair_scope in scoped if zero & pair_scope)
-        return out
+        exact = lay.exactly(counts.total, level)
+        dead_of: dict[tuple[int, int], int] = {}
+        for fail, scope, scoped in checks:
+            if exact & scope:
+                dead = exact & counts.cut_off(fail)
+                for pair, pair_scope in scoped:
+                    dead_of[pair] = dead_of.get(pair, 0) | (dead & pair_scope)
+        return _cut_boundaries(g, H, [(pair, lay.compact(dead)) for pair, dead in dead_of.items()])
 
     return violations
+
+
+def _cut_boundaries(
+    g: FaultGraph, H: frozenset, cuts_of: Iterable[tuple[tuple[int, int], int]]
+) -> list[tuple[frozenset, tuple[int, int]]]:
+    """The distinct (δ_H(S), pair) of each cut S in the cut set of each
+    (pair, cut set), sorted by edge ids and then pair."""
+    out = {(boundary(g, H, mask), pair) for pair, cuts in cuts_of for mask in masks(g.n, cuts)}
+    return sorted(out, key=lambda fp: (sorted(fp[0]), fp[1]))
 
 
 # -- expansions into the bulk model -------------------------------------------

@@ -14,9 +14,12 @@ cut, that the single-pair solvers' path grouping must reproduce.
 before it skipped trees and memoised edge sets: every tree evaluated, every
 H's violations recomputed.  ``union_find_violating_edge_sets_bulk``,
 ``union_find_check_prior_levels`` and ``union_find_level_violations`` are
-the bulk level question answered by one union-find per sub-failure, the
-reference for the package's level oracle and precondition on the cut
-kernel; the precondition re-enumerates every smaller size.
+the bulk level question answered by listing every sub-failure, with one
+union-find each: the reference for the package's precondition and level
+oracle, which read violating sets off cut boundaries.  The reference
+precondition lists every smaller size.  ``union_find_level_violations``
+answers for every H, the package's oracle only for an H that meets the
+precondition, so the tests compare the two only there.
 """
 
 from __future__ import annotations

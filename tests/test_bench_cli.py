@@ -2,14 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import faultnet
 from faultnet.bench import bench, run_cell, solutions_json
+from faultnet.bulk import solve_bulk_sndp
 from faultnet.cli import main
-from faultnet.instances import appendix_a_instance, figure_1_instance, generate, serialize
+from faultnet.instances import appendix_a_instance, figure_1_instance, generate, parse, serialize
 
 
 def small_suite(tmp_path):
@@ -598,6 +600,25 @@ class TestCli:
         assert main(["solve", str(path), "--alg", "bulk"]) == code
         err = capsys.readouterr().err
         assert ("128 failure sets exceed the enumeration budget" in err) == (code == 3)
+
+    @pytest.mark.parametrize(
+        "failed, edges", [(16, [0, 3, 6, 9, 15, 24]), (20, [0, 3, 6, 9, 12, 15, 18, 21, 24, 27])]
+    )
+    def test_bulk_levels_list_no_sub_failures(self, monkeypatch, failed, edges):
+        # The level oracle reads its violating sets off cut boundaries.  When
+        # it listed every sub-failure, these runs peaked at 14.6 and 211.7 MiB
+        # under tracemalloc.
+        monkeypatch.delenv("FAULTNET_ENUM_BUDGET", raising=False)
+        inst = parse("\n".join(_parallel_lines(15, failed)))
+        g = inst.to_graph()
+        tracemalloc.start()
+        try:
+            H = solve_bulk_sndp(g, inst.problem.scenarios)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sorted(H) == edges
+        assert peak < 2**20
 
     def test_bench_command(self, tmp_path, capsys):
         suite_path = tmp_path / "suite.json"

@@ -438,71 +438,6 @@ class TestSolveBulk:
         assert len(built) == builds
         assert is_bulk_feasible(g, scenarios, H) == (True, None)
 
-    @pytest.mark.parametrize("case, asked", [("parallel", 0), ("generated", 1)])
-    def test_precondition_skips_only_the_cleared_result(self, monkeypatch, case, asked):
-        # Level L + 1's precondition would ask level L's oracle about level
-        # L's result, which that oracle's closing check has just cleared; that
-        # one question is skipped.  A smaller size is still asked: the
-        # generated case's size 1 at level 3, on an oracle of its own.  Both
-        # runs asked 6 and 4 questions when the cleared one was asked again.
-        import faultnet.bulk as bulk_mod
-        import faultnet.oracles as oracles_mod
-
-        if case == "parallel":
-            g = FaultGraph(3, [(i // 5, i // 5 + 1, 1.0 + i % 3, "safe") for i in range(10)])
-            scenarios = (BulkScenario(frozenset({0, 1, 2, 5, 6, 7}), ((0, 2),)),)
-        else:
-            inst = bulk_instance(1, width=3)
-            g, scenarios = inst.to_graph(), inst.problem.scenarios
-        inside = []
-        questions = []
-        build, check = oracles_mod._violations_of_level, bulk_mod._check_prior_levels
-
-        def counted_build(g, scenarios, level):
-            oracle = build(g, scenarios, level)
-
-            def counted(H, counts=None):
-                questions.append(bool(inside))
-                return oracle(H, counts)
-
-            return counted
-
-        def counted_check(*args):
-            inside.append(True)
-            try:
-                check(*args)
-            finally:
-                inside.pop()
-
-        monkeypatch.setattr(bulk_mod, "_violations_of_level", counted_build)
-        monkeypatch.setattr(oracles_mod, "_violations_of_level", counted_build)
-        monkeypatch.setattr(bulk_mod, "_check_prior_levels", counted_check)
-        H = solve_bulk_sndp(g, scenarios, seed=1)
-        assert is_bulk_feasible(g, scenarios, H) == (True, None)
-        assert questions.count(True) == asked
-        # A caller that carries no result, or another result than H_prev, is
-        # asked every size, as before.
-        questions.clear()
-        H0 = augment_bulk(g, scenarios, frozenset(), 0, seed=1)
-        augment_bulk(g, scenarios, H0, 1, seed=1)
-        assert questions.count(True) == 1
-        augment_bulk(g, scenarios, H0, 1, seed=1, cleared=[frozenset()])
-        assert questions.count(True) == 2
-        augment_bulk(g, scenarios, H0, 1, seed=1, cleared=[H0])
-        assert questions.count(True) == 2
-
-    def test_a_carried_result_does_not_excuse_another_h_prev(self):
-        # The skip holds only for the exact result carried: an H_prev that
-        # fails level 0 still raises when a feasible result is carried.
-        inst = bulk_instance(5, width=1)
-        g, scenarios = inst.to_graph(), inst.problem.scenarios
-        cleared: list = []
-        H0 = augment_bulk(g, scenarios, frozenset(), 0, seed=1, cleared=cleared)
-        assert cleared == [H0] and H0
-        with pytest.raises(PriorLevelNotSatisfied):
-            augment_bulk(g, scenarios, frozenset(), 1, seed=1, cleared=cleared)
-        assert cleared == []
-
     def test_width_zero_is_steiner_forest_via_tree_paths(self):
         g = random_graph(31, 7, 13)
         scenarios = (BulkScenario(frozenset(), ((0, 6), (1, 2))),)
@@ -776,10 +711,18 @@ class TestRsndpDriver:
         assert g.total_cost(sol) >= opt_cost - 1e-9
 
 
-def kernel_case(kind, n, seed):
-    """(g, scenarios, flex requirements) of a seeded bulk, rsndp or
-    flex-sndp instance on n vertices: bulk widths cycle through 1-3 and r
-    through 2-3; rsndp and flex-sndp go through their bulk expansions."""
+def meets_prior_levels(g, scenarios, H, level):
+    """Does H survive every sub-failure of size < level, by union-find?"""
+    try:
+        union_find_check_prior_levels(g, scenarios, H, level)
+    except PriorLevelNotSatisfied:
+        return False
+    return True
+
+
+def kernel_instance(kind, n, seed):
+    """A seeded bulk, rsndp or flex-sndp instance on n vertices: bulk
+    widths cycle through 1-3 and r through 2-3."""
     if kind == "bulk":
         params = {"problem": "bulk", "width": 1 + seed % 3, "scenarios": 4}
     elif kind == "rsndp":
@@ -787,7 +730,13 @@ def kernel_case(kind, n, seed):
     else:
         pairs = [(0, n - 1, 1, 2), (1, n - 2, 2, 1)]
         params = {"problem": "flex-sndp", "p": 2, "q": 2, "skeleton": "mixed", "pairs": pairs}
-    inst = generate("random-multigraph", n=n, m=2 * n + 1, seed=seed, params=params)
+    return generate("random-multigraph", n=n, m=2 * n + 1, seed=seed, params=params)
+
+
+def kernel_case(kind, n, seed):
+    """(g, scenarios, flex requirements) of ``kernel_instance``; rsndp and
+    flex-sndp go through their bulk expansions."""
+    inst = kernel_instance(kind, n, seed)
     g = inst.to_graph()
     problem = inst.problem
     if kind == "bulk":
@@ -1015,7 +964,10 @@ class TestKernelMatchesUnionFind:
 
     @pytest.mark.parametrize("kind", ("bulk", "rsndp", "flex-sndp"))
     def test_violations_and_hit_sets_match(self, kind):
-        seen = {"outside H": 0, "meets cycle": 0, "all dead": 0, "hits": 0}
+        # The level oracle answers only for an H that meets the precondition,
+        # so it is compared there; the hitting instances are compared on the
+        # reference's lists for every work set, sets outside H included.
+        seen = {"oracle": 0, "outside H": 0, "meets cycle": 0, "all dead": 0, "hits": 0}
         for n in range(5, 9):
             for seed in (n, n + 11):
                 g, scenarios, flex = kernel_case(kind, n, seed)
@@ -1025,8 +977,10 @@ class TestKernelMatchesUnionFind:
                     tree = sample_tree(g, seed=rng.randrange(1 << 30))
                     lists = []
                     for level in range(width + 1):
-                        viol = _violations_of_level(g, scenarios, level)(H)
-                        assert viol == union_find_level_violations(g, scenarios, H, level)
+                        viol = union_find_level_violations(g, scenarios, H, level)
+                        if meets_prior_levels(g, scenarios, H, level):
+                            assert _violations_of_level(g, scenarios, level)(H) == viol
+                            seen["oracle"] += len(viol)
                         lists.append(viol)
                     for round_index in range(1, max((r.q for r in flex), default=0) + 1):
                         lists.append(_flex_violating_sets(g, H, flex, round_index))
@@ -1044,6 +998,34 @@ class TestKernelMatchesUnionFind:
                             )
                             seen["hits"] += len(got.hits[eid])
         assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("kind", ("bulk", "rsndp"))
+    def test_drivers_ask_the_oracle_only_under_the_precondition(self, kind, monkeypatch):
+        # The level oracle's answer is right only for an H that survives
+        # every smaller sub-failure; every H the drivers ask about does.
+        import faultnet.bulk as bulk_mod
+
+        build = bulk_mod._violations_of_level
+        asked = []
+        broken = []
+
+        def checked(g, scenarios, level):
+            oracle = build(g, scenarios, level)
+
+            def answer(H, counts=None):
+                asked.append(level)
+                if not meets_prior_levels(g, scenarios, H, level):
+                    broken.append((sorted(H), level))
+                return oracle(H, counts)
+
+            return answer
+
+        monkeypatch.setattr(bulk_mod, "_violations_of_level", checked)
+        for n in range(5, 9):
+            for seed in (n, n + 11):
+                solve_kind(kind, kernel_instance(kind, n, seed), seed)
+        assert broken == []
+        assert set(asked) >= {0, 1, 2}
 
     @pytest.mark.parametrize("kind", ("bulk", "rsndp"))
     def test_prior_level_check_matches(self, kind):
@@ -1066,30 +1048,6 @@ class TestKernelMatchesUnionFind:
                         assert raised[0] == raised[1], (kind, n, seed, sorted(H), level)
                         outcomes.append(raised[0])
         assert outcomes.count(True) >= 50 and outcomes.count(False) >= 50
-
-    @pytest.mark.parametrize("kind", ("bulk", "rsndp"))
-    def test_prior_level_check_given_the_last_oracle(self, kind):
-        # Handed the level - 1 oracle, as solve_bulk_sndp hands it, the check
-        # raises on the same (H, level), with the same message, as when it
-        # builds every oracle itself.
-        outcomes = []
-        for n in range(5, 9):
-            for seed in (n, n + 11):
-                g, scenarios, _flex = kernel_case(kind, n, seed)
-                width = max(len(sc.fail) for sc in scenarios)
-                for H in self.work_sets(g, scenarios, Random(seed)):
-                    for level in range(1, width + 2):
-                        prior = _violations_of_level(g, scenarios, level - 1)
-                        messages = []
-                        for given in ((), (prior,)):
-                            try:
-                                _check_prior_levels(g, scenarios, H, level, *given)
-                                messages.append(None)
-                            except PriorLevelNotSatisfied as exc:
-                                messages.append(str(exc))
-                        assert messages[0] == messages[1], (kind, n, seed, sorted(H), level)
-                        outcomes.append(messages[0] is None)
-        assert outcomes.count(True) >= 30 and outcomes.count(False) >= 30
 
     @pytest.mark.parametrize("n", range(5, 9))
     @pytest.mark.parametrize("r", (2, 3))

@@ -337,6 +337,19 @@ BUDGET_READERS = {
 }
 
 
+# A listing of subsets.  Each of these enumerates failure sets that no input
+# lists, checked by guard_failure_sets, or the gap experiment's safe-edge
+# subsets.  The bulk level oracle and its precondition read violating sets
+# off cut boundaries and list none.
+COMBINATIONS = re.compile(r"\bitertools\.combinations\(")
+COMBINATIONS_CALLERS = {
+    ("oracles.py", "is_rsndp_feasible"),
+    ("oracles.py", "expand_flex_to_bulk"),
+    ("oracles.py", "expand_rsndp_to_bulk"),
+    ("gap.py", "gap_experiment"),
+}
+
+
 def _matching_definitions(path: Path, pattern: re.Pattern) -> set[tuple[str, str]]:
     """(file name, top-level function or class) of each line of the module
     that matches; "" for a line outside them."""
@@ -358,3 +371,10 @@ def test_each_budget_is_read_in_one_place():
     found = set().union(*(_matching_definitions(path, BUDGET_READ) for path in package.glob("*.py")))
     assert ("graph.py", "guard_sweep") in found  # the pattern still matches
     assert found <= BUDGET_READERS
+
+
+def test_subsets_are_listed_only_where_allowed():
+    package = Path(faultnet.__file__).parent
+    found = set().union(*(_matching_definitions(path, COMBINATIONS) for path in package.glob("*.py")))
+    assert ("gap.py", "gap_experiment") in found  # the pattern still matches
+    assert found <= COMBINATIONS_CALLERS
