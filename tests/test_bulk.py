@@ -406,13 +406,10 @@ class TestBestOfTreesUnhittable:
 
 
 class TestSolveBulk:
-    @pytest.mark.parametrize("case, builds", [("parallel", 7), ("generated", 5)])
+    @pytest.mark.parametrize("case, builds", [("parallel", 7), ("generated", 4)])
     def test_each_level_oracle_is_built_once(self, monkeypatch, case, builds):
-        # Level L + 1's precondition skips size L, whose result level L's
-        # closing check cleared, so a width-w run builds w + 1 oracles, plus
-        # one per level for the scenarios with fewer than level - 1 failed
-        # edges (one set each).  Both runs built 13 and 8 when each check
-        # built its own.
+        # Each level builds one oracle and the precondition builds none, so
+        # a width-w run builds w + 1.
         import faultnet.bulk as bulk_mod
         import faultnet.oracles as oracles_mod
 
