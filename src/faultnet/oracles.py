@@ -362,10 +362,12 @@ def _violations_of_level(
         exact = lay.exactly(counts.total, level)
         dead_of: dict[tuple[int, int], int] = {}
         for fail, scope, scoped in checks:
-            if exact & scope:
-                dead = exact & counts.cut_off(fail)
+            dead = exact & scope and exact & counts.cut_off(fail)
+            if dead:
                 for pair, pair_scope in scoped:
                     dead_of[pair] = dead_of.get(pair, 0) | (dead & pair_scope)
+        if not dead_of:
+            return []
         return _cut_boundaries(g, H, [(pair, lay.compact(dead)) for pair, dead in dead_of.items()])
 
     return violations
