@@ -25,8 +25,8 @@ precondition on H_prev are the kernel's, in :mod:`faultnet.oracles`; only
 the drivers' final checks use union-find.  No level lists sub-failures:
 once H survives every smaller one, a violating F of a level is, by
 Menger, the H-boundary of a cut with exactly that many edges of H, all
-inside the scenario's failure set.  The sum of 2^|F_j| sub-failures is
-still checked against the enumeration budget first.
+inside the scenario's failure set.  So the number of sub-failures, the
+sum of 2^|F_j|, bounds no work and is not checked against any budget.
 
 The flexible and relative drivers reduce to this machinery.  The relative
 driver expands its requirements into an explicit scenario list.  The
@@ -62,7 +62,6 @@ from .oracles import (
     _cut_boundaries,
     _violations_of_level,
     expand_rsndp_to_bulk,
-    guard_failure_sets,
     is_bulk_feasible,
     is_flex_feasible,
     is_rsndp_feasible,
@@ -374,9 +373,8 @@ def solve_bulk_sndp(
     seed: int = 0,
 ) -> frozenset:
     """Full pipeline: levels 0..width of augment_bulk, oracle-verified.
-    The levels list no sub-failure, but scenarios whose sub-failures do
-    not fit the enumeration budget are still refused first."""
-    guard_failure_sets([len(sc.fail) for sc in scenarios], bulk_width(scenarios))
+    No level lists sub-failures, so no scenario is refused for their
+    number; only the graph's cut sweep is checked against the budget."""
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph cannot satisfy scenario {witness}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .cuts import Boundary, all_cuts, crossed, masks, predicate, separating, side
@@ -135,11 +135,11 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     are numerators over one common denominator ``den``, at first the lcm of
     the costs' ``as_integer_ratio`` denominators.  A step grows by the least
     residual / load, found by cross-multiplication; if that load exceeds 1
-    every numerator and ``den`` are scaled by it, and their gcd is divided
-    out.  The bound is ``dual / den`` in correctly rounded int division, the
-    float of the same rational.  The violated cut set is kept from step to
-    step, less each chosen edge's crossing set, and each step grows on its
-    minimal members (:meth:`CutFamily.minimal`).
+    every numerator and ``den`` are scaled by it.  The bound is ``dual /
+    den`` in correctly rounded int division, the float of the same
+    rational.  The violated cut set is kept from step to step, less each
+    chosen edge's crossing set, and each step grows on its minimal members
+    (:meth:`CutFamily.minimal`).
     """
     g = fam.graph
     cross = {eid: crossed(g, (eid,)) for eid in fam.ground}
@@ -186,12 +186,6 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
             residual[eid] -= r * load
             if residual[eid] <= 0 and tight is None:
                 tight = eid
-        if l > 1:
-            common = gcd(den, dual, *residual.values())
-            for eid in residual:
-                residual[eid] //= common
-            dual //= common
-            den //= common
         candidates.remove(tight)
         violated &= ~cross[tight]
         chosen.append(tight)

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .exact import exact_solve
-from .graph import FaultGraph, boundary_counts
+from .graph import FaultGraph, boundary_counts, failure_sets
 from .instances import appendix_a_instance
 from .lp import cutting_plane_flex, separate_flex
 
@@ -56,19 +55,18 @@ def gap_experiment(k: int) -> GapReport:
     all_unsafe = [eid for eid in range(g.m) if eid not in set(safe_ids)]
     rejected_all = True
     checked = 0
-    for size in range(need):
-        for combo in itertools.combinations(range(k + 1), size):
-            checked += 1
-            keep_safe = {safe_ids[i] for i in combo}
-            H = frozenset(all_unsafe) | keep_safe
-            outside = [i for i in range(k + 1) if i not in combo]
-            mask = 1  # s = vertex 0
-            for i in outside:
-                mask |= 1 << (2 + i)
-            bnd_safe, bnd_total = boundary_counts(g, H, mask)
-            # Violated for (1, k): no safe edge and fewer than k+1 in total.
-            if not (bnd_safe == 0 and bnd_total < k + 1):
-                rejected_all = False
+    for combo in failure_sets(k + 1, need - 1):
+        checked += 1
+        keep_safe = {safe_ids[i] for i in combo}
+        H = frozenset(all_unsafe) | keep_safe
+        outside = [i for i in range(k + 1) if i not in combo]
+        mask = 1  # s = vertex 0
+        for i in outside:
+            mask |= 1 << (2 + i)
+        bnd_safe, bnd_total = boundary_counts(g, H, mask)
+        # Violated for (1, k): no safe edge and fewer than k+1 in total.
+        if not (bnd_safe == 0 and bnd_total < k + 1):
+            rejected_all = False
     gap_lb = None
     if rejected_all:
         integral_lb = need * (k + 1)

@@ -6,6 +6,9 @@ Edge sets (partial solutions, failure sets) are plain ``frozenset`` objects
 over dense edge ids.  Vertex cuts are bit masks over vertices, wrapped in
 :class:`VertexCut` at API boundaries; every algorithm in the package is sized
 for exhaustive 2^n cut sweeps, so ``n`` is capped at :data:`MAX_SWEEP_N`.
+Both kinds of exhaustive enumeration are checked here against one budget,
+:func:`enumeration_budget`: a cut sweep by :func:`guard_sweep`, and a
+listing of failure sets by :func:`failure_sets`, which also lists them.
 
 Thread safety: a FaultGraph never mutates after construction and can be
 shared freely; all functions here allocate private state.  Its two lazily
@@ -16,10 +19,11 @@ functions of the graph, so a racing second fill stores an equal value.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import EnumerationTooLarge
 
@@ -58,6 +62,19 @@ def guard_sweep(n: int) -> None:
     fit the enumeration budget."""
     if (1 << n) > enumeration_budget():
         raise EnumerationTooLarge(f"2^{n} cuts exceed the enumeration budget")
+
+
+def failure_sets(m: int, width: int) -> Iterator[tuple[int, ...]]:
+    """The subsets of ``range(m)`` with at most ``width`` elements, by size
+    and then in ``itertools.combinations`` order.  Raises
+    EnumerationTooLarge, before listing any, unless they fit the
+    enumeration budget."""
+    total = sum(math.comb(m, k) for k in range(width + 1))
+    if total > enumeration_budget():
+        raise EnumerationTooLarge(f"{total} failure sets exceed the enumeration budget")
+    return itertools.chain.from_iterable(
+        itertools.combinations(range(m), k) for k in range(width + 1)
+    )
 
 
 @dataclass(frozen=True)

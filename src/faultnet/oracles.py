@@ -14,8 +14,8 @@ no sub-failure, but read each violating set off the H-boundary of a cut
 ``is_rsndp_feasible`` test connectivity by union-find, one failure set at
 a time, and ``expand_flex_to_bulk`` enumerates failure sets by their
 safe-edge count.  Every failure-set enumeration here that no input lists
-is checked against the enumeration budget by :func:`guard_failure_sets`;
-the bulk driver still checks there the sub-failures of its scenarios.
+comes from :func:`faultnet.graph.failure_sets`, which checks it against
+the enumeration budget first.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -25,21 +25,19 @@ construct the failing edge set B from a violating cut when asked.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache
-from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .cover import CutFamily
 from .cuts import Boundary, first_mask, layout_of, masks, separating
-from .errors import BaseNotFeasible, EnumerationTooLarge, PriorLevelNotSatisfied
+from .errors import BaseNotFeasible, PriorLevelNotSatisfied
 from .graph import (
     FaultGraph,
     VertexCut,
     boundary,
     connected_components,
-    enumeration_budget,
+    failure_sets,
     same_component,
 )
 
@@ -211,36 +209,23 @@ def is_bulk_feasible(
     return True, None
 
 
-def guard_failure_sets(sizes: Iterable[int], width: int) -> None:
-    """Raise EnumerationTooLarge unless the subsets of at most ``width``
-    elements of sets of the given ``sizes`` (``(m,)`` for an m-edge graph)
-    fit the enumeration budget.  The expansions and ``is_rsndp_feasible``
-    list those subsets; the bulk driver no longer does, but keeps the
-    refusal for its scenarios' sub-failures."""
-    total = sum(comb(size, k) for size in sizes for k in range(width + 1))
-    if total > enumeration_budget():
-        raise EnumerationTooLarge(f"{total} failure sets exceed the enumeration budget")
-
-
 def is_rsndp_feasible(
     g: FaultGraph, reqs: Sequence[RelativeRequirement], H: Iterable[int]
 ) -> tuple[bool, RsndpWitness | None]:
     """Definition-level check: enumerate all F with |F| < max r_i."""
     H = frozenset(H)
     max_r = max((req.r for req in reqs), default=1)
-    guard_failure_sets((g.m,), max_r - 1)
-    for size in range(max_r):
-        for combo in itertools.combinations(range(g.m), size):
-            F = frozenset(combo)
-            g_alive = g.all_edge_ids() - F
-            h_alive = H - F
-            for req in reqs:
-                if req.r <= size:
-                    continue
-                if same_component(g, g_alive, req.s, req.t) and not same_component(
-                    g, h_alive, req.s, req.t
-                ):
-                    return False, RsndpWitness(req, F)
+    for combo in failure_sets(g.m, max_r - 1):
+        F = frozenset(combo)
+        g_alive = g.all_edge_ids() - F
+        h_alive = H - F
+        for req in reqs:
+            if req.r <= len(F):
+                continue
+            if same_component(g, g_alive, req.s, req.t) and not same_component(
+                g, h_alive, req.s, req.t
+            ):
+                return False, RsndpWitness(req, F)
     return True, None
 
 
@@ -395,19 +380,17 @@ def expand_flex_to_bulk(
     """
     reqs = tuple(reqs)
     width = max(r.p + r.q - 1 for r in reqs)
-    guard_failure_sets((g.m,), width)
     grouped: dict[frozenset, list[tuple[int, int]]] = {}
-    for size in range(width + 1):
-        for combo in itertools.combinations(range(g.m), size):
-            F = frozenset(combo)
-            n_safe = len(F & g.safe_ids)
-            pairs = [
-                (r.s, r.t)
-                for r in reqs
-                if size <= r.p + r.q - 1 and n_safe <= r.p - 1
-            ]
-            if pairs:
-                grouped[F] = pairs
+    for combo in failure_sets(g.m, width):
+        F = frozenset(combo)
+        n_safe = len(F & g.safe_ids)
+        pairs = [
+            (r.s, r.t)
+            for r in reqs
+            if len(F) <= r.p + r.q - 1 and n_safe <= r.p - 1
+        ]
+        if pairs:
+            grouped[F] = pairs
     return tuple(
         BulkScenario(F, tuple(sorted(set(pairs))))
         for F, pairs in sorted(grouped.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
@@ -427,14 +410,14 @@ def expand_rsndp_to_bulk(
     """
     reqs = tuple(reqs)
     width = max(r.r for r in reqs) - 1
-    guard_failure_sets((g.m,), width)
+    # Checked before the cut sweep, so that a refusal names the failure sets.
+    listed = failure_sets(g.m, width)
     counts = Boundary(g, g.all_edge_ids())
     scoped = [(r.r, (r.s, r.t), counts.layout.scope([(r.s, r.t)])) for r in reqs]
     out = []
-    for size in range(width + 1):
-        for combo in itertools.combinations(range(g.m), size):
-            zero = counts.cut_off(combo)
-            pairs = [pair for r, pair, scope in scoped if r > size and not zero & scope]
-            if pairs:
-                out.append(BulkScenario(frozenset(combo), tuple(sorted(set(pairs)))))
+    for F in listed:
+        zero = counts.cut_off(F)
+        pairs = [pair for r, pair, scope in scoped if r > len(F) and not zero & scope]
+        if pairs:
+            out.append(BulkScenario(frozenset(F), tuple(sorted(set(pairs)))))
     return tuple(out)

@@ -1026,8 +1026,9 @@ class TestKernelMatchesUnionFind:
 
     @pytest.mark.parametrize("kind", ("bulk", "rsndp"))
     def test_prior_level_check_matches(self, kind):
-        # The kernel tests one sub-failure size per scenario, the reference
-        # every size below the level; they raise on the same (H, level).
+        # The kernel makes one packed cut test per scenario, the reference
+        # lists every sub-failure below the level; they raise on the same
+        # (H, level).
         outcomes = []
         for n in range(5, 9):
             for seed in (n, n + 11):

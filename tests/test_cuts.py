@@ -326,28 +326,24 @@ def test_union_find_connectivity_stays_in_the_oracle_modules():
     assert found <= UNION_FIND_ALLOWED
 
 
-# A read of the enumeration budget.  graph.py defines it and checks every
-# cut sweep in guard_sweep; oracles.guard_failure_sets checks every
-# failure-set enumeration.  A read anywhere else is a second copy of a guard.
+# A read of the enumeration budget.  graph.py defines it, checks every cut
+# sweep in guard_sweep, and checks every failure-set listing in
+# failure_sets.  A read anywhere else is a second copy of a guard.
 BUDGET_READ = re.compile(r"\benumeration_budget\(")
 BUDGET_READERS = {
     ("graph.py", "enumeration_budget"),
     ("graph.py", "guard_sweep"),
-    ("oracles.py", "guard_failure_sets"),
+    ("graph.py", "failure_sets"),
 }
 
 
-# A listing of subsets.  Each of these enumerates failure sets that no input
-# lists, checked by guard_failure_sets, or the gap experiment's safe-edge
-# subsets.  The bulk level oracle and its precondition read violating sets
-# off cut boundaries and list none.
-COMBINATIONS = re.compile(r"\bitertools\.combinations\(")
-COMBINATIONS_CALLERS = {
-    ("oracles.py", "is_rsndp_feasible"),
-    ("oracles.py", "expand_flex_to_bulk"),
-    ("oracles.py", "expand_rsndp_to_bulk"),
-    ("gap.py", "gap_experiment"),
-}
+# A listing of subsets, spelt with or without its module.  graph.failure_sets
+# is the one listing, behind the budget check; the relative and flexible
+# expansions, is_rsndp_feasible and the gap experiment all ask it.  The bulk
+# level oracle and its precondition read violating sets off cut boundaries
+# and list none.
+COMBINATIONS = re.compile(r"\bcombinations\(")
+COMBINATIONS_CALLERS = {("graph.py", "failure_sets")}
 
 
 def _matching_definitions(path: Path, pattern: re.Pattern) -> set[tuple[str, str]]:
@@ -376,5 +372,15 @@ def test_each_budget_is_read_in_one_place():
 def test_subsets_are_listed_only_where_allowed():
     package = Path(faultnet.__file__).parent
     found = set().union(*(_matching_definitions(path, COMBINATIONS) for path in package.glob("*.py")))
-    assert ("gap.py", "gap_experiment") in found  # the pattern still matches
+    assert ("graph.py", "failure_sets") in found  # the pattern still matches
     assert found <= COMBINATIONS_CALLERS
+
+
+def test_checker_sees_a_bare_combinations_call(tmp_path):
+    module = tmp_path / "lib.py"
+    module.write_text(
+        "from itertools import combinations\n\n"
+        "def pairs(xs):\n    return list(combinations(xs, 2))\n\n"
+        "def sized(xs):\n    return len(xs)\n"
+    )
+    assert _matching_definitions(module, COMBINATIONS) == {("lib.py", "pairs")}

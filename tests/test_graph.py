@@ -2,12 +2,14 @@ import itertools
 
 import pytest
 
+from faultnet.errors import EnumerationTooLarge
 from faultnet.graph import (
     FaultGraph,
     VertexCut,
     boundary,
     boundary_counts,
     connected_components,
+    failure_sets,
     st_cut_masks,
 )
 from faultnet.instances import appendix_a_instance
@@ -138,3 +140,23 @@ class TestCutEnumeration:
         for n in range(2, 10):
             for s, t in itertools.permutations(range(n), 2):
                 assert list(st_cut_masks(n, s, t)) == list(nested_st_masks(n, s, t))
+
+
+class TestFailureSets:
+    def test_order_is_by_size_then_combinations(self):
+        for m in range(6):
+            for width in range(-1, m + 2):
+                nested = [
+                    combo
+                    for size in range(width + 1)
+                    for combo in itertools.combinations(range(m), size)
+                ]
+                assert list(failure_sets(m, width)) == nested
+
+    def test_budget_is_exact(self, monkeypatch):
+        # 1 + 7 + 21 + 35 subsets of at most 3 of 7 edges.
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "64")
+        assert len(list(failure_sets(7, 3))) == 64
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "63")
+        with pytest.raises(EnumerationTooLarge, match="^64 failure sets exceed the enumeration budget$"):
+            failure_sets(7, 3)
