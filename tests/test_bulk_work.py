@@ -8,10 +8,20 @@ reference.  The first tests pin the trees themselves: a sha256 over
 drivers sample on the seed-1 ``bulk-relative`` graphs, and of trees on
 zero-cost path graphs and on graphs with parallel edges, where heap ties
 decide the tree.
+
+The last test counts the bulk driver's work on the seed-1
+``bulk-relative`` cell list in ``perfbench/workloads.py``, sized as
+``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, as
+``tests/test_search_work.py`` counts the exact search's: sampled trees,
+hitting instances built, level-oracle evaluations, and calls of the
+union-find checks ``is_bulk_feasible`` and ``is_rsndp_feasible``.  A change
+that lowers them on purpose re-pins them and names each one in its log.
 """
 
+import contextlib
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -22,8 +32,9 @@ run.import_faultnet()
 
 from faultnet import bulk, instances  # noqa: E402
 from faultnet.graph import FaultGraph  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import WORKLOADS, run_cells  # noqa: E402
 
+SECONDS = 5
 WORKLOAD = "bulk-relative"
 
 
@@ -75,3 +86,60 @@ def test_trees_with_parallel_edges_are_pinned():
     ]
     trees = [bulk.sample_tree(g, seed=s) for g in graphs for s in range(40)]
     assert tree_digest(trees) == "68e91f670dec87102f19b7eee11ca716572768d2fe5ffab740b6e3ee80a8d9fc"
+
+
+# Every counted function goes through its module attribute in each module
+# that holds it, as perfbench's tracer wraps them.
+COUNTED = ("sample_tree", "build_hitting_instance", "is_bulk_feasible", "is_rsndp_feasible")
+
+
+@contextlib.contextmanager
+def counting_bulk_calls():
+    """Counts the calls of ``COUNTED`` and the evaluations of every level
+    oracle that ``bulk._violations_of_level`` builds while active; yields
+    the Counter, keyed by function name and ``level_oracle``."""
+    counts = Counter({name: 0 for name in COUNTED + ("level_oracle",)})
+    modules = [mod for name, mod in sys.modules.items() if name.startswith("faultnet")]
+    build_oracle = bulk._violations_of_level
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def counted_oracle(*args, **kwargs):
+        return counted("level_oracle", build_oracle(*args, **kwargs))
+
+    originals = {getattr(bulk, name): counted(name, getattr(bulk, name)) for name in COUNTED}
+    originals[build_oracle] = counted_oracle
+    patched = []
+    for mod in modules:
+        for attr, value in list(vars(mod).items()):
+            if callable(value) and value in originals:
+                patched.append((mod, attr, value))
+                setattr(mod, attr, originals[value])
+    try:
+        yield counts
+    finally:
+        for mod, attr, value in reversed(patched):
+            setattr(mod, attr, value)
+
+
+BULK_CALLS = {
+    "sample_tree": 2288,
+    "build_hitting_instance": 602,
+    "level_oracle": 679,
+    "is_bulk_feasible": 262,
+    "is_rsndp_feasible": 86,
+}
+
+
+def test_seed_1_bulk_driver_work_is_unchanged():
+    workload = WORKLOADS[WORKLOAD]
+    cells = workload.make_cells(1, workload.cell_count(SECONDS))
+    with counting_bulk_calls() as counts:
+        outcomes, _wall = run_cells(cells)
+    assert [out.error for out in outcomes if out.error] == []
+    assert dict(counts) == BULK_CALLS
