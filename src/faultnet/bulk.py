@@ -40,8 +40,8 @@ the cuts of a bulk level and of a flexible round into edge sets.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -103,62 +103,67 @@ class TreeEmbedding:
         return tuple(left + right[::-1])
 
 
-def _dijkstra(g: FaultGraph, weights: Sequence[float], root: int):
-    INF = float("inf")
-    dist = [INF] * g.n
-    parent_v = [-1] * g.n
-    parent_e = [-1] * g.n
-    dist[root] = 0.0
-    heap = [(0.0, root)]
-    done = [False] * g.n
-    while heap:
-        d, x = heapq.heappop(heap)
-        if done[x]:
-            continue
-        done[x] = True
-        for eid in g.incident(x):
-            e = g.edges[eid]
-            y = e.v if x == e.u else e.u
-            nd = d + weights[eid]
-            if nd < dist[y] - 1e-15:
-                dist[y] = nd
-                parent_v[y] = x
-                parent_e[y] = eid
-                heapq.heappush(heap, (nd, y))
-    return dist, parent_v, parent_e
+def _neighbour_table(g: FaultGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """``_neighbour_table(g)[x]``: the (other endpoint, edge id) of each
+    edge at x, in ``g.incident(x)`` order.
+
+    Built on the first call and kept on g itself, as
+    :func:`faultnet.cuts.crossing_table` keeps its table, so it lives
+    exactly as long as the graph."""
+    table = g._neighbours
+    if table is None:
+        edges = g.edges
+        table = g._neighbours = tuple(
+            tuple((edges[eid].v if edges[eid].u == x else edges[eid].u, eid) for eid in g.incident(x))
+            for x in range(g.n)
+        )
+    return table
 
 
 def sample_tree(g: FaultGraph, seed: int = 0) -> TreeEmbedding:
     """Random low-ish-stretch spanning tree, deterministic per seed.
 
     Edge costs get a multiplicative log-uniform [1, 2] perturbation, then a
-    shortest-path tree is grown from a random root.  Downstream correctness
-    never depends on the stretch, only expected cost does.
+    shortest-path tree is grown from a random root by Dijkstra on g's
+    neighbour table (:func:`_neighbour_table`).  The draws are m calls to
+    ``random()``, one per edge in id order, then ``randrange(n)`` for the
+    root.  Downstream correctness never depends on the stretch, only
+    expected cost does.
     """
     rng = Random(seed)
-    weights = [e.cost * (2.0 ** rng.random()) for e in g.edges]
-    root = rng.randrange(g.n)
-    dist, parent_v, parent_e = _dijkstra(g, weights, root)
-    if any(d == float("inf") for d in dist):
+    draw = rng.random
+    weights = [e.cost * (2.0 ** draw()) for e in g.edges]
+    n = g.n
+    root = rng.randrange(n)
+    neighbours = _neighbour_table(g)
+    dist = [float("inf")] * n
+    parent_v = [-1] * n
+    parent_e = [-1] * n
+    depth = [-1] * n  # -1 until popped
+    dist[root] = 0.0
+    heap = [(0.0, root)]
+    while heap:
+        d, x = heappop(heap)
+        if depth[x] >= 0:
+            continue
+        # Depth comes from the parent, which weights >= 0 pop first; with
+        # zero-cost edges, distance order can put a child before its parent.
+        depth[x] = depth[parent_v[x]] + 1 if x != root else 0
+        for y, eid in neighbours[x]:
+            nd = d + weights[eid]
+            if nd < dist[y] - 1e-15:
+                dist[y] = nd
+                parent_v[y] = x
+                parent_e[y] = eid
+                heappush(heap, (nd, y))
+    if -1 in depth:
         raise Disconnected("graph is not connected")
-    # Depths follow the parent chains: with zero-cost edges, distance order
-    # can put a child before its parent.
-    depth = [-1] * g.n
-    depth[root] = 0
-    for v in range(g.n):
-        chain = []
-        while depth[v] < 0:
-            chain.append(v)
-            v = parent_v[v]
-        for u in reversed(chain):
-            depth[u] = depth[v] + 1
-            v = u
     return TreeEmbedding(
         root=root,
         parent_vertex=tuple(parent_v),
         parent_edge=tuple(parent_e),
         depth=tuple(depth),
-        tree_edges=frozenset(parent_e[v] for v in range(g.n) if v != root),
+        tree_edges=frozenset(parent_e[v] for v in range(n) if v != root),
     )
 
 
@@ -180,14 +185,6 @@ class HittingInstance:
     hits: dict  # element id -> frozenset of set indices
 
 
-def _crossed(cross: list[int], edge_ids: Iterable[int]) -> int:
-    """The packed set of cuts that one of the edges crosses."""
-    out = 0
-    for eid in edge_ids:
-        out |= cross[eid]
-    return out
-
-
 def build_hitting_instance(
     g: FaultGraph,
     H: frozenset,
@@ -196,7 +193,13 @@ def build_hitting_instance(
     counts: Boundary | None = None,
 ) -> HittingInstance:
     """The hitting instance of ``viol`` in H over the tree's fundamental
-    cycles; ``counts`` is H's Boundary when the caller already has it."""
+    cycles; ``counts`` is H's Boundary when the caller already has it.
+
+    One walk of each cycle gives its cost terms, summed in the cycle's
+    own iteration order as ``g.total_cost`` sums them, and the packed set
+    of cuts that its edges cross.  A set whose dead cuts the whole cycle
+    misses is not hit; otherwise, when F meets the cycle, the cuts of its
+    edges outside F decide."""
     if counts is None:
         counts = Boundary(g, H)
     lay, cross = counts.layout, counts.cross
@@ -204,19 +207,31 @@ def build_hitting_instance(
     # The dead cuts of each set, moved from the guard bits to the low bits
     # of their fields, where the packed crossing sets have theirs.
     dead_cuts = [(F, (lay.scope((pair,)) & counts.cut_off(F)) >> shift) for F, pair in viol]
+    edges = g.edges
     elements = tuple(sorted(g.all_edge_ids() - H))
     costs = {}
     hits = {}
     for eid in elements:
-        e = g.edges[eid]
+        e = edges[eid]
         cycle = frozenset({eid}) | frozenset(tree.path(e.u, e.v))
-        costs[eid] = g.total_cost(cycle)
-        whole = _crossed(cross, cycle)
+        terms = []
+        whole = 0
+        for x in cycle:
+            terms.append(edges[x].cost)
+            whole |= cross[x]
+        costs[eid] = sum(terms)
         hit = []
         for si, (F, dead) in enumerate(dead_cuts):
-            alive = whole if F.isdisjoint(cycle) else _crossed(cross, cycle - F)
-            if not dead & ~alive:
-                hit.append(si)
+            if dead & ~whole:
+                continue
+            if not F.isdisjoint(cycle):
+                alive = 0
+                for x in cycle:
+                    if x not in F:
+                        alive |= cross[x]
+                if dead & ~alive:
+                    continue
+            hit.append(si)
         hits[eid] = frozenset(hit)
     keys = tuple((tuple(sorted(F)), pair) for F, pair in viol)
     return HittingInstance(keys, elements, costs, hits)

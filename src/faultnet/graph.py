@@ -11,10 +11,11 @@ Both kinds of exhaustive enumeration are checked here against one budget,
 listing of failure sets by :func:`failure_sets`, which also lists them.
 
 Thread safety: a FaultGraph never mutates after construction and can be
-shared freely; all functions here allocate private state.  Its two lazily
-filled fields, the packed layout of :func:`faultnet.cuts.layout_of` and
-the crossing table of :func:`faultnet.cuts.crossing_table`, are pure
-functions of the graph, so a racing second fill stores an equal value.
+shared freely; all functions here allocate private state.  Its three lazily
+filled fields, the packed layout of :func:`faultnet.cuts.layout_of`, the
+crossing table of :func:`faultnet.cuts.crossing_table` and the neighbour
+table of :func:`faultnet.bulk.sample_tree`, are pure functions of the
+graph, so a racing second fill stores an equal value.
 """
 
 from __future__ import annotations
@@ -113,7 +114,9 @@ class FaultGraph:
     semantics); parallel edges are allowed and common.
     """
 
-    __slots__ = ("n", "edges", "_safe_ids", "_unsafe_ids", "_incident", "_layout", "_crossing")
+    __slots__ = (
+        "n", "edges", "_safe_ids", "_unsafe_ids", "_incident", "_layout", "_crossing", "_neighbours",
+    )
 
     def __init__(self, n: int, edge_specs: Sequence[tuple]):
         if n < 1:
@@ -143,6 +146,7 @@ class FaultGraph:
         self._incident = tuple(tuple(ids) for ids in incident)
         self._layout = None  # filled by faultnet.cuts.layout_of
         self._crossing = None  # filled by faultnet.cuts.crossing_table
+        self._neighbours = None  # filled by faultnet.bulk._neighbour_table
 
     # -- basic accessors ---------------------------------------------------
 
