@@ -363,12 +363,21 @@ def augment_bulk(
     contains H_prev, so it survives them too, and that is what the level
     oracle needs to read each violating set off a cut's H-boundary.  The
     check and the oracle run on the cut kernel, with no union-find call
-    and no listing of sub-failures.
+    and no listing of sub-failures.  The level's answers are kept by H
+    for this level only, so the closing check of a kept candidate that
+    some tree left with no violating set asks nothing again.
     """
     H_prev = frozenset(H_prev)
     _check_prior_levels(g, scenarios, H_prev, level)
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
-    violations = _violations_of_level(g, scenarios, level)
+    oracle = _violations_of_level(g, scenarios, level)
+    answers: dict[frozenset, list] = {}
+
+    def violations(H: frozenset, counts: Boundary | None = None) -> list:
+        if H not in answers:
+            answers[H] = oracle(H, counts)
+        return answers[H]
+
     candidate = _best_of_trees(g, H_prev, pairs, violations, level, seed)
     leftover = violations(candidate)
     if leftover:
@@ -382,6 +391,14 @@ def bulk_width(scenarios: Sequence[BulkScenario]) -> int:
     return max((len(sc.fail) for sc in scenarios), default=0)
 
 
+def _augment_levels(g: FaultGraph, scenarios: Sequence[BulkScenario], seed: int) -> frozenset:
+    """Levels 0..width of augment_bulk, from the empty set."""
+    H: frozenset = frozenset()
+    for level in range(bulk_width(scenarios) + 1):
+        H = augment_bulk(g, scenarios, H, level, seed=seed)
+    return H
+
+
 def solve_bulk_sndp(
     g: FaultGraph,
     scenarios: Sequence[BulkScenario],
@@ -393,9 +410,7 @@ def solve_bulk_sndp(
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph cannot satisfy scenario {witness}")
-    H: frozenset = frozenset()
-    for level in range(bulk_width(scenarios) + 1):
-        H = augment_bulk(g, scenarios, H, level, seed=seed)
+    H = _augment_levels(g, scenarios, seed)
     ok, witness = is_bulk_feasible(g, scenarios, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails scenario {witness}")
@@ -469,11 +484,18 @@ def solve_rsndp(
     reqs: Sequence[RelativeRequirement],
     seed: int = 0,
 ) -> frozenset:
-    """Relative SNDP through scenario expansion, oracle-verified."""
+    """Relative SNDP through scenario expansion, oracle-verified.
+
+    The levels of augment_bulk run on the expansion without the bulk
+    driver's two union-find passes over it.  G itself satisfies every
+    scenario by construction, since ``expand_rsndp_to_bulk`` lists only
+    pairs that G - F connects, and ``is_rsndp_feasible``, the check of
+    record, asks the closing question of the bulk driver's second pass.
+    """
     scenarios = expand_rsndp_to_bulk(g, reqs)
     if not scenarios:
         return frozenset()
-    H = solve_bulk_sndp(g, scenarios, seed=seed)
+    H = _augment_levels(g, scenarios, seed)
     ok, witness = is_rsndp_feasible(g, reqs, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails {witness}")

@@ -30,7 +30,7 @@ from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .cover import CutFamily
-from .cuts import Boundary, first_mask, layout_of, masks, separating
+from .cuts import Boundary, Layout, first_mask, layout_of, masks, separating
 from .errors import BaseNotFeasible, PriorLevelNotSatisfied
 from .graph import (
     FaultGraph,
@@ -304,9 +304,10 @@ def _check_prior_levels(
         return
     counts = Boundary(g, H)
     lay = counts.layout
+    scope = _scope_memo(lay)
     light = ~lay.at_least(counts.total, level)
     for sc in scenarios:
-        bad = light & lay.scope(sc.pairs)
+        bad = light & scope(sc.pairs)
         if bad:
             bad &= counts.cut_off(sc.fail)
         if bad:
@@ -330,14 +331,19 @@ def _violations_of_level(
     F.  The violating sets are therefore the δ_H(S) of the cuts in a
     pair's scope with exactly ``level`` edges of H that F_j cuts off: one
     ``cut_off(F_j)`` per scenario with at least ``level`` failed edges,
-    then one decode of each pair's cuts (:func:`_cut_boundaries`).
+    then one decode of each pair's cuts (:func:`_cut_boundaries`).  The
+    scopes are computed once per distinct pair list and once per pair.
     """
     lay = layout_of(g)
-    checks = [
-        (sc.fail, lay.scope(sc.pairs), [(pair, lay.scope((pair,))) for pair in sc.pairs])
-        for sc in scenarios
-        if len(sc.fail) >= level
-    ]
+    scope = _scope_memo(lay)
+    scoped_of: dict[tuple, list[tuple[tuple[int, int], int]]] = {}
+    checks = []
+    for sc in scenarios:
+        if len(sc.fail) >= level:
+            scoped = scoped_of.get(sc.pairs)
+            if scoped is None:
+                scoped = scoped_of[sc.pairs] = [(pair, scope((pair,))) for pair in sc.pairs]
+            checks.append((sc.fail, scope(sc.pairs), scoped))
 
     def violations(
         H: frozenset, counts: Boundary | None = None
@@ -356,6 +362,21 @@ def _violations_of_level(
         return _cut_boundaries(g, H, [(pair, lay.compact(dead)) for pair, dead in dead_of.items()])
 
     return violations
+
+
+def _scope_memo(lay: Layout) -> Callable[[tuple], int]:
+    """``lay.scope`` of a tuple of pairs, computed once per distinct tuple:
+    a relative expansion shares one pair list among thousands of
+    scenarios."""
+    known: dict[tuple, int] = {}
+
+    def scope(pairs: tuple) -> int:
+        out = known.get(pairs)
+        if out is None:
+            out = known[pairs] = lay.scope(pairs)
+        return out
+
+    return scope
 
 
 def _cut_boundaries(

@@ -691,6 +691,29 @@ class TestRsndpDriver:
         ok, _ = is_rsndp_feasible(g, inst.problem.relative, sol)
         assert ok
 
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_graph_satisfies_its_expansion(self, n):
+        # solve_rsndp runs no whole-graph check on the expansion: G must
+        # satisfy every scenario by construction, disconnected G included.
+        rng = Random(7 * n)
+        seen = {"disconnected": 0, "scenarios": 0}
+        for _trial in range(25):
+            m = rng.randint(0, 2 * n)
+            specs = []
+            for _ in range(m):
+                u, v = rng.sample(range(n), 2)
+                specs.append((u, v, rng.randint(1, 5), rng.choice(("safe", "unsafe"))))
+            g = FaultGraph(n, specs)
+            reqs = []
+            for _ in range(rng.randint(1, 3)):
+                s, t = rng.sample(range(n), 2)
+                reqs.append(RelativeRequirement(s, t, rng.randint(1, 3)))
+            scenarios = expand_rsndp_to_bulk(g, reqs)
+            assert is_bulk_feasible(g, scenarios, g.all_edge_ids()) == (True, None)
+            seen["disconnected"] += len(connected_components(g, g.all_edge_ids())) > 1
+            seen["scenarios"] += len(scenarios)
+        assert min(seen.values()) > 0, seen
+
     @pytest.mark.parametrize("seed", range(3))
     def test_r3_random_instances(self, seed):
         inst = generate(
