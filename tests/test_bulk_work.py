@@ -130,8 +130,8 @@ def counting_bulk_calls():
 BULK_CALLS = {
     "sample_tree": 2288,
     "build_hitting_instance": 602,
-    "level_oracle": 679,
-    "is_bulk_feasible": 262,
+    "level_oracle": 505,
+    "is_bulk_feasible": 176,
     "is_rsndp_feasible": 86,
 }
 
