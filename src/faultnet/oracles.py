@@ -30,7 +30,7 @@ from functools import cache
 from typing import Callable, Iterable, Sequence
 
 from .cover import CutFamily
-from .cuts import Boundary, Layout, first_mask, layout_of, masks, separating
+from .cuts import Boundary, first_mask, layout_of, masks, separating
 from .errors import BaseNotFeasible, PriorLevelNotSatisfied
 from .graph import (
     FaultGraph,
@@ -304,10 +304,13 @@ def _check_prior_levels(
         return
     counts = Boundary(g, H)
     lay = counts.layout
-    scope = _scope_memo(lay)
     light = ~lay.at_least(counts.total, level)
+    scope_of: dict[tuple, int] = {}  # one scope per distinct pair list
     for sc in scenarios:
-        bad = light & scope(sc.pairs)
+        scope = scope_of.get(sc.pairs)
+        if scope is None:
+            scope = scope_of[sc.pairs] = lay.scope(sc.pairs)
+        bad = light & scope
         if bad:
             bad &= counts.cut_off(sc.fail)
         if bad:
@@ -332,18 +335,19 @@ def _violations_of_level(
     pair's scope with exactly ``level`` edges of H that F_j cuts off: one
     ``cut_off(F_j)`` per scenario with at least ``level`` failed edges,
     then one decode of each pair's cuts (:func:`_cut_boundaries`).  The
-    scopes are computed once per distinct pair list and once per pair.
+    scenarios are grouped by pair list, so each scope is computed once
+    per distinct pair list and once per pair, and tested once per group.
     """
     lay = layout_of(g)
-    scope = _scope_memo(lay)
-    scoped_of: dict[tuple, list[tuple[tuple[int, int], int]]] = {}
-    checks = []
+    fails_of: dict[tuple, list[frozenset]] = {}
     for sc in scenarios:
         if len(sc.fail) >= level:
-            scoped = scoped_of.get(sc.pairs)
-            if scoped is None:
-                scoped = scoped_of[sc.pairs] = [(pair, scope((pair,))) for pair in sc.pairs]
-            checks.append((sc.fail, scope(sc.pairs), scoped))
+            fails_of.setdefault(sc.pairs, []).append(sc.fail)
+    pair_scope = {pair: lay.scope((pair,)) for pairs in fails_of for pair in pairs}
+    groups = [
+        (lay.scope(pairs), [(pair, pair_scope[pair]) for pair in pairs], fails)
+        for pairs, fails in fails_of.items()
+    ]
 
     def violations(
         H: frozenset, counts: Boundary | None = None
@@ -352,8 +356,13 @@ def _violations_of_level(
             counts = Boundary(g, H)
         exact = lay.exactly(counts.total, level)
         dead_of: dict[tuple[int, int], int] = {}
-        for fail, scope, scoped in checks:
-            dead = exact & scope and exact & counts.cut_off(fail)
+        for scope, scoped, fails in groups:
+            if not exact & scope:
+                continue
+            dead = 0
+            for fail in fails:
+                dead |= counts.cut_off(fail)
+            dead &= exact
             if dead:
                 for pair, pair_scope in scoped:
                     dead_of[pair] = dead_of.get(pair, 0) | (dead & pair_scope)
@@ -362,21 +371,6 @@ def _violations_of_level(
         return _cut_boundaries(g, H, [(pair, lay.compact(dead)) for pair, dead in dead_of.items()])
 
     return violations
-
-
-def _scope_memo(lay: Layout) -> Callable[[tuple], int]:
-    """``lay.scope`` of a tuple of pairs, computed once per distinct tuple:
-    a relative expansion shares one pair list among thousands of
-    scenarios."""
-    known: dict[tuple, int] = {}
-
-    def scope(pairs: tuple) -> int:
-        out = known.get(pairs)
-        if out is None:
-            out = known[pairs] = lay.scope(pairs)
-        return out
-
-    return scope
 
 
 def _cut_boundaries(
