@@ -6,6 +6,12 @@ each remaining violating (failure set, pair) with a fundamental cycle
 {e} + tree path of e, chosen by the greedy hitting-set rule.  ``TREES`` = 8
 trees are tried per level and the cheapest feasible outcome kept.
 
+A tree is a shortest-path tree under perturbed costs, grown by Dijkstra
+on a neighbour table that each graph builds once and keeps; each
+vertex's depth is set when it is popped, from its parent's.  Most trees
+serve only the skip test below, so the sampling is the loop's largest
+fixed cost.
+
 A tree is evaluated only if it can still win: once a best is kept, a tree
 whose paths alone (H - H_prev) cost more than best * (1 + 1e-9) is
 skipped, since costs are >= 0, each of its candidates holds H, and a float
@@ -13,7 +19,10 @@ sum of at most m terms >= 0 is within relative m * 2^-53 of its exact
 value in any order.  Each distinct H is evaluated once per level: its
 Boundary and violating sets are kept in a per-loop memo, and that one
 Boundary also serves the hitting instance.  Neither shortcut can change
-the kept tree.
+the kept tree.  The hitting instance walks each fundamental cycle once,
+for its cost and the cuts its edges cross.  The bulk level's closing
+check reads the same per-level answers by H, so a candidate that is
+some tree's H is not evaluated again.
 
 Every connectivity question of the loop is a cut condition answered on the
 packed cut kernel.  F cuts a pair in H when a cut that separates the pair is
@@ -29,7 +38,9 @@ inside the scenario's failure set.  So the number of sub-failures, the
 sum of 2^|F_j|, bounds no work and is not checked against any budget.
 
 The flexible and relative drivers reduce to this machinery.  The relative
-driver expands its requirements into an explicit scenario list.  The
+driver expands its requirements into an explicit scenario list and runs
+the bulk levels on it; G satisfies the list by construction, and
+``is_rsndp_feasible`` is its one closing check.  The
 flexible driver seeds with :func:`faultnet.flexalg.flex_base` at the
 (p_i, 0) level and activates pairs round by round, honoring heterogeneous
 (p_i, q_i) requirements; each round's violating sets are the H-boundaries
@@ -146,8 +157,9 @@ def sample_tree(g: FaultGraph, seed: int = 0) -> TreeEmbedding:
         d, x = heappop(heap)
         if depth[x] >= 0:
             continue
-        # Depth comes from the parent, which weights >= 0 pop first; with
-        # zero-cost edges, distance order can put a child before its parent.
+        # Weights are >= 0, so a parent pops before its child and the depth
+        # comes from the parent's; distance order would not do, as with
+        # zero-cost edges it can put a child before its parent.
         depth[x] = depth[parent_v[x]] + 1 if x != root else 0
         for y, eid in neighbours[x]:
             nd = d + weights[eid]

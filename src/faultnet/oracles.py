@@ -343,9 +343,9 @@ def _violations_of_level(
     for sc in scenarios:
         if len(sc.fail) >= level:
             fails_of.setdefault(sc.pairs, []).append(sc.fail)
-    pair_scope = {pair: lay.scope((pair,)) for pairs in fails_of for pair in pairs}
+    scope_of_pair = {pair: lay.scope((pair,)) for pairs in fails_of for pair in pairs}
     groups = [
-        (lay.scope(pairs), [(pair, pair_scope[pair]) for pair in pairs], fails)
+        (lay.scope(pairs), [(pair, scope_of_pair[pair]) for pair in pairs], fails)
         for pairs, fails in fails_of.items()
     ]
 
