@@ -36,6 +36,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import cuts
 from .errors import LpInfeasible, UnsupportedParameters
 from .graph import FaultGraph, guard_sweep, st_cut_masks
 from .oracles import BulkScenario, FlexRequirement, Problem, uniform_pq
@@ -130,30 +131,54 @@ def _cutting_plane(
 def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> list[int]:
     """Canonical cuts separating at least one requirement pair, each once,
     in order of first appearance over the requirements in
-    ``st_cut_masks`` order.  Separation ties break on this order."""
+    ``st_cut_masks`` order.  Separation ties break on this order.
+
+    One pass over the requirements: the cut set of the cuts listed so far
+    skips a pair with no unseen cut before its ``st_cut_masks`` are built,
+    and the pass stops once every cut is listed."""
     guard_sweep(g.n)
     full = (1 << g.n) - 1
-    masks = np.concatenate([np.array(st_cut_masks(g.n, r.s, r.t), dtype=np.int64) for r in reqs])
-    canonical = np.minimum(masks, full ^ masks)
-    _values, first = np.unique(canonical, return_index=True)
-    return canonical[np.sort(first)].tolist()
+    every = (1 << (1 << (g.n - 1)) - 1) - 1
+    seen = 0
+    listed = np.zeros(1 << (g.n - 1), dtype=bool)
+    out: list[int] = []
+    for r in reqs:
+        sep = cuts.separating(g.n, r.s, r.t)
+        if not sep & ~seen:
+            continue
+        seen |= sep
+        masks = np.array(st_cut_masks(g.n, r.s, r.t), dtype=np.int64)
+        canonical = np.minimum(masks, full ^ masks)
+        fresh = canonical[~listed[canonical]]
+        listed[fresh] = True
+        out += fresh.tolist()
+        if seen == every:
+            break
+    return out
 
 
 def _crossing_matrix(g: FaultGraph, masks: Sequence[int]) -> np.ndarray:
-    """Bool (cuts x edges) matrix: row i marks the edges crossing masks[i]."""
-    side = (np.array(masks, dtype=np.int64)[:, None] >> np.arange(g.n)) & 1
+    """Bool (cuts x edges) matrix: row i marks the edges crossing masks[i].
+
+    It is column-major, so that ``_id_order_sums`` reads it without a copy."""
+    side = (np.array(masks, dtype=np.int64) >> np.arange(g.n)[:, None]) & 1
     u = [e.u for e in g.edges]
     v = [e.v for e in g.edges]
-    return side[:, u] != side[:, v]
+    return (side[u] != side[v]).T
 
 
 def _id_order_sums(weights: np.ndarray) -> np.ndarray:
     """Row sums added left to right, as a loop over edge ids adds them.
 
-    ``@`` and ``np.sum`` may reorder the additions and change the last bits."""
+    ``np.add.reduce`` along the rows of a column-major array adds one whole
+    column at a time, in column order.  ``@`` and ``np.sum`` may reorder
+    the additions and change the last bits, and so does the reduction of a
+    single row, which is one contiguous run that numpy adds pairwise."""
     if weights.shape[1] == 0:
         return np.zeros(weights.shape[0])
-    return np.add.accumulate(weights, axis=1)[:, -1]
+    if weights.shape[0] == 1:
+        return np.add.accumulate(weights, axis=1)[:, -1]
+    return np.add.reduce(np.asfortranarray(weights), axis=1)
 
 
 def _top_sums(values: np.ndarray, q: int) -> np.ndarray:

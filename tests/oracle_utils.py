@@ -784,6 +784,15 @@ def loop_sum(values) -> float:
     return total
 
 
+def separating_masks_reference(n: int, reqs) -> list[int]:
+    """Canonical sides of the cuts that separate a requirement pair, each
+    once, in first-appearance order over every requirement's s-t cuts."""
+    full = (1 << n) - 1
+    return list(
+        dict.fromkeys(min(mask, full ^ mask) for r in reqs for mask in nested_st_masks(n, r.s, r.t))
+    )
+
+
 def loop_separate_flex(g: FaultGraph, reqs, x):
     """Reference flex separator: a loop over every cut's crossing edges.
 
@@ -794,10 +803,7 @@ def loop_separate_flex(g: FaultGraph, reqs, x):
     violation is larger by more than 1e-15.
     """
     (p, q), = {(r.p, r.q) for r in reqs}
-    full = (1 << g.n) - 1
-    masks = dict.fromkeys(
-        min(mask, full ^ mask) for r in reqs for mask in nested_st_masks(g.n, r.s, r.t)
-    )
+    masks = separating_masks_reference(g.n, reqs)
     best_cap = None
     best_flex = None
     for mask in masks:

@@ -1,4 +1,6 @@
 import itertools
+import math
+import tracemalloc
 from random import Random
 
 import numpy as np
@@ -31,6 +33,7 @@ from oracle_utils import (
     random_graph,
     random_lp,
     separate_flex_definitional,
+    separating_masks_reference,
     two_phase_lp,
 )
 
@@ -413,16 +416,83 @@ class TestSeparatorsMatchLoop:
         assert sol.separation_clean and len(rounds) == sol.rounds > 1
 
 
+def _all_pairs(n: int) -> list:
+    return [FlexRequirement(s, t, 1, 0) for s in range(n) for t in range(s + 1, n)]
+
+
+class TestSeparatingMasks:
+    """The cut list keeps the reference's first-appearance order."""
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_all_pairs(self, n):
+        reqs = _all_pairs(n)
+        masks = lp._separating_masks(FaultGraph(n, []), reqs)
+        assert masks == separating_masks_reference(n, reqs)
+        assert sorted(masks) == list(range(1, 1 << (n - 1)))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_single_pairs(self, n):
+        g = FaultGraph(n, [])
+        for s, t in itertools.permutations(range(n), 2):
+            reqs = [FlexRequirement(s, t, 1, 0)]
+            assert lp._separating_masks(g, reqs) == separating_masks_reference(n, reqs)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_pair_lists(self, seed):
+        rng = Random(seed)
+        n = rng.randint(2, 8)
+        pairs = list(itertools.permutations(range(n), 2))
+        # Repeats and both orientations of a pair included.
+        reqs = [FlexRequirement(*rng.choice(pairs), 1, 0) for _ in range(rng.randint(1, 12))]
+        masks = lp._separating_masks(FaultGraph(n, []), reqs)
+        assert masks == separating_masks_reference(n, reqs)
+
+    def test_all_pairs_at_n_16_lists_in_one_pass(self):
+        # Concatenating the s-t masks of all 120 pairs took 120 * 16,384
+        # masks of 8 bytes, 15.7 MB, before the first one was dropped.
+        reqs = _all_pairs(16)
+        g = FaultGraph(16, [])
+        tracemalloc.start()
+        try:
+            masks = lp._separating_masks(g, reqs)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(masks) == (1 << 15) - 1
+        assert peak < 4 * 2**20
+
+
 class TestVectorKernels:
     """The separators' vector steps keep a loop's float arithmetic."""
 
-    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 17, 40])
+    @pytest.mark.parametrize("m", [0, 1, 7, 8, 9, 17, 40, 41])
     def test_id_order_sums(self, m):
         rng = Random(m)
         values = lambda: rng.choice((0.0, 1 / 3, rng.random(), 1e-3 * rng.random()))
         rows = [[values() for _ in range(m)] for _ in range(30)]
-        sums = lp._id_order_sums(np.array(rows, dtype=float).reshape(30, m))
-        assert [repr(v) for v in sums.tolist()] == [repr(loop_sum(row)) for row in rows]
+        # Rows whose sum depends on the order of the additions: left to
+        # right, 1.0 absorbs each 2**-53 (at m = 41, 1.0 where math.fsum
+        # gives 1.0000000000000044 and np.sum 1.000000000000004).
+        tiny = 2.0**-53
+        ordered = []
+        if m >= 3:
+            ordered = [
+                [1.0] + [tiny] * (m - 1),
+                [tiny] * (m - 1) + [1.0],
+                [1.0, 1.0] + [tiny] * (m - 2),
+                [tiny if i % 3 else 1.0 for i in range(m)],
+            ]
+            assert all(math.fsum(row) != loop_sum(row) for row in ordered[::2])
+        rows = ordered + rows
+        expected = [repr(loop_sum(row)) for row in rows]
+        for layout in ("C", "F"):
+            sums = lp._id_order_sums(np.array(rows, dtype=float, order=layout).reshape(len(rows), m))
+            assert [repr(v) for v in sums.tolist()] == expected
+        # One row is one contiguous run, and two rows are the fewest that
+        # np.add.reduce can add column by column.
+        for few in (rows[:1], rows[:2]):
+            sums = lp._id_order_sums(np.array(few, dtype=float).reshape(len(few), m))
+            assert [repr(v) for v in sums.tolist()] == expected[: len(few)]
 
     @pytest.mark.parametrize("q", [0, 1, 2, 3, 9, 12])
     def test_top_sums(self, q):
