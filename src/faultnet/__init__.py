@@ -10,7 +10,7 @@ from .cover import check_uncrossable, primal_dual_cover, ring_cover_exact
 from .exact import exact_solve
 from .flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
 from .flow import Flow, flow_decompose, min_cost_flow
-from .graph import FaultGraph, VertexCut, boundary, connected_components
+from .graph import FaultGraph, VertexCut, boundary, connected_components, same_component
 from .instances import InstanceFile, generate, parse, serialize
 from .gap import gap_experiment
 from .lp import separate_bulk, separate_flex, solve_lp
@@ -34,6 +34,7 @@ __all__ = [
     "VertexCut",
     "boundary",
     "connected_components",
+    "same_component",
     "Flow",
     "min_cost_flow",
     "flow_decompose",

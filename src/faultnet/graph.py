@@ -265,21 +265,24 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def connected_components(g: FaultGraph, F: Iterable[int]) -> list[frozenset]:
-    """Components of (V, F), sorted by smallest member vertex."""
+def component_labels(g: FaultGraph, F: Iterable[int]) -> list[int]:
+    """Per vertex, a label of its component of (V, F): two vertices share
+    a component exactly when their labels are equal."""
     uf = _UnionFind(g.n)
     for eid in F:
         e = g.edges[eid]
         uf.union(e.u, e.v)
+    return [uf.find(v) for v in range(g.n)]
+
+
+def connected_components(g: FaultGraph, F: Iterable[int]) -> list[frozenset]:
+    """Components of (V, F), sorted by smallest member vertex."""
     groups: dict[int, list[int]] = {}
-    for v in range(g.n):
-        groups.setdefault(uf.find(v), []).append(v)
+    for v, label in enumerate(component_labels(g, F)):
+        groups.setdefault(label, []).append(v)
     return sorted((frozenset(vs) for vs in groups.values()), key=min)
 
 
 def same_component(g: FaultGraph, F: Iterable[int], u: int, v: int) -> bool:
-    uf = _UnionFind(g.n)
-    for eid in F:
-        e = g.edges[eid]
-        uf.union(e.u, e.v)
-    return uf.find(u) == uf.find(v)
+    labels = component_labels(g, F)
+    return labels[u] == labels[v]

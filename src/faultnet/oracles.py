@@ -36,9 +36,9 @@ from .graph import (
     FaultGraph,
     VertexCut,
     boundary,
+    component_labels,
     connected_components,
     failure_sets,
-    same_component,
 )
 
 
@@ -212,19 +212,27 @@ def is_bulk_feasible(
 def is_rsndp_feasible(
     g: FaultGraph, reqs: Sequence[RelativeRequirement], H: Iterable[int]
 ) -> tuple[bool, RsndpWitness | None]:
-    """Definition-level check: enumerate all F with |F| < max r_i."""
+    """Definition-level check: enumerate all F with |F| < max r_i.
+
+    Per F, the components of H - F are labelled once, and those of G - F
+    only when a requirement's pair is apart in H - F; the witness is the
+    first F in enumeration order and its first requirement, in order,
+    whose pair G - F connects and H - F does not."""
     H = frozenset(H)
     max_r = max((req.r for req in reqs), default=1)
     for combo in failure_sets(g.m, max_r - 1):
         F = frozenset(combo)
-        g_alive = g.all_edge_ids() - F
-        h_alive = H - F
+        h_label = g_label = None
         for req in reqs:
             if req.r <= len(F):
                 continue
-            if same_component(g, g_alive, req.s, req.t) and not same_component(
-                g, h_alive, req.s, req.t
-            ):
+            if h_label is None:
+                h_label = component_labels(g, H - F)
+            if h_label[req.s] == h_label[req.t]:
+                continue
+            if g_label is None:
+                g_label = component_labels(g, g.all_edge_ids() - F)
+            if g_label[req.s] == g_label[req.t]:
                 return False, RsndpWitness(req, F)
     return True, None
 

@@ -308,7 +308,7 @@ def test_zero_cut_idiom_stays_in_the_kernel():
     assert found <= {"cuts.py"}
 
 
-UNION_FIND = re.compile(r"\b(same_component|connected_components)\b")
+UNION_FIND = re.compile(r"\b(same_component|connected_components|component_labels)\b")
 # graph.py defines union-find connectivity, oracles.py keeps it as the
 # reference the cut kernel is tested against, and __init__.py re-exports
 # graph's public names.
