@@ -18,11 +18,13 @@ sweep over canonical cuts (the polynomial-time enumeration device the desk
 scale replaces) with the exact prefix rule for choosing B: a cut is violated
 for some B iff it is violated for the q unsafe boundary edges of largest
 fractional value.  The graph and the cut list stay fixed for a whole run, so
-each run builds one bool crossing matrix (cuts x edges) once, and every round
-prices all cuts with a few vector operations on it.  Those operations keep the
+each run lists its cuts in one pass over the requirements and builds one
+column-major bool crossing matrix (cuts x edges) once, and every round prices
+all cuts with a few vector operations on it.  Those operations keep the
 arithmetic of a loop over each cut's crossing edges: sums run left to right in
-edge-id order (``np.add.accumulate``, never ``@`` or ``np.sum``, which may
-reorder them), and the most violated cut is chosen by the loop's scan, where a
+edge-id order (``np.add.reduce`` over the rows of a column-major array, which
+adds whole columns in turn; never ``@`` or ``np.sum``, which may reorder the
+additions), and the most violated cut is chosen by the loop's scan, where a
 later cut wins only by more than 1e-15.  So every round picks the same row,
 bit for bit, as a plain loop would.  The tests keep slow definitional
 checks of both row families, over every cut and every failure set B, in
@@ -138,9 +140,10 @@ def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> list[in
     and the pass stops once every cut is listed."""
     guard_sweep(g.n)
     full = (1 << g.n) - 1
-    every = (1 << (1 << (g.n - 1)) - 1) - 1
+    cut_count = (1 << (g.n - 1)) - 1
+    every = (1 << cut_count) - 1
     seen = 0
-    listed = np.zeros(1 << (g.n - 1), dtype=bool)
+    listed = np.zeros(cut_count + 1, dtype=bool)  # by canonical mask
     out: list[int] = []
     for r in reqs:
         sep = cuts.separating(g.n, r.s, r.t)
@@ -160,7 +163,8 @@ def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> list[in
 def _crossing_matrix(g: FaultGraph, masks: Sequence[int]) -> np.ndarray:
     """Bool (cuts x edges) matrix: row i marks the edges crossing masks[i].
 
-    It is column-major, so that ``_id_order_sums`` reads it without a copy."""
+    It is column-major, and so are the weights ``np.where`` takes from it,
+    which ``_id_order_sums`` then adds up without a copy."""
     side = (np.array(masks, dtype=np.int64) >> np.arange(g.n)[:, None]) & 1
     u = [e.u for e in g.edges]
     v = [e.v for e in g.edges]
