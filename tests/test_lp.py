@@ -416,16 +416,12 @@ class TestSeparatorsMatchLoop:
         assert sol.separation_clean and len(rounds) == sol.rounds > 1
 
 
-def _all_pairs(n: int) -> list:
-    return [FlexRequirement(s, t, 1, 0) for s in range(n) for t in range(s + 1, n)]
-
-
 class TestSeparatingMasks:
     """The cut list keeps the reference's first-appearance order."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_all_pairs(self, n):
-        reqs = _all_pairs(n)
+        reqs = fgc_requirements(n, 1, 0)
         masks = lp._separating_masks(FaultGraph(n, []), reqs)
         assert masks == separating_masks_reference(n, reqs)
         assert sorted(masks) == list(range(1, 1 << (n - 1)))
@@ -448,9 +444,9 @@ class TestSeparatingMasks:
         assert masks == separating_masks_reference(n, reqs)
 
     def test_all_pairs_at_n_16_lists_in_one_pass(self):
-        # Concatenating the s-t masks of all 120 pairs took 120 * 16,384
-        # masks of 8 bytes, 15.7 MB, before the first one was dropped.
-        reqs = _all_pairs(16)
+        # Well below the 15.7 MB that the s-t masks of all 120 pairs take
+        # together (120 * 16,384 masks of 8 bytes).
+        reqs = fgc_requirements(16, 1, 0)
         g = FaultGraph(16, [])
         tracemalloc.start()
         try:
