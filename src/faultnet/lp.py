@@ -38,7 +38,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import cuts
 from .errors import LpInfeasible, UnsupportedParameters
 from .graph import FaultGraph, guard_sweep, st_cut_masks
 from .oracles import BulkScenario, FlexRequirement, Problem, uniform_pq
@@ -135,27 +134,20 @@ def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> list[in
     in order of first appearance over the requirements in
     ``st_cut_masks`` order.  Separation ties break on this order.
 
-    One pass over the requirements: the cut set of the cuts listed so far
-    skips a pair with no unseen cut before its ``st_cut_masks`` are built,
-    and the pass stops once every cut is listed."""
+    One pass over the requirements, marking each listed cut in a bool
+    array, that stops once every cut is listed."""
     guard_sweep(g.n)
     full = (1 << g.n) - 1
     cut_count = (1 << (g.n - 1)) - 1
-    every = (1 << cut_count) - 1
-    seen = 0
     listed = np.zeros(cut_count + 1, dtype=bool)  # by canonical mask
     out: list[int] = []
     for r in reqs:
-        sep = cuts.separating(g.n, r.s, r.t)
-        if not sep & ~seen:
-            continue
-        seen |= sep
         masks = np.array(st_cut_masks(g.n, r.s, r.t), dtype=np.int64)
         canonical = np.minimum(masks, full ^ masks)
         fresh = canonical[~listed[canonical]]
         listed[fresh] = True
         out += fresh.tolist()
-        if seen == every:
+        if len(out) == cut_count:
             break
     return out
 
