@@ -20,9 +20,13 @@ value in any order.  Each distinct H is evaluated once per level: its
 Boundary and violating sets are kept in a per-loop memo, and that one
 Boundary also serves the hitting instance.  Neither shortcut can change
 the kept tree.  The hitting instance walks each fundamental cycle once,
-for its cost and the cuts its edges cross.  The bulk level's closing
-check reads the same per-level answers by H, so a candidate that is
-some tree's H is not evaluated again.
+for its cost and the cuts its edges cross.
+
+Every level closes on its own oracle: the kept candidate's violating sets
+are read from the same memo, or asked once when no tree's H is the
+candidate, and a level that leaves any is refused.  The oracle's answer
+is right there: the candidate holds H_prev, so it meets the oracle's
+precondition whenever H_prev does.
 
 Every connectivity question of the loop is a cut condition answered on the
 packed cut kernel.  F cuts a pair in H when a cut that separates the pair is
@@ -31,22 +35,24 @@ a zero cut of H - F, one that F cuts off in H
 (F, pair), and a fundamental cycle C reconnects the pair exactly when the
 edges of C - F cross every dead cut.  The level oracle and the
 precondition on H_prev are the kernel's, in :mod:`faultnet.oracles`; only
-the drivers' final checks use union-find.  No level lists sub-failures:
-once H survives every smaller one, a violating F of a level is, by
-Menger, the H-boundary of a cut with exactly that many edges of H, all
-inside the scenario's failure set.  So the number of sub-failures, the
+the bulk and relative checks of record use union-find.  No level lists
+sub-failures: once H survives every smaller one, a violating F of a level
+is, by Menger, the H-boundary of a cut with exactly that many edges of H,
+all inside the scenario's failure set.  So the number of sub-failures, the
 sum of 2^|F_j|, bounds no work and is not checked against any budget.
 
 The flexible and relative drivers reduce to this machinery.  The relative
 driver expands its requirements into an explicit scenario list and runs
 the bulk levels on it; G satisfies the list by construction, and
-``is_rsndp_feasible`` is its one closing check.  The
+``is_rsndp_feasible`` is its check of record.  The
 flexible driver seeds with :func:`faultnet.flexalg.flex_base` at the
 (p_i, 0) level and activates pairs round by round, honoring heterogeneous
-(p_i, q_i) requirements; each round's violating sets are the H-boundaries
-of the kernel's tight cuts (``_flex_violating_sets``), with no scenario
-expansion.  One decoder (:func:`faultnet.oracles._cut_boundaries`) turns
-the cuts of a bulk level and of a flexible round into edge sets.
+(p_i, q_i) requirements; each round's oracle reads the violating sets off
+the H-boundaries of the kernel's tight cuts (``_flex_violating_sets``),
+with no scenario expansion, and ``is_flex_feasible`` on the answer is
+its check of record.  One decoder
+(:func:`faultnet.oracles._cut_boundaries`) turns the cuts of a bulk level
+and of a flexible round into edge sets.
 """
 
 from __future__ import annotations
@@ -294,7 +300,7 @@ def _best_of_trees(
     g: FaultGraph,
     H_prev: frozenset,
     pairs: Sequence[tuple[int, int]],
-    violating: Callable[[frozenset, Boundary], list],
+    violating: Callable[[frozenset, Boundary | None], list],
     level: int,
     seed: int,
 ) -> frozenset:
@@ -306,6 +312,10 @@ def _best_of_trees(
     fundamental cycles.  A tree whose instance is unhittable is skipped;
     when every tree is, InfeasibleAugmentation is raised from the last
     Unhittable.
+
+    The level then closes on ``violating``: InfeasibleAugmentation is
+    raised if the kept candidate has a violating set, read from the memo
+    below or, when no tree's H is the candidate, asked once.
 
     Two shortcuts leave the result unchanged.  A tree is not evaluated when
     a best is kept and its paths alone, H - H_prev, cost more than
@@ -353,7 +363,13 @@ def _best_of_trees(
         raise InfeasibleAugmentation(
             f"level {level}: every tree failed, last with {unhittable}"
         ) from unhittable
-    return best[1]
+    candidate = best[1]
+    leftover = seen[candidate][1] if candidate in seen else violating(candidate, None)
+    if leftover:
+        raise InfeasibleAugmentation(
+            f"level {level}: cover left {len(leftover)} violating sets"
+        )
+    return candidate
 
 
 def augment_bulk(
@@ -375,28 +391,15 @@ def augment_bulk(
     contains H_prev, so it survives them too, and that is what the level
     oracle needs to read each violating set off a cut's H-boundary.  The
     check and the oracle run on the cut kernel, with no union-find call
-    and no listing of sub-failures.  The level's answers are kept by H
-    for this level only, so the closing check of a kept candidate that
-    some tree left with no violating set asks nothing again.
+    and no listing of sub-failures; ``_best_of_trees`` closes the level on
+    the oracle.
     """
     H_prev = frozenset(H_prev)
     _check_prior_levels(g, scenarios, H_prev, level)
     pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
-    oracle = _violations_of_level(g, scenarios, level)
-    answers: dict[frozenset, list] = {}
-
-    def violations(H: frozenset, counts: Boundary | None = None) -> list:
-        if H not in answers:
-            answers[H] = oracle(H, counts)
-        return answers[H]
-
-    candidate = _best_of_trees(g, H_prev, pairs, violations, level, seed)
-    leftover = violations(candidate)
-    if leftover:
-        raise InfeasibleAugmentation(
-            f"level {level}: cover left {len(leftover)} violating sets"
-        )
-    return candidate
+    return _best_of_trees(
+        g, H_prev, pairs, _violations_of_level(g, scenarios, level), level, seed
+    )
 
 
 def bulk_width(scenarios: Sequence[BulkScenario]) -> int:
@@ -461,7 +464,12 @@ def solve_flex_sndp(
     seed: int = 0,
 ) -> frozenset:
     """Heterogeneous flexible SNDP: ``flex_base`` at (p_i, 0), then one
-    cut-cover round per unsafe-failure level with per-pair activation."""
+    cut-cover round per unsafe-failure level with per-pair activation.
+
+    Each round closes on ``_flex_violating_sets``, whose answer is right
+    for an H that is (p_i, round - 1)-feasible: the base for round 1, the
+    previous round's output after.  ``is_flex_feasible`` on the answer is
+    the check of record."""
     reqs = tuple(reqs)
     ok, witness = is_flex_feasible(g, reqs, g.all_edge_ids())
     if not ok:
@@ -477,14 +485,6 @@ def solve_flex_sndp(
             round_index,
             seed,
         )
-        round_reqs = tuple(
-            FlexRequirement(r.s, r.t, r.p, min(r.q, round_index)) for r in reqs
-        )
-        ok, witness = is_flex_feasible(g, round_reqs, H)
-        if not ok:
-            raise InfeasibleAugmentation(
-                f"round {round_index} output fails {witness}"
-            )
     ok, witness = is_flex_feasible(g, reqs, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails {witness}")
@@ -498,11 +498,11 @@ def solve_rsndp(
 ) -> frozenset:
     """Relative SNDP through scenario expansion, oracle-verified.
 
-    The levels of augment_bulk run on the expansion without the bulk
-    driver's two union-find passes over it.  G itself satisfies every
-    scenario by construction, since ``expand_rsndp_to_bulk`` lists only
-    pairs that G - F connects, and ``is_rsndp_feasible``, the check of
-    record, asks the closing question of the bulk driver's second pass.
+    The levels of augment_bulk run on the expansion, each closing on the
+    level oracle, without ``solve_bulk_sndp``'s ``is_bulk_feasible``
+    calls.  G itself satisfies every scenario by construction, since
+    ``expand_rsndp_to_bulk`` lists only pairs that G - F connects, and
+    ``is_rsndp_feasible`` on the answer is the check of record.
     """
     scenarios = expand_rsndp_to_bulk(g, reqs)
     if not scenarios:

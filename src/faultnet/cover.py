@@ -311,11 +311,7 @@ def _ring_verify(fam: CutFamily) -> None:
     """Closure under intersection/union for properly intersecting members,
     plus a unique minimal member."""
     members = fam.members
-    minimal = [
-        m
-        for m in members
-        if not any(o != m and (o & ~m) == 0 for o in members)
-    ]
+    minimal = masks(fam.graph.n, fam.minimal(fam.cuts), fam.side)
     if len(minimal) != 1:
         raise NotRingFamily(
             f"{fam.label}: {len(minimal)} minimal members, expected 1",

@@ -37,7 +37,6 @@ from .graph import (
     VertexCut,
     boundary,
     component_labels,
-    connected_components,
     failure_sets,
 )
 
@@ -189,12 +188,8 @@ def is_flex_feasible(
 
 
 def _connected_pairs_ok(g, alive, pairs):
-    comps = connected_components(g, alive)
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    return [(u, v) for u, v in pairs if comp_of[u] != comp_of[v]]
+    label = component_labels(g, alive)
+    return [(u, v) for u, v in pairs if label[u] != label[v]]
 
 
 def is_bulk_feasible(

@@ -323,9 +323,10 @@ def fraction_greedy_hitting_set(inst: HittingInstance) -> list[int]:
 
 def plain_best_of_trees(g: FaultGraph, H_prev, pairs, violating, level: int, seed: int):
     """``bulk._best_of_trees`` without its shortcuts: each of the ``TREES``
-    trees is evaluated in full and each H's violations are recomputed.  The
-    tree, hitting-set and greedy steps are looked up on ``faultnet.bulk`` at
-    call time, so a test that patches them there patches both loops."""
+    trees is evaluated in full and each H's violations are recomputed, the
+    kept candidate's too for the level's closing check.  The tree,
+    hitting-set and greedy steps are looked up on ``faultnet.bulk`` at call
+    time, so a test that patches them there patches both loops."""
     best = None
     unhittable = None
     for t in range(bulk.TREES):
@@ -355,6 +356,11 @@ def plain_best_of_trees(g: FaultGraph, H_prev, pairs, violating, level: int, see
         raise InfeasibleAugmentation(
             f"level {level}: every tree failed, last with {unhittable}"
         ) from unhittable
+    leftover = violating(best[1], Boundary(g, best[1]))
+    if leftover:
+        raise InfeasibleAugmentation(
+            f"level {level}: cover left {len(leftover)} violating sets"
+        )
     return best[1]
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 from random import Random
 
@@ -314,7 +315,7 @@ class TestAugmentBulk:
         g = inst.to_graph()
         scen = inst.problem.scenarios
         H = frozenset()
-        monkeypatch.setattr(oracles_mod, "connected_components", refuse)
+        monkeypatch.setattr(oracles_mod, "component_labels", refuse)
         for level in range(3):
             H = augment_bulk(g, scen, H, level, seed=1)
         with pytest.raises(PriorLevelNotSatisfied):
@@ -966,6 +967,36 @@ class TestBestOfTreesShortcuts:
         assert any(level_one(H) for H in evaluated)
         assert len(built) <= len(set(evaluated))
         assert len(set(evaluated)) == len(evaluated)
+
+
+class TestClosingCheck:
+    """Every level closes on its own oracle, so a hitting set that misses a
+    set is refused at its level, before any check of record."""
+
+    @pytest.mark.parametrize("kind", ("bulk", "rsndp", "flex-sndp"))
+    def test_a_broken_cover_is_refused_at_its_level(self, kind, monkeypatch):
+        import faultnet.bulk as bulk_mod
+
+        def drop_last_pick(inst):
+            return greedy_hitting_set(inst)[:-1]
+
+        monkeypatch.setattr(bulk_mod, "greedy_hitting_set", drop_last_pick)
+        # The kept candidate's leftover, read from the loop's memo, must
+        # match the plain loop's fresh evaluation.
+        compared, _built = TestBestOfTreesShortcuts.checked(monkeypatch)
+        refused = 0
+        for seed in range(30):
+            inst = best_of_trees_instance(kind, seed)
+            try:
+                # A level whose other picks cover what the dropped one hit
+                # still passes, and the driver's check of record then tests
+                # the answer.
+                solve_kind(kind, inst, seed)
+            except InfeasibleAugmentation as exc:
+                assert re.fullmatch(r"level \d+: cover left \d+ violating sets", str(exc))
+                refused += 1
+        assert refused >= 15
+        assert compared.count("raised") == refused
 
 
 class TestKernelMatchesUnionFind:

@@ -5,7 +5,9 @@ are mutated line by line, and every CLI command that reads an instance must
 answer with one of its documented exit codes: 0 success, 2 infeasible,
 3 budget exceeded, 4 parse error.  ``lp`` may also exit 1, the algorithm
 does not apply, but only on an rsndp instance or a flex instance without a
-uniform (p, q), which have no LP relaxation.  Solution files given to
+uniform (p, q), which have no LP relaxation.  ``solve`` runs each algorithm
+that fits the base's problem kind, and may exit 1 too: a mutant may not fit
+it any more, and a step of it may fail.  Solution files given to
 ``verify`` are replaced by arbitrary JSON values and mutated character by
 character; one that is not an object with a list of distinct edge ids must
 exit 4.
@@ -37,6 +39,13 @@ BASES = [
     "faultnet-instance 1\nvertices 3\nedges 2\ne 0 0 1 1.0 safe\ne 1 1 2 1.0 unsafe\n"
     "problem flex\nflexpair 0 2 2 1\nend\n",
 ]
+
+# The algorithms that fit each problem kind.
+ALGORITHMS_OF_KIND = {
+    "flex": ("fgc", "flex-st", "flex-st-22", "flex-sndp", "exact"),
+    "bulk": ("bulk", "exact"),
+    "rsndp": ("rsndp", "exact"),
+}
 
 # A mutation is (operation, line, position, token, number).  Half of them
 # are "renumber": a number in 0..4 in place of a vertex, cost, failed edge or
@@ -145,6 +154,8 @@ def test_mutated_instances_end_in_an_exit_code(tmp_path_factory, base, mutations
         assert main(argv) in EXIT_CODES, argv
     lp_codes = EXIT_CODES | {1} if _has_no_lp(text) else EXIT_CODES
     assert main(["lp", str(path)]) in lp_codes
+    for alg in ALGORITHMS_OF_KIND[parse(BASES[base]).problem.kind]:
+        assert main(["solve", "--alg", alg, str(path)]) in EXIT_CODES | {1}, alg
 
 
 # JSON values a hand-edited solution file may hold: ids around the valid
