@@ -989,8 +989,8 @@ class TestClosingCheck:
             inst = best_of_trees_instance(kind, seed)
             try:
                 # A level whose other picks cover what the dropped one hit
-                # still passes, and the driver's check of record then tests
-                # the answer.
+                # still passes, and the solver's final feasibility check then
+                # tests the answer.
                 solve_kind(kind, inst, seed)
             except InfeasibleAugmentation as exc:
                 assert re.fullmatch(r"level \d+: cover left \d+ violating sets", str(exc))
