@@ -41,18 +41,22 @@ is, by Menger, the H-boundary of a cut with exactly that many edges of H,
 all inside the scenario's failure set.  So the number of sub-failures, the
 sum of 2^|F_j|, bounds no work and is not checked against any budget.
 
-The flexible and relative drivers reduce to this machinery.  The relative
-driver expands its requirements into an explicit scenario list and runs
-the bulk levels on it; G satisfies the list by construction, and
-``is_rsndp_feasible`` is its check of record.  The
-flexible driver seeds with :func:`faultnet.flexalg.flex_base` at the
-(p_i, 0) level and activates pairs round by round, honoring heterogeneous
-(p_i, q_i) requirements; each round's oracle reads the violating sets off
-the H-boundaries of the kernel's tight cuts (``_flex_violating_sets``),
-with no scenario expansion, and ``is_flex_feasible`` on the answer is
-its check of record.  One decoder
-(:func:`faultnet.oracles._cut_boundaries`) turns the cuts of a bulk level
-and of a flexible round into edge sets.
+The flexible and relative drivers reduce to the level step
+(``_best_of_trees``) with oracles of their own, and neither expands its
+requirements into a scenario list.  The flexible driver seeds with
+:func:`faultnet.flexalg.flex_base` at the (p_i, 0) level and activates
+pairs round by round, honoring heterogeneous (p_i, q_i) requirements;
+each round's oracle reads the violating sets off the H-boundaries of the
+kernel's tight cuts (``_flex_violating_sets``), and ``is_flex_feasible``
+on the answer is its check of record.  The relative driver buys tree
+paths for the pairs that G connects, and level L's oracle
+(:func:`faultnet.oracles._relative_violations`) keeps the H-boundaries
+F of cuts with exactly L edges of H whose pair G - F still connects;
+``is_rsndp_feasible`` on the answer is its check of record.  Neither
+checks a precondition: each level's closing check gives the next level
+its own.  One decoder (:func:`faultnet.oracles._cut_boundaries`) turns
+the cuts of a bulk or relative level and of a flexible round into edge
+sets.
 """
 
 from __future__ import annotations
@@ -70,15 +74,15 @@ from .errors import (
     Unhittable,
 )
 from .flexalg import flex_base
-from .graph import FaultGraph
+from .graph import FaultGraph, failure_sets
 from .oracles import (
     BulkScenario,
     FlexRequirement,
     RelativeRequirement,
     _check_prior_levels,
     _cut_boundaries,
+    _relative_violations,
     _violations_of_level,
-    expand_rsndp_to_bulk,
     is_bulk_feasible,
     is_flex_feasible,
     is_rsndp_feasible,
@@ -402,30 +406,21 @@ def augment_bulk(
     )
 
 
-def bulk_width(scenarios: Sequence[BulkScenario]) -> int:
-    return max((len(sc.fail) for sc in scenarios), default=0)
-
-
-def _augment_levels(g: FaultGraph, scenarios: Sequence[BulkScenario], seed: int) -> frozenset:
-    """Levels 0..width of augment_bulk, from the empty set."""
-    H: frozenset = frozenset()
-    for level in range(bulk_width(scenarios) + 1):
-        H = augment_bulk(g, scenarios, H, level, seed=seed)
-    return H
-
-
 def solve_bulk_sndp(
     g: FaultGraph,
     scenarios: Sequence[BulkScenario],
     seed: int = 0,
 ) -> frozenset:
-    """Full pipeline: levels 0..width of augment_bulk, oracle-verified.
-    No level lists sub-failures, so no scenario is refused for their
-    number; only the graph's cut sweep is checked against the budget."""
+    """Full pipeline: levels 0..width of augment_bulk from the empty set,
+    oracle-verified.  No level lists sub-failures, so no scenario is
+    refused for their number; only the graph's cut sweep is checked
+    against the budget."""
     ok, witness = is_bulk_feasible(g, scenarios, g.all_edge_ids())
     if not ok:
         raise InfeasibleInstance(f"graph cannot satisfy scenario {witness}")
-    H = _augment_levels(g, scenarios, seed)
+    H: frozenset = frozenset()
+    for level in range(max((len(sc.fail) for sc in scenarios), default=0) + 1):
+        H = augment_bulk(g, scenarios, H, level, seed=seed)
     ok, witness = is_bulk_feasible(g, scenarios, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails scenario {witness}")
@@ -491,23 +486,59 @@ def solve_flex_sndp(
     return H
 
 
+def _hops(g: FaultGraph, s: int) -> list[int]:
+    """BFS edge counts of the shortest paths from s on g's neighbour
+    table; -1 where g does not reach."""
+    neighbours = _neighbour_table(g)
+    dist = [-1] * g.n
+    dist[s] = 0
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y, _eid in neighbours[x]:
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    nxt.append(y)
+        frontier = nxt
+    return dist
+
+
 def solve_rsndp(
     g: FaultGraph,
     reqs: Sequence[RelativeRequirement],
     seed: int = 0,
 ) -> frozenset:
-    """Relative SNDP through scenario expansion, oracle-verified.
+    """Relative SNDP on its own cut oracle, oracle-verified.
 
-    The levels of augment_bulk run on the expansion, each closing on the
-    level oracle, without ``solve_bulk_sndp``'s ``is_bulk_feasible``
-    calls.  G itself satisfies every scenario by construction, since
-    ``expand_rsndp_to_bulk`` lists only pairs that G - F connects, and
-    ``is_rsndp_feasible`` on the answer is the check of record.
+    The pairs that G connects get tree paths, and level L closes on
+    ``_relative_violations`` at L, whose answer is right for an H that
+    closed every level below.  G - F connects a pair exactly when F misses
+    one of its paths, so the largest such F has m - hops(s, t) edges, and
+    the levels run to the largest min(r - 1, m - hops(s, t)).  No level
+    lists failure sets; ``is_rsndp_feasible`` on the answer, the check of
+    record, does.
     """
-    scenarios = expand_rsndp_to_bulk(g, reqs)
-    if not scenarios:
+    reqs = tuple(reqs)
+    # Checked before any cut sweep, so that a refusal names the failure sets.
+    failure_sets(g.m, max(r.r for r in reqs) - 1)
+    whole = Boundary(g, g.all_edge_ids())
+    hops: dict[int, list[int]] = {}
+    connected = set()
+    width = 0
+    for r in reqs:
+        if r.s not in hops:
+            hops[r.s] = _hops(g, r.s)
+        h = hops[r.s][r.t]
+        if h >= 0:
+            connected.add((r.s, r.t))
+            width = max(width, min(r.r - 1, g.m - h))
+    if not connected:
         return frozenset()
-    H = _augment_levels(g, scenarios, seed)
+    pairs = sorted(connected)
+    H: frozenset = frozenset()
+    for level in range(width + 1):
+        H = _best_of_trees(g, H, pairs, _relative_violations(g, reqs, level, whole), level, seed)
     ok, witness = is_rsndp_feasible(g, reqs, H)
     if not ok:
         raise InfeasibleAugmentation(f"final solution fails {witness}")

@@ -10,7 +10,11 @@ at once on the packed cut kernel (``faultnet.cuts``), and
 (``_violations_of_level``, which ``violating_edge_sets_bulk`` asks) and
 its precondition (``_check_prior_levels``), once per scenario: they list
 no sub-failure, but read each violating set off the H-boundary of a cut
-(``_cut_boundaries``).  The checks of record ``is_bulk_feasible`` and
+(``_cut_boundaries``).  The relative level oracle
+(``_relative_violations``) reads its violating sets off the same
+H-boundaries with no scenario list, and asks ``cut_off`` on G once per
+set; so the relative expansion serves only the exact checker and the
+tests.  The checks of record ``is_bulk_feasible`` and
 ``is_rsndp_feasible`` test connectivity by union-find, one failure set at
 a time, and ``expand_flex_to_bulk`` enumerates failure sets by their
 safe-edge count.  Every failure-set enumeration here that no input lists
@@ -372,6 +376,59 @@ def _violations_of_level(
         if not dead_of:
             return []
         return _cut_boundaries(g, H, [(pair, lay.compact(dead)) for pair, dead in dead_of.items()])
+
+    return violations
+
+
+def _relative_violations(
+    g: FaultGraph,
+    reqs: Sequence[RelativeRequirement],
+    level: int,
+    whole: Boundary | None = None,
+) -> Callable[..., list[tuple[frozenset, tuple[int, int]]]]:
+    """The relative level oracle: the (F, pair) tuples that
+    ``_violations_of_level(g, expand_rsndp_to_bulk(g, reqs), level)``
+    gives, as a function of H (and optionally H's Boundary), with no
+    scenario list; ``whole`` is G's Boundary when the caller already has
+    it.
+
+    Its answer is right for every H that meets the expansion's
+    precondition: for each F of fewer than ``level`` edges, H - F connects
+    every pair that G - F connects and whose requirement has r > |F|.
+    Then, by the Menger argument of ``_violations_of_level``, a violating
+    F of ``level`` edges is the H-boundary of a cut S that separates the
+    pair with exactly ``level`` edges of H.  So the oracle keeps the pairs
+    of requirements with r > ``level`` that G connects, decodes the cuts
+    in each one's scope with exactly ``level`` edges of H
+    (:func:`_cut_boundaries`), and keeps each (δ_H(S), pair) whose pair
+    G - δ_H(S) still connects: one ``cut_off`` on G's Boundary per
+    distinct δ_H(S), kept for the oracle's life.
+    """
+    if whole is None:
+        whole = Boundary(g, g.all_edge_ids())
+    lay = whole.layout
+    apart = whole.cut_off(())
+    scope_of: dict[tuple[int, int], int] = {}
+    for r in reqs:
+        pair = (r.s, r.t)
+        if r.r > level and pair not in scope_of:
+            scope = lay.scope((pair,))
+            if not apart & scope:
+                scope_of[pair] = scope
+    cut_off = cache(whole.cut_off)
+
+    def violations(
+        H: frozenset, counts: Boundary | None = None
+    ) -> list[tuple[frozenset, tuple[int, int]]]:
+        if counts is None:
+            counts = Boundary(g, H)
+        exact = lay.exactly(counts.total, level)
+        cuts_of = [(pair, lay.compact(exact & scope)) for pair, scope in scope_of.items()]
+        return [
+            (F, pair)
+            for F, pair in _cut_boundaries(g, H, cuts_of)
+            if not cut_off(F) & scope_of[pair]
+        ]
 
     return violations
 

@@ -20,6 +20,9 @@ oracle, which read violating sets off cut boundaries.  The reference
 precondition lists every smaller size.  ``union_find_level_violations``
 answers for every H, the package's oracle only for an H that meets the
 precondition, so the tests compare the two only there.
+``expansion_solve_rsndp`` keeps the relative driver's scenario-expansion
+form as the reference for ``solve_rsndp``, which runs on its own cut
+oracle.
 """
 
 from __future__ import annotations
@@ -49,7 +52,13 @@ from faultnet.exact import _Checker, _Packing
 from faultnet.flow import Flow, _augment, _normalize_caps
 from faultnet.graph import FaultGraph, VertexCut, boundary, same_component
 from faultnet.lp import ROW_TOL, LpRow
-from faultnet.oracles import BulkScenario, _connected_pairs_ok, violated_cuts_flex_aug
+from faultnet.oracles import (
+    BulkScenario,
+    _connected_pairs_ok,
+    expand_rsndp_to_bulk,
+    is_rsndp_feasible,
+    violated_cuts_flex_aug,
+)
 
 
 def brute_min_cut(g: FaultGraph, caps, s: int, t: int) -> int:
@@ -362,6 +371,22 @@ def plain_best_of_trees(g: FaultGraph, H_prev, pairs, violating, level: int, see
             f"level {level}: cover left {len(leftover)} violating sets"
         )
     return best[1]
+
+
+def expansion_solve_rsndp(g: FaultGraph, reqs, seed: int = 0) -> frozenset:
+    """``solve_rsndp`` through the bulk expansion: ``expand_rsndp_to_bulk``,
+    then levels 0..width of ``augment_bulk`` from the empty set, then
+    ``is_rsndp_feasible`` as the check of record."""
+    scenarios = expand_rsndp_to_bulk(g, reqs)
+    if not scenarios:
+        return frozenset()
+    H: frozenset = frozenset()
+    for level in range(max(len(sc.fail) for sc in scenarios) + 1):
+        H = bulk.augment_bulk(g, scenarios, H, level, seed=seed)
+    ok, witness = is_rsndp_feasible(g, reqs, H)
+    if not ok:
+        raise InfeasibleAugmentation(f"final solution fails {witness}")
+    return H
 
 
 def brute_set_cover(rows, costs):

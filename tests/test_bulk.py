@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
@@ -48,6 +49,7 @@ from faultnet.oracles import (
 )
 from oracle_utils import (
     brute_set_cover,
+    expansion_solve_rsndp,
     fraction_greedy_hitting_set,
     kruskal_mst_cost,
     plain_best_of_trees,
@@ -694,8 +696,9 @@ class TestRsndpDriver:
 
     @pytest.mark.parametrize("n", range(2, 8))
     def test_graph_satisfies_its_expansion(self, n):
-        # solve_rsndp runs no whole-graph check on the expansion: G must
-        # satisfy every scenario by construction, disconnected G included.
+        # The exact search takes the whole graph as its first feasible
+        # pool: G must satisfy every scenario of the expansion by
+        # construction, disconnected G included.
         rng = Random(7 * n)
         seen = {"disconnected": 0, "scenarios": 0}
         for _trial in range(25):
@@ -730,6 +733,75 @@ class TestRsndpDriver:
         assert ok
         _opt, opt_cost = exact_solve(g, inst.problem)
         assert g.total_cost(sol) >= opt_cost - 1e-9
+
+    @pytest.mark.parametrize("budget", (None, "60"))
+    def test_matches_the_expansion_driver(self, budget, monkeypatch):
+        # The workload's rsndp shape and random heterogeneous instances:
+        # the same edge set as the expansion-driven reference, or the same
+        # error class and message.  Under a small enumeration budget the
+        # failure sets are refused before the cut sweep, as before.
+        if budget is None:
+            monkeypatch.delenv("FAULTNET_ENUM_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FAULTNET_ENUM_BUDGET", budget)
+        cases = []
+        for seed in range(40):
+            inst = best_of_trees_instance("rsndp", seed)
+            cases.append((inst.to_graph(), inst.problem.relative, seed))
+        rng = Random(31)
+        cases += [random_relative_case(rng, rng.randint(2, 7)) + (seed,) for seed in range(300)]
+        seen = Counter()
+        for g, reqs, seed in cases:
+            got = solve_outcome(solve_rsndp, g, reqs, seed)
+            assert got == solve_outcome(expansion_solve_rsndp, g, reqs, seed), (reqs, seed)
+            seen[got[0]] += 1
+            seen["disconnected"] += len(connected_components(g, g.all_edge_ids())) > 1
+            seen["repeated"] += len({(r.s, r.t) for r in reqs}) < len(reqs)
+        assert seen["ok"] >= (250 if budget is None else 100), seen
+        assert seen["Disconnected"] and seen["disconnected"] and seen["repeated"], seen
+        assert bool(seen["EnumerationTooLarge"]) == (budget is not None), seen
+
+    def test_solves_without_the_expansion_or_the_bulk_level(self, monkeypatch):
+        # The relative driver lists no scenario and runs neither the bulk
+        # level nor its oracle or precondition.
+        import faultnet.bulk as bulk_mod
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("bulk path on the relative driver")
+
+        cases = []
+        for seed in range(20):
+            inst = best_of_trees_instance("rsndp", seed)
+            g, reqs = inst.to_graph(), inst.problem.relative
+            cases.append((g, reqs, seed, solve_outcome(expansion_solve_rsndp, g, reqs, seed)))
+        for name in ("expand_rsndp_to_bulk", "augment_bulk", "_violations_of_level", "_check_prior_levels"):
+            monkeypatch.setattr(bulk_mod, name, refuse, raising=False)
+        for g, reqs, seed, want in cases:
+            assert solve_outcome(solve_rsndp, g, reqs, seed) == want
+        assert sum(want[0] == "ok" for *_case, want in cases) >= 15
+
+
+def random_relative_case(rng, n):
+    """(g, reqs) on n vertices: 0 to 2n + 3 random edges, so G may be
+    disconnected, and 1-4 requirements with r = 1-4, a pair sometimes
+    repeated."""
+    specs = []
+    for _ in range(rng.randint(0, 2 * n + 3)):
+        u, v = rng.sample(range(n), 2)
+        specs.append((u, v, rng.randint(1, 5), rng.choice(("safe", "unsafe"))))
+    reqs = []
+    for _ in range(rng.randint(1, 4)):
+        s, t = (reqs[0].s, reqs[0].t) if reqs and rng.random() < 0.3 else rng.sample(range(n), 2)
+        reqs.append(RelativeRequirement(s, t, rng.randint(1, 4)))
+    return FaultGraph(n, specs), tuple(reqs)
+
+
+def solve_outcome(solve, g, reqs, seed):
+    """("ok", edge set) of a solve, or its error's (class name, message)."""
+    try:
+        return "ok", solve(g, reqs, seed)
+    except FaultnetError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def meets_prior_levels(g, scenarios, H, level):
@@ -1054,15 +1126,15 @@ class TestKernelMatchesUnionFind:
     def test_drivers_ask_the_oracle_only_under_the_precondition(self, kind, monkeypatch):
         # The level oracle's answer is right only for an H that survives
         # every smaller sub-failure; every H the drivers ask about does.
+        # The relative oracle's precondition is that of the expansion.
         import faultnet.bulk as bulk_mod
 
         build = bulk_mod._violations_of_level
+        build_relative = bulk_mod._relative_violations
         asked = []
         broken = []
 
-        def checked(g, scenarios, level):
-            oracle = build(g, scenarios, level)
-
+        def checking(oracle, g, scenarios, level):
             def answer(H, counts=None):
                 asked.append(level)
                 if not meets_prior_levels(g, scenarios, H, level):
@@ -1071,12 +1143,65 @@ class TestKernelMatchesUnionFind:
 
             return answer
 
+        def checked(g, scenarios, level):
+            return checking(build(g, scenarios, level), g, scenarios, level)
+
+        def checked_relative(g, reqs, level, whole=None):
+            oracle = build_relative(g, reqs, level, whole)
+            return checking(oracle, g, expand_rsndp_to_bulk(g, reqs), level)
+
         monkeypatch.setattr(bulk_mod, "_violations_of_level", checked)
+        monkeypatch.setattr(bulk_mod, "_relative_violations", checked_relative)
         for n in range(5, 9):
             for seed in (n, n + 11):
                 solve_kind(kind, kernel_instance(kind, n, seed), seed)
         assert broken == []
         assert set(asked) >= {0, 1, 2}
+
+    def test_relative_oracle_matches_the_expansion(self, monkeypatch):
+        # On every work set that meets the expansion's precondition, at
+        # every level and one past the last, the relative oracle answers
+        # as the level oracle on the expansion does; and solve_rsndp runs
+        # one level per failure-set size that the expansion lists.
+        import faultnet.bulk as bulk_mod
+
+        build = bulk_mod._relative_violations
+        levels = []
+
+        def recorded(g, reqs, level, whole=None):
+            levels.append(level)
+            return build(g, reqs, level, whole)
+
+        monkeypatch.setattr(bulk_mod, "_relative_violations", recorded)
+        cases = []
+        for n in range(5, 9):
+            for seed in (n, n + 11):
+                inst = kernel_instance("rsndp", n, seed)
+                cases.append((inst.to_graph(), inst.problem.relative, seed))
+        rng = Random(47)
+        cases += [random_relative_case(rng, rng.randint(2, 7)) + (seed,) for seed in range(60)]
+        seen = Counter()
+        for g, reqs, seed in cases:
+            scenarios = expand_rsndp_to_bulk(g, reqs)
+            width = max((len(sc.fail) for sc in scenarios), default=-1)
+            for H in self.work_sets(g, scenarios, Random(seed)):
+                for level in range(width + 2):
+                    if meets_prior_levels(g, scenarios, H, level):
+                        want = _violations_of_level(g, scenarios, level)(H)
+                        assert build(g, reqs, level)(H) == want, (reqs, sorted(H), level)
+                        seen["violations"] += len(want)
+                        seen["met"] += 1
+                    else:
+                        seen["not met"] += 1
+            levels.clear()
+            try:
+                solve_rsndp(g, reqs, seed=seed)
+            except FaultnetError:
+                continue
+            assert levels == list(range(width + 1))
+            seen[f"{width + 1} levels"] += 1
+        assert seen["violations"] and seen["not met"], seen
+        assert all(seen[f"{k} levels"] for k in range(5)), seen
 
     @pytest.mark.parametrize("kind", ("bulk", "rsndp"))
     def test_prior_level_check_matches(self, kind):

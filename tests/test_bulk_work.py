@@ -13,9 +13,10 @@ The last test counts the bulk driver's work on the seed-1
 ``bulk-relative`` cell list in ``perfbench/workloads.py``, sized as
 ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, as
 ``tests/test_search_work.py`` counts the exact search's: sampled trees,
-hitting instances built, level-oracle evaluations, and calls of the
-union-find checks ``is_bulk_feasible`` and ``is_rsndp_feasible``.  A change
-that lowers them on purpose re-pins them and names each one in its log.
+hitting instances built, level-oracle evaluations (bulk and relative),
+and calls of the union-find checks ``is_bulk_feasible`` and
+``is_rsndp_feasible``.  A change that lowers them on purpose re-pins them
+and names each one in its log.
 """
 
 import contextlib
@@ -96,11 +97,11 @@ COUNTED = ("sample_tree", "build_hitting_instance", "is_bulk_feasible", "is_rsnd
 @contextlib.contextmanager
 def counting_bulk_calls():
     """Counts the calls of ``COUNTED`` and the evaluations of every level
-    oracle that ``bulk._violations_of_level`` builds while active; yields
-    the Counter, keyed by function name and ``level_oracle``."""
+    oracle that ``bulk._violations_of_level`` or
+    ``bulk._relative_violations`` builds while active; yields the Counter,
+    keyed by function name and ``level_oracle``."""
     counts = Counter({name: 0 for name in COUNTED + ("level_oracle",)})
     modules = [mod for name, mod in sys.modules.items() if name.startswith("faultnet")]
-    build_oracle = bulk._violations_of_level
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -109,11 +110,15 @@ def counting_bulk_calls():
 
         return wrapper
 
-    def counted_oracle(*args, **kwargs):
-        return counted("level_oracle", build_oracle(*args, **kwargs))
+    def counted_oracles(build_oracle):
+        def build(*args, **kwargs):
+            return counted("level_oracle", build_oracle(*args, **kwargs))
+
+        return build
 
     originals = {getattr(bulk, name): counted(name, getattr(bulk, name)) for name in COUNTED}
-    originals[build_oracle] = counted_oracle
+    for build_oracle in (bulk._violations_of_level, bulk._relative_violations):
+        originals[build_oracle] = counted_oracles(build_oracle)
     patched = []
     for mod in modules:
         for attr, value in list(vars(mod).items()):
