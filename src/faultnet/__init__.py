@@ -14,6 +14,7 @@ from .graph import FaultGraph, VertexCut, boundary, connected_components, same_c
 from .instances import InstanceFile, generate, parse, serialize
 from .gap import gap_experiment
 from .lp import separate_bulk, separate_flex, solve_lp
+from .trace import count, recording
 from .oracles import (
     BulkScenario,
     FlexRequirement,
@@ -69,6 +70,8 @@ __all__ = [
     "generate",
     "parse",
     "serialize",
+    "count",
+    "recording",
 ]
 
 __version__ = "0.1.0"

@@ -16,9 +16,20 @@ cuts off (:meth:`faultnet.cuts.Layout.cut_off`).
 The search is one recursive kernel.  The chosen set's packed total and safe
 counts go down the recursion as arguments, so a child's are its parent's
 plus at most one edge's crossing set; the pool's are updated in place and
-restored on return.  A bytearray per set records which edges it holds, for
-the scenario test.  The edge count and every table are read into locals
-once per search.
+restored on return.  With scenarios, a bytearray per set records which
+edges it holds, for their test.  The edge count and every table are read
+into locals once per search.  When every constraint is a flex class (no
+scenarios), the chosen-set and pool tests run inline in the kernel, as the
+guard-set expression of :meth:`_Checker.first_bad` over the classes; a
+search with scenarios calls ``first_bad``.  The opening question, whether
+G itself is feasible, is ``first_bad`` on G's packed counts, which the
+greedy seed then starts from.
+
+The tables that depend on the graph alone (the decision order, the costs,
+the shifted crossing sets, the per-vertex cost sums and undecided counts
+of the degree bound) are built on the graph's first search and kept on the
+graph (:class:`_Tables`), so one bench cell's (p, 0) base and (p, q)
+baseline share them.
 
 The packing bound packs the violated cuts of the first failing class or
 scenario greedily, lowest cut first, so that no two packed cuts share a
@@ -38,10 +49,11 @@ completion repairs every such cut with edges at its vertex, and each edge
 is at two vertices, so it adds at least half the sum.  The kernel keeps
 these repair costs in a degree table, one entry per vertex.  Deciding edge
 ``order[k]`` changes the chosen degree and the undecided edges of its two
-endpoints only, so a child recomputes just those two entries and the
-parent restores them on return.  The bound adds the entries in vertex
-order, one ``+=`` at a time, and stops once the sum reaches the limit, so
-each value is bitwise the one a fresh sum over the vertices gives.
+endpoints only, so a child recomputes just those two entries, in one
+:meth:`_Packing.refresh` call, and the parent restores them on return.
+The bound adds the entries in vertex order, one ``+=`` at a time, and
+stops once the sum reaches the limit, so each value is bitwise the one a
+fresh sum over the vertices gives.
 
 Which bounds prune is fixed once per search.  When every constraint is a
 spanning class (every flex class holds every singleton cut and there are
@@ -60,6 +72,12 @@ only on a gain above COST_EPS.  So whichever bounds run, the search finds
 the same incumbents in the same order, and the answer does not change; a
 weaker bound only visits more nodes.
 
+The search counts its own work in local ints and reports it once, on
+return, to :mod:`faultnet.trace`: ``exact.nodes`` (DFS nodes entered),
+``exact.checks`` (feasibility tests of the chosen set and of the pool,
+inline or not, and of each greedy step; the opening question is not
+counted) and ``exact.bounds`` (packing bounds).
+
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.
 """
@@ -69,10 +87,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from math import inf
 
-from .cuts import Boundary, crossing_table, layout_of
+from . import trace
+from .cuts import crossing_table, layout_of
 from .errors import BudgetExceeded, InfeasibleInstance
 from .graph import FaultGraph, env_budget
-from .oracles import Problem, check_problem_feasible, expand_rsndp_to_bulk
+from .oracles import Problem, expand_rsndp_to_bulk
 
 COST_EPS = 1e-12
 _NO_FAIL: frozenset = frozenset()
@@ -131,74 +150,132 @@ class _Checker:
         return None
 
 
+class _Tables:
+    """The search tables of a graph: what the search reads that depends on
+    the graph alone.  Built on its first search and kept on the graph
+    itself (:func:`_tables_of`), never in a module cache, so they live
+    exactly as long as the graph and every search of it shares them.  They
+    are tuples and ints, read-only, and none refers back to the graph.
+
+    ``order`` lists the edge ids by descending cost, ties by id: at depth k
+    the edges at ``order[k:]`` are undecided.  ``costs`` and ``safe`` are
+    per edge id, ``cross`` the crossing sets shifted onto the guard bits,
+    and ``steps[k]`` is edge ``order[k]`` with its crossing set, the same
+    set again if the edge is safe (else 0) and its cost.  ``whole`` holds
+    the packed total and safe counts of all of g's edges.  ``shifts`` is the
+    field shift of each vertex's singleton cut and ``singles`` the guard
+    set of those cuts.  The degree tables are built on the first search
+    with a spanning class (:meth:`degree_tables`).  ``vertices`` holds, per
+    vertex, the running cost sums of its incident edges, cheapest first,
+    and how many of them are undecided at each depth k (the undecided ones
+    are the cheapest, a prefix), and then the same two for its safe edges.
+    ``ends`` holds the two endpoints of each edge of ``order``.
+    """
+
+    __slots__ = (
+        "order", "costs", "safe", "cross", "steps", "whole", "width", "field", "shifts",
+        "singles", "vertices", "ends",
+    )
+
+    def __init__(self, g: FaultGraph):
+        self.width = width = layout_of(g).width
+        self.field = (1 << width) - 1
+        cross, self.safe = crossing_table(g)
+        self.costs = costs = tuple(e.cost for e in g.edges)
+        self.order = order = tuple(sorted(range(g.m), key=lambda eid: (-costs[eid], eid)))
+        self.cross = tuple(cuts << (width - 1) for cuts in cross)
+        self.steps = tuple(
+            (eid, cross[eid], cross[eid] if self.safe[eid] else 0, costs[eid]) for eid in order
+        )
+        self.whole = (sum(cross), sum(cuts for cuts, safe in zip(cross, self.safe) if safe))
+        # The cut {v} is named by v's own bit, and the anchor's by all the
+        # other vertices (at n = 2 both name the one cut; at n = 1 there is
+        # no cut).
+        shifts = [((1 << v) - 1) * width for v in range(g.n - 1)]
+        if g.n > 1:
+            shifts.append(((1 << (g.n - 1)) - 2) * width)
+        self.shifts = tuple(shifts)
+        self.singles = sum(1 << (shift + width - 1) for shift in set(shifts))
+        self.vertices = self.ends = None
+
+    def degree_tables(self, g: FaultGraph) -> tuple:
+        """(vertices, ends), built on the first call."""
+        if self.vertices is None:
+            order, costs, safe = self.order, self.costs, self.safe
+            ends = tuple((g.edges[eid].u, g.edges[eid].v) for eid in order)
+            sums = [[0.0] for _v in range(g.n)]
+            safe_sums = [[0.0] for _v in range(g.n)]
+            counts, safe_counts = [0] * g.n, [0] * g.n
+            rows, safe_rows = [tuple(counts)], [tuple(safe_counts)]
+            # From the cheap end: at depth k the edges at order[k:] are
+            # undecided, and each vertex's are its cheapest ones.
+            for k in range(len(order) - 1, -1, -1):
+                eid = order[k]
+                for v in ends[k]:
+                    sums[v].append(sums[v][-1] + costs[eid])
+                    counts[v] += 1
+                    if safe[eid]:
+                        safe_sums[v].append(safe_sums[v][-1] + costs[eid])
+                        safe_counts[v] += 1
+                rows.append(tuple(counts))
+                safe_rows.append(tuple(safe_counts))
+            undecided = zip(*reversed(rows))
+            safe_undecided = zip(*reversed(safe_rows))
+            self.ends = ends
+            self.vertices = tuple(
+                zip(map(tuple, sums), undecided, map(tuple, safe_sums), safe_undecided)
+            )
+        return self.vertices, self.ends
+
+
+def _tables_of(g: FaultGraph) -> _Tables:
+    """g's search tables, built on the first call and kept in its
+    ``_search`` slot, as :func:`faultnet.cuts.crossing_table` keeps its
+    table."""
+    tables = g._search
+    if tables is None:
+        tables = g._search = _Tables(g)
+    return tables
+
+
 class _Packing:
     """Lower bounds on the cost of completing a chosen set: a greedy packing
     of violated cuts with pairwise disjoint candidate sets, and for spanning
     classes the repair costs of the singleton cuts that the degree bound
-    sums.
+    sums.  The graph's own tables come from its :class:`_Tables`.
 
-    ``order`` lists the edge ids by descending cost; at depth k the edges at
-    ``order[k:]`` are undecided.  The candidates of a cut for a failure set
-    are the edges that cross it and are not failed, listed once per (failure
-    set, cut) when first needed: their negated order positions from the cheap
+    The candidates of a cut for a failure set are the edges that cross it
+    and are not failed, listed once per (failure set, cut) when first
+    needed, in ``columns``: their negated order positions from the cheap
     end, the running sums of their costs and the running unions of their
     crossing guard sets, and the positions and cost sums of the safe ones.
     The undecided candidates at depth k are a prefix of that list.
 
     ``spanning`` holds (p, p + q) of each of the checker's ``classes`` whose
-    scope holds every singleton cut {v}.  Only then do ``vertices`` list,
-    per vertex, two tables, one for its incident edges and one for its safe
-    ones, each cheapest first; ``shifts`` the field shift of its singleton
-    cut; and ``ends`` the two endpoints of each edge of ``order``.  The
-    search's degree table holds, at depth k for a chosen set, one entry per
-    vertex v: :meth:`repair` of v's chosen and safe degrees at k.  Between
-    depths k - 1 and k only the entries of the endpoints of ``order[k - 1]``
+    scope holds every singleton cut {v}.  Only then are ``vertices``,
+    ``shifts`` and ``ends`` the graph's degree tables.  The search's degree
+    table holds, at depth k for a chosen set, one entry per vertex v:
+    :meth:`repair` of v's chosen and safe degrees at k.  Between depths
+    k - 1 and k only the entries of the endpoints of ``order[k - 1]``
     change, and :meth:`refresh` recomputes just those.
     """
 
-    def __init__(self, g: FaultGraph, order: list[int], classes: list):
-        self.order = order
-        self.width = layout_of(g).width
-        self.field = (1 << self.width) - 1
-        self.cross = [cuts << (self.width - 1) for cuts in crossing_table(g)[0]]
-        self.costs = [g.cost_of(eid) for eid in range(g.m)]
-        self.safe = [e.safe for e in g.edges]
+    def __init__(self, g: FaultGraph, classes: list):
+        tables = _tables_of(g)
+        self.order, self.costs, self.safe = tables.order, tables.costs, tables.safe
+        self.cross, self.width, self.field = tables.cross, tables.width, tables.field
         self.columns: dict = {}
         self.spanning = []
-        self.vertices = []
-        self.shifts = []
-        self.ends = []
+        self.vertices = self.shifts = self.ends = ()
         if not classes:  # no flex pair, maybe n = 1
             return
-        # The cut {v} is named by v's own bit, and the anchor's by all the
-        # other vertices (at n = 2 both name the one cut).
-        shifts = [((1 << v) - 1) * self.width for v in range(g.n - 1)]
-        shifts.append(((1 << (g.n - 1)) - 2) * self.width)
-        singles = sum(1 << (shift + self.width - 1) for shift in set(shifts))
+        singles = tables.singles
         for scope, (p, q), _safe_offset, _total_offset in classes:
             if scope & singles == singles:
                 self.spanning.append((p, p + q))
         if self.spanning:
-            at = {eid: i for i, eid in enumerate(order)}
-            for v in range(g.n):
-                incident = sorted(g.incident(v), key=at.__getitem__, reverse=True)
-                safe = [eid for eid in incident if self.safe[eid]]
-                self.vertices.append((*self._table(incident, at), *self._table(safe, at)))
-            self.shifts = shifts
-            self.ends = [(g.edges[eid].u, g.edges[eid].v) for eid in order]
-
-    def _table(self, edges: list[int], at: dict) -> tuple:
-        """Running cost sums of ``edges``, cheapest first, and at each depth
-        k how many of them are undecided: the undecided ones are a prefix."""
-        sums = [0.0]
-        for eid in edges:
-            sums.append(sums[-1] + self.costs[eid])
-        undecided = [0] * (len(self.order) + 1)
-        for eid in edges:
-            undecided[at[eid]] += 1
-        for k in range(len(self.order) - 1, -1, -1):
-            undecided[k] += undecided[k + 1]
-        return sums, undecided
+            self.vertices, self.ends = tables.degree_tables(g)
+            self.shifts = tables.shifts
 
     def column(self, fail: frozenset, low: int, top: int) -> tuple:
         """The candidate column of the cut whose guard is ``low``, at bit
@@ -272,11 +349,25 @@ class _Packing:
     def refresh(self, table: list[float], k: int, total: int, safe: int) -> None:
         """Bring the degree ``table`` from depth k - 1 to depth k (k >= 1)
         for the chosen set with packed counts ``total`` and ``safe``: only
-        the endpoints of ``order[k - 1]`` change."""
-        field, shifts = self.field, self.shifts
+        the endpoints of ``order[k - 1]`` change.  Each gets :meth:`repair`
+        of its degrees at k, by the same float steps, inline."""
+        field, shifts, vertices, spanning = self.field, self.shifts, self.vertices, self.spanning
         for v in self.ends[k - 1]:
             shift = shifts[v]
-            table[v] = self.repair(v, (total >> shift) & field, (safe >> shift) & field, k)
+            t = (total >> shift) & field
+            s = (safe >> shift) & field
+            sums, undecided, safe_sums, safe_undecided = vertices[v]
+            worst = 0.0
+            for p, pq in spanning:
+                if t < pq and s < p:
+                    need = pq - t
+                    repair = sums[need] if need <= undecided[k] else inf
+                    need = p - s
+                    if need <= safe_undecided[k] and safe_sums[need] < repair:
+                        repair = safe_sums[need]
+                    if repair > worst:
+                        worst = repair
+            table[v] = worst
 
 
 def exact_solve(
@@ -292,27 +383,30 @@ def exact_solve(
     cap = exact_budget() if budget is None else budget
     if g.m > cap:
         raise BudgetExceeded(f"m={g.m} exceeds exact-search budget {cap}")
-    if problem.kind != "rsndp":  # G keeps its own connectivity under any failure
-        ok, _ = check_problem_feasible(g, problem, g.all_edge_ids())
-        if not ok:
-            raise InfeasibleInstance("graph itself is infeasible for the problem")
 
     checker = _Checker(g, problem)
-    order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
-    packing = _Packing(g, order, checker.classes)
-    costs = packing.costs
-    first_bad = checker.first_bad
+    packing = _Packing(g, checker.classes)
+    tables = _tables_of(g)
+    first_bad, costs, steps, m = checker.first_bad, tables.costs, tables.steps, g.m
+    whole_total, whole_safe = tables.whole
+    held = bytearray(b"\x01") * m
+    # G keeps its own connectivity under any failure, so a relative problem
+    # always holds on G.
+    if problem.kind != "rsndp" and first_bad(whole_total, whole_safe, held) is not None:
+        raise InfeasibleInstance("graph itself is infeasible for the problem")
 
     # Greedy seed: keep everything, then drop expensive edges while feasible.
-    whole = Boundary(g, range(g.m))
-    pool_total, pool_safe = whole.total, whole.safe
-    kept = set(range(g.m))
-    for eid in order:
-        whole.remove(eid)
-        if first_bad(whole.total, whole.safe, whole.inside) is None:
+    total, safe = whole_total, whole_safe
+    kept = set(range(m))
+    for eid, cuts, safe_cuts, _cost in steps:
+        held[eid] = 0
+        if first_bad(total - cuts, safe - safe_cuts, held) is None:
+            total -= cuts
+            safe -= safe_cuts
             kept.discard(eid)
         else:
-            whole.add(eid)
+            held[eid] = 1
+    checks = m  # one test per greedy step
     best_set = frozenset(kept)
     best_cost = sum(costs[eid] for eid in kept)
 
@@ -320,11 +414,10 @@ def exact_solve(
     # pool stays feasible at every node: the root's pool is the whole graph,
     # an exclusion is checked before descending, and an inclusion leaves the
     # pool as it is.
-    m = g.m
-    cross, safe_flags = crossing_table(g)
-    steps = [
-        (eid, cross[eid], cross[eid] if safe_flags[eid] else 0, costs[eid]) for eid in order
-    ]
+    pool_total, pool_safe = whole_total, whole_safe
+    classes = checker.classes
+    # Flex classes alone are tested inline; a scenario needs first_bad.
+    scenarios = bool(checker.scenarios)
     inside = bytearray(m)
     pool_inside = bytearray(b"\x01") * m
     # The incumbent is copied from this set, not rebuilt from ``inside``:
@@ -335,14 +428,26 @@ def exact_solve(
     spanning = bool(packing.spanning)
     # The packing runs only when some constraint is not a spanning class:
     # an FGC search prunes on the degree table alone.
-    packs = len(packing.spanning) < len(checker.classes) or bool(checker.scenarios)
+    packs = len(packing.spanning) < len(classes) or scenarios
     table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
+    nodes = bounds = 0
 
     def dfs(k: int, cost_in: float, total: int, safe: int) -> None:
-        nonlocal best_set, best_cost, pool_total, pool_safe
-        if cost_in >= best_cost - COST_EPS:
+        nonlocal best_set, best_cost, pool_total, pool_safe, nodes, checks, bounds
+        nodes += 1
+        limit = best_cost - COST_EPS
+        if cost_in >= limit:
             return
-        violated = first_bad(total, safe, inside)
+        checks += 1
+        if scenarios:
+            violated = first_bad(total, safe, inside)
+        else:
+            for scope, pq, safe_offset, total_offset in classes:
+                violated = scope & ~((safe + safe_offset) | (total + total_offset))
+                if violated:
+                    break
+            else:
+                violated = None
         if violated is None:
             best_cost = cost_in
             best_set = frozenset(chosen_now)
@@ -354,7 +459,6 @@ def exact_solve(
         # packing bound, and with a spanning class at least the degree bound.
         # A pruned subtree holds nothing cheaper than the incumbent by more
         # than COST_EPS, the only gain that replaces it.
-        limit = best_cost - COST_EPS
         if spanning:
             if k:
                 refresh(table, k, total, safe)
@@ -367,8 +471,12 @@ def exact_solve(
                     break
             if cost_in + degree / 2 >= limit:
                 return
-        if packs and cost_in + bound(total, safe, k, violated, cost_in, limit) >= limit:
-            return
+        if packs:
+            bounds += 1
+            if not scenarios:  # first_bad's answer, from the inline test
+                violated = violated, pq, _NO_FAIL
+            if cost_in + bound(total, safe, k, violated, cost_in, limit) >= limit:
+                return
         eid, cuts, safe_cuts, cost = steps[k]
         if spanning:
             u, w = ends[k]
@@ -376,17 +484,28 @@ def exact_solve(
         # Exclude branch first: expensive edges drop out early.
         pool_total -= cuts
         pool_safe -= safe_cuts
-        pool_inside[eid] = 0
-        if first_bad(pool_total, pool_safe, pool_inside) is None:
+        checks += 1
+        if scenarios:
+            pool_inside[eid] = 0
+            feasible = first_bad(pool_total, pool_safe, pool_inside) is None
+        else:
+            feasible = True
+            for scope, _pq, safe_offset, total_offset in classes:
+                if scope & ~((pool_safe + safe_offset) | (pool_total + total_offset)):
+                    feasible = False
+                    break
+        if feasible:
             dfs(k + 1, cost_in, total, safe)
         pool_total += cuts
         pool_safe += safe_cuts
-        pool_inside[eid] = 1
         # Include branch.
-        inside[eid] = 1
+        if scenarios:
+            pool_inside[eid] = 1
+            inside[eid] = 1
         chosen_now.add(eid)
         dfs(k + 1, cost_in + cost, total + cuts, safe + safe_cuts)
-        inside[eid] = 0
+        if scenarios:
+            inside[eid] = 0
         chosen_now.discard(eid)
         if spanning:
             table[u], table[w] = saved
@@ -395,4 +514,7 @@ def exact_solve(
     # dfs holds itself through its closure cell; emptying the cell frees the
     # search state on return, not at the next cyclic collection.
     del dfs
+    trace.count("exact.nodes", nodes)
+    trace.count("exact.checks", checks)
+    trace.count("exact.bounds", bounds)
     return best_set, best_cost

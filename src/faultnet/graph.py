@@ -11,11 +11,12 @@ Both kinds of exhaustive enumeration are checked here against one budget,
 listing of failure sets by :func:`failure_sets`, which also lists them.
 
 Thread safety: a FaultGraph never mutates after construction and can be
-shared freely; all functions here allocate private state.  Its three lazily
+shared freely; all functions here allocate private state.  Its four lazily
 filled fields, the packed layout of :func:`faultnet.cuts.layout_of`, the
-crossing table of :func:`faultnet.cuts.crossing_table` and the neighbour
-table of :func:`faultnet.bulk.sample_tree`, are pure functions of the
-graph, so a racing second fill stores an equal value.
+crossing table of :func:`faultnet.cuts.crossing_table`, the neighbour
+table of :func:`faultnet.bulk.sample_tree` and the search tables of
+:func:`faultnet.exact.exact_solve`, are pure functions of the graph, so a
+racing second fill stores an equal value.
 """
 
 from __future__ import annotations
@@ -116,6 +117,7 @@ class FaultGraph:
 
     __slots__ = (
         "n", "edges", "_safe_ids", "_unsafe_ids", "_incident", "_layout", "_crossing", "_neighbours",
+        "_search",
     )
 
     def __init__(self, n: int, edge_specs: Sequence[tuple]):
@@ -147,6 +149,7 @@ class FaultGraph:
         self._layout = None  # filled by faultnet.cuts.layout_of
         self._crossing = None  # filled by faultnet.cuts.crossing_table
         self._neighbours = None  # filled by faultnet.bulk._neighbour_table
+        self._search = None  # filled by faultnet.exact._tables_of
 
     # -- basic accessors ---------------------------------------------------
 

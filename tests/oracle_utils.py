@@ -2,8 +2,8 @@
 
 Everything here is deliberately definitional: exhaustive enumeration over
 cuts, failure subsets, or path sets.  None of it shares code paths with the
-implementations under test; ``counting_search_calls`` only counts the exact
-search's calls, ``list_primal_dual_cover`` keeps the cover engine's
+implementations under test; ``counting_search_calls`` only reads the exact
+search's work counts, ``list_primal_dual_cover`` keeps the cover engine's
 earlier member-list form as its reference, ``two_phase_lp`` keeps the
 cold two-phase primal simplex as the reference for the package's dual
 simplex, and ``max_flow_min_cut`` is an Edmonds-Karp max flow that shares
@@ -36,7 +36,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from faultnet import bulk, simplex
+from faultnet import bulk, simplex, trace
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult
 from faultnet.cuts import Boundary, crossed, cut_index
@@ -48,7 +48,6 @@ from faultnet.errors import (
     Uncoverable,
     Unhittable,
 )
-from faultnet.exact import _Checker, _Packing
 from faultnet.flow import Flow, _augment, _normalize_caps
 from faultnet.graph import FaultGraph, VertexCut, boundary, same_component
 from faultnet.lp import ROW_TOL, LpRow
@@ -882,27 +881,25 @@ def loop_separate_bulk(g: FaultGraph, scenarios, x):
     return LpRow(key=("bulk", j, mask), terms=tuple((eid, 1.0) for eid in ids), rhs=1.0)
 
 
+def search_calls(counts) -> dict:
+    """The exact search's work in a :func:`faultnet.trace.recording`'s
+    counts, under the names of the checker and packing methods that once
+    did it: ``first_bad`` for its feasibility tests and ``bound`` for its
+    packing bounds."""
+    return {"first_bad": counts["exact.checks"], "bound": counts["exact.bounds"]}
+
+
 @contextmanager
 def counting_search_calls():
-    """Counts the exact search's ``_Checker.first_bad`` and ``_Packing.bound``
-    calls while active: both are wrapped on their classes and restored on
-    exit.  Yields the dict of counts, keyed by method name."""
-    counts = {"first_bad": 0, "bound": 0}
-    first_bad, bound = _Checker.first_bad, _Packing.bound
-
-    def counted_first_bad(self, *args):
-        counts["first_bad"] += 1
-        return first_bad(self, *args)
-
-    def counted_bound(self, *args):
-        counts["bound"] += 1
-        return bound(self, *args)
-
-    _Checker.first_bad, _Packing.bound = counted_first_bad, counted_bound
-    try:
-        yield counts
-    finally:
-        _Checker.first_bad, _Packing.bound = first_bad, bound
+    """Counts the exact search's feasibility tests and packing bounds while
+    active, as the search reports them to :mod:`faultnet.trace`.  Yields
+    the dict of :func:`search_calls`, filled on exit."""
+    counts: dict = {}
+    with trace.recording() as recorded:
+        try:
+            yield counts
+        finally:
+            counts.update(search_calls(recorded))
 
 
 def separate_flex_definitional(g: FaultGraph, reqs, x) -> bool:

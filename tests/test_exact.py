@@ -5,9 +5,11 @@ from random import Random
 
 import pytest
 
+from faultnet import trace
 from faultnet.cuts import Boundary, crossed, layout_of
 from faultnet.errors import BudgetExceeded, EnumerationTooLarge, InfeasibleInstance
-from faultnet.exact import _Checker, _Packing, exact_solve
+from faultnet.exact import _Checker, _Packing, _Tables, exact_solve
+from faultnet.flexalg import solve_fgc
 from faultnet.graph import FaultGraph
 from faultnet.instances import appendix_a_instance, generate
 from faultnet.oracles import (
@@ -257,7 +259,8 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
     cross = [crossed(g, (eid,)) for eid in range(g.m)]
     layout = layout_of(g)
     checker = _Checker(g, prob)
-    packing = _Packing(g, order, checker.classes)
+    packing = _Packing(g, checker.classes)
+    assert packing.order == tuple(order)
     # Only the all-pairs classes hold every singleton cut in scope.
     assert bool(packing.spanning) == (name in FGC_CLASSES)
     rng = Random(seed)
@@ -313,7 +316,8 @@ def test_degree_table_matches_a_fresh_computation(name, seed):
     # endpoints, and every entry must be bitwise the fresh repair.
     g, prob, _feasible = _bound_case(name, seed)
     order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
-    packing = _Packing(g, order, _Checker(g, prob).classes)
+    packing = _Packing(g, _Checker(g, prob).classes)
+    assert packing.order == tuple(order)
     rng = Random(seed)
     states = moved = 0
     for _ in range(20):
@@ -364,10 +368,13 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
     assert skipped >= 10 and scanned >= 10
 
 
-# Search work, as calls of the checker's scan (one per node and one per
-# exclusion tried) and of the packing bound (one per node that survives the
-# cost and feasibility checks).  The degree bound is not counted here; an
-# FGC search prunes on it alone and makes no bound call.
+# Search work, as the search reports it to faultnet.trace and
+# counting_search_calls names it: "first_bad" counts its feasibility tests
+# (one per greedy step, one per node past the cost check and one per
+# exclusion tried, whether inline or through _Checker.first_bad) and "bound"
+# its packing bounds (one per node that survives the cost and feasibility
+# checks, where the packing runs).  The degree bound is not counted here; an
+# FGC search prunes on it alone and computes no packing bound.
 def _search_calls(insts, problem_of):
     with counting_search_calls() as counts:
         for inst in insts:
@@ -381,10 +388,11 @@ def _ratio_sweep_graphs():
     return [generate("random-multigraph", n=8, m=18, seed=seed, params=params) for seed in range(6)]
 
 
-# Pruned on the degree table alone, the searches below make exactly these
-# calls: more checker scans than with the packing beside it (1178 and 1119),
-# but no packing bound.  The first_bad pin also fails a search that
-# bypasses the checker, which the ratio to the parent counts would pass.
+# Pruned on the degree table alone, the searches below do exactly this
+# work: more feasibility tests than with the packing beside it (1178 and
+# 1119), but no packing bound.  The tests run inline there, so the pin
+# holds the search's own count of them to the value that the checker's
+# calls once gave.
 SPANNING_CALLS = {
     (3, 0): {"first_bad": 1510, "bound": 0},
     (3, 2): {"first_bad": 1427, "bound": 0},
@@ -394,9 +402,9 @@ SPANNING_CALLS = {
 @pytest.mark.parametrize(
     "p, q, parent",
     [
-        # Before the degree bound, these searches made 2594 first_bad and
-        # 1450 bound calls for (3, 0), the base of solve_fgc, and 2455 and
-        # 1371 for the (3, 2) baseline.
+        # Before the degree bound, these searches made 2594 feasibility
+        # tests and 1450 packing bounds for (3, 0), the base of solve_fgc,
+        # and 2455 and 1371 for the (3, 2) baseline.
         (3, 0, {"first_bad": 2594, "bound": 1450}),
         (3, 2, {"first_bad": 2455, "bound": 1371}),
     ],
@@ -431,9 +439,7 @@ def test_only_an_all_spanning_search_drops_the_packing(seed):
     g, fgc, mixed = _boundary_case(seed)
     for reqs, packs in ((fgc, False), (mixed, True)):
         prob = Problem("flex", flex=reqs)
-        checker = _Checker(g, prob)
-        order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
-        assert len(_Packing(g, order, checker.classes).spanning) == 1
+        assert len(_Packing(g, _Checker(g, prob).classes).spanning) == 1
         with counting_search_calls() as counts:
             _sol, cost = exact_solve(g, prob)
         assert (counts["bound"] > 0) == packs
@@ -444,7 +450,7 @@ def test_fallback_sized_spanning_search_work():
     # The exact search's work on six FGC instances of the fallback path's
     # shapes, (2, 2), (3, 2) and (3, 3) at n = 9-10 and m = 32-38, with the
     # m cap of 30 lifted.  With the packing beside the degree table these
-    # searches made 14,537 first_bad and 5,736 bound calls.
+    # searches made 14,537 feasibility tests and 5,736 packing bounds.
     with counting_search_calls() as counts:
         for i, (p, q) in enumerate([(2, 2), (3, 2), (3, 3)] * 2):
             skeleton = ("mixed", "safe")[(i // 2) % 2]
@@ -480,3 +486,168 @@ def test_other_searches_do_the_same_work(name, parent):
     params = SAME_SEARCH_SHAPES[name]
     insts = [generate("random-multigraph", n=7, m=14, seed=seed, params=params) for seed in range(4)]
     assert _search_calls(insts, lambda inst: inst.problem) == parent
+
+
+def test_an_all_spanning_dfs_calls_neither_the_checker_nor_repair(monkeypatch):
+    # Flex classes alone are tested inline in the DFS, and the degree table
+    # is refreshed without a repair call per endpoint: an FGC search calls
+    # first_bad only before its DFS (the opening question and the greedy
+    # seed) and repair only for the root table.  A scenario search
+    # still calls first_bad from its DFS, which shows that the spy sees it.
+    callers = []
+
+    def spy(method):
+        def wrapped(self, *args):
+            callers.append((method.__name__, sys._getframe(1).f_code.co_name))
+            return method(self, *args)
+
+        return wrapped
+
+    refreshes = []
+    refresh = _Packing.refresh
+
+    def counted_refresh(self, *args):
+        refreshes.append(args[1])
+        return refresh(self, *args)
+
+    monkeypatch.setattr(_Checker, "first_bad", spy(_Checker.first_bad))
+    monkeypatch.setattr(_Packing, "repair", spy(_Packing.repair))
+    monkeypatch.setattr(_Packing, "refresh", counted_refresh)
+    with trace.recording() as counts:
+        for inst in _ratio_sweep_graphs():
+            exact_solve(inst.to_graph(), inst.problem)
+    assert {name for name, _caller in callers} == {"first_bad", "repair"}
+    assert "dfs" not in {caller for _name, caller in callers}
+    # At most one refresh per node, and the degree table did move.
+    assert 0 < len(refreshes) <= counts["exact.nodes"]
+    callers.clear()
+    g, prob, _feasible = _bound_case("bulk", 0)
+    exact_solve(g, prob)
+    assert ("first_bad", "dfs") in callers
+
+
+def _table_spec(seed):
+    """(n, edge specs) of a connected random multigraph with n = 4-7, with
+    zero-cost edges and parallel edges."""
+    rng = Random(seed)
+    n = 4 + seed % 4
+    cost = lambda: 0.0 if rng.random() < 0.2 else round(rng.uniform(0.1, 2.0), 2)  # noqa: E731
+    label = lambda: rng.choice(("safe", "unsafe"))  # noqa: E731
+    specs = [(v, (v + 1) % n, cost(), label()) for v in range(n)]
+    while len(specs) < 2 * n + rng.randrange(n):
+        if rng.random() < 0.3:
+            u, v, _cost, _label = rng.choice(specs)  # a parallel edge
+        else:
+            u, v = rng.sample(range(n), 2)
+        specs.append((u, v, cost(), label()))
+    return n, specs
+
+
+def _table_problem(rng, n):
+    """All-pairs classes, pair classes or a mix of both, with p <= 2."""
+    p, q = rng.randint(1, 2), rng.randint(0, 1)
+    pairs = tuple(
+        FlexRequirement(*rng.sample(range(n), 2), rng.randint(1, 2), rng.randint(0, 1))
+        for _ in range(rng.randint(1, 2))
+    )
+    shape = rng.choice(("spanning", "pairs", "mix"))
+    reqs = {"spanning": fgc_requirements(n, p, q), "pairs": pairs}.get(
+        shape, fgc_requirements(n, p, q) + pairs
+    )
+    return Problem("flex", flex=reqs)
+
+
+def _outcome(g, prob):
+    try:
+        sol, cost = exact_solve(g, prob)
+    except InfeasibleInstance as exc:
+        return str(exc)
+    return sorted(sol), cost.hex()
+
+
+def test_search_tables_kept_on_the_graph_give_fresh_answers():
+    # A graph whose tables a search of another problem built answers as a
+    # fresh graph of the same spec does, edge for edge and bit for bit.
+    solved = spanning = 0
+    for seed in range(40):
+        n, specs = _table_spec(seed)
+        rng = Random(1000 + seed)
+        earlier, prob = _table_problem(rng, n), _table_problem(rng, n)
+        g = FaultGraph(n, specs)
+        _outcome(g, earlier)
+        tables = g._search
+        assert tables is not None
+        got = _outcome(g, prob)
+        assert g._search is tables
+        assert got == _outcome(FaultGraph(n, specs), prob)
+        solved += not isinstance(got, str)
+        if tables.vertices is not None:
+            spanning += 1
+            # The degree tables against their definition: running sums of
+            # the cheapest costs, and the incident edges still undecided.
+            order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
+            for v, (sums, undecided, safe_sums, safe_undecided) in enumerate(tables.vertices):
+                for table_sums, table_undecided, edges in (
+                    (sums, undecided, g.incident(v)),
+                    (safe_sums, safe_undecided, [e for e in g.incident(v) if g.edges[e].safe]),
+                ):
+                    running = [0.0]
+                    for c in sorted(g.cost_of(e) for e in edges):
+                        running.append(running[-1] + c)
+                    assert list(map(float.hex, table_sums)) == list(map(float.hex, running))
+                    assert list(table_undecided) == [
+                        sum(order.index(e) >= k for e in edges) for k in range(g.m + 1)
+                    ]
+    assert solved >= 30 and spanning >= 25
+
+
+def test_one_fgc_cell_builds_the_search_tables_once(monkeypatch):
+    # solve_fgc's (p, 0) base and then the (p, q) baseline on the same graph,
+    # as a bench cell runs them, share one set of tables.
+    built = []
+    init = _Tables.__init__
+
+    def counted_init(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(_Tables, "__init__", counted_init)
+    params = {"problem": "fgc", "p": 2, "q": 1, "skeleton": "safe", "safe_prob": 0.45}
+    inst = generate("random-multigraph", n=6, m=14, seed=3, params=params)
+    g = inst.to_graph()
+    solve_fgc(g, 2, 1)
+    tables = g._search
+    vertices = tables.vertices
+    assert vertices is not None
+    exact_solve(g, inst.problem)
+    assert built == [g]
+    assert g._search is tables and tables.vertices is vertices
+
+
+def test_opening_check_is_the_oracle_on_g():
+    # exact_solve refuses an instance exactly when the whole graph fails the
+    # problem's own oracle.
+    refused = solved = 0
+    for seed in range(60):
+        rng = Random(seed)
+        n = 4 + seed % 3
+        g = random_graph(2000 + seed, n, rng.randint(n, 2 * n), safe_prob=0.4)
+        if seed % 2:
+            pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 2))]
+            prob = Problem("flex", flex=tuple(
+                FlexRequirement(s, t, rng.randint(1, 3), rng.randint(0, 2)) for s, t in pairs
+            ))
+        else:
+            prob = Problem("bulk", scenarios=tuple(
+                BulkScenario(frozenset(rng.sample(range(g.m), rng.randint(1, 3))),
+                             (tuple(rng.sample(range(n), 2)),))
+                for _ in range(rng.randint(1, 3))
+            ))
+        if check_problem_feasible(g, prob, g.all_edge_ids())[0]:
+            exact_solve(g, prob)
+            solved += 1
+        else:
+            with pytest.raises(InfeasibleInstance, match="^graph itself is infeasible for the problem$"):
+                exact_solve(g, prob)
+            refused += 1
+    assert refused >= 15 and solved >= 15
