@@ -76,7 +76,8 @@ The search counts its own work in local ints and reports it once, on
 return, to :mod:`faultnet.trace`: ``exact.nodes`` (DFS nodes entered),
 ``exact.checks`` (feasibility tests of the chosen set and of the pool,
 inline or not, and of each greedy step; the opening question is not
-counted) and ``exact.bounds`` (packing bounds).
+counted), ``exact.bounds`` (packing bounds) and ``exact.prunes`` (nodes
+whose subtree the degree or the packing bound cut).
 
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.
@@ -430,10 +431,10 @@ def exact_solve(
     # an FGC search prunes on the degree table alone.
     packs = len(packing.spanning) < len(classes) or scenarios
     table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
-    nodes = bounds = 0
+    nodes = bounds = prunes = 0
 
     def dfs(k: int, cost_in: float, total: int, safe: int) -> None:
-        nonlocal best_set, best_cost, pool_total, pool_safe, nodes, checks, bounds
+        nonlocal best_set, best_cost, pool_total, pool_safe, nodes, checks, bounds, prunes
         nodes += 1
         limit = best_cost - COST_EPS
         if cost_in >= limit:
@@ -470,12 +471,14 @@ def exact_solve(
                 if degree >= twice:
                     break
             if cost_in + degree / 2 >= limit:
+                prunes += 1
                 return
         if packs:
             bounds += 1
             if not scenarios:  # first_bad's answer, from the inline test
                 violated = violated, pq, _NO_FAIL
             if cost_in + bound(total, safe, k, violated, cost_in, limit) >= limit:
+                prunes += 1
                 return
         eid, cuts, safe_cuts, cost = steps[k]
         if spanning:
@@ -517,4 +520,5 @@ def exact_solve(
     trace.count("exact.nodes", nodes)
     trace.count("exact.checks", checks)
     trace.count("exact.bounds", bounds)
+    trace.count("exact.prunes", prunes)
     return best_set, best_cost

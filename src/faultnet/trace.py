@@ -17,7 +17,9 @@ search:
 - ``exact.checks``: feasibility tests of the chosen set and of the pool,
   one per node past the cost check and one per exclusion tried, plus one
   per edge of the greedy seed;
-- ``exact.bounds``: packing bounds computed.
+- ``exact.bounds``: packing bounds computed;
+- ``exact.prunes``: nodes whose subtree the degree or the packing bound
+  cut.
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ from oracle_utils import (
     global_flex_oracle,
     kruskal_mst_cost,
     random_graph,
+    search_calls,
 )
 
 
@@ -374,12 +375,18 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
 # exclusion tried, whether inline or through _Checker.first_bad) and "bound"
 # its packing bounds (one per node that survives the cost and feasibility
 # checks, where the packing runs).  The degree bound is not counted here; an
-# FGC search prunes on it alone and computes no packing bound.
+# FGC search prunes on it alone and computes no packing bound.  "nodes" is
+# ``exact.nodes``, the DFS nodes entered.
 def _search_calls(insts, problem_of):
-    with counting_search_calls() as counts:
+    with trace.recording() as counts:
         for inst in insts:
             exact_solve(inst.to_graph(), problem_of(inst))
-    return dict(counts)
+    return _work(counts)
+
+
+def _work(counts):
+    """The search work of a recording: its tests, bounds and nodes."""
+    return {**search_calls(counts), "nodes": counts["exact.nodes"]}
 
 
 def _ratio_sweep_graphs():
@@ -394,8 +401,8 @@ def _ratio_sweep_graphs():
 # holds the search's own count of them to the value that the checker's
 # calls once gave.
 SPANNING_CALLS = {
-    (3, 0): {"first_bad": 1510, "bound": 0},
-    (3, 2): {"first_bad": 1427, "bound": 0},
+    (3, 0): {"first_bad": 1510, "bound": 0, "nodes": 799},
+    (3, 2): {"first_bad": 1427, "bound": 0, "nodes": 753},
 }
 
 
@@ -451,14 +458,14 @@ def test_fallback_sized_spanning_search_work():
     # shapes, (2, 2), (3, 2) and (3, 3) at n = 9-10 and m = 32-38, with the
     # m cap of 30 lifted.  With the packing beside the degree table these
     # searches made 14,537 feasibility tests and 5,736 packing bounds.
-    with counting_search_calls() as counts:
+    with trace.recording() as counts:
         for i, (p, q) in enumerate([(2, 2), (3, 2), (3, 3)] * 2):
             skeleton = ("mixed", "safe")[(i // 2) % 2]
             params = {"problem": "fgc", "p": p, "q": q, "skeleton": skeleton, "safe_prob": 0.45}
             n, m = (9, 10)[i % 2], 32 + (i * 3) % 7
             inst = generate("random-multigraph", n=n, m=m, seed=i, params=params)
             exact_solve(inst.to_graph(), inst.problem, budget=60)
-    assert dict(counts) == {"first_bad": 15645, "bound": 0}
+    assert _work(counts) == {"first_bad": 15645, "bound": 0, "nodes": 9416}
 
 
 SAME_SEARCH_SHAPES = {
@@ -476,10 +483,10 @@ SAME_SEARCH_SHAPES = {
     [
         # Counts from before the degree bound: no class of these problems
         # holds every singleton cut, so the search must not change.
-        ("flex-st", {"first_bad": 505, "bound": 260}),
-        ("flex-sndp", {"first_bad": 803, "bound": 442}),
-        ("bulk", {"first_bad": 610, "bound": 314}),
-        ("rsndp", {"first_bad": 798, "bound": 415}),
+        ("flex-st", {"first_bad": 505, "bound": 260, "nodes": 273}),
+        ("flex-sndp", {"first_bad": 803, "bound": 442, "nodes": 470}),
+        ("bulk", {"first_bad": 610, "bound": 314, "nodes": 410}),
+        ("rsndp", {"first_bad": 798, "bound": 415, "nodes": 524}),
     ],
 )
 def test_other_searches_do_the_same_work(name, parent):

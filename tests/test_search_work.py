@@ -5,8 +5,8 @@ Most of the time of ``ratio-sweep`` and ``bulk-relative`` goes to
 runs the seed-1 cell list of both workloads in ``perfbench/workloads.py``,
 sized as ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, and
 reads the work that the search reports to :mod:`faultnet.trace`: its DFS
-nodes, and its feasibility tests and packing bounds under the names that
-:func:`oracle_utils.search_calls` gives them.  Unlike a timing the counts
+nodes and bound prunes, and its feasibility tests and packing bounds under
+the names that :func:`oracle_utils.search_calls` gives them.  Unlike a timing the counts
 repeat exactly, so a change that makes the search do more or less work
 fails here.  A change that lowers them on purpose re-pins them and names
 each one in its log.
@@ -34,6 +34,8 @@ SEARCH_CALLS = {
 }
 # DFS nodes entered, ``exact.nodes``.
 SEARCH_NODES = {"ratio-sweep": 11419, "bulk-relative": 28293}
+# Nodes whose subtree a bound cut, ``exact.prunes``.
+SEARCH_PRUNES = {"ratio-sweep": 3110, "bulk-relative": 5643}
 
 
 @pytest.mark.parametrize("name", list(SEARCH_CALLS))
@@ -45,3 +47,4 @@ def test_seed_1_search_work_is_unchanged(name):
     assert [out.error for out in outcomes if out.error] == []
     assert search_calls(counts) == SEARCH_CALLS[name]
     assert counts["exact.nodes"] == SEARCH_NODES[name]
+    assert counts["exact.prunes"] == SEARCH_PRUNES[name]

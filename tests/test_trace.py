@@ -35,7 +35,7 @@ def test_counts_outside_a_recording_are_dropped():
     assert counts == {}
     with trace.recording() as counts:
         _search()
-    assert set(counts) == {"exact.nodes", "exact.checks", "exact.bounds"}
+    assert set(counts) == {"exact.nodes", "exact.checks", "exact.bounds", "exact.prunes"}
     assert counts["exact.nodes"] > 0 and counts["exact.checks"] > 0
 
 
