@@ -142,7 +142,8 @@ class _Checker:
             bad = scope & ~((safe + safe_offset) | (total + total_offset))
             if bad:
                 return bad, pq, _NO_FAIL
-        if not self.reach & ~(total + self.few_offset):
+        reach = self.reach
+        if not reach or not reach & ~(total + self.few_offset):
             return None
         for scope, fail in self.scenarios:
             bad = scope & self.layout.cut_off(self.cross, total, inside, fail)
