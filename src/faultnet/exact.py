@@ -112,11 +112,14 @@ class _Checker:
     its scope, kept as a guard set.  A class holds the offsets of its two
     thresholds.  A scenario fails on a cut in scope that its failure set
     cuts off (:meth:`Layout.cut_off`): nothing crossing the cut survives.
+    A scenario also holds its failed edges, each with its packed crossing
+    set.
     """
 
     def __init__(self, g: FaultGraph, problem: Problem):
-        self.layout = lay = layout_of(g)
-        self.cross, _safe = crossing_table(g)
+        lay = layout_of(g)
+        cross, _safe = crossing_table(g)
+        self.nonzero = lay.nonzero
         pairs: dict[tuple[int, int], list] = {}
         for r in problem.flex:
             pairs.setdefault((r.p, r.q), []).append((r.s, r.t))
@@ -127,10 +130,13 @@ class _Checker:
         scenarios = problem.scenarios
         if problem.kind == "rsndp":
             scenarios = expand_rsndp_to_bulk(g, problem.relative)
-        self.scenarios = [(lay.scope(sc.pairs), sc.fail) for sc in scenarios]
+        self.scenarios = [
+            (lay.scope(sc.pairs), sc.fail, tuple((eid, cross[eid]) for eid in sc.fail))
+            for sc in scenarios
+        ]
         # A scenario cuts off only cuts with at most |F_j| edges of the set.
         self.reach = 0
-        for scope, _fail in self.scenarios:
+        for scope, _fail, _failed in self.scenarios:
             self.reach |= scope
         self.few_offset = lay.offset(max((len(sc.fail) for sc in scenarios), default=0) + 1)
 
@@ -145,8 +151,22 @@ class _Checker:
         reach = self.reach
         if not reach or not reach & ~(total + self.few_offset):
             return None
-        for scope, fail in self.scenarios:
-            bad = scope & self.layout.cut_off(self.cross, total, inside, fail)
+        # Layout.cut_off, inline: the cuts whose total equals the count of
+        # the set's failed edges.  With none of them in the set, those are
+        # the cuts the set does not cross, the same for every such scenario.
+        nonzero = self.nonzero
+        uncrossed = None
+        for scope, fail, failed in self.scenarios:
+            dead = 0
+            for eid, cuts in failed:
+                if inside[eid]:
+                    dead += cuts
+            if dead:
+                bad = scope & ~((total ^ dead) + nonzero)
+            else:
+                if uncrossed is None:
+                    uncrossed = ~(total + nonzero)
+                bad = scope & uncrossed
             if bad:
                 return bad, None, fail
         return None
@@ -298,15 +318,16 @@ class _Packing:
 
     def bound(
         self, total: int, safe: int, k: int, violated, cost_in: float, limit: float
-    ) -> float:
-        """Repair cost of the packed cuts of ``violated`` (a ``first_bad``
-        answer for the chosen set with packed counts ``total`` and
-        ``safe``), summed until cost_in plus the sum reaches ``limit``."""
+    ) -> tuple[float, int]:
+        """(repair cost, guard set) of the packed cuts of ``violated`` (a
+        ``first_bad`` answer for the chosen set with packed counts ``total``
+        and ``safe``), summed until cost_in plus the sum reaches ``limit``."""
         bad, pq, fail = violated
         if pq is not None:
             p, q = pq
         columns, width, mask = self.columns, self.width, self.field
         bound = 0.0
+        packed = 0
         while bad:
             low = bad & -bad
             top = low.bit_length()
@@ -325,11 +346,12 @@ class _Packing:
                 if need <= bisect_right(safe_spots, -k) and safe_sums[need] < repair:
                     repair = safe_sums[need]
             bound += repair
+            packed |= low
             if cost_in + bound >= limit:
                 break
             # Drop every cut that one of these candidates crosses.
             bad &= ~hits[reach]
-        return bound
+        return bound, packed
 
     def repair(self, v: int, t: int, s: int, k: int) -> float:
         """What repairing the singleton cut {v} costs at least at depth k,
@@ -389,7 +411,9 @@ def exact_solve(
     checker = _Checker(g, problem)
     packing = _Packing(g, checker.classes)
     tables = _tables_of(g)
-    first_bad, costs, steps, m = checker.first_bad, tables.costs, tables.steps, g.m
+    first_bad, costs, steps, cross, m = (
+        checker.first_bad, tables.costs, tables.steps, tables.cross, g.m
+    )
     whole_total, whole_safe = tables.whole
     held = bytearray(b"\x01") * m
     # G keeps its own connectivity under any failure, so a relative problem
@@ -434,26 +458,30 @@ def exact_solve(
     table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
     nodes = bounds = prunes = 0
 
-    def dfs(k: int, cost_in: float, total: int, safe: int) -> None:
+    def dfs(
+        k: int, cost_in: float, total: int, safe: int, violated=None, packed: int = 0
+    ) -> None:
+        # An exclusion child gets its parent's first_bad answer ``violated``
+        # and, while it holds, the guard set ``packed`` of its packed cuts.
         nonlocal best_set, best_cost, pool_total, pool_safe, nodes, checks, bounds, prunes
         nodes += 1
         limit = best_cost - COST_EPS
-        if cost_in >= limit:
-            return
-        checks += 1
-        if scenarios:
-            violated = first_bad(total, safe, inside)
-        else:
-            for scope, pq, safe_offset, total_offset in classes:
-                violated = scope & ~((safe + safe_offset) | (total + total_offset))
-                if violated:
-                    break
-            else:
-                violated = None
         if violated is None:
-            best_cost = cost_in
-            best_set = frozenset(chosen_now)
-            return
+            if cost_in >= limit:
+                return
+            checks += 1
+            if scenarios:
+                violated = first_bad(total, safe, inside)
+            else:
+                for scope, pq, safe_offset, total_offset in classes:
+                    bad = scope & ~((safe + safe_offset) | (total + total_offset))
+                    if bad:
+                        violated = bad, pq, _NO_FAIL
+                        break
+            if violated is None:
+                best_cost = cost_in
+                best_set = frozenset(chosen_now)
+                return
         if k == m:
             return
         # Any completion repairs each packed cut of the violated class or
@@ -474,11 +502,10 @@ def exact_solve(
             if cost_in + degree / 2 >= limit:
                 prunes += 1
                 return
-        if packs:
+        if packs and not packed:
             bounds += 1
-            if not scenarios:  # first_bad's answer, from the inline test
-                violated = violated, pq, _NO_FAIL
-            if cost_in + bound(total, safe, k, violated, cost_in, limit) >= limit:
+            repair, packed = bound(total, safe, k, violated, cost_in, limit)
+            if cost_in + repair >= limit:
                 prunes += 1
                 return
         eid, cuts, safe_cuts, cost = steps[k]
@@ -499,7 +526,12 @@ def exact_solve(
                     feasible = False
                     break
         if feasible:
-            dfs(k + 1, cost_in, total, safe)
+            # The child has this node's chosen set, cost and limit: the same
+            # answer, and the same packing, cut for cut, unless eid is a
+            # candidate of a packed cut.  That packing did not prune here.
+            if packed and cross[eid] & packed and eid not in violated[2]:
+                packed = 0
+            dfs(k + 1, cost_in, total, safe, violated, packed)
         pool_total += cuts
         pool_safe += safe_cuts
         # Include branch.

@@ -281,7 +281,7 @@ def test_packing_bound_never_exceeds_the_cheapest_completion(name, seed):
         if violated is None or best == inf:
             continue
         # A finite limit stops a packing that never drops its cuts.
-        bound = packing.bound(counts.total, counts.safe, k, violated, 0.0, best + 1.0)
+        bound, _packed = packing.bound(counts.total, counts.safe, k, violated, 0.0, best + 1.0)
         assert bound <= best + 1e-9
         if packing.spanning:
             # The whole degree bound, without the search's early stop.
@@ -356,7 +356,7 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
             counts = Boundary(g, H)
             got = checker.first_bad(counts.total, counts.safe, counts.inside)
             scan = next(
-                ((bad, None, fail) for scope, fail in checker.scenarios
+                ((bad, None, fail) for scope, fail, _failed in checker.scenarios
                  if (bad := scope & counts.cut_off(fail))),
                 None,
             )
