@@ -29,8 +29,8 @@ from workloads import WORKLOADS, run_cells  # noqa: E402
 
 SECONDS = 5
 SEARCH_CALLS = {
-    "ratio-sweep": {"first_bad": 20482, "bound": 895},
-    "bulk-relative": {"first_bad": 43642, "bound": 23290},
+    "ratio-sweep": {"first_bad": 17057, "bound": 724},
+    "bulk-relative": {"first_bad": 33169, "bound": 17735},
 }
 # DFS nodes entered, ``exact.nodes``.
 SEARCH_NODES = {"ratio-sweep": 11419, "bulk-relative": 28293}
