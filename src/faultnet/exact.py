@@ -21,7 +21,9 @@ edges it holds, for their test.  The edge count and every table are read
 into locals once per search.  When every constraint is a flex class (no
 scenarios), the chosen-set and pool tests run inline in the kernel, as the
 guard-set expression of :meth:`_Checker.first_bad` over the classes; a
-search with scenarios calls ``first_bad``.  The opening question, whether
+search with scenarios calls ``first_bad``, whose scan counts each
+scenario's failed edges in the set and shares the cuts the set does not
+cross among the scenarios with none there.  The opening question, whether
 G itself is feasible, is ``first_bad`` on G's packed counts, which the
 greedy seed then starts from.
 
@@ -66,6 +68,17 @@ degree table and then on the packing, since the degree table does not see
 the other classes' cuts; with no spanning class it prunes on the packing
 alone.
 
+An exclusion child has its parent's chosen set, cost and limit (no
+incumbent can change between the parent's test and the child), so the
+parent hands it its ``first_bad`` answer and the child runs neither the
+cost check nor a test of its own.  The parent hands down its packing too,
+as the guard set of its packed cuts, unless the excluded edge is a
+candidate of one of them.  Otherwise every packed cut keeps its undecided
+candidates, so the child's packing is the parent's cut for cut, with the
+same sum, which did not prune, and the child skips :meth:`_Packing.bound`.
+The child still refreshes and sums its degree table, which the excluded
+edge does change.
+
 Both bounds are admissible: a pruned subtree holds only completions that
 the DFS's cost check would reject anyway, since the incumbent is replaced
 only on a gain above COST_EPS.  So whichever bounds run, the search finds
@@ -74,10 +87,13 @@ weaker bound only visits more nodes.
 
 The search counts its own work in local ints and reports it once, on
 return, to :mod:`faultnet.trace`: ``exact.nodes`` (DFS nodes entered),
-``exact.checks`` (feasibility tests of the chosen set and of the pool,
-inline or not, and of each greedy step; the opening question is not
-counted), ``exact.bounds`` (packing bounds) and ``exact.prunes`` (nodes
-whose subtree the degree or the packing bound cut).
+``exact.checks`` (feasibility tests, inline or not: of the chosen set at
+the root and at each include child past the cost check, of the pool at
+each exclusion tried, and of each greedy step; the opening question and
+the exclusion child's handed-down answer are not counted),
+``exact.bounds`` (packing bounds computed, not those handed down) and
+``exact.prunes`` (nodes whose subtree the degree or the packing bound
+cut).
 
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.

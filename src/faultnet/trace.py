@@ -15,9 +15,11 @@ Counters so far, each reported once per :func:`faultnet.exact.exact_solve`
 search:
 - ``exact.nodes``: DFS nodes entered;
 - ``exact.checks``: feasibility tests of the chosen set and of the pool,
-  one per node past the cost check and one per exclusion tried, plus one
-  per edge of the greedy seed;
-- ``exact.bounds``: packing bounds computed;
+  one per node past the cost check that is not an exclusion child (which
+  takes its parent's answer) and one per exclusion tried, plus one per
+  edge of the greedy seed;
+- ``exact.bounds``: packing bounds computed (an exclusion child that takes
+  its parent's packing computes none);
 - ``exact.prunes``: nodes whose subtree the degree or the packing bound
   cut.
 """

@@ -340,12 +340,46 @@ def test_degree_table_matches_a_fresh_computation(name, seed):
     assert moved >= states // 4
 
 
+def test_a_packing_holds_while_the_excluded_edge_is_no_candidate():
+    # The search hands a node's packing to its exclusion child when the
+    # excluded edge order[k] is no candidate of a packed cut: it crosses
+    # none of them or the answer fails it.  Then the packing at depth k + 1
+    # must be the one at k, cut for cut and bit for bit.
+    held = candidate = 0
+    for name, seed in BOUND_CASES:
+        g, prob, _feasible = _bound_case(name, seed)
+        checker = _Checker(g, prob)
+        packing = _Packing(g, checker.classes)
+        order = packing.order
+        rng = Random(seed)
+        for _ in range(100):
+            k = rng.randrange(g.m)
+            counts = Boundary(g, (eid for eid in order[:k] if rng.random() < 0.5))
+            violated = checker.first_bad(counts.total, counts.safe, counts.inside)
+            if violated is None:
+                continue
+            bound, packed = packing.bound(counts.total, counts.safe, k, violated, 0.0, inf)
+            if bound == inf:  # stopped at a cut it cannot repair
+                continue
+            eid = order[k]
+            if packing.cross[eid] & packed and eid not in violated[2]:
+                candidate += 1
+                continue
+            child = packing.bound(counts.total, counts.safe, k + 1, violated, 0.0, inf)
+            assert (child[0].hex(), child[1]) == (bound.hex(), packed)
+            held += 1
+    assert held >= 10 and candidate >= 10
+
+
 @pytest.mark.parametrize("name", ("bulk", "rsndp"))
 def test_scenario_check_skips_sets_with_no_light_cut(name):
     # A scenario cuts off only cuts with at most |F_j| edges of the set, so
     # first_bad answers None without a scan when no in-scope cut is that
-    # light.  It must give the scan's answer and brute force's verdict.
-    skipped = scanned = 0
+    # light.  It must give the scan's answer and brute force's verdict.  The
+    # scan counts a scenario's failed edges in the set itself, and shares
+    # the set's uncrossed cuts among the scenarios with none there, so the
+    # reference is Boundary.cut_off, and the scans must see both kinds.
+    skipped = scanned = dead = alive = 0
     for seed in range(4):
         g, prob, feasible = _bound_case(name, seed)
         checker = _Checker(g, prob)
@@ -362,21 +396,32 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
             )
             assert got == scan
             assert (got is None) == feasible(H)
+            light = checker.reach & ~(counts.total + checker.few_offset)
             if got is None:
-                light = checker.reach & ~(counts.total + checker.few_offset)
                 skipped += not light
                 scanned += bool(light)
+            if light:
+                # The scenarios the scan reads: up to the first that fails.
+                read = []
+                for scope, fail, _failed in checker.scenarios:
+                    read.append(fail)
+                    if scope & counts.cut_off(fail):
+                        break
+                dead += any(fail & H for fail in read)
+                alive += any(not fail & H for fail in read)
     assert skipped >= 10 and scanned >= 10
+    assert dead >= 10 and alive >= 10
 
 
-# Search work, as the search reports it to faultnet.trace and
-# counting_search_calls names it: "first_bad" counts its feasibility tests
-# (one per greedy step, one per node past the cost check and one per
-# exclusion tried, whether inline or through _Checker.first_bad) and "bound"
-# its packing bounds (one per node that survives the cost and feasibility
-# checks, where the packing runs).  The degree bound is not counted here; an
-# FGC search prunes on it alone and computes no packing bound.  "nodes" is
-# ``exact.nodes``, the DFS nodes entered.
+# Search work, as the search reports it to faultnet.trace and search_calls
+# names it: "first_bad" counts its feasibility tests (one per greedy step,
+# one per node past the cost check that is not an exclusion child, and one
+# per exclusion tried, whether inline or through _Checker.first_bad) and
+# "bound" its packing bounds (one per node that survives the cost,
+# feasibility and degree checks where the packing runs, unless the node is
+# an exclusion child that takes its parent's packing).  An FGC search
+# prunes on the degree bound alone and computes no packing bound.  "nodes"
+# is ``exact.nodes``, the DFS nodes entered.
 def _search_calls(insts, problem_of):
     with trace.recording() as counts:
         for inst in insts:
