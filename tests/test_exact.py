@@ -442,8 +442,7 @@ def _ratio_sweep_graphs():
 
 # Pruned on the degree table alone, the searches below do exactly this
 # work, and no packing bound.  An exclusion child takes its parent's answer
-# and makes no feasibility test of its own: before that they made 1510 and
-# 1427 tests in the same nodes.
+# and makes no feasibility test of its own.
 SPANNING_CALLS = {
     (3, 0): {"first_bad": 1332, "bound": 0, "nodes": 799},
     (3, 2): {"first_bad": 1257, "bound": 0, "nodes": 753},
@@ -501,9 +500,7 @@ def test_fallback_sized_spanning_search_work():
     # The exact search's work on six FGC instances of the fallback path's
     # shapes, (2, 2), (3, 2) and (3, 3) at n = 9-10 and m = 32-38, with the
     # m cap of 30 lifted.  With the packing beside the degree table these
-    # searches made 14,537 feasibility tests and 5,736 packing bounds; with
-    # the degree table alone, before an exclusion child took its parent's
-    # answer, 15,645 tests in the same nodes.
+    # searches made 14,537 feasibility tests and 5,736 packing bounds.
     with trace.recording() as counts:
         for i, (p, q) in enumerate([(2, 2), (3, 2), (3, 3)] * 2):
             skeleton = ("mixed", "safe")[(i // 2) % 2]
@@ -530,9 +527,7 @@ SAME_SEARCH_SHAPES = {
         # No class of these problems holds every singleton cut, so the
         # degree bound leaves the nodes as they were before it.  An
         # exclusion child takes its parent's answer, and its packing while
-        # the excluded edge is no candidate of a packed cut: before that the
-        # same nodes made 505, 803, 610 and 798 tests and 260, 442, 314 and
-        # 415 bounds.
+        # the excluded edge is no candidate of a packed cut.
         ("flex-st", {"first_bad": 419, "bound": 224, "nodes": 273}),
         ("flex-sndp", {"first_bad": 640, "bound": 376, "nodes": 470}),
         ("bulk", {"first_bad": 444, "bound": 233, "nodes": 410}),

@@ -6,9 +6,9 @@ runs the seed-1 cell list of both workloads in ``perfbench/workloads.py``,
 sized as ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, and
 reads the work that the search reports to :mod:`faultnet.trace`: its DFS
 nodes and bound prunes, and its feasibility tests and packing bounds under
-the names that :func:`oracle_utils.search_calls` gives them.  Unlike a timing the counts
-repeat exactly, so a change that makes the search do more or less work
-fails here.  A change that lowers them on purpose re-pins them and names
+the names that :func:`oracle_utils.search_calls` gives them.  Unlike a
+timing the counts repeat exactly, so a change that makes the search do
+more or less work fails here.  A change that lowers them on purpose re-pins them and names
 each one in its log.
 """
 
