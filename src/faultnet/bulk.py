@@ -66,6 +66,7 @@ from heapq import heappop, heappush
 from random import Random
 from typing import Callable, Iterable, Sequence
 
+from . import trace
 from .cuts import Boundary, separating
 from .errors import (
     Disconnected,
@@ -151,6 +152,7 @@ def sample_tree(g: FaultGraph, seed: int = 0) -> TreeEmbedding:
     root.  Downstream correctness never depends on the stretch, only
     expected cost does.
     """
+    trace.count("bulk.trees")
     rng = Random(seed)
     draw = rng.random
     weights = [e.cost * (2.0 ** draw()) for e in g.edges]
@@ -222,6 +224,7 @@ def build_hitting_instance(
     of cuts that its edges cross.  A set whose dead cuts the whole cycle
     misses is not hit; otherwise, when F meets the cycle, the cuts of its
     edges outside F decide."""
+    trace.count("bulk.hitting_instances")
     if counts is None:
         counts = Boundary(g, H)
     lay, cross = counts.layout, counts.cross
@@ -332,6 +335,7 @@ def _best_of_trees(
     kept for the loop, and a later tree with the same H reuses them (the
     hitting instance still depends on the tree).
     """
+    trace.count("bulk.levels")
     best = None
     unhittable = None
     seen: dict[frozenset, tuple[Boundary, list]] = {}

@@ -31,6 +31,7 @@ from functools import cached_property, lru_cache
 from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
+from . import trace
 from .cuts import Boundary, all_cuts, crossed, masks, predicate, separating, side
 from .errors import NotRingFamily, Uncoverable
 from .graph import FaultGraph, VertexCut, boundary, guard_sweep
@@ -150,7 +151,7 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     candidates = sorted(fam.ground)
     violated = fam.cuts
     chosen: list[int] = []
-    trace: list[tuple[str, int]] = []
+    steps: list[tuple[str, int]] = []
     while True:
         active = fam.minimal(violated)
         if not active:
@@ -189,15 +190,18 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
         candidates.remove(tight)
         violated &= ~cross[tight]
         chosen.append(tight)
-        trace.append(("add", tight))
+        steps.append(("add", tight))
     # Reverse delete: drop in reverse addition order when still covering.
     kept = list(chosen)
     for eid in reversed(chosen):
         trial = [x for x in kept if x != eid]
         if not fam.violated(trial):
             kept = trial
-            trace.append(("drop", eid))
-    return CoverResult(frozenset(kept), dual / den, tuple(trace))
+            steps.append(("drop", eid))
+    trace.count("cover.covers")
+    trace.count("cover.steps", len(chosen))
+    trace.count("cover.drops", len(chosen) - len(kept))
+    return CoverResult(frozenset(kept), dual / den, tuple(steps))
 
 
 def ecsndp_base(g: FaultGraph, reqs) -> frozenset:

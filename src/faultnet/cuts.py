@@ -33,6 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable
 
+from . import trace
 from .graph import FaultGraph, guard_sweep
 
 
@@ -259,6 +260,7 @@ class Boundary:
     __slots__ = ("layout", "cross", "_safe", "inside", "safe", "total")
 
     def __init__(self, g: FaultGraph, edge_ids: Iterable[int] = ()):
+        trace.count("cuts.boundaries")
         self.layout = layout_of(g)
         self.cross, self._safe = crossing_table(g)
         self.inside = bytearray(g.m)

@@ -20,6 +20,7 @@ from itertools import product
 from math import comb
 from typing import Iterable, Sequence
 
+from . import trace
 from .cover import CutFamily, ecsndp_base, primal_dual_cover, ring_cover_exact
 from .cuts import Boundary, all_cuts, cut_index, first_mask, masks, separating
 from .errors import (
@@ -230,8 +231,10 @@ def flex_base(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> frozenset:
     edge count is within ``exact_budget()``, otherwise ``ecsndp_base``, the
     level-by-level primal-dual of Goemans et al. (SODA 1994)."""
     if g.m <= exact_budget():
+        trace.count("flexalg.exact_bases")
         F, _cost = exact_solve(g, Problem("flex", flex=tuple(reqs)))
         return F
+    trace.count("flexalg.ecsndp_bases")
     return ecsndp_base(g, reqs)
 
 

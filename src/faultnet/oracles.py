@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterable, Sequence
 
+from . import trace
 from .cover import CutFamily
 from .cuts import Boundary, first_mask, layout_of, masks, separating
 from .errors import BaseNotFeasible, PriorLevelNotSatisfied
@@ -200,6 +201,7 @@ def is_bulk_feasible(
     g: FaultGraph, scenarios: Sequence[BulkScenario], H: Iterable[int]
 ) -> tuple[bool, BulkWitness | None]:
     """Every scenario's pairs must be connected in H minus its failure set."""
+    trace.count("oracles.bulk_checks")
     H = frozenset(H)
     for j, sc in enumerate(scenarios):
         broken = _connected_pairs_ok(g, H - sc.fail, sc.pairs)
@@ -217,6 +219,7 @@ def is_rsndp_feasible(
     only when a requirement's pair is apart in H - F; the witness is the
     first F in enumeration order and its first requirement, in order,
     whose pair G - F connects and H - F does not."""
+    trace.count("oracles.rsndp_checks")
     H = frozenset(H)
     max_r = max((req.r for req in reqs), default=1)
     for combo in failure_sets(g.m, max_r - 1):
@@ -345,6 +348,7 @@ def _violations_of_level(
     scenarios are grouped by pair list, so each scope is computed once
     per distinct pair list and once per pair, and tested once per group.
     """
+    trace.count("oracles.level_builds")
     lay = layout_of(g)
     fails_of: dict[tuple, list[frozenset]] = {}
     for sc in scenarios:
@@ -359,6 +363,7 @@ def _violations_of_level(
     def violations(
         H: frozenset, counts: Boundary | None = None
     ) -> list[tuple[frozenset, tuple[int, int]]]:
+        trace.count("oracles.level_evaluations")
         if counts is None:
             counts = Boundary(g, H)
         exact = lay.exactly(counts.total, level)
@@ -404,6 +409,7 @@ def _relative_violations(
     G - δ_H(S) still connects: one ``cut_off`` on G's Boundary per
     distinct δ_H(S), kept for the oracle's life.
     """
+    trace.count("oracles.level_builds")
     if whole is None:
         whole = Boundary(g, g.all_edge_ids())
     lay = whole.layout
@@ -420,6 +426,7 @@ def _relative_violations(
     def violations(
         H: frozenset, counts: Boundary | None = None
     ) -> list[tuple[frozenset, tuple[int, int]]]:
+        trace.count("oracles.level_evaluations")
         if counts is None:
             counts = Boundary(g, H)
         exact = lay.exactly(counts.total, level)

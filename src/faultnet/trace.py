@@ -11,9 +11,13 @@ counts made in its own context (a thread, or a ``Context.run``, started
 inside it sees none of them), and a recording nested in another adds its
 counts to the outer one when it closes.
 
-Counters so far, each reported once per :func:`faultnet.exact.exact_solve`
-search:
-- ``exact.nodes``: DFS nodes entered;
+A recording sees nothing of the worker processes of
+``faultnet.bench.bench(jobs > 1)``: their counts stay in their own
+processes.
+
+The counters, each reported once per call of the function named, or, for
+the exact search, once per search:
+- ``exact.nodes``: DFS nodes entered (:func:`faultnet.exact.exact_solve`);
 - ``exact.checks``: feasibility tests of the chosen set and of the pool,
   one per node past the cost check that is not an exclusion child (which
   takes its parent's answer) and one per exclusion tried, plus one per
@@ -21,7 +25,21 @@ search:
 - ``exact.bounds``: packing bounds computed (an exclusion child that takes
   its parent's packing computes none);
 - ``exact.prunes``: nodes whose subtree the degree or the packing bound
-  cut.
+  cut;
+- ``bulk.levels``: best-of-trees level steps, one per bulk or relative
+  level and per flexible round;
+- ``bulk.trees``: trees sampled (``sample_tree``);
+- ``bulk.hitting_instances``: hitting instances built;
+- ``oracles.level_builds``: bulk and relative level oracles built;
+- ``oracles.level_evaluations``: calls of those oracles;
+- ``oracles.bulk_checks``: ``is_bulk_feasible`` calls;
+- ``oracles.rsndp_checks``: ``is_rsndp_feasible`` calls;
+- ``cuts.boundaries``: ``Boundary`` constructions;
+- ``cover.covers``: primal-dual covers that return;
+- ``cover.steps``: their dual-growth steps, each adding one edge;
+- ``cover.drops``: their reverse-delete drops;
+- ``flexalg.exact_bases``: ``flex_base`` calls that ran the exact search;
+- ``flexalg.ecsndp_bases``: ``flex_base`` calls that ran ``ecsndp_base``.
 """
 
 from __future__ import annotations

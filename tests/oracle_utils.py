@@ -2,10 +2,9 @@
 
 Everything here is deliberately definitional: exhaustive enumeration over
 cuts, failure subsets, or path sets.  None of it shares code paths with the
-implementations under test; ``counting_search_calls`` only reads the exact
-search's work counts, ``list_primal_dual_cover`` keeps the cover engine's
-earlier member-list form as its reference, ``two_phase_lp`` keeps the
-cold two-phase primal simplex as the reference for the package's dual
+implementations under test; ``list_primal_dual_cover`` keeps the cover
+engine's earlier member-list form as its reference, ``two_phase_lp`` keeps
+the cold two-phase primal simplex as the reference for the package's dual
 simplex, and ``max_flow_min_cut`` is an Edmonds-Karp max flow that shares
 only the capacity check and the augmenting step with ``min_cost_flow``.
 ``membership_ciq`` is the definition of a path-indexed ring family, cut by
@@ -29,14 +28,13 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter, deque
-from contextlib import contextmanager
 from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from faultnet import bulk, simplex, trace
+from faultnet import bulk, simplex
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult
 from faultnet.cuts import Boundary, crossed, cut_index
@@ -879,27 +877,6 @@ def loop_separate_bulk(g: FaultGraph, scenarios, x):
         return None
     _viol, j, mask, ids = best
     return LpRow(key=("bulk", j, mask), terms=tuple((eid, 1.0) for eid in ids), rhs=1.0)
-
-
-def search_calls(counts) -> dict:
-    """The exact search's work in a :func:`faultnet.trace.recording`'s
-    counts, under the names of the checker and packing methods that once
-    did it: ``first_bad`` for its feasibility tests and ``bound`` for its
-    packing bounds."""
-    return {"first_bad": counts["exact.checks"], "bound": counts["exact.bounds"]}
-
-
-@contextmanager
-def counting_search_calls():
-    """Counts the exact search's feasibility tests and packing bounds while
-    active, as the search reports them to :mod:`faultnet.trace`.  Yields
-    the dict of :func:`search_calls`, filled on exit."""
-    counts: dict = {}
-    with trace.recording() as recorded:
-        try:
-            yield counts
-        finally:
-            counts.update(search_calls(recorded))
 
 
 def separate_flex_definitional(g: FaultGraph, reqs, x) -> bool:

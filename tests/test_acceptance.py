@@ -12,7 +12,7 @@ from random import Random
 
 import pytest
 
-from faultnet import flexalg
+from faultnet import trace
 from faultnet.bench import bench, solutions_json
 from faultnet.bulk import (
     _tree_seed,
@@ -204,17 +204,10 @@ def test_criterion_2_fallback_base_is_feasible_and_never_beats_the_optimum():
             n, m, skeleton = _ratio_shape("fgc", p, q, idx)
             inst = _fgc_inst(idx * 7919 + p * 131 + q * 17, p, q, n, m, skeleton)
             g = inst.to_graph()
-            bases = []
-
-            def counted_base(*args, _base=flexalg.ecsndp_base):
-                bases.append(args)
-                return _base(*args)
-
-            with pytest.MonkeyPatch.context() as mp:
+            with pytest.MonkeyPatch.context() as mp, trace.recording() as counts:
                 mp.setenv("FAULTNET_EXACT_BUDGET", "0")
-                mp.setattr(flexalg, "ecsndp_base", counted_base)
                 sol = solve_fgc(g, p, q)
-            assert len(bases) == 1
+            assert counts["flexalg.ecsndp_bases"] == 1 and counts["flexalg.exact_bases"] == 0
             ok, _ = is_flex_feasible(g, fgc_requirements(g.n, p, q), sol)
             assert ok, (p, q, idx)
             _opt_sol, opt = exact_solve(g, inst.problem, budget=30)

@@ -7,6 +7,7 @@ from random import Random
 
 import pytest
 
+from faultnet import trace
 from faultnet.bulk import (
     TREES,
     HittingInstance,
@@ -22,7 +23,6 @@ from faultnet.bulk import (
     solve_flex_sndp,
     solve_rsndp,
 )
-from faultnet.cuts import Boundary
 from faultnet.errors import (
     Disconnected,
     FaultnetError,
@@ -410,12 +410,9 @@ class TestBestOfTreesUnhittable:
 
 class TestSolveBulk:
     @pytest.mark.parametrize("case, builds", [("parallel", 7), ("generated", 4)])
-    def test_each_level_oracle_is_built_once(self, monkeypatch, case, builds):
+    def test_each_level_oracle_is_built_once(self, case, builds):
         # Each level builds one oracle and the precondition builds none, so
         # a width-w run builds w + 1.
-        import faultnet.bulk as bulk_mod
-        import faultnet.oracles as oracles_mod
-
         if case == "parallel":
             # Three vertices, 5 parallel safe edges per side; one scenario
             # fails 3 on each side for pair 0-2.
@@ -425,17 +422,9 @@ class TestSolveBulk:
             inst = bulk_instance(1, width=3)
             g, scenarios = inst.to_graph(), inst.problem.scenarios
             assert sorted(len(sc.fail) for sc in scenarios) == [1, 1, 2, 3]
-        built = []
-        original = oracles_mod._violations_of_level
-
-        def record(g, scenarios, level):
-            built.append(level)
-            return original(g, scenarios, level)
-
-        monkeypatch.setattr(bulk_mod, "_violations_of_level", record)
-        monkeypatch.setattr(oracles_mod, "_violations_of_level", record)
-        H = solve_bulk_sndp(g, scenarios, seed=1)
-        assert len(built) == builds
+        with trace.recording() as counts:
+            H = solve_bulk_sndp(g, scenarios, seed=1)
+        assert counts["oracles.level_builds"] == builds
         assert is_bulk_feasible(g, scenarios, H) == (True, None)
 
     def test_width_zero_is_steiner_forest_via_tree_paths(self):
@@ -876,39 +865,35 @@ class TestBestOfTreesShortcuts:
     def checked(monkeypatch):
         """Patch ``_best_of_trees`` to run the plain loop next to it and
         compare result or InfeasibleAugmentation text; returns the list of
-        compared calls, as ("ok" | "raised"), and a dict that counts the
-        hitting instances each loop built."""
+        compared calls, as ("ok" | "raised"), and a Counter of the hitting
+        instances each loop built."""
         import faultnet.bulk as bulk_mod
 
         fast = bulk_mod._best_of_trees
-        build = bulk_mod.build_hitting_instance
         compared = []
-        built = {"plain": 0, "fast": 0, "now": "plain"}
+        built = Counter()
 
-        def counted_build(*args, **kwargs):
-            built[built["now"]] += 1
-            return build(*args, **kwargs)
-
-        def both(g, H_prev, pairs, violating, level, seed):
-            built["now"] = "plain"
-            try:
-                want = plain_best_of_trees(g, H_prev, pairs, violating, level, seed)
-            except InfeasibleAugmentation as exc:
-                built["now"] = "fast"
-                with pytest.raises(InfeasibleAugmentation) as info:
-                    fast(g, H_prev, pairs, violating, level, seed)
-                assert str(info.value) == str(exc)
-                assert str(info.value.__cause__) == str(exc.__cause__)
+        def both(*args):
+            outs = []
+            for name, loop in (("plain", plain_best_of_trees), ("fast", fast)):
+                with trace.recording() as counts:
+                    try:
+                        outs.append(loop(*args))
+                    except InfeasibleAugmentation as exc:
+                        outs.append(exc)
+                built[name] += counts["bulk.hitting_instances"]
+            want, got = outs
+            if isinstance(want, InfeasibleAugmentation):
+                assert isinstance(got, InfeasibleAugmentation)
+                assert str(got) == str(want)
+                assert str(got.__cause__) == str(want.__cause__)
                 compared.append("raised")
-                raise
-            built["now"] = "fast"
-            got = fast(g, H_prev, pairs, violating, level, seed)
+                raise want
             assert got == want
             compared.append("ok")
             return got
 
         monkeypatch.setattr(bulk_mod, "_best_of_trees", both)
-        monkeypatch.setattr(bulk_mod, "build_hitting_instance", counted_build)
         return compared, built
 
     @pytest.mark.parametrize("kind", ("bulk", "rsndp", "flex-sndp"))
@@ -974,12 +959,10 @@ class TestBestOfTreesShortcuts:
             solve_flex_sndp(inst.to_graph(), inst.problem.flex, seed=479)
         assert compared == ["raised"]
 
-    def test_skip_fires_on_dear_tree_paths(self, monkeypatch):
+    def test_skip_fires_on_dear_tree_paths(self):
         # Pair (0, 2) has two parallel 0.1 edges, so a tree through one of
         # them is fixed by the other for 0.2.  A tree rooted at 1 or 3 joins
         # 0 and 2 through 3 instead, paths of cost 2: it cannot win.
-        import faultnet.bulk as bulk_mod
-
         g = FaultGraph(
             4,
             [(0, 2, 0.1, "safe"), (0, 2, 0.1, "safe"), (3, 0, 1.0, "safe"),
@@ -987,29 +970,15 @@ class TestBestOfTreesShortcuts:
         )
         scenarios = [BulkScenario(frozenset({0}), ((0, 2),)), BulkScenario(frozenset({1}), ((0, 2),))]
         violations = _violations_of_level(g, scenarios, 1)
-        calls = {"sample_tree": 0, "build_hitting_instance": 0}
-
-        def counted(name):
-            original = getattr(bulk_mod, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(bulk_mod, name, counted(name))
         for seed in range(4):
             want = plain_best_of_trees(g, frozenset(), [(0, 2)], violations, 1, seed)
-            for name in calls:
-                calls[name] = 0
-            got = _best_of_trees(g, frozenset(), [(0, 2)], violations, 1, seed)
+            with trace.recording() as counts:
+                got = _best_of_trees(g, frozenset(), [(0, 2)], violations, 1, seed)
             assert got == want == frozenset({0, 1})
-            assert calls["sample_tree"] == TREES
-            assert calls["build_hitting_instance"] < TREES
+            assert counts["bulk.trees"] == TREES
+            assert counts["bulk.hitting_instances"] < TREES
 
-    def test_one_boundary_per_distinct_edge_set(self, monkeypatch):
+    def test_one_boundary_per_distinct_edge_set(self):
         # Level 1 of a pinned bulk instance: every tree leaves violating
         # sets, and each H used to be counted once per tree for its
         # violations and again for its hitting instance.
@@ -1025,19 +994,11 @@ class TestBestOfTreesShortcuts:
             evaluated.append(H)
             return level_one(H, *counts)
 
-        built = []
-        init = Boundary.__init__
-
-        def counting_init(self, g, edge_ids=()):
-            built.append(1)
-            init(self, g, edge_ids)
-
-        monkeypatch.setattr(Boundary, "__init__", counting_init)
-        H1 = _best_of_trees(g, H0, pairs, violating, 1, 2)
-        monkeypatch.undo()
+        with trace.recording() as counts:
+            H1 = _best_of_trees(g, H0, pairs, violating, 1, 2)
         assert level_one(H1) == []
         assert any(level_one(H) for H in evaluated)
-        assert len(built) <= len(set(evaluated))
+        assert counts["cuts.boundaries"] <= len(set(evaluated))
         assert len(set(evaluated)) == len(evaluated)
 
 

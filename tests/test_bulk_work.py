@@ -9,20 +9,19 @@ drivers sample on the seed-1 ``bulk-relative`` graphs, and of trees on
 zero-cost path graphs and on graphs with parallel edges, where heap ties
 decide the tree.
 
-The last test counts the bulk driver's work on the seed-1
+The last test reads the bulk driver's work on the seed-1
 ``bulk-relative`` cell list in ``perfbench/workloads.py``, sized as
 ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, as
-``tests/test_search_work.py`` counts the exact search's: sampled trees,
-hitting instances built, level-oracle evaluations (bulk and relative),
-and calls of the union-find checks ``is_bulk_feasible`` and
-``is_rsndp_feasible``.  A change that lowers them on purpose re-pins them
-and names each one in its log.
+``tests/test_search_work.py`` reads the exact search's: the level steps,
+sampled trees, hitting instances, level-oracle evaluations (bulk and
+relative) and union-find checks ``is_bulk_feasible`` and
+``is_rsndp_feasible`` that the package reports to :mod:`faultnet.trace`.
+A change that lowers them on purpose re-pins them and names each one in
+its log.
 """
 
-import contextlib
 import hashlib
 import sys
-from collections import Counter
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -31,7 +30,7 @@ import run  # noqa: E402
 
 run.import_faultnet()
 
-from faultnet import bulk, instances  # noqa: E402
+from faultnet import bulk, instances, trace  # noqa: E402
 from faultnet.graph import FaultGraph  # noqa: E402
 from workloads import WORKLOADS, run_cells  # noqa: E402
 
@@ -89,66 +88,26 @@ def test_trees_with_parallel_edges_are_pinned():
     assert tree_digest(trees) == "68e91f670dec87102f19b7eee11ca716572768d2fe5ffab740b6e3ee80a8d9fc"
 
 
-# Every counted function goes through its module attribute in each module
-# that holds it, as perfbench's tracer wraps them.
-COUNTED = ("sample_tree", "build_hitting_instance", "is_bulk_feasible", "is_rsndp_feasible")
-
-
-@contextlib.contextmanager
-def counting_bulk_calls():
-    """Counts the calls of ``COUNTED`` and the evaluations of every level
-    oracle that ``bulk._violations_of_level`` or
-    ``bulk._relative_violations`` builds while active; yields the Counter,
-    keyed by function name and ``level_oracle``."""
-    counts = Counter({name: 0 for name in COUNTED + ("level_oracle",)})
-    modules = [mod for name, mod in sys.modules.items() if name.startswith("faultnet")]
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    def counted_oracles(build_oracle):
-        def build(*args, **kwargs):
-            return counted("level_oracle", build_oracle(*args, **kwargs))
-
-        return build
-
-    originals = {getattr(bulk, name): counted(name, getattr(bulk, name)) for name in COUNTED}
-    for build_oracle in (bulk._violations_of_level, bulk._relative_violations):
-        originals[build_oracle] = counted_oracles(build_oracle)
-    patched = []
-    for mod in modules:
-        for attr, value in list(vars(mod).items()):
-            if callable(value) and value in originals:
-                patched.append((mod, attr, value))
-                setattr(mod, attr, originals[value])
-    try:
-        yield counts
-    finally:
-        for mod, attr, value in reversed(patched):
-            setattr(mod, attr, value)
-
-
-# is_bulk_feasible: 88 calls by solve_bulk_sndp and 44 by the bench's check
-# of each bulk answer.  It read 176 while exact_solve also asked it whether
-# G itself is feasible, once per bulk baseline; the search now answers that
-# on the cut kernel.
+# The bulk driver's work, as it reports it to faultnet.trace.
+# oracles.bulk_checks: 88 calls by solve_bulk_sndp and 44 by the bench's
+# check of each bulk answer.  It read 176 while exact_solve also asked it
+# whether G itself is feasible, once per bulk baseline; the search now
+# answers that on the cut kernel.  bulk.levels counts relative levels and
+# flexible rounds too.
 BULK_CALLS = {
-    "sample_tree": 2288,
-    "build_hitting_instance": 602,
-    "level_oracle": 505,
-    "is_bulk_feasible": 132,
-    "is_rsndp_feasible": 86,
+    "bulk.levels": 286,
+    "bulk.trees": 2288,
+    "bulk.hitting_instances": 602,
+    "oracles.level_evaluations": 505,
+    "oracles.bulk_checks": 132,
+    "oracles.rsndp_checks": 86,
 }
 
 
 def test_seed_1_bulk_driver_work_is_unchanged():
     workload = WORKLOADS[WORKLOAD]
     cells = workload.make_cells(1, workload.cell_count(SECONDS))
-    with counting_bulk_calls() as counts:
+    with trace.recording() as counts:
         outcomes, _wall = run_cells(cells)
     assert [out.error for out in outcomes if out.error] == []
-    assert dict(counts) == BULK_CALLS
+    assert {name: counts[name] for name in BULK_CALLS} == BULK_CALLS

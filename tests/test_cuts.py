@@ -292,20 +292,19 @@ def test_crossing_idiom_stays_in_the_kernel_modules():
     assert found <= IDIOM_ALLOWED
 
 
-# Layout.equal of two packed counts, or a failure set's crossing sets summed
-# into one: "which cuts does this failure set cut off", Boundary.cut_off.
-ZERO_CUT_IDIOM = re.compile(r"\.equal\(|\+=\s*cross\[")
+# Layout.equal of two packed counts, a failure set's crossing sets summed
+# into one, or the nonzero offset added to a packed count: "which cuts does
+# this failure set cut off", Boundary.cut_off.  exact._Checker.first_bad
+# keeps one inline copy of Layout.cut_off, to save a call per scenario.
+ZERO_CUT_IDIOM = re.compile(r"\.equal\(|\+=\s*cross\[|\+\s*(?:self\.)?nonzero\b")
+ZERO_CUT_COPIES = {("exact.py", "_Checker")}
 
 
 def test_zero_cut_idiom_stays_in_the_kernel():
     package = Path(faultnet.__file__).parent
-    found = {
-        path.name
-        for path in package.glob("*.py")
-        if ZERO_CUT_IDIOM.search(path.read_text(encoding="utf-8"))
-    }
-    assert "cuts.py" in found  # the pattern still recognises the idiom
-    assert found <= {"cuts.py"}
+    found = set().union(*(_matching_definitions(path, ZERO_CUT_IDIOM) for path in package.glob("*.py")))
+    assert ("cuts.py", "Layout") in found  # the pattern still recognises the idiom
+    assert {entry for entry in found if entry[0] != "cuts.py"} == ZERO_CUT_COPIES
 
 
 UNION_FIND = re.compile(r"\b(same_component|connected_components|component_labels)\b")

@@ -5,10 +5,11 @@ so this pins them here.  It runs the seed-1 cell list of ``ratio-sweep``
 and ``fgc-fallback`` in ``perfbench/workloads.py``, sized as ``python3
 perfbench/run.py --seed 1 --seconds 5`` sizes it, records every
 ``cover.primal_dual_cover`` result in call order, and compares the sha256
-over ``float.hex`` of each dual bound, its trace and its sorted edges, plus
-the totals of calls, add steps and drop steps, with the values a trusted
-earlier commit gave.  The dual bound must not move by a bit: it is the
-certificate below the optimum.
+over ``float.hex`` of each dual bound, its trace and its sorted edges with
+the value a trusted earlier commit gave.  The dual bound must not move by
+a bit: it is the certificate below the optimum.  Next to it are the
+counts that the covers and ``flexalg.flex_base`` report to
+:mod:`faultnet.trace`: covers, growth steps, drops, and which base ran.
 """
 
 import hashlib
@@ -23,22 +24,26 @@ import run  # noqa: E402
 
 run.import_faultnet()
 
-from faultnet import cover, flexalg  # noqa: E402
+from faultnet import cover, flexalg, trace  # noqa: E402
 from workloads import WORKLOADS, run_cells  # noqa: E402
 
 SECONDS = 5
 PINS = {
     "ratio-sweep": {
         "digest": "07dc56cd63bc3f231c75fde2ef0c971643fb25f18887b6d7ae22fb5038ae0c8f",
-        "calls": 171,
-        "add": 143,
-        "drop": 20,
+        "cover.covers": 171,
+        "cover.steps": 143,
+        "cover.drops": 20,
+        "flexalg.exact_bases": 40,
+        "flexalg.ecsndp_bases": 0,
     },
     "fgc-fallback": {
         "digest": "bc67271f9ed41db86eb6f7e11f94c8d645af992f060da6fa11f3a24cf6f3a8f1",
-        "calls": 525,
-        "add": 1650,
-        "drop": 154,
+        "cover.covers": 525,
+        "cover.steps": 1650,
+        "cover.drops": 154,
+        "flexalg.exact_bases": 0,
+        "flexalg.ecsndp_bases": 75,
     },
 }
 
@@ -57,17 +62,13 @@ def test_seed_1_cover_results_are_unchanged(name, monkeypatch):
     monkeypatch.setattr(cover, "primal_dual_cover", recorded)
     monkeypatch.setattr(flexalg, "primal_dual_cover", recorded)
     workload = WORKLOADS[name]
-    outcomes, _wall = run_cells(workload.make_cells(1, workload.cell_count(SECONDS)))
+    with trace.recording() as counts:
+        outcomes, _wall = run_cells(workload.make_cells(1, workload.cell_count(SECONDS)))
     assert [out.error for out in outcomes if out.error] == []
     sha = hashlib.sha256()
     for result in results:
         line = f"{result.dual_lower_bound.hex()} {result.trace} {sorted(result.edges)}\n"
         sha.update(line.encode())
-    steps = [step for result in results for step, _eid in result.trace]
-    got = {
-        "digest": sha.hexdigest(),
-        "calls": len(results),
-        "add": steps.count("add"),
-        "drop": steps.count("drop"),
-    }
+    got = {key: counts[key] for key in PINS[name]}
+    got["digest"] = sha.hexdigest()
     assert got == PINS[name]

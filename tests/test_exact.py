@@ -24,12 +24,10 @@ from oracle_utils import (
     brute_connected,
     brute_flex_feasible,
     brute_rsndp_feasible,
-    counting_search_calls,
     dijkstra_cost,
     global_flex_oracle,
     kruskal_mst_cost,
     random_graph,
-    search_calls,
 )
 
 
@@ -413,25 +411,22 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
     assert dead >= 10 and alive >= 10
 
 
-# Search work, as the search reports it to faultnet.trace and search_calls
-# names it: "first_bad" counts its feasibility tests (one per greedy step,
-# one per node past the cost check that is not an exclusion child, and one
-# per exclusion tried, whether inline or through _Checker.first_bad) and
-# "bound" its packing bounds (one per node that survives the cost,
-# feasibility and degree checks where the packing runs, unless the node is
-# an exclusion child that takes its parent's packing).  An FGC search
-# prunes on the degree bound alone and computes no packing bound.  "nodes"
-# is ``exact.nodes``, the DFS nodes entered.
-def _search_calls(insts, problem_of):
+# Search work, as the search reports it to faultnet.trace: "exact.checks"
+# counts its feasibility tests (one per greedy step, one per node past the
+# cost check that is not an exclusion child, and one per exclusion tried,
+# whether inline or through _Checker.first_bad), "exact.bounds" its packing
+# bounds (one per node that survives the cost, feasibility and degree
+# checks where the packing runs, unless the node is an exclusion child that
+# takes its parent's packing) and "exact.nodes" the DFS nodes entered.  An
+# FGC search prunes on the degree bound alone and computes no packing bound.
+WORK = ("exact.checks", "exact.bounds", "exact.nodes")
+
+
+def _search_work(insts, problem_of):
     with trace.recording() as counts:
         for inst in insts:
             exact_solve(inst.to_graph(), problem_of(inst))
-    return _work(counts)
-
-
-def _work(counts):
-    """The search work of a recording: its tests, bounds and nodes."""
-    return {**search_calls(counts), "nodes": counts["exact.nodes"]}
+    return {name: counts[name] for name in WORK}
 
 
 def _ratio_sweep_graphs():
@@ -444,8 +439,8 @@ def _ratio_sweep_graphs():
 # work, and no packing bound.  An exclusion child takes its parent's answer
 # and makes no feasibility test of its own.
 SPANNING_CALLS = {
-    (3, 0): {"first_bad": 1332, "bound": 0, "nodes": 799},
-    (3, 2): {"first_bad": 1257, "bound": 0, "nodes": 753},
+    (3, 0): {"exact.checks": 1332, "exact.bounds": 0, "exact.nodes": 799},
+    (3, 2): {"exact.checks": 1257, "exact.bounds": 0, "exact.nodes": 753},
 }
 
 
@@ -455,12 +450,12 @@ SPANNING_CALLS = {
         # Before the degree bound, these searches made 2594 feasibility
         # tests and 1450 packing bounds for (3, 0), the base of solve_fgc,
         # and 2455 and 1371 for the (3, 2) baseline.
-        (3, 0, {"first_bad": 2594, "bound": 1450}),
-        (3, 2, {"first_bad": 2455, "bound": 1371}),
+        (3, 0, {"exact.checks": 2594, "exact.bounds": 1450}),
+        (3, 2, {"exact.checks": 2455, "exact.bounds": 1371}),
     ],
 )
 def test_degree_bound_cuts_the_spanning_search(p, q, parent):
-    counts = _search_calls(
+    counts = _search_work(
         _ratio_sweep_graphs(), lambda inst: Problem("flex", flex=fgc_requirements(inst.n, p, q))
     )
     assert counts == SPANNING_CALLS[p, q]
@@ -490,9 +485,9 @@ def test_only_an_all_spanning_search_drops_the_packing(seed):
     for reqs, packs in ((fgc, False), (mixed, True)):
         prob = Problem("flex", flex=reqs)
         assert len(_Packing(g, _Checker(g, prob).classes).spanning) == 1
-        with counting_search_calls() as counts:
+        with trace.recording() as counts:
             _sol, cost = exact_solve(g, prob)
-        assert (counts["bound"] > 0) == packs
+        assert (counts["exact.bounds"] > 0) == packs
         assert abs(cost - brute_minimum(g, lambda H: brute_flex_feasible(g, reqs, H))) < 1e-9
 
 
@@ -508,7 +503,8 @@ def test_fallback_sized_spanning_search_work():
             n, m = (9, 10)[i % 2], 32 + (i * 3) % 7
             inst = generate("random-multigraph", n=n, m=m, seed=i, params=params)
             exact_solve(inst.to_graph(), inst.problem, budget=60)
-    assert _work(counts) == {"first_bad": 12275, "bound": 0, "nodes": 9416}
+    work = {name: counts[name] for name in WORK}
+    assert work == {"exact.checks": 12275, "exact.bounds": 0, "exact.nodes": 9416}
 
 
 SAME_SEARCH_SHAPES = {
@@ -528,16 +524,16 @@ SAME_SEARCH_SHAPES = {
         # degree bound leaves the nodes as they were before it.  An
         # exclusion child takes its parent's answer, and its packing while
         # the excluded edge is no candidate of a packed cut.
-        ("flex-st", {"first_bad": 419, "bound": 224, "nodes": 273}),
-        ("flex-sndp", {"first_bad": 640, "bound": 376, "nodes": 470}),
-        ("bulk", {"first_bad": 444, "bound": 233, "nodes": 410}),
-        ("rsndp", {"first_bad": 599, "bound": 313, "nodes": 524}),
+        ("flex-st", {"exact.checks": 419, "exact.bounds": 224, "exact.nodes": 273}),
+        ("flex-sndp", {"exact.checks": 640, "exact.bounds": 376, "exact.nodes": 470}),
+        ("bulk", {"exact.checks": 444, "exact.bounds": 233, "exact.nodes": 410}),
+        ("rsndp", {"exact.checks": 599, "exact.bounds": 313, "exact.nodes": 524}),
     ],
 )
 def test_other_searches_do_the_same_work(name, parent):
     params = SAME_SEARCH_SHAPES[name]
     insts = [generate("random-multigraph", n=7, m=14, seed=seed, params=params) for seed in range(4)]
-    assert _search_calls(insts, lambda inst: inst.problem) == parent
+    assert _search_work(insts, lambda inst: inst.problem) == parent
 
 
 def test_an_all_spanning_dfs_calls_neither_the_checker_nor_repair(monkeypatch):
@@ -555,23 +551,19 @@ def test_an_all_spanning_dfs_calls_neither_the_checker_nor_repair(monkeypatch):
 
         return wrapped
 
-    refreshes = []
-    refresh = _Packing.refresh
-
-    def counted_refresh(self, *args):
-        refreshes.append(args[1])
-        return refresh(self, *args)
-
     monkeypatch.setattr(_Checker, "first_bad", spy(_Checker.first_bad))
     monkeypatch.setattr(_Packing, "repair", spy(_Packing.repair))
-    monkeypatch.setattr(_Packing, "refresh", counted_refresh)
+    monkeypatch.setattr(_Packing, "refresh", spy(_Packing.refresh))
     with trace.recording() as counts:
         for inst in _ratio_sweep_graphs():
             exact_solve(inst.to_graph(), inst.problem)
-    assert {name for name, _caller in callers} == {"first_bad", "repair"}
-    assert "dfs" not in {caller for _name, caller in callers}
-    # At most one refresh per node, and the degree table did move.
-    assert 0 < len(refreshes) <= counts["exact.nodes"]
+    # The DFS refreshes the degree table, at most once per node, and the
+    # table did move.
+    refreshes = callers.count(("refresh", "dfs"))
+    assert 0 < refreshes <= counts["exact.nodes"]
+    others = [call for call in callers if call != ("refresh", "dfs")]
+    assert {name for name, _caller in others} == {"first_bad", "repair"}
+    assert "dfs" not in {caller for _name, caller in others}
     callers.clear()
     g, prob, _feasible = _bound_case("bulk", 0)
     exact_solve(g, prob)

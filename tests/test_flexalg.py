@@ -4,8 +4,9 @@ from math import comb
 
 import pytest
 
+from faultnet import trace
 from faultnet.cover import CutFamily, ring_cover_exact
-from faultnet.cuts import Boundary, cut_index, predicate
+from faultnet.cuts import cut_index, predicate
 from faultnet.errors import (
     BaseNotFeasible,
     InfeasibleInstance,
@@ -217,16 +218,9 @@ class TestAugmentStages:
                         assert safe > stage_index
 
     @pytest.mark.parametrize("scope", ("spanning", "st"))
-    def test_one_boundary_per_call(self, scope, monkeypatch):
+    def test_one_boundary_per_call(self, scope):
         # The opening check, each stage and the closing check share one
         # Boundary of F, grown by each bought edge.
-        built = []
-        init = Boundary.__init__
-
-        def counting_init(self, g, edge_ids=()):
-            built.append(1)
-            init(self, g, edge_ids)
-
         grown = 0
         for seed in range(4):
             if scope == "spanning":
@@ -242,11 +236,9 @@ class TestAugmentStages:
                 caps = [r.p + 2 if e.safe else r.p for e in g.edges]
                 F = solve_flex_st(g, r.s, r.t, r.p, 1)
                 F |= min_cost_flow(g, caps, r.s, r.t, r.p * (r.p + 2)).support()
-            built.clear()
-            monkeypatch.setattr(Boundary, "__init__", counting_init)
-            out = augment_stages(g, F, plan)
-            monkeypatch.undo()
-            assert len(built) == 1
+            with trace.recording() as counts:
+                out = augment_stages(g, F, plan)
+            assert counts["cuts.boundaries"] == 1
             grown += out != frozenset(F)
         assert grown
 

@@ -8,7 +8,9 @@ No linter ships with the project, so these walk each module's syntax tree:
   in the package other than at its own definition, or is a public name in
   ``faultnet.__all__``.  Code that only tests call belongs in the tests;
 - every backticked dotted name in ``README.md``, such as ``graph.boundary``
-  or ``faultnet.cuts``, resolves to a package module or attribute.
+  or ``faultnet.cuts``, resolves to a package module or attribute;
+- the counter names that the package passes to ``trace.count`` are the
+  ones that the catalogue in ``faultnet.trace``'s docstring lists.
 """
 
 import ast
@@ -25,6 +27,7 @@ MODULES = [path for path in PACKAGE if path.name != "__init__.py"]
 TESTS = sorted(Path(__file__).parent.glob("*.py"))
 README = Path(__file__).parent.parent / "README.md"
 DOTTED_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
+CATALOGUE_ENTRY = re.compile(r"^- ``([\w.]+)``:", re.MULTILINE)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -123,3 +126,28 @@ def test_readme_names_resolve():
     text = README.read_text(encoding="utf-8")
     assert DOTTED_NAME.findall(text)
     assert unresolved_names(text) == []
+
+
+def counter_names(source: str) -> set:
+    """The first arguments of the module's ``trace.count`` calls; one that
+    is not a string literal reads as None."""
+    return {
+        node.args[0].value if isinstance(node.args[0], ast.Constant) else None
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "count"
+        and getattr(node.func.value, "id", None) == "trace"
+    }
+
+
+def test_checker_sees_a_counter():
+    source = 'trace.count("a.b", 2)\ntrace.count(name)\nlayout.count(x, 0)\n'
+    assert counter_names(source) == {"a.b", None}
+
+
+def test_counters_match_the_trace_catalogue():
+    counted = set().union(*(counter_names(path.read_text(encoding="utf-8")) for path in MODULES))
+    catalogue = set(CATALOGUE_ENTRY.findall(faultnet.trace.__doc__))
+    assert "exact.nodes" in counted and "exact.nodes" in catalogue  # both still match
+    assert counted == catalogue

@@ -4,12 +4,11 @@ Most of the time of ``ratio-sweep`` and ``bulk-relative`` goes to
 ``exact_solve``, as the exact baseline and as the FGC (p, 0) base.  This
 runs the seed-1 cell list of both workloads in ``perfbench/workloads.py``,
 sized as ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, and
-reads the work that the search reports to :mod:`faultnet.trace`: its DFS
-nodes and bound prunes, and its feasibility tests and packing bounds under
-the names that :func:`oracle_utils.search_calls` gives them.  Unlike a
-timing the counts repeat exactly, so a change that makes the search do
-more or less work fails here.  A change that lowers them on purpose re-pins them and names
-each one in its log.
+reads the work that the search reports to :mod:`faultnet.trace`: its
+feasibility tests and packing bounds, its DFS nodes and its bound prunes.
+Unlike a timing the counts repeat exactly, so a change that makes the
+search do more or less work fails here.  A change that lowers them on
+purpose re-pins them and names each one in its log.
 """
 
 import sys
@@ -24,13 +23,12 @@ import run  # noqa: E402
 run.import_faultnet()
 
 from faultnet import trace  # noqa: E402
-from oracle_utils import search_calls  # noqa: E402
 from workloads import WORKLOADS, run_cells  # noqa: E402
 
 SECONDS = 5
 SEARCH_CALLS = {
-    "ratio-sweep": {"first_bad": 17057, "bound": 724},
-    "bulk-relative": {"first_bad": 33169, "bound": 17735},
+    "ratio-sweep": {"exact.checks": 17057, "exact.bounds": 724},
+    "bulk-relative": {"exact.checks": 33169, "exact.bounds": 17735},
 }
 # DFS nodes entered, ``exact.nodes``.
 SEARCH_NODES = {"ratio-sweep": 11419, "bulk-relative": 28293}
@@ -45,6 +43,6 @@ def test_seed_1_search_work_is_unchanged(name):
     with trace.recording() as counts:
         outcomes, _wall = run_cells(cells)
     assert [out.error for out in outcomes if out.error] == []
-    assert search_calls(counts) == SEARCH_CALLS[name]
+    assert {key: counts[key] for key in SEARCH_CALLS[name]} == SEARCH_CALLS[name]
     assert counts["exact.nodes"] == SEARCH_NODES[name]
     assert counts["exact.prunes"] == SEARCH_PRUNES[name]
