@@ -7,7 +7,8 @@ reference.  The first tests pin the trees themselves: a sha256 over
 (root, parent vertices, parent edges, depths) of the trees that the
 drivers sample on the seed-1 ``bulk-relative`` graphs, and of trees on
 zero-cost path graphs and on graphs with parallel edges, where heap ties
-decide the tree.
+decide the tree.  A second sha256 pins the edge order of every tree path
+of the workload trees.
 
 The last test reads the bulk driver's work on the seed-1
 ``bulk-relative`` cell list in ``perfbench/workloads.py``, sized as
@@ -52,15 +53,33 @@ def workload_graphs(count):
     return [(instances.parse(cell.text).to_graph(), cell.alg_seed) for cell in cells]
 
 
-def test_trees_of_the_workload_graphs_are_pinned():
-    # Every tree the drivers sample at levels 0-2 on the first 30 cells
-    # (ten of each kind), plus seeds 0-9.
-    trees = []
+def workload_trees():
+    """(graph, tree) of every tree the drivers sample at levels 0-2 on the
+    first 30 cells (ten of each kind), plus seeds 0-9."""
+    out = []
     for g, alg_seed in workload_graphs(30):
         seeds = [bulk._tree_seed(alg_seed, level, t) for level in range(3) for t in range(bulk.TREES)]
-        trees += [bulk.sample_tree(g, seed=s) for s in seeds + list(range(10))]
+        out += [(g, bulk.sample_tree(g, seed=s)) for s in seeds + list(range(10))]
+    return out
+
+
+def test_trees_of_the_workload_graphs_are_pinned():
+    trees = [tree for _g, tree in workload_trees()]
     assert len(trees) == 30 * 34
     assert tree_digest(trees) == "4eced53d0cf71cb991f9cb751b2265e2e13f485e0079b3dba2442c8d0e84edd9"
+
+
+def test_tree_paths_of_the_workload_graphs_are_pinned():
+    # The order of a path's edges is the order in which the level step
+    # inserts them into H, and so fixes H's iteration order and every cost
+    # summed over it.  Every ordered pair of distinct vertices.
+    h = hashlib.sha256()
+    for g, tree in workload_trees():
+        for u in range(g.n):
+            for v in range(g.n):
+                if u != v:
+                    h.update(repr(tree.path(u, v)).encode())
+    assert h.hexdigest() == "3efc250772b7222ed203a64970be3ec150e2fef7ddf4247550b951ce779906e8"
 
 
 def test_trees_on_zero_cost_paths_are_pinned():
