@@ -480,7 +480,11 @@ def solve_flex_sndp(
             g,
             H,
             active,
-            lambda H_work, counts: _flex_violating_sets(g, H_work, reqs, round_index, counts),
+            # The default binds this round: a late-binding closure would read
+            # the round the loop is at when it is called.
+            lambda H_work, counts, round_index=round_index: _flex_violating_sets(
+                g, H_work, reqs, round_index, counts
+            ),
             round_index,
             seed,
         )

@@ -546,6 +546,28 @@ class TestFlexSndpDriver:
         ok, _ = is_flex_feasible(g, inst.problem.flex, sol)
         assert ok
 
+    def test_each_round_keeps_its_own_oracle(self, monkeypatch):
+        # Replayed after the loop, each round's oracle still answers for its
+        # own round, not for the round the loop ended at.
+        import faultnet.bulk as bulk_mod
+
+        level_step = bulk_mod._best_of_trees
+        steps = []
+
+        def recorded(g, H_prev, pairs, violating, level, seed):
+            steps.append((H_prev, violating, level))
+            return level_step(g, H_prev, pairs, violating, level, seed)
+
+        monkeypatch.setattr(bulk_mod, "_best_of_trees", recorded)
+        inst = self.flex_sndp_unlucky_tree_instance()
+        g, reqs = inst.to_graph(), inst.problem.flex
+        solve_flex_sndp(g, reqs, seed=479)
+        assert [level for _H, _violating, level in steps] == [1, 2]
+        answers = [_flex_violating_sets(g, H_prev, reqs, level) for H_prev, _v, level in steps]
+        assert answers[0] and answers[0] != _flex_violating_sets(g, steps[0][0], reqs, 2)
+        for (H_prev, violating, _level), want in zip(steps, answers):
+            assert violating(H_prev, None) == want
+
     def test_every_tree_unhittable_raises(self, monkeypatch):
         import faultnet.bulk as bulk_mod
 
