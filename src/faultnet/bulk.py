@@ -10,17 +10,22 @@ A tree is a shortest-path tree under perturbed costs, grown by Dijkstra
 on a neighbour table that each graph builds once and keeps; each
 vertex's depth is set when it is popped, from its parent's.  Most trees
 serve only the skip test below, so the sampling is the loop's largest
-fixed cost.
+fixed cost.  Trees and cycles read their costs from the graph's own
+table, ``FaultGraph.costs``, and a tree's edge set is derived only when
+it is read.
 
-A tree is evaluated only if it can still win: once a best is kept, a tree
+A level stops drawing trees once the kept candidate costs at most 1e-12:
+every candidate costs >= 0, as a float sum of costs >= 0, and only one
+below best - 1e-12 replaces the kept one, so no later tree can win.  A
+tree is evaluated only if it can still win: once a best is kept, a tree
 whose paths alone (H - H_prev) cost more than best * (1 + 1e-9) is
 skipped, since costs are >= 0, each of its candidates holds H, and a float
 sum of at most m terms >= 0 is within relative m * 2^-53 of its exact
 value in any order.  Each distinct H is evaluated once per level: its
 Boundary and violating sets are kept in a per-loop memo, and that one
-Boundary also serves the hitting instance.  Neither shortcut can change
-the kept tree.  The hitting instance walks each fundamental cycle once,
-for its cost and the cuts its edges cross.
+Boundary also serves the hitting instance.  None of these shortcuts can
+change the kept tree.  The hitting instance walks each fundamental cycle
+once, for its cost and the cuts its edges cross.
 
 Every level closes on its own oracle: the kept candidate's violating sets
 are read from the same memo, or asked once when no tree's H is the
@@ -102,7 +107,11 @@ class TreeEmbedding:
     parent_vertex: tuple[int, ...]
     parent_edge: tuple[int, ...]
     depth: tuple[int, ...]
-    tree_edges: frozenset
+
+    @property
+    def tree_edges(self) -> frozenset:
+        """Edge ids of the tree."""
+        return frozenset(eid for v, eid in enumerate(self.parent_edge) if v != self.root)
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
         """Edge ids of the unique tree path between u and v."""
@@ -155,7 +164,7 @@ def sample_tree(g: FaultGraph, seed: int = 0) -> TreeEmbedding:
     trace.count("bulk.trees")
     rng = Random(seed)
     draw = rng.random
-    weights = [e.cost * (2.0 ** draw()) for e in g.edges]
+    weights = [c * (2.0 ** draw()) for c in g.costs]
     n = g.n
     root = rng.randrange(n)
     neighbours = _neighbour_table(g)
@@ -182,13 +191,7 @@ def sample_tree(g: FaultGraph, seed: int = 0) -> TreeEmbedding:
                 heappush(heap, (nd, y))
     if -1 in depth:
         raise Disconnected("graph is not connected")
-    return TreeEmbedding(
-        root=root,
-        parent_vertex=tuple(parent_v),
-        parent_edge=tuple(parent_e),
-        depth=tuple(depth),
-        tree_edges=frozenset(parent_e[v] for v in range(n) if v != root),
-    )
+    return TreeEmbedding(root, tuple(parent_v), tuple(parent_e), tuple(depth))
 
 
 # -- hitting set ------------------------------------------------------------------
@@ -232,17 +235,17 @@ def build_hitting_instance(
     # The dead cuts of each set, moved from the guard bits to the low bits
     # of their fields, where the packed crossing sets have theirs.
     dead_cuts = [(F, (lay.scope((pair,)) & counts.cut_off(F)) >> shift) for F, pair in viol]
-    edges = g.edges
+    edges, edge_costs, path = g.edges, g.costs, tree.path
     elements = tuple(sorted(g.all_edge_ids() - H))
     costs = {}
     hits = {}
     for eid in elements:
         e = edges[eid]
-        cycle = frozenset({eid}) | frozenset(tree.path(e.u, e.v))
+        cycle = frozenset({eid}) | frozenset(path(e.u, e.v))
         terms = []
         whole = 0
         for x in cycle:
-            terms.append(edges[x].cost)
+            terms.append(edge_costs[x])
             whole |= cross[x]
         costs[eid] = sum(terms)
         hit = []
@@ -324,18 +327,23 @@ def _best_of_trees(
     raised if the kept candidate has a violating set, read from the memo
     below or, when no tree's H is the candidate, asked once.
 
-    Two shortcuts leave the result unchanged.  A tree is not evaluated when
-    a best is kept and its paths alone, H - H_prev, cost more than
+    Three shortcuts leave the result unchanged.  No tree is drawn once the
+    kept cost is at most 1e-12: a candidate's cost is a float sum of
+    ``g.costs`` terms >= 0, so it is >= 0, and only a cost below
+    best - 1e-12 replaces the kept one.  A tree is not evaluated when a
+    best is kept and its paths alone, H - H_prev, cost more than
     best * (1 + 1e-9): costs are >= 0 and each candidate of the tree holds
     H, and a float sum of k <= m terms >= 0 lies within relative k * 2^-53
     of its exact value in any order, so the candidate's float cost is still
-    >= best, and only a cost below best - 1e-12 replaces it.  Without a
-    kept best no tree is skipped, so the unhittable path is as before.  And
+    >= best.  That sum runs over the tree's path edges outside H_prev, so
+    H is not built for a skipped tree.  Without a kept best no tree is
+    skipped or stops the level, so the unhittable path is as before.  And
     each distinct H is evaluated once: its Boundary and violating sets are
     kept for the loop, and a later tree with the same H reuses them (the
     hitting instance still depends on the tree).
     """
     trace.count("bulk.levels")
+    costs = g.costs
     best = None
     unhittable = None
     seen: dict[frozenset, tuple[Boundary, list]] = {}
@@ -344,9 +352,9 @@ def _best_of_trees(
         H_P: set[int] = set()
         for u, v in pairs:
             H_P.update(tree.path(u, v))
-        H = H_prev | H_P
-        if best is not None and g.total_cost(H - H_prev) > best[0] * (1 + 1e-9):
+        if best is not None and sum(costs[e] for e in H_P if e not in H_prev) > best[0] * (1 + 1e-9):
             continue
+        H = H_prev | H_P
         if H not in seen:
             counts = Boundary(g, H)
             seen[H] = (counts, violating(H, counts))
@@ -367,6 +375,8 @@ def _best_of_trees(
         cost = g.total_cost(candidate - H_prev)
         if best is None or cost < best[0] - 1e-12:
             best = (cost, candidate)
+            if cost <= 1e-12:
+                break
     if best is None:
         raise InfeasibleAugmentation(
             f"level {level}: every tree failed, last with {unhittable}"

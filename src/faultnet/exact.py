@@ -219,7 +219,7 @@ class _Tables:
         self.width = width = layout_of(g).width
         self.field = (1 << width) - 1
         cross, self.safe = crossing_table(g)
-        self.costs = costs = tuple(e.cost for e in g.edges)
+        self.costs = costs = g.costs
         self.order = order = tuple(sorted(range(g.m), key=lambda eid: (-costs[eid], eid)))
         self.cross = tuple(cuts << (width - 1) for cuts in cross)
         self.steps = tuple(

@@ -112,12 +112,13 @@ class FaultGraph:
 
     Edges are given as ``(u, v, cost, safety)`` tuples and receive dense ids
     ``0..m-1`` in input order.  Self-loops are rejected (they break cut
-    semantics); parallel edges are allowed and common.
+    semantics); parallel edges are allowed and common.  ``costs[eid]`` is
+    edge eid's cost, in a tuple built with the edges.
     """
 
     __slots__ = (
-        "n", "edges", "_safe_ids", "_unsafe_ids", "_incident", "_layout", "_crossing", "_neighbours",
-        "_search",
+        "n", "edges", "costs", "_safe_ids", "_unsafe_ids", "_incident", "_layout", "_crossing",
+        "_neighbours", "_search",
     )
 
     def __init__(self, n: int, edge_specs: Sequence[tuple]):
@@ -139,6 +140,7 @@ class FaultGraph:
             recs.append(EdgeRec(eid, u, v, float(cost), _as_safe_flag(safety)))
         self.n = n
         self.edges = tuple(recs)
+        self.costs = tuple(e.cost for e in recs)
         self._safe_ids = frozenset(e.id for e in recs if e.safe)
         self._unsafe_ids = frozenset(e.id for e in recs if not e.safe)
         incident: list[list[int]] = [[] for _ in range(n)]
@@ -172,10 +174,11 @@ class FaultGraph:
         return self._incident[v]
 
     def cost_of(self, eid: int) -> float:
-        return self.edges[eid].cost
+        return self.costs[eid]
 
     def total_cost(self, edge_ids: Iterable[int]) -> float:
-        return sum(self.edges[eid].cost for eid in edge_ids)
+        costs = self.costs
+        return sum(costs[eid] for eid in edge_ids)
 
     def __repr__(self) -> str:
         return f"FaultGraph(n={self.n}, m={self.m})"

@@ -880,8 +880,9 @@ def solve_kind(kind, inst, seed):
 
 
 class TestBestOfTreesShortcuts:
-    """``_best_of_trees`` skips trees that cannot win and evaluates each
-    edge set once, and still returns what the plain loop returns."""
+    """``_best_of_trees`` skips trees that cannot win, stops once no tree
+    can, and evaluates each edge set once, and still returns what the plain
+    loop returns."""
 
     @staticmethod
     def checked(monkeypatch):
@@ -999,6 +1000,40 @@ class TestBestOfTreesShortcuts:
             assert got == want == frozenset({0, 1})
             assert counts["bulk.trees"] == TREES
             assert counts["bulk.hitting_instances"] < TREES
+
+    def test_stops_once_no_tree_can_win(self):
+        # Every candidate costs >= 0 and only one below best - 1e-12
+        # replaces the kept one, so a kept cost of 0 ends the level after
+        # its first tree.  First a level that H_prev already closes.
+        for seed in range(4):
+            inst = best_of_trees_instance("bulk", seed)
+            g, scenarios = inst.to_graph(), inst.problem.scenarios
+            pairs = sorted({pr for sc in scenarios for pr in sc.pairs})
+            whole = g.all_edge_ids()
+            violations = _violations_of_level(g, scenarios, 1)
+            want = plain_best_of_trees(g, whole, pairs, violations, 1, seed)
+            with trace.recording() as counts:
+                got = _best_of_trees(g, whole, pairs, violations, 1, seed)
+            assert got == want == whole
+            assert counts["bulk.trees"] == 1 < TREES
+
+    def test_stops_on_a_zero_cost_candidate_past_h_prev(self):
+        # The zero-cost path 0-1-2-3 spans the graph, so every tree is made
+        # of it, and every candidate adds its edges to H_prev at cost 0.
+        g = FaultGraph(
+            4,
+            [(0, 1, 0.0, "safe"), (1, 2, 0.0, "safe"), (2, 3, 0.0, "safe"),
+             (0, 2, 1.0, "safe"), (3, 0, 2.0, "unsafe"), (1, 3, 1.0, "safe")],
+        )
+        scenarios = [BulkScenario(frozenset(), ((0, 2), (1, 3)))]
+        violations = _violations_of_level(g, scenarios, 0)
+        for seed in range(4):
+            want = plain_best_of_trees(g, frozenset(), [(0, 2), (1, 3)], violations, 0, seed)
+            with trace.recording() as counts:
+                got = _best_of_trees(g, frozenset(), [(0, 2), (1, 3)], violations, 0, seed)
+            assert got == want == frozenset({0, 1, 2})
+            assert g.total_cost(got) == 0.0
+            assert counts["bulk.trees"] == 1 < TREES
 
     def test_one_boundary_per_distinct_edge_set(self):
         # Level 1 of a pinned bulk instance: every tree leaves violating
