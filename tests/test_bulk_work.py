@@ -112,10 +112,11 @@ def test_trees_with_parallel_edges_are_pinned():
 # check of each bulk answer.  It read 176 while exact_solve also asked it
 # whether G itself is feasible, once per bulk baseline; the search now
 # answers that on the cut kernel.  bulk.levels counts relative levels and
-# flexible rounds too.
+# flexible rounds too.  bulk.trees read 2288 while every level drew all
+# TREES trees; a level now stops once its kept candidate costs 0.
 BULK_CALLS = {
     "bulk.levels": 286,
-    "bulk.trees": 2288,
+    "bulk.trees": 1949,
     "bulk.hitting_instances": 602,
     "oracles.level_evaluations": 505,
     "oracles.bulk_checks": 132,
