@@ -85,15 +85,39 @@ only on a gain above COST_EPS.  So whichever bounds run, the search finds
 the same incumbents in the same order, and the answer does not change; a
 weaker bound only visits more nodes.
 
+Parallel edges add a dominance rule.  Edge e2 dominates edge e1 when both
+join the same two vertices, c(e1) - c(e2) exceeds the float slop of a cost
+sum, m * 2^-52 * (the sum of all costs), e2 is safe or e1 is unsafe, and
+every scenario that fails e2 also fails e1.  The safety test is dropped
+when every class has q = 0, since a cut then fails on its total count
+alone.  The two edges cross the same cuts, so swapping e1 for e2 keeps
+every total count, keeps or raises every safe count, and leaves a scenario
+that fails the swapped set failing the set before the swap.  The DFS does
+not try the exclusion of e2 = ``order[k]`` while the chosen set holds an
+edge e1 that e2 dominates: every set in that branch has a twin, the same
+set with e2 in place of e1, which is feasible whenever it is and cheaper.
+Each of the two sums rounds off by under (m - 1) * 2^-53 times the sum of
+all costs, so the twin's float cost is below the set's too.  The twin lies
+in e1's exclusion branch, which the exclusion-first DFS searched earlier
+(or in a skipped branch whose own twin it searched earlier still), so no
+skipped set can become an incumbent, and the search finds the same
+incumbents in the same order.  Equal-cost parallel edges never qualify.
+Relative problems rarely qualify: their bulk expansion fails each edge on
+its own, in a scenario {e2} wherever G minus e2 still connects a pair, and
+that scenario does not fail e1.  The graph-only part, the parallel groups
+under the cost margin with and without the safety test, is built with the
+other tables; a search with scenarios filters it by their failure sets.
+
 The search counts its own work in local ints and reports it once, on
 return, to :mod:`faultnet.trace`: ``exact.nodes`` (DFS nodes entered),
 ``exact.checks`` (feasibility tests, inline or not: of the chosen set at
 the root and at each include child past the cost check, of the pool at
-each exclusion tried, and of each greedy step; the opening question and
-the exclusion child's handed-down answer are not counted),
-``exact.bounds`` (packing bounds computed, not those handed down) and
-``exact.prunes`` (nodes whose subtree the degree or the packing bound
-cut).
+each exclusion tried, and of each greedy step; the opening question, the
+exclusion child's handed-down answer and the exclusions the dominance rule
+skips are not counted), ``exact.bounds`` (packing bounds computed, not
+those handed down), ``exact.prunes`` (nodes whose subtree the degree or
+the packing bound cut) and ``exact.dominated`` (exclusions the dominance
+rule skipped).
 
 This is the oracle that backs every derived expected value in the test
 suite, so it favors simplicity over cleverness everywhere the budget allows.
@@ -208,11 +232,18 @@ class _Tables:
     and how many of them are undecided at each depth k (the undecided ones
     are the cheapest, a prefix), and then the same two for its safe edges.
     ``ends`` holds the two endpoints of each edge of ``order``.
+
+    ``twins[k]`` holds the edges that edge ``order[k]`` dominates by the
+    graph alone (:func:`exact_solve`): those of ``order[:k]`` that join its
+    two endpoints and cost more than it by over the float slop of a cost
+    sum.  ``safe_twins[k]`` keeps those of them it may also replace under a
+    class with q > 0: all of them if ``order[k]`` is safe, the unsafe ones
+    if not.  An edge with no parallel edge has the empty set in both.
     """
 
     __slots__ = (
         "order", "costs", "safe", "cross", "steps", "whole", "width", "field", "shifts",
-        "singles", "vertices", "ends",
+        "singles", "vertices", "ends", "twins", "safe_twins",
     )
 
     def __init__(self, g: FaultGraph):
@@ -235,6 +266,23 @@ class _Tables:
         self.shifts = tuple(shifts)
         self.singles = sum(1 << (shift + width - 1) for shift in set(shifts))
         self.vertices = self.ends = None
+        # A group lists the parallel edges of one vertex pair dearest first,
+        # so the ones dearer than order[k] by over the slop are a prefix.
+        slop = g.m * 2.0**-52 * sum(costs)
+        twins, safe_twins = [frozenset()] * g.m, [frozenset()] * g.m
+        groups: dict[int, list[int]] = {}
+        for k, eid in enumerate(order):
+            e = g.edges[eid]
+            group = groups.setdefault(1 << e.u | 1 << e.v, [])
+            if group:
+                dearer = [other for other in group if costs[other] - costs[eid] > slop]
+                if dearer:
+                    twins[k] = frozenset(dearer)
+                    safe_twins[k] = frozenset(
+                        dearer if self.safe[eid] else (o for o in dearer if not self.safe[o])
+                    )
+            group.append(eid)
+        self.twins, self.safe_twins = tuple(twins), tuple(safe_twins)
 
     def degree_tables(self, g: FaultGraph) -> tuple:
         """(vertices, ends), built on the first call."""
@@ -464,15 +512,30 @@ def exact_solve(
     pool_inside = bytearray(b"\x01") * m
     # The incumbent is copied from this set, not rebuilt from ``inside``:
     # its iteration order, which later cost sums follow, depends on the
-    # set's history.
+    # set's history.  The dominance skip below changes that history, so a
+    # returned set can iterate in another order than it did before the
+    # skip, with the same members and cost.
     chosen_now: set[int] = set()
+    # beaten[k]: the edges that order[k] dominates in this search.  Safety
+    # counts only under a class with q > 0; a scenario that fails order[k]
+    # must fail the edge it replaces too.
+    beaten = tables.safe_twins if any(pq[1] for _s, pq, _o, _t in classes) else tables.twins
+    if scenarios and any(beaten):
+        fails = [0] * m
+        for j, (_scope, fail, _failed) in enumerate(checker.scenarios):
+            for eid in fail:
+                fails[eid] |= 1 << j
+        beaten = tuple(
+            frozenset(e for e in dearer if not fails[eid] & ~fails[e])
+            for eid, dearer in zip(tables.order, beaten)
+        )
     bound, refresh, ends = packing.bound, packing.refresh, packing.ends
     spanning = bool(packing.spanning)
     # The packing runs only when some constraint is not a spanning class:
     # an FGC search prunes on the degree table alone.
     packs = len(packing.spanning) < len(classes) or scenarios
     table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
-    nodes = bounds = prunes = 0
+    nodes = bounds = prunes = dominated = 0
 
     def dfs(
         k: int, cost_in: float, total: int, safe: int, violated=None, packed: int = 0
@@ -480,6 +543,7 @@ def exact_solve(
         # An exclusion child gets its parent's first_bad answer ``violated``
         # and, while it holds, the guard set ``packed`` of its packed cuts.
         nonlocal best_set, best_cost, pool_total, pool_safe, nodes, checks, bounds, prunes
+        nonlocal dominated
         nodes += 1
         limit = best_cost - COST_EPS
         if violated is None:
@@ -528,28 +592,35 @@ def exact_solve(
         if spanning:
             u, w = ends[k]
             saved = table[u], table[w]
-        # Exclude branch first: expensive edges drop out early.
-        pool_total -= cuts
-        pool_safe -= safe_cuts
-        checks += 1
-        if scenarios:
-            pool_inside[eid] = 0
-            feasible = first_bad(pool_total, pool_safe, pool_inside) is None
+        # Exclude branch first: expensive edges drop out early.  Not while
+        # the chosen set holds an edge that eid dominates: each set there
+        # has a cheaper feasible twin, searched in that edge's exclusion.
+        twins = beaten[k]
+        if twins and not chosen_now.isdisjoint(twins):
+            dominated += 1
         else:
-            feasible = True
-            for scope, _pq, safe_offset, total_offset in classes:
-                if scope & ~((pool_safe + safe_offset) | (pool_total + total_offset)):
-                    feasible = False
-                    break
-        if feasible:
-            # The child has this node's chosen set, cost and limit: the same
-            # answer, and the same packing, cut for cut, unless eid is a
-            # candidate of a packed cut.  That packing did not prune here.
-            if packed and cross[eid] & packed and eid not in violated[2]:
-                packed = 0
-            dfs(k + 1, cost_in, total, safe, violated, packed)
-        pool_total += cuts
-        pool_safe += safe_cuts
+            pool_total -= cuts
+            pool_safe -= safe_cuts
+            checks += 1
+            if scenarios:
+                pool_inside[eid] = 0
+                feasible = first_bad(pool_total, pool_safe, pool_inside) is None
+            else:
+                feasible = True
+                for scope, _pq, safe_offset, total_offset in classes:
+                    if scope & ~((pool_safe + safe_offset) | (pool_total + total_offset)):
+                        feasible = False
+                        break
+            if feasible:
+                # The child has this node's chosen set, cost and limit: the
+                # same answer, and the same packing, cut for cut, unless eid
+                # is a candidate of a packed cut.  That packing did not prune
+                # here.
+                if packed and cross[eid] & packed and eid not in violated[2]:
+                    packed = 0
+                dfs(k + 1, cost_in, total, safe, violated, packed)
+            pool_total += cuts
+            pool_safe += safe_cuts
         # Include branch.
         if scenarios:
             pool_inside[eid] = 1
@@ -570,4 +641,5 @@ def exact_solve(
     trace.count("exact.checks", checks)
     trace.count("exact.bounds", bounds)
     trace.count("exact.prunes", prunes)
+    trace.count("exact.dominated", dominated)
     return best_set, best_cost

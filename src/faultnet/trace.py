@@ -26,6 +26,8 @@ the exact search, once per search:
   its parent's packing computes none);
 - ``exact.prunes``: nodes whose subtree the degree or the packing bound
   cut;
+- ``exact.dominated``: exclusions skipped because the chosen set holds a
+  dearer parallel edge that the excluded edge dominates;
 - ``bulk.levels``: best-of-trees level steps, one per bulk or relative
   level and per flexible round;
 - ``bulk.trees``: trees sampled (``sample_tree``);

@@ -35,7 +35,9 @@ def test_counts_outside_a_recording_are_dropped():
     assert counts == {}
     with trace.recording() as counts:
         _search()
-    assert set(counts) == {"exact.nodes", "exact.checks", "exact.bounds", "exact.prunes"}
+    assert set(counts) == {
+        "exact.nodes", "exact.checks", "exact.bounds", "exact.prunes", "exact.dominated"
+    }
     assert counts["exact.nodes"] > 0 and counts["exact.checks"] > 0
 
 
