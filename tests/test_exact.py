@@ -437,10 +437,11 @@ def _ratio_sweep_graphs():
 
 # Pruned on the degree table alone, the searches below do exactly this
 # work, and no packing bound.  An exclusion child takes its parent's answer
-# and makes no feasibility test of its own.
+# and makes no feasibility test of its own.  Before the dominance skip they
+# made 1332 tests in 799 nodes for (3, 0) and 1257 in 753 for (3, 2).
 SPANNING_CALLS = {
-    (3, 0): {"exact.checks": 1332, "exact.bounds": 0, "exact.nodes": 799},
-    (3, 2): {"exact.checks": 1257, "exact.bounds": 0, "exact.nodes": 753},
+    (3, 0): {"exact.checks": 1182, "exact.bounds": 0, "exact.nodes": 712},
+    (3, 2): {"exact.checks": 1122, "exact.bounds": 0, "exact.nodes": 672},
 }
 
 
@@ -495,7 +496,8 @@ def test_fallback_sized_spanning_search_work():
     # The exact search's work on six FGC instances of the fallback path's
     # shapes, (2, 2), (3, 2) and (3, 3) at n = 9-10 and m = 32-38, with the
     # m cap of 30 lifted.  With the packing beside the degree table these
-    # searches made 14,537 feasibility tests and 5,736 packing bounds.
+    # searches made 14,537 feasibility tests and 5,736 packing bounds, and
+    # before the dominance skip 12,275 tests in 9,416 nodes.
     with trace.recording() as counts:
         for i, (p, q) in enumerate([(2, 2), (3, 2), (3, 3)] * 2):
             skeleton = ("mixed", "safe")[(i // 2) % 2]
@@ -504,7 +506,7 @@ def test_fallback_sized_spanning_search_work():
             inst = generate("random-multigraph", n=n, m=m, seed=i, params=params)
             exact_solve(inst.to_graph(), inst.problem, budget=60)
     work = {name: counts[name] for name in WORK}
-    assert work == {"exact.checks": 12275, "exact.bounds": 0, "exact.nodes": 9416}
+    assert work == {"exact.checks": 7939, "exact.bounds": 0, "exact.nodes": 6246}
 
 
 SAME_SEARCH_SHAPES = {
@@ -523,10 +525,13 @@ SAME_SEARCH_SHAPES = {
         # No class of these problems holds every singleton cut, so the
         # degree bound leaves the nodes as they were before it.  An
         # exclusion child takes its parent's answer, and its packing while
-        # the excluded edge is no candidate of a packed cut.
-        ("flex-st", {"exact.checks": 419, "exact.bounds": 224, "exact.nodes": 273}),
-        ("flex-sndp", {"exact.checks": 640, "exact.bounds": 376, "exact.nodes": 470}),
-        ("bulk", {"exact.checks": 444, "exact.bounds": 233, "exact.nodes": 410}),
+        # the excluded edge is no candidate of a packed cut.  Before the
+        # dominance skip, flex-st made 419 tests, flex-sndp 640 tests and
+        # 376 bounds in 470 nodes, and bulk 444 and 233 in 410; the
+        # relative expansion fails each edge alone, so rsndp skips none.
+        ("flex-st", {"exact.checks": 414, "exact.bounds": 224, "exact.nodes": 273}),
+        ("flex-sndp", {"exact.checks": 627, "exact.bounds": 366, "exact.nodes": 460}),
+        ("bulk", {"exact.checks": 409, "exact.bounds": 218, "exact.nodes": 381}),
         ("rsndp", {"exact.checks": 599, "exact.bounds": 313, "exact.nodes": 524}),
     ],
 )
