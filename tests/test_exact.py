@@ -700,3 +700,184 @@ def test_opening_check_is_the_oracle_on_g():
                 exact_solve(g, prob)
             refused += 1
     assert refused >= 15 and solved >= 15
+
+
+# The dominance skip against the same search with its table emptied.  The
+# instances are parallel-heavy multigraphs at n = 3-6, with equal-cost
+# parallel edges, zero-cost edges and mixed safety, under each kind of
+# problem the skip reads differently: flex classes with q = 0 (safety
+# ignored), with q > 0 (safety tested) and mixed, bulk scenarios that fail
+# the cheaper or the dearer edge of a parallel pair, and relative problems.
+TWIN_SHAPES = ("q0", "q1", "mixed", "bulk-cheap", "bulk-dear", "rsndp")
+
+
+def _twin_spec(rng):
+    """(n, edge specs): a ring at n = 3-6 plus parallel-heavy extra edges.
+    A fifth of the costs are 0, and a parallel edge copies the cost of the
+    edge it repeats a third of the time."""
+    n = rng.randint(3, 6)
+    cost = lambda: 0.0 if rng.random() < 0.2 else round(rng.uniform(0.1, 3.0), 1)  # noqa: E731
+    label = lambda: rng.choice(("safe", "unsafe"))  # noqa: E731
+    specs = [(v, (v + 1) % n, cost(), label()) for v in range(n)]
+    for _ in range(rng.randint(5, 15 - n)):
+        if rng.random() < 0.6:
+            u, v, same, _label = rng.choice(specs)  # a parallel edge
+            specs.append((u, v, same if rng.random() < 0.3 else cost(), label()))
+        else:
+            specs.append((*rng.sample(range(n), 2), cost(), label()))
+    return n, specs
+
+
+def _twin_pairs(specs):
+    """(dearer, cheaper) edge ids of each parallel pair of unequal cost."""
+    pairs = []
+    for a, (u, v, cost, _label) in enumerate(specs):
+        for b, (x, y, other, _other_label) in enumerate(specs):
+            if {u, v} == {x, y} and cost > other:
+                pairs.append((a, b))
+    return pairs
+
+
+def _twin_problem(rng, shape, n, specs):
+    pair = lambda: tuple(rng.sample(range(n), 2))  # noqa: E731
+    if shape in ("q0", "q1"):
+        q = shape == "q1"
+        if rng.random() < 0.5:
+            return Problem("flex", flex=fgc_requirements(n, rng.randint(1, 3), q * rng.randint(1, 2)))
+        return Problem("flex", flex=tuple(
+            FlexRequirement(*pair(), rng.randint(1, 3), q * rng.randint(1, 2))
+            for _ in range(rng.randint(1, 3))
+        ))
+    if shape == "mixed":
+        zero = fgc_requirements(n, 2, 0) if rng.random() < 0.5 else (FlexRequirement(*pair(), 3, 0),)
+        return Problem("flex", flex=zero + (FlexRequirement(*pair(), 2, rng.randint(1, 2)),))
+    if shape == "rsndp":
+        return Problem("rsndp", relative=tuple(
+            RelativeRequirement(*pair(), rng.randint(2, 3)) for _ in range(rng.randint(1, 2))
+        ))
+    twins = _twin_pairs(specs) or [(0, 1)]
+    scenarios = []
+    for _ in range(rng.randint(3, 6)):
+        dearer, cheaper = rng.choice(twins)
+        fail = {cheaper if shape == "bulk-cheap" else dearer}
+        if rng.random() < 0.5:
+            fail.add(rng.randrange(len(specs)))
+        scenarios.append(BulkScenario(frozenset(fail), tuple(pair() for _ in range(rng.randint(2, 4)))))
+    return Problem("bulk", scenarios=tuple(scenarios))
+
+
+def _twin_search(n, specs, prob):
+    """(outcome, work) of one search on a fresh graph."""
+    with trace.recording() as counts:
+        outcome = _outcome(FaultGraph(n, specs), prob)
+    return outcome, counts
+
+
+def _empty_the_dominance_tables(patch):
+    """Patch _Tables so that every graph's dominance table is empty."""
+    init = _Tables.__init__
+
+    def no_twins(self, g):
+        init(self, g)
+        self.twins = self.safe_twins = (frozenset(),) * g.m
+
+    patch.setattr(_Tables, "__init__", no_twins)
+
+
+@pytest.mark.parametrize("shape", TWIN_SHAPES)
+def test_dominance_skip_keeps_every_answer(shape, monkeypatch):
+    cases = []
+    for seed in range(50):
+        rng = Random(f"{shape}-{seed}")
+        for _attempt in range(20):
+            n, specs = _twin_spec(rng)
+            prob = _twin_problem(rng, shape, n, specs)
+            g = FaultGraph(n, specs)
+            if check_problem_feasible(g, prob, g.all_edge_ids())[0]:
+                break
+        cases.append((n, specs, prob))
+    got = [_twin_search(*case) for case in cases]
+    with monkeypatch.context() as patch:
+        _empty_the_dominance_tables(patch)
+        want = [_twin_search(*case) for case in cases]
+    skipped = solved = 0
+    for (outcome, work), (reference, plain) in zip(got, want):
+        assert outcome == reference
+        assert plain["exact.dominated"] == 0
+        assert work["exact.nodes"] <= plain["exact.nodes"]
+        skipped += work["exact.dominated"]
+        solved += not isinstance(outcome, str)
+    assert solved >= 45
+    # The relative expansion fails each edge on its own, so it rarely lets
+    # an edge dominate; every other shape must skip somewhere.
+    if shape != "rsndp":
+        assert skipped >= 3
+
+
+# Edges 0 and 1 join vertices 0 and 1, edge 0 safe at 3 and edge 1 at 1.
+DOMINANCE_SPECS = [(0, 1, 3.0, "safe"), (0, 1, 1.0, "unsafe"), (0, 2, 3.0, "safe"),
+                   (1, 3, 1.0, "safe"), (3, 2, 1.0, "safe")]
+
+
+def _dominance_case(p, q):
+    """(outcome, exclusions skipped) of the search for (0, 1, p, q)."""
+    prob = Problem("flex", flex=(FlexRequirement(0, 1, p, q),))
+    outcome, work = _twin_search(4, DOMINANCE_SPECS, prob)
+    return outcome, work["exact.dominated"]
+
+
+def test_dominance_reads_safety_only_under_q_above_0(monkeypatch):
+    # Under (0, 1, 2, 1) a cut that separates 0 and 1 needs 2 safe or 3
+    # edges, so unsafe edge 1 cannot stand in for safe edge 0: the search
+    # skips nothing, and the optimum {0, 2, 3, 4} at 8 holds edge 0 without
+    # edge 1.  The search does reach edge 1 with edge 0 chosen: with the
+    # safety test dropped, it skips there.  Under (0, 1, 3, 0) a cut fails
+    # on its count alone, so edge 1 dominates edge 0; every edge is needed,
+    # at 9, with or without the skip.
+    q_above_0 = (([0, 2, 3, 4], (8.0).hex()), 0)
+    q_0 = (([0, 1, 2, 3, 4], (9.0).hex()), 1)
+    assert _dominance_case(2, 1) == q_above_0
+    assert _dominance_case(3, 0) == q_0
+    init = _Tables.__init__
+
+    def safety_dropped(self, g):
+        init(self, g)
+        self.safe_twins = self.twins
+
+    with monkeypatch.context() as patch:
+        patch.setattr(_Tables, "__init__", safety_dropped)
+        assert _dominance_case(2, 1) == (q_above_0[0], 1)
+    with monkeypatch.context() as patch:
+        _empty_the_dominance_tables(patch)
+        assert _dominance_case(3, 0) == (q_0[0], 0)
+    # The graph's table: edge 1, at order position 2, beats edge 0 when
+    # safety is ignored, and under q > 0 only when it is safe itself.
+    for label, under_q in (("unsafe", frozenset()), ("safe", frozenset({0}))):
+        specs = list(DOMINANCE_SPECS)
+        specs[1] = (0, 1, 1.0, label)
+        tables = _Tables(FaultGraph(4, specs))
+        assert tables.order == (0, 2, 1, 3, 4)
+        none = frozenset()
+        assert tables.twins == (none, none, frozenset({0}), none, none)
+        assert tables.safe_twins == (none, none, under_q, none, none)
+
+
+def test_equal_cost_parallel_edges_never_dominate():
+    # Costs equal, or apart by no more than the float slop of a cost sum,
+    # m * 2^-52 * (the sum of all costs): no table entry and no skip.  A
+    # zero-cost edge does dominate a dearer parallel one.
+    near = 1.0 + 2.0**-52
+    for costs, twin in (((1.0, 1.0, 1.0), False), ((1.0, near, 1.0), False), ((0.0, 0.0, 1.0), True)):
+        specs = [(0, 1, cost, "safe") for cost in costs] + [(1, 2, 1.0, "safe")]
+        tables = _Tables(FaultGraph(3, specs))
+        assert any(tables.twins) == twin and any(tables.safe_twins) == twin
+    for seed in range(30):
+        rng = Random(seed)
+        n = rng.randint(3, 5)
+        specs = [(v, (v + 1) % n, 1.0, "safe") for v in range(n)]
+        specs += [(u, v, 1.0, rng.choice(("safe", "unsafe"))) for u, v, _c, _l in specs * 2]
+        assert not any(_Tables(FaultGraph(n, specs)).twins)
+        prob = Problem("flex", flex=fgc_requirements(n, rng.randint(1, 3), rng.randint(0, 2)))
+        outcome, work = _twin_search(n, specs, prob)
+        assert not isinstance(outcome, str)
+        assert work["exact.dominated"] == 0

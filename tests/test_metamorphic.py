@@ -1,0 +1,124 @@
+"""Metamorphic checks of the exact search: relabelling changes no answer.
+
+The package leans on labels: the cut kernel anchors vertex n - 1 and
+orders cuts by mask, and the exact search decides edges by cost, then id,
+and lets a cheaper parallel edge stand in for a dearer one by the edge ids
+and the cost order.  A bug there can pass every test that uses one fixed
+labelling.  So each instance here is relabelled: a random vertex
+permutation, a random edge-id permutation and some endpoints flipped, with
+the problem's pairs and failure sets mapped along, and the result sent
+through ``serialize`` and ``parse``.  Then the exact optimum's cost must
+agree within 1e-9 relative, and ``check_problem_feasible`` must give the
+same verdict on each edge set and on its image.
+
+The instances are parallel-heavy, of all five problem shapes: FGC,
+flex-st, flex-sndp, bulk and relative.  Work counters are never compared:
+they depend on the labelling.
+"""
+
+import math
+from random import Random
+
+import pytest
+
+from faultnet.exact import exact_solve
+from faultnet.instances import InstanceFile, generate, parse, serialize
+from faultnet.oracles import (
+    BulkScenario,
+    FlexRequirement,
+    Problem,
+    RelativeRequirement,
+    check_problem_feasible,
+)
+
+SHAPES = {
+    "fgc": lambda rng, n: {"problem": "fgc", "p": rng.randint(1, 3), "q": rng.randint(0, 2)},
+    "flex-st": lambda rng, n: {
+        "problem": "flex-st", "p": rng.randint(1, 3), "q": rng.randint(0, 2), "skeleton": "mixed"
+    },
+    "flex-sndp": lambda rng, n: {
+        "problem": "flex-sndp",
+        "p": 2,
+        "q": 1,
+        "skeleton": "mixed",
+        "pairs": [[0, n - 1, rng.randint(1, 2), rng.randint(0, 1)], [1, n - 2, 1, rng.randint(1, 2)]],
+    },
+    "bulk": lambda rng, n: {"problem": "bulk", "width": 2, "scenarios": rng.randint(2, 5)},
+    "rsndp": lambda rng, n: {"problem": "rsndp", "pairs": 2, "r": rng.randint(2, 3)},
+}
+CASES_PER_SHAPE = 50
+
+
+def _parallel_heavy(rng, shape):
+    """A generated instance of ``shape`` at n = 4-6 with extra parallel
+    edges appended, some at the cost of the edge they repeat.  Extra edges
+    keep the whole graph feasible, and a failure set names only old ids."""
+    n = rng.randint(4, 6)
+    params = SHAPES[shape](rng, n)
+    inst = generate("random-multigraph", n=n, m=3 * n, seed=rng.randrange(10**6), params=params)
+    specs = list(inst.edge_specs)
+    for _ in range(rng.randint(2, 5)):
+        u, v, cost, _label = rng.choice(specs)
+        if rng.random() < 0.6:
+            cost = 0.0 if rng.random() < 0.2 else round(rng.uniform(0.1, 2.0), 3)
+        specs.append((u, v, cost, rng.choice(("safe", "unsafe"))))
+    return InstanceFile(n=n, edge_specs=tuple(specs), problem=inst.problem)
+
+
+def _relabel(rng, inst):
+    """(the relabelled instance through serialize and parse, the edge-id
+    map sigma)."""
+    n, m = inst.n, len(inst.edge_specs)
+    pi = list(range(n))
+    rng.shuffle(pi)
+    sigma = list(range(m))
+    rng.shuffle(sigma)
+    specs = [None] * m
+    for eid, (u, v, cost, label) in enumerate(inst.edge_specs):
+        if rng.random() < 0.5:
+            u, v = v, u
+        specs[sigma[eid]] = (pi[u], pi[v], cost, label)
+    prob = inst.problem
+    if prob.kind == "flex":
+        mapped = Problem("flex", flex=tuple(
+            FlexRequirement(pi[r.s], pi[r.t], r.p, r.q) for r in prob.flex
+        ))
+    elif prob.kind == "bulk":
+        mapped = Problem("bulk", scenarios=tuple(
+            BulkScenario(frozenset(sigma[e] for e in sc.fail), tuple((pi[u], pi[v]) for u, v in sc.pairs))
+            for sc in prob.scenarios
+        ))
+    else:
+        mapped = Problem("rsndp", relative=tuple(
+            RelativeRequirement(pi[r.s], pi[r.t], r.r) for r in prob.relative
+        ))
+    text = serialize(InstanceFile(n=n, edge_specs=tuple(specs), problem=mapped))
+    return parse(text), sigma
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_exact_search_is_invariant_under_relabelling(shape):
+    rng = Random(f"metamorphic-{shape}")
+    verdicts = set()
+    for _ in range(CASES_PER_SHAPE):
+        inst = _parallel_heavy(rng, shape)
+        image, sigma = _relabel(rng, inst)
+        g, h = inst.to_graph(), image.to_graph()
+        sol, cost = exact_solve(g, inst.problem)
+        image_sol, image_cost = exact_solve(h, image.problem)
+        assert math.isclose(cost, image_cost, rel_tol=1e-9)
+        preimage = {new: old for old, new in enumerate(sigma)}
+        # Both optima, each mapped across, the whole graph and random sets.
+        edge_sets = [sol, frozenset(preimage[e] for e in image_sol), g.all_edge_ids()]
+        edge_sets += [
+            frozenset(e for e in range(g.m) if rng.random() < keep)
+            for keep in (0.3, 0.5, 0.7, 0.9)
+        ]
+        for H in edge_sets:
+            verdict = check_problem_feasible(g, inst.problem, H)[0]
+            mapped = frozenset(sigma[e] for e in H)
+            assert check_problem_feasible(h, image.problem, mapped)[0] == verdict
+            verdicts.add(verdict)
+        assert check_problem_feasible(g, inst.problem, sol)[0]
+    # Both verdicts occur, so the comparison is not vacuous.
+    assert verdicts == {True, False}
