@@ -498,7 +498,7 @@ def exact_solve(
             held[eid] = 1
     checks = m  # one test per greedy step
     best_set = frozenset(kept)
-    best_cost = sum(costs[eid] for eid in kept)
+    best_cost = sum((costs[eid] for eid in kept), 0.0)
 
     # The DFS starts with nothing chosen and everything in the pool.  The
     # pool stays feasible at every node: the root's pool is the whole graph,

@@ -178,7 +178,7 @@ class FaultGraph:
 
     def total_cost(self, edge_ids: Iterable[int]) -> float:
         costs = self.costs
-        return sum(costs[eid] for eid in edge_ids)
+        return sum((costs[eid] for eid in edge_ids), 0.0)
 
     def __repr__(self) -> str:
         return f"FaultGraph(n={self.n}, m={self.m})"

@@ -11,6 +11,7 @@ import faultnet
 from faultnet.bench import bench, run_cell, solutions_json
 from faultnet.bulk import solve_bulk_sndp
 from faultnet.cli import main
+from faultnet.exact import exact_solve
 from faultnet.instances import appendix_a_instance, figure_1_instance, generate, parse, serialize
 
 
@@ -146,6 +147,24 @@ class TestCli:
         assert saved["edges"] == summary["edges"]
         rc = main(["verify", str(inst_path), str(sol_path)])
         assert rc == 0
+
+    def test_an_empty_answer_costs_a_float_zero(self, tmp_path, capsys):
+        # Vertex 2 is isolated, so G already fails the pair (0, 2) and the
+        # relative requirement asks for nothing: the empty set, at 0.0.
+        inst_path = tmp_path / "empty.fni"
+        inst_path.write_text(
+            "faultnet-instance 1\nvertices 3\nedges 1\ne 0 0 1 1.5 safe\n"
+            "problem rsndp\nrelpair 0 2 2\nend\n"
+        )
+        for argv in (["exact", str(inst_path)], ["solve", str(inst_path), "--alg", "rsndp"]):
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert '"cost": 0.0,' in out
+            assert json.loads(out)["edges"] == []
+        inst = parse(inst_path.read_text())
+        g = inst.to_graph()
+        assert g.total_cost(()).hex() == (0.0).hex()
+        assert exact_solve(g, inst.problem)[1].hex() == (0.0).hex()
 
     def test_exact_and_lp_and_gap(self, tmp_path, capsys):
         inst_path = tmp_path / "appa.fni"
