@@ -266,8 +266,8 @@ class _Tables:
         self.shifts = tuple(shifts)
         self.singles = sum(1 << (shift + width - 1) for shift in set(shifts))
         self.vertices = self.ends = None
-        # A group lists the parallel edges of one vertex pair dearest first,
-        # so the ones dearer than order[k] by over the slop are a prefix.
+        # A group lists the edges of one vertex pair seen so far, the
+        # dearer ones, since order runs from the dearest edge.
         slop = g.m * 2.0**-52 * sum(costs)
         twins, safe_twins = [frozenset()] * g.m, [frozenset()] * g.m
         groups: dict[int, list[int]] = {}
