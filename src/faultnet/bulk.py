@@ -40,7 +40,7 @@ a zero cut of H - F, one that F cuts off in H
 (F, pair), and a fundamental cycle C reconnects the pair exactly when the
 edges of C - F cross every dead cut.  The level oracle and the
 precondition on H_prev are the kernel's, in :mod:`faultnet.oracles`; only
-the bulk and relative checks of record use union-find.  No level lists
+the bulk check of record uses union-find.  No level lists
 sub-failures: once H survives every smaller one, a violating F of a level
 is, by Menger, the H-boundary of a cut with exactly that many edges of H,
 all inside the scenario's failure set.  So the number of sub-failures, the
@@ -57,11 +57,11 @@ on the answer is its check of record.  The relative driver buys tree
 paths for the pairs that G connects, and level L's oracle
 (:func:`faultnet.oracles._relative_violations`) keeps the H-boundaries
 F of cuts with exactly L edges of H whose pair G - F still connects;
-``is_rsndp_feasible`` on the answer is its check of record.  Neither
-checks a precondition: each level's closing check gives the next level
-its own.  One decoder (:func:`faultnet.oracles._cut_boundaries`) turns
-the cuts of a bulk or relative level and of a flexible round into edge
-sets.
+``is_rsndp_feasible`` on the answer, also on cuts, is its check of record.
+Neither checks a precondition: each level's closing check gives the next
+level its own.  One decoder (:func:`faultnet.oracles._cut_boundaries`)
+turns the cuts of a bulk or relative level and of a flexible round into
+edge sets.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ from .errors import (
     Unhittable,
 )
 from .flexalg import flex_base
-from .graph import FaultGraph, failure_sets
+from .graph import FaultGraph
 from .oracles import (
     BulkScenario,
     FlexRequirement,
@@ -533,13 +533,11 @@ def solve_rsndp(
     ``_relative_violations`` at L, whose answer is right for an H that
     closed every level below.  G - F connects a pair exactly when F misses
     one of its paths, so the largest such F has m - hops(s, t) edges, and
-    the levels run to the largest min(r - 1, m - hops(s, t)).  No level
-    lists failure sets; ``is_rsndp_feasible`` on the answer, the check of
-    record, does.
+    the levels run to the largest min(r - 1, m - hops(s, t)).  No level,
+    nor ``is_rsndp_feasible`` on the answer, the check of record, lists
+    failure sets.
     """
     reqs = tuple(reqs)
-    # Checked before any cut sweep, so that a refusal names the failure sets.
-    failure_sets(g.m, max(r.r for r in reqs) - 1)
     whole = Boundary(g, g.all_edge_ids())
     hops: dict[int, list[int]] = {}
     connected = set()

@@ -43,7 +43,7 @@ class StagePlan:
     A stage is the safe-boundary count of the violated cuts it covers, or
     None for all violated cuts at once.  The scope picks the cover engine:
     spanning stages are one primal-dual family each, s-t stages are ring
-    families covered exactly.
+    families covered exactly.  Stages 0..p-1 are a ``range``, of any p.
     """
 
     p: int
@@ -51,7 +51,7 @@ class StagePlan:
     scope: str  # "spanning" | "st"
     s: int = 0
     t: int = 0
-    stages: tuple[int | None, ...] = ()
+    stages: Sequence[int | None] = ()
 
 
 def make_fgc_plan(p: int, q: int) -> StagePlan:
@@ -66,7 +66,7 @@ def make_fgc_plan(p: int, q: int) -> StagePlan:
     if p <= 2 or q == 1:
         stages = (None,)
     elif q in (2, 3) or (q == 4 and p % 2 == 0):
-        stages = tuple(range(p))
+        stages = range(p)
     else:
         raise UnsupportedParameters(f"no uncrossable stage families lift p={p} to level {q}")
     return StagePlan(p=p, q=q, scope="spanning", stages=stages)
@@ -83,7 +83,7 @@ def fgc_plans(p: int, q: int) -> list[StagePlan]:
 def make_flex_st_plan(p: int, q: int, s: int, t: int) -> StagePlan:
     if p + q <= p * q / 2:
         raise ParameterConditionViolated(f"(p, q)=({p}, {q}) violates p+q > pq/2")
-    return StagePlan(p=p, q=q, scope="st", s=s, t=t, stages=tuple(range(p)))
+    return StagePlan(p=p, q=q, scope="st", s=s, t=t, stages=range(p))
 
 
 # -- violated-cut machinery ----------------------------------------------------

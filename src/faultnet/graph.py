@@ -70,7 +70,8 @@ def failure_sets(m: int, width: int) -> Iterator[tuple[int, ...]]:
     """The subsets of ``range(m)`` with at most ``width`` elements, by size
     and then in ``itertools.combinations`` order.  Raises
     EnumerationTooLarge, before listing any, unless they fit the
-    enumeration budget."""
+    enumeration budget.  A width above m lists the same sets."""
+    width = min(width, m)
     total = sum(math.comb(m, k) for k in range(width + 1))
     if total > enumeration_budget():
         raise EnumerationTooLarge(f"{total} failure sets exceed the enumeration budget")

@@ -13,13 +13,13 @@ no sub-failure, but read each violating set off the H-boundary of a cut
 (``_cut_boundaries``).  The relative level oracle
 (``_relative_violations``) reads its violating sets off the same
 H-boundaries with no scenario list, and asks ``cut_off`` on G once per
-set; so the relative expansion serves only the exact checker and the
-tests.  The checks of record ``is_bulk_feasible`` and
-``is_rsndp_feasible`` test connectivity by union-find, one failure set at
-a time, and ``expand_flex_to_bulk`` enumerates failure sets by their
-safe-edge count.  Every failure-set enumeration here that no input lists
-comes from :func:`faultnet.graph.failure_sets`, which checks it against
-the enumeration budget first.
+set, and so does the check of record ``is_rsndp_feasible``; so the
+relative expansion serves only the exact checker and the tests.  The bulk
+check of record ``is_bulk_feasible`` tests connectivity by union-find, one
+failure set at a time, and ``expand_flex_to_bulk`` enumerates failure sets
+by their safe-edge count.  Every failure-set enumeration here that no
+input lists comes from :func:`faultnet.graph.failure_sets`, which checks
+it against the enumeration budget first.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -213,29 +213,29 @@ def is_bulk_feasible(
 def is_rsndp_feasible(
     g: FaultGraph, reqs: Sequence[RelativeRequirement], H: Iterable[int]
 ) -> tuple[bool, RsndpWitness | None]:
-    """Definition-level check: enumerate all F with |F| < max r_i.
-
-    Per F, the components of H - F are labelled once, and those of G - F
-    only when a requirement's pair is apart in H - F; the witness is the
-    first F in enumeration order and its first requirement, in order,
-    whose pair G - F connects and H - F does not."""
+    """Check H on Menger's cut condition: H fails (s, t, r) exactly when a
+    cut S that separates s and t has |δ_H(S)| < r and G - δ_H(S) still
+    connects s and t.  Each requirement whose pair G connects decodes the
+    light cuts in its scope and asks ``cut_off`` on G.  The witness
+    (requirement, δ_H(S)) has the fewest edges, then the smallest sorted
+    edge list, then the first requirement: the first violation that a
+    listing of every F by size, in ``combinations`` order, would meet."""
     trace.count("oracles.rsndp_checks")
     H = frozenset(H)
-    max_r = max((req.r for req in reqs), default=1)
-    for combo in failure_sets(g.m, max_r - 1):
-        F = frozenset(combo)
-        h_label = g_label = None
-        for req in reqs:
-            if req.r <= len(F):
-                continue
-            if h_label is None:
-                h_label = component_labels(g, H - F)
-            if h_label[req.s] == h_label[req.t]:
-                continue
-            if g_label is None:
-                g_label = component_labels(g, g.all_edge_ids() - F)
-            if g_label[req.s] == g_label[req.t]:
-                return False, RsndpWitness(req, F)
+    counts = Boundary(g, H)
+    whole = Boundary(g, g.all_edge_ids())
+    lay = counts.layout
+    apart = whole.cut_off(())
+    bad = []
+    for i, req in enumerate(reqs):
+        scope = lay.scope([(req.s, req.t)])
+        light = scope & ~lay.at_least(counts.total, req.r)
+        if light and not apart & scope:
+            for F, _ in _cut_boundaries(g, H, [((req.s, req.t), lay.compact(light))]):
+                if not whole.cut_off(F) & scope:
+                    bad.append(((len(F), sorted(F), i), RsndpWitness(req, F)))
+    if bad:
+        return False, min(bad)[1]  # distinct keys: no two witnesses are compared
     return True, None
 
 

@@ -34,8 +34,8 @@ the exact search, once per search:
 - ``bulk.hitting_instances``: hitting instances built;
 - ``oracles.level_builds``: bulk and relative level oracles built;
 - ``oracles.level_evaluations``: calls of those oracles;
-- ``oracles.bulk_checks``: ``is_bulk_feasible`` calls;
-- ``oracles.rsndp_checks``: ``is_rsndp_feasible`` calls;
+- ``oracles.bulk_checks``: ``is_bulk_feasible`` calls, by union-find;
+- ``oracles.rsndp_checks``: ``is_rsndp_feasible`` calls, on cuts;
 - ``cuts.boundaries``: ``Boundary`` constructions;
 - ``cover.covers``: primal-dual covers that return;
 - ``cover.steps``: their dual-growth steps, each adding one edge;

@@ -114,6 +114,13 @@ def _parallel_lines(per_side, failed):
     return [*head, *edges, "problem bulk", f"scenario {','.join(map(str, fail))} | 0-2", "end"]
 
 
+def _five_vertex_lines(*problem):
+    """A 5-vertex, 8-edge instance file with the given problem lines."""
+    ends = [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (0, 2), (2, 4)]
+    edges = [f"e {i} {u} {v} {1 + i % 3}.0 {'unsafe' if i % 3 == 1 else 'safe'}" for i, (u, v) in enumerate(ends)]
+    return ["faultnet-instance 1", "vertices 5", "edges 8", *edges, *problem, "end"]
+
+
 class TestCli:
     def test_gen_solve_verify_roundtrip(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.fni"
@@ -567,7 +574,8 @@ class TestCli:
     def test_cut_sweeps_at_n21_are_refused_by_default(self, tmp_path, capsys, monkeypatch):
         # Each used to sweep all 2^21 cuts and exit 0, exact and lp after 10
         # to 20 s on a 2-CPU x86_64 host.  verify checks a bulk instance by
-        # union-find and still answers.
+        # union-find and still answers; it checks a relative one on cuts,
+        # and refuses it as it refuses a flex one.
         monkeypatch.delenv("FAULTNET_ENUM_BUDGET", raising=False)
         path = tmp_path / "n21.fni"
         params = json.dumps({"problem": "bulk", "width": 1, "scenarios": 2, "pairs": 1})
@@ -582,14 +590,65 @@ class TestCli:
         sol = tmp_path / "sol.json"
         sol.write_text(json.dumps({"edges": list(range(26))}))
         assert main(["verify", str(path), str(sol)]) == 0
+        relative = tmp_path / "n21-relative.fni"
+        params = json.dumps({"problem": "rsndp", "pairs": 1, "r": 2})
+        assert main([*argv, "--params", params, "--out", str(relative)]) == 0
+        capsys.readouterr()
+        assert main(["verify", str(relative), str(sol)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "budget exceeded: 2^21 cuts exceed the enumeration budget\n"
 
     def test_width_budget_exit_code(self, tmp_path, capsys, monkeypatch):
-        # One relative pair with r = 2 expands to 1 + 3 failure sets.
-        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "2")
+        # Three parallel 0-1 edges and three 1-2 edges, and one relative
+        # pair 0-2 with r = 3: 1 + 6 + 15 = 22 failure sets, above a budget
+        # of 8, and 2^3 = 8 cuts.  Neither the driver nor the check of
+        # record lists failure sets, so both answer; the file used to exit
+        # 3.  Only the cut sweep's budget refuses it.  G survives any two
+        # failures, so H needs every edge.
+        edges = [f"e {i} {i // 3} {i // 3 + 1} {1 + i % 3}.0 safe" for i in range(6)]
         path = tmp_path / "inst.fni"
-        path.write_text("\n".join(_instance_lines(problem=("problem rsndp", "relpair 0 2 2"))) + "\n")
-        assert main(["solve", str(path), "--alg", "rsndp"]) == 3
-        assert "failure sets exceed the enumeration budget" in capsys.readouterr().err
+        lines = ["faultnet-instance 1", "vertices 3", "edges 6", *edges, "problem rsndp", "relpair 0 2 3", "end"]
+        path.write_text("\n".join(lines) + "\n")
+        sol = tmp_path / "sol.json"
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "8")
+        assert main(["solve", str(path), "--alg", "rsndp", "--out", str(sol)]) == 0
+        assert json.loads(sol.read_text())["edges"] == list(range(6))
+        assert main(["verify", str(path), str(sol)]) == 0
+        assert capsys.readouterr().err == ""
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "7")
+        for argv in (["solve", str(path), "--alg", "rsndp"], ["verify", str(path), str(sol)]):
+            assert main(argv) == 3
+            assert capsys.readouterr().err == "budget exceeded: 2^3 cuts exceed the enumeration budget\n"
+
+    def test_relative_r_far_above_m_finishes(self, tmp_path, capsys):
+        # r - 1 failed edges can be no more than m: counting C(m, k) for k
+        # up to 10^12 used to hang verify, exact and solve on this file.
+        path = tmp_path / "huge-r.fni"
+        path.write_text("\n".join(_five_vertex_lines("problem rsndp", "relpair 3 4 1000000000000")) + "\n")
+        sol = tmp_path / "sol.json"
+        assert main(["solve", str(path), "--alg", "rsndp", "--out", str(sol)]) == 0
+        assert main(["verify", str(path), str(sol)]) == 0
+        assert main(["exact", str(path)]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("alg", ["flex-st", "fgc"])
+    def test_huge_p_flex_files_are_infeasible(self, tmp_path, capsys, alg):
+        # No graph of 8 edges is (10^12, q)-flex-connected.  The solvers
+        # used to build a tuple of p stages first and print a MemoryError
+        # traceback; they now exit 2, as verify, exact and lp do.
+        p = 1000000000000
+        if alg == "flex-st":
+            pairs = [f"flexpair 3 4 {p} 1"]
+        else:
+            pairs = [f"flexpair {u} {v} {p} 2" for u in range(5) for v in range(u + 1, 5)]
+        path = tmp_path / "huge-p.fni"
+        path.write_text("\n".join(_five_vertex_lines("problem flex", *pairs)) + "\n")
+        assert main(["solve", str(path), "--alg", alg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("infeasible: graph is not (1000000000000, ")
+        assert captured.err.count("\n") == 1
 
     def test_bulk_sub_failures_are_not_refused(self, tmp_path, capsys, monkeypatch):
         # One scenario of 24 failed edges has 2^24 sub-failures, above the

@@ -750,7 +750,9 @@ class TestRsndpDriver:
         # The workload's rsndp shape and random heterogeneous instances:
         # the same edge set as the expansion-driven reference, or the same
         # error class and message.  Under a small enumeration budget the
-        # failure sets are refused before the cut sweep, as before.
+        # reference refuses to list the failure sets, but the driver lists
+        # none: it answers as the reference does with no budget, unless
+        # the budget refuses its cut sweep.
         if budget is None:
             monkeypatch.delenv("FAULTNET_ENUM_BUDGET", raising=False)
         else:
@@ -764,13 +766,24 @@ class TestRsndpDriver:
         seen = Counter()
         for g, reqs, seed in cases:
             got = solve_outcome(solve_rsndp, g, reqs, seed)
-            assert got == solve_outcome(expansion_solve_rsndp, g, reqs, seed), (reqs, seed)
+            want = solve_outcome(expansion_solve_rsndp, g, reqs, seed)
+            if "failure sets exceed" in str(want[1]):
+                seen["listing refused"] += 1
+                if (1 << g.n) > int(budget):
+                    want = ("EnumerationTooLarge", f"2^{g.n} cuts exceed the enumeration budget")
+                else:
+                    monkeypatch.delenv("FAULTNET_ENUM_BUDGET")
+                    want = solve_outcome(expansion_solve_rsndp, g, reqs, seed)
+                    monkeypatch.setenv("FAULTNET_ENUM_BUDGET", budget)
+                    seen["answered past the listing"] += 1
+            assert got == want, (reqs, seed)
             seen[got[0]] += 1
             seen["disconnected"] += len(connected_components(g, g.all_edge_ids())) > 1
             seen["repeated"] += len({(r.s, r.t) for r in reqs}) < len(reqs)
         assert seen["ok"] >= (250 if budget is None else 100), seen
         assert seen["Disconnected"] and seen["disconnected"] and seen["repeated"], seen
         assert bool(seen["EnumerationTooLarge"]) == (budget is not None), seen
+        assert bool(seen["answered past the listing"]) == (budget is not None), seen
 
     def test_solves_without_the_expansion_or_the_bulk_level(self, monkeypatch):
         # The relative driver lists no scenario and runs neither the bulk

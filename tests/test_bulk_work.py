@@ -15,8 +15,9 @@ The last test reads the bulk driver's work on the seed-1
 ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, as
 ``tests/test_search_work.py`` reads the exact search's: the level steps,
 sampled trees, hitting instances, level-oracle evaluations (bulk and
-relative) and union-find checks ``is_bulk_feasible`` and
-``is_rsndp_feasible`` that the package reports to :mod:`faultnet.trace`.
+relative) and checks of record ``is_bulk_feasible`` (union-find) and
+``is_rsndp_feasible`` (cuts) that the package reports to
+:mod:`faultnet.trace`.
 A change that lowers them on purpose re-pins them and names each one in
 its log.
 """

@@ -338,9 +338,9 @@ BUDGET_READERS = {
 
 # A listing of subsets, spelt with or without its module.  graph.failure_sets
 # is the one listing, behind the budget check; the relative and flexible
-# expansions, is_rsndp_feasible and the gap experiment all ask it.  The bulk
-# level oracle and its precondition read violating sets off cut boundaries
-# and list none.
+# expansions and the gap experiment ask it.  The bulk and relative level
+# oracles, the bulk precondition and is_rsndp_feasible read violating sets
+# off cut boundaries and list none.
 COMBINATIONS = re.compile(r"\bcombinations\(")
 COMBINATIONS_CALLERS = {("graph.py", "failure_sets")}
 

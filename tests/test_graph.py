@@ -160,3 +160,9 @@ class TestFailureSets:
         monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "63")
         with pytest.raises(EnumerationTooLarge, match="^64 failure sets exceed the enumeration budget$"):
             failure_sets(7, 3)
+
+    def test_width_above_m_lists_every_subset_at_once(self):
+        # A subset of range(m) has at most m elements; counting C(m, k) up
+        # to a width of 10^12 used to hang.
+        assert list(failure_sets(3, 10**12)) == list(failure_sets(3, 3))
+        assert len(list(failure_sets(3, 10**12))) == 8

@@ -14,6 +14,11 @@ same verdict on each edge set and on its image.
 The instances are parallel-heavy, of all five problem shapes: FGC,
 flex-st, flex-sndp, bulk and relative.  Work counters are never compared:
 they depend on the labelling.
+
+The relative driver's answer must pass both relative checks under both
+labellings: ``is_rsndp_feasible``, which reads cuts named by their side
+without the anchor vertex n - 1, and ``brute_rsndp_feasible``, which lists
+failure sets and knows no anchor.
 """
 
 import math
@@ -21,6 +26,7 @@ from random import Random
 
 import pytest
 
+from faultnet.bulk import solve_rsndp
 from faultnet.exact import exact_solve
 from faultnet.instances import InstanceFile, generate, parse, serialize
 from faultnet.oracles import (
@@ -29,7 +35,9 @@ from faultnet.oracles import (
     Problem,
     RelativeRequirement,
     check_problem_feasible,
+    is_rsndp_feasible,
 )
+from oracle_utils import brute_rsndp_feasible
 
 SHAPES = {
     "fgc": lambda rng, n: {"problem": "fgc", "p": rng.randint(1, 3), "q": rng.randint(0, 2)},
@@ -122,3 +130,15 @@ def test_exact_search_is_invariant_under_relabelling(shape):
         assert check_problem_feasible(g, inst.problem, sol)[0]
     # Both verdicts occur, so the comparison is not vacuous.
     assert verdicts == {True, False}
+
+
+def test_relative_driver_answers_pass_both_checks_under_relabelling():
+    rng = Random("metamorphic-rsndp-driver")
+    for _ in range(CASES_PER_SHAPE):
+        inst = _parallel_heavy(rng, "rsndp")
+        image, _sigma = _relabel(rng, inst)
+        for case in (inst, image):
+            g, reqs = case.to_graph(), case.problem.relative
+            H = solve_rsndp(g, reqs, seed=rng.randrange(100))
+            assert is_rsndp_feasible(g, reqs, H) == (True, None)
+            assert brute_rsndp_feasible(g, reqs, H)

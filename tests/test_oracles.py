@@ -11,12 +11,13 @@ from faultnet.errors import (
 )
 from faultnet.exact import exact_solve
 from faultnet.graph import FaultGraph, boundary, boundary_counts
-from faultnet.instances import appendix_a_instance, figure_1_instance
+from faultnet.instances import appendix_a_instance, figure_1_instance, generate
 from faultnet.oracles import (
     BulkScenario,
     FlexRequirement,
     Problem,
     RelativeRequirement,
+    RsndpWitness,
     expand_flex_to_bulk,
     expand_rsndp_to_bulk,
     fgc_requirements,
@@ -27,11 +28,31 @@ from faultnet.oracles import (
     violated_cuts_flex_aug,
     violating_edge_sets_bulk,
 )
-from oracle_utils import brute_flex_feasible, brute_rsndp_feasible, random_graph
+from oracle_utils import brute_connected, brute_flex_feasible, brute_rsndp_feasible, random_graph
 
 
 def random_subset(rng: Random, ids, keep=0.7):
     return frozenset(eid for eid in ids if rng.random() < keep)
+
+
+def relative_case(seed):
+    """(G, requirements, H) of one random relative case: n = 2-7, both
+    random generator kinds, one to three requirements with r = 1-4.  Every
+    third case cuts one vertex off G, so G separates its pairs, and every
+    fifth sets the first requirement's r above m."""
+    rng = Random(seed)
+    n = rng.randint(2, 7)
+    kind = ("random-multigraph", "random-geometric")[seed % 2]
+    params = {"problem": "rsndp", "pairs": 1, "r": 2}
+    specs = generate(kind, n=n, m=rng.randint(n, 2 * n), seed=seed, params=params).edge_specs
+    if seed % 3 == 0:
+        lone = rng.randrange(n)
+        specs = [spec for spec in specs if lone not in spec[:2]]
+    g = FaultGraph(n, specs)
+    reqs = [RelativeRequirement(*rng.sample(range(n), 2), rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
+    if seed % 5 == 0:
+        reqs[0] = RelativeRequirement(reqs[0].s, reqs[0].t, g.m + rng.randint(1, 5))
+    return g, reqs, random_subset(rng, range(g.m))
 
 
 class TestFlexFeasible:
@@ -116,20 +137,59 @@ class TestRsndpFeasible:
         ok, _ = is_rsndp_feasible(g, [RelativeRequirement(0, 2, 1)], frozenset({0, 1}))
         assert ok
 
-    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("seed", range(60))
     def test_matches_definition(self, seed):
-        rng = Random(seed)
-        g = random_graph(seed + 200, 6, 9)
-        H = random_subset(rng, range(g.m))
-        reqs = [RelativeRequirement(0, 5, rng.randint(1, 3))]
-        ok, _ = is_rsndp_feasible(g, reqs, H)
+        g, reqs, H = relative_case(seed)
+        ok, witness = is_rsndp_feasible(g, reqs, H)
         assert ok == brute_rsndp_feasible(g, reqs, H)
+        if not ok:
+            # The witness is a failure set of the definition.
+            req, F = witness.requirement, witness.fail
+            assert req in reqs and len(F) < req.r
+            assert not brute_connected(g, H - F, req.s, req.t)
+            assert brute_connected(g, g.all_edge_ids() - F, req.s, req.t)
+
+    def test_cases_are_mixed(self):
+        # The cases above hold both verdicts, pairs that G separates, and
+        # requirements that no failure set of G can reach.
+        cases = [relative_case(seed) for seed in range(60)]
+        verdicts = {is_rsndp_feasible(g, reqs, H)[0] for g, reqs, H in cases}
+        assert verdicts == {True, False}
+        assert any(
+            not brute_connected(g, g.all_edge_ids(), r.s, r.t) for g, reqs, _H in cases for r in reqs
+        )
+        assert any(r.r > g.m for g, reqs, _H in cases for r in reqs)
+
+    def test_witness_is_smallest_then_first(self):
+        # Two parallel 0-1 edges (0, 1) and two parallel 1-2 edges (2, 3).
+        # The witness has the fewest edges, then the smallest edge list,
+        # then the first requirement in input order.
+        g = FaultGraph(3, [(0, 1, 1, "safe"), (0, 1, 1, "safe"), (1, 2, 1, "safe"), (1, 2, 1, "safe")])
+        a, b, c = RelativeRequirement(1, 2, 2), RelativeRequirement(0, 1, 2), RelativeRequirement(0, 2, 2)
+        # H = {0, 2}: {2} cuts pair 1-2 and {0} pair 0-1; {0} and {2} both cut 0-2.
+        assert is_rsndp_feasible(g, [a, b], {0, 2})[1] == RsndpWitness(b, frozenset({0}))
+        assert is_rsndp_feasible(g, [c, b], {0, 2})[1] == RsndpWitness(c, frozenset({0}))
+        assert is_rsndp_feasible(g, [b, c], {0, 2})[1] == RsndpWitness(b, frozenset({0}))
+        # H = {2}: {2} cuts pair 1-2, and H itself leaves 0 apart from 1.
+        assert is_rsndp_feasible(g, [a, b], {2})[1] == RsndpWitness(b, frozenset())
+        # Three parallel 0-1 edges (1-3) and three 1-2 edges (0, 4, 5); H =
+        # {1, 2, 5}.  Both {1, 2} and {5} cut pair 0-2, and the smaller wins.
+        ends = [(1, 2), (0, 1), (0, 1), (0, 1), (1, 2), (1, 2)]
+        g = FaultGraph(3, [(u, v, 1, "safe") for u, v in ends])
+        req = RelativeRequirement(0, 2, 3)
+        assert is_rsndp_feasible(g, [req], {1, 2, 5})[1] == RsndpWitness(req, frozenset({5}))
 
     def test_enumeration_budget(self, monkeypatch):
-        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "10")
+        # The check lists no failure sets, only the 2^6 cuts: at r = 3 the
+        # 1 + 12 + 66 = 79 failure sets exceed a budget of 64, and the
+        # check still answers.  Only a budget below 2^6 refuses it.
         g = random_graph(1, 6, 12)
-        with pytest.raises(EnumerationTooLarge):
-            is_rsndp_feasible(g, [RelativeRequirement(0, 5, 3)], g.all_edge_ids())
+        reqs = [RelativeRequirement(0, 5, 3)]
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "64")
+        assert is_rsndp_feasible(g, reqs, g.all_edge_ids()) == (True, None)
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "63")
+        with pytest.raises(EnumerationTooLarge, match="2\\^6 cuts exceed the enumeration budget"):
+            is_rsndp_feasible(random_graph(1, 6, 12), reqs, g.all_edge_ids())
 
 
 class TestViolatedCutsFlexAug:
