@@ -338,6 +338,46 @@ def test_degree_table_matches_a_fresh_computation(name, seed):
     assert moved >= states // 4
 
 
+def test_a_positive_degree_entry_means_a_violated_chosen_set():
+    # An entry is positive only where a spanning class finds the cut {v}
+    # violated, so a chosen set with a positive entry fails the class test,
+    # and a feasible one has an all-zero table.  The converse does not hold:
+    # a deficient vertex whose cheapest repair costs nothing has entry 0.0,
+    # so a zero table still needs the test.
+    cases = [_bound_case(name, seed)[:2] for name, seed in FGC_BOUND_CASES]
+    for seed in range(20):
+        n, specs = _table_spec(seed)
+        rng = Random(3000 + seed)
+        reqs = fgc_requirements(n, rng.randint(1, 2), rng.randint(0, 1))
+        cases.append((FaultGraph(n, specs), Problem("flex", flex=reqs)))
+    positive = feasible = free_repairs = 0
+    for g, prob in cases:
+        checker = _Checker(g, prob)
+        packing = _Packing(g, checker.classes)
+        assert len(packing.spanning) == len(checker.classes)
+        rng = Random(g.m)
+        for _ in range(60):
+            k = rng.randrange(g.m + 1)
+            keep = rng.choice((0.5, 0.8, 1.0))
+            chosen = {eid for eid in packing.order[:k] if rng.random() < keep}
+            counts = Boundary(g, chosen)
+            table = _fresh_table(g, packing, chosen, k)
+            violated = checker.first_bad(counts.total, counts.safe, counts.inside)
+            if any(table):
+                assert violated is not None
+                positive += 1
+            if violated is None:
+                assert not any(table)
+                feasible += 1
+            for v, entry in enumerate(table):
+                mine = [eid for eid in g.incident(v) if eid in chosen]
+                t, s = len(mine), sum(g.edges[eid].safe for eid in mine)
+                short = any(t < pq and s < p for p, pq in packing.spanning)
+                free_repairs += short and entry == 0.0
+    assert positive >= 500 and feasible >= 100
+    assert free_repairs >= 100
+
+
 def test_a_packing_holds_while_the_excluded_edge_is_no_candidate():
     # The search hands a node's packing to its exclusion child when the
     # excluded edge order[k] is no candidate of a packed cut: it crosses
