@@ -136,6 +136,10 @@ from .oracles import Problem, expand_rsndp_to_bulk
 
 COST_EPS = 1e-12
 _NO_FAIL: frozenset = frozenset()
+# The answer a node of an all-spanning search hands its exclusion child when
+# its degree table shows that the chosen set fails: no bad set is computed,
+# and there only the answer's presence is read.
+_SHORT = (0, None, _NO_FAIL)
 
 
 def exact_budget() -> int:
@@ -224,9 +228,9 @@ class _Tables:
     per edge id, ``cross`` the crossing sets shifted onto the guard bits,
     and ``steps[k]`` is edge ``order[k]`` with its crossing set, the same
     set again if the edge is safe (else 0) and its cost.  ``whole`` holds
-    the packed total and safe counts of all of g's edges.  ``shifts`` is the
-    field shift of each vertex's singleton cut and ``singles`` the guard
-    set of those cuts.  The degree tables are built on the first search
+    the packed total and safe counts of all of g's edges.  ``singles`` is
+    the guard set of the singleton cuts {v}.  The degree tables are built
+    on the first search
     with a spanning class (:meth:`degree_tables`).  ``vertices`` holds, per
     vertex, the running cost sums of its incident edges, cheapest first,
     and how many of them are undecided at each depth k (the undecided ones
@@ -242,8 +246,8 @@ class _Tables:
     """
 
     __slots__ = (
-        "order", "costs", "safe", "cross", "steps", "whole", "width", "field", "shifts",
-        "singles", "vertices", "ends", "twins", "safe_twins",
+        "order", "costs", "safe", "cross", "steps", "whole", "width", "field", "singles",
+        "vertices", "ends", "twins", "safe_twins",
     )
 
     def __init__(self, g: FaultGraph):
@@ -263,7 +267,6 @@ class _Tables:
         shifts = [((1 << v) - 1) * width for v in range(g.n - 1)]
         if g.n > 1:
             shifts.append(((1 << (g.n - 1)) - 2) * width)
-        self.shifts = tuple(shifts)
         self.singles = sum(1 << (shift + width - 1) for shift in set(shifts))
         self.vertices = self.ends = None
         # A group lists the edges of one vertex pair seen so far, the
@@ -338,12 +341,12 @@ class _Packing:
     The undecided candidates at depth k are a prefix of that list.
 
     ``spanning`` holds (p, p + q) of each of the checker's ``classes`` whose
-    scope holds every singleton cut {v}.  Only then are ``vertices``,
-    ``shifts`` and ``ends`` the graph's degree tables.  The search's degree
-    table holds, at depth k for a chosen set, one entry per vertex v:
-    :meth:`repair` of v's chosen and safe degrees at k.  Between depths
-    k - 1 and k only the entries of the endpoints of ``order[k - 1]``
-    change, and :meth:`refresh` recomputes just those.
+    scope holds every singleton cut {v}.  Only then are ``vertices`` and
+    ``ends`` the graph's degree tables.  The search's degree table holds, at
+    depth k for a chosen set, one entry per vertex v: :meth:`repair` of v's
+    chosen and safe degrees at k, which the search keeps per vertex.
+    Between depths k - 1 and k only the entries of the endpoints of
+    ``order[k - 1]`` change, and :meth:`refresh` recomputes just those.
     """
 
     def __init__(self, g: FaultGraph, classes: list):
@@ -352,7 +355,7 @@ class _Packing:
         self.cross, self.width, self.field = tables.cross, tables.width, tables.field
         self.columns: dict = {}
         self.spanning = []
-        self.vertices = self.shifts = self.ends = ()
+        self.vertices = self.ends = ()
         if not classes:  # no flex pair, maybe n = 1
             return
         singles = tables.singles
@@ -361,7 +364,6 @@ class _Packing:
                 self.spanning.append((p, p + q))
         if self.spanning:
             self.vertices, self.ends = tables.degree_tables(g)
-            self.shifts = tables.shifts
 
     def column(self, fail: frozenset, low: int, top: int) -> tuple:
         """The candidate column of the cut whose guard is ``low``, at bit
@@ -434,16 +436,18 @@ class _Packing:
                     worst = repair
         return worst
 
-    def refresh(self, table: list[float], k: int, total: int, safe: int) -> None:
+    def refresh(
+        self, table: list[float], k: int, degrees: list[int], safe_degrees: list[int]
+    ) -> None:
         """Bring the degree ``table`` from depth k - 1 to depth k (k >= 1)
-        for the chosen set with packed counts ``total`` and ``safe``: only
-        the endpoints of ``order[k - 1]`` change.  Each gets :meth:`repair`
-        of its degrees at k, by the same float steps, inline."""
-        field, shifts, vertices, spanning = self.field, self.shifts, self.vertices, self.spanning
+        for the chosen set with ``degrees[v]`` edges and ``safe_degrees[v]``
+        safe edges at each vertex v: only the endpoints of ``order[k - 1]``
+        change.  Each gets :meth:`repair` of its degrees at k, by the same
+        float steps, inline."""
+        vertices, spanning = self.vertices, self.spanning
         for v in self.ends[k - 1]:
-            shift = shifts[v]
-            t = (total >> shift) & field
-            s = (safe >> shift) & field
+            t = degrees[v]
+            s = safe_degrees[v]
             sums, undecided, safe_sums, safe_undecided = vertices[v]
             worst = 0.0
             for p, pq in spanning:
@@ -529,12 +533,14 @@ def exact_solve(
             frozenset(e for e in dearer if not fails[eid] & ~fails[e])
             for eid, dearer in zip(tables.order, beaten)
         )
-    bound, refresh, ends = packing.bound, packing.refresh, packing.ends
+    bound, refresh, ends, safe_edges = packing.bound, packing.refresh, packing.ends, tables.safe
     spanning = bool(packing.spanning)
     # The packing runs only when some constraint is not a spanning class:
     # an FGC search prunes on the degree table alone.
     packs = len(packing.spanning) < len(classes) or scenarios
     table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
+    # The chosen set's degree and safe degree at each vertex, for refresh.
+    degrees, safe_degrees = [0] * len(table), [0] * len(table)
     nodes = bounds = prunes = dominated = 0
 
     def dfs(
@@ -546,9 +552,25 @@ def exact_solve(
         nonlocal dominated
         nodes += 1
         limit = best_cost - COST_EPS
+        if violated is None and cost_in >= limit:
+            return
+        if spanning:
+            if k:
+                refresh(table, k, degrees, safe_degrees)
+            # One += at a time: the builtin sum compensates from Python 3.12.
+            twice = 2.0 * (limit - cost_in)
+            degree = 0.0
+            for repair in table:
+                degree += repair
+                if degree >= twice:
+                    break
+            # A positive entry is a singleton cut that a spanning class finds
+            # violated.  With spanning classes alone the chosen set then
+            # fails, and only an all-zero table, which a zero-cost repair
+            # also gives, leaves the test to run.
+            if degree and violated is None and not packs:
+                violated = _SHORT
         if violated is None:
-            if cost_in >= limit:
-                return
             checks += 1
             if scenarios:
                 violated = first_bad(total, safe, inside)
@@ -569,19 +591,9 @@ def exact_solve(
         # packing bound, and with a spanning class at least the degree bound.
         # A pruned subtree holds nothing cheaper than the incumbent by more
         # than COST_EPS, the only gain that replaces it.
-        if spanning:
-            if k:
-                refresh(table, k, total, safe)
-            # One += at a time: the builtin sum compensates from Python 3.12.
-            twice = 2.0 * (limit - cost_in)
-            degree = 0.0
-            for repair in table:
-                degree += repair
-                if degree >= twice:
-                    break
-            if cost_in + degree / 2 >= limit:
-                prunes += 1
-                return
+        if spanning and cost_in + degree / 2 >= limit:
+            prunes += 1
+            return
         if packs and not packed:
             bounds += 1
             repair, packed = bound(total, safe, k, violated, cost_in, limit)
@@ -626,11 +638,22 @@ def exact_solve(
             pool_inside[eid] = 1
             inside[eid] = 1
         chosen_now.add(eid)
+        if spanning:
+            degrees[u] += 1
+            degrees[w] += 1
+            if safe_edges[eid]:
+                safe_degrees[u] += 1
+                safe_degrees[w] += 1
         dfs(k + 1, cost_in + cost, total + cuts, safe + safe_cuts)
         if scenarios:
             inside[eid] = 0
         chosen_now.discard(eid)
         if spanning:
+            degrees[u] -= 1
+            degrees[w] -= 1
+            if safe_edges[eid]:
+                safe_degrees[u] -= 1
+                safe_degrees[w] -= 1
             table[u], table[w] = saved
 
     dfs(0, 0.0, 0, 0)

@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from faultnet import trace
-from faultnet.cuts import Boundary, crossed, layout_of
+from faultnet.cuts import Boundary, crossed, cut_index, layout_of
 from faultnet.errors import BudgetExceeded, EnumerationTooLarge, InfeasibleInstance
 from faultnet.exact import _Checker, _Packing, _Tables, exact_solve
 from faultnet.flexalg import solve_fgc
@@ -311,24 +311,34 @@ FGC_BOUND_CASES = [(name, seed) for name, seed in BOUND_CASES if name in FGC_CLA
 @pytest.mark.parametrize("name, seed", FGC_BOUND_CASES, ids=[f"{n}-{s}" for n, s in FGC_BOUND_CASES])
 def test_degree_table_matches_a_fresh_computation(name, seed):
     # Random include/exclude paths from the root, as the search walks them:
-    # after each decision ``refresh`` recomputes the decided edge's two
-    # endpoints, and every entry must be bitwise the fresh repair.
+    # an inclusion adds 1 to the chosen and safe degrees of the edge's two
+    # endpoints, which must read as the singleton cuts' Boundary counts, and
+    # after each decision ``refresh`` recomputes those two entries from
+    # them.  Every entry must be bitwise the fresh repair.
     g, prob, _feasible = _bound_case(name, seed)
     order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
     packing = _Packing(g, _Checker(g, prob).classes)
     assert packing.order == tuple(order)
+    singles = [cut_index(g.n, 1 << v) for v in range(g.n)]
     rng = Random(seed)
     states = moved = 0
     for _ in range(20):
         chosen: set[int] = set()
         counts = Boundary(g)
+        degrees, safe_degrees = [0] * g.n, [0] * g.n
         table = _fresh_table(g, packing, chosen, 0)
         for k, eid in enumerate(order, start=1):
             if rng.random() < 0.5:
                 chosen.add(eid)
                 counts.add(eid)
+                e = g.edges[eid]
+                for v in (e.u, e.v):
+                    degrees[v] += 1
+                    safe_degrees[v] += e.safe
+            assert degrees == [counts.layout.count(counts.total, i) for i in singles]
+            assert safe_degrees == [counts.layout.count(counts.safe, i) for i in singles]
             before = list(table)
-            packing.refresh(table, k, counts.total, counts.safe)
+            packing.refresh(table, k, degrees, safe_degrees)
             fresh = _fresh_table(g, packing, chosen, k)
             assert list(map(float.hex, table)) == list(map(float.hex, fresh))
             states += 1
