@@ -463,8 +463,9 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
 
 # Search work, as the search reports it to faultnet.trace: "exact.checks"
 # counts its feasibility tests (one per greedy step, one per node past the
-# cost check that is not an exclusion child, and one per exclusion tried,
-# whether inline or through _Checker.first_bad), "exact.bounds" its packing
+# cost check that is not an exclusion child, except in an all-spanning
+# search where its degree table shows a short vertex, and one per exclusion
+# tried, whether inline or through _Checker.first_bad), "exact.bounds" its packing
 # bounds (one per node that survives the cost, feasibility and degree
 # checks where the packing runs, unless the node is an exclusion child that
 # takes its parent's packing) and "exact.nodes" the DFS nodes entered.  An
@@ -487,11 +488,13 @@ def _ratio_sweep_graphs():
 
 # Pruned on the degree table alone, the searches below do exactly this
 # work, and no packing bound.  An exclusion child takes its parent's answer
-# and makes no feasibility test of its own.  Before the dominance skip they
-# made 1332 tests in 799 nodes for (3, 0) and 1257 in 753 for (3, 2).
+# and makes no feasibility test of its own, and a node whose degree table
+# has a positive entry tests no chosen set.  Before the dominance skip they
+# made 1332 tests in 799 nodes for (3, 0) and 1257 in 753 for (3, 2), and
+# while every chosen set was tested, 1182 and 1122 tests.
 SPANNING_CALLS = {
-    (3, 0): {"exact.checks": 1182, "exact.bounds": 0, "exact.nodes": 712},
-    (3, 2): {"exact.checks": 1122, "exact.bounds": 0, "exact.nodes": 672},
+    (3, 0): {"exact.checks": 640, "exact.bounds": 0, "exact.nodes": 712},
+    (3, 2): {"exact.checks": 611, "exact.bounds": 0, "exact.nodes": 672},
 }
 
 
@@ -546,8 +549,9 @@ def test_fallback_sized_spanning_search_work():
     # The exact search's work on six FGC instances of the fallback path's
     # shapes, (2, 2), (3, 2) and (3, 3) at n = 9-10 and m = 32-38, with the
     # m cap of 30 lifted.  With the packing beside the degree table these
-    # searches made 14,537 feasibility tests and 5,736 packing bounds, and
-    # before the dominance skip 12,275 tests in 9,416 nodes.
+    # searches made 14,537 feasibility tests and 5,736 packing bounds,
+    # before the dominance skip 12,275 tests in 9,416 nodes, and while every
+    # chosen set was tested 7,939 tests.
     with trace.recording() as counts:
         for i, (p, q) in enumerate([(2, 2), (3, 2), (3, 3)] * 2):
             skeleton = ("mixed", "safe")[(i // 2) % 2]
@@ -556,7 +560,7 @@ def test_fallback_sized_spanning_search_work():
             inst = generate("random-multigraph", n=n, m=m, seed=i, params=params)
             exact_solve(inst.to_graph(), inst.problem, budget=60)
     work = {name: counts[name] for name in WORK}
-    assert work == {"exact.checks": 7939, "exact.bounds": 0, "exact.nodes": 6246}
+    assert work == {"exact.checks": 3918, "exact.bounds": 0, "exact.nodes": 6246}
 
 
 SAME_SEARCH_SHAPES = {

@@ -28,7 +28,7 @@ from workloads import WORKLOADS, run_cells  # noqa: E402
 
 SECONDS = 5
 SEARCH_CALLS = {
-    "ratio-sweep": {"exact.checks": 12595, "exact.bounds": 714},
+    "ratio-sweep": {"exact.checks": 7355, "exact.bounds": 714},
     "bulk-relative": {"exact.checks": 30517, "exact.bounds": 16545},
 }
 # DFS nodes entered, ``exact.nodes``.
