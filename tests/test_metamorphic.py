@@ -19,6 +19,11 @@ The relative driver's answer must pass both relative checks under both
 labellings: ``is_rsndp_feasible``, which reads cuts named by their side
 without the anchor vertex n - 1, and ``brute_rsndp_feasible``, which lists
 failure sets and knows no anchor.
+
+The answers of the spanning solver ``solve_fgc``, whose (p, 0) base is the
+exact search with its degree table, and of the (2, 2) single-pair solver
+``solve_flex_st_22`` must be feasible under both labellings and cost at most
+the guarantee the bench reports times the exact optimum.
 """
 
 import math
@@ -26,8 +31,10 @@ from random import Random
 
 import pytest
 
+from faultnet.bench import guarantee_for
 from faultnet.bulk import solve_rsndp
 from faultnet.exact import exact_solve
+from faultnet.flexalg import solve_fgc, solve_flex_st_22
 from faultnet.instances import InstanceFile, generate, parse, serialize
 from faultnet.oracles import (
     BulkScenario,
@@ -55,14 +62,24 @@ SHAPES = {
     "rsndp": lambda rng, n: {"problem": "rsndp", "pairs": 2, "r": rng.randint(2, 3)},
 }
 CASES_PER_SHAPE = 50
+# The approximation algorithms, each with the shape of its instances and a
+# call on a graph and the first requirement.
+ALGORITHMS = {
+    "fgc": (SHAPES["fgc"], lambda g, r: solve_fgc(g, r.p, r.q)),
+    "flex-st-22": (
+        lambda rng, n: {"problem": "flex-st", "p": 2, "q": 2, "skeleton": "mixed"},
+        lambda g, r: solve_flex_st_22(g, r.s, r.t),
+    ),
+}
 
 
-def _parallel_heavy(rng, shape):
-    """A generated instance of ``shape`` at n = 4-6 with extra parallel
-    edges appended, some at the cost of the edge they repeat.  Extra edges
-    keep the whole graph feasible, and a failure set names only old ids."""
+def _parallel_heavy(rng, make_params):
+    """A generated instance at n = 4-6, of the parameters that
+    ``make_params(rng, n)`` draws, with extra parallel edges appended, some
+    at the cost of the edge they repeat.  Extra edges keep the whole graph
+    feasible, and a failure set names only old ids."""
     n = rng.randint(4, 6)
-    params = SHAPES[shape](rng, n)
+    params = make_params(rng, n)
     inst = generate("random-multigraph", n=n, m=3 * n, seed=rng.randrange(10**6), params=params)
     specs = list(inst.edge_specs)
     for _ in range(rng.randint(2, 5)):
@@ -109,7 +126,7 @@ def test_exact_search_is_invariant_under_relabelling(shape):
     rng = Random(f"metamorphic-{shape}")
     verdicts = set()
     for _ in range(CASES_PER_SHAPE):
-        inst = _parallel_heavy(rng, shape)
+        inst = _parallel_heavy(rng, SHAPES[shape])
         image, sigma = _relabel(rng, inst)
         g, h = inst.to_graph(), image.to_graph()
         sol, cost = exact_solve(g, inst.problem)
@@ -135,10 +152,31 @@ def test_exact_search_is_invariant_under_relabelling(shape):
 def test_relative_driver_answers_pass_both_checks_under_relabelling():
     rng = Random("metamorphic-rsndp-driver")
     for _ in range(CASES_PER_SHAPE):
-        inst = _parallel_heavy(rng, "rsndp")
+        inst = _parallel_heavy(rng, SHAPES["rsndp"])
         image, _sigma = _relabel(rng, inst)
         for case in (inst, image):
             g, reqs = case.to_graph(), case.problem.relative
             H = solve_rsndp(g, reqs, seed=rng.randrange(100))
             assert is_rsndp_feasible(g, reqs, H) == (True, None)
             assert brute_rsndp_feasible(g, reqs, H)
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_approximation_answers_hold_their_guarantee_under_relabelling(algorithm):
+    make_params, solve = ALGORITHMS[algorithm]
+    rng = Random(f"metamorphic-{algorithm}")
+    above_opt = 0
+    for _ in range(CASES_PER_SHAPE):
+        inst = _parallel_heavy(rng, make_params)
+        image, _sigma = _relabel(rng, inst)
+        for case in (inst, image):
+            g, prob = case.to_graph(), case.problem
+            H = solve(g, prob.flex[0])
+            assert check_problem_feasible(g, prob, H)[0]
+            _opt_sol, opt = exact_solve(g, prob)
+            cost = g.total_cost(H)
+            assert cost <= guarantee_for(case, algorithm) * opt + 1e-9
+            above_opt += cost > opt + 1e-9
+    # Some answers cost more than the optimum, so the bound is not met by
+    # optimal answers alone.
+    assert above_opt >= 10
