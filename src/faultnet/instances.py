@@ -96,7 +96,7 @@ def read_text(path: str) -> str:
 
 
 def parse(text: str) -> InstanceFile:
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty instance file")
     it = iter(lines)
@@ -127,7 +127,10 @@ def parse(text: str) -> InstanceFile:
     specs = []
     for i in range(m):
         parts = expect("e", 6)
-        eid, u, v = (number(x) for x in parts[1:4])
+        try:
+            eid, u, v = int(parts[1]), int(parts[2]), int(parts[3])
+        except ValueError:  # number words the error
+            eid, u, v = (number(x) for x in parts[1:4])
         if eid != i:
             raise ParseError(f"edge ids must be dense; got {eid}, wanted {i}")
         cost = number(parts[4], float)
@@ -161,11 +164,13 @@ def parse(text: str) -> InstanceFile:
         parts = ln.split()
         try:
             if kind == "flex" and parts[0] == "flexpair":
-                flex.append(
-                    FlexRequirement(
-                        vertex(parts[1]), vertex(parts[2]), int(parts[3]), int(parts[4])
-                    )
-                )
+                try:
+                    s, t = int(parts[1]), int(parts[2])
+                except (ValueError, IndexError):
+                    s = t = -1
+                if not (0 <= s < n and 0 <= t < n):  # vertex words the error, in order
+                    s, t = vertex(parts[1]), vertex(parts[2])
+                flex.append(FlexRequirement(s, t, int(parts[3]), int(parts[4])))
             elif kind == "bulk" and parts[0] == "scenario":
                 rest = ln[len("scenario") :].strip()
                 fail_part, _, pair_part = rest.partition("|")
