@@ -16,16 +16,17 @@ cuts off (:meth:`faultnet.cuts.Layout.cut_off`).
 The search is one recursive kernel.  The chosen set's packed total and safe
 counts go down the recursion as arguments, so a child's are its parent's
 plus at most one edge's crossing set; the pool's are updated in place and
-restored on return.  With scenarios, a bytearray per set records which
-edges it holds, for their test.  The edge count and every table are read
-into locals once per search.  When every constraint is a flex class (no
-scenarios), the chosen-set and pool tests run inline in the kernel, as the
-guard-set expression of :meth:`_Checker.first_bad` over the classes; a
-search with scenarios calls ``first_bad``, whose scan counts each
-scenario's failed edges in the set and shares the cuts the set does not
-cross among the scenarios with none there.  The opening question, whether
-G itself is feasible, is ``first_bad`` on G's packed counts, which the
-greedy seed then starts from.
+restored on return, and so are the chosen set's per-vertex degrees when a
+class is spanning (see below).  With scenarios, a bytearray per set
+records which edges it holds, for their test.  The edge count and every
+table are read into locals once per search.  When every constraint is a
+flex class (no scenarios), the chosen-set and pool tests run inline in the
+kernel, as the guard-set expression of :meth:`_Checker.first_bad` over the
+classes; a search with scenarios calls ``first_bad``, whose scan counts
+each scenario's failed edges in the set and shares the cuts the set does
+not cross among the scenarios with none there.  The opening question,
+whether G itself is feasible, is ``first_bad`` on G's packed counts, which
+the greedy seed then starts from.
 
 The tables that depend on the graph alone (the decision order, the costs,
 the shifted crossing sets, the per-vertex cost sums and undecided counts
@@ -49,7 +50,10 @@ what repairing the cut {v} costs at least by the same rule over the
 undecided edges at v, 0 where no such class finds it violated.  A
 completion repairs every such cut with edges at its vertex, and each edge
 is at two vertices, so it adds at least half the sum.  The kernel keeps
-these repair costs in a degree table, one entry per vertex.  Deciding edge
+these repair costs in a degree table, one entry per vertex, computed from
+the chosen set's degree and safe degree at the vertex.  The DFS keeps those
+two counts per vertex in two int lists: an inclusion adds 1 at the two
+endpoints of its edge and takes it back on return.  Deciding edge
 ``order[k]`` changes the chosen degree and the undecided edges of its two
 endpoints only, so a child recomputes just those two entries, in one
 :meth:`_Packing.refresh` call, and the parent restores them on return.
@@ -57,11 +61,22 @@ The bound adds the entries in vertex order, one ``+=`` at a time, and
 stops once the sum reaches the limit, so each value is bitwise the one a
 fresh sum over the vertices gives.
 
+A node refreshes and sums its degree table before it tests its chosen set.
+An entry is positive only where a spanning class finds the cut {v}
+violated: fewer than p safe and fewer than p + q chosen edges at v.  So
+when every constraint is a spanning class, a positive sum means that the
+chosen set fails, and the node skips the test.  It cannot be an incumbent,
+and its exclusion child gets a marker answer in place of the bad cuts,
+which no bound of such a search reads.  The skip is exact: it drops only
+tests that would fail, so nodes, prunes and incumbents are the same.  A
+zero sum runs the test as before, since a deficient vertex whose cheapest
+repair costs nothing has entry 0 too.
+
 Which bounds prune is fixed once per search.  When every constraint is a
 spanning class (every flex class holds every singleton cut and there are
 no scenarios, the FGC case), the degree table alone prunes and the packing
 never runs.  There the packing would run only at nodes the degree bound
-failed to prune, and it prunes few of those (2,135 of 24,786 on the seed-1
+failed to prune, and it prunes few of those (3,753 of 21,843 on the seed-1
 20-second ``ratio-sweep`` list), so it costs more than the nodes it
 saves.  With a mix of spanning and other classes the DFS prunes on the
 degree table and then on the packing, since the degree table does not see
@@ -70,14 +85,14 @@ alone.
 
 An exclusion child has its parent's chosen set, cost and limit (no
 incumbent can change between the parent's test and the child), so the
-parent hands it its ``first_bad`` answer and the child runs neither the
-cost check nor a test of its own.  The parent hands down its packing too,
-as the guard set of its packed cuts, unless the excluded edge is a
-candidate of one of them.  Otherwise every packed cut keeps its undecided
-candidates, so the child's packing is the parent's cut for cut, with the
-same sum, which did not prune, and the child skips :meth:`_Packing.bound`.
-The child still refreshes and sums its degree table, which the excluded
-edge does change.
+parent hands it its ``first_bad`` answer, or the marker, and the child
+runs neither the cost check nor a test of its own.  The parent hands down
+its packing too, as the guard set of its packed cuts, unless the excluded
+edge is a candidate of one of them.  Otherwise every packed cut keeps its
+undecided candidates, so the child's packing is the parent's cut for cut,
+with the same sum, which did not prune, and the child skips
+:meth:`_Packing.bound`.  The child still refreshes and sums its degree
+table, which the excluded edge does change.
 
 Both bounds are admissible: a pruned subtree holds only completions that
 the DFS's cost check would reject anyway, since the incumbent is replaced
@@ -111,10 +126,11 @@ other tables; a search with scenarios filters it by their failure sets.
 The search counts its own work in local ints and reports it once, on
 return, to :mod:`faultnet.trace`: ``exact.nodes`` (DFS nodes entered),
 ``exact.checks`` (feasibility tests, inline or not: of the chosen set at
-the root and at each include child past the cost check, of the pool at
-each exclusion tried, and of each greedy step; the opening question, the
-exclusion child's handed-down answer and the exclusions the dominance rule
-skips are not counted), ``exact.bounds`` (packing bounds computed, not
+the root and at each include child past the cost check, unless the degree
+table of an all-spanning search skips it, of the pool at each exclusion
+tried, and of each greedy step; the opening question, the exclusion
+child's handed-down answer and the exclusions the dominance rule skips are
+not counted), ``exact.bounds`` (packing bounds computed, not
 those handed down), ``exact.prunes`` (nodes whose subtree the degree or
 the packing bound cut) and ``exact.dominated`` (exclusions the dominance
 rule skipped).
@@ -230,8 +246,7 @@ class _Tables:
     set again if the edge is safe (else 0) and its cost.  ``whole`` holds
     the packed total and safe counts of all of g's edges.  ``singles`` is
     the guard set of the singleton cuts {v}.  The degree tables are built
-    on the first search
-    with a spanning class (:meth:`degree_tables`).  ``vertices`` holds, per
+    on the first search with a spanning class (:meth:`degree_tables`).  ``vertices`` holds, per
     vertex, the running cost sums of its incident edges, cheapest first,
     and how many of them are undecided at each depth k (the undecided ones
     are the cheapest, a prefix), and then the same two for its safe edges.

@@ -20,8 +20,9 @@ the exact search, once per search:
 - ``exact.nodes``: DFS nodes entered (:func:`faultnet.exact.exact_solve`);
 - ``exact.checks``: feasibility tests of the chosen set and of the pool,
   one per node past the cost check that is not an exclusion child (which
-  takes its parent's answer) and one per exclusion tried, plus one per
-  edge of the greedy seed;
+  takes its parent's answer) and, in an all-spanning search, has no
+  positive degree-table entry (which means it fails), and one per
+  exclusion tried, plus one per edge of the greedy seed;
 - ``exact.bounds``: packing bounds computed (an exclusion child that takes
   its parent's packing computes none);
 - ``exact.prunes``: nodes whose subtree the degree or the packing bound

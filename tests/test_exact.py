@@ -465,11 +465,12 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
 # counts its feasibility tests (one per greedy step, one per node past the
 # cost check that is not an exclusion child, except in an all-spanning
 # search where its degree table shows a short vertex, and one per exclusion
-# tried, whether inline or through _Checker.first_bad), "exact.bounds" its packing
-# bounds (one per node that survives the cost, feasibility and degree
-# checks where the packing runs, unless the node is an exclusion child that
-# takes its parent's packing) and "exact.nodes" the DFS nodes entered.  An
-# FGC search prunes on the degree bound alone and computes no packing bound.
+# tried, whether inline or through _Checker.first_bad), "exact.bounds" its
+# packing bounds (one per node that survives the cost, feasibility and
+# degree checks where the packing runs, unless the node is an exclusion
+# child that takes its parent's packing) and "exact.nodes" the DFS nodes
+# entered.  An FGC search prunes on the degree bound alone and computes no
+# packing bound.
 WORK = ("exact.checks", "exact.bounds", "exact.nodes")
 
 
