@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import trace
 from .errors import LpInfeasible, UnsupportedParameters
 from .graph import FaultGraph, guard_sweep, st_cut_masks
 from .oracles import BulkScenario, FlexRequirement, Problem, uniform_pq
@@ -111,13 +112,17 @@ def _cutting_plane(
     g: FaultGraph, separate: Separator
 ) -> tuple[FractionalSolution, LinearProgramModel]:
     """Alternate dual simplex re-optimisation with ``separate`` until it
-    finds no row; each round warm-starts from the last optimal basis."""
+    finds no row; each round warm-starts from the last optimal basis.
+    Reports its rounds, rows and pivots once, on return."""
     model = LinearProgramModel(g)
     warm = DualReoptimizer([e.cost for e in g.edges])
     for round_index in range(1, MAX_ROUNDS + 1):
         x = tuple(warm.x())
         row = separate(x)
         if row is None:
+            trace.count("lp.rounds", round_index)
+            trace.count("lp.rows", len(model.rows))
+            trace.count("simplex.pivots", warm.pivots)
             return FractionalSolution(x, warm.objective, round_index, True), model
         if not model.add_row(row):
             raise LpInfeasible(f"separation repeated row {row.key}; numeric trouble")

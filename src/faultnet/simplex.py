@@ -26,6 +26,7 @@ import enum
 
 import numpy as np
 
+from . import trace
 from .errors import LpUnbounded
 
 PIVOT_TOL = 1e-9
@@ -56,10 +57,12 @@ def solve_dense_lp(objective, rows) -> tuple[SimplexStatus, list[float], float]:
     rows: list of (terms, rhs) with terms = [(var index, coeff), ...].
 
     Returns (status, x, objective value); an infeasible LP reports its
-    status with x all zero and objective 0.0.
+    status with x all zero and objective 0.0.  Reports its pivots as
+    ``simplex.pivots``.
     """
     lp = DualReoptimizer(objective)
     status = lp.add_rows(rows)
+    trace.count("simplex.pivots", lp.pivots)
     if status is not SimplexStatus.OPTIMAL:
         return status, [0.0] * lp.n, 0.0
     return status, lp.x(), lp.objective
@@ -75,7 +78,8 @@ class DualReoptimizer:
     by dual simplex pivots; the basis stays dual feasible throughout.  It
     serves all three callers: the cutting plane adds one row per round, and
     ``solve_dense_lp`` adds all rows of ``solve_lp`` or of the covering LP
-    at once.
+    at once.  ``pivots`` counts the pivots made so far, for the callers to
+    report once per run.
     """
 
     def __init__(self, objective):
@@ -89,6 +93,7 @@ class DualReoptimizer:
         self.basis = list(range(n, 2 * n))
         self.z = np.concatenate([c, np.zeros(n)])
         self.objective = 0.0
+        self.pivots = 0
 
     def add_row(self, terms, rhs) -> SimplexStatus:
         """Add  sum coeff * x_var >= rhs  and re-optimise in place."""
@@ -135,20 +140,21 @@ class DualReoptimizer:
         tab, basis = self.tab, self.basis
         degenerate = 0
         bland = False
-        for _ in range(MAX_ITERATIONS):
+        for pivots in range(MAX_ITERATIONS):
             rhs = tab[:, -1]
             if bland:
                 rows_out = (rhs < -PIVOT_TOL).nonzero()[0]
                 if not rows_out.size:
-                    return SimplexStatus.OPTIMAL
+                    break
                 row = int(min(rows_out, key=basis.__getitem__))
             else:
                 row = int(rhs.argmin())
                 if rhs[row] >= -PIVOT_TOL:
-                    return SimplexStatus.OPTIMAL
+                    break
             line = tab[row, :-1]
             cols_in = (line < -PIVOT_TOL).nonzero()[0]
             if not cols_in.size:
+                self.pivots += pivots
                 return SimplexStatus.INFEASIBLE
             ratios = self.z[cols_in] / -line[cols_in]
             enter = int(cols_in[int(ratios.argmin())])
@@ -163,4 +169,7 @@ class DualReoptimizer:
                     bland = True
             else:
                 degenerate = 0
-        raise LpUnbounded("simplex iteration limit hit")
+        else:
+            raise LpUnbounded("simplex iteration limit hit")
+        self.pivots += pivots
+        return SimplexStatus.OPTIMAL

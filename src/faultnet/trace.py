@@ -42,7 +42,12 @@ the exact search, once per search:
 - ``cover.steps``: their dual-growth steps, each adding one edge;
 - ``cover.drops``: their reverse-delete drops;
 - ``flexalg.exact_bases``: ``flex_base`` calls that ran the exact search;
-- ``flexalg.ecsndp_bases``: ``flex_base`` calls that ran ``ecsndp_base``.
+- ``flexalg.ecsndp_bases``: ``flex_base`` calls that ran ``ecsndp_base``;
+- ``lp.rounds``: cutting-plane rounds, the last one (which finds no row)
+  included, once per run that returns (``faultnet.lp``);
+- ``lp.rows``: the rows those runs added;
+- ``simplex.pivots``: dual-simplex pivots, once per such cutting-plane run
+  and once per ``solve_dense_lp`` call.
 """
 
 from __future__ import annotations

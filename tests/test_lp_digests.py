@@ -10,6 +10,10 @@ cover the seed-1 ``lp-cutting-plane`` cells of ``perfbench/workloads.py``,
 sized as ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes them, and
 the Appendix A instances at k = 7, 8 and 9.  A change that alters an LP
 answer on purpose re-pins the digest here and says why in its log.
+
+The same cells' work is pinned too: the cutting-plane rounds, rows and
+dual-simplex pivots that ``faultnet.trace`` records.  A change that does
+more simplex work fails here even when every answer stays the same.
 """
 
 import hashlib
@@ -24,11 +28,12 @@ import run  # noqa: E402
 
 run.import_faultnet()
 
-from faultnet import instances, lp  # noqa: E402
+from faultnet import instances, lp, trace  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 SECONDS = 5
 WORKLOAD_DIGEST = "f6767eb2633c0664cc536fe6885074c8d0f9e9ce1e21307e82f8c1fcd01b14e5"
+WORKLOAD_WORK = {"lp.rounds": 1617, "lp.rows": 1492, "simplex.pivots": 3284}
 APPENDIX_A_DIGESTS = {
     7: "ed2105207e8e9771d876508d4aa660fa29805336d4976c6987fbb2f2f15cfc34",
     8: "33c2cdc570f6efd264de0fe1c37a837482541daabf52e31587cb7497be88f5dd",
@@ -55,6 +60,14 @@ def test_seed_1_lp_answers_are_pinned():
         assert cell.kind == "lp"
         h.update(lp_answer(instances.parse(cell.text)).encode())
     assert h.hexdigest() == WORKLOAD_DIGEST
+
+
+def test_seed_1_lp_work_is_pinned():
+    workload = WORKLOADS["lp-cutting-plane"]
+    with trace.recording() as counts:
+        for cell in workload.make_cells(1, workload.cell_count(SECONDS)):
+            lp_answer(instances.parse(cell.text))
+    assert {name: counts[name] for name in WORKLOAD_WORK} == WORKLOAD_WORK
 
 
 @pytest.mark.parametrize("k", sorted(APPENDIX_A_DIGESTS))

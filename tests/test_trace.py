@@ -1,8 +1,9 @@
 """The work recorder, ``faultnet.trace``.
 
 Counts reach only a recording open in the same context; outside one they
-are dropped.  The exact search reports its work there once per search, so
-the totals of a cell list repeat exactly from run to run.
+are dropped.  The exact search reports its work there once per search, and
+the cutting plane and ``solve_dense_lp`` once per run, so the totals of a
+cell list repeat exactly from run to run.
 """
 
 import contextvars
@@ -10,7 +11,8 @@ import sys
 import threading
 from pathlib import Path
 
-from faultnet import Problem, exact_solve, fgc_requirements, trace
+from faultnet import Problem, exact_solve, fgc_requirements, lp, trace
+from faultnet.simplex import solve_dense_lp
 from oracle_utils import random_graph
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -39,6 +41,19 @@ def test_counts_outside_a_recording_are_dropped():
         "exact.nodes", "exact.checks", "exact.bounds", "exact.prunes", "exact.dominated"
     }
     assert counts["exact.nodes"] > 0 and counts["exact.checks"] > 0
+
+
+def test_lp_runs_count_rounds_rows_and_pivots():
+    g = random_graph(5, 6, 12)
+    with trace.recording() as counts:
+        sol, model = lp.cutting_plane_flex(g, fgc_requirements(g.n, 1, 1))
+    assert set(counts) == {"lp.rounds", "lp.rows", "simplex.pivots"}
+    assert counts["lp.rounds"] == sol.rounds == len(model.rows) + 1
+    assert counts["simplex.pivots"] >= len(model.rows) > 0
+    rows = [(list(row.terms), row.rhs) for row in model.rows]
+    with trace.recording() as counts:
+        solve_dense_lp([e.cost for e in g.edges], rows)
+    assert set(counts) == {"simplex.pivots"} and counts["simplex.pivots"] > 0
 
 
 def test_a_recording_sees_only_its_own_context():
