@@ -21,7 +21,9 @@ answers for every H, the package's oracle only for an H that meets the
 precondition, so the tests compare the two only there.
 ``expansion_solve_rsndp`` keeps the relative driver's scenario-expansion
 form as the reference for ``solve_rsndp``, which runs on its own cut
-oracle.
+oracle.  ``row_at_a_time_pivot`` is the elimination that the dual simplex's
+pivot claims to match bit for bit, and ``numpy_basic_x`` the numpy form of
+``DualReoptimizer.x``, kept as its bitwise reference.
 """
 
 from __future__ import annotations
@@ -609,6 +611,33 @@ def _pivot(tab, basis, row, col):
     nz[row] = False
     tab[nz] -= factors[nz, None] * tab[row]
     basis[row] = col
+
+
+def row_at_a_time_pivot(tab, basis, row, col):
+    """Divide the pivot row by its pivot entry, then eliminate the pivot
+    column from the other rows one at a time: row i becomes
+    row i - tab[i, col] * pivot row.  A row whose entry is zero (+0.0 or
+    -0.0) is not written, so its signed zeros stay as they are."""
+    tab[row] /= tab[row, col]
+    for i in range(len(tab)):
+        factor = tab[i, col]
+        if i != row and factor != 0.0:
+            tab[i] -= factor * tab[row]
+    basis[row] = col
+
+
+def numpy_basic_x(warm) -> list[float]:
+    """``DualReoptimizer.x`` as numpy expressions: each basic structural
+    variable takes its row's rhs, every other variable 0.0, and values in
+    (-1e-9, 0) and (1, 1 + 1e-9) are clamped to 0.0 and 1.0.  The basic
+    rows are the first ``len(warm.basis)`` rows of the tableau."""
+    basis = np.asarray(warm.basis, dtype=np.intp)
+    structural = basis < warm.n
+    x = np.zeros(warm.n)
+    x[basis[structural]] = warm.tab[: basis.size, -1][structural]
+    x[(x < 0.0) & (x > -1e-9)] = 0.0
+    x[(x > 1.0) & (x < 1.0 + 1e-9)] = 1.0
+    return x.tolist()
 
 
 def two_phase_lp(objective, rows, upper_bounds):

@@ -1,6 +1,8 @@
+import ast
 import itertools
 import math
 import tracemalloc
+from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -30,8 +32,10 @@ from oracle_utils import (
     loop_separate_bulk,
     loop_sum,
     loop_separate_flex,
+    numpy_basic_x,
     random_graph,
     random_lp,
+    row_at_a_time_pivot,
     separate_flex_definitional,
     separating_masks_reference,
     two_phase_lp,
@@ -153,6 +157,126 @@ class TestDualReoptimizer:
             DualReoptimizer([1.0, -0.5])
         with pytest.raises(ValueError):
             solve_dense_lp([1.0, -0.5], [([(0, 1.0)], 0.5)])
+
+
+def _signed_zero_tableau(rng, m: int, width: int) -> np.ndarray:
+    """Random entries with some set to +0.0 and some to -0.0; the last row,
+    like a reduced-cost row, holds a -0.0."""
+    tab = rng.uniform(-2.0, 2.0, (m, width))
+    draw = rng.random((m, width))
+    tab[draw < 0.25] = 0.0
+    tab[draw > 0.85] = -0.0
+    tab[-1, rng.integers(width)] = -0.0
+    return tab
+
+
+def _hex(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+class TestPivotBits:
+    """The pivot and ``x()`` against their bitwise references in
+    ``oracle_utils``: ``tobytes`` and ``float.hex`` tell -0.0 from 0.0."""
+
+    def test_pivot_matches_row_at_a_time_elimination(self):
+        rng = np.random.default_rng(5)
+        seen = {"negative pivot": 0, "zero factor": 0, "-0.0 kept": 0}
+        for _ in range(300):
+            m, width = int(rng.integers(2, 9)), int(rng.integers(3, 12))
+            tab = _signed_zero_tableau(rng, m, width)
+            ref, basis, ref_basis = tab.copy(), list(range(m)), list(range(m))
+            for _ in range(int(rng.integers(1, 6))):
+                row = int(rng.integers(m))
+                cols = (np.abs(tab[row]) > 1e-3).nonzero()[0]
+                if not cols.size:
+                    break
+                col = int(rng.choice(cols))
+                seen["negative pivot"] += tab[row, col] < 0.0
+                seen["zero factor"] += int((tab[:, col] == 0.0).sum())
+                simplex._pivot(tab, basis, row, col)
+                row_at_a_time_pivot(ref, ref_basis, row, col)
+                assert tab.tobytes() == ref.tobytes() and basis == ref_basis
+            seen["-0.0 kept"] += int(np.signbit(tab[tab == 0.0]).sum())
+        assert all(seen.values()), seen
+
+    def test_x_matches_numpy_form_after_random_pivots(self):
+        # Basic rhs values inside both clamp bands, on their edges and -0.0.
+        bands = [-5e-10, -1e-9, -0.0, 0.0, 0.25, 1.0, 1.0 + 5e-10, 1.0 + 1e-9, 1.5, -0.5]
+        clamped = set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            costs, rows = _row_sequence(seed)
+            costs[int(rng.integers(len(costs)))] = -0.0
+            warm = DualReoptimizer(costs)
+            warm.add_rows(rows)
+            assert _hex(warm.x()) == _hex(numpy_basic_x(warm))
+            m = len(warm.basis)
+            ref, ref_basis = warm.tab.copy(), list(warm.basis)
+            for _ in range(int(rng.integers(1, 8))):
+                row = int(rng.integers(m))
+                cols = (np.abs(warm.tab[row, : warm.n]) > 1e-3).nonzero()[0]
+                if cols.size:
+                    col = int(rng.choice(cols))
+                    simplex._pivot(warm.tab, warm.basis, row, col)
+                    row_at_a_time_pivot(ref, ref_basis, row, col)
+                    assert warm.tab.tobytes() == ref.tobytes() and warm.basis == ref_basis
+            structural = [i for i in range(m) if warm.basis[i] < warm.n]
+            for k, i in enumerate(structural):
+                warm.tab[i, -1] = bands[(seed + k) % len(bands)]
+            x = warm.x()
+            assert _hex(x) == _hex(numpy_basic_x(warm))
+            clamped.update(warm.tab[i, -1] for i in structural if x[warm.basis[i]] != warm.tab[i, -1])
+        assert clamped == {-5e-10, 1.0 + 5e-10}
+
+
+BLAS_CALLS = {"dot", "matmul", "inner", "einsum", "vdot", "tensordot"}
+
+
+def _blas_products(source: str) -> set[str]:
+    """Dotted name of the function or method around each BLAS product in
+    the source: ``@``, ``@=``, ``np.dot``, ``np.matmul``, ``np.inner``,
+    ``np.einsum`` or a ``.dot(`` call; "" for one outside any."""
+    found = set()
+    scope = []
+
+    class Visitor(ast.NodeVisitor):
+        def enter(self, node):
+            scope.append(node.name)
+            self.generic_visit(node)
+            scope.pop()
+
+        visit_FunctionDef = visit_ClassDef = enter
+
+        def visit_BinOp(self, node):
+            if isinstance(node.op, ast.MatMult):
+                found.add(".".join(scope))
+            self.generic_visit(node)
+
+        visit_AugAssign = visit_BinOp
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Attribute) and node.func.attr in BLAS_CALLS:
+                found.add(".".join(scope))
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return found
+
+
+def test_blas_pattern_finds_every_form():
+    forms = ["a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.matmul(a, b)",
+             "np.inner(a, b)", "np.einsum('i,i', a, b)"]
+    for form in forms:
+        assert _blas_products(f"class C:\n    def f(a, b):\n        {form}\n") == {"C.f"}
+    assert _blas_products("def f(a, b):\n    return a * b  # a @ b\n") == set()
+
+
+def test_blas_products_stay_in_add_rows():
+    """OpenBLAS results depend on operand layout (ROADMAP item 5), so the
+    simplex makes its one BLAS product, the elimination of the basic
+    columns from new rows, in ``add_rows`` alone, on ``tab[:m]``."""
+    source = Path(simplex.__file__).read_text(encoding="utf-8")
+    assert _blas_products(source) == {"DualReoptimizer.add_rows"}
 
 
 class TestSolveLp:
