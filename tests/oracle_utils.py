@@ -22,8 +22,9 @@ precondition, so the tests compare the two only there.
 ``expansion_solve_rsndp`` keeps the relative driver's scenario-expansion
 form as the reference for ``solve_rsndp``, which runs on its own cut
 oracle.  ``row_at_a_time_pivot`` is the elimination that the dual simplex's
-pivot claims to match bit for bit, and ``numpy_basic_x`` the numpy form of
-``DualReoptimizer.x``, kept as its bitwise reference.
+pivot claims to match bit for bit, and ``two_phase_lp`` pivots with it;
+``numpy_basic_x`` is the numpy form of ``DualReoptimizer.x``, kept as its
+bitwise reference.
 """
 
 from __future__ import annotations
@@ -603,16 +604,6 @@ def random_lp(seed: int):
     return objective, rows, upper_bounds
 
 
-def _pivot(tab, basis, row, col):
-    """Rank-1 update of the rows with a nonzero pivot-column entry."""
-    tab[row, :] /= tab[row, col]
-    factors = tab[:, col]
-    nz = factors != 0.0
-    nz[row] = False
-    tab[nz] -= factors[nz, None] * tab[row]
-    basis[row] = col
-
-
 def row_at_a_time_pivot(tab, basis, row, col):
     """Divide the pivot row by its pivot entry, then eliminate the pivot
     column from the other rows one at a time: row i becomes
@@ -727,7 +718,7 @@ def two_phase_lp(objective, rows, upper_bounds):
             k = int(ratios.argmin())
             theta, row = ratios[k], int(rows_in[k])
             delta = z[enter]
-            _pivot(tab, basis, row, enter)
+            row_at_a_time_pivot(tab, basis, row, enter)
             z = z - delta * tab[row, :-1]
             new_obj = obj + theta * delta
             if abs(new_obj - obj) <= tol:
@@ -750,7 +741,7 @@ def two_phase_lp(objective, rows, upper_bounds):
             if basis[i] >= total:
                 real = np.flatnonzero(np.abs(tab[i, :total]) > tol)
                 if real.size:
-                    _pivot(tab, basis, i, int(real[0]))
+                    row_at_a_time_pivot(tab, basis, i, int(real[0]))
                 # Else a redundant row; leave the zero-valued artificial basic.
         # Freeze artificial columns at zero.
         tab[:, total:-1] = 0.0
