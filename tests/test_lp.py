@@ -180,7 +180,7 @@ class TestPivotBits:
 
     def test_pivot_matches_row_at_a_time_elimination(self):
         rng = np.random.default_rng(5)
-        seen = {"negative pivot": 0, "zero factor": 0, "-0.0 kept": 0}
+        seen = {"negative pivot": 0, "zero factor": 0, "-0.0 entry": 0}
         for _ in range(300):
             m, width = int(rng.integers(2, 9)), int(rng.integers(3, 12))
             tab = _signed_zero_tableau(rng, m, width)
@@ -196,7 +196,7 @@ class TestPivotBits:
                 simplex._pivot(tab, basis, row, col)
                 row_at_a_time_pivot(ref, ref_basis, row, col)
                 assert tab.tobytes() == ref.tobytes() and basis == ref_basis
-            seen["-0.0 kept"] += int(np.signbit(tab[tab == 0.0]).sum())
+            seen["-0.0 entry"] += int(np.signbit(tab[tab == 0.0]).sum())
         assert all(seen.values()), seen
 
     def test_x_matches_numpy_form_after_random_pivots(self):
