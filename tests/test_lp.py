@@ -234,8 +234,9 @@ BLAS_CALLS = {"dot", "matmul", "inner", "einsum", "vdot", "tensordot"}
 
 def _blas_products(source: str) -> set[str]:
     """Dotted name of the function or method around each BLAS product in
-    the source: ``@``, ``@=``, ``np.dot``, ``np.matmul``, ``np.inner``,
-    ``np.einsum`` or a ``.dot(`` call; "" for one outside any."""
+    the source: ``@``, ``@=``, or a call of an attribute named in
+    ``BLAS_CALLS`` (``np.dot``, ``a.dot(``, ``np.matmul``, ``np.inner``,
+    ``np.einsum``, ...); "" for one outside any."""
     found = set()
     scope = []
 
