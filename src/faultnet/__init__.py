@@ -13,14 +13,13 @@ from .flow import Flow, flow_decompose, min_cost_flow
 from .graph import FaultGraph, VertexCut, boundary, connected_components, same_component
 from .instances import InstanceFile, generate, parse, serialize
 from .gap import gap_experiment
-from .lp import separate_bulk, separate_flex, solve_lp
+from .lp import separate_bulk, separate_flex
 from .trace import count, recording
 from .oracles import (
     BulkScenario,
     FlexRequirement,
     Problem,
     RelativeRequirement,
-    expand_flex_to_bulk,
     expand_rsndp_to_bulk,
     fgc_requirements,
     is_bulk_feasible,
@@ -49,7 +48,6 @@ __all__ = [
     "is_rsndp_feasible",
     "violated_cuts_flex_aug",
     "violating_edge_sets_bulk",
-    "expand_flex_to_bulk",
     "expand_rsndp_to_bulk",
     "primal_dual_cover",
     "ring_cover_exact",
@@ -62,7 +60,6 @@ __all__ = [
     "solve_rsndp",
     "sample_tree",
     "exact_solve",
-    "solve_lp",
     "separate_flex",
     "separate_bulk",
     "gap_experiment",

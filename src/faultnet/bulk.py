@@ -108,11 +108,6 @@ class TreeEmbedding:
     parent_edge: tuple[int, ...]
     depth: tuple[int, ...]
 
-    @property
-    def tree_edges(self) -> frozenset:
-        """Edge ids of the tree."""
-        return frozenset(eid for v, eid in enumerate(self.parent_edge) if v != self.root)
-
     def path(self, u: int, v: int) -> tuple[int, ...]:
         """Edge ids of the unique tree path between u and v."""
         up, vp = u, v

@@ -21,8 +21,7 @@ turns one into a cut set in one linear pass.  A failure set F cuts off a
 pair in an edge set H when a cut that separates the pair is crossed only by
 edges of F; :meth:`Boundary.cut_off` answers that for every cut at once,
 and :meth:`Layout.cut_off` for packed counts kept outside a Boundary.
-Questions about one given mask go to :func:`faultnet.graph.boundary` and
-:func:`faultnet.graph.boundary_counts`.
+Questions about one given mask go only to :func:`faultnet.graph.boundary`.
 A graph's first :func:`layout_of` call checks its sweep against the
 enumeration budget (:func:`faultnet.graph.guard_sweep`), before any of its
 packed structures is built.
@@ -123,10 +122,6 @@ class Layout:
             if inside[eid]:
                 dead += cross[eid]
         return self.equal(total, dead)
-
-    def count(self, counts: int, index: int) -> int:
-        """The count of the one cut at ``index``."""
-        return (counts >> (index * self.width)) & ((1 << self.width) - 1)
 
     def compact(self, guards: int) -> int:
         """The cut set of a guard set."""

@@ -358,10 +358,12 @@ class _Packing:
     ``spanning`` holds (p, p + q) of each of the checker's ``classes`` whose
     scope holds every singleton cut {v}.  Only then are ``vertices`` and
     ``ends`` the graph's degree tables.  The search's degree table holds, at
-    depth k for a chosen set, one entry per vertex v: :meth:`repair` of v's
-    chosen and safe degrees at k, which the search keeps per vertex.
-    Between depths k - 1 and k only the entries of the endpoints of
-    ``order[k - 1]`` change, and :meth:`refresh` recomputes just those.
+    depth k for a chosen set, one entry per vertex v, from v's chosen and
+    safe degrees at k, which the search keeps per vertex; :meth:`refresh`
+    holds the one rule for an entry.  The root computes every entry, and
+    between depths k - 1 and k only the entries of the endpoints of
+    ``order[k - 1]``, ``ends[k - 1]``, change, so the search refreshes just
+    those.
     """
 
     def __init__(self, g: FaultGraph, classes: list):
@@ -434,33 +436,16 @@ class _Packing:
             bad &= ~hits[reach]
         return bound, packed
 
-    def repair(self, v: int, t: int, s: int, k: int) -> float:
-        """What repairing the singleton cut {v} costs at least at depth k,
-        with t chosen and s safe edges at v: the dearest repair over the
-        spanning classes that find it violated, 0 if none does."""
-        sums, undecided, safe_sums, safe_undecided = self.vertices[v]
-        worst = 0.0
-        for p, pq in self.spanning:
-            if t < pq and s < p:
-                need = pq - t
-                repair = sums[need] if need <= undecided[k] else inf
-                need = p - s
-                if need <= safe_undecided[k] and safe_sums[need] < repair:
-                    repair = safe_sums[need]
-                if repair > worst:
-                    worst = repair
-        return worst
-
     def refresh(
-        self, table: list[float], k: int, degrees: list[int], safe_degrees: list[int]
+        self, table: list[float], k: int, stale, degrees: list[int], safe_degrees: list[int]
     ) -> None:
-        """Bring the degree ``table`` from depth k - 1 to depth k (k >= 1)
+        """Bring the degree ``table`` to depth k at the ``stale`` vertices,
         for the chosen set with ``degrees[v]`` edges and ``safe_degrees[v]``
-        safe edges at each vertex v: only the endpoints of ``order[k - 1]``
-        change.  Each gets :meth:`repair` of its degrees at k, by the same
-        float steps, inline."""
+        safe edges at each vertex v.  The entry of v is what repairing the
+        singleton cut {v} costs at least: the dearest repair over the
+        spanning classes that find it violated, 0 if none does."""
         vertices, spanning = self.vertices, self.spanning
-        for v in self.ends[k - 1]:
+        for v in stale:
             t = degrees[v]
             s = safe_degrees[v]
             sums, undecided, safe_sums, safe_undecided = vertices[v]
@@ -553,9 +538,10 @@ def exact_solve(
     # The packing runs only when some constraint is not a spanning class:
     # an FGC search prunes on the degree table alone.
     packs = len(packing.spanning) < len(classes) or scenarios
-    table = [packing.repair(v, 0, 0, 0) for v in range(len(packing.vertices))]
+    table = [0.0] * len(packing.vertices)
     # The chosen set's degree and safe degree at each vertex, for refresh.
     degrees, safe_degrees = [0] * len(table), [0] * len(table)
+    refresh(table, 0, range(len(table)), degrees, safe_degrees)
     nodes = bounds = prunes = dominated = 0
 
     def dfs(
@@ -571,7 +557,7 @@ def exact_solve(
             return
         if spanning:
             if k:
-                refresh(table, k, degrees, safe_degrees)
+                refresh(table, k, ends[k - 1], degrees, safe_degrees)
             # One += at a time: the builtin sum compensates from Python 3.12.
             twice = 2.0 * (limit - cost_in)
             degree = 0.0

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import exact_solve
-from .graph import FaultGraph, boundary_counts, failure_sets
+from .graph import FaultGraph, boundary, failure_sets
 from .instances import appendix_a_instance
 from .lp import cutting_plane_flex, separate_flex
 
@@ -63,9 +63,9 @@ def gap_experiment(k: int) -> GapReport:
         mask = 1  # s = vertex 0
         for i in outside:
             mask |= 1 << (2 + i)
-        bnd_safe, bnd_total = boundary_counts(g, H, mask)
+        crossing = boundary(g, H, mask)
         # Violated for (1, k): no safe edge and fewer than k+1 in total.
-        if not (bnd_safe == 0 and bnd_total < k + 1):
+        if crossing & g.safe_ids or len(crossing) >= k + 1:
             rejected_all = False
     gap_lb = None
     if rejected_all:

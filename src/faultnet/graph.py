@@ -93,10 +93,6 @@ class EdgeRec:
     cost: float
     safe: bool
 
-    @property
-    def safety(self) -> str:
-        return SAFE if self.safe else UNSAFE
-
 
 def _as_safe_flag(safety) -> bool:
     if isinstance(safety, bool):
@@ -118,7 +114,7 @@ class FaultGraph:
     """
 
     __slots__ = (
-        "n", "edges", "costs", "_safe_ids", "_unsafe_ids", "_incident", "_layout", "_crossing",
+        "n", "edges", "costs", "_safe_ids", "_incident", "_layout", "_crossing",
         "_neighbours", "_search",
     )
 
@@ -143,7 +139,6 @@ class FaultGraph:
         self.edges = tuple(recs)
         self.costs = tuple(e.cost for e in recs)
         self._safe_ids = frozenset(e.id for e in recs if e.safe)
-        self._unsafe_ids = frozenset(e.id for e in recs if not e.safe)
         incident: list[list[int]] = [[] for _ in range(n)]
         for e in recs:
             incident[e.u].append(e.id)
@@ -163,10 +158,6 @@ class FaultGraph:
     @property
     def safe_ids(self) -> frozenset:
         return self._safe_ids
-
-    @property
-    def unsafe_ids(self) -> frozenset:
-        return self._unsafe_ids
 
     def all_edge_ids(self) -> frozenset:
         return frozenset(range(self.m))
@@ -222,20 +213,6 @@ def boundary(g: FaultGraph, F: Iterable[int], S) -> frozenset:
         if ((mask >> e.u) ^ (mask >> e.v)) & 1:
             out.append(eid)
     return frozenset(out)
-
-
-def boundary_counts(g: FaultGraph, F: Iterable[int], mask: int) -> tuple[int, int]:
-    """(safe, total) boundary edge counts of F across ``mask``."""
-    safe = 0
-    total = 0
-    edges = g.edges
-    for eid in F:
-        e = edges[eid]
-        if ((mask >> e.u) ^ (mask >> e.v)) & 1:
-            total += 1
-            if e.safe:
-                safe += 1
-    return safe, total
 
 
 def st_cut_masks(n: int, s: int, t: int) -> list[int]:

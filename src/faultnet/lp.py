@@ -10,10 +10,9 @@ The bulk relaxation has one family: for each scenario (F_j, K_j) and cut S
 separating one of its pairs, x(delta(S) - F_j) >= 1.
 
 Both relaxations are solved by the package's one simplex method, the dual
-simplex of ``faultnet.simplex``: ``solve_lp`` adds a model's rows to it at
-once, and the cutting-plane driver adds them lazily, alternating it with a
-separator until no violated row remains and re-optimising each round from
-the last optimal basis.  Separation works by exhaustive
+simplex of ``faultnet.simplex``: the cutting-plane driver adds a model's
+rows to it lazily, alternating it with a separator until no violated row
+remains and re-optimising each round from the last optimal basis.  Separation works by exhaustive
 sweep over canonical cuts (the polynomial-time enumeration device the desk
 scale replaces) with the exact prefix rule for choosing B: a cut is violated
 for some B iff it is violated for the q unsafe boundary edges of largest
@@ -42,7 +41,7 @@ from . import trace
 from .errors import LpInfeasible, UnsupportedParameters
 from .graph import FaultGraph, guard_sweep, st_cut_masks
 from .oracles import BulkScenario, FlexRequirement, Problem, uniform_pq
-from .simplex import DualReoptimizer, SimplexStatus, solve_dense_lp
+from .simplex import DualReoptimizer, SimplexStatus
 
 ROW_TOL = 1e-7
 MAX_ROUNDS = 10_000
@@ -92,17 +91,6 @@ class FractionalSolution:
     objective: float
     rounds: int
     separation_clean: bool
-
-
-def solve_lp(model: LinearProgramModel) -> FractionalSolution:
-    """Optimize the model's current working rows (no separation)."""
-    g = model.g
-    obj = [e.cost for e in g.edges]
-    rows = [(list(r.terms), r.rhs) for r in model.rows]
-    status, x, objective = solve_dense_lp(obj, rows)
-    if status is not SimplexStatus.OPTIMAL:
-        raise LpInfeasible(f"simplex returned {status}")
-    return FractionalSolution(tuple(x), objective, rounds=0, separation_clean=False)
 
 
 Separator = Callable[[Sequence[float]], LpRow | None]

@@ -16,10 +16,11 @@ H-boundaries with no scenario list, and asks ``cut_off`` on G once per
 set, and so does the check of record ``is_rsndp_feasible``; so the
 relative expansion serves only the exact checker and the tests.  The bulk
 check of record ``is_bulk_feasible`` tests connectivity by union-find, one
-failure set at a time, and ``expand_flex_to_bulk`` enumerates failure sets
-by their safe-edge count.  Every failure-set enumeration here that no
-input lists comes from :func:`faultnet.graph.failure_sets`, which checks
-it against the enumeration budget first.
+failure set at a time.  The relative expansion is the only one left: no
+driver lists the scenarios of the flex-to-bulk reduction.  Every
+failure-set enumeration here that no input lists comes from
+:func:`faultnet.graph.failure_sets`, which checks it against the
+enumeration budget first.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -450,34 +451,6 @@ def _cut_boundaries(
 
 
 # -- expansions into the bulk model -------------------------------------------
-
-def expand_flex_to_bulk(
-    g: FaultGraph, reqs: Sequence[FlexRequirement]
-) -> tuple[BulkScenario, ...]:
-    """Explicit scenario list equivalent to the flex requirements.
-
-    A failure set F threatens pair i iff |F| <= p_i + q_i - 1 and F contains
-    at most p_i - 1 safe edges (split F into B = up to q_i unsafe edges and
-    A = the at most p_i - 1 others).  Width is max(p_i + q_i - 1).
-    """
-    reqs = tuple(reqs)
-    width = max(r.p + r.q - 1 for r in reqs)
-    grouped: dict[frozenset, list[tuple[int, int]]] = {}
-    for combo in failure_sets(g.m, width):
-        F = frozenset(combo)
-        n_safe = len(F & g.safe_ids)
-        pairs = [
-            (r.s, r.t)
-            for r in reqs
-            if len(F) <= r.p + r.q - 1 and n_safe <= r.p - 1
-        ]
-        if pairs:
-            grouped[F] = pairs
-    return tuple(
-        BulkScenario(F, tuple(sorted(set(pairs))))
-        for F, pairs in sorted(grouped.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    )
-
 
 def expand_rsndp_to_bulk(
     g: FaultGraph, reqs: Sequence[RelativeRequirement]

@@ -1,15 +1,14 @@
 """Dense dual simplex for small cutting-plane models.
 
 Every LP in the package minimises c.x over the unit box 0 <= x <= 1 with
-costs c >= 0 and >= rows: the cutting-plane rounds of ``faultnet.lp``, the
-fixed-row ``solve_lp`` and the covering LP of ``ring_cover_exact``.  One
-method serves all three.  ``DualReoptimizer`` starts from the bound rows
-x_j + s_j = 1 with the bound slacks basic, which is optimal for c >= 0, so
-no phase 1 runs.  ``add_rows`` appends >= rows, each with its own surplus
+costs c >= 0 and >= rows: the cutting-plane rounds of ``faultnet.lp`` and
+the covering LP of ``ring_cover_exact``.  One method serves both.
+``DualReoptimizer`` starts from the bound rows x_j + s_j = 1 with the bound
+slacks basic, which is optimal for c >= 0, so no phase 1 runs.  ``add_rows`` appends >= rows, each with its own surplus
 basic, and restores primal feasibility by dual simplex (Lemke 1954;
 Chvátal, *Linear Programming*, 1983, ch. 10).  The cutting plane adds one
 row per round and keeps the last optimal tableau; ``solve_dense_lp`` adds
-all its rows at once to a fresh one.
+all the covering LP's rows at once to a fresh one.
 
 Sized for desk-scale models (tens of variables, a few hundred rows).
 Pivot rule: most negative right-hand side, lowest row first, falling back
@@ -86,9 +85,8 @@ class DualReoptimizer:
     never runs.  ``add_rows`` appends >= rows, each with its own surplus
     basic, eliminates the basic columns from them, and restores primal
     feasibility by dual simplex pivots; the basis stays dual feasible
-    throughout.  It serves all three callers: the cutting plane adds one
-    row per round, and ``solve_dense_lp`` adds all rows of ``solve_lp`` or
-    of the covering LP at once.  ``pivots`` counts the pivots made so far,
+    throughout.  It serves both callers: the cutting plane adds one row per
+    round, and ``solve_dense_lp`` adds all rows of the covering LP at once.  ``pivots`` counts the pivots made so far,
     for the callers to report once per run.
 
     A pivot updates the z row as it updates any other row, so a pivot whose

@@ -24,7 +24,14 @@ form as the reference for ``solve_rsndp``, which runs on its own cut
 oracle.  ``row_at_a_time_pivot`` is the elimination that the dual simplex's
 pivot claims to match bit for bit, and ``two_phase_lp`` pivots with it;
 ``numpy_basic_x`` is the numpy form of ``DualReoptimizer.x``, kept as its
-bitwise reference.
+bitwise reference.  The last section keeps the package members that only
+tests called, with the same behaviour: ``expand_flex_to_bulk`` lists the
+scenarios of the flex-to-bulk reduction that ``solve_flex_sndp`` carries
+out without listing any, ``solve_lp`` adds a model's rows at once to a
+fresh dual simplex, ``degree_repair`` is the exact search's degree-table
+rule that ``_Packing.refresh`` must match bit for bit, and
+``boundary_counts``, ``layout_count``, ``tree_edges``, ``unsafe_ids`` and
+``safety`` read one cut's counts, a tree's edges and edge labels.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from faultnet.cover import CoverResult
 from faultnet.cuts import Boundary, crossed, cut_index
 from faultnet.errors import (
     InfeasibleAugmentation,
+    LpInfeasible,
     LpUnbounded,
     PriorLevelNotSatisfied,
     SourceEqualsSink,
@@ -50,10 +58,19 @@ from faultnet.errors import (
     Unhittable,
 )
 from faultnet.flow import Flow, _augment, _normalize_caps
-from faultnet.graph import FaultGraph, VertexCut, boundary, same_component
-from faultnet.lp import ROW_TOL, LpRow
+from faultnet.graph import (
+    SAFE,
+    UNSAFE,
+    FaultGraph,
+    VertexCut,
+    boundary,
+    failure_sets,
+    same_component,
+)
+from faultnet.lp import ROW_TOL, FractionalSolution, LinearProgramModel, LpRow
 from faultnet.oracles import (
     BulkScenario,
+    FlexRequirement,
     _connected_pairs_ok,
     expand_rsndp_to_bulk,
     is_rsndp_feasible,
@@ -151,7 +168,7 @@ def brute_connected(g: FaultGraph, edges, u: int, v: int) -> bool:
 def brute_flex_feasible(g: FaultGraph, reqs, H) -> bool:
     """Double brute force: every unsafe failure subset x every cut."""
     H = frozenset(H)
-    unsafe_in_H = sorted(H & g.unsafe_ids)
+    unsafe_in_H = sorted(H & unsafe_ids(g))
     for req in reqs:
         for size in range(req.q + 1):
             for B in itertools.combinations(unsafe_in_H, size):
@@ -905,7 +922,7 @@ def separate_flex_definitional(g: FaultGraph, reqs, x) -> bool:
     (p, q), = {(r.p, r.q) for r in reqs}
     full = (1 << g.n) - 1
     masks = {min(mask, full ^ mask) for r in reqs for mask in nested_st_masks(g.n, r.s, r.t)}
-    unsafe_ids = sorted(g.unsafe_ids)
+    unsafe = sorted(unsafe_ids(g))
     for mask in masks:
         ids = _crossing_ids(g, range(g.m), mask)
         safe_sum = sum(x[eid] for eid in ids if g.edges[eid].safe)
@@ -913,7 +930,7 @@ def separate_flex_definitional(g: FaultGraph, reqs, x) -> bool:
         if (p + q) * safe_sum + p * unsafe_sum < p * (p + q) - ROW_TOL:
             return False
         for size in range(q + 1):
-            for B in itertools.combinations(unsafe_ids, size):
+            for B in itertools.combinations(unsafe, size):
                 value = sum(x[eid] for eid in ids if eid not in B)
                 if value < p - ROW_TOL:
                     return False
@@ -928,3 +945,101 @@ def check_augmentation_lp_validity(g: FaultGraph, reqs, x, F1) -> tuple[bool, Ve
         if sum(x[eid] for eid in _crossing_ids(g, outside, mask)) < 1.0 - ROW_TOL:
             return False, VertexCut(g.n, mask)
     return True, None
+
+
+# -- former package members that only the tests call --------------------------
+
+def safety(e) -> str:
+    """The safety label of edge record ``e``."""
+    return SAFE if e.safe else UNSAFE
+
+
+def unsafe_ids(g: FaultGraph) -> frozenset:
+    """The ids of g's unsafe edges."""
+    return frozenset(e.id for e in g.edges if not e.safe)
+
+
+def boundary_counts(g: FaultGraph, F: Iterable[int], mask: int) -> tuple[int, int]:
+    """(safe, total) boundary edge counts of F across ``mask``."""
+    safe = 0
+    total = 0
+    edges = g.edges
+    for eid in F:
+        e = edges[eid]
+        if ((mask >> e.u) ^ (mask >> e.v)) & 1:
+            total += 1
+            if e.safe:
+                safe += 1
+    return safe, total
+
+
+def layout_count(layout, counts: int, index: int) -> int:
+    """The count of the one cut at ``index`` in ``layout``'s packed
+    ``counts``."""
+    return (counts >> (index * layout.width)) & ((1 << layout.width) - 1)
+
+
+def tree_edges(tree) -> frozenset:
+    """Edge ids of a ``TreeEmbedding``."""
+    return frozenset(eid for v, eid in enumerate(tree.parent_edge) if v != tree.root)
+
+
+def degree_repair(packing, v: int, t: int, s: int, k: int) -> float:
+    """What repairing the singleton cut {v} costs at least at depth k of an
+    exact search with ``packing``, with t chosen and s safe edges at v: the
+    dearest repair over the spanning classes that find it violated, 0 if
+    none does.  ``_Packing.refresh`` must give every entry bitwise this."""
+    sums, undecided, safe_sums, safe_undecided = packing.vertices[v]
+    worst = 0.0
+    for p, pq in packing.spanning:
+        if t < pq and s < p:
+            need = pq - t
+            repair = sums[need] if need <= undecided[k] else float("inf")
+            need = p - s
+            if need <= safe_undecided[k] and safe_sums[need] < repair:
+                repair = safe_sums[need]
+            if repair > worst:
+                worst = repair
+    return worst
+
+
+def expand_flex_to_bulk(
+    g: FaultGraph, reqs: Sequence[FlexRequirement]
+) -> tuple[BulkScenario, ...]:
+    """Explicit scenario list equivalent to the flex requirements: the
+    paper's flex-to-bulk reduction, which ``solve_flex_sndp`` carries out
+    without listing any scenario.
+
+    A failure set F threatens pair i iff |F| <= p_i + q_i - 1 and F contains
+    at most p_i - 1 safe edges (split F into B = up to q_i unsafe edges and
+    A = the at most p_i - 1 others).  Width is max(p_i + q_i - 1).
+    """
+    reqs = tuple(reqs)
+    width = max(r.p + r.q - 1 for r in reqs)
+    grouped: dict[frozenset, list[tuple[int, int]]] = {}
+    for combo in failure_sets(g.m, width):
+        F = frozenset(combo)
+        n_safe = len(F & g.safe_ids)
+        pairs = [
+            (r.s, r.t)
+            for r in reqs
+            if len(F) <= r.p + r.q - 1 and n_safe <= r.p - 1
+        ]
+        if pairs:
+            grouped[F] = pairs
+    return tuple(
+        BulkScenario(F, tuple(sorted(set(pairs))))
+        for F, pairs in sorted(grouped.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
+    )
+
+
+def solve_lp(model: LinearProgramModel) -> FractionalSolution:
+    """Optimize the model's current working rows (no separation), adding
+    them all at once to a fresh dual simplex."""
+    g = model.g
+    obj = [e.cost for e in g.edges]
+    rows = [(list(r.terms), r.rhs) for r in model.rows]
+    status, x, objective = simplex.solve_dense_lp(obj, rows)
+    if status is not simplex.SimplexStatus.OPTIMAL:
+        raise LpInfeasible(f"simplex returned {status}")
+    return FractionalSolution(tuple(x), objective, rounds=0, separation_clean=False)

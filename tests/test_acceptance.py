@@ -52,7 +52,6 @@ from faultnet.oracles import (
     FlexRequirement,
     Problem,
     RelativeRequirement,
-    expand_flex_to_bulk,
     expand_rsndp_to_bulk,
     fgc_requirements,
     is_bulk_feasible,
@@ -62,6 +61,7 @@ from faultnet.oracles import (
 )
 from oracle_utils import (
     _minimal_violated,
+    expand_flex_to_bulk,
     random_graph,
     separate_flex_definitional,
     union_find_violating_edge_sets_bulk,

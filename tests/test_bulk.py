@@ -40,7 +40,6 @@ from faultnet.oracles import (
     Problem,
     RelativeRequirement,
     _check_prior_levels,
-    expand_flex_to_bulk,
     expand_rsndp_to_bulk,
     is_bulk_feasible,
     is_flex_feasible,
@@ -49,11 +48,13 @@ from faultnet.oracles import (
 )
 from oracle_utils import (
     brute_set_cover,
+    expand_flex_to_bulk,
     expansion_solve_rsndp,
     fraction_greedy_hitting_set,
     kruskal_mst_cost,
     plain_best_of_trees,
     random_graph,
+    tree_edges,
     tree_stretch,
     union_find_check_prior_levels,
     union_find_expand_rsndp,
@@ -76,15 +77,15 @@ class TestSampleTree:
     def test_tree_input_reproduced_with_unit_stretch(self):
         g = FaultGraph(4, [(0, 1, 1, "safe"), (1, 2, 2, "safe"), (2, 3, 1, "safe")])
         tree = sample_tree(g, seed=5)
-        assert tree.tree_edges == {0, 1, 2}
+        assert tree_edges(tree) == {0, 1, 2}
         assert tree_stretch(g, tree) == (1.0, 1.0)
 
     def test_cycle_drops_one_edge(self):
         n = 6
         g = FaultGraph(n, [(i, (i + 1) % n, 1.0, "safe") for i in range(n)])
         tree = sample_tree(g, seed=9)
-        assert len(tree.tree_edges) == n - 1
-        dropped = next(iter(g.all_edge_ids() - tree.tree_edges))
+        assert len(tree_edges(tree)) == n - 1
+        dropped = next(iter(g.all_edge_ids() - tree_edges(tree)))
         e = g.edges[dropped]
         # The dropped edge's endpoints go all the way around: stretch n-1.
         assert len(tree.path(e.u, e.v)) == n - 1
@@ -94,10 +95,10 @@ class TestSampleTree:
         g = random_graph(7, 8, 16)
         t1 = sample_tree(g, seed=42)
         t2 = sample_tree(g, seed=42)
-        assert t1.tree_edges == t2.tree_edges and t1.root == t2.root
+        assert tree_edges(t1) == tree_edges(t2) and t1.root == t2.root
         t3 = sample_tree(g, seed=43)
         # different seed may give a different tree; both must span
-        assert len(t3.tree_edges) == g.n - 1
+        assert len(tree_edges(t3)) == g.n - 1
 
     def test_stretch_statistics_reported(self):
         g = random_graph(11, 12, 26)

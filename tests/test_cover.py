@@ -16,7 +16,7 @@ from faultnet.cuts import all_cuts, cut_index, masks, predicate
 from faultnet.errors import NotRingFamily, Uncoverable
 from faultnet.exact import exact_solve
 from faultnet.flexalg import fgc_plans, make_fgc_plan, _stage_families, solve_fgc
-from faultnet.graph import FaultGraph, boundary, boundary_counts
+from faultnet.graph import FaultGraph, boundary
 from faultnet.instances import (
     figure_1_instance,
     figure_3_instance,
@@ -30,6 +30,7 @@ from faultnet.oracles import (
 )
 from oracle_utils import (
     _minimal_violated,
+    boundary_counts,
     brute_set_cover,
     list_primal_dual_cover,
     membership_ciq,

@@ -24,10 +24,13 @@ from oracle_utils import (
     brute_connected,
     brute_flex_feasible,
     brute_rsndp_feasible,
+    degree_repair,
     dijkstra_cost,
     global_flex_oracle,
     kruskal_mst_cost,
+    layout_count,
     random_graph,
+    safety,
 )
 
 
@@ -183,7 +186,7 @@ def _flex_case(name, seed):
     reqs = (FlexRequirement(0, n - 1, p1, q1), FlexRequirement(1, 3, p2, q2))
     for attempt in range(100):
         g = random_graph(1000 * seed + attempt + 17 * len(name), n, m, safe_prob=0.4)
-        specs = [(e.u, e.v, e.cost if e.safe else round(e.cost / 3, 3), e.safety) for e in g.edges]
+        specs = [(e.u, e.v, e.cost if e.safe else round(e.cost / 3, 3), safety(e)) for e in g.edges]
         g = FaultGraph(n, specs)
         if brute_flex_feasible(g, reqs, g.all_edge_ids()):
             return g, Problem("flex", flex=reqs)
@@ -245,7 +248,7 @@ def _fresh_table(g, packing, chosen, k):
     table = []
     for v in range(g.n):
         mine = [eid for eid in g.incident(v) if eid in chosen]
-        table.append(packing.repair(v, len(mine), sum(g.edges[eid].safe for eid in mine), k))
+        table.append(degree_repair(packing, v, len(mine), sum(g.edges[eid].safe for eid in mine), k))
     return table
 
 
@@ -326,7 +329,10 @@ def test_degree_table_matches_a_fresh_computation(name, seed):
         chosen: set[int] = set()
         counts = Boundary(g)
         degrees, safe_degrees = [0] * g.n, [0] * g.n
-        table = _fresh_table(g, packing, chosen, 0)
+        # The root table: every vertex refreshed from nothing chosen.
+        table = [0.0] * g.n
+        packing.refresh(table, 0, range(g.n), degrees, safe_degrees)
+        assert list(map(float.hex, table)) == list(map(float.hex, _fresh_table(g, packing, chosen, 0)))
         for k, eid in enumerate(order, start=1):
             if rng.random() < 0.5:
                 chosen.add(eid)
@@ -335,10 +341,10 @@ def test_degree_table_matches_a_fresh_computation(name, seed):
                 for v in (e.u, e.v):
                     degrees[v] += 1
                     safe_degrees[v] += e.safe
-            assert degrees == [counts.layout.count(counts.total, i) for i in singles]
-            assert safe_degrees == [counts.layout.count(counts.safe, i) for i in singles]
+            assert degrees == [layout_count(counts.layout, counts.total, i) for i in singles]
+            assert safe_degrees == [layout_count(counts.layout, counts.safe, i) for i in singles]
             before = list(table)
-            packing.refresh(table, k, degrees, safe_degrees)
+            packing.refresh(table, k, packing.ends[k - 1], degrees, safe_degrees)
             fresh = _fresh_table(g, packing, chosen, k)
             assert list(map(float.hex, table)) == list(map(float.hex, fresh))
             states += 1
@@ -598,36 +604,44 @@ def test_other_searches_do_the_same_work(name, parent):
 
 def test_an_all_spanning_dfs_calls_neither_the_checker_nor_repair(monkeypatch):
     # Flex classes alone are tested inline in the DFS, and the degree table
-    # is refreshed without a repair call per endpoint: an FGC search calls
-    # first_bad only before its DFS (the opening question and the greedy
-    # seed) and repair only for the root table.  A scenario search
-    # still calls first_bad from its DFS, which shows that the spy sees it.
+    # is refreshed at the endpoints of one edge per node, with no repair of
+    # the whole table: an FGC search calls first_bad only before its DFS
+    # (the opening question and the greedy seed) and refreshes every vertex
+    # only for the root table.  A scenario search still calls first_bad
+    # from its DFS, which shows that the spy sees it.
     callers = []
 
     def spy(method):
         def wrapped(self, *args):
-            callers.append((method.__name__, sys._getframe(1).f_code.co_name))
+            # refresh's third argument lists the vertices it recomputes.
+            width = len(args[2]) if method.__name__ == "refresh" else None
+            callers.append((method.__name__, sys._getframe(1).f_code.co_name, width))
             return method(self, *args)
 
         return wrapped
 
     monkeypatch.setattr(_Checker, "first_bad", spy(_Checker.first_bad))
-    monkeypatch.setattr(_Packing, "repair", spy(_Packing.repair))
     monkeypatch.setattr(_Packing, "refresh", spy(_Packing.refresh))
+    insts = _ratio_sweep_graphs()
     with trace.recording() as counts:
-        for inst in _ratio_sweep_graphs():
+        for inst in insts:
             exact_solve(inst.to_graph(), inst.problem)
-    # The DFS refreshes the degree table, at most once per node, and the
-    # table did move.
-    refreshes = callers.count(("refresh", "dfs"))
-    assert 0 < refreshes <= counts["exact.nodes"]
-    others = [call for call in callers if call != ("refresh", "dfs")]
-    assert {name for name, _caller in others} == {"first_bad", "repair"}
-    assert "dfs" not in {caller for _name, caller in others}
+    # The DFS calls refresh alone, at most once per node, and the table did
+    # move.  Each refresh there recomputes the two endpoints of the edge
+    # decided last.
+    from_dfs = [(name, width) for name, caller, width in callers if caller == "dfs"]
+    assert {name for name, _width in from_dfs} == {"refresh"}
+    assert 0 < len(from_dfs) <= counts["exact.nodes"]
+    assert {width for _name, width in from_dfs} == {2}
+    # Outside it: first_bad, and one whole-table refresh per search, for its
+    # root.
+    others = [(name, width) for name, caller, width in callers if caller != "dfs"]
+    assert {name for name, _width in others} == {"first_bad", "refresh"}
+    assert [width for name, width in others if name == "refresh"] == [inst.n for inst in insts]
     callers.clear()
     g, prob, _feasible = _bound_case("bulk", 0)
     exact_solve(g, prob)
-    assert ("first_bad", "dfs") in callers
+    assert ("first_bad", "dfs", None) in callers
 
 
 def _table_spec(seed):

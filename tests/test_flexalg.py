@@ -32,7 +32,7 @@ from faultnet.flexalg import (
     solve_flex_st_22,
 )
 from faultnet.flow import flow_decompose, min_cost_flow
-from faultnet.graph import FaultGraph, boundary, boundary_counts, st_cut_masks
+from faultnet.graph import FaultGraph, boundary, st_cut_masks
 from faultnet.instances import generate
 from faultnet.oracles import (
     FlexRequirement,
@@ -41,7 +41,7 @@ from faultnet.oracles import (
     is_flex_feasible,
     violated_cuts_flex_aug,
 )
-from oracle_utils import kruskal_mst_cost, membership_ciq
+from oracle_utils import boundary_counts, kruskal_mst_cost, membership_ciq
 
 
 def fgc_instance(seed, n=6, m=14, p=2, q=2, skeleton="mixed", safe_prob=0.5):

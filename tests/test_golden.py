@@ -54,7 +54,7 @@ from faultnet.oracles import (
     is_flex_feasible,
     violated_cuts_flex_aug,
 )
-from oracle_utils import assert_solve_matches_reference, highs_lp, random_lp, two_phase_lp
+from oracle_utils import assert_solve_matches_reference, highs_lp, random_lp, safety, two_phase_lp
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -131,7 +131,7 @@ def cut_cases(count: int = 80) -> list:
         F1 = _thin(rng, g, prior, g.all_edge_ids())
         case = {
             "n": n,
-            "edges": [[e.u, e.v, e.cost, e.safety] for e in g.edges],
+            "edges": [[e.u, e.v, e.cost, safety(e)] for e in g.edges],
             "reqs": [[r.s, r.t, r.p, r.q] for r in reqs],
             "H": sorted(H),
             "F1": sorted(F1),

@@ -20,7 +20,6 @@ from faultnet.lp import (
     cutting_plane_flex,
     separate_bulk,
     separate_flex,
-    solve_lp,
 )
 from faultnet.oracles import BulkScenario, FlexRequirement, Problem, fgc_requirements
 from faultnet import lp, simplex
@@ -38,6 +37,7 @@ from oracle_utils import (
     row_at_a_time_pivot,
     separate_flex_definitional,
     separating_masks_reference,
+    solve_lp,
     two_phase_lp,
 )
 

@@ -10,7 +10,7 @@ from faultnet.errors import (
     PriorLevelNotSatisfied,
 )
 from faultnet.exact import exact_solve
-from faultnet.graph import FaultGraph, boundary, boundary_counts
+from faultnet.graph import FaultGraph, boundary
 from faultnet.instances import appendix_a_instance, figure_1_instance, generate
 from faultnet.oracles import (
     BulkScenario,
@@ -18,7 +18,6 @@ from faultnet.oracles import (
     Problem,
     RelativeRequirement,
     RsndpWitness,
-    expand_flex_to_bulk,
     expand_rsndp_to_bulk,
     fgc_requirements,
     is_bulk_feasible,
@@ -28,7 +27,15 @@ from faultnet.oracles import (
     violated_cuts_flex_aug,
     violating_edge_sets_bulk,
 )
-from oracle_utils import brute_connected, brute_flex_feasible, brute_rsndp_feasible, random_graph
+from oracle_utils import (
+    boundary_counts,
+    brute_connected,
+    brute_flex_feasible,
+    brute_rsndp_feasible,
+    expand_flex_to_bulk,
+    random_graph,
+    unsafe_ids,
+)
 
 
 def random_subset(rng: Random, ids, keep=0.7):
@@ -73,7 +80,7 @@ class TestFlexFeasible:
         k = 2
         inst = appendix_a_instance(k)
         g = inst.to_graph()
-        H = frozenset(g.unsafe_ids) | {2}  # block 0's safe edge only
+        H = frozenset(unsafe_ids(g)) | {2}  # block 0's safe edge only
         ok, witness = is_flex_feasible(g, inst.problem.flex, H)
         assert not ok
         assert witness is not None and witness.cut.contains(0)
