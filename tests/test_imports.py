@@ -4,7 +4,8 @@ No linter ships with the project, so these walk each module's syntax tree:
 - every name a module imports is read in that module, in the package and
   in the tests alike; ``__init__.py`` is left out, because its imports are
   the package's re-exports;
-- every top-level function or class of the package is referenced somewhere
+- every top-level function or class of the package, and every method or
+  property of a package class other than a dunder, is referenced somewhere
   in the package other than at its own definition, or is a public name in
   ``faultnet.__all__``.  Code that only tests call belongs in the tests;
 - every backticked dotted name in ``README.md``, such as ``graph.boundary``
@@ -16,6 +17,7 @@ No linter ships with the project, so these walk each module's syntax tree:
 import ast
 import importlib
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,6 +30,8 @@ TESTS = sorted(Path(__file__).parent.glob("*.py"))
 README = Path(__file__).parent.parent / "README.md"
 DOTTED_NAME = re.compile(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`")
 CATALOGUE_ENTRY = re.compile(r"^- ``([\w.]+)``:", re.MULTILINE)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 
 def unused_imports(source: str) -> list[str]:
@@ -43,23 +47,48 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
+def _names(node, attributes_only: bool = False) -> list[str]:
+    """Every name that the code under ``node`` reads as an attribute and,
+    unless ``attributes_only``, as a variable."""
+    kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
+    return [
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, kinds)
+    ]
+
+
 def unreferenced(sources: list[str], public) -> list[str]:
-    """Top-level functions and classes of the given modules that no code
-    outside their own definition names, as a variable or as an attribute,
-    and that ``public`` does not list.  Imports are not references."""
-    defined = []
-    referenced = set()
+    """Top-level functions and classes of the given modules, and the
+    methods and properties of those classes other than dunders, that no
+    code outside their own definition names, and that ``public`` does not
+    list.  A top-level name counts when read as a variable or as an
+    attribute, a method only as an attribute, since a variable of the same
+    name is not a call of it.  Imports are not references."""
+    top, methods = [], []
+    seen, attributes = Counter(), Counter()
     for source in sources:
-        for stmt in ast.parse(source).body:
-            own = None
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                own = stmt.name
-                defined.append(own)
-            for node in ast.walk(stmt):
-                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-                if name is not None and name != own:
-                    referenced.add(name)
-    return [name for name in defined if name not in referenced and name not in public]
+        tree = ast.parse(source)
+        seen.update(_names(tree))
+        attributes.update(_names(tree, attributes_only=True))
+        for stmt in tree.body:
+            if not isinstance(stmt, DEFINITIONS):
+                continue
+            top.append(stmt.name)
+            seen.subtract(name for name in _names(stmt) if name == stmt.name)
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, FUNCTIONS) and not (
+                        item.name.startswith("__") and item.name.endswith("__")
+                    ):
+                        methods.append(item.name)
+                        attributes.subtract(
+                            name for name in _names(item, attributes_only=True) if name == item.name
+                        )
+    orphans = [name for name in top if seen[name] <= 0] + [
+        name for name in methods if attributes[name] <= 0
+    ]
+    return [name for name in orphans if name not in public]
 
 
 def test_checker_sees_an_unused_import():
@@ -74,15 +103,25 @@ def test_no_unused_imports(path):
 
 def test_checker_sees_an_orphan():
     # ``orphan`` calls only itself; ``helper`` is called from another module
-    # through an attribute; ``Public`` is listed as public.
+    # through an attribute; ``Public`` is listed as public.  Of its methods,
+    # ``lonely`` calls only itself, ``used`` is read through an instance,
+    # ``spare`` is a property that no code reads, only a variable of its
+    # name, and ``__len__`` is a dunder.
     lib = (
         "def orphan(n):\n    return orphan(n - 1) if n else 0\n\n"
         "def helper():\n    return 1\n\n"
-        "class Public:\n    pass\n"
+        "class Public:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def lonely(self, n):\n        return self.lonely(n - 1) if n else 0\n\n"
+        "    def used(self):\n        return 2\n\n"
+        "    @property\n    def spare(self):\n        return self.used()\n"
     )
-    user = "from . import lib\n\ndef run():\n    return lib.helper()\n"
-    assert unreferenced([lib, user], public={"Public", "run"}) == ["orphan"]
-    assert unreferenced([lib, user], public={"Public", "run", "orphan"}) == []
+    user = (
+        "from . import lib\n\n"
+        "def run(spare):\n    return lib.helper() + lib.Public().used() + spare\n"
+    )
+    assert unreferenced([lib, user], public={"Public", "run"}) == ["orphan", "lonely", "spare"]
+    assert unreferenced([lib, user], public={"Public", "run", "orphan", "lonely", "spare"}) == []
 
 
 def test_package_code_has_a_package_caller():
