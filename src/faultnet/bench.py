@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
+import os
 import time
 from dataclasses import dataclass
 
@@ -244,8 +245,9 @@ def bench(
     policy; per-cell errors are recorded in rows without stopping the run.
     """
     cells = _cells_of_suite(suite)
-    if jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = worker_count(jobs, len(cells))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(_run_cell_star, cells))
     else:
         records = [_run_cell_star(cell) for cell in cells]
@@ -270,6 +272,15 @@ def bench(
     return records, "\n".join(lines) + "\n", exit_code
 
 
+def worker_count(jobs: int, cells: int) -> int:
+    """Worker processes for ``jobs`` over ``cells`` cells: at most one per
+    cell and one per CPU, and 1 runs the cells in this process.  A ``jobs``
+    below 1 raises ValueError."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    return max(1, min(jobs, cells, os.cpu_count() or 1))
+
+
 def _run_cell_star(cell) -> RunRecord:
     return run_cell(*cell)
 
@@ -279,4 +290,4 @@ def solutions_json(records: list[RunRecord]) -> str:
     payload = {
         f"{r.instance}|{r.algorithm}|{r.seed}": list(r.edges) for r in records
     }
-    return json.dumps(payload, indent=0, sort_keys=True)
+    return json.dumps(payload, indent=0, sort_keys=True, allow_nan=False)

@@ -56,7 +56,11 @@ def _read_solution(path: str, m: int) -> frozenset:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # a non-finite float, which JSON cannot hold
+        raise FaultnetError(f"output is not JSON: {exc}") from exc
+    print(text)
 
 
 def cmd_solve(args) -> int:
@@ -73,7 +77,7 @@ def cmd_solve(args) -> int:
     }
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"edges": sorted(sol)}, fh)
+            json.dump({"edges": sorted(sol)}, fh, allow_nan=False)
     _emit(summary)
     return 0 if ok else EXIT_INFEASIBLE
 

@@ -40,6 +40,14 @@ from .oracles import (
 FORMAT_NAME = "faultnet-instance"
 FORMAT_VERSION = 1
 
+#: An instance's edge costs, summed in edge-id order, must stay below this
+#: bound.  Every cost sum, dual and LP value the package forms is at most a
+#: small multiple of the total (twice it in the exact search's degree
+#: bound, ``1 + 1e-9`` times it in the bulk tree skip, ``m * 2^-52`` times
+#: it as the search's cost slop), and the 1.8e308 float ceiling leaves
+#: about 1e8 times the bound for those factors.
+COST_SUM_LIMIT = 1e300
+
 
 @dataclass(frozen=True)
 class InstanceFile:
@@ -125,6 +133,7 @@ def parse(text: str) -> InstanceFile:
     n = number(expect("vertices", 2)[1])
     m = number(expect("edges", 2)[1])
     specs = []
+    total = 0.0
     for i in range(m):
         parts = expect("e", 6)
         try:
@@ -136,10 +145,15 @@ def parse(text: str) -> InstanceFile:
         cost = number(parts[4], float)
         if not math.isfinite(cost):
             raise ParseError(f"edge {eid}: cost {parts[4]!r} is not finite")
+        total += cost
         safety = parts[5]
         if safety not in (SAFE, UNSAFE):
             raise ParseError(f"bad safety label {safety!r}")
         specs.append((u, v, cost, safety))
+    if not total < COST_SUM_LIMIT:
+        raise ParseError(
+            f"edge costs sum to {total!r}: not below the bound COST_SUM_LIMIT = {COST_SUM_LIMIT!r}"
+        )
     kind = expect("problem", 2)[1]
 
     def index(token: str, bound: int, what: str) -> int:

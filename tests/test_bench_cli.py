@@ -1,18 +1,27 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import faultnet
-from faultnet.bench import bench, run_cell, solutions_json
+from faultnet.bench import ALGORITHMS, bench, run_cell, solutions_json, worker_count
 from faultnet.bulk import solve_bulk_sndp
 from faultnet.cli import main
 from faultnet.exact import exact_solve
-from faultnet.instances import appendix_a_instance, figure_1_instance, generate, parse, serialize
+from faultnet.instances import (
+    COST_SUM_LIMIT,
+    appendix_a_instance,
+    figure_1_instance,
+    generate,
+    parse,
+    serialize,
+)
 
 
 def small_suite(tmp_path):
@@ -718,3 +727,147 @@ class TestParallelBench:
         _r1, csv1, _ = bench(suite, jobs=1, with_timing=False)
         _r2, csv2, _ = bench(suite, jobs=2, with_timing=False)
         assert csv1 == csv2
+
+    def test_worker_count_is_clamped_to_the_cells_and_the_cpus(self, monkeypatch):
+        # A pure function: no worker process starts here.
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert worker_count(1, 10) == 1
+        assert worker_count(3, 10) == 3
+        assert worker_count(10**6, 10) == 4
+        assert worker_count(10**6, 2) == 2
+        assert worker_count(2, 0) == 1
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert worker_count(8, 10) == 1
+        for jobs in (0, -1):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                worker_count(jobs, 10)
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_4(self, tmp_path, capsys, jobs):
+        suite_path = tmp_path / "suite.json"
+        suite_path.write_text(json.dumps(small_suite(tmp_path)))
+        out_csv = tmp_path / "run.csv"
+        assert main(["bench", str(suite_path), "--out", str(out_csv), "--jobs", jobs]) == 4
+        assert "jobs must be at least 1" in capsys.readouterr().err
+        assert not out_csv.exists()
+
+
+def _strict_json(text: str):
+    """The JSON value of ``text``; ValueError on NaN or an infinity."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _fgc_specs():
+    """The (2, 1) FGC instance of ``gen --kind random-multigraph --n 6 --m 14
+    --seed 3`` with the mixed skeleton, and its edge costs."""
+    params = {"problem": "fgc", "p": 2, "q": 1, "skeleton": "mixed"}
+    inst = generate("random-multigraph", n=6, m=14, seed=3, params=params)
+    return inst, [cost for _u, _v, cost, _label in inst.edge_specs]
+
+
+def _with_costs(inst, costs) -> str:
+    specs = tuple((u, v, cost, label) for (u, v, _c, label), cost in zip(inst.edge_specs, costs))
+    return serialize(replace(inst, edge_specs=specs))
+
+
+def _parse_order_sum(costs) -> float:
+    total = 0.0
+    for cost in costs:
+        total += cost
+    return total
+
+
+class TestCostBound:
+    def test_costs_that_overflow_are_refused(self, tmp_path, capsys):
+        # Every even edge at 1e308: fgc used to end in an OverflowError
+        # traceback, and exact printed "cost": Infinity.
+        inst, costs = _fgc_specs()
+        path = tmp_path / "huge.fni"
+        path.write_text(_with_costs(inst, [1e308 if eid % 2 == 0 else c for eid, c in enumerate(costs)]))
+        sol = tmp_path / "sol.json"
+        sol.write_text('{"edges": [0]}')
+        for argv in (
+            ["solve", str(path), "--alg", "fgc"],
+            ["solve", str(path), "--alg", "flex-sndp"],
+            ["exact", str(path)],
+            ["lp", str(path)],
+            ["verify", str(path), str(sol)],
+        ):
+            assert main(argv) == 4
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "not below the bound COST_SUM_LIMIT = 1e+300" in captured.err
+        # A bench cell records the refusal, and no inf or nan reaches the CSV.
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"instances": [str(path)], "algorithms": ["flex-sndp"], "exact": True}))
+        out = tmp_path / "run.csv"
+        assert main(["bench", str(suite), "--out", str(out), "--no-timing"]) == 0
+        cell, summary = out.read_text().splitlines()[1:]
+        assert cell.split(",")[3:9] == ["", "", "", "", "", ""]  # cost .. wall_ms
+        assert "COST_SUM_LIMIT" in cell.split(",")[9]
+        assert summary.split(",")[3:9] == ["", "", "", "", "", ""]
+
+    def test_an_instance_at_the_bound_runs_every_algorithm_that_applies(self, tmp_path, capsys):
+        inst, costs = _fgc_specs()
+        # The even edges share what the odd ones leave of the bound, less
+        # whatever rounding takes the sum to the bound.
+        odd = _parse_order_sum(c for eid, c in enumerate(costs) if eid % 2)
+        big = (COST_SUM_LIMIT - odd) / 7
+        at_bound = lambda big: [big if eid % 2 == 0 else c for eid, c in enumerate(costs)]  # noqa: E731
+        while not _parse_order_sum(at_bound(big)) < COST_SUM_LIMIT:
+            big = math.nextafter(big, 0.0)
+        assert _parse_order_sum(at_bound(big)) == math.nextafter(COST_SUM_LIMIT, 0.0)
+        path = tmp_path / "bound.fni"
+        path.write_text(_with_costs(inst, at_bound(big)))
+        applies = {"fgc", "flex-sndp", "exact"}
+        for alg in ALGORITHMS:
+            sol = tmp_path / f"{alg}.json"
+            code = main(["solve", str(path), "--alg", alg, "--out", str(sol)])
+            out = capsys.readouterr().out
+            if alg not in applies:
+                assert code == 1 and out == ""
+                continue
+            assert code == 0
+            summary = _strict_json(out)
+            assert summary["feasible"] is True
+            assert 0 < summary["cost"] < COST_SUM_LIMIT
+            assert main(["verify", str(path), str(sol)]) == 0
+            assert _strict_json(capsys.readouterr().out)["cost"] == summary["cost"]
+        assert main(["exact", str(path)]) == 0
+        assert 0 < _strict_json(capsys.readouterr().out)["cost"] < COST_SUM_LIMIT
+        assert main(["lp", str(path)]) == 0
+        payload = _strict_json(capsys.readouterr().out)
+        assert payload["separation_clean"]
+        assert 0 < payload["objective"] < COST_SUM_LIMIT
+        suite = tmp_path / "suite.json"
+        suite.write_text(
+            json.dumps({"instances": [str(path)], "algorithms": sorted(applies), "exact": True})
+        )
+        out = tmp_path / "run.csv"
+        assert main(["bench", str(suite), "--out", str(out), "--no-timing"]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert all(row.split(",")[-1] == "" for row in rows)  # no cell error
+        assert "inf" not in out.read_text() and "nan" not in out.read_text()
+        # One edge dearer by the sum's last place reaches the bound: refused.
+        over = at_bound(big)
+        over[0] += math.ulp(COST_SUM_LIMIT)
+        assert _parse_order_sum(over) >= COST_SUM_LIMIT
+        path.write_text(_with_costs(inst, over))
+        assert main(["exact", str(path)]) == 4
+        assert "COST_SUM_LIMIT" in capsys.readouterr().err
+
+    def test_a_non_finite_output_is_an_error_not_json(self, tmp_path, capsys, monkeypatch):
+        # The cost bound keeps every output finite; should one not be, the
+        # command fails instead of printing Infinity, which is not JSON.
+        inst, costs = _fgc_specs()
+        path = tmp_path / "inst.fni"
+        path.write_text(_with_costs(inst, costs))
+        monkeypatch.setattr(faultnet.exact, "exact_solve", lambda g, problem: (frozenset(), math.inf))
+        assert main(["exact", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "output is not JSON" in captured.err
