@@ -21,9 +21,13 @@ without the anchor vertex n - 1, and ``brute_rsndp_feasible``, which lists
 failure sets and knows no anchor.
 
 The answers of the spanning solver ``solve_fgc``, whose (p, 0) base is the
-exact search with its degree table, and of the (2, 2) single-pair solver
+exact search with its degree table, and of the single-pair solvers
+``solve_flex_st``, on its staged ring-cover path (q >= 1), and
 ``solve_flex_st_22`` must be feasible under both labellings and cost at most
-the guarantee the bench reports times the exact optimum.
+the guarantee the bench reports times the exact optimum.  No benchmark
+workload runs ``solve_flex_st``, so this is its guard against a kernel or
+driver rewrite.  The bulk and flexible scenario drivers claim no constant
+guarantee: their answers must be feasible under both labellings.
 """
 
 import math
@@ -32,9 +36,9 @@ from random import Random
 import pytest
 
 from faultnet.bench import guarantee_for
-from faultnet.bulk import solve_rsndp
+from faultnet.bulk import solve_bulk_sndp, solve_flex_sndp, solve_rsndp
 from faultnet.exact import exact_solve
-from faultnet.flexalg import solve_fgc, solve_flex_st_22
+from faultnet.flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
 from faultnet.instances import InstanceFile, generate, parse, serialize
 from faultnet.oracles import (
     BulkScenario,
@@ -66,9 +70,23 @@ CASES_PER_SHAPE = 50
 # call on a graph and the first requirement.
 ALGORITHMS = {
     "fgc": (SHAPES["fgc"], lambda g, r: solve_fgc(g, r.p, r.q)),
+    "flex-st": (
+        lambda rng, n: {
+            "problem": "flex-st", "p": rng.randint(1, 3), "q": rng.randint(1, 2), "skeleton": "mixed"
+        },
+        lambda g, r: solve_flex_st(g, r.s, r.t, r.p, r.q),
+    ),
     "flex-st-22": (
         lambda rng, n: {"problem": "flex-st", "p": 2, "q": 2, "skeleton": "mixed"},
         lambda g, r: solve_flex_st_22(g, r.s, r.t),
+    ),
+}
+# The scenario drivers, each with the shape of its instances and a call on
+# a graph, the problem and a seed.
+DRIVERS = {
+    "bulk": (SHAPES["bulk"], lambda g, prob, seed: solve_bulk_sndp(g, prob.scenarios, seed=seed)),
+    "flex-sndp": (
+        SHAPES["flex-sndp"], lambda g, prob, seed: solve_flex_sndp(g, prob.flex, seed=seed)
     ),
 }
 
@@ -180,3 +198,16 @@ def test_approximation_answers_hold_their_guarantee_under_relabelling(algorithm)
     # Some answers cost more than the optimum, so the bound is not met by
     # optimal answers alone.
     assert above_opt >= 10
+
+
+@pytest.mark.parametrize("driver", DRIVERS)
+def test_scenario_driver_answers_are_feasible_under_relabelling(driver):
+    make_params, solve = DRIVERS[driver]
+    rng = Random(f"metamorphic-{driver}-driver")
+    for _ in range(CASES_PER_SHAPE):
+        inst = _parallel_heavy(rng, make_params)
+        image, _sigma = _relabel(rng, inst)
+        seed = rng.randrange(100)
+        for case in (inst, image):
+            g, prob = case.to_graph(), case.problem
+            assert check_problem_feasible(g, prob, solve(g, prob, seed))[0]
