@@ -290,4 +290,4 @@ def solutions_json(records: list[RunRecord]) -> str:
     payload = {
         f"{r.instance}|{r.algorithm}|{r.seed}": list(r.edges) for r in records
     }
-    return json.dumps(payload, indent=0, sort_keys=True, allow_nan=False)
+    return json.dumps(payload, indent=0, sort_keys=True)

@@ -56,7 +56,8 @@ two counts per vertex in two int lists: an inclusion adds 1 at the two
 endpoints of its edge and takes it back on return.  Deciding edge
 ``order[k]`` changes the chosen degree and the undecided edges of its two
 endpoints only, so a child recomputes just those two entries, in one
-:meth:`_Packing.refresh` call, and the parent restores them on return.
+:meth:`_Packing.refresh` call, and the parent restores them on return;
+the same call at the root computes every entry.
 The bound adds the entries in vertex order, one ``+=`` at a time, and
 stops once the sum reaches the limit, so each value is bitwise the one a
 fresh sum over the vertices gives.
@@ -143,6 +144,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from math import inf
+from typing import Iterable
 
 from . import trace
 from .cuts import crossing_table, layout_of
@@ -437,7 +439,12 @@ class _Packing:
         return bound, packed
 
     def refresh(
-        self, table: list[float], k: int, stale, degrees: list[int], safe_degrees: list[int]
+        self,
+        table: list[float],
+        k: int,
+        stale: Iterable[int],
+        degrees: list[int],
+        safe_degrees: list[int],
     ) -> None:
         """Bring the degree ``table`` to depth k at the ``stale`` vertices,
         for the chosen set with ``degrees[v]`` edges and ``safe_degrees[v]``
