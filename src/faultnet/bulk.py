@@ -8,11 +8,21 @@ trees are tried per level and the cheapest feasible outcome kept.
 
 A tree is a shortest-path tree under perturbed costs, grown by Dijkstra
 on a neighbour table that each graph builds once and keeps; each
-vertex's depth is set when it is popped, from its parent's.  Most trees
-serve only the skip test below, so the sampling is the loop's largest
-fixed cost.  Trees and cycles read their costs from the graph's own
-table, ``FaultGraph.costs``, and a tree's edge set is derived only when
-it is read.
+vertex's depth is set when it is popped, from its parent's, and the
+root's edges are relaxed before the heap starts.  Most trees serve only
+the two rules below that pass a tree over, so the sampling is the loop's
+largest fixed cost.  Trees and cycles read their costs from the graph's
+own table, ``FaultGraph.costs``, and a level keys each tree on its edge
+set, ``frozenset(tree.parent_edge)``.
+
+A level passes over a tree whose edge set an earlier tree of the level
+had.  The level step reads a tree only through ``tree.path(u, v)``, the
+unique u-v path of the tree in walk order from u, which the edge set
+fixes whatever the root.  So such a repeat would rebuild its twin's H,
+hitting instance, picks and candidate, to the bit: it cannot replace the
+kept one, which takes a cost below best - 1e-12, and it would be skipped
+or unhittable exactly as its twin was (the twin's Unhittable stands for
+it in the level's last failure).
 
 A level stops drawing trees once the kept candidate costs at most 1e-12:
 every candidate costs >= 0, as a float sum of costs >= 0, and only one
@@ -68,6 +78,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from math import inf
 from random import Random
 from typing import Callable, Iterable, Sequence
 
@@ -151,10 +162,11 @@ def sample_tree(g: FaultGraph, seed: int = 0) -> TreeEmbedding:
 
     Edge costs get a multiplicative log-uniform [1, 2] perturbation, then a
     shortest-path tree is grown from a random root by Dijkstra on g's
-    neighbour table (:func:`_neighbour_table`).  The draws are m calls to
-    ``random()``, one per edge in id order, then ``randrange(n)`` for the
-    root.  Downstream correctness never depends on the stretch, only
-    expected cost does.
+    neighbour table (:func:`_neighbour_table`), with the root's edges
+    relaxed before the heap starts, as its pop would relax them.  The
+    draws are m calls to ``random()``, one per edge in id order, then
+    ``randrange(n)`` for the root.  Downstream correctness never depends
+    on the stretch, only expected cost does.
     """
     trace.count("bulk.trees")
     rng = Random(seed)
@@ -163,27 +175,38 @@ def sample_tree(g: FaultGraph, seed: int = 0) -> TreeEmbedding:
     n = g.n
     root = rng.randrange(n)
     neighbours = _neighbour_table(g)
-    dist = [float("inf")] * n
+    push, pop = heappush, heappop
+    dist = [inf] * n
     parent_v = [-1] * n
     parent_e = [-1] * n
     depth = [-1] * n  # -1 until popped
     dist[root] = 0.0
-    heap = [(0.0, root)]
+    depth[root] = 0
+    # The root pops first, at distance 0: its edges are relaxed here, in
+    # the order its pop would relax them, and it is never pushed.
+    heap: list[tuple[float, int]] = []
+    for y, eid in neighbours[root]:
+        nd = weights[eid]
+        if nd < dist[y] - 1e-15:
+            dist[y] = nd
+            parent_v[y] = root
+            parent_e[y] = eid
+            push(heap, (nd, y))
     while heap:
-        d, x = heappop(heap)
+        d, x = pop(heap)
         if depth[x] >= 0:
             continue
         # Weights are >= 0, so a parent pops before its child and the depth
         # comes from the parent's; distance order would not do, as with
         # zero-cost edges it can put a child before its parent.
-        depth[x] = depth[parent_v[x]] + 1 if x != root else 0
+        depth[x] = depth[parent_v[x]] + 1
         for y, eid in neighbours[x]:
             nd = d + weights[eid]
             if nd < dist[y] - 1e-15:
                 dist[y] = nd
                 parent_v[y] = x
                 parent_e[y] = eid
-                heappush(heap, (nd, y))
+                push(heap, (nd, y))
     if -1 in depth:
         raise Disconnected("graph is not connected")
     return TreeEmbedding(root, tuple(parent_v), tuple(parent_e), tuple(depth))
@@ -231,7 +254,7 @@ def build_hitting_instance(
     # of their fields, where the packed crossing sets have theirs.
     dead_cuts = [(F, (lay.scope((pair,)) & counts.cut_off(F)) >> shift) for F, pair in viol]
     edges, edge_costs, path = g.edges, g.costs, tree.path
-    elements = tuple(sorted(g.all_edge_ids() - H))
+    elements = tuple([eid for eid in range(g.m) if eid not in H])
     costs = {}
     hits = {}
     for eid in elements:
@@ -322,7 +345,16 @@ def _best_of_trees(
     raised if the kept candidate has a violating set, read from the memo
     below or, when no tree's H is the candidate, asked once.
 
-    Three shortcuts leave the result unchanged.  No tree is drawn once the
+    Four shortcuts leave the result unchanged.  A tree whose edge set
+    (``frozenset(tree.parent_edge)``) an earlier tree of this call had is
+    passed over: the loop reads a tree only through ``tree.path``, and
+    the unique u-v tree path, in walk order from u, is fixed by the edge
+    set whatever the root.  So the repeat would build its twin's H in
+    the same insertion order, the same hitting instance, picks and
+    candidate, and a candidate cost with the same bits, which cannot be
+    below best - 1e-12 since best only falls; and it would be skipped, or
+    unhittable, exactly as its twin was, so the twin's Unhittable stands
+    as the last one when no tree succeeds.  No tree is drawn once the
     kept cost is at most 1e-12: a candidate's cost is a float sum of
     ``g.costs`` terms >= 0, so it is >= 0, and only a cost below
     best - 1e-12 replaces the kept one.  A tree is not evaluated when a
@@ -336,18 +368,32 @@ def _best_of_trees(
     each distinct H is evaluated once: its Boundary and violating sets are
     kept for the loop, and a later tree with the same H reuses them (the
     hitting instance still depends on the tree).
+
+    The repeats and the trees that the cost test skips are reported once
+    per call, as ``bulk.trees_repeated`` and ``bulk.trees_skipped``.
     """
     trace.count("bulk.levels")
     costs = g.costs
     best = None
     unhittable = None
     seen: dict[frozenset, tuple[Boundary, list]] = {}
+    # Each drawn tree's edge set, with the Unhittable its instance raised.
+    drawn: dict[frozenset, Unhittable | None] = {}
+    repeated = skipped = 0
     for t in range(TREES):
         tree = sample_tree(g, seed=_tree_seed(seed, level, t))
+        edge_set = frozenset(tree.parent_edge)
+        if edge_set in drawn:
+            repeated += 1
+            if drawn[edge_set] is not None:
+                unhittable = drawn[edge_set]
+            continue
+        drawn[edge_set] = None
         H_P: set[int] = set()
         for u, v in pairs:
             H_P.update(tree.path(u, v))
         if best is not None and sum(costs[e] for e in H_P if e not in H_prev) > best[0] * (1 + 1e-9):
+            skipped += 1
             continue
         H = H_prev | H_P
         if H not in seen:
@@ -360,7 +406,7 @@ def _best_of_trees(
             try:
                 picks = greedy_hitting_set(inst)
             except Unhittable as exc:
-                unhittable = exc
+                unhittable = drawn[edge_set] = exc
                 continue
             for eid in picks:
                 e = g.edges[eid]
@@ -372,6 +418,8 @@ def _best_of_trees(
             best = (cost, candidate)
             if cost <= 1e-12:
                 break
+    trace.count("bulk.trees_repeated", repeated)
+    trace.count("bulk.trees_skipped", skipped)
     if best is None:
         raise InfeasibleAugmentation(
             f"level {level}: every tree failed, last with {unhittable}"

@@ -32,6 +32,10 @@ the exact search, once per search:
 - ``bulk.levels``: best-of-trees level steps, one per bulk or relative
   level and per flexible round;
 - ``bulk.trees``: trees sampled (``sample_tree``);
+- ``bulk.trees_repeated``: trees that a level step passes over because
+  an earlier tree of the same step had the same edge set, once per step;
+- ``bulk.trees_skipped``: trees that a level step skips because their
+  paths alone cost more than the kept candidate, once per step;
 - ``bulk.hitting_instances``: hitting instances built;
 - ``oracles.level_builds``: bulk and relative level oracles built;
 - ``oracles.level_evaluations``: calls of those oracles;

@@ -2,6 +2,7 @@ import itertools
 import math
 import re
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from random import Random
 
@@ -893,17 +894,24 @@ def solve_kind(kind, inst, seed):
     return solve_flex_sndp(g, inst.problem.flex, seed=seed)
 
 
+def scaled_instance(inst, factor):
+    """``inst`` with every edge cost multiplied by ``factor``."""
+    return replace(inst, edge_specs=tuple((u, v, c * factor, s) for u, v, c, s in inst.edge_specs))
+
+
 class TestBestOfTreesShortcuts:
-    """``_best_of_trees`` skips trees that cannot win, stops once no tree
-    can, and evaluates each edge set once, and still returns what the plain
-    loop returns."""
+    """``_best_of_trees`` passes over repeated trees, skips trees that
+    cannot win, stops once no tree can, and evaluates each edge set once,
+    and still returns what the plain loop returns."""
 
     @staticmethod
     def checked(monkeypatch):
         """Patch ``_best_of_trees`` to run the plain loop next to it and
         compare result or InfeasibleAugmentation text; returns the list of
         compared calls, as ("ok" | "raised"), and a Counter of the hitting
-        instances each loop built."""
+        instances each loop built.  A result must also iterate in the
+        same order and cost the same bits, since later levels and the
+        bench read both."""
         import faultnet.bulk as bulk_mod
 
         fast = bulk_mod._best_of_trees
@@ -927,6 +935,9 @@ class TestBestOfTreesShortcuts:
                 compared.append("raised")
                 raise want
             assert got == want
+            assert list(got) == list(want)
+            g = args[0]
+            assert g.total_cost(got).hex() == g.total_cost(want).hex()
             compared.append("ok")
             return got
 
@@ -935,10 +946,20 @@ class TestBestOfTreesShortcuts:
 
     @pytest.mark.parametrize("kind", ("bulk", "rsndp", "flex-sndp"))
     def test_matches_the_plain_loop(self, kind, monkeypatch):
+        self.matches_the_plain_loop(kind, 1.0, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ("bulk", "rsndp", "flex-sndp"))
+    def test_matches_the_plain_loop_with_costs_scaled_by_1e9(self, kind, monkeypatch):
+        # The costs are then near 1e9-1e10, whose ulp is far above the
+        # 1e-12 tie margin, so a candidate replaces the kept one only when
+        # its float cost is strictly lower.
+        self.matches_the_plain_loop(kind, 1e9, monkeypatch)
+
+    def matches_the_plain_loop(self, kind, scale, monkeypatch):
         compared, built = self.checked(monkeypatch)
         solved = 0
         for seed in range(100):
-            inst = best_of_trees_instance(kind, seed)
+            inst = scaled_instance(best_of_trees_instance(kind, seed), scale)
             try:
                 solve_kind(kind, inst, seed)
             except FaultnetError:
@@ -963,7 +984,9 @@ class TestBestOfTreesShortcuts:
         import faultnet.bulk as bulk_mod
 
         def never_hits(inst):
-            raise Unhittable("forced", witness=inst.set_keys[0])
+            # The cycle costs name the tree, so the level's message names
+            # the last tree whose instance was built.
+            raise Unhittable(f"forced, cycles {sorted(inst.costs.items())}", witness=inst.set_keys[0])
 
         monkeypatch.setattr(bulk_mod, "greedy_hitting_set", never_hits)
         compared, _built = self.checked(monkeypatch)
@@ -987,7 +1010,9 @@ class TestBestOfTreesShortcuts:
         import faultnet.bulk as bulk_mod
 
         def never_hits(inst):
-            raise Unhittable("forced", witness=inst.set_keys[0])
+            # The cycle costs name the tree, so the level's message names
+            # the last tree whose instance was built.
+            raise Unhittable(f"forced, cycles {sorted(inst.costs.items())}", witness=inst.set_keys[0])
 
         monkeypatch.setattr(bulk_mod, "greedy_hitting_set", never_hits)
         compared, _built = self.checked(monkeypatch)
@@ -1007,6 +1032,7 @@ class TestBestOfTreesShortcuts:
         )
         scenarios = [BulkScenario(frozenset({0}), ((0, 2),)), BulkScenario(frozenset({1}), ((0, 2),))]
         violations = _violations_of_level(g, scenarios, 1)
+        skipped = 0
         for seed in range(4):
             want = plain_best_of_trees(g, frozenset(), [(0, 2)], violations, 1, seed)
             with trace.recording() as counts:
@@ -1014,6 +1040,26 @@ class TestBestOfTreesShortcuts:
             assert got == want == frozenset({0, 1})
             assert counts["bulk.trees"] == TREES
             assert counts["bulk.hitting_instances"] < TREES
+            # A dear tree whose edge set an earlier tree had is passed over
+            # as a repeat before the cost test, so some seeds skip none.
+            skipped += counts["bulk.trees_skipped"]
+        assert skipped > 0
+
+    def test_a_tree_graph_is_evaluated_once_per_level(self):
+        # A graph that is itself a tree has one spanning tree, so every
+        # later tree of a level repeats the first one's edge set.
+        g = FaultGraph(5, [(0, 1, 1.0, "safe"), (1, 2, 2.0, "unsafe"), (1, 3, 1.5, "safe"),
+                           (3, 4, 0.5, "unsafe")])
+        scenarios = [BulkScenario(frozenset(), ((0, 4), (2, 3)))]
+        violations = _violations_of_level(g, scenarios, 0)
+        for seed in range(4):
+            want = plain_best_of_trees(g, frozenset(), [(0, 4), (2, 3)], violations, 0, seed)
+            with trace.recording() as counts:
+                got = _best_of_trees(g, frozenset(), [(0, 4), (2, 3)], violations, 0, seed)
+            assert list(got) == list(want) == [0, 1, 2, 3]
+            assert counts["bulk.trees"] == TREES
+            assert counts["bulk.trees_repeated"] == TREES - 1
+            assert counts["bulk.trees_skipped"] == 0
 
     def test_stops_once_no_tree_can_win(self):
         # Every candidate costs >= 0 and only one below best - 1e-12

@@ -8,14 +8,17 @@ reference.  The first tests pin the trees themselves: a sha256 over
 drivers sample on the seed-1 ``bulk-relative`` graphs, and of trees on
 zero-cost path graphs and on graphs with parallel edges, where heap ties
 decide the tree.  A second sha256 pins the edge order of every tree path
-of the workload trees.
+of the workload trees, and a third test checks that each of those paths
+depends on the tree's edge set alone, which is what lets the level step
+pass over a tree whose edge set an earlier tree of the step had.
 
 The last test reads the bulk driver's work on the seed-1
 ``bulk-relative`` cell list in ``perfbench/workloads.py``, sized as
 ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, as
 ``tests/test_search_work.py`` reads the exact search's: the level steps,
-sampled trees, hitting instances, level-oracle evaluations (bulk and
-relative) and checks of record ``is_bulk_feasible`` (union-find) and
+sampled trees, trees passed over as repeats and skipped by the path-cost
+test, hitting instances, level-oracle evaluations (bulk and relative) and
+checks of record ``is_bulk_feasible`` (union-find) and
 ``is_rsndp_feasible`` (cuts) that the package reports to
 :mod:`faultnet.trace`.
 A change that lowers them on purpose re-pins them and names each one in
@@ -83,6 +86,41 @@ def test_tree_paths_of_the_workload_graphs_are_pinned():
     assert h.hexdigest() == "3efc250772b7222ed203a64970be3ec150e2fef7ddf4247550b951ce779906e8"
 
 
+def rerooted(g, tree, root):
+    """The tree with ``tree``'s edge set, rooted at ``root``."""
+    adjacent = {x: [] for x in range(g.n)}
+    for eid in tree.parent_edge:
+        if eid >= 0:
+            e = g.edges[eid]
+            adjacent[e.u].append((e.v, eid))
+            adjacent[e.v].append((e.u, eid))
+    parent_v, parent_e, depth = [-1] * g.n, [-1] * g.n, [-1] * g.n
+    depth[root] = 0
+    frontier = [root]
+    while frontier:
+        x = frontier.pop()
+        for y, eid in adjacent[x]:
+            if depth[y] < 0:
+                parent_v[y], parent_e[y], depth[y] = x, eid, depth[x] + 1
+                frontier.append(y)
+    return bulk.TreeEmbedding(root, tuple(parent_v), tuple(parent_e), tuple(depth))
+
+
+def test_tree_paths_depend_on_the_edge_set_alone():
+    # The level step reads a tree only through ``path(u, v)``, so two trees
+    # with one edge set give it the same H, hitting instance and candidate,
+    # and it passes over the second (``bulk.trees_repeated``).  A path is
+    # the unique u-v path in walk order from u, whatever the root.
+    for g, tree in workload_trees():
+        edge_set = frozenset(tree.parent_edge)
+        for root in range(g.n):
+            other = rerooted(g, tree, root)
+            assert frozenset(other.parent_edge) == edge_set
+            for u in range(g.n):
+                for v in range(g.n):
+                    assert other.path(u, v) == tree.path(u, v)
+
+
 def test_trees_on_zero_cost_paths_are_pinned():
     # Every edge weighs 0, so every distance ties and the heap order alone
     # decides the pops; depths must follow the parents.
@@ -118,6 +156,8 @@ def test_trees_with_parallel_edges_are_pinned():
 BULK_CALLS = {
     "bulk.levels": 286,
     "bulk.trees": 1949,
+    "bulk.trees_repeated": 374,
+    "bulk.trees_skipped": 526,
     "bulk.hitting_instances": 602,
     "oracles.level_evaluations": 505,
     "oracles.bulk_checks": 132,
