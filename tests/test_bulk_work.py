@@ -153,12 +153,15 @@ def test_trees_with_parallel_edges_are_pinned():
 # answers that on the cut kernel.  bulk.levels counts relative levels and
 # flexible rounds too.  bulk.trees read 2288 while every level drew all
 # TREES trees; a level now stops once its kept candidate costs 0.
+# bulk.hitting_instances read 602 while a tree whose edge set an earlier
+# tree of its level had was evaluated again; such a tree is now passed
+# over (bulk.trees_repeated), so only distinct trees build instances.
 BULK_CALLS = {
     "bulk.levels": 286,
     "bulk.trees": 1949,
     "bulk.trees_repeated": 374,
     "bulk.trees_skipped": 526,
-    "bulk.hitting_instances": 602,
+    "bulk.hitting_instances": 473,
     "oracles.level_evaluations": 505,
     "oracles.bulk_checks": 132,
     "oracles.rsndp_checks": 86,
