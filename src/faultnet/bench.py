@@ -12,13 +12,17 @@ CSV schema (header row included)::
     instance,algorithm,seed,cost,exact_opt,ratio,feasible,guarantee,wall_ms,error
 
 plus one trailing summary row per algorithm (instance column "__summary__")
-carrying the maximum observed ratio.
+carrying the maximum observed ratio.  Rows are written by ``csv.writer``
+with "\n" line ends, so a field with a comma (an error text, say) is
+quoted; a number that is not finite stops the run with FaultnetError.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import io
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -64,25 +68,42 @@ class RunRecord:
     edges: tuple[int, ...] = ()
 
     def csv_row(self, with_timing: bool = True) -> str:
-        def num(x):
-            return "" if x is None else format(x, ".9g")
+        """The record as one CSV line, without its line end.
+
+        ``csv.writer`` writes it (QUOTE_MINIMAL), so a field that holds a
+        comma, a quote or a line end stays one field.  A number field that
+        is not finite raises FaultnetError naming the field, as the JSON
+        writers of the CLI refuse one."""
+
+        def num(name, x):
+            if x is None:
+                return ""
+            if not math.isfinite(x):
+                raise FaultnetError(f"bench field {name} is not finite: {x!r}")
+            return format(x, ".9g")
+
+        # Imported here, as only a bench run writes rows: at module level it
+        # adds about 0.1 MB to every process that imports this module.
+        import csv
 
         feas = "" if self.feasible is None else str(self.feasible).lower()
-        wall = num(self.wall_ms) if with_timing else ""
-        return ",".join(
+        wall = num("wall_ms", self.wall_ms) if with_timing else ""
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\n").writerow(
             [
                 self.instance,
                 self.algorithm,
                 str(self.seed),
-                num(self.cost),
-                num(self.exact_opt),
-                num(self.ratio),
+                num("cost", self.cost),
+                num("exact_opt", self.exact_opt),
+                num("ratio", self.ratio),
                 feas,
-                num(self.guarantee),
+                num("guarantee", self.guarantee),
                 wall,
                 self.error,
             ]
         )
+        return line.getvalue()[:-1]
 
 
 def _uniform_pq(inst: InstanceFile) -> tuple[int, int]:
@@ -243,6 +264,8 @@ def bench(
 
     Exit code 2 flags an infeasible algorithm output under the default
     policy; per-cell errors are recorded in rows without stopping the run.
+    A number field that is not finite raises FaultnetError
+    (:meth:`RunRecord.csv_row`).
     """
     cells = _cells_of_suite(suite)
     workers = worker_count(jobs, len(cells))

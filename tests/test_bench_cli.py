@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import faultnet
-from faultnet.bench import ALGORITHMS, bench, run_cell, solutions_json, worker_count
+from faultnet.bench import ALGORITHMS, RunRecord, bench, run_cell, solutions_json, worker_count
 from faultnet.bulk import solve_bulk_sndp
 from faultnet.cli import main
 from faultnet.exact import exact_solve
@@ -101,6 +103,58 @@ class TestBench:
         assert code == 0
         _header, row, _summary = csv_text.splitlines()
         assert row.split(",")[6:] == ["false", "1", "", ""]
+
+
+class TestCsvRows:
+    """Each record is one CSV row of ten fields, written by ``csv.writer``,
+    and no row holds a number that is not finite."""
+
+    def test_an_error_with_a_comma_stays_one_field(self):
+        # flex-st on the path 0-1-2 with requirement (2, 2): the refusal
+        # names "(2, 2)", whose comma split the row into 11 fields.
+        text = "\n".join(
+            ["faultnet-instance 1", "vertices 3", "edges 2", "e 0 0 1 1.0 safe",
+             "e 1 1 2 1.0 safe", "problem flex", "flexpair 0 2 2 2", "end"]
+        ) + "\n"
+        rec = run_cell(text, "path3", "flex-st", 0, False)
+        assert "," in rec.error
+        (row,) = csv.reader([rec.csv_row()])
+        assert row == ["path3", "flex-st", "0", "", "", "", "", "", "", rec.error]
+
+    def test_fields_with_quotes_and_line_ends_read_back(self):
+        rec = RunRecord('a,"b"', "exact", 3, cost=1.5, error='x\ny, "z"')
+        text = rec.csv_row(with_timing=False)
+        (row,) = csv.reader(io.StringIO(text + "\n"))
+        assert row == ['a,"b"', "exact", "3", "1.5", "", "", "", "", "", 'x\ny, "z"']
+        # A row with no such field is the plain join, as before.
+        assert RunRecord("i", "fgc", 0, ratio=2.0).csv_row() == "i,fgc,0,,,2,,,,"
+
+    @pytest.mark.parametrize("field", ("cost", "exact_opt", "ratio", "guarantee", "wall_ms"))
+    @pytest.mark.parametrize("value", (math.inf, -math.inf, math.nan))
+    def test_a_non_finite_field_stops_the_bench(self, tmp_path, capsys, monkeypatch, field, value):
+        import faultnet.bench as bench_mod
+
+        def broken_cell(inst_text, instance_id, algorithm, seed, want_exact):
+            rec = RunRecord(instance_id, algorithm, seed, cost=1.0, exact_opt=1.0, ratio=1.0,
+                            feasible=True, guarantee=1.0, wall_ms=0.5)
+            setattr(rec, field, value)
+            return rec
+
+        monkeypatch.setattr(bench_mod, "run_cell", broken_cell)
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps({"instances": [{"id": "fig1", "kind": "figure-1"}], "algorithms": ["exact"]}))
+        out = tmp_path / "run.csv"
+        assert main(["bench", str(suite), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"bench field {field} is not finite" in captured.err
+        assert not out.exists()
+        # Without timings the wall time is not written, so it cannot stop
+        # the run; any other field still does.
+        code = main(["bench", str(suite), "--out", str(out), "--no-timing"])
+        capsys.readouterr()
+        assert code == (0 if field == "wall_ms" else 1)
+        assert out.exists() == (field == "wall_ms")
 
 
 def _instance_lines(
