@@ -28,6 +28,11 @@ the guarantee the bench reports times the exact optimum.  No benchmark
 workload runs ``solve_flex_st``, so this is its guard against a kernel or
 driver rewrite.  The bulk and flexible scenario drivers claim no constant
 guarantee: their answers must be feasible under both labellings.
+
+The cutting-plane LPs, flex (a uniform (p, q)) and bulk, must reach the
+same objective under both labellings, within 1e-9 relative, on n = 7
+instances shaped like those of the ``lp-cutting-plane`` benchmark.  The
+optimal x need not be unique, so only the objective is compared.
 """
 
 import math
@@ -40,6 +45,7 @@ from faultnet.bulk import solve_bulk_sndp, solve_flex_sndp, solve_rsndp
 from faultnet.exact import exact_solve
 from faultnet.flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
 from faultnet.instances import InstanceFile, generate, parse, serialize
+from faultnet.lp import solve_problem_lp
 from faultnet.oracles import (
     BulkScenario,
     FlexRequirement,
@@ -211,3 +217,32 @@ def test_scenario_driver_answers_are_feasible_under_relabelling(driver):
         for case in (inst, image):
             g, prob = case.to_graph(), case.problem
             assert check_problem_feasible(g, prob, solve(g, prob, seed))[0]
+
+
+# n = 7 instances with an LP relaxation, drawn as the lp-cutting-plane
+# workload draws its generated cells.
+LP_SHAPES = {
+    "flex": lambda rng: (14 + rng.randint(0, 2), {
+        "problem": "fgc", "p": 2, "q": rng.randint(1, 2),
+        "skeleton": rng.choice(("mixed", "safe")), "safe_prob": 0.45,
+    }),
+    "bulk": lambda rng: (14, {"problem": "bulk", "width": 2, "scenarios": 4}),
+}
+
+
+@pytest.mark.parametrize("kind", LP_SHAPES)
+def test_lp_objective_is_invariant_under_relabelling(kind):
+    rng = Random(f"metamorphic-lp-{kind}")
+    positive = 0
+    for _ in range(CASES_PER_SHAPE):
+        m, params = LP_SHAPES[kind](rng)
+        inst = generate("random-multigraph", n=7, m=m, seed=rng.randrange(10**6), params=params)
+        image, _sigma = _relabel(rng, inst)
+        objectives = []
+        for case in (inst, image):
+            sol, _model = solve_problem_lp(case.to_graph(), case.problem)
+            assert sol.separation_clean
+            objectives.append(sol.objective)
+        assert math.isclose(*objectives, rel_tol=1e-9)
+        positive += objectives[0] > 0
+    assert positive == CASES_PER_SHAPE
