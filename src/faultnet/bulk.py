@@ -120,24 +120,28 @@ class TreeEmbedding:
     depth: tuple[int, ...]
 
     def path(self, u: int, v: int) -> tuple[int, ...]:
-        """Edge ids of the unique tree path between u and v."""
-        up, vp = u, v
-        du, dv = self.depth[u], self.depth[v]
+        """Edge ids of the unique tree path between u and v, in walk order
+        from u."""
+        parent_e, parent_v, depth = self.parent_edge, self.parent_vertex, self.depth
+        du, dv = depth[u], depth[v]
         left, right = [], []
         while du > dv:
-            left.append(self.parent_edge[up])
-            up = self.parent_vertex[up]
+            left.append(parent_e[u])
+            u = parent_v[u]
             du -= 1
         while dv > du:
-            right.append(self.parent_edge[vp])
-            vp = self.parent_vertex[vp]
+            right.append(parent_e[v])
+            v = parent_v[v]
             dv -= 1
-        while up != vp:
-            left.append(self.parent_edge[up])
-            right.append(self.parent_edge[vp])
-            up = self.parent_vertex[up]
-            vp = self.parent_vertex[vp]
-        return tuple(left + right[::-1])
+        while u != v:
+            left.append(parent_e[u])
+            right.append(parent_e[v])
+            u = parent_v[u]
+            v = parent_v[v]
+        if right:
+            right.reverse()
+            left += right
+        return tuple(left)
 
 
 def _neighbour_table(g: FaultGraph) -> tuple[tuple[tuple[int, int], ...], ...]:
