@@ -16,24 +16,29 @@ remains and re-optimising each round from the last optimal basis.  Separation wo
 sweep over canonical cuts (the polynomial-time enumeration device the desk
 scale replaces) with the exact prefix rule for choosing B: a cut is violated
 for some B iff it is violated for the q unsafe boundary edges of largest
-fractional value.  The graph and the cut list stay fixed for a whole run, so
-each run lists its cuts in one pass over the requirements and builds one
-column-major bool crossing matrix (cuts x edges) once, and every round prices
-all cuts with a few vector operations on it.  Those operations keep the
-arithmetic of a loop over each cut's crossing edges: sums run left to right in
-edge-id order (``np.add.reduce`` over the rows of a column-major array, which
-adds whole columns in turn; never ``@`` or ``np.sum``, which may reorder the
-additions), and the most violated cut is chosen by the loop's scan, where a
-later cut wins only by more than 1e-15.  So every round picks the same row,
-bit for bit, as a plain loop would.  The tests keep slow definitional
-checks of both row families, over every cut and every failure set B, in
+fractional value.  The graph and the cut list stay fixed for a whole run.
+A cut list depends only on n and the requirement pairs, so it comes from a
+bounded cache with read-only entries: the flex list keyed by n and all the
+pairs, and the bulk rows assembled from s-t lists keyed by n and one pair.
+Each run builds one column-major bool crossing matrix (cuts x edges) and
+allocates its pricing buffers once, and every round prices all cuts with a
+few vector operations in those buffers, allocating nothing of cuts x edges
+or cuts x unsafe size.  Those operations keep the arithmetic of a loop over
+each cut's crossing edges: sums run left to right in edge-id order
+(``np.add.reduce`` over the rows of a column-major array, which adds whole
+columns in turn; never ``@`` or ``np.sum``, which may reorder the additions),
+and the most violated cut is chosen by the loop's scan, where a later cut
+wins only by more than 1e-15.  So every round picks the same row, bit for
+bit, as a plain loop would.  The tests keep slow definitional checks of both
+row families, over every cut and every failure set B, in
 ``tests/oracle_utils.py``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import lru_cache
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,40 +125,77 @@ def _cutting_plane(
     raise LpInfeasible("cutting plane failed to converge")
 
 
-# -- separation: flexible connectivity ----------------------------------------
+# -- cut lists -------------------------------------------------------------------
 
-def _separating_masks(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> list[int]:
-    """Canonical cuts separating at least one requirement pair, each once,
-    in order of first appearance over the requirements in
-    ``st_cut_masks`` order.  Separation ties break on this order.
+class _CutList(NamedTuple):
+    """Cuts in a fixed order, read-only: ``masks[i]`` is cut i's vertex
+    mask and ``side[v, i]`` says whether vertex v lies in it."""
 
-    One pass over the requirements, marking each listed cut in a bool
-    array, that stops once every cut is listed."""
-    guard_sweep(g.n)
-    full = (1 << g.n) - 1
-    cut_count = (1 << (g.n - 1)) - 1
+    masks: np.ndarray
+    side: np.ndarray
+
+
+def _cut_list(n: int, masks: np.ndarray) -> _CutList:
+    side = np.empty((n, len(masks)), dtype=bool)
+    for v in range(n):
+        side[v] = (masks >> v) & 1
+    masks.flags.writeable = side.flags.writeable = False
+    return _CutList(masks, side)
+
+
+# Bounded: at n = 20, the largest n the default enumeration budget admits,
+# each cut takes 8 bytes of mask and 20 of side.  A flex entry then holds
+# 2^19 - 1 cuts in 15 MB, 120 MB for all 8; an s-t entry holds 2^18 cuts in
+# 7.3 MB, 235 MB for all 32.
+@lru_cache(maxsize=8)
+def _flex_cut_list(n: int, pairs: tuple[tuple[int, int], ...]) -> _CutList:
+    """Canonical cuts separating at least one of the pairs, each once, in
+    order of first appearance over the pairs in ``st_cut_masks`` order.
+
+    One pass over the pairs, marking each listed cut in a bool array, that
+    stops once every cut is listed."""
+    full = (1 << n) - 1
+    cut_count = (1 << (n - 1)) - 1
     listed = np.zeros(cut_count + 1, dtype=bool)  # by canonical mask
-    out: list[int] = []
-    for r in reqs:
-        masks = np.array(st_cut_masks(g.n, r.s, r.t), dtype=np.int64)
+    chunks = [np.zeros(0, dtype=np.int64)]
+    found = 0
+    for s, t in pairs:
+        masks = np.array(st_cut_masks(n, s, t), dtype=np.int64)
         canonical = np.minimum(masks, full ^ masks)
         fresh = canonical[~listed[canonical]]
         listed[fresh] = True
-        out += fresh.tolist()
-        if len(out) == cut_count:
+        chunks.append(fresh)
+        found += fresh.size
+        if found == cut_count:
             break
-    return out
+    return _cut_list(n, np.concatenate(chunks))
 
 
-def _crossing_matrix(g: FaultGraph, masks: Sequence[int]) -> np.ndarray:
-    """Bool (cuts x edges) matrix: row i marks the edges crossing masks[i].
+@lru_cache(maxsize=32)
+def _st_cut_list(n: int, s: int, t: int) -> _CutList:
+    """The cuts of ``st_cut_masks(n, s, t)``, in its order."""
+    return _cut_list(n, np.array(st_cut_masks(n, s, t), dtype=np.int64))
 
-    It is column-major, and so are the weights ``np.where`` takes from it,
-    which ``_id_order_sums`` then adds up without a copy."""
-    side = (np.array(masks, dtype=np.int64) >> np.arange(g.n)[:, None]) & 1
-    u = [e.u for e in g.edges]
-    v = [e.v for e in g.edges]
-    return (side[u] != side[v]).T
+
+def _separating_cuts(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> _CutList:
+    """Canonical cuts separating at least one requirement pair, each once,
+    in order of first appearance over the requirements in
+    ``st_cut_masks`` order: the cached, read-only list of n and the pairs.
+    Separation ties break on this order."""
+    guard_sweep(g.n)
+    return _flex_cut_list(g.n, tuple((r.s, r.t) for r in reqs))
+
+
+# -- separation: flexible connectivity ----------------------------------------
+
+def _crossing_matrix(g: FaultGraph, side: np.ndarray) -> np.ndarray:
+    """Bool (cuts x edges) matrix: row i marks the edges crossing cut i,
+    whose sides are column i of ``side``.
+
+    It is column-major, like the pricing buffer that ``np.copyto`` fills
+    through it and ``_id_order_sums`` adds up."""
+    u = side.take([e.u for e in g.edges], axis=0)
+    return np.not_equal(u, side.take([e.v for e in g.edges], axis=0), out=u).T
 
 
 def _id_order_sums(weights: np.ndarray) -> np.ndarray:
@@ -172,11 +214,13 @@ def _id_order_sums(weights: np.ndarray) -> np.ndarray:
 
 def _top_sums(values: np.ndarray, q: int) -> np.ndarray:
     """Per row, the sum of its q largest entries (-inf marks no entry),
-    added largest first, as a loop over the row sorted by value adds them."""
-    top = np.sort(values, axis=1)[:, ::-1][:, :q]
+    added largest first, as a loop over the row sorted by value adds them.
+    Sorts ``values`` in place along its rows."""
+    values.sort(axis=1)
     total = np.zeros(len(values))
-    for col in np.where(np.isneginf(top), 0.0, top).T:
-        total = total + col
+    for k in range(1, min(q, values.shape[1]) + 1):
+        col = values[:, -k]
+        total += np.where(col == -np.inf, 0.0, col)
     return total
 
 
@@ -207,24 +251,33 @@ def _lp_pq(reqs: Sequence[FlexRequirement]) -> tuple[int, int]:
 def _flex_separator(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> Separator:
     p, q = _lp_pq(reqs)
     safe = [e.safe for e in g.edges]
-    masks = _separating_masks(g, reqs)
-    crossing = _crossing_matrix(g, masks)
-    safe_crossing = crossing & np.array(safe, dtype=bool)
+    cuts = _separating_cuts(g, reqs)
+    masks = cuts.masks
+    crossing = _crossing_matrix(g, cuts.side)
     unsafe_cols = np.array([eid for eid in range(g.m) if not safe[eid]], dtype=np.intp)
     unsafe_crossing = crossing[:, unsafe_cols]
+    # Pricing buffers for the whole run.  Entries off the crossing mask stay
+    # 0.0 in ``priced`` (column-major, as ``_id_order_sums`` needs) and are
+    # refilled with -inf in ``unsafe_priced``, whose rows are sorted in place.
+    priced = np.zeros(crossing.shape, order="F")
+    unsafe_priced = np.empty(unsafe_crossing.shape)
 
     def separate(x: Sequence[float]) -> LpRow | None:
         xs = np.asarray(x, dtype=float)
-        boundary_sum = _id_order_sums(np.where(crossing, xs, 0.0))
-        safe_sum = _id_order_sums(np.where(safe_crossing, xs, 0.0))
+        np.copyto(priced, xs, where=crossing)
+        boundary_sum = _id_order_sums(priced)
+        priced[:, unsafe_cols] = 0.0  # the next round's copy refills them
+        safe_sum = _id_order_sums(priced)
         cap_value = (p + q) * safe_sum + p * (boundary_sum - safe_sum)
         best = _scan(p * (p + q) - cap_value)
         if best is not None:
             ids = crossing[best].nonzero()[0].tolist()
             terms = tuple((eid, float(p + q) if safe[eid] else float(p)) for eid in ids)
-            return LpRow(key=("cap", masks[best]), terms=terms, rhs=float(p * (p + q)))
+            return LpRow(key=("cap", int(masks[best])), terms=terms, rhs=float(p * (p + q)))
         # Prefix rule: remove the q unsafe edges with the largest x.
-        removed = _top_sums(np.where(unsafe_crossing, xs[unsafe_cols], -np.inf), q)
+        unsafe_priced.fill(-np.inf)
+        np.copyto(unsafe_priced, xs[unsafe_cols], where=unsafe_crossing)
+        removed = _top_sums(unsafe_priced, q)
         best = _scan(p - (boundary_sum - removed))
         if best is None:
             return None
@@ -232,7 +285,7 @@ def _flex_separator(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> Separator
         unsafe = sorted((-x[eid], eid) for eid in ids if not safe[eid])
         B = tuple(sorted(eid for _neg, eid in unsafe[:q]))
         terms = tuple((eid, 1.0) for eid in ids if eid not in B)
-        return LpRow(key=("flex", masks[best], B), terms=terms, rhs=float(p))
+        return LpRow(key=("flex", int(masks[best]), B), terms=terms, rhs=float(p))
 
     return separate
 
@@ -248,7 +301,7 @@ def separate_flex(
     id).  Every cut is priced at once from the run's crossing matrix: the
     boundary and safe sums add x in edge-id order, and the top-q sum adds
     each cut's q largest unsafe values, largest first, padded with 0.0.
-    The winner is the first violated cut in ``_separating_masks`` order,
+    The winner is the first violated cut in ``_separating_cuts`` order,
     replaced only by a later cut whose violation is larger by more than
     1e-15, so near-ties go to the earlier cut, which is not always the
     smallest mask.
@@ -268,22 +321,26 @@ def _bulk_separator(g: FaultGraph, scenarios: Sequence[BulkScenario]) -> Separat
     # One row per scenario, pair and s-t cut, in sweep order; a row marks
     # the crossing edges outside the scenario's failure set.
     guard_sweep(g.n)
-    keys = [
-        (j, mask)
-        for j, sc in enumerate(scenarios)
-        for u, v in sc.pairs
-        for mask in st_cut_masks(g.n, u, v)
-    ]
-    alive = np.array([[eid not in sc.fail for eid in range(g.m)] for sc in scenarios], dtype=bool)
-    crossing = _crossing_matrix(g, [mask for _j, mask in keys])
-    crossing &= alive.reshape(len(scenarios), g.m)[[j for j, _mask in keys]]
+    groups = [(j, _st_cut_list(g.n, u, v)) for j, sc in enumerate(scenarios) for u, v in sc.pairs]
+    if not groups:  # no scenario, so no row
+        return lambda x: None
+    masks = np.concatenate([cuts.masks for _j, cuts in groups])
+    row_scenario = np.repeat([j for j, _cuts in groups], [len(cuts.masks) for _j, cuts in groups])
+    alive = np.ones((len(scenarios), g.m), dtype=bool)
+    for j, sc in enumerate(scenarios):
+        alive[j, [eid for eid in sc.fail if 0 <= eid < g.m]] = False
+    crossing = _crossing_matrix(g, np.concatenate([cuts.side for _j, cuts in groups], axis=1))
+    crossing &= alive[row_scenario]
+    priced = np.zeros(crossing.shape, order="F")  # 0.0 off the crossing mask
 
     def separate(x: Sequence[float]) -> LpRow | None:
-        best = _scan(1.0 - _id_order_sums(np.where(crossing, np.asarray(x, dtype=float), 0.0)))
+        np.copyto(priced, np.asarray(x, dtype=float), where=crossing)
+        best = _scan(1.0 - _id_order_sums(priced))
         if best is None:
             return None
         ids = crossing[best].nonzero()[0].tolist()
-        return LpRow(key=("bulk", *keys[best]), terms=tuple((eid, 1.0) for eid in ids), rhs=1.0)
+        key = ("bulk", int(row_scenario[best]), int(masks[best]))
+        return LpRow(key=key, terms=tuple((eid, 1.0) for eid in ids), rhs=1.0)
 
     return separate
 

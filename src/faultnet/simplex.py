@@ -111,10 +111,12 @@ class DualReoptimizer:
         self.n = n
         # Columns: x (n) | bound slacks (n) | one surplus per added row | rhs.
         # Rows: one per basic variable, then the z row.
-        self.tab = np.vstack([
-            np.hstack([np.eye(n), np.eye(n), np.ones((n, 1))]),
-            np.concatenate([c, np.zeros(n + 1)]),
-        ])
+        self.tab = tab = np.zeros((n + 1, 2 * n + 1))
+        bounds = tab[:n].reshape(-1)  # row j starts at j * (2n + 1)
+        bounds[:: 2 * n + 2] = 1.0  # x_j
+        bounds[n :: 2 * n + 2] = 1.0  # s_j
+        tab[:n, -1] = 1.0
+        tab[-1, :n] = c
         self.basis = list(range(n, 2 * n))
         self.objective = 0.0
         self.pivots = 0
