@@ -230,13 +230,18 @@ class TestPivotBits:
 
 
 BLAS_CALLS = {"dot", "matmul", "inner", "einsum", "vdot", "tensordot"}
+# Sums whose order of additions is not a left-to-right loop's: numpy's
+# pairwise ``np.sum`` and ``a.sum()``, and Python >= 3.12's compensated
+# ``sum``.
+SUM_CALLS = {"sum"}
 
 
-def _blas_products(source: str) -> set[str]:
+def _blas_products(source: str, calls=BLAS_CALLS) -> set[str]:
     """Dotted name of the function or method around each BLAS product in
-    the source: ``@``, ``@=``, or a call of an attribute named in
-    ``BLAS_CALLS`` (``np.dot``, ``a.dot(``, ``np.matmul``, ``np.inner``,
-    ``np.einsum``, ...); "" for one outside any."""
+    the source: ``@``, ``@=``, or a call of a name or attribute in
+    ``calls`` (``np.dot``, ``a.dot(``, ``np.matmul``, ``np.inner``,
+    ``np.einsum``, ...; with ``SUM_CALLS`` also ``np.sum``, ``a.sum(`` and
+    ``sum(``); "" for one outside any."""
     found = set()
     scope = []
 
@@ -256,7 +261,9 @@ def _blas_products(source: str) -> set[str]:
         visit_AugAssign = visit_BinOp
 
         def visit_Call(self, node):
-            if isinstance(node.func, ast.Attribute) and node.func.attr in BLAS_CALLS:
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in calls:
                 found.add(".".join(scope))
             self.generic_visit(node)
 
@@ -265,10 +272,20 @@ def _blas_products(source: str) -> set[str]:
 
 
 def test_blas_pattern_finds_every_form():
+    def method(form):
+        return f"class C:\n    def f(a, b):\n        {form}\n"
+
     forms = ["a @ b", "a @= b", "np.dot(a, b)", "a.dot(b)", "np.matmul(a, b)",
              "np.inner(a, b)", "np.einsum('i,i', a, b)"]
     for form in forms:
-        assert _blas_products(f"class C:\n    def f(a, b):\n        {form}\n") == {"C.f"}
+        assert _blas_products(method(form)) == {"C.f"}
+    sums = ["np.sum(a)", "a.sum()", "a[1:].sum(axis=1)", "sum(a)", "numpy.sum(a, axis=0)"]
+    for form in forms + sums:
+        assert _blas_products(method(form), BLAS_CALLS | SUM_CALLS) == {"C.f"}
+    for form in sums:
+        assert _blas_products(method(form)) == set()
+    for form in ["np.add.reduce(a, axis=1)", "total += col", "a.summary()", "np.cumsum(a)"]:
+        assert _blas_products(method(form), BLAS_CALLS | SUM_CALLS) == set()
     assert _blas_products("def f(a, b):\n    return a * b  # a @ b\n") == set()
 
 
@@ -278,6 +295,14 @@ def test_blas_products_stay_in_add_rows():
     columns from new rows, in ``add_rows`` alone, on ``tab[:m]``."""
     source = Path(simplex.__file__).read_text(encoding="utf-8")
     assert _blas_products(source) == {"DualReoptimizer.add_rows"}
+
+
+def test_lp_pricing_makes_no_product_or_reordered_sum():
+    """The separators promise sums in edge-id order, so ``lp.py`` adds
+    through ``np.add.reduce`` and loops alone: no BLAS product, whose
+    results also depend on operand layout, and no ``sum``."""
+    source = Path(lp.__file__).read_text(encoding="utf-8")
+    assert _blas_products(source, BLAS_CALLS | SUM_CALLS) == set()
 
 
 class TestSolveLp:
@@ -480,6 +505,18 @@ def _bulk_case(seed: int):
     return g, scenarios, _x_vectors(rng, g.m)
 
 
+# Values that ``DualReoptimizer.x`` passes on unchanged: -0.0, and the
+# edges of its two clamp bands, which it leaves unclamped.
+EDGE_VALUES = (-0.0, -1e-9, 1.0 + 1e-9)
+
+
+def _reuse_order(xs: list, rng: Random) -> list:
+    """The case's vectors, then copies with -0.0 and clamp-band values
+    mixed in, then the case's vectors again in reverse."""
+    edged = [[rng.choice(EDGE_VALUES) if rng.random() < 0.3 else v for v in x] for x in xs]
+    return xs + edged + xs[::-1]
+
+
 CUTTING_PLANE_CASES = {
     "appendix-a-k5": lambda: appendix_a_instance(5),
     "fgc-22": lambda: generate(
@@ -507,6 +544,22 @@ class TestSeparatorsMatchLoop:
         g, scenarios, xs = _bulk_case(seed)
         for x in xs:
             assert repr(separate_bulk(g, scenarios, x)) == repr(loop_separate_bulk(g, scenarios, x))
+
+    @pytest.mark.parametrize("seed", range(48))
+    def test_one_flex_separator_through_every_x(self, seed):
+        # One closure prices every x of the case in turn, so state left in
+        # its reused buffers by an earlier round would show.
+        g, reqs, xs = _flex_case(seed)
+        separate = lp._flex_separator(g, reqs)
+        for x in _reuse_order(xs, Random(seed)):
+            assert repr(separate(x)) == repr(loop_separate_flex(g, reqs, x))
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_one_bulk_separator_through_every_x(self, seed):
+        g, scenarios, xs = _bulk_case(seed)
+        separate = lp._bulk_separator(g, scenarios)
+        for x in _reuse_order(xs, Random(seed)):
+            assert repr(separate(x)) == repr(loop_separate_bulk(g, scenarios, x))
 
     def test_cases_reach_every_outcome(self):
         flex, bulk = set(), set()
@@ -541,22 +594,38 @@ class TestSeparatorsMatchLoop:
         assert sol.separation_clean and len(rounds) == sol.rounds > 1
 
 
+def _masks_twice(n: int, reqs) -> list[int]:
+    """The separating cut list asked for twice, from a cold cache, with a
+    write into the first answer tried in between: it must refuse, and the
+    second answer must equal the first."""
+    g = FaultGraph(n, [])
+    lp._flex_cut_list.cache_clear()
+    first = lp._separating_cuts(g, reqs)
+    kept = first.masks.tolist()
+    for arr in first:
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = 0
+    second = lp._separating_cuts(g, reqs)
+    assert second.masks.tolist() == kept
+    assert np.array_equal(second.side, (second.masks >> np.arange(n)[:, None]) & 1)
+    return kept
+
+
 class TestSeparatingMasks:
     """The cut list keeps the reference's first-appearance order."""
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_all_pairs(self, n):
         reqs = fgc_requirements(n, 1, 0)
-        masks = lp._separating_masks(FaultGraph(n, []), reqs)
+        masks = _masks_twice(n, reqs)
         assert masks == separating_masks_reference(n, reqs)
         assert sorted(masks) == list(range(1, 1 << (n - 1)))
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_single_pairs(self, n):
-        g = FaultGraph(n, [])
         for s, t in itertools.permutations(range(n), 2):
             reqs = [FlexRequirement(s, t, 1, 0)]
-            assert lp._separating_masks(g, reqs) == separating_masks_reference(n, reqs)
+            assert _masks_twice(n, reqs) == separating_masks_reference(n, reqs)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_pair_lists(self, seed):
@@ -565,22 +634,51 @@ class TestSeparatingMasks:
         pairs = list(itertools.permutations(range(n), 2))
         # Repeats and both orientations of a pair included.
         reqs = [FlexRequirement(*rng.choice(pairs), 1, 0) for _ in range(rng.randint(1, 12))]
-        masks = lp._separating_masks(FaultGraph(n, []), reqs)
-        assert masks == separating_masks_reference(n, reqs)
+        assert _masks_twice(n, reqs) == separating_masks_reference(n, reqs)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_st_lists(self, n):
+        for s, t in itertools.permutations(range(n), 2):
+            cuts = lp._st_cut_list(n, s, t)
+            assert cuts.masks.tolist() == st_cut_masks(n, s, t)
+            assert np.array_equal(cuts.side, (cuts.masks >> np.arange(n)[:, None]) & 1)
+            assert not cuts.masks.flags.writeable and not cuts.side.flags.writeable
 
     def test_all_pairs_at_n_16_lists_in_one_pass(self):
         # Well below the 15.7 MB that the s-t masks of all 120 pairs take
         # together (120 * 16,384 masks of 8 bytes).
         reqs = fgc_requirements(16, 1, 0)
         g = FaultGraph(16, [])
+        lp._flex_cut_list.cache_clear()
         tracemalloc.start()
         try:
-            masks = lp._separating_masks(g, reqs)
+            masks = lp._separating_cuts(g, reqs).masks.tolist()
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(masks) == (1 << 15) - 1
         assert peak < 4 * 2**20
+
+    def test_flex_round_at_n_16_allocates_no_cuts_by_edges_array(self):
+        # One full round (capacitated and flex passes) of an n = 16, m = 48
+        # FGC (2, 1) run: its buffers are the run's, so the round's own
+        # allocations stay far below one cuts x edges float array
+        # (32,767 * 48 * 8 bytes, 12.6 MB).
+        inst = generate(
+            "random-multigraph", n=16, m=48, seed=1,
+            params={"problem": "fgc", "p": 2, "q": 1, "skeleton": "mixed"},
+        )
+        g = inst.to_graph()
+        separate = lp._flex_separator(g, inst.problem.flex)
+        x = [1.0] * g.m
+        tracemalloc.start()
+        try:
+            row = separate(x)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert row is None
+        assert peak < ((1 << 15) - 1) * g.m * 8 / 4
 
 
 class TestVectorKernels:
