@@ -4,7 +4,7 @@ Commands: solve, verify, exact, lp, gap, gen, bench.  Machine-readable
 output: JSON summaries on stdout, CSV to a file for bench.  Exit codes:
 0 success, 1 the algorithm does not apply to the instance or one of its
 steps failed, 2 infeasible instance/solution, 3 budget exceeded, 4 parse
-error.
+error or a named file that cannot be opened.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from .errors import (
     FaultnetError,
     InfeasibleInstance,
     ParseError,
+    PathError,
 )
 from .gap import gap_experiment
-from .instances import generate, parse, read_text, serialize
+from .instances import generate, open_path, parse, read_text, serialize
 from .lp import require_lp_relaxation, solve_problem_lp
 from .oracles import check_problem_feasible
 
@@ -38,7 +39,7 @@ def _read_instance(path: str):
 
 def _read_solution(path: str, m: int) -> frozenset:
     """Edge ids of a solution file: {"edges": [distinct ids in 0..m-1]}."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_path(path) as fh:
         try:
             payload = json.load(fh)
         except ValueError as exc:
@@ -76,7 +77,7 @@ def cmd_solve(args) -> int:
         "feasible": ok,
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_path(args.out, "w") as fh:
             json.dump({"edges": sorted(sol)}, fh, allow_nan=False)
     _emit(summary)
     return 0 if ok else EXIT_INFEASIBLE
@@ -120,7 +121,7 @@ def cmd_lp(args) -> int:
         raise InfeasibleInstance("graph itself is infeasible for the problem")
     sol, model = solve_problem_lp(g, inst.problem)
     if args.dump_model:
-        with open(args.dump_model, "w", encoding="utf-8") as fh:
+        with open_path(args.dump_model, "w") as fh:
             fh.write(model.dump())
     _emit(
         {
@@ -144,7 +145,7 @@ def cmd_gen(args) -> int:
     inst = generate(args.kind, n=args.n, m=args.m, seed=args.seed, params=params)
     text = serialize(inst)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_path(args.out, "w") as fh:
             fh.write(text)
         _emit({"written": args.out, "vertices": inst.n, "edges": len(inst.edge_specs)})
     else:
@@ -153,7 +154,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    with open(args.suite, "r", encoding="utf-8") as fh:
+    with open_path(args.suite) as fh:
         try:
             suite = json.load(fh)
         except ValueError as exc:
@@ -164,10 +165,10 @@ def cmd_bench(args) -> int:
         with_timing=not args.no_timing,
         allow_infeasible=args.allow_infeasible,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open_path(args.out, "w") as fh:
         fh.write(csv_text)
     if args.solutions:
-        with open(args.solutions, "w", encoding="utf-8") as fh:
+        with open_path(args.solutions, "w") as fh:
             fh.write(bench_mod.solutions_json(records))
     errors = [r for r in records if r.error]
     _emit(
@@ -242,8 +243,8 @@ def main(argv=None) -> int:
     except (InfeasibleInstance, CannotSatisfyFeasibility) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except PathError as exc:
+        print(f"{'missing file' if exc.missing else 'cannot open'}: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except ValueError as exc:
         print(f"bad parameters: {exc}", file=sys.stderr)

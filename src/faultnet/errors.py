@@ -94,3 +94,12 @@ class CannotSatisfyFeasibility(FaultnetError):
 
 class ParseError(FaultnetError):
     pass
+
+
+class PathError(FaultnetError):
+    """A named input or output path could not be opened: it is missing, a
+    directory, or otherwise refused by the operating system."""
+
+    def __init__(self, path, cause: OSError):
+        super().__init__(f"{path}: {cause.strerror or cause}")
+        self.missing = isinstance(cause, FileNotFoundError)

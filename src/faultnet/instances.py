@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from random import Random
-from .errors import CannotSatisfyFeasibility, ParseError
+from .errors import CannotSatisfyFeasibility, ParseError, PathError
 from .graph import MAX_SWEEP_N, SAFE, UNSAFE, FaultGraph
 from .oracles import (
     BulkScenario,
@@ -94,9 +94,19 @@ def serialize(inst: InstanceFile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def open_path(path: str, mode: str = "r"):
+    """``open(path, mode)`` in UTF-8; PathError if the path cannot be
+    opened.  Only the opening is guarded: an OSError raised later, while
+    reading or writing, passes through."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise PathError(path, exc) from exc
+
+
 def read_text(path: str) -> str:
     """The text of an instance file; ParseError unless it is UTF-8."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_path(path) as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:

@@ -476,6 +476,62 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("missing file:")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{dir}", "--alg", "fgc"],
+            ["solve", "{inst}", "--alg", "fgc", "--out", "{dir}"],
+            ["verify", "{dir}", "{sol}"],
+            ["verify", "{inst}", "{dir}"],
+            ["exact", "{dir}"],
+            ["lp", "{dir}"],
+            ["lp", "{inst}", "--dump-model", "{dir}"],
+            ["gen", "--kind", "figure-1", "--out", "{dir}"],
+            ["bench", "{dir}", "--out", "{csv}"],
+            ["bench", "{suite}", "--out", "{dir}"],
+            ["bench", "{suite}", "--out", "{csv}", "--solutions", "{dir}"],
+            ["bench", "{dir_suite}", "--out", "{csv}"],
+        ],
+    )
+    def test_a_path_that_cannot_be_opened_exits_4(self, tmp_path, capsys, argv):
+        # A directory in place of a named input or output file: one line
+        # naming it, exit 4 and nothing on stdout.
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        inst = generate(
+            "random-multigraph", n=6, m=14, seed=3,
+            params={"problem": "fgc", "p": 2, "q": 1, "skeleton": "mixed"},
+        )
+        paths = {
+            "dir": directory,
+            "inst": tmp_path / "inst.fni",
+            "sol": tmp_path / "sol.json",
+            "csv": tmp_path / "run.csv",
+            "suite": tmp_path / "suite.json",
+            "dir_suite": tmp_path / "dir-suite.json",
+        }
+        paths["inst"].write_text(serialize(inst))
+        paths["sol"].write_text('{"edges": [0]}')
+        paths["suite"].write_text(json.dumps({"instances": [str(paths["inst"])], "algorithms": ["fgc"]}))
+        paths["dir_suite"].write_text(json.dumps({"instances": [str(directory)], "algorithms": ["fgc"]}))
+        assert main([arg.format_map({k: str(v) for k, v in paths.items()}) for arg in argv]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"cannot open: {directory}: Is a directory\n"
+
+    def test_an_os_error_past_the_named_paths_is_not_caught(self, tmp_path, monkeypatch):
+        # Only opening a named path is an exit-4 error; an OSError from the
+        # work itself, such as a failing worker pool, still raises.
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(small_suite(tmp_path)))
+
+        def broken_pool(*_args, **_kwargs):
+            raise IsADirectoryError(21, "Is a directory", "/worker")
+
+        monkeypatch.setattr(faultnet.bench, "bench", broken_pool)
+        with pytest.raises(IsADirectoryError):
+            main(["bench", str(suite), "--out", str(tmp_path / "run.csv")])
+
     def test_gen_without_out_writes_the_instance_to_stdout(self, capsys):
         assert main(["gen", "--kind", "figure-1"]) == 0
         assert capsys.readouterr().out == serialize(figure_1_instance())
