@@ -31,8 +31,9 @@ guarantee: their answers must be feasible under both labellings.
 
 The cutting-plane LPs, flex (a uniform (p, q)) and bulk, must reach the
 same objective under both labellings, within 1e-9 relative, on n = 7
-instances shaped like those of the ``lp-cutting-plane`` benchmark.  The
-optimal x need not be unique, so only the objective is compared.
+instances shaped like those of the ``lp-cutting-plane`` benchmark, and on
+the Appendix A gap instances for k = 1..6.  The optimal x need not be
+unique, so only the objective is compared.
 """
 
 import math
@@ -44,7 +45,7 @@ from faultnet.bench import guarantee_for
 from faultnet.bulk import solve_bulk_sndp, solve_flex_sndp, solve_rsndp
 from faultnet.exact import exact_solve
 from faultnet.flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
-from faultnet.instances import InstanceFile, generate, parse, serialize
+from faultnet.instances import InstanceFile, appendix_a_instance, generate, parse, serialize
 from faultnet.lp import solve_problem_lp
 from faultnet.oracles import (
     BulkScenario,
@@ -246,3 +247,16 @@ def test_lp_objective_is_invariant_under_relabelling(kind):
         assert math.isclose(*objectives, rel_tol=1e-9)
         positive += objectives[0] > 0
     assert positive == CASES_PER_SHAPE
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_appendix_a_lp_objective_is_invariant_under_relabelling(k):
+    inst = appendix_a_instance(k)
+    image, _sigma = _relabel(Random(f"metamorphic-lp-appendix-a-{k}"), inst)
+    objectives = []
+    for case in (inst, image):
+        sol, _model = solve_problem_lp(case.to_graph(), case.problem)
+        assert sol.separation_clean
+        objectives.append(sol.objective)
+    assert objectives[0] > 0
+    assert math.isclose(*objectives, rel_tol=1e-9)
