@@ -136,6 +136,7 @@ class _CutList(NamedTuple):
 
 
 def _cut_list(n: int, masks: np.ndarray) -> _CutList:
+    """``masks`` with its side table, both made read-only."""
     side = np.empty((n, len(masks)), dtype=bool)
     for v in range(n):
         side[v] = (masks >> v) & 1
