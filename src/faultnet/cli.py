@@ -4,7 +4,9 @@ Commands: solve, verify, exact, lp, gap, gen, bench.  Machine-readable
 output: JSON summaries on stdout, CSV to a file for bench.  Exit codes:
 0 success, 1 the algorithm does not apply to the instance or one of its
 steps failed, 2 infeasible instance/solution, 3 budget exceeded, 4 parse
-error or a named file that cannot be opened.
+error or a named file that cannot be opened.  An output path that cannot
+be written is refused before the work, and a failed run leaves it as it
+was.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import (
     PathError,
 )
 from .gap import gap_experiment
-from .instances import generate, open_path, parse, read_text, serialize
+from .instances import check_writable, generate, open_path, parse, read_text, serialize
 from .lp import require_lp_relaxation, solve_problem_lp
 from .oracles import check_problem_feasible
 
@@ -66,6 +68,8 @@ def _emit(obj) -> None:
 
 def cmd_solve(args) -> int:
     inst = _read_instance(args.instance)
+    if args.out:
+        check_writable(args.out)
     g = inst.to_graph()
     sol = bench_mod.run_algorithm(inst, args.alg, args.seed)
     ok, witness = check_problem_feasible(g, inst.problem, sol)
@@ -110,6 +114,8 @@ def cmd_exact(args) -> int:
 
 def cmd_lp(args) -> int:
     inst = _read_instance(args.instance)
+    if args.dump_model:
+        check_writable(args.dump_model)
     g = inst.to_graph()
     # A problem with no relaxation is refused first, from its requirements
     # alone.  Then, as in exact_solve: an instance the whole graph cannot
@@ -142,6 +148,8 @@ def cmd_gap(args) -> int:
 
 def cmd_gen(args) -> int:
     params = json.loads(args.params) if args.params else {}
+    if args.out:
+        check_writable(args.out)
     inst = generate(args.kind, n=args.n, m=args.m, seed=args.seed, params=params)
     text = serialize(inst)
     if args.out:
@@ -159,6 +167,9 @@ def cmd_bench(args) -> int:
             suite = json.load(fh)
         except ValueError as exc:
             raise ParseError(f"suite is not JSON: {exc}") from exc
+    check_writable(args.out)
+    if args.solutions:
+        check_writable(args.solutions)
     records, csv_text, code = bench_mod.bench(
         suite,
         jobs=args.jobs,

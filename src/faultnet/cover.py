@@ -79,8 +79,11 @@ class CutFamily:
         is the complement.  Growing a named side by the anchor gives the
         complement of the rest, the cut index reversed.  So the members
         above another one are a few shifts of ``cuts``, and the minimal ones
-        are the rest.
+        are the rest.  No cuts, the state of an empty family and of every
+        finished cover, have no minimal member and need no shifts.
         """
+        if not cuts:
+            return 0
         low, high, dims, width = _orientation(self.graph.n, self.side)
         a, b = cuts & low, cuts & high
         up_a = up_b = 0
@@ -141,7 +144,17 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     rational.  The violated cut set is kept from step to step, less each
     chosen edge's crossing set, and each step grows on its minimal members
     (:meth:`CutFamily.minimal`).
+
+    A family with no member costs nothing: it returns no edges, a dual
+    bound of 0.0 and an empty trace before any table is built.
     """
+    violated = fam.cuts
+    active = fam.minimal(violated)
+    if not active:
+        trace.count("cover.covers")
+        trace.count("cover.steps", 0)
+        trace.count("cover.drops", 0)
+        return CoverResult(frozenset(), 0.0, ())
     g = fam.graph
     cross = {eid: crossed(g, (eid,)) for eid in fam.ground}
     ratios = {eid: g.cost_of(eid).as_integer_ratio() for eid in fam.ground}
@@ -149,13 +162,9 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     residual = {eid: num * (den // d) for eid, (num, d) in ratios.items()}
     dual = 0
     candidates = sorted(fam.ground)
-    violated = fam.cuts
     chosen: list[int] = []
     steps: list[tuple[str, int]] = []
-    while True:
-        active = fam.minimal(violated)
-        if not active:
-            break
+    while active:
         # load = number of active cuts an edge would cross
         loads = {}
         reached = 0
@@ -191,6 +200,7 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
         violated &= ~cross[tight]
         chosen.append(tight)
         steps.append(("add", tight))
+        active = fam.minimal(violated)
     # Reverse delete: drop in reverse addition order when still covering.
     kept = list(chosen)
     for eid in reversed(chosen):

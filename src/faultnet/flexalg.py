@@ -106,6 +106,21 @@ def _violated_cuts(
     return _scope(g, plan) & counts.tight(plan.p, plan.q), counts
 
 
+def _stage_cuts(
+    g: FaultGraph,
+    F: Iterable[int],
+    plan: StagePlan,
+    stage: int | None,
+    counts: Boundary | None = None,
+) -> int:
+    """The cut set one stage covers: the violated cuts with ``stage`` safe
+    F-boundary edges, or every violated cut when ``stage`` is None."""
+    violated, counts = _violated_cuts(g, F, plan, counts)
+    if stage is None:
+        return violated
+    return violated & counts.exactly(counts.safe, stage)
+
+
 def _feasible_for(g: FaultGraph, counts: Boundary, plan: StagePlan, q: int) -> bool:
     """Whether the set that ``counts`` holds is (plan.p, q)-feasible in scope."""
     return not _scope(g, plan) & counts.deficient(plan.p, q)
@@ -155,8 +170,7 @@ def _ring_families(
     subfamily (guaranteed under p+q > pq/2); anything else means the stage
     construction cannot cover the family and is reported, not papered over.
     """
-    violated, counts = _violated_cuts(g, F, plan, counts)
-    stage = violated & counts.exactly(counts.safe, i)
+    stage = _stage_cuts(g, F, plan, i, counts)
     groups = _path_groups(g, F, stage, _cap_flow_paths(g, F, plan), plan.s)
     covered = 0
     for cuts in groups.values():
@@ -183,15 +197,11 @@ def _stage_families(
 ) -> list[CutFamily]:
     if plan.scope == "st":
         return _ring_families(g, F, plan, stage, counts)
-    violated, counts = _violated_cuts(g, F, plan, counts)
-    label = "all-violated"
-    if stage is not None:
-        violated &= counts.exactly(counts.safe, stage)
-        label = f"safe={stage}"
+    label = "all-violated" if stage is None else f"safe={stage}"
     return [
         CutFamily(
             graph=g,
-            cuts=violated,
+            cuts=_stage_cuts(g, F, plan, stage, counts),
             ground=g.all_edge_ids() - F,
             label=f"spanning({plan.p},{plan.q}) {label}",
         )
@@ -203,13 +213,21 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozense
     (plan.p, plan.q - 1).
 
     One Boundary of F serves the opening check, every stage's violated cuts
-    and the closing check; each bought edge is added to it."""
+    and the closing check; each bought edge is added to it.
+
+    A stage with nothing to cover costs nothing.  A single-pair stage with
+    no violated cut is skipped before its cap flow: the flow depends on F
+    alone, so it would either go unused or fail as the next non-empty
+    stage's flow fails on the same F; and with no such stage left, F is
+    already (p, q)-feasible, so the flow exists."""
     p, q = plan.p, plan.q
     F = frozenset(F)
     counts = Boundary(g, F)
     if not _feasible_for(g, counts, plan, q - 1):
         raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
     for stage in plan.stages:
+        if plan.scope == "st" and not _stage_cuts(g, F, plan, stage, counts):
+            continue
         added: set[int] = set()
         for fam in _stage_families(g, F, plan, stage, counts):
             if plan.scope == "st":

@@ -22,7 +22,10 @@ oracles before returning, retrying with derived seeds.
 
 from __future__ import annotations
 
+import errno
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 from random import Random
 from .errors import CannotSatisfyFeasibility, ParseError, PathError
@@ -102,6 +105,29 @@ def open_path(path: str, mode: str = "r"):
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
         raise PathError(path, exc) from exc
+
+
+def check_writable(path: str) -> None:
+    """PathError if ``open_path(path, "w")`` cannot succeed, found without
+    opening, creating or truncating anything: the path is a directory or a
+    file that may not be written, or a new file's directory is missing or
+    may not be written.  So a command can refuse an output path before its
+    work, and leave the path untouched when the work fails."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError as exc:
+        target = os.path.dirname(path) or "."
+        if not os.path.isdir(target):
+            raise PathError(path, exc) from exc
+        mode = os.W_OK | os.X_OK
+    except OSError as exc:
+        raise PathError(path, exc) from exc
+    else:
+        if stat.S_ISDIR(st.st_mode):
+            raise PathError(path, IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR)))
+        target, mode = path, os.W_OK
+    if not os.access(target, mode):
+        raise PathError(path, PermissionError(errno.EACCES, os.strerror(errno.EACCES)))
 
 
 def read_text(path: str) -> str:

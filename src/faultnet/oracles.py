@@ -31,7 +31,7 @@ construct the failing edge set B from a violating cut when asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Callable, Iterable, Sequence
 
 from . import trace
@@ -94,8 +94,14 @@ class RelativeRequirement:
             raise ValueError("need r >= 1")
 
 
+# Bounded: an entry holds n(n-1)/2 frozen requirements, 276 at n = 24 (about
+# 34 KB), so 32 shapes hold about 1.1 MB at most.
+@lru_cache(maxsize=32, typed=True)
 def fgc_requirements(n: int, p: int, q: int) -> tuple[FlexRequirement, ...]:
-    """All-pairs uniform (p, q) requirements: the spanning/global problem."""
+    """All-pairs uniform (p, q) requirements: the spanning/global problem.
+
+    Built once per shape; every call with the same (n, p, q) shares the
+    one immutable tuple."""
     return tuple(
         FlexRequirement(u, v, p, q) for u in range(n) for v in range(u + 1, n)
     )

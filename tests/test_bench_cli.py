@@ -519,6 +519,83 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"cannot open: {directory}: Is a directory\n"
 
+    def test_bench_refuses_its_output_before_any_cell(self, tmp_path, capsys, monkeypatch):
+        suite = tmp_path / "suite.json"
+        suite.write_text(json.dumps(small_suite(tmp_path)))
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        cells = []
+        monkeypatch.setattr(faultnet.bench, "run_cell", lambda *cell: cells.append(cell))
+        for argv in (
+            ["--out", str(directory)],
+            ["--out", str(tmp_path / "run.csv"), "--solutions", str(directory)],
+        ):
+            assert main(["bench", str(suite), *argv]) == 4
+            assert capsys.readouterr().err == f"cannot open: {directory}: Is a directory\n"
+        assert cells == []
+        assert not (tmp_path / "run.csv").exists()
+
+    @pytest.mark.parametrize("out", ["a-directory", "absent/sol.json"])
+    def test_solve_refuses_its_output_before_the_search(self, tmp_path, capsys, monkeypatch, out):
+        (tmp_path / "a-directory").mkdir()
+        inst = tmp_path / "inst.fni"
+        inst.write_text(serialize(figure_1_instance()))
+
+        def refused(*_args):
+            raise AssertionError("the search ran")
+
+        monkeypatch.setattr(faultnet.bench, "exact_solve", refused)
+        assert main(["solve", str(inst), "--alg", "exact", "--out", str(tmp_path / out)]) == 4
+        err = capsys.readouterr().err
+        if out == "absent/sol.json":
+            assert err == f"missing file: {tmp_path / out}: No such file or directory\n"
+        else:
+            assert err == f"cannot open: {tmp_path / out}: Is a directory\n"
+        assert not (tmp_path / "absent").exists()
+
+    @pytest.mark.parametrize(
+        "argv, target",
+        [
+            (["solve", "{inst}", "--alg", "fgc", "--out", "{out}"], "run_algorithm"),
+            (["lp", "{inst}", "--dump-model", "{out}"], "solve_problem_lp"),
+            (["gen", "--kind", "figure-1", "--out", "{out}"], "generate"),
+            (["bench", "{suite}", "--out", "{out}"], "bench"),
+            (["bench", "{suite}", "--out", "{csv}", "--solutions", "{out}"], "bench"),
+        ],
+    )
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_work_leaves_the_output_untouched(self, tmp_path, capsys, monkeypatch, argv, target, existing):
+        # A checked output path is only opened once the work has succeeded:
+        # an existing file keeps its bytes, and a new one is not created.
+        inst = generate(
+            "random-multigraph", n=6, m=14, seed=3,
+            params={"problem": "fgc", "p": 2, "q": 1, "skeleton": "mixed"},
+        )
+        paths = {
+            "inst": tmp_path / "inst.fni",
+            "suite": tmp_path / "suite.json",
+            "csv": tmp_path / "run.csv",
+            "out": tmp_path / "out.txt",
+        }
+        paths["inst"].write_text(serialize(inst))
+        paths["suite"].write_text(json.dumps({"instances": [str(paths["inst"])], "algorithms": ["fgc"]}))
+        before = b"kept \x00 bytes\n"
+        if existing:
+            paths["out"].write_bytes(before)
+
+        def failing(*_args, **_kwargs):
+            raise faultnet.errors.FaultnetError("the work failed")
+
+        module = faultnet.cli if target in ("solve_problem_lp", "generate") else faultnet.bench
+        monkeypatch.setattr(module, target, failing)
+        assert main([arg.format_map({k: str(v) for k, v in paths.items()}) for arg in argv]) == 1
+        assert capsys.readouterr().err == "error: the work failed\n"
+        if existing:
+            assert paths["out"].read_bytes() == before
+        else:
+            assert not paths["out"].exists()
+        assert not paths["csv"].exists()
+
     def test_an_os_error_past_the_named_paths_is_not_caught(self, tmp_path, monkeypatch):
         # Only opening a named path is an exit-4 error; an OSError from the
         # work itself, such as a failing worker pool, still raises.

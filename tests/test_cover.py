@@ -1,10 +1,12 @@
 import itertools
+from dataclasses import replace
 from random import Random
 
 import pytest
 
-from faultnet import cover
+from faultnet import cover, trace
 from faultnet.cover import (
+    CoverResult,
     CutFamily,
     check_uncrossable,
     exact_cover,
@@ -205,6 +207,22 @@ class TestPrimalDual:
     def test_uncoverable(self):
         with pytest.raises(Uncoverable):
             primal_dual_cover(uncoverable_family())
+
+    def test_a_family_with_no_member_builds_no_tables(self, monkeypatch):
+        # It returns before the crossing, ratio and residual tables, so
+        # neither the crossing sets nor the costs of its ground are read.
+        fam = replace(single_member_family(), cuts=0)
+
+        def refused(*_args):
+            raise AssertionError("an empty cover read its ground")
+
+        monkeypatch.setattr(cover, "crossed", refused)
+        monkeypatch.setattr(FaultGraph, "cost_of", refused)
+        with trace.recording() as counts:
+            result = primal_dual_cover(fam)
+        assert result == CoverResult(frozenset(), 0.0, ())
+        assert result.dual_lower_bound.hex() == (0.0).hex()
+        assert dict(counts) == {"cover.covers": 1, "cover.steps": 0, "cover.drops": 0}
 
 
 class TestMinimalMembers:

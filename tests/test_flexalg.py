@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from faultnet import trace
+from faultnet import flexalg, trace
 from faultnet.cover import CutFamily, ring_cover_exact
 from faultnet.cuts import cut_index, predicate
 from faultnet.errors import (
@@ -272,6 +272,27 @@ class TestSolveFlexSt:
         assert ok
         _opt_sol, opt = exact_solve(g, inst.problem)
         assert g.total_cost(sol) <= 5 * opt + 1e-9
+
+    def test_stages_with_nothing_to_cover_run_no_flow(self, monkeypatch):
+        # Level 1's two stages and one of level 2's have no violated cut, so
+        # only the base, the two level seeds and one stage's cap flow run:
+        # demands p, p(p+1), p(p+2) and p(p+2) again.  Running a cap flow
+        # for every stage gave [2, 6, 6, 6, 8, 8, 8] and the same answer.
+        inst = generate(
+            "random-multigraph", n=6, m=16, seed=0,
+            params={"problem": "flex-st", "p": 2, "q": 2, "skeleton": "mixed"},
+        )
+        g = inst.to_graph()
+        demands = []
+
+        def recorded(g, caps, s, t, demand):
+            demands.append(demand)
+            return min_cost_flow(g, caps, s, t, demand)
+
+        monkeypatch.setattr(flexalg, "min_cost_flow", recorded)
+        sol = solve_flex_st(g, 0, g.n - 1, 2, 2)
+        assert demands == [2, 6, 8, 8]
+        assert sorted(sol) == [0, 4, 5, 6, 7, 8, 10, 13, 14]
 
     def test_infeasible_instance(self):
         g = FaultGraph(3, [(0, 1, 1, "unsafe"), (1, 2, 1, "unsafe")])

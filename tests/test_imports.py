@@ -11,7 +11,10 @@ No linter ships with the project, so these walk each module's syntax tree:
 - every backticked dotted name in ``README.md``, such as ``graph.boundary``
   or ``faultnet.cuts``, resolves to a package module or attribute;
 - the counter names that the package passes to ``trace.count`` are the
-  ones that the catalogue in ``faultnet.trace``'s docstring lists.
+  ones that the catalogue in ``faultnet.trace``'s docstring lists;
+- every module-level ``functools.cache`` or ``lru_cache`` decorator sets
+  an integer ``maxsize``, or its function is in ``UNBOUNDED_CACHES``, whose
+  keys are bounded by ``MAX_SWEEP_N``.
 """
 
 import ast
@@ -190,3 +193,59 @@ def test_counters_match_the_trace_catalogue():
     catalogue = set(CATALOGUE_ENTRY.findall(faultnet.trace.__doc__))
     assert "exact.nodes" in counted and "exact.nodes" in catalogue  # both still match
     assert counted == catalogue
+
+
+# Module-level caches without an integer maxsize, each with why its keys
+# are bounded: every one is keyed by n <= MAX_SWEEP_N.
+UNBOUNDED_CACHES = {
+    "cuts.side": "keyed by n alone: at most MAX_SWEEP_N entries",
+    "cover._orientation": "keyed by n and an orientation vertex or None: "
+    "at most MAX_SWEEP_N * (MAX_SWEEP_N + 1) entries",
+}
+CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def unbounded_caches(source: str) -> list[str]:
+    """Module-level functions whose ``cache`` or ``lru_cache`` decorator,
+    bare or through ``functools``, sets no integer ``maxsize``."""
+    found = []
+    for stmt in ast.parse(source).body:
+        if not isinstance(stmt, FUNCTIONS):
+            continue
+        for deco in stmt.decorator_list:
+            call = deco if isinstance(deco, ast.Call) else None
+            target = call.func if call else deco
+            name = getattr(target, "id", None) or getattr(target, "attr", None)
+            if name not in CACHE_DECORATORS:
+                continue
+            sizes = [kw.value for kw in call.keywords if kw.arg == "maxsize"] if call else []
+            if call and call.args:
+                sizes.append(call.args[0])
+            bounded = name == "lru_cache" and any(
+                isinstance(size, ast.Constant) and type(size.value) is int for size in sizes
+            )
+            if not bounded:
+                found.append(stmt.name)
+    return found
+
+
+def test_checker_sees_an_unbounded_cache():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n\n"
+        "@cache\ndef a(n):\n    return n\n\n"
+        "@lru_cache(maxsize=None)\ndef b(n):\n    return n\n\n"
+        "@functools.cache\ndef c(n):\n    return n\n\n"
+        "@lru_cache(maxsize=16)\ndef d(n):\n    return n\n\n"
+        "@functools.lru_cache(8)\ndef e(n):\n    return n\n\n"
+        "@lru_cache\ndef f(n):\n    return n\n"
+    )
+    assert unbounded_caches(source) == ["a", "b", "c", "f"]
+
+
+def test_module_caches_are_bounded():
+    found = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in unbounded_caches(path.read_text(encoding="utf-8"))
+    }
+    assert found == set(UNBOUNDED_CACHES)

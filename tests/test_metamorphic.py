@@ -34,6 +34,12 @@ same objective under both labellings, within 1e-9 relative, on n = 7
 instances shaped like those of the ``lp-cutting-plane`` benchmark, and on
 the Appendix A gap instances for k = 1..6.  The optimal x need not be
 unique, so only the objective is compared.
+
+The paper's three figure counterexamples must stay counterexamples under
+relabelling: the violated cuts of lifting each one stay not uncrossable,
+the image of the named pair still fails the uncrossing disjunction, the
+exact search still finds the instance infeasible, and
+``check_problem_feasible`` gives the same verdicts.
 """
 
 import math
@@ -43,9 +49,20 @@ import pytest
 
 from faultnet.bench import guarantee_for
 from faultnet.bulk import solve_bulk_sndp, solve_flex_sndp, solve_rsndp
+from faultnet.cover import check_uncrossable, uncross_pair_ok
+from faultnet.errors import InfeasibleInstance
 from faultnet.exact import exact_solve
 from faultnet.flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
-from faultnet.instances import InstanceFile, appendix_a_instance, generate, parse, serialize
+from faultnet.instances import (
+    InstanceFile,
+    appendix_a_instance,
+    figure_1_instance,
+    figure_3_instance,
+    figure_4_instance,
+    generate,
+    parse,
+    serialize,
+)
 from faultnet.lp import solve_problem_lp
 from faultnet.oracles import (
     BulkScenario,
@@ -53,7 +70,9 @@ from faultnet.oracles import (
     Problem,
     RelativeRequirement,
     check_problem_feasible,
+    fgc_requirements,
     is_rsndp_feasible,
+    violated_cuts_flex_aug,
 )
 from oracle_utils import brute_rsndp_feasible
 
@@ -118,6 +137,12 @@ def _parallel_heavy(rng, make_params):
 def _relabel(rng, inst):
     """(the relabelled instance through serialize and parse, the edge-id
     map sigma)."""
+    image, sigma, _pi = _relabel_with_vertices(rng, inst)
+    return image, sigma
+
+
+def _relabel_with_vertices(rng, inst):
+    """``_relabel``'s instance and sigma, and the vertex map pi."""
     n, m = inst.n, len(inst.edge_specs)
     pi = list(range(n))
     rng.shuffle(pi)
@@ -143,7 +168,7 @@ def _relabel(rng, inst):
             RelativeRequirement(pi[r.s], pi[r.t], r.r) for r in prob.relative
         ))
     text = serialize(InstanceFile(n=n, edge_specs=tuple(specs), problem=mapped))
-    return parse(text), sigma
+    return parse(text), sigma, pi
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -260,3 +285,51 @@ def test_appendix_a_lp_objective_is_invariant_under_relabelling(k):
         objectives.append(sol.objective)
     assert objectives[0] > 0
     assert math.isclose(*objectives, rel_tol=1e-9)
+
+
+# The paper's three counterexample graphs, each with the (p, q) it lifts to.
+FIGURES = {
+    "figure-1": (figure_1_instance, 3, 2),
+    "figure-3": (figure_3_instance, 3, 4),
+    "figure-4": (figure_4_instance, 4, 5),
+}
+RELABELLINGS_PER_FIGURE = 6
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_figure_counterexamples_survive_relabelling(figure):
+    # Each figure graph is (p, q-1)-feasible, but the cuts violated when
+    # lifting it to (p, q) are not uncrossable: the named pair A = {x1, x2},
+    # B = {x2, x3} fails the uncrossing disjunction.  That must hold of
+    # every relabelled image, with the pair mapped along.
+    make, p, q = FIGURES[figure]
+    inst = make()
+    rng = Random(f"metamorphic-{figure}")
+    x1, x2, x3 = 0, 1, 2
+    verdicts = set()
+    for _ in range(RELABELLINGS_PER_FIGURE):
+        image, sigma, pi = _relabel_with_vertices(rng, inst)
+        g, h = inst.to_graph(), image.to_graph()
+        fam = violated_cuts_flex_aug(h, image.problem.flex, h.all_edge_ids())
+        assert not check_uncrossable(fam)[0]
+        a, b = (1 << pi[x1]) | (1 << pi[x2]), (1 << pi[x2]) | (1 << pi[x3])
+        assert fam.contains(a) and fam.contains(b)
+        assert not uncross_pair_ok(fam.contains, a, b)
+        with pytest.raises(InfeasibleInstance):
+            exact_solve(h, image.problem)
+        # The verdicts at (p, q) and at the prior level (p, q - 1), on the
+        # whole graph and on random edge sets.
+        edge_sets = [g.all_edge_ids()] + [
+            frozenset(e for e in range(g.m) if rng.random() < keep) for keep in (0.5, 0.8, 0.95)
+        ]
+        for level in (q, q - 1):
+            prob = Problem("flex", flex=fgc_requirements(g.n, p, level))
+            image_prob = Problem("flex", flex=tuple(
+                FlexRequirement(pi[r.s], pi[r.t], r.p, r.q) for r in prob.flex
+            ))
+            for H in edge_sets:
+                verdict = check_problem_feasible(g, prob, H)[0]
+                mapped = frozenset(sigma[e] for e in H)
+                assert check_problem_feasible(h, image_prob, mapped)[0] == verdict
+                verdicts.add((level, verdict))
+    assert {(q, False), (q - 1, True), (q - 1, False)} <= verdicts

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -391,3 +392,18 @@ class TestUniformPq:
         assert uniform_pq([a, c]) is None and uniform_pq([]) is None
         assert Problem("flex", flex=(a, b, FlexRequirement(0, 2, 2, 1))).is_fgc(3)
         assert not Problem("flex", flex=(a, b, c)).is_fgc(3)
+
+
+class TestFgcRequirements:
+    def test_one_shared_tuple_per_shape(self):
+        reqs = fgc_requirements(5, 2, 1)
+        assert reqs is fgc_requirements(5, 2, 1)
+        assert reqs == tuple(
+            FlexRequirement(u, v, 2, 1) for u in range(5) for v in range(u + 1, 5)
+        )
+        assert fgc_requirements(5, 2, 0) is not reqs
+        assert fgc_requirements(5, 2, 0) == tuple(replace(r, q=0) for r in reqs)
+
+    def test_the_cache_is_bounded(self):
+        maxsize = fgc_requirements.cache_parameters()["maxsize"]
+        assert type(maxsize) is int and maxsize > 0
