@@ -13,10 +13,11 @@ no sub-failure, but read each violating set off the H-boundary of a cut
 (``_cut_boundaries``).  The relative level oracle
 (``_relative_violations``) reads its violating sets off the same
 H-boundaries with no scenario list, and asks ``cut_off`` on G once per
-set, and so does the check of record ``is_rsndp_feasible``; so the
-relative expansion serves only the exact checker and the tests.  The bulk
-check of record ``is_bulk_feasible`` tests connectivity by union-find, one
-failure set at a time.  The relative expansion is the only one left: no
+set, and so does the check of record ``is_rsndp_feasible``; the exact
+search reads relative requirements as cut classes, so the relative
+expansion serves only the tests.  The bulk check of record
+``is_bulk_feasible`` tests connectivity by union-find, one failure set at
+a time.  The relative expansion is the only one left: no
 driver lists the scenarios of the flex-to-bulk reduction.  Every
 failure-set enumeration here that no input lists comes from
 :func:`faultnet.graph.failure_sets`, which checks it against the

@@ -798,10 +798,10 @@ class TestCli:
     def test_width_budget_exit_code(self, tmp_path, capsys, monkeypatch):
         # Three parallel 0-1 edges and three 1-2 edges, and one relative
         # pair 0-2 with r = 3: 1 + 6 + 15 = 22 failure sets, above a budget
-        # of 8, and 2^3 = 8 cuts.  Neither the driver nor the check of
-        # record lists failure sets, so both answer; the file used to exit
-        # 3.  Only the cut sweep's budget refuses it.  G survives any two
-        # failures, so H needs every edge.
+        # of 8, and 2^3 = 8 cuts.  Neither the driver, the exact search nor
+        # the check of record lists failure sets, so all three answer; the
+        # file used to exit 3.  Only the cut sweep's budget refuses it.  G
+        # survives any two failures, so H needs every edge.
         edges = [f"e {i} {i // 3} {i // 3 + 1} {1 + i % 3}.0 safe" for i in range(6)]
         path = tmp_path / "inst.fni"
         lines = ["faultnet-instance 1", "vertices 3", "edges 6", *edges, "problem rsndp", "relpair 0 2 3", "end"]
@@ -811,9 +811,15 @@ class TestCli:
         assert main(["solve", str(path), "--alg", "rsndp", "--out", str(sol)]) == 0
         assert json.loads(sol.read_text())["edges"] == list(range(6))
         assert main(["verify", str(path), str(sol)]) == 0
-        assert capsys.readouterr().err == ""
+        capsys.readouterr()
+        assert main(["exact", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["edges"] == list(range(6))
+        assert captured.err == ""
         monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "7")
-        for argv in (["solve", str(path), "--alg", "rsndp"], ["verify", str(path), str(sol)]):
+        for argv in (
+            ["solve", str(path), "--alg", "rsndp"], ["verify", str(path), str(sol)], ["exact", str(path)]
+        ):
             assert main(argv) == 3
             assert capsys.readouterr().err == "budget exceeded: 2^3 cuts exceed the enumeration budget\n"
 

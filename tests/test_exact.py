@@ -5,20 +5,23 @@ from random import Random
 
 import pytest
 
-from faultnet import trace
+from faultnet import exact, oracles, trace
+from faultnet.cli import main
 from faultnet.cuts import Boundary, crossed, cut_index, layout_of
 from faultnet.errors import BudgetExceeded, EnumerationTooLarge, InfeasibleInstance
 from faultnet.exact import _Checker, _Packing, _Tables, exact_solve
 from faultnet.flexalg import solve_fgc
 from faultnet.graph import FaultGraph
-from faultnet.instances import appendix_a_instance, generate
+from faultnet.instances import appendix_a_instance, generate, parse
 from faultnet.oracles import (
     BulkScenario,
     FlexRequirement,
     Problem,
     RelativeRequirement,
     check_problem_feasible,
+    expand_rsndp_to_bulk,
     fgc_requirements,
+    is_rsndp_feasible,
 )
 from oracle_utils import (
     brute_connected,
@@ -110,16 +113,20 @@ class TestExactSolve:
             exact_solve(g, prob)
 
     def test_rsndp_enumeration_budget(self, monkeypatch):
-        # 1 + 12 + 66 = 79 failure sets of size < 3: the bulk expansion's
-        # guard fires one set over the budget.
-        g = random_graph(1, 6, 12)
+        # 1 + 12 + 66 = 79 failure sets of size < 3, but the search reads
+        # the requirement as cut classes and lists none of them, so a budget
+        # below 79 still answers, with the answer of the default budget.
+        # Only the cut sweep's guard, 2^6 cuts, refuses.
         prob = Problem("rsndp", relative=(RelativeRequirement(0, 5, 3),))
-        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "78")
-        with pytest.raises(EnumerationTooLarge, match="^79 failure sets exceed the enumeration budget$"):
-            exact_solve(g, prob)
-        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "79")
-        sol, _cost = exact_solve(g, prob)
+        want = exact_solve(random_graph(1, 6, 12), prob)
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "64")
+        g = random_graph(1, 6, 12)
+        sol, cost = exact_solve(g, prob)
+        assert (sol, cost) == want
         assert check_problem_feasible(g, prob, sol)[0]
+        monkeypatch.setenv("FAULTNET_ENUM_BUDGET", "63")
+        with pytest.raises(EnumerationTooLarge, match=r"^2\^6 cuts exceed the enumeration budget$"):
+            exact_solve(random_graph(1, 6, 12), prob)
 
     def test_bulk_and_rsndp_paths(self):
         # Failing edge 0 leaves the detour 0-3-2 as the only route, and the
@@ -432,8 +439,12 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
     # light.  It must give the scan's answer and brute force's verdict.  The
     # scan counts a scenario's failed edges in the set itself, and shares
     # the set's uncrossed cuts among the scenarios with none there, so the
-    # reference is Boundary.cut_off, and the scans must see both kinds.
+    # reference is Boundary.cut_off, and the scans must see both kinds.  A
+    # relative problem has no scenario to scan: its (k, 0) cut classes
+    # alone must give brute force's verdict, on sets that pass and sets
+    # that fail.
     skipped = scanned = dead = alive = 0
+    verdicts = [0, 0]
     for seed in range(4):
         g, prob, feasible = _bound_case(name, seed)
         checker = _Checker(g, prob)
@@ -443,13 +454,17 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
             H = frozenset(eid for eid in range(g.m) if rng.random() < keep)
             counts = Boundary(g, H)
             got = checker.first_bad(counts.total, counts.safe, counts.inside)
+            assert (got is None) == feasible(H)
+            verdicts[got is None] += 1
+            if name == "rsndp":
+                assert not checker.scenarios and not checker.reach
+                continue
             scan = next(
                 ((bad, None, fail) for scope, fail, _failed in checker.scenarios
                  if (bad := scope & counts.cut_off(fail))),
                 None,
             )
             assert got == scan
-            assert (got is None) == feasible(H)
             light = checker.reach & ~(counts.total + checker.few_offset)
             if got is None:
                 skipped += not light
@@ -463,8 +478,98 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
                         break
                 dead += any(fail & H for fail in read)
                 alive += any(not fail & H for fail in read)
-    assert skipped >= 10 and scanned >= 10
-    assert dead >= 10 and alive >= 10
+    assert min(verdicts) >= 10
+    if name == "bulk":
+        assert skipped >= 10 and scanned >= 10
+        assert dead >= 10 and alive >= 10
+
+
+def _relative_case(rng):
+    """(graph, requirements): a random multigraph of 2-6 vertices and 0-9
+    edges, drawn with no skeleton, so that bridges, parallel edges and
+    pairs that G does not connect all occur, and 1-3 pairs with r = 1..4."""
+    n = rng.randint(2, 6)
+    specs = [
+        (*rng.sample(range(n), 2), rng.choice((0.0, 1.0, 2.5, round(rng.uniform(0.1, 3.0), 1))),
+         rng.choice(("safe", "unsafe")))
+        for _ in range(rng.randint(0, 9))
+    ]
+    if specs and rng.random() < 0.3:
+        specs.append(rng.choice(specs))
+    reqs = tuple(
+        RelativeRequirement(*rng.sample(range(n), 2), rng.randint(1, 4))
+        for _ in range(rng.randint(1, 3))
+    )
+    return FaultGraph(n, specs), reqs
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relative_classes_match_brute_force(seed):
+    # The checker reads relative requirements as (k, 0) cut classes; their
+    # verdict must be the definition's, over every F of fewer than r edges.
+    rng = Random(f"relative-{seed}")
+    seen = {"bridge": 0, "parallel": 0, "apart": 0, "feasible": 0, "infeasible": 0}
+    for _ in range(30):
+        g, reqs = _relative_case(rng)
+        checker = _Checker(g, Problem("rsndp", relative=reqs))
+        assert not checker.scenarios
+        everything = g.all_edge_ids()
+        seen["bridge"] += any(
+            not brute_connected(g, everything - {eid}, e.u, e.v) for eid, e in enumerate(g.edges)
+        )
+        seen["parallel"] += len({frozenset((e.u, e.v)) for e in g.edges}) < g.m
+        seen["apart"] += any(not brute_connected(g, everything, r.s, r.t) for r in reqs)
+        for _ in range(15):
+            keep = rng.choice((0.4, 0.7, 0.9, 1.0))
+            H = frozenset(eid for eid in range(g.m) if rng.random() < keep)
+            counts = Boundary(g, H)
+            ok = checker.first_bad(counts.total, counts.safe, counts.inside) is None
+            assert ok == brute_rsndp_feasible(g, reqs, H)
+            seen["feasible" if ok else "infeasible"] += 1
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_relative_search_matches_its_bulk_expansion(seed):
+    # The relative model reduces to the bulk model through its expansion
+    # into failure sets.  The search on the cut classes must find the set
+    # that the search on the expansion finds, at the same cost bits.  With
+    # no pair that G connects, nothing is needed.
+    rng = Random(f"expansion-{seed}")
+    solved = 0
+    for _ in range(25):
+        g, reqs = _relative_case(rng)
+        got = exact_solve(g, Problem("rsndp", relative=reqs))
+        scenarios = expand_rsndp_to_bulk(g, reqs)
+        if not scenarios:
+            assert got == (frozenset(), 0.0)
+            continue
+        want = exact_solve(g, Problem("bulk", scenarios=scenarios))
+        assert (got[0], got[1].hex()) == (want[0], want[1].hex())
+        solved += bool(got[0])
+    assert solved >= 10
+
+
+def test_relative_search_lists_no_failure_set(monkeypatch, tmp_path):
+    # Pair 0-2 with r = 7 on 28 edges: 499,178 failure sets of size < 7,
+    # which the search used to list and scan; `faultnet exact` was still
+    # running on this file after 120 s.  With the expansion refused, the
+    # search answers, feasibly, and so does the command.
+    argv = ["gen", "--kind", "random-multigraph", "--n", "6", "--m", "28", "--seed", "1",
+            "--params", '{"problem": "rsndp", "pairs": 1, "r": 7}']
+    path = tmp_path / "r7.fni"
+    assert main([*argv, "--out", str(path)]) == 0
+
+    def refuse(*_args):
+        raise AssertionError("the exact search listed failure sets")
+
+    monkeypatch.setattr(oracles, "expand_rsndp_to_bulk", refuse)
+    monkeypatch.setattr(exact, "expand_rsndp_to_bulk", refuse, raising=False)
+    inst = parse(path.read_text(encoding="utf-8"))
+    g = inst.to_graph()
+    sol, _cost = exact_solve(g, inst.problem)
+    assert is_rsndp_feasible(g, inst.problem.relative, sol)[0]
+    assert main(["exact", str(path)]) == 0
 
 
 # Search work, as the search reports it to faultnet.trace: "exact.checks"
@@ -877,10 +982,7 @@ def test_dominance_skip_keeps_every_answer(shape, monkeypatch):
         skipped += work["exact.dominated"]
         solved += not isinstance(outcome, str)
     assert solved >= 45
-    # The relative expansion fails each edge on its own, so it rarely lets
-    # an edge dominate; every other shape must skip somewhere.
-    if shape != "rsndp":
-        assert skipped >= 3
+    assert skipped >= 3
 
 
 # Edges 0 and 1 join vertices 0 and 1, edge 0 safe at 3 and edge 1 at 1.

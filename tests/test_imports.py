@@ -14,7 +14,8 @@ No linter ships with the project, so these walk each module's syntax tree:
   ones that the catalogue in ``faultnet.trace``'s docstring lists;
 - every module-level ``functools.cache`` or ``lru_cache`` decorator sets
   an integer ``maxsize``, or its function is in ``UNBOUNDED_CACHES``, whose
-  keys are bounded by ``MAX_SWEEP_N``.
+  keys are bounded by ``MAX_SWEEP_N``;
+- no module imports or reads a name that ``BANNED_NAMES`` keeps out of it.
 """
 
 import ast
@@ -249,3 +250,39 @@ def test_module_caches_are_bounded():
         for name in unbounded_caches(path.read_text(encoding="utf-8"))
     }
     assert found == set(UNBOUNDED_CACHES)
+
+
+# Names kept out of a module, each with why.  A name counts as imported
+# under any alias, and as read through any module attribute.
+BANNED_NAMES = {
+    "exact.py": {
+        "expand_rsndp_to_bulk": "the search reads relative requirements as cut "
+        "classes and lists no failure set",
+    },
+}
+
+
+def reached_names(source: str) -> set:
+    """The names the module's imports bind before any ``as``, and the
+    names it reads as attributes."""
+    tree = ast.parse(source)
+    names = set(_names(tree, attributes_only=True))
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_checker_sees_a_banned_name():
+    for source in (
+        "from .oracles import Problem, expand_rsndp_to_bulk as expand\n",
+        "from . import oracles\n\nscenarios = oracles.expand_rsndp_to_bulk(g, reqs)\n",
+    ):
+        assert "expand_rsndp_to_bulk" in reached_names(source)
+    assert "expand_rsndp_to_bulk" not in reached_names("from .oracles import Problem\n")
+
+
+@pytest.mark.parametrize("name", sorted(BANNED_NAMES))
+def test_banned_names_stay_out(name):
+    path = Path(faultnet.__file__).parent / name
+    assert set(BANNED_NAMES[name]) & reached_names(path.read_text(encoding="utf-8")) == set()
