@@ -693,12 +693,13 @@ SAME_SEARCH_SHAPES = {
         # exclusion child takes its parent's answer, and its packing while
         # the excluded edge is no candidate of a packed cut.  Before the
         # dominance skip, flex-st made 419 tests, flex-sndp 640 tests and
-        # 376 bounds in 470 nodes, and bulk 444 and 233 in 410; the
-        # relative expansion fails each edge alone, so rsndp skips none.
+        # 376 bounds in 470 nodes, and bulk 444 and 233 in 410.  While the
+        # checker scanned rsndp's bulk expansion, rsndp made 599 tests and
+        # 313 bounds in 524 nodes.
         ("flex-st", {"exact.checks": 414, "exact.bounds": 224, "exact.nodes": 273}),
         ("flex-sndp", {"exact.checks": 627, "exact.bounds": 366, "exact.nodes": 460}),
         ("bulk", {"exact.checks": 409, "exact.bounds": 218, "exact.nodes": 381}),
-        ("rsndp", {"exact.checks": 599, "exact.bounds": 313, "exact.nodes": 524}),
+        ("rsndp", {"exact.checks": 433, "exact.bounds": 223, "exact.nodes": 370}),
     ],
 )
 def test_other_searches_do_the_same_work(name, parent):
