@@ -262,16 +262,15 @@ class _Checker:
         self.classes = [
             (scope, (p, q), lay.offset(p), lay.offset(p + q)) for (p, q), scope in scopes.items()
         ]
-        scenarios = problem.scenarios
         self.scenarios = [
             (lay.scope(sc.pairs), sc.fail, tuple((eid, cross[eid]) for eid in sc.fail))
-            for sc in scenarios
+            for sc in problem.scenarios
         ]
         # A scenario cuts off only cuts with at most |F_j| edges of the set.
         self.reach = 0
         for scope, _fail, _failed in self.scenarios:
             self.reach |= scope
-        self.few_offset = lay.offset(max((len(sc.fail) for sc in scenarios), default=0) + 1)
+        self.few_offset = lay.offset(max((len(sc.fail) for sc in problem.scenarios), default=0) + 1)
 
     def first_bad(self, total: int, safe: int, inside):
         """(bad guard set, (p, q), failed edges) of the first class, or else
