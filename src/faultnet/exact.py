@@ -150,10 +150,10 @@ from operator import and_
 from typing import Iterable
 
 from . import trace
-from .cuts import crossing_table, layout_of, masks
+from .cuts import crossing_table, layout_of
 from .errors import BudgetExceeded, InfeasibleInstance
-from .graph import FaultGraph, boundary, env_budget
-from .oracles import Problem, RelativeRequirement
+from .graph import FaultGraph, env_budget
+from .oracles import Problem, RelativeRequirement, _cut_boundaries
 
 COST_EPS = 1e-12
 _NO_FAIL: frozenset = frozenset()
@@ -213,7 +213,7 @@ def _relative_scopes(g: FaultGraph, reqs: Iterable[RelativeRequirement]) -> dict
         if scope & ~crossed:
             continue
         light = scope & ~lay.at_least(whole, r)
-        boundaries = {boundary(g, range(g.m), mask) for mask in masks(g.n, lay.compact(light))}
+        boundaries = {F for F, _ in _cut_boundaries(g, g.all_edge_ids(), [(pair, lay.compact(light))])}
         minimal: list[frozenset] = []
         covered = 0
         for cut_set in sorted(boundaries, key=len):
@@ -256,9 +256,11 @@ class _Checker:
         pairs: dict[tuple[int, int], list] = {}
         for r in problem.flex:
             pairs.setdefault((r.p, r.q), []).append((r.s, r.t))
-        scopes = {pq: lay.scope(pairs[pq]) for pq in sorted(pairs)}
-        if problem.kind == "rsndp":
-            scopes = _relative_scopes(g, problem.relative)
+        scopes = (
+            _relative_scopes(g, problem.relative)
+            if problem.kind == "rsndp"
+            else {pq: lay.scope(pairs[pq]) for pq in sorted(pairs)}
+        )
         self.classes = [
             (scope, (p, q), lay.offset(p), lay.offset(p + q)) for (p, q), scope in scopes.items()
         ]

@@ -811,7 +811,7 @@ class TestCli:
         assert main(["solve", str(path), "--alg", "rsndp", "--out", str(sol)]) == 0
         assert json.loads(sol.read_text())["edges"] == list(range(6))
         assert main(["verify", str(path), str(sol)]) == 0
-        capsys.readouterr()
+        assert capsys.readouterr().err == ""
         assert main(["exact", str(path)]) == 0
         captured = capsys.readouterr()
         assert json.loads(captured.out)["edges"] == list(range(6))

@@ -5,7 +5,7 @@ from random import Random
 
 import pytest
 
-from faultnet import exact, oracles, trace
+from faultnet import oracles, trace
 from faultnet.cli import main
 from faultnet.cuts import Boundary, crossed, cut_index, layout_of
 from faultnet.errors import BudgetExceeded, EnumerationTooLarge, InfeasibleInstance
@@ -564,7 +564,6 @@ def test_relative_search_lists_no_failure_set(monkeypatch, tmp_path):
         raise AssertionError("the exact search listed failure sets")
 
     monkeypatch.setattr(oracles, "expand_rsndp_to_bulk", refuse)
-    monkeypatch.setattr(exact, "expand_rsndp_to_bulk", refuse, raising=False)
     inst = parse(path.read_text(encoding="utf-8"))
     g = inst.to_graph()
     sol, _cost = exact_solve(g, inst.problem)
