@@ -239,10 +239,10 @@ def build_hitting_instance(
     H: frozenset,
     tree: TreeEmbedding,
     viol: Sequence[tuple[frozenset, tuple[int, int]]],
-    counts: Boundary | None = None,
+    counts: Boundary,
 ) -> HittingInstance:
     """The hitting instance of ``viol`` in H over the tree's fundamental
-    cycles; ``counts`` is H's Boundary when the caller already has it.
+    cycles; ``counts`` is H's Boundary.
 
     One walk of each cycle gives its cost terms, summed in the cycle's
     own iteration order as ``g.total_cost`` sums them, and the packed set
@@ -250,8 +250,6 @@ def build_hitting_instance(
     misses is not hit; otherwise, when F meets the cycle, the cuts of its
     edges outside F decide."""
     trace.count("bulk.hitting_instances")
-    if counts is None:
-        counts = Boundary(g, H)
     lay, cross = counts.layout, counts.cross
     shift = lay.width - 1
     # The dead cuts of each set, moved from the guard bits to the low bits
@@ -332,7 +330,7 @@ def _best_of_trees(
     g: FaultGraph,
     H_prev: frozenset,
     pairs: Sequence[tuple[int, int]],
-    violating: Callable[[frozenset, Boundary | None], list],
+    violating: Callable[[frozenset, Boundary], list],
     level: int,
     seed: int,
 ) -> frozenset:
@@ -429,7 +427,7 @@ def _best_of_trees(
             f"level {level}: every tree failed, last with {unhittable}"
         ) from unhittable
     candidate = best[1]
-    leftover = seen[candidate][1] if candidate in seen else violating(candidate, None)
+    leftover = seen[candidate][1] if candidate in seen else violating(candidate, Boundary(g, candidate))
     if leftover:
         raise InfeasibleAugmentation(
             f"level {level}: cover left {len(leftover)} violating sets"
@@ -495,17 +493,15 @@ def _flex_violating_sets(
     H: frozenset,
     reqs: Sequence[FlexRequirement],
     round_index: int,
-    bound: Boundary | None = None,
+    bound: Boundary,
 ) -> list[tuple[frozenset, tuple[int, int]]]:
     """Minimal violating (F, pair) sets for the round's active pairs;
-    ``bound`` is H's Boundary when the caller already has it.
+    ``bound`` is H's Boundary.
 
     With H feasible at (p_i, round-1), a minimal violating F for pair i is,
     by Menger, exactly the H-boundary of an s-t cut with p_i + round - 1
     edges of H, fewer than p_i of them safe: a tight cut of the kernel.
     """
-    if bound is None:
-        bound = Boundary(g, H)
     tight = [
         ((r.s, r.t), separating(g.n, r.s, r.t) & bound.tight(r.p, round_index))
         for r in reqs

@@ -19,8 +19,7 @@ field.  The answer is a *guard set*, the packed twin of a cut set; the
 exact search works on guard sets throughout and :meth:`Layout.compact`
 turns one into a cut set in one linear pass.  A failure set F cuts off a
 pair in an edge set H when a cut that separates the pair is crossed only by
-edges of F; :meth:`Boundary.cut_off` answers that for every cut at once,
-and :meth:`Layout.cut_off` for packed counts kept outside a Boundary.
+edges of F; :meth:`Boundary.cut_off` answers that for every cut at once.
 Questions about one given mask go only to :func:`faultnet.graph.boundary`.
 A graph's first :func:`layout_of` call checks its sweep against the
 enumeration budget (:func:`faultnet.graph.guard_sweep`), before any of its
@@ -110,18 +109,6 @@ class Layout:
         for u, v in pairs:
             out |= sd[u] ^ sd[v]
         return out << (self.width - 1)
-
-    def cut_off(self, cross, total: int, inside, fail: Iterable[int]) -> int:
-        """The guard set of cuts that no edge of a set outside ``fail``
-        crosses, for the set with packed total counts ``total`` that holds
-        edge eid while ``inside[eid]``; ``cross`` is its graph's packed
-        crossing table.  The set's edges in ``fail`` count there as many as
-        all of its edges."""
-        dead = 0
-        for eid in fail:
-            if inside[eid]:
-                dead += cross[eid]
-        return self.equal(total, dead)
 
     def compact(self, guards: int) -> int:
         """The cut set of a guard set."""
@@ -271,17 +258,16 @@ class Boundary:
             self.safe += cuts
         self.inside[eid] = 1
 
-    def remove(self, eid: int) -> None:
-        cuts = self.cross[eid]
-        self.total -= cuts
-        if self._safe[eid]:
-            self.safe -= cuts
-        self.inside[eid] = 0
-
     def cut_off(self, fail: Iterable[int]) -> int:
         """The guard set of cuts that no edge of the set outside ``fail``
-        crosses (:meth:`Layout.cut_off`)."""
-        return self.layout.cut_off(self.cross, self.total, self.inside, fail)
+        crosses: those where the set's edges in ``fail`` count as many as
+        all of its edges."""
+        cross, inside = self.cross, self.inside
+        dead = 0
+        for eid in fail:
+            if inside[eid]:
+                dead += cross[eid]
+        return self.layout.equal(self.total, dead)
 
     def exactly(self, counts: int, c: int) -> int:
         """The cut set of cuts whose ``counts`` (``safe`` or ``total``) read

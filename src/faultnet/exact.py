@@ -10,7 +10,7 @@ the kernel's guard-bit form.  A flex (p, q) class fails on a cut that
 separates one of its pairs and has fewer than p safe and fewer than p+q
 edges.  A bulk scenario fails on a cut that separates one of its pairs when
 every edge crossing it is one the scenario fails: a cut its failure set
-cuts off (:meth:`faultnet.cuts.Layout.cut_off`).  Relative requirements
+cuts off (:meth:`faultnet.cuts.Boundary.cut_off`).  Relative requirements
 are (k, 0) classes on cuts that G alone fixes (:func:`_relative_scopes`),
 so a relative search lists no failure set and runs as a flex one.
 
@@ -24,10 +24,9 @@ table are read into locals once per search.  When every constraint is a
 flex class (no scenarios), the chosen-set and pool tests run inline in the
 kernel, as the guard-set expression of :meth:`_Checker.first_bad` over the
 classes; a search with scenarios calls ``first_bad``, whose scan counts
-each scenario's failed edges in the set and shares the cuts the set does
-not cross among the scenarios with none there.  The opening question,
-whether G itself is feasible, is ``first_bad`` on G's packed counts, which
-the greedy seed then starts from.
+each scenario's failed edges in the set.  The opening question, whether
+G itself is feasible, is ``first_bad`` on G's packed counts, which the
+greedy seed then starts from.
 
 The tables that depend on the graph alone (the decision order, the costs,
 the shifted crossing sets, the per-vertex cost sums and undecided counts
@@ -244,7 +243,7 @@ class _Checker:
     set: for a flex class or a scenario, the cuts that separate one of its
     pairs.  A class holds the offsets of its two thresholds.  A scenario
     fails on a cut in scope that its failure set cuts off
-    (:meth:`Layout.cut_off`): nothing crossing the cut survives.  A
+    (:meth:`Boundary.cut_off`): nothing crossing the cut survives.  A
     scenario also holds its failed edges, each with its packed crossing
     set.
     """
@@ -285,22 +284,15 @@ class _Checker:
         reach = self.reach
         if not reach or not reach & ~(total + self.few_offset):
             return None
-        # Layout.cut_off, inline: the cuts whose total equals the count of
-        # the set's failed edges.  With none of them in the set, those are
-        # the cuts the set does not cross, the same for every such scenario.
+        # Boundary.cut_off, inline: the cuts whose total equals the count
+        # of the set's failed edges.
         nonzero = self.nonzero
-        uncrossed = None
         for scope, fail, failed in self.scenarios:
             dead = 0
             for eid, cuts in failed:
                 if inside[eid]:
                     dead += cuts
-            if dead:
-                bad = scope & ~((total ^ dead) + nonzero)
-            else:
-                if uncrossed is None:
-                    uncrossed = ~(total + nonzero)
-                bad = scope & uncrossed
+            bad = scope & ~((total ^ dead) + nonzero)
             if bad:
                 return bad, None, fail
         return None

@@ -95,27 +95,14 @@ def _scope(g: FaultGraph, plan: StagePlan) -> int:
     return separating(g.n, plan.s, plan.t)
 
 
-def _violated_cuts(
-    g: FaultGraph, F: Iterable[int], plan: StagePlan, counts: Boundary | None = None
-):
-    """(violated cut set, boundary counts of F): in-scope cuts whose
-    F-boundary has exactly p+q-1 edges, fewer than p of them safe.
-    ``counts`` is F's Boundary when the caller already has it."""
-    if counts is None:
-        counts = Boundary(g, F)
-    return _scope(g, plan) & counts.tight(plan.p, plan.q), counts
+def _stage_cuts(g: FaultGraph, counts: Boundary, plan: StagePlan, stage: int | None) -> int:
+    """The cut set one stage covers, for the set F that ``counts`` holds.
 
-
-def _stage_cuts(
-    g: FaultGraph,
-    F: Iterable[int],
-    plan: StagePlan,
-    stage: int | None,
-    counts: Boundary | None = None,
-) -> int:
-    """The cut set one stage covers: the violated cuts with ``stage`` safe
-    F-boundary edges, or every violated cut when ``stage`` is None."""
-    violated, counts = _violated_cuts(g, F, plan, counts)
+    The violated cuts are the in-scope cuts whose F-boundary has exactly
+    p+q-1 edges, fewer than p of them safe.  The stage covers those with
+    ``stage`` safe F-boundary edges, or all of them when ``stage`` is None.
+    """
+    violated = _scope(g, plan) & counts.tight(plan.p, plan.q)
     if stage is None:
         return violated
     return violated & counts.exactly(counts.safe, stage)
@@ -161,22 +148,20 @@ def _path_groups(
     return groups
 
 
-def _ring_families(
-    g: FaultGraph, F: frozenset, plan: StagePlan, i: int, counts: Boundary | None = None
-) -> list[CutFamily]:
-    """The nonempty C_i^Q subfamilies of stage i, one per useful path subset.
+def _ring_families(g: FaultGraph, F: frozenset, plan: StagePlan, i: int, cuts: int) -> list[CutFamily]:
+    """The nonempty C_i^Q subfamilies of stage i, whose cut set is
+    ``cuts``, one per useful path subset.
 
     Every violated cut with i safe boundary edges must land in at least one
     subfamily (guaranteed under p+q > pq/2); anything else means the stage
     construction cannot cover the family and is reported, not papered over.
     """
-    stage = _stage_cuts(g, F, plan, i, counts)
-    groups = _path_groups(g, F, stage, _cap_flow_paths(g, F, plan), plan.s)
+    groups = _path_groups(g, F, cuts, _cap_flow_paths(g, F, plan), plan.s)
     covered = 0
-    for cuts in groups.values():
-        covered |= cuts
-    if covered != stage:
-        mask = first_mask(g.n, stage & ~covered, plan.s)
+    for group in groups.values():
+        covered |= group
+    if covered != cuts:
+        mask = first_mask(g.n, cuts & ~covered, plan.s)
         raise StageCoverFailed(
             f"violated cut {bin(mask)} has no qualifying path subset at "
             f"stage {i} (p={plan.p}, q={plan.q})"
@@ -189,19 +174,16 @@ def _ring_families(
 
 
 def _stage_families(
-    g: FaultGraph,
-    F: frozenset,
-    plan: StagePlan,
-    stage: int | None,
-    counts: Boundary | None = None,
+    g: FaultGraph, F: frozenset, plan: StagePlan, stage: int | None, cuts: int
 ) -> list[CutFamily]:
+    """The families that cover ``cuts``, the cut set of the stage."""
     if plan.scope == "st":
-        return _ring_families(g, F, plan, stage, counts)
+        return _ring_families(g, F, plan, stage, cuts)
     label = "all-violated" if stage is None else f"safe={stage}"
     return [
         CutFamily(
             graph=g,
-            cuts=_stage_cuts(g, F, plan, stage, counts),
+            cuts=cuts,
             ground=g.all_edge_ids() - F,
             label=f"spanning({plan.p},{plan.q}) {label}",
         )
@@ -212,11 +194,12 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozense
     """Run the plan's stages, growing F.  F must already be feasible at
     (plan.p, plan.q - 1).
 
-    One Boundary of F serves the opening check, every stage's violated cuts
-    and the closing check; each bought edge is added to it.
+    One Boundary of F serves the opening check, every stage's cut set and
+    the closing check; each bought edge is added to it.  Each stage's cut
+    set is read once and handed to its families.
 
     A stage with nothing to cover costs nothing.  A single-pair stage with
-    no violated cut is skipped before its cap flow: the flow depends on F
+    an empty cut set is skipped before its cap flow: the flow depends on F
     alone, so it would either go unused or fail as the next non-empty
     stage's flow fails on the same F; and with no such stage left, F is
     already (p, q)-feasible, so the flow exists."""
@@ -226,10 +209,11 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozense
     if not _feasible_for(g, counts, plan, q - 1):
         raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
     for stage in plan.stages:
-        if plan.scope == "st" and not _stage_cuts(g, F, plan, stage, counts):
+        cuts = _stage_cuts(g, counts, plan, stage)
+        if plan.scope == "st" and not cuts:
             continue
         added: set[int] = set()
-        for fam in _stage_families(g, F, plan, stage, counts):
+        for fam in _stage_families(g, F, plan, stage, cuts):
             if plan.scope == "st":
                 added |= ring_cover_exact(fam)
             else:
@@ -329,7 +313,7 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
     caps = [2 if e.safe else 1 for e in g.edges]
     seed = min_cost_flow(g, caps, s, t, 4).support()
     plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
-    violated = _violated_cuts(g, seed, plan)[0]
+    violated = _stage_cuts(g, Boundary(g, seed), plan, None)
     if not violated:
         return seed
     seed_caps = [caps[eid] if eid in seed else 0 for eid in range(g.m)]

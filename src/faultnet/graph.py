@@ -97,9 +97,9 @@ class EdgeRec:
 def _as_safe_flag(safety) -> bool:
     if isinstance(safety, bool):
         return safety
-    if safety in (SAFE, "S"):
+    if safety == SAFE:
         return True
-    if safety in (UNSAFE, "U"):
+    if safety == UNSAFE:
         return False
     raise ValueError(f"unknown safety label {safety!r}")
 

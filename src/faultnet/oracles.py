@@ -301,7 +301,7 @@ def violating_edge_sets_bulk(
     """
     H = frozenset(H)
     _check_prior_levels(g, scenarios, H, level)
-    return _violations_of_level(g, scenarios, level)(H)
+    return _violations_of_level(g, scenarios, level)(H, Boundary(g, H))
 
 
 def _check_prior_levels(
@@ -323,12 +323,8 @@ def _check_prior_levels(
     counts = Boundary(g, H)
     lay = counts.layout
     light = ~lay.at_least(counts.total, level)
-    scope_of: dict[tuple, int] = {}  # one scope per distinct pair list
     for sc in scenarios:
-        scope = scope_of.get(sc.pairs)
-        if scope is None:
-            scope = scope_of[sc.pairs] = lay.scope(sc.pairs)
-        bad = light & scope
+        bad = light & lay.scope(sc.pairs)
         if bad:
             bad &= counts.cut_off(sc.fail)
         if bad:
@@ -340,10 +336,10 @@ def _check_prior_levels(
 
 def _violations_of_level(
     g: FaultGraph, scenarios: Sequence[BulkScenario], level: int
-) -> Callable[..., list[tuple[frozenset, tuple[int, int]]]]:
+) -> Callable[[frozenset, Boundary], list[tuple[frozenset, tuple[int, int]]]]:
     """The level oracle: the (F, pair) tuples of ``violating_edge_sets_bulk``
-    at ``level`` without its precondition check, as a function of H (and
-    optionally H's Boundary), on the cut kernel.
+    at ``level`` without its precondition check, as a function of H and
+    H's Boundary, on the cut kernel.
 
     Its answer is right for every H that meets the precondition.  Then a
     failure set F of ``level`` edges inside F_j that cuts a pair is, by
@@ -351,41 +347,24 @@ def _violations_of_level(
     inside F and cuts the pair, so it has at least ``level`` edges and is
     F.  The violating sets are therefore the δ_H(S) of the cuts in a
     pair's scope with exactly ``level`` edges of H that F_j cuts off: one
-    ``cut_off(F_j)`` per scenario with at least ``level`` failed edges,
-    then one decode of each pair's cuts (:func:`_cut_boundaries`).  The
-    scenarios are grouped by pair list, so each scope is computed once
-    per distinct pair list and once per pair, and tested once per group.
+    ``cut_off(F_j)`` per scenario with at least ``level`` failed edges and
+    a cut in its scope with exactly ``level`` edges of H, then one decode
+    of each pair's cuts (:func:`_cut_boundaries`).
     """
     trace.count("oracles.level_builds")
     lay = layout_of(g)
-    fails_of: dict[tuple, list[frozenset]] = {}
-    for sc in scenarios:
-        if len(sc.fail) >= level:
-            fails_of.setdefault(sc.pairs, []).append(sc.fail)
-    scope_of_pair = {pair: lay.scope((pair,)) for pairs in fails_of for pair in pairs}
-    groups = [
-        (lay.scope(pairs), [(pair, scope_of_pair[pair]) for pair in pairs], fails)
-        for pairs, fails in fails_of.items()
-    ]
+    tested = [(lay.scope(sc.pairs), sc.fail, sc.pairs) for sc in scenarios if len(sc.fail) >= level]
+    scope_of = {pair: lay.scope((pair,)) for _scope, _fail, pairs in tested for pair in pairs}
 
-    def violations(
-        H: frozenset, counts: Boundary | None = None
-    ) -> list[tuple[frozenset, tuple[int, int]]]:
+    def violations(H: frozenset, counts: Boundary) -> list[tuple[frozenset, tuple[int, int]]]:
         trace.count("oracles.level_evaluations")
-        if counts is None:
-            counts = Boundary(g, H)
         exact = lay.exactly(counts.total, level)
         dead_of: dict[tuple[int, int], int] = {}
-        for scope, scoped, fails in groups:
-            if not exact & scope:
-                continue
-            dead = 0
-            for fail in fails:
-                dead |= counts.cut_off(fail)
-            dead &= exact
-            if dead:
-                for pair, pair_scope in scoped:
-                    dead_of[pair] = dead_of.get(pair, 0) | (dead & pair_scope)
+        for scope, fail, pairs in tested:
+            if exact & scope:
+                dead = exact & counts.cut_off(fail)
+                for pair in pairs:
+                    dead_of[pair] = dead_of.get(pair, 0) | (dead & scope_of[pair])
         if not dead_of:
             return []
         return _cut_boundaries(g, H, [(pair, lay.compact(dead)) for pair, dead in dead_of.items()])
@@ -394,16 +373,12 @@ def _violations_of_level(
 
 
 def _relative_violations(
-    g: FaultGraph,
-    reqs: Sequence[RelativeRequirement],
-    level: int,
-    whole: Boundary | None = None,
-) -> Callable[..., list[tuple[frozenset, tuple[int, int]]]]:
+    g: FaultGraph, reqs: Sequence[RelativeRequirement], level: int, whole: Boundary
+) -> Callable[[frozenset, Boundary], list[tuple[frozenset, tuple[int, int]]]]:
     """The relative level oracle: the (F, pair) tuples that
     ``_violations_of_level(g, expand_rsndp_to_bulk(g, reqs), level)``
-    gives, as a function of H (and optionally H's Boundary), with no
-    scenario list; ``whole`` is G's Boundary when the caller already has
-    it.
+    gives, as a function of H and H's Boundary, with no scenario list;
+    ``whole`` is G's Boundary.
 
     Its answer is right for every H that meets the expansion's
     precondition: for each F of fewer than ``level`` edges, H - F connects
@@ -418,8 +393,6 @@ def _relative_violations(
     distinct δ_H(S), kept for the oracle's life.
     """
     trace.count("oracles.level_builds")
-    if whole is None:
-        whole = Boundary(g, g.all_edge_ids())
     lay = whole.layout
     apart = whole.cut_off(())
     scope_of: dict[tuple[int, int], int] = {}
@@ -431,12 +404,8 @@ def _relative_violations(
                 scope_of[pair] = scope
     cut_off = cache(whole.cut_off)
 
-    def violations(
-        H: frozenset, counts: Boundary | None = None
-    ) -> list[tuple[frozenset, tuple[int, int]]]:
+    def violations(H: frozenset, counts: Boundary) -> list[tuple[frozenset, tuple[int, int]]]:
         trace.count("oracles.level_evaluations")
-        if counts is None:
-            counts = Boundary(g, H)
         exact = lay.exactly(counts.total, level)
         cuts_of = [(pair, lay.compact(exact & scope)) for pair, scope in scope_of.items()]
         return [

@@ -31,7 +31,9 @@ out without listing any, ``solve_lp`` adds a model's rows at once to a
 fresh dual simplex, ``degree_repair`` is the exact search's degree-table
 rule that ``_Packing.refresh`` must match bit for bit, and
 ``boundary_counts``, ``layout_count``, ``tree_edges``, ``unsafe_ids`` and
-``safety`` read one cut's counts, a tree's edges and edge labels.
+``safety`` read one cut's counts, a tree's edges and edge labels, and
+``remove`` takes an edge out of a ``Boundary``.  ``stage_cuts`` reads a
+flexible stage's cut set off a Boundary of its own.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from faultnet import bulk, simplex
+from faultnet import bulk, flexalg, simplex
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult
 from faultnet.cuts import Boundary, crossed, cut_index
@@ -361,10 +363,11 @@ def plain_best_of_trees(g: FaultGraph, H_prev, pairs, violating, level: int, see
         for u, v in pairs:
             H_P.update(tree.path(u, v))
         H = H_prev | H_P
-        viol = violating(H, Boundary(g, H))
+        counts = Boundary(g, H)
+        viol = violating(H, counts)
         added: set[int] = set()
         if viol:
-            inst = bulk.build_hitting_instance(g, H, tree, viol)
+            inst = bulk.build_hitting_instance(g, H, tree, viol, counts)
             try:
                 picks = bulk.greedy_hitting_set(inst)
             except Unhittable as exc:
@@ -977,6 +980,23 @@ def layout_count(layout, counts: int, index: int) -> int:
     """The count of the one cut at ``index`` in ``layout``'s packed
     ``counts``."""
     return (counts >> (index * layout.width)) & ((1 << layout.width) - 1)
+
+
+def stage_cuts(g: FaultGraph, F: Iterable[int], plan, stage) -> int:
+    """``flexalg._stage_cuts`` on a Boundary of F built for the call: the
+    cut set that ``augment_stages`` hands the stage's families, and with
+    ``stage`` None every violated cut."""
+    return flexalg._stage_cuts(g, Boundary(g, F), plan, stage)
+
+
+def remove(counts: Boundary, eid: int) -> None:
+    """Take edge eid out of the set that ``counts`` holds: the inverse of
+    ``Boundary.add``, one big-int subtract per count."""
+    cuts = counts.cross[eid]
+    counts.total -= cuts
+    if counts._safe[eid]:
+        counts.safe -= cuts
+    counts.inside[eid] = 0
 
 
 def tree_edges(tree) -> frozenset:

@@ -24,6 +24,7 @@ from faultnet.bulk import (
     solve_flex_sndp,
     solve_rsndp,
 )
+from faultnet.cuts import Boundary
 from faultnet.errors import (
     Disconnected,
     FaultnetError,
@@ -358,7 +359,7 @@ class TestAugmentBulk:
             viol = violating_edge_sets_bulk(g, scen, H_work, 1)
             if not viol:
                 continue
-            inst_h = build_hitting_instance(g, H_work, tree, viol)
+            inst_h = build_hitting_instance(g, H_work, tree, viol, Boundary(g, H_work))
             picks = greedy_hitting_set(inst_h)
             for eid in picks:
                 e = g.edges[eid]
@@ -498,7 +499,7 @@ class TestSolveBulk:
                 if not viol:
                     hittable.append(True)
                     continue
-                inst_h = build_hitting_instance(g, H_work, tree, viol)
+                inst_h = build_hitting_instance(g, H_work, tree, viol, Boundary(g, H_work))
                 try:
                     greedy_hitting_set(inst_h)
                     hittable.append(True)
@@ -565,10 +566,15 @@ class TestFlexSndpDriver:
         g, reqs = inst.to_graph(), inst.problem.flex
         solve_flex_sndp(g, reqs, seed=479)
         assert [level for _H, _violating, level in steps] == [1, 2]
-        answers = [_flex_violating_sets(g, H_prev, reqs, level) for H_prev, _v, level in steps]
-        assert answers[0] and answers[0] != _flex_violating_sets(g, steps[0][0], reqs, 2)
+        answers = [
+            _flex_violating_sets(g, H_prev, reqs, level, Boundary(g, H_prev))
+            for H_prev, _v, level in steps
+        ]
+        H_first = steps[0][0]
+        assert answers[0]
+        assert answers[0] != _flex_violating_sets(g, H_first, reqs, 2, Boundary(g, H_first))
         for (H_prev, violating, _level), want in zip(steps, answers):
-            assert violating(H_prev, None) == want
+            assert violating(H_prev, Boundary(g, H_prev)) == want
 
     def test_every_tree_unhittable_raises(self, monkeypatch):
         import faultnet.bulk as bulk_mod
@@ -642,7 +648,7 @@ class TestFlexSndpDriver:
             rest = sorted(g.all_edge_ids() - H_prior)
             for extra in range(3):
                 H = H_prior | frozenset(rng.sample(rest, min(extra, len(rest))))
-                got = _flex_violating_sets(g, H, reqs, round_index)
+                got = _flex_violating_sets(g, H, reqs, round_index, Boundary(g, H))
                 assert got == reference_flex_violating_sets(g, H, reqs, round_index)
 
     def test_appendix_a_needs_half_the_safe_edges(self):
@@ -1113,8 +1119,8 @@ class TestBestOfTreesShortcuts:
 
         with trace.recording() as counts:
             H1 = _best_of_trees(g, H0, pairs, violating, 1, 2)
-        assert level_one(H1) == []
-        assert any(level_one(H) for H in evaluated)
+        assert level_one(H1, Boundary(g, H1)) == []
+        assert any(level_one(H, Boundary(g, H)) for H in evaluated)
         assert counts["cuts.boundaries"] <= len(set(evaluated))
         assert len(set(evaluated)) == len(evaluated)
 
@@ -1176,17 +1182,18 @@ class TestKernelMatchesUnionFind:
                 width = max(len(sc.fail) for sc in scenarios)
                 for H in self.work_sets(g, scenarios, rng):
                     tree = sample_tree(g, seed=rng.randrange(1 << 30))
+                    counts = Boundary(g, H)
                     lists = []
                     for level in range(width + 1):
                         viol = union_find_level_violations(g, scenarios, H, level)
                         if meets_prior_levels(g, scenarios, H, level):
-                            assert _violations_of_level(g, scenarios, level)(H) == viol
+                            assert _violations_of_level(g, scenarios, level)(H, counts) == viol
                             seen["oracle"] += len(viol)
                         lists.append(viol)
                     for round_index in range(1, max((r.q for r in flex), default=0) + 1):
-                        lists.append(_flex_violating_sets(g, H, flex, round_index))
+                        lists.append(_flex_violating_sets(g, H, flex, round_index, counts))
                     for viol in lists:
-                        got = build_hitting_instance(g, H, tree, viol)
+                        got = build_hitting_instance(g, H, tree, viol, counts)
                         assert got == union_find_hitting_instance(g, H, tree, viol)
                         for F, _pair in viol:
                             seen["outside H"] += not F <= H
@@ -1213,7 +1220,7 @@ class TestKernelMatchesUnionFind:
         broken = []
 
         def checking(oracle, g, scenarios, level):
-            def answer(H, counts=None):
+            def answer(H, counts):
                 asked.append(level)
                 if not meets_prior_levels(g, scenarios, H, level):
                     broken.append((sorted(H), level))
@@ -1224,7 +1231,7 @@ class TestKernelMatchesUnionFind:
         def checked(g, scenarios, level):
             return checking(build(g, scenarios, level), g, scenarios, level)
 
-        def checked_relative(g, reqs, level, whole=None):
+        def checked_relative(g, reqs, level, whole):
             oracle = build_relative(g, reqs, level, whole)
             return checking(oracle, g, expand_rsndp_to_bulk(g, reqs), level)
 
@@ -1246,7 +1253,7 @@ class TestKernelMatchesUnionFind:
         build = bulk_mod._relative_violations
         levels = []
 
-        def recorded(g, reqs, level, whole=None):
+        def recorded(g, reqs, level, whole):
             levels.append(level)
             return build(g, reqs, level, whole)
 
@@ -1261,12 +1268,14 @@ class TestKernelMatchesUnionFind:
         seen = Counter()
         for g, reqs, seed in cases:
             scenarios = expand_rsndp_to_bulk(g, reqs)
+            whole = Boundary(g, g.all_edge_ids())
             width = max((len(sc.fail) for sc in scenarios), default=-1)
             for H in self.work_sets(g, scenarios, Random(seed)):
                 for level in range(width + 2):
                     if meets_prior_levels(g, scenarios, H, level):
-                        want = _violations_of_level(g, scenarios, level)(H)
-                        assert build(g, reqs, level)(H) == want, (reqs, sorted(H), level)
+                        want = _violations_of_level(g, scenarios, level)(H, Boundary(g, H))
+                        got = build(g, reqs, level, whole)(H, Boundary(g, H))
+                        assert got == want, (reqs, sorted(H), level)
                         seen["violations"] += len(want)
                         seen["met"] += 1
                     else:

@@ -36,6 +36,7 @@ from oracle_utils import (
     brute_set_cover,
     list_primal_dual_cover,
     membership_ciq,
+    stage_cuts,
 )
 from test_acceptance import FALLBACK_CONFIGS, _fgc_inst, _ratio_shape
 
@@ -98,7 +99,7 @@ def closure_failing_family():
 def path_ring_families(seed):
     """Ring subfamilies harvested from a real (2, 2) single-pair seed: the
     violated cuts of the flow seed, split by the first three flow paths."""
-    from faultnet.flexalg import StagePlan, _violated_cuts
+    from faultnet.flexalg import StagePlan
     from faultnet.flow import flow_decompose, min_cost_flow
     from faultnet.graph import st_cut_masks
 
@@ -119,7 +120,7 @@ def path_ring_families(seed):
     caps = [2 if e.safe else 1 for e in g.edges]
     seed_set = min_cost_flow(g, caps, 0, 5, 4).support()
     plan = StagePlan(p=2, q=2, scope="st", s=0, t=5)
-    membership = predicate(g.n, _violated_cuts(g, seed_set, plan)[0], plan.s)
+    membership = predicate(g.n, stage_cuts(g, seed_set, plan, None), plan.s)
     violated = [m for m in st_cut_masks(g.n, 0, 5) if membership(m)]
     if not violated:
         return []
@@ -371,7 +372,7 @@ class TestUncrossable:
         plan = make_fgc_plan(p, q)
         F = frozenset(base)
         for spec in plan.stages:
-            for fam in _stage_families(g, F, plan, spec):
+            for fam in _stage_families(g, F, plan, spec, stage_cuts(g, F, plan, spec)):
                 ok, _ = check_uncrossable(fam)
                 assert ok
                 F = F | primal_dual_cover(fam).edges
@@ -383,7 +384,7 @@ class TestUncrossable:
         plan = make_fgc_plan(p, q)
         F = frozenset(base)
         for spec in plan.stages:
-            for fam in _stage_families(g, F, plan, spec):
+            for fam in _stage_families(g, F, plan, spec, stage_cuts(g, F, plan, spec)):
                 ok, _ = check_uncrossable(fam)
                 assert ok
                 F = F | primal_dual_cover(fam).edges
@@ -399,7 +400,7 @@ class TestUncrossable:
             F, _ = exact_solve(g, Problem("flex", flex=fgc_requirements(7, 1, 0)))
             for plan in fgc_plans(1, q):
                 for spec in plan.stages:
-                    for fam in _stage_families(g, F, plan, spec):
+                    for fam in _stage_families(g, F, plan, spec, stage_cuts(g, F, plan, spec)):
                         ok, _ = check_uncrossable(fam)
                         assert ok
                         crossing_pairs_possible += plan.q >= 4 and len(fam.members) >= 2
@@ -503,7 +504,7 @@ class TestListReference:
                 g = fgc_instance(seed + 100 * p + 10 * q, p=p, q=q)
                 F = solve_fgc(g, p, q - 1)
                 for spec in plan.stages:
-                    for fam in _stage_families(g, F, plan, spec):
+                    for fam in _stage_families(g, F, plan, spec, stage_cuts(g, F, plan, spec)):
                         result = assert_matches_list_reference(fam)
                         F = F | result.edges
                         compared += bool(fam.members)

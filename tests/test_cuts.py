@@ -25,7 +25,7 @@ from faultnet.cuts import (
     side,
 )
 from faultnet.graph import MAX_SWEEP_N, FaultGraph
-from oracle_utils import boundary_counts, layout_count
+from oracle_utils import boundary_counts, layout_count, remove
 
 
 def bit(cuts, mask):
@@ -102,7 +102,7 @@ def test_packed_counts_match_single_cut_counts_under_adds_and_removes():
         counts = Boundary(g, F)
         dropped = [eid for eid in F if rng.random() < 0.3]
         for eid in dropped:
-            counts.remove(eid)
+            remove(counts, eid)
         kept = [eid for eid in F if eid not in dropped]
         for c in range(-1, 7):
             for mask in range(1, 1 << (n - 1)):
@@ -125,7 +125,7 @@ def test_packed_counts_equal_matches_single_cut_counts_under_adds_and_removes():
         for _ in range(rng.randint(1, 30)):
             which, eid = rng.randrange(2), rng.randrange(g.m)
             if eid in members[which]:
-                counts[which].remove(eid)
+                remove(counts[which], eid)
                 members[which].discard(eid)
             else:
                 counts[which].add(eid)
@@ -160,7 +160,7 @@ def test_packed_counts_count_matches_single_cut_counts_under_adds_and_removes():
         for _ in range(rng.randint(1, 30)):
             eid = rng.randrange(g.m)
             if eid in members:
-                counts.remove(eid)
+                remove(counts, eid)
                 members.discard(eid)
             else:
                 counts.add(eid)
@@ -223,7 +223,7 @@ def test_thresholds_at_the_field_width_edges():
                             tight = total == c + q - 1 and safe < c
                             assert bit(counts.tight(c, q), mask) == tight
                 if step < m:
-                    counts.remove(step)
+                    remove(counts, step)
             assert counts.total == counts.safe == 0
 
 
@@ -296,7 +296,7 @@ def test_crossing_idiom_stays_in_the_kernel_modules():
 # Layout.equal of two packed counts, a failure set's crossing sets summed
 # into one, or the nonzero offset added to a packed count: "which cuts does
 # this failure set cut off", Boundary.cut_off.  exact._Checker.first_bad
-# keeps one inline copy of Layout.cut_off, to save a call per scenario.
+# keeps one inline copy of Boundary.cut_off, to save a call per scenario.
 ZERO_CUT_IDIOM = re.compile(r"\.equal\(|\+=\s*cross\[|\+\s*(?:self\.)?nonzero\b")
 ZERO_CUT_COPIES = {("exact.py", "_Checker")}
 

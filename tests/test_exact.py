@@ -437,9 +437,9 @@ def test_scenario_check_skips_sets_with_no_light_cut(name):
     # A scenario cuts off only cuts with at most |F_j| edges of the set, so
     # first_bad answers None without a scan when no in-scope cut is that
     # light.  It must give the scan's answer and brute force's verdict.  The
-    # scan counts a scenario's failed edges in the set itself, and shares
-    # the set's uncrossed cuts among the scenarios with none there, so the
-    # reference is Boundary.cut_off, and the scans must see both kinds.  A
+    # scan counts a scenario's failed edges in the set itself, so the
+    # reference is Boundary.cut_off, and the scans must see scenarios with
+    # failed edges in the set and scenarios with none there.  A
     # relative problem has no scenario to scan: its (k, 0) cut classes
     # alone must give brute force's verdict, on sets that pass and sets
     # that fail.

@@ -20,7 +20,6 @@ from faultnet.flexalg import (
     _path_groups,
     _ring_families,
     _stage_families,
-    _violated_cuts,
     augment_stages,
     fgc_guarantee,
     fgc_plans,
@@ -41,7 +40,7 @@ from faultnet.oracles import (
     is_flex_feasible,
     violated_cuts_flex_aug,
 )
-from oracle_utils import boundary_counts, kruskal_mst_cost, membership_ciq
+from oracle_utils import boundary_counts, kruskal_mst_cost, membership_ciq, stage_cuts
 
 
 def fgc_instance(seed, n=6, m=14, p=2, q=2, skeleton="mixed", safe_prob=0.5):
@@ -168,7 +167,7 @@ class TestAugmentStages:
             plan = make_fgc_plan(2, 2)
             F = frozenset(base)
             for spec in plan.stages:
-                for fam in _stage_families(g, F, plan, spec):
+                for fam in _stage_families(g, F, plan, spec, stage_cuts(g, F, plan, spec)):
                     if not fam.members:
                         continue
                     from faultnet.cover import primal_dual_cover
@@ -209,9 +208,9 @@ class TestAugmentStages:
             plan = make_fgc_plan(3, 2)
             F = frozenset(base)
             for stage_index, spec in enumerate(plan.stages):
-                for fam in _stage_families(g, F, plan, spec):
+                for fam in _stage_families(g, F, plan, spec, stage_cuts(g, F, plan, spec)):
                     F = F | primal_dual_cover(fam).edges
-                membership = predicate(g.n, _violated_cuts(g, F, plan)[0])
+                membership = predicate(g.n, stage_cuts(g, F, plan, None))
                 for mask in range(1, (1 << g.n) - 1):
                     if membership(mask):
                         safe, _tot = boundary_counts(g, F, mask)
@@ -316,7 +315,7 @@ class TestMembershipCiq:
     def test_i0_reduces_to_zero_safe_boundary(self):
         g, s, t, F, _paths = self._seeded(2)
         plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
-        membership = predicate(g.n, _violated_cuts(g, F, plan)[0], s)
+        membership = predicate(g.n, stage_cuts(g, F, plan, None), s)
         for mask in st_cut_masks(g.n, s, t):
             expected = membership(mask) and boundary_counts(g, F, mask)[0] == 0
             assert membership_ciq(g, mask, (), F, 2, 2, s, t) == expected
@@ -328,7 +327,7 @@ class TestMembershipCiq:
         p = q = 2
         g, s, t, F, paths = self._seeded(seed + 40, p=p, q=q)
         plan = StagePlan(p=p, q=q, scope="st", s=s, t=t)
-        membership = predicate(g.n, _violated_cuts(g, F, plan)[0], s)
+        membership = predicate(g.n, stage_cuts(g, F, plan, None), s)
         for mask in st_cut_masks(g.n, s, t):
             if not membership(mask):
                 continue
@@ -352,7 +351,7 @@ class TestMembershipCiq:
             caps = [2 if e.safe else 1 for e in g.edges]
             seed_set = min_cost_flow(g, caps, s, t, 4).support()
             plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
-            membership = predicate(g.n, _violated_cuts(g, seed_set, plan)[0], s)
+            membership = predicate(g.n, stage_cuts(g, seed_set, plan, None), s)
             violated = [m for m in st_cut_masks(g.n, s, t) if membership(m)]
             if not violated:
                 continue
@@ -410,7 +409,7 @@ class TestPathGroups:
             for i in range(p):
                 paths = _cap_flow_paths(g, F, plan)
                 added = set()
-                for fam in _ring_families(g, F, plan, i):
+                for fam in _ring_families(g, F, plan, i, stage_cuts(g, F, plan, i)):
                     Q = [paths[j] for j in ast.literal_eval(fam.label.split("^")[1])]
                     for mask in range(1 << g.n):
                         assert fam.contains(mask) == membership_ciq(g, mask, Q, F, p, q, s, t)
@@ -426,7 +425,7 @@ class TestPathGroups:
             g = st_instance(seed, m=16, safe_prob=0.3).to_graph()
             caps = [2 if e.safe else 1 for e in g.edges]
             seed_set = min_cost_flow(g, caps, 0, 5, 4).support()
-            violated = _violated_cuts(g, seed_set, plan)[0]
+            violated = stage_cuts(g, seed_set, plan, None)
             seed_caps = [caps[eid] if eid in seed_set else 0 for eid in range(g.m)]
             paths = flow_decompose(g, min_cost_flow(g, seed_caps, 0, 5, 4))
             groups = _path_groups(g, seed_set, violated, paths, 0)
@@ -509,7 +508,7 @@ class TestStageCosts:
                 F = base | seed_set
                 for i, spec in enumerate(plan.stages):
                     added = set()
-                    for fam in _stage_families(g, F, plan, spec):
+                    for fam in _stage_families(g, F, plan, spec, stage_cuts(g, F, plan, spec)):
                         added |= ring_cover_exact(fam)
                     assert g.total_cost(added) <= comb(p * (p + level), i) * opt + 1e-9
                     F = F | added

@@ -54,7 +54,14 @@ from faultnet.oracles import (
     is_flex_feasible,
     violated_cuts_flex_aug,
 )
-from oracle_utils import assert_solve_matches_reference, highs_lp, random_lp, safety, two_phase_lp
+from oracle_utils import (
+    assert_solve_matches_reference,
+    highs_lp,
+    random_lp,
+    safety,
+    stage_cuts,
+    two_phase_lp,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -156,7 +163,8 @@ def cut_cases(count: int = 80) -> list:
                 "families": [
                     _attempt(
                         lambda spec=spec: [
-                            _family(fam, n) for fam in _stage_families(g, F, plan, spec)
+                            _family(fam, n)
+                            for fam in _stage_families(g, F, plan, spec, stage_cuts(g, F, plan, spec))
                         ]
                     )
                     for spec in plan.stages

@@ -110,6 +110,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             FaultGraph(3, [(0, 1, 1.0, "sorta")])
 
+    @pytest.mark.parametrize("label", ["S", "U"])
+    def test_one_letter_safety_label_rejected(self, label):
+        # Only "safe", "unsafe" or a bool name an edge's safety, as in
+        # instance files.
+        with pytest.raises(ValueError) as info:
+            FaultGraph(2, [(0, 1, 1.0, label)])
+        assert str(info.value) == f"unknown safety label {label!r}"
+
     def test_safety_partition_total(self):
         g = four_cycle()
         assert g.safe_ids | unsafe_ids(g) == g.all_edge_ids()

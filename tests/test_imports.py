@@ -15,7 +15,10 @@ No linter ships with the project, so these walk each module's syntax tree:
 - every module-level ``functools.cache`` or ``lru_cache`` decorator sets
   an integer ``maxsize``, or its function is in ``UNBOUNDED_CACHES``, whose
   keys are bounded by ``MAX_SWEEP_N``;
-- no module imports or reads a name that ``BANNED_NAMES`` keeps out of it.
+- no module imports or reads a name that ``BANNED_NAMES`` keeps out of it;
+- no function of the package has a parameter that takes a ``Boundary`` or
+  None: a kernel helper takes the Boundary its caller owns, and never
+  builds one of its own.
 """
 
 import ast
@@ -259,6 +262,10 @@ BANNED_NAMES = {
         "expand_rsndp_to_bulk": "the search reads relative requirements as cut "
         "classes and lists no failure set",
     },
+    "lp.py": {
+        "expand_rsndp_to_bulk": "a relative LP must relax the cut classes, not "
+        "the failure-set expansion",
+    },
 }
 
 
@@ -286,3 +293,68 @@ def test_checker_sees_a_banned_name():
 def test_banned_names_stay_out(name):
     path = Path(faultnet.__file__).parent / name
     assert set(BANNED_NAMES[name]) & reached_names(path.read_text(encoding="utf-8")) == set()
+
+
+def union_parts(node) -> set:
+    """The names that an annotation joins with ``|``, ``Optional`` or
+    ``Union``, "None" for None: {"Boundary", "None"} for ``Boundary |
+    None``.  A dotted name counts by its last part, a string annotation by
+    what it parses to, and a subscript other than those two by its base."""
+    if node is None:
+        return set()
+    if isinstance(node, ast.Constant):
+        if isinstance(node.value, str):
+            return union_parts(ast.parse(node.value, mode="eval").body)
+        return {"None"} if node.value is None else set()
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.BitOr):
+        return union_parts(node.left) | union_parts(node.right)
+    if isinstance(node, ast.Subscript):
+        base = union_parts(node.value)
+        if base & {"Optional", "Union"}:
+            args = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+            parts = set().union(*(union_parts(arg) for arg in args))
+            return parts | {"None"} if "Optional" in base else parts
+        return base
+    return set(_names(node)[:1])
+
+
+def optional_boundaries(source: str) -> list[str]:
+    """``function(parameter)`` for each parameter of a function of the
+    module, nested ones too, that takes a ``Boundary`` or None: annotated
+    as a union of the two, or as a Boundary with a None default."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+        for arg, default in zip(positional + args.kwonlyargs, defaults + args.kw_defaults):
+            parts = union_parts(arg.annotation)
+            if isinstance(default, ast.Constant) and default.value is None:
+                parts.add("None")
+            if {"Boundary", "None"} <= parts:
+                found.append(f"{node.name}({arg.arg})")
+    return found
+
+
+def test_checker_sees_an_optional_boundary():
+    source = (
+        "def a(g, counts: Boundary | None = None):\n    pass\n\n"
+        "def b(g, counts: 'Optional[cuts.Boundary]'):\n    pass\n\n"
+        "def c(g, /, counts: Boundary = None):\n    pass\n\n"
+        "def d(g, *, whole: None | Boundary):\n    pass\n\n"
+        "def e(counts: Boundary, n: int | None = None,\n"
+        "      violating: Callable[[frozenset, Boundary | None], list] = None):\n    pass\n\n"
+        "def f(g):\n"
+        "    def inner(H, counts: Union[Boundary, None] = None):\n        pass\n"
+        "    return inner\n"
+    )
+    assert sorted(optional_boundaries(source)) == [
+        "a(counts)", "b(counts)", "c(counts)", "d(whole)", "inner(counts)"
+    ]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda path: path.name)
+def test_no_optional_boundary_parameters(path):
+    assert optional_boundaries(path.read_text(encoding="utf-8")) == []
