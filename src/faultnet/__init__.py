@@ -6,7 +6,7 @@ from .bulk import (
     solve_flex_sndp,
     solve_rsndp,
 )
-from .cover import check_uncrossable, primal_dual_cover, ring_cover_exact
+from .cover import primal_dual_cover, ring_cover_exact
 from .exact import exact_solve
 from .flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
 from .flow import Flow, flow_decompose, min_cost_flow
@@ -51,7 +51,6 @@ __all__ = [
     "expand_rsndp_to_bulk",
     "primal_dual_cover",
     "ring_cover_exact",
-    "check_uncrossable",
     "solve_fgc",
     "solve_flex_st",
     "solve_flex_st_22",

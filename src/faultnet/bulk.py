@@ -48,7 +48,7 @@ packed cut kernel.  F cuts a pair in H when a cut that separates the pair is
 a zero cut of H - F, one that F cuts off in H
 (:meth:`faultnet.cuts.Boundary.cut_off`).  Those cuts are the dead cuts of
 (F, pair), and a fundamental cycle C reconnects the pair exactly when the
-edges of C - F cross every dead cut.  The level oracle and the
+edges of C - F cross every dead cut.  The level oracles and the
 precondition on H_prev are the kernel's, in :mod:`faultnet.oracles`; only
 the bulk check of record uses union-find.  No level lists
 sub-failures: once H survives every smaller one, a violating F of a level
@@ -61,17 +61,16 @@ The flexible and relative drivers reduce to the level step
 requirements into a scenario list.  The flexible driver seeds with
 :func:`faultnet.flexalg.flex_base` at the (p_i, 0) level and activates
 pairs round by round, honoring heterogeneous (p_i, q_i) requirements;
-each round's oracle reads the violating sets off the H-boundaries of the
-kernel's tight cuts (``_flex_violating_sets``), and ``is_flex_feasible``
-on the answer is its check of record.  The relative driver buys tree
-paths for the pairs that G connects, and level L's oracle
+each round's oracle (:func:`faultnet.oracles._flex_violations`) reads
+the violating sets off the H-boundaries of the kernel's tight cuts, and
+``is_flex_feasible`` on the answer is its check of record.  The relative
+driver buys tree paths for the pairs that G connects, and level L's oracle
 (:func:`faultnet.oracles._relative_violations`) keeps the H-boundaries
 F of cuts with exactly L edges of H whose pair G - F still connects;
 ``is_rsndp_feasible`` on the answer, also on cuts, is its check of record.
 Neither checks a precondition: each level's closing check gives the next
-level its own.  One decoder (:func:`faultnet.oracles._cut_boundaries`)
-turns the cuts of a bulk or relative level and of a flexible round into
-edge sets.
+level its own.  This module turns no requirement into cuts and decodes
+no cut set: :mod:`faultnet.oracles` does both.
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from random import Random
 from typing import Callable, Iterable, Sequence
 
 from . import trace
-from .cuts import Boundary, separating
+from .cuts import Boundary
 from .errors import (
     Disconnected,
     InfeasibleAugmentation,
@@ -97,7 +96,7 @@ from .oracles import (
     FlexRequirement,
     RelativeRequirement,
     _check_prior_levels,
-    _cut_boundaries,
+    _flex_violations,
     _relative_violations,
     _violations_of_level,
     is_bulk_feasible,
@@ -488,28 +487,6 @@ def solve_bulk_sndp(
 
 # -- flexible and relative drivers ---------------------------------------------------
 
-def _flex_violating_sets(
-    g: FaultGraph,
-    H: frozenset,
-    reqs: Sequence[FlexRequirement],
-    round_index: int,
-    bound: Boundary,
-) -> list[tuple[frozenset, tuple[int, int]]]:
-    """Minimal violating (F, pair) sets for the round's active pairs;
-    ``bound`` is H's Boundary.
-
-    With H feasible at (p_i, round-1), a minimal violating F for pair i is,
-    by Menger, exactly the H-boundary of an s-t cut with p_i + round - 1
-    edges of H, fewer than p_i of them safe: a tight cut of the kernel.
-    """
-    tight = [
-        ((r.s, r.t), separating(g.n, r.s, r.t) & bound.tight(r.p, round_index))
-        for r in reqs
-        if r.q >= round_index
-    ]
-    return _cut_boundaries(g, H, tight)
-
-
 def solve_flex_sndp(
     g: FaultGraph,
     reqs: Sequence[FlexRequirement],
@@ -518,10 +495,10 @@ def solve_flex_sndp(
     """Heterogeneous flexible SNDP: ``flex_base`` at (p_i, 0), then one
     cut-cover round per unsafe-failure level with per-pair activation.
 
-    Each round closes on ``_flex_violating_sets``, whose answer is right
-    for an H that is (p_i, round - 1)-feasible: the base for round 1, the
-    previous round's output after.  ``is_flex_feasible`` on the answer is
-    the check of record."""
+    Each round closes on ``_flex_violations`` at that round, whose answer
+    is right for an H that is (p_i, round - 1)-feasible: the base for
+    round 1, the previous round's output after.  ``is_flex_feasible`` on
+    the answer is the check of record."""
     reqs = tuple(reqs)
     ok, witness = is_flex_feasible(g, reqs, g.all_edge_ids())
     if not ok:
@@ -530,16 +507,7 @@ def solve_flex_sndp(
     for round_index in range(1, max(r.q for r in reqs) + 1):
         active = [(r.s, r.t) for r in reqs if r.q >= round_index]
         H = _best_of_trees(
-            g,
-            H,
-            active,
-            # The default binds this round: a late-binding closure would read
-            # the round the loop is at when it is called.
-            lambda H_work, counts, round_index=round_index: _flex_violating_sets(
-                g, H_work, reqs, round_index, counts
-            ),
-            round_index,
-            seed,
+            g, H, active, _flex_violations(g, reqs, round_index), round_index, seed
         )
     ok, witness = is_flex_feasible(g, reqs, H)
     if not ok:

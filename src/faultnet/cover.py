@@ -8,9 +8,8 @@ Two engines back every augmentation step in the package:
 * :func:`ring_cover_exact` - exact minimum-cost cover for ring families
   (closure-verified), via branch and bound with an LP bound at the root.
 
-Plus :func:`ecsndp_base`, the primal-dual (p_i, 0) base that the flexible
-solvers use above the exact search budget, :func:`check_uncrossable`, the
-enumerating property checker used by the structure tests, and
+Plus :func:`ecsndp_base`, the primal-dual (p_i, 0) base on cut classes
+that the flexible solvers use above the exact search budget, and
 :func:`exact_cover`, the shared exact set-cover search.
 
 A :class:`CutFamily` is one kernel cut set (see :mod:`faultnet.cuts`),
@@ -32,9 +31,9 @@ from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence
 
 from . import trace
-from .cuts import Boundary, all_cuts, crossed, masks, predicate, separating, side
+from .cuts import Boundary, all_cuts, crossed, layout_of, masks, predicate, side
 from .errors import NotRingFamily, Uncoverable
-from .graph import FaultGraph, VertexCut, boundary, guard_sweep
+from .graph import FaultGraph, VertexCut, boundary
 from .simplex import SimplexStatus, solve_dense_lp
 
 
@@ -214,24 +213,24 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     return CoverResult(frozenset(kept), dual / den, tuple(steps))
 
 
-def ecsndp_base(g: FaultGraph, reqs) -> frozenset:
-    """Levelwise primal-dual base for p_i-edge-connectivity between each
-    requirement's pair (s, t), used when the exact search budget is exceeded.
+def ecsndp_base(g: FaultGraph, classes: Mapping[tuple[int, int], int]) -> frozenset:
+    """Levelwise primal-dual base for the (p, 0) ``classes`` of
+    :func:`faultnet.oracles.cut_classes`, used when the exact search budget
+    is exceeded.
 
-    Level k covers the cuts that separate a pair with p_i >= k and carry
-    exactly k-1 chosen edges, an uncrossable family.
+    Level k covers the cuts of the classes with p >= k that carry exactly
+    k-1 chosen edges; for flex pairs, an uncrossable family.
     """
     F: frozenset = frozenset()
-    for k in range(1, max(r.p for r in reqs) + 1):
+    for k in range(1, max(p for p, _q in classes) + 1):
         scope = 0
-        for r in reqs:
-            if r.p >= k:
-                scope |= separating(g.n, r.s, r.t)
-        counts = Boundary(g, F)
-        level = scope & counts.exactly(counts.total, k - 1)
+        for (p, _q), cuts in classes.items():
+            if p >= k:
+                scope |= cuts
+        lay, total = layout_of(g), Boundary(g, F).total
         fam = CutFamily(
             graph=g,
-            cuts=level,
+            cuts=lay.compact(scope & lay.exactly(total, k - 1)),
             ground=g.all_edge_ids() - F,
             label=f"ecsndp level {k}",
         )
@@ -383,30 +382,3 @@ def _covering_lp_bound(rows: Sequence[frozenset], costs: Mapping[int, float]) ->
     if status is not SimplexStatus.OPTIMAL:
         raise Uncoverable("covering LP infeasible")
     return objective
-
-
-# -- uncrossability -----------------------------------------------------------
-
-def uncross_pair_ok(membership: Callable[[int], bool], a: int, b: int) -> bool:
-    """The defining disjunction for one member pair: both corner sets stay
-    in the family under (intersection, union) or under both differences."""
-    return (membership(a & b) and membership(a | b)) or (
-        membership(a & ~b) and membership(b & ~a)
-    )
-
-
-def check_uncrossable(fam: CutFamily) -> tuple[bool, tuple[VertexCut, VertexCut] | None]:
-    """Enumerate member pairs over the full cut domain and test uncrossing.
-
-    The domain is every nonempty proper subset of the vertices, so a family
-    without a ``side`` has both orientations of each member examined,
-    exactly as the raw definition reads.  Returns the first violating (A, B) if any.
-    """
-    n = fam.graph.n
-    guard_sweep(n)
-    members = [m for m in range(1, (1 << n) - 1) if fam.contains(m)]
-    for i, a in enumerate(members):
-        for b in members[i + 1 :]:
-            if not uncross_pair_ok(fam.contains, a, b):
-                return False, (VertexCut(n, a), VertexCut(n, b))
-    return True, None

@@ -6,13 +6,13 @@ all still undecided edges) and admissible remaining-cost bounds.  Every
 fault model is a cut condition here, tested on the packed cut kernel: the
 boundary counts of an edge set over every cut are packed ints, changed by
 one big-int add or subtract per edge, and every test and cut set stays in
-the kernel's guard-bit form.  A flex (p, q) class fails on a cut that
-separates one of its pairs and has fewer than p safe and fewer than p+q
-edges.  A bulk scenario fails on a cut that separates one of its pairs when
-every edge crossing it is one the scenario fails: a cut its failure set
-cuts off (:meth:`faultnet.cuts.Boundary.cut_off`).  Relative requirements
-are (k, 0) classes on cuts that G alone fixes (:func:`_relative_scopes`),
-so a relative search lists no failure set and runs as a flex one.
+the kernel's guard-bit form.  A (p, q) class of
+:func:`faultnet.oracles.cut_classes` fails on a cut of its guard set that
+has fewer than p safe and fewer than p+q edges; relative requirements are
+(k, 0) classes there too, so a relative search lists no failure set.  A
+bulk scenario fails on a cut that separates one of its pairs when every
+edge crossing it is one the scenario fails: a cut its failure set cuts off
+(:meth:`faultnet.cuts.Boundary.cut_off`).
 
 The search is one recursive kernel.  The chosen set's packed total and safe
 counts go down the recursion as arguments, so a child's are its parent's
@@ -143,16 +143,14 @@ suite, so it favors simplicity over cleverness everywhere the budget allows.
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import reduce
 from math import inf
-from operator import and_
 from typing import Iterable
 
 from . import trace
 from .cuts import crossing_table, layout_of
 from .errors import BudgetExceeded, InfeasibleInstance
 from .graph import FaultGraph, env_budget
-from .oracles import Problem, RelativeRequirement, _cut_boundaries
+from .oracles import Problem, cut_classes
 
 COST_EPS = 1e-12
 _NO_FAIL: frozenset = frozenset()
@@ -166,82 +164,16 @@ def exact_budget() -> int:
     return env_budget("FAULTNET_EXACT_BUDGET", 30)
 
 
-def _relative_scopes(g: FaultGraph, reqs: Iterable[RelativeRequirement]) -> dict:
-    """The relative requirements as (k, 0) classes: {(k, 0): guard set}.
-
-    H fails (s, t, r) exactly when some F of fewer than r edges leaves s and
-    t connected in G but not in H.  Then F holds δ_H(S) for a scope cut S
-    (a cut that separates s and t), and F = δ_H(S) fails H too, so by
-    Menger's theorem H fails exactly when a scope cut has |δ_H(S)| < r and
-    δ_H(S) holds no s-t cut-set of G.  Such a cut-set has fewer than r
-    edges, so it holds the G-boundary of a *light* scope cut, one that G
-    crosses fewer than r times, and then a *minimal* light cut-set D: a
-    light boundary δ_G(S') that holds no other.  Say D *covers* S when
-    every edge of D crosses S.  Then H is feasible exactly when it holds
-    every edge of each minimal D and crosses each scope cut that no D
-    covers at least r times:
-
-    - if so, a scope cut S with |δ_H(S)| < r is covered by some D, which
-      then lies in δ_H(S), so G - δ_H(S) does not connect s and t either;
-    - H must hold each D: for e in D, D - e holds no light boundary, so
-      G - (D - e) connects s and t, and H, which crosses S' only on edges
-      of D, must cross it through e;
-    - H must cross an uncovered scope cut S at least r times: else G -
-      δ_H(S) still connects s and t, since a light boundary in δ_H(S) ⊆
-      δ_G(S), and some D in it, would cover S.
-
-    So a pair gives a (k, 0) class on the cuts whose G-boundary is a
-    minimal D of k edges, and an (r, 0) class on its uncovered scope cuts,
-    for its largest r (a smaller r asks less).  A pair that G does not
-    connect gives nothing: ∅ is a light boundary that covers every cut.
-    The classes are grouped by k and listed from the highest k down, each
-    with only the cuts that no higher-k class holds, since a cut's count
-    that meets k meets every lower one.  G meets every class.
-    """
-    lay = layout_of(g)
-    cross, _safe = crossing_table(g)
-    whole = sum(cross)
-    crossed = lay.at_least(whole, 1)
-    largest: dict[tuple[int, int], int] = {}
-    for req in reqs:
-        pair = (min(req.s, req.t), max(req.s, req.t))
-        largest[pair] = max(largest.get(pair, 0), req.r)
-    by_k: dict[int, int] = {}
-    for pair, r in largest.items():
-        scope = lay.scope([pair])
-        if scope & ~crossed:
-            continue
-        light = scope & ~lay.at_least(whole, r)
-        boundaries = {F for F, _ in _cut_boundaries(g, g.all_edge_ids(), [(pair, lay.compact(light))])}
-        minimal: list[frozenset] = []
-        covered = 0
-        for cut_set in sorted(boundaries, key=len):
-            if any(kept <= cut_set for kept in minimal):
-                continue
-            minimal.append(cut_set)
-            cover = reduce(and_, (cross[eid] for eid in cut_set)) << (lay.width - 1)
-            covered |= cover
-            k = len(cut_set)
-            by_k[k] = by_k.get(k, 0) | (light & cover & lay.exactly(whole, k))
-        by_k[r] = by_k.get(r, 0) | (scope & ~covered)
-    scopes, held = {}, 0
-    for k in sorted(by_k, reverse=True):
-        if by_k[k] & ~held:
-            scopes[k, 0] = by_k[k] & ~held
-            held |= by_k[k]
-    return scopes
-
-
 class _Checker:
     """Feasibility of an edge set over every cut, for any fault model.
 
     The set is given by its packed ``total`` and ``safe`` boundary counts
     and by ``inside``, where ``inside[eid]`` is 1 while it holds edge eid.
-    Flex requirements are grouped into (p, q) classes, relative ones into
-    (k, 0) classes (:func:`_relative_scopes`), and scenarios keep their
-    failure sets; each constrains a set of cuts, its scope, kept as a guard
-    set: for a flex class or a scenario, the cuts that separate one of its
-    pairs.  A class holds the offsets of its two thresholds.  A scenario
+    The classes are the problem's :func:`faultnet.oracles.cut_classes`,
+    and scenarios keep their failure sets; each constrains a set of cuts,
+    its scope, kept as a guard set: for a flex class or a scenario, the
+    cuts that separate one of its pairs.  A class holds the offsets of its
+    two thresholds.  A scenario
     fails on a cut in scope that its failure set cuts off
     (:meth:`Boundary.cut_off`): nothing crossing the cut survives.  A
     scenario also holds its failed edges, each with its packed crossing
@@ -252,16 +184,9 @@ class _Checker:
         lay = layout_of(g)
         cross, _safe = crossing_table(g)
         self.nonzero = lay.nonzero
-        pairs: dict[tuple[int, int], list] = {}
-        for r in problem.flex:
-            pairs.setdefault((r.p, r.q), []).append((r.s, r.t))
-        scopes = (
-            _relative_scopes(g, problem.relative)
-            if problem.kind == "rsndp"
-            else {pq: lay.scope(pairs[pq]) for pq in sorted(pairs)}
-        )
         self.classes = [
-            (scope, (p, q), lay.offset(p), lay.offset(p + q)) for (p, q), scope in scopes.items()
+            (scope, (p, q), lay.offset(p), lay.offset(p + q))
+            for (p, q), scope in cut_classes(g, problem).items()
         ]
         self.scenarios = [
             (lay.scope(sc.pairs), sc.fail, tuple((eid, cross[eid]) for eid in sc.fail))

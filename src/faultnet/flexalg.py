@@ -33,7 +33,7 @@ from .errors import (
 from .exact import exact_budget, exact_solve
 from .flow import flow_decompose, min_cost_flow
 from .graph import FaultGraph, boundary
-from .oracles import FlexRequirement, Problem, fgc_requirements, is_flex_feasible
+from .oracles import FlexRequirement, Problem, cut_classes, fgc_requirements, is_flex_feasible
 
 
 @dataclass(frozen=True)
@@ -231,13 +231,15 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozense
 def flex_base(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> frozenset:
     """A (p_i, 0) base for the flexible solvers: the exact optimum when the
     edge count is within ``exact_budget()``, otherwise ``ecsndp_base``, the
-    level-by-level primal-dual of Goemans et al. (SODA 1994)."""
+    level-by-level primal-dual of Goemans et al. (SODA 1994), on the
+    problem's ``cut_classes``."""
+    problem = Problem("flex", flex=tuple(reqs))
     if g.m <= exact_budget():
         trace.count("flexalg.exact_bases")
-        F, _cost = exact_solve(g, Problem("flex", flex=tuple(reqs)))
+        F, _cost = exact_solve(g, problem)
         return F
     trace.count("flexalg.ecsndp_bases")
-    return ecsndp_base(g, reqs)
+    return ecsndp_base(g, cut_classes(g, problem))
 
 
 # -- spanning solver -----------------------------------------------------------

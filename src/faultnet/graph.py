@@ -95,8 +95,6 @@ class EdgeRec:
 
 
 def _as_safe_flag(safety) -> bool:
-    if isinstance(safety, bool):
-        return safety
     if safety == SAFE:
         return True
     if safety == UNSAFE:
@@ -107,7 +105,8 @@ def _as_safe_flag(safety) -> bool:
 class FaultGraph:
     """Immutable undirected multigraph with safe/unsafe edge labels.
 
-    Edges are given as ``(u, v, cost, safety)`` tuples and receive dense ids
+    Edges are given as ``(u, v, cost, safety)`` tuples, with safety
+    ``"safe"`` or ``"unsafe"`` as in instance files, and receive dense ids
     ``0..m-1`` in input order.  Self-loops are rejected (they break cut
     semantics); parallel edges are allowed and common.  ``costs[eid]`` is
     edge eid's cost, in a tuple built with the edges.

@@ -65,7 +65,6 @@ class InstanceFile:
     n: int
     edge_specs: tuple[tuple[int, int, float, str], ...]
     problem: Problem
-    version: int = FORMAT_VERSION
     _graph: FaultGraph | None = field(default=None, init=False, repr=False, compare=False)
 
     def to_graph(self) -> FaultGraph:
@@ -75,7 +74,7 @@ class InstanceFile:
 
 
 def serialize(inst: InstanceFile) -> str:
-    lines = [f"{FORMAT_NAME} {inst.version}"]
+    lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     lines.append(f"vertices {inst.n}")
     lines.append(f"edges {len(inst.edge_specs)}")
     for eid, (u, v, cost, safety) in enumerate(inst.edge_specs):

@@ -1,4 +1,9 @@
-"""Ground-truth feasibility oracles and violated-structure enumerators.
+"""Ground-truth feasibility oracles, and the one place requirements become
+cuts: :func:`cut_classes`, which the exact search tests and
+``cover.ecsndp_base`` covers, and the drivers' three level oracles, bulk
+(``_violations_of_level``), relative (``_relative_violations``) and
+flexible (``_flex_violations``), each a factory of ``violations(H,
+counts)`` that decodes cuts into edge sets with ``_cut_boundaries``.
 
 Three fault models share the same verification style: exhaustively sweep the
 relevant failure/cut space and either certify feasibility or return a
@@ -6,22 +11,15 @@ constructive witness; every algorithm in the package is validated against
 them.  ``is_flex_feasible`` and ``violated_cuts_flex_aug`` sweep every cut
 at once on the packed cut kernel (``faultnet.cuts``), and
 ``expand_rsndp_to_bulk`` asks it which cuts each failure set cuts off
-(``Boundary.cut_off``).  So do the bulk level oracle
-(``_violations_of_level``, which ``violating_edge_sets_bulk`` asks) and
-its precondition (``_check_prior_levels``), once per scenario: they list
-no sub-failure, but read each violating set off the H-boundary of a cut
-(``_cut_boundaries``).  The relative level oracle
-(``_relative_violations``) reads its violating sets off the same
-H-boundaries with no scenario list, and asks ``cut_off`` on G once per
-set, and so does the check of record ``is_rsndp_feasible``; the exact
-search reads relative requirements as cut classes, so the relative
-expansion serves only the tests.  The bulk check of record
-``is_bulk_feasible`` tests connectivity by union-find, one failure set at
-a time.  The relative expansion is the only one left: no
-driver lists the scenarios of the flex-to-bulk reduction.  Every
-failure-set enumeration here that no input lists comes from
-:func:`faultnet.graph.failure_sets`, which checks it against the
-enumeration budget first.
+(``Boundary.cut_off``).  So do the bulk level oracle and its
+precondition (``_check_prior_levels``), once per scenario and listing no
+sub-failure, and the relative level oracle and the check of record
+``is_rsndp_feasible``, on G once per light H-boundary.  The bulk check
+of record ``is_bulk_feasible`` tests connectivity by union-find, one
+failure set at a time.  No driver or search lists failure sets, so the
+relative expansion serves only the tests.  Every failure-set enumeration
+here that no input lists comes from :func:`faultnet.graph.failure_sets`,
+which checks it against the enumeration budget first.
 
 Key equivalence used throughout (Menger): a pair (s, t) is (p, q)-flex-
 connected in H iff every s-t cut has at least p safe edges or at least p+q
@@ -32,12 +30,13 @@ construct the failing edge set B from a violating cut when asked.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, lru_cache, reduce
+from operator import and_
 from typing import Callable, Iterable, Sequence
 
 from . import trace
 from .cover import CutFamily
-from .cuts import Boundary, first_mask, layout_of, masks, separating
+from .cuts import Boundary, crossing_table, first_mask, layout_of, masks, separating
 from .errors import BaseNotFeasible, PriorLevelNotSatisfied
 from .graph import (
     FaultGraph,
@@ -150,6 +149,87 @@ def check_problem_feasible(g: FaultGraph, problem: Problem, H: Iterable[int]):
     if problem.kind == "bulk":
         return is_bulk_feasible(g, problem.scenarios, H)
     return is_rsndp_feasible(g, problem.relative, H)
+
+
+# -- cut classes --------------------------------------------------------------
+
+def cut_classes(g: FaultGraph, problem: Problem) -> dict[tuple[int, int], int]:
+    """The problem's cut classes, {(p, q): guard set}: a class fails on a
+    cut of its set with fewer than p safe and fewer than p + q edges.  Flex
+    pairs give one class per (p, q), in sorted order, on the cuts that
+    separate one of the class's pairs; relative ones the (k, 0) classes of
+    :func:`_relative_classes`; bulk scenarios none."""
+    if problem.kind == "rsndp":
+        return _relative_classes(g, problem.relative)
+    lay, reqs = layout_of(g), problem.flex
+    pqs = sorted({(r.p, r.q) for r in reqs})
+    return {pq: lay.scope((r.s, r.t) for r in reqs if (r.p, r.q) == pq) for pq in pqs}
+
+
+def _relative_classes(g: FaultGraph, reqs: Iterable[RelativeRequirement]) -> dict:
+    """The relative requirements as (k, 0) classes: {(k, 0): guard set}.
+
+    H fails (s, t, r) exactly when some F of fewer than r edges leaves s and
+    t connected in G but not in H.  Then F holds δ_H(S) for a scope cut S
+    (a cut that separates s and t), and F = δ_H(S) fails H too, so by
+    Menger's theorem H fails exactly when a scope cut has |δ_H(S)| < r and
+    δ_H(S) holds no s-t cut-set of G.  Such a cut-set has fewer than r
+    edges, so it holds the G-boundary of a *light* scope cut, one that G
+    crosses fewer than r times, and then a *minimal* light cut-set D: a
+    light boundary δ_G(S') that holds no other.  Say D *covers* S when
+    every edge of D crosses S.  Then H is feasible exactly when it holds
+    every edge of each minimal D and crosses each scope cut that no D
+    covers at least r times:
+
+    - if so, a scope cut S with |δ_H(S)| < r is covered by some D, which
+      then lies in δ_H(S), so G - δ_H(S) does not connect s and t either;
+    - H must hold each D: for e in D, D - e holds no light boundary, so
+      G - (D - e) connects s and t, and H, which crosses S' only on edges
+      of D, must cross it through e;
+    - H must cross an uncovered scope cut S at least r times: else G -
+      δ_H(S) still connects s and t, since a light boundary in δ_H(S) ⊆
+      δ_G(S), and some D in it, would cover S.
+
+    So a pair gives a (k, 0) class on the cuts whose G-boundary is a
+    minimal D of k edges, and an (r, 0) class on its uncovered scope cuts,
+    for its largest r (a smaller r asks less).  A pair that G does not
+    connect gives nothing: ∅ is a light boundary that covers every cut.
+    The classes are grouped by k and listed from the highest k down, each
+    with only the cuts that no higher-k class holds, since a cut's count
+    that meets k meets every lower one.  G meets every class.
+    """
+    lay = layout_of(g)
+    cross, _safe = crossing_table(g)
+    whole = sum(cross)
+    crossed = lay.at_least(whole, 1)
+    largest: dict[tuple[int, int], int] = {}
+    for req in reqs:
+        pair = (min(req.s, req.t), max(req.s, req.t))
+        largest[pair] = max(largest.get(pair, 0), req.r)
+    by_k: dict[int, int] = {}
+    for pair, r in largest.items():
+        scope = lay.scope([pair])
+        if scope & ~crossed:
+            continue
+        light = scope & ~lay.at_least(whole, r)
+        boundaries = {F for F, _ in _cut_boundaries(g, g.all_edge_ids(), [(pair, lay.compact(light))])}
+        minimal: list[frozenset] = []
+        covered = 0
+        for cut_set in sorted(boundaries, key=len):
+            if any(kept <= cut_set for kept in minimal):
+                continue
+            minimal.append(cut_set)
+            cover = reduce(and_, (cross[eid] for eid in cut_set)) << (lay.width - 1)
+            covered |= cover
+            k = len(cut_set)
+            by_k[k] = by_k.get(k, 0) | (light & cover & lay.exactly(whole, k))
+        by_k[r] = by_k.get(r, 0) | (scope & ~covered)
+    scopes, held = {}, 0
+    for k in sorted(by_k, reverse=True):
+        if by_k[k] & ~held:
+            scopes[k, 0] = by_k[k] & ~held
+            held |= by_k[k]
+    return scopes
 
 
 # -- witnesses ---------------------------------------------------------------
@@ -413,6 +493,26 @@ def _relative_violations(
             for F, pair in _cut_boundaries(g, H, cuts_of)
             if not cut_off(F) & scope_of[pair]
         ]
+
+    return violations
+
+
+def _flex_violations(
+    g: FaultGraph, reqs: Sequence[FlexRequirement], round_index: int
+) -> Callable[[frozenset, Boundary], list[tuple[frozenset, tuple[int, int]]]]:
+    """The flexible round oracle: the minimal violating (F, pair) sets of
+    the round's active pairs, each keyed (s, t) as given, as a function of
+    H and H's Boundary.
+
+    With H feasible at (p_i, round-1), a minimal violating F for pair i is,
+    by Menger, exactly the H-boundary of an s-t cut with p_i + round - 1
+    edges of H, fewer than p_i of them safe: a tight cut of the kernel.
+    """
+    active = [((r.s, r.t), r.p, separating(g.n, r.s, r.t)) for r in reqs if r.q >= round_index]
+
+    def violations(H: frozenset, counts: Boundary) -> list[tuple[frozenset, tuple[int, int]]]:
+        tight = [(pair, cuts & counts.tight(p, round_index)) for pair, p, cuts in active]
+        return _cut_boundaries(g, H, tight)
 
     return violations
 

@@ -25,7 +25,12 @@ oracle.  ``row_at_a_time_pivot`` is the elimination that the dual simplex's
 pivot claims to match bit for bit, and ``two_phase_lp`` pivots with it;
 ``numpy_basic_x`` is the numpy form of ``DualReoptimizer.x``, kept as its
 bitwise reference.  The last section keeps the package members that only
-tests called, with the same behaviour: ``expand_flex_to_bulk`` lists the
+tests called, with the same behaviour: ``check_uncrossable`` tests a
+family for uncrossability pair by pair over the whole cut domain, with
+``uncross_pair_ok`` the definition for one pair, and
+``per_requirement_ecsndp_base`` is the fallback (p_i, 0) base as it
+scoped each level from the requirements, the reference for
+``cover.ecsndp_base`` on cut classes.  ``expand_flex_to_bulk`` lists the
 scenarios of the flex-to-bulk reduction that ``solve_flex_sndp`` carries
 out without listing any, ``solve_lp`` adds a model's rows at once to a
 fresh dual simplex, ``degree_repair`` is the exact search's degree-table
@@ -42,14 +47,14 @@ import itertools
 from collections import Counter, deque
 from fractions import Fraction
 from random import Random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from faultnet import bulk, flexalg, simplex
 from faultnet.bulk import HittingInstance
-from faultnet.cover import CoverResult
-from faultnet.cuts import Boundary, crossed, cut_index
+from faultnet.cover import CoverResult, CutFamily, primal_dual_cover
+from faultnet.cuts import Boundary, crossed, cut_index, separating
 from faultnet.errors import (
     InfeasibleAugmentation,
     LpInfeasible,
@@ -67,6 +72,7 @@ from faultnet.graph import (
     VertexCut,
     boundary,
     failure_sets,
+    guard_sweep,
     same_component,
 )
 from faultnet.lp import ROW_TOL, FractionalSolution, LinearProgramModel, LpRow
@@ -951,6 +957,57 @@ def check_augmentation_lp_validity(g: FaultGraph, reqs, x, F1) -> tuple[bool, Ve
 
 
 # -- former package members that only the tests call --------------------------
+
+def uncross_pair_ok(membership: Callable[[int], bool], a: int, b: int) -> bool:
+    """The defining disjunction for one member pair: both corner sets stay
+    in the family under (intersection, union) or under both differences."""
+    return (membership(a & b) and membership(a | b)) or (
+        membership(a & ~b) and membership(b & ~a)
+    )
+
+
+def check_uncrossable(fam: CutFamily) -> tuple[bool, tuple[VertexCut, VertexCut] | None]:
+    """Enumerate member pairs over the full cut domain and test uncrossing.
+
+    The domain is every nonempty proper subset of the vertices, so a family
+    without a ``side`` has both orientations of each member examined,
+    exactly as the raw definition reads.  Returns the first violating (A, B) if any.
+    """
+    n = fam.graph.n
+    guard_sweep(n)
+    members = [m for m in range(1, (1 << n) - 1) if fam.contains(m)]
+    for i, a in enumerate(members):
+        for b in members[i + 1 :]:
+            if not uncross_pair_ok(fam.contains, a, b):
+                return False, (VertexCut(n, a), VertexCut(n, b))
+    return True, None
+
+
+def per_requirement_ecsndp_base(g: FaultGraph, reqs) -> frozenset:
+    """Levelwise primal-dual base for p_i-edge-connectivity between each
+    requirement's pair (s, t), scoped from the requirements at every
+    level: ``cover.ecsndp_base`` as it read before it took cut classes.
+
+    Level k covers the cuts that separate a pair with p_i >= k and carry
+    exactly k-1 chosen edges, an uncrossable family.
+    """
+    F: frozenset = frozenset()
+    for k in range(1, max(r.p for r in reqs) + 1):
+        scope = 0
+        for r in reqs:
+            if r.p >= k:
+                scope |= separating(g.n, r.s, r.t)
+        counts = Boundary(g, F)
+        level = scope & counts.exactly(counts.total, k - 1)
+        fam = CutFamily(
+            graph=g,
+            cuts=level,
+            ground=g.all_edge_ids() - F,
+            label=f"ecsndp level {k}",
+        )
+        F = F | primal_dual_cover(fam).edges
+    return F
+
 
 def safety(e) -> str:
     """The safety label of edge record ``e``."""

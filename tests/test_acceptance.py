@@ -21,13 +21,7 @@ from faultnet.bulk import (
     sample_tree,
     solve_bulk_sndp,
 )
-from faultnet.cover import (
-    check_uncrossable,
-    exact_cover,
-    primal_dual_cover,
-    ring_cover_exact,
-    uncross_pair_ok,
-)
+from faultnet.cover import exact_cover, primal_dual_cover, ring_cover_exact
 from faultnet.cuts import Boundary
 from faultnet.exact import exact_solve
 from faultnet.flexalg import (
@@ -62,10 +56,12 @@ from faultnet.oracles import (
 )
 from oracle_utils import (
     _minimal_violated,
+    check_uncrossable,
     expand_flex_to_bulk,
     random_graph,
     separate_flex_definitional,
     stage_cuts,
+    uncross_pair_ok,
     union_find_violating_edge_sets_bulk,
 )
 

@@ -13,7 +13,6 @@ from faultnet.bulk import (
     TREES,
     HittingInstance,
     _best_of_trees,
-    _flex_violating_sets,
     _tree_seed,
     _violations_of_level,
     augment_bulk,
@@ -42,6 +41,7 @@ from faultnet.oracles import (
     Problem,
     RelativeRequirement,
     _check_prior_levels,
+    _flex_violations,
     expand_rsndp_to_bulk,
     is_bulk_feasible,
     is_flex_feasible,
@@ -567,12 +567,12 @@ class TestFlexSndpDriver:
         solve_flex_sndp(g, reqs, seed=479)
         assert [level for _H, _violating, level in steps] == [1, 2]
         answers = [
-            _flex_violating_sets(g, H_prev, reqs, level, Boundary(g, H_prev))
+            _flex_violations(g, reqs, level)(H_prev, Boundary(g, H_prev))
             for H_prev, _v, level in steps
         ]
         H_first = steps[0][0]
         assert answers[0]
-        assert answers[0] != _flex_violating_sets(g, H_first, reqs, 2, Boundary(g, H_first))
+        assert answers[0] != _flex_violations(g, reqs, 2)(H_first, Boundary(g, H_first))
         for (H_prev, violating, _level), want in zip(steps, answers):
             assert violating(H_prev, Boundary(g, H_prev)) == want
 
@@ -648,7 +648,7 @@ class TestFlexSndpDriver:
             rest = sorted(g.all_edge_ids() - H_prior)
             for extra in range(3):
                 H = H_prior | frozenset(rng.sample(rest, min(extra, len(rest))))
-                got = _flex_violating_sets(g, H, reqs, round_index, Boundary(g, H))
+                got = _flex_violations(g, reqs, round_index)(H, Boundary(g, H))
                 assert got == reference_flex_violating_sets(g, H, reqs, round_index)
 
     def test_appendix_a_needs_half_the_safe_edges(self):
@@ -1191,7 +1191,7 @@ class TestKernelMatchesUnionFind:
                             seen["oracle"] += len(viol)
                         lists.append(viol)
                     for round_index in range(1, max((r.q for r in flex), default=0) + 1):
-                        lists.append(_flex_violating_sets(g, H, flex, round_index, counts))
+                        lists.append(_flex_violations(g, flex, round_index)(H, counts))
                     for viol in lists:
                         got = build_hitting_instance(g, H, tree, viol, counts)
                         assert got == union_find_hitting_instance(g, H, tree, viol)

@@ -8,16 +8,14 @@ from faultnet import cover, trace
 from faultnet.cover import (
     CoverResult,
     CutFamily,
-    check_uncrossable,
     exact_cover,
     primal_dual_cover,
     ring_cover_exact,
-    uncross_pair_ok,
 )
 from faultnet.cuts import all_cuts, cut_index, masks, predicate
 from faultnet.errors import NotRingFamily, Uncoverable
 from faultnet.exact import exact_solve
-from faultnet.flexalg import fgc_plans, make_fgc_plan, _stage_families, solve_fgc
+from faultnet.flexalg import fgc_plans, flex_base, make_fgc_plan, _stage_families, solve_fgc
 from faultnet.graph import FaultGraph, boundary
 from faultnet.instances import (
     figure_1_instance,
@@ -28,15 +26,19 @@ from faultnet.instances import (
 from faultnet.oracles import (
     Problem,
     fgc_requirements,
+    is_flex_feasible,
     violated_cuts_flex_aug,
 )
 from oracle_utils import (
     _minimal_violated,
     boundary_counts,
     brute_set_cover,
+    check_uncrossable,
     list_primal_dual_cover,
     membership_ciq,
+    per_requirement_ecsndp_base,
     stage_cuts,
+    uncross_pair_ok,
 )
 from test_acceptance import FALLBACK_CONFIGS, _fgc_inst, _ratio_shape
 
@@ -511,6 +513,37 @@ class TestListReference:
                         drops += any(step == "drop" for step, _eid in result.trace)
         assert compared >= 50
         assert drops >= 1
+
+    def test_fallback_base_on_mixed_requirements(self):
+        # Flex-sndp instances with (p_i, 0) pairs of mixed p_i, with the
+        # exact search budget at 0 so that flex_base runs cover.ecsndp_base
+        # on the pairs' cut classes.  The base must be the one that scoping
+        # each level from the requirements gives, and (p_i, 0)-feasible.
+        mixed = 0
+        for seed in range(36):
+            rng = Random(seed)
+            n = rng.randint(5, 7)
+            pairs = []
+            while len({p for *_st, p, _q in pairs}) < 2:
+                s, t = rng.sample(range(n), 2)
+                pairs.append([s, t, rng.randint(1, 3), 0])
+            top = max(p for *_st, p, _q in pairs)
+            inst = generate(
+                "random-multigraph",
+                n=n,
+                m=rng.randint(2 * n, 3 * n),
+                seed=seed,
+                params={"problem": "flex-sndp", "p": top, "q": 0, "skeleton": "mixed", "pairs": pairs},
+            )
+            g, reqs = inst.to_graph(), inst.problem.flex
+            with pytest.MonkeyPatch.context() as mp, trace.recording() as counts:
+                mp.setenv("FAULTNET_EXACT_BUDGET", "0")
+                base = flex_base(g, reqs)
+            assert counts["flexalg.ecsndp_bases"] == 1 and counts["flexalg.exact_bases"] == 0
+            assert base == per_requirement_ecsndp_base(g, reqs)
+            assert is_flex_feasible(g, reqs, base)[0]
+            mixed += len({r.p for r in reqs}) > 1
+        assert mixed == 36
 
     def test_every_fallback_base_level(self):
         # The criterion-2 fallback instances, with the exact search budget

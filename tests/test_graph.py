@@ -112,8 +112,16 @@ class TestValidation:
 
     @pytest.mark.parametrize("label", ["S", "U"])
     def test_one_letter_safety_label_rejected(self, label):
-        # Only "safe", "unsafe" or a bool name an edge's safety, as in
-        # instance files.
+        # Only "safe" or "unsafe" name an edge's safety, as in instance
+        # files.
+        with pytest.raises(ValueError) as info:
+            FaultGraph(2, [(0, 1, 1.0, label)])
+        assert str(info.value) == f"unknown safety label {label!r}"
+
+    @pytest.mark.parametrize("label", [True, False])
+    def test_bool_safety_flag_rejected(self, label):
+        # A bool is refused like any other label that is not "safe" or
+        # "unsafe".
         with pytest.raises(ValueError) as info:
             FaultGraph(2, [(0, 1, 1.0, label)])
         assert str(info.value) == f"unknown safety label {label!r}"

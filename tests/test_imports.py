@@ -7,7 +7,9 @@ No linter ships with the project, so these walk each module's syntax tree:
 - every top-level function or class of the package, and every method or
   property of a package class other than a dunder, is referenced somewhere
   in the package other than at its own definition, or is a public name in
-  ``faultnet.__all__``.  Code that only tests call belongs in the tests;
+  ``faultnet.__all__``; a read through a local list, set or dict, such as
+  ``candidates.remove(e)``, does not count.  Code that only tests call
+  belongs in the tests;
 - every backticked dotted name in ``README.md``, such as ``graph.boundary``
   or ``faultnet.cuts``, resolves to a package module or attribute;
 - the counter names that the package passes to ``trace.count`` are the
@@ -54,15 +56,93 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def _names(node, attributes_only: bool = False) -> list[str]:
+def _names(node, attributes_only: bool = False, skip=frozenset()) -> list[str]:
     """Every name that the code under ``node`` reads as an attribute and,
-    unless ``attributes_only``, as a variable."""
+    unless ``attributes_only``, as a variable, leaving out the attribute
+    reads in ``skip``."""
     kinds = ast.Attribute if attributes_only else (ast.Name, ast.Attribute)
     return [
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, kinds)
+        if isinstance(sub, kinds) and sub not in skip
     ]
+
+
+CONTAINERS = {"list", "set", "dict"}
+CONTAINER_CALLS = CONTAINERS | {"sorted", "bytearray"}
+CONTAINER_VALUES = (ast.List, ast.Set, ast.Dict, ast.ListComp, ast.SetComp, ast.DictComp)
+SCOPES = (*FUNCTIONS, ast.Lambda, ast.ClassDef)
+
+
+def _builds_container(value) -> bool:
+    """Is the expression a list, set or dict display, a comprehension, or
+    a ``list``, ``set``, ``dict``, ``sorted`` or ``bytearray`` call?"""
+    if isinstance(value, CONTAINER_VALUES):
+        return True
+    return isinstance(value, ast.Call) and getattr(value.func, "id", None) in CONTAINER_CALLS
+
+
+def _container_annotation(annotation) -> bool:
+    """Is the annotation ``list``, ``set`` or ``dict``, subscripted or not?"""
+    base = annotation.value if isinstance(annotation, ast.Subscript) else annotation
+    return getattr(base, "id", None) in CONTAINERS
+
+
+def _own_nodes(scope):
+    """The nodes of a module's or function's own code: a nested function,
+    lambda or class is among them, but not its body."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def container_reads(scope, outer=frozenset()) -> set:
+    """The attribute reads under ``scope`` whose receiver is a local that
+    every binding makes a list, set or dict: a container it builds
+    (:func:`_builds_container`) or a ``list``, ``set`` or ``dict``
+    annotation.  A name that the scope does not bind keeps the meaning it
+    has in ``outer``, the containers of the enclosing functions; a class
+    body's names do not reach its methods.  Such a read, say
+    ``candidates.remove(e)``, calls the container's method, not a package
+    method of the same name."""
+    nodes = list(_own_nodes(scope))
+    held_at, skipped = set(), set()  # Name nodes bound to a container, and AugAssign targets
+    for node in nodes:
+        if isinstance(node, ast.Assign) and _builds_container(node.value):
+            held_at.update(node.targets)
+        elif isinstance(node, ast.AnnAssign) and (
+            _container_annotation(node.annotation) or _builds_container(node.value)
+        ):
+            held_at.add(node.target)
+        elif isinstance(node, ast.AugAssign):
+            skipped.add(node.target)
+    held, other = set(), set()
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            if node in held_at:
+                held.add(node.id)
+            elif node not in skipped:
+                other.add(node.id)
+        elif isinstance(node, ast.arg):
+            (held if _container_annotation(node.annotation) else other).add(node.arg)
+        elif isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            other.add(node.name)
+    containers = (held | set(outer)) - other
+    found = {
+        node
+        for node in nodes
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in containers
+    }
+    inner = outer if isinstance(scope, ast.ClassDef) else containers
+    for node in nodes:
+        if isinstance(node, SCOPES):
+            found |= container_reads(node, inner)
+    return found
 
 
 def unreferenced(sources: list[str], public) -> list[str]:
@@ -71,18 +151,21 @@ def unreferenced(sources: list[str], public) -> list[str]:
     code outside their own definition names, and that ``public`` does not
     list.  A top-level name counts when read as a variable or as an
     attribute, a method only as an attribute, since a variable of the same
-    name is not a call of it.  Imports are not references."""
+    name is not a call of it.  An attribute read whose receiver is a local
+    list, set or dict (:func:`container_reads`) is not a reference.
+    Imports are not references."""
     top, methods = [], []
     seen, attributes = Counter(), Counter()
     for source in sources:
         tree = ast.parse(source)
-        seen.update(_names(tree))
-        attributes.update(_names(tree, attributes_only=True))
+        skip = container_reads(tree)
+        seen.update(_names(tree, skip=skip))
+        attributes.update(_names(tree, attributes_only=True, skip=skip))
         for stmt in tree.body:
             if not isinstance(stmt, DEFINITIONS):
                 continue
             top.append(stmt.name)
-            seen.subtract(name for name in _names(stmt) if name == stmt.name)
+            seen.subtract(name for name in _names(stmt, skip=skip) if name == stmt.name)
             if isinstance(stmt, ast.ClassDef):
                 for item in stmt.body:
                     if isinstance(item, FUNCTIONS) and not (
@@ -90,7 +173,9 @@ def unreferenced(sources: list[str], public) -> list[str]:
                     ):
                         methods.append(item.name)
                         attributes.subtract(
-                            name for name in _names(item, attributes_only=True) if name == item.name
+                            name
+                            for name in _names(item, attributes_only=True, skip=skip)
+                            if name == item.name
                         )
     orphans = [name for name in top if seen[name] <= 0] + [
         name for name in methods if attributes[name] <= 0
@@ -129,6 +214,53 @@ def test_checker_sees_an_orphan():
     )
     assert unreferenced([lib, user], public={"Public", "run"}) == ["orphan", "lonely", "spare"]
     assert unreferenced([lib, user], public={"Public", "run", "orphan", "lonely", "spare"}) == []
+
+
+def test_checker_ignores_container_methods():
+    # ``Boundary.remove`` and ``Boundary.get`` share their names with
+    # container methods, and every read of them below has a local list, set
+    # or dict as its receiver, so none is a call of them.  ``Boundary.add``
+    # and ``_UnionFind.find`` and ``union`` are called through locals that
+    # hold no container.
+    lib = (
+        "class Boundary:\n"
+        "    def add(self, eid):\n        pass\n\n"
+        "    def remove(self, eid):\n        pass\n\n"
+        "    def get(self, eid):\n        pass\n\n"
+        "class _UnionFind:\n"
+        "    def find(self, x):\n        return x\n\n"
+        "    def union(self, a, b):\n        pass\n"
+    )
+    user = (
+        "from .lib import Boundary, _UnionFind\n\n"
+        "def cover(ground, chosen: set, rows: list[int]):\n"
+        "    candidates = sorted(ground)\n"
+        "    candidates.remove(1)\n"
+        "    chosen.remove(2)\n"
+        "    rows.remove(3)\n"
+        "    kept = [e for e in ground]\n"
+        "    kept.remove(4)\n"
+        "    picks: list = []\n"
+        "    picks.remove(5)\n"
+        "    pool = set()\n"
+        "    pool.remove(6)\n"
+        "    table = {}\n"
+        "    table.get(7)\n"
+        "    marks = bytearray(3)\n"
+        "    marks.remove(0)\n"
+        "    counts = Boundary()\n"
+        "    counts.add(8)\n"
+        "    uf = _UnionFind()\n"
+        "    uf.union(uf.find(9), 10)\n\n"
+        "    def undo():\n"
+        "        candidates.remove(11)\n\n"
+        "    return undo\n"
+    )
+    assert unreferenced([lib, user], public={"cover"}) == ["remove", "get"]
+    # A local bound to something else as well may hold a Boundary: its
+    # ``remove`` read counts.
+    rebound = "def f(g):\n    x = []\n    x = g.boundary()\n    x.remove(1)\n"
+    assert unreferenced([lib, user, rebound], public={"cover", "f"}) == ["get"]
 
 
 def test_package_code_has_a_package_caller():
@@ -257,10 +389,21 @@ def test_module_caches_are_bounded():
 
 # Names kept out of a module, each with why.  A name counts as imported
 # under any alias, and as read through any module attribute.
+DERIVED_IN_ORACLES = "cut sets are derived, and decoded into edge sets, in oracles"
 BANNED_NAMES = {
     "exact.py": {
         "expand_rsndp_to_bulk": "the search reads relative requirements as cut "
         "classes and lists no failure set",
+        "_cut_boundaries": DERIVED_IN_ORACLES,
+        "masks": DERIVED_IN_ORACLES,
+        "boundary": DERIVED_IN_ORACLES,
+        "separating": DERIVED_IN_ORACLES,
+    },
+    "bulk.py": {
+        "_cut_boundaries": DERIVED_IN_ORACLES,
+        "masks": DERIVED_IN_ORACLES,
+        "boundary": DERIVED_IN_ORACLES,
+        "separating": DERIVED_IN_ORACLES,
     },
     "lp.py": {
         "expand_rsndp_to_bulk": "a relative LP must relax the cut classes, not "

@@ -49,7 +49,6 @@ import pytest
 
 from faultnet.bench import guarantee_for
 from faultnet.bulk import solve_bulk_sndp, solve_flex_sndp, solve_rsndp
-from faultnet.cover import check_uncrossable, uncross_pair_ok
 from faultnet.errors import InfeasibleInstance
 from faultnet.exact import exact_solve
 from faultnet.flexalg import solve_fgc, solve_flex_st, solve_flex_st_22
@@ -74,7 +73,7 @@ from faultnet.oracles import (
     is_rsndp_feasible,
     violated_cuts_flex_aug,
 )
-from oracle_utils import brute_rsndp_feasible
+from oracle_utils import brute_rsndp_feasible, check_uncrossable, uncross_pair_ok
 
 SHAPES = {
     "fgc": lambda rng, n: {"problem": "fgc", "p": rng.randint(1, 3), "q": rng.randint(0, 2)},
