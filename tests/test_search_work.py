@@ -6,7 +6,8 @@ runs the seed-1 cell list of both workloads in ``perfbench/workloads.py``,
 sized as ``python3 perfbench/run.py --seed 1 --seconds 5`` sizes it, and
 reads the work that the search reports to :mod:`faultnet.trace`: its
 feasibility tests and packing bounds, its DFS nodes, its bound prunes and
-its dominance skips.
+its dominance skips, and the ``Boundary`` constructions of the whole cell,
+``cuts.boundaries``, so that set-up work shows as a count too.
 Unlike a timing the counts repeat exactly, so a change that makes the
 search do more or less work fails here.  A change that lowers them on
 purpose re-pins them and names each one in its log.
@@ -38,6 +39,9 @@ SEARCH_NODES = {"ratio-sweep": 8620, "bulk-relative": 23242}
 SEARCH_DOMINATED = {"ratio-sweep": 793, "bulk-relative": 590}
 # Nodes whose subtree a bound cut, ``exact.prunes``.
 SEARCH_PRUNES = {"ratio-sweep": 2288, "bulk-relative": 4875}
+# Boundary constructions over the whole list, ``cuts.boundaries``: solves,
+# verifications and baselines alike.
+BOUNDARIES = {"ratio-sweep": 216, "bulk-relative": 1162}
 
 
 @pytest.mark.parametrize("name", list(SEARCH_CALLS))
@@ -51,3 +55,4 @@ def test_seed_1_search_work_is_unchanged(name):
     assert counts["exact.nodes"] == SEARCH_NODES[name]
     assert counts["exact.dominated"] == SEARCH_DOMINATED[name]
     assert counts["exact.prunes"] == SEARCH_PRUNES[name]
+    assert counts["cuts.boundaries"] == BOUNDARIES[name]
