@@ -120,8 +120,8 @@ def run_algorithm(inst: InstanceFile, algorithm: str, seed: int) -> frozenset:
     if algorithm == "fgc":
         if not prob.is_fgc(g.n):
             raise FaultnetError("fgc needs an all-pairs uniform flex problem")
-        p, q = _uniform_pq(inst)
-        return solve_fgc(g, p, q)
+        r = prob.flex[0]  # every pair shares its (p, q)
+        return solve_fgc(g, r.p, r.q)
     if algorithm == "flex-st":
         if prob.kind != "flex" or len(prob.flex) != 1:
             raise FaultnetError("flex-st needs a single flex pair")

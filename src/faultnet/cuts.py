@@ -66,15 +66,23 @@ def _side(n: int, width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# An offset is one int as long as its layout, about 6 MB at n = 24, so a
+# layout keeps at most OFFSETS of them, and only while one fits in
+# OFFSET_BITS bits (n <= 14 at width 6).
+OFFSETS = 16
+OFFSET_BITS = 1 << 16
+
+
 class Layout:
     """Packed per-cut fields of ``width`` bits for an n-vertex graph.
 
     ``side[v]`` is the packed twin of ``side(n)[v]``, ``ones`` has a 1 in
     every field, ``guards`` the guard bit of every field and ``nonzero`` is
-    ``offset(1)``.
+    ``offset(1)``.  A small layout keeps the first offsets it makes (see
+    ``OFFSETS``).
     """
 
-    __slots__ = ("n", "width", "side", "ones", "guards", "nonzero")
+    __slots__ = ("n", "width", "side", "ones", "guards", "nonzero", "_offsets", "_room", "_singles")
 
     def __init__(self, n: int, width: int):
         self.n = n
@@ -82,13 +90,34 @@ class Layout:
         self.side = _side(n, width)
         self.ones = _repeat(1, width, (1 << (n - 1)) * width) >> width
         self.guards = self.ones << (width - 1)
+        self._offsets: dict[int, int] = {}
+        self._room = OFFSETS if ((1 << (n - 1)) - 1) * width <= OFFSET_BITS else 0
+        self._singles: int | None = None
         self.nonzero = self.offset(1)
+
+    @property
+    def singles(self) -> int:
+        """The guard set of the singleton cuts {v}, built on first use."""
+        if self._singles is None:
+            # The cut {v} is named by v's own bit, and the anchor's by all
+            # the other vertices (at n = 2 both name the one cut; at n = 1
+            # there is no cut).
+            fields = {(1 << v) - 1 for v in range(self.n - 1)}
+            if self.n > 1:
+                fields.add((1 << (self.n - 1)) - 2)
+            self._singles = sum(1 << (field + 1) * self.width - 1 for field in fields)
+        return self._singles
 
     def offset(self, c: int) -> int:
         """Added to packed counts, sets the guard of every field whose count
         is at least c."""
-        top = 1 << (self.width - 1)
-        return min(max(top - c, 0), top) * self.ones
+        value = self._offsets.get(c)
+        if value is None:
+            top = 1 << (self.width - 1)
+            value = min(max(top - c, 0), top) * self.ones
+            if len(self._offsets) < self._room:
+                self._offsets[c] = value
+        return value
 
     def at_least(self, counts: int, c: int) -> int:
         """The guard set of cuts whose packed count is at least c."""
@@ -244,12 +273,17 @@ class Boundary:
     def __init__(self, g: FaultGraph, edge_ids: Iterable[int] = ()):
         trace.count("cuts.boundaries")
         self.layout = layout_of(g)
-        self.cross, self._safe = crossing_table(g)
-        self.inside = bytearray(g.m)
-        self.safe = 0
-        self.total = 0
+        self.cross, self._safe = cross, safe = crossing_table(g)
+        self.inside = inside = bytearray(g.m)
+        # add, in locals.
+        total = safe_total = 0
         for eid in edge_ids:
-            self.add(eid)
+            cuts = cross[eid]
+            total += cuts
+            if safe[eid]:
+                safe_total += cuts
+            inside[eid] = 1
+        self.total, self.safe = total, safe_total
 
     def add(self, eid: int) -> None:
         cuts = self.cross[eid]

@@ -26,13 +26,18 @@ kernel, as the guard-set expression of :meth:`_Checker.first_bad` over the
 classes; a search with scenarios calls ``first_bad``, whose scan counts
 each scenario's failed edges in the set.  The opening question, whether
 G itself is feasible, is ``first_bad`` on G's packed counts, which the
-greedy seed then starts from.
+greedy seed then starts from; each greedy step tests the classes inline
+too, and calls ``first_bad`` only with scenarios.
 
 The tables that depend on the graph alone (the decision order, the costs,
-the shifted crossing sets, the per-vertex cost sums and undecided counts
-of the degree bound) are built on the graph's first search and kept on the
-graph (:class:`_Tables`), so one bench cell's (p, 0) base and (p, q)
-baseline share them.
+the shifted crossing sets, the endpoints, the parallel-edge groups, and
+the per-vertex cost sums and order positions of the degree bound) are
+built on the graph's first search and kept on the graph
+(:class:`_Tables`), so one bench cell's (p, 0) base and (p, q) baseline
+share them.  Each is one pass over the edges; the guard set of the
+singleton cuts and the threshold offsets come from the shared layout
+(:class:`faultnet.cuts.Layout`), built once per vertex count and field
+width.
 
 The packing bound packs the violated cuts of the first failing class or
 scenario greedily, lowest cut first, so that no two packed cuts share a
@@ -51,8 +56,11 @@ undecided edges at v, 0 where no such class finds it violated.  A
 completion repairs every such cut with edges at its vertex, and each edge
 is at two vertices, so it adds at least half the sum.  The kernel keeps
 these repair costs in a degree table, one entry per vertex, computed from
-the chosen set's degree and safe degree at the vertex.  The DFS keeps those
-two counts per vertex in two int lists: an inclusion adds 1 at the two
+the chosen set's degree and safe degree at the vertex, and read off two
+per-vertex lists: the running cost sums of its edges, cheapest first, and
+their order positions, so that the vertex has at least j undecided edges
+at depth k exactly when its j-th position is at least k.  The DFS keeps
+those two counts per vertex in two int lists: an inclusion adds 1 at the two
 endpoints of its edge and takes it back on return.  Deciding edge
 ``order[k]`` changes the chosen degree and the undecided edges of its two
 endpoints only, so a child recomputes just those two entries, in one
@@ -143,6 +151,7 @@ suite, so it favors simplicity over cleverness everywhere the budget allows.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import compress
 from math import inf
 from typing import Iterable
 
@@ -235,13 +244,16 @@ class _Tables:
     per edge id, ``cross`` the crossing sets shifted onto the guard bits,
     and ``steps[k]`` is edge ``order[k]`` with its crossing set, the same
     set again if the edge is safe (else 0) and its cost.  ``whole`` holds
-    the packed total and safe counts of all of g's edges.  ``singles`` is
-    the guard set of the singleton cuts {v}.  The degree tables are built
-    on the first search with a spanning class (:meth:`degree_tables`).  ``vertices`` holds, per
-    vertex, the running cost sums of its incident edges, cheapest first,
-    and how many of them are undecided at each depth k (the undecided ones
-    are the cheapest, a prefix), and then the same two for its safe edges.
-    ``ends`` holds the two endpoints of each edge of ``order``.
+    the packed total and safe counts of all of g's edges.  ``ends`` holds
+    the two endpoints of each edge of ``order``.  The degree tables are
+    built on the first search with a spanning class
+    (:meth:`degree_tables`).  ``vertices`` holds, per vertex, the running
+    cost sums of its incident edges, cheapest first, and the order
+    positions of those edges, after a leading m and followed by m + 1
+    entries of -1; and then the same two for its safe edges.  The
+    undecided edges at depth k are the cheapest ones, those at positions k
+    and up, so a vertex has at least j of them exactly when its j-th
+    position is at least k, for any j from 1 to m + 1.
 
     ``twins[k]`` holds the edges that edge ``order[k]`` dominates by the
     graph alone (:func:`exact_solve`): those of ``order[:k]`` that join its
@@ -252,74 +264,70 @@ class _Tables:
     """
 
     __slots__ = (
-        "order", "costs", "safe", "cross", "steps", "whole", "width", "field", "singles",
-        "vertices", "ends", "twins", "safe_twins",
+        "order", "costs", "safe", "cross", "steps", "whole", "width", "field", "vertices",
+        "ends", "twins", "safe_twins",
     )
 
     def __init__(self, g: FaultGraph):
         self.width = width = layout_of(g).width
         self.field = (1 << width) - 1
-        cross, self.safe = crossing_table(g)
+        cross, safe = crossing_table(g)
+        self.safe = safe
         self.costs = costs = g.costs
-        self.order = order = tuple(sorted(range(g.m), key=lambda eid: (-costs[eid], eid)))
-        self.cross = tuple(cuts << (width - 1) for cuts in cross)
-        self.steps = tuple(
-            (eid, cross[eid], cross[eid] if self.safe[eid] else 0, costs[eid]) for eid in order
-        )
-        self.whole = (sum(cross), sum(cuts for cuts, safe in zip(cross, self.safe) if safe))
-        # The cut {v} is named by v's own bit, and the anchor's by all the
-        # other vertices (at n = 2 both name the one cut; at n = 1 there is
-        # no cut).
-        shifts = [((1 << v) - 1) * width for v in range(g.n - 1)]
-        if g.n > 1:
-            shifts.append(((1 << (g.n - 1)) - 2) * width)
-        self.singles = sum(1 << (shift + width - 1) for shift in set(shifts))
-        self.vertices = self.ends = None
+        # A stable sort on the negated costs keeps ties in id order.
+        self.order = order = tuple(sorted(range(g.m), key=[-cost for cost in costs].__getitem__))
+        self.cross = tuple([cuts << (width - 1) for cuts in cross])
+        self.steps = tuple([
+            (eid, cross[eid], cross[eid] if safe[eid] else 0, costs[eid]) for eid in order
+        ])
+        self.whole = (sum(cross), sum(compress(cross, safe)))
+        self.vertices = None
         # A group lists the edges of one vertex pair seen so far, the
         # dearer ones, since order runs from the dearest edge.
+        edges, ends = g.edges, []
         slop = g.m * 2.0**-52 * sum(costs)
-        twins, safe_twins = [frozenset()] * g.m, [frozenset()] * g.m
+        twins, safe_twins = [_NO_FAIL] * g.m, [_NO_FAIL] * g.m
         groups: dict[int, list[int]] = {}
         for k, eid in enumerate(order):
-            e = g.edges[eid]
+            e = edges[eid]
+            ends.append((e.u, e.v))
             group = groups.setdefault(1 << e.u | 1 << e.v, [])
             if group:
                 dearer = [other for other in group if costs[other] - costs[eid] > slop]
                 if dearer:
                     twins[k] = frozenset(dearer)
-                    safe_twins[k] = frozenset(
-                        dearer if self.safe[eid] else (o for o in dearer if not self.safe[o])
+                    safe_twins[k] = twins[k] if safe[eid] else frozenset(
+                        [other for other in dearer if not safe[other]]
                     )
             group.append(eid)
+        self.ends = tuple(ends)
         self.twins, self.safe_twins = tuple(twins), tuple(safe_twins)
 
     def degree_tables(self, g: FaultGraph) -> tuple:
-        """(vertices, ends), built on the first call."""
+        """(vertices, ends), the vertices built on the first call."""
         if self.vertices is None:
-            order, costs, safe = self.order, self.costs, self.safe
-            ends = tuple((g.edges[eid].u, g.edges[eid].v) for eid in order)
+            order, costs, safe, m = self.order, self.costs, self.safe, g.m
             sums = [[0.0] for _v in range(g.n)]
+            spots = [[m] for _v in range(g.n)]
             safe_sums = [[0.0] for _v in range(g.n)]
-            counts, safe_counts = [0] * g.n, [0] * g.n
-            rows, safe_rows = [tuple(counts)], [tuple(safe_counts)]
-            # From the cheap end: at depth k the edges at order[k:] are
-            # undecided, and each vertex's are its cheapest ones.
-            for k in range(len(order) - 1, -1, -1):
+            safe_spots = [[m] for _v in range(g.n)]
+            # From the cheap end, so that each vertex lists its cheapest
+            # edges first.
+            for k in range(m - 1, -1, -1):
                 eid = order[k]
-                for v in ends[k]:
+                for v in self.ends[k]:
                     sums[v].append(sums[v][-1] + costs[eid])
-                    counts[v] += 1
+                    spots[v].append(k)
                     if safe[eid]:
                         safe_sums[v].append(safe_sums[v][-1] + costs[eid])
-                        safe_counts[v] += 1
-                rows.append(tuple(counts))
-                safe_rows.append(tuple(safe_counts))
-            undecided = zip(*reversed(rows))
-            safe_undecided = zip(*reversed(safe_rows))
-            self.ends = ends
-            self.vertices = tuple(
-                zip(map(tuple, sums), undecided, map(tuple, safe_sums), safe_undecided)
-            )
+                        safe_spots[v].append(k)
+            pad = (-1,) * (m + 1)
+            self.vertices = tuple(zip(
+                map(tuple, sums),
+                [tuple(mine) + pad for mine in spots],
+                map(tuple, safe_sums),
+                [tuple(mine) + pad for mine in safe_spots],
+            ))
         return self.vertices, self.ends
 
 
@@ -366,10 +374,13 @@ class _Packing:
         self.vertices = self.ends = ()
         if not classes:  # no flex pair, maybe n = 1
             return
-        singles = tables.singles
+        singles = layout_of(g).singles
+        # No vertex has more than m edges, so a need above m + 1 reads as
+        # one of m + 1: more than the vertex has.
+        cap = g.m + 1
         for scope, (p, q), _safe_offset, _total_offset in classes:
             if scope & singles == singles:
-                self.spanning.append((p, p + q))
+                self.spanning.append((min(p, cap), min(p + q, cap)))
         if self.spanning:
             self.vertices, self.ends = tables.degree_tables(g)
 
@@ -444,14 +455,14 @@ class _Packing:
         for v in stale:
             t = degrees[v]
             s = safe_degrees[v]
-            sums, undecided, safe_sums, safe_undecided = vertices[v]
+            sums, spots, safe_sums, safe_spots = vertices[v]
             worst = 0.0
             for p, pq in spanning:
                 if t < pq and s < p:
                     need = pq - t
-                    repair = sums[need] if need <= undecided[k] else inf
+                    repair = sums[need] if spots[need] >= k else inf
                     need = p - s
-                    if need <= safe_undecided[k] and safe_sums[need] < repair:
+                    if safe_spots[need] >= k and safe_sums[need] < repair:
                         repair = safe_sums[need]
                     if repair > worst:
                         worst = repair
@@ -478,6 +489,9 @@ def exact_solve(
     first_bad, costs, steps, cross, m = (
         checker.first_bad, tables.costs, tables.steps, tables.cross, g.m
     )
+    classes = checker.classes
+    # Flex classes alone are tested inline; a scenario needs first_bad.
+    scenarios = bool(checker.scenarios)
     whole_total, whole_safe = tables.whole
     held = bytearray(b"\x01") * m
     if first_bad(whole_total, whole_safe, held) is not None:
@@ -487,13 +501,20 @@ def exact_solve(
     total, safe = whole_total, whole_safe
     kept = set(range(m))
     for eid, cuts, safe_cuts, _cost in steps:
-        held[eid] = 0
-        if first_bad(total - cuts, safe - safe_cuts, held) is None:
-            total -= cuts
-            safe -= safe_cuts
-            kept.discard(eid)
+        less_total, less_safe = total - cuts, safe - safe_cuts
+        if scenarios:
+            held[eid] = 0
+            feasible = first_bad(less_total, less_safe, held) is None
+            held[eid] = not feasible
         else:
-            held[eid] = 1
+            feasible = True
+            for scope, _pq, safe_offset, total_offset in classes:
+                if scope & ~((less_safe + safe_offset) | (less_total + total_offset)):
+                    feasible = False
+                    break
+        if feasible:
+            total, safe = less_total, less_safe
+            kept.discard(eid)
     checks = m  # one test per greedy step
     best_set = frozenset(kept)
     best_cost = sum((costs[eid] for eid in kept), 0.0)
@@ -503,9 +524,6 @@ def exact_solve(
     # an exclusion is checked before descending, and an inclusion leaves the
     # pool as it is.
     pool_total, pool_safe = whole_total, whole_safe
-    classes = checker.classes
-    # Flex classes alone are tested inline; a scenario needs first_bad.
-    scenarios = bool(checker.scenarios)
     inside = bytearray(m)
     pool_inside = bytearray(b"\x01") * m
     # The incumbent is copied from this set, not rebuilt from ``inside``:

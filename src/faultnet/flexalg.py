@@ -16,6 +16,7 @@ indexed by path subsets, each solved exactly.  Requires p+q > pq/2.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from math import comb
 from typing import Iterable, Sequence
@@ -72,12 +73,15 @@ def make_fgc_plan(p: int, q: int) -> StagePlan:
     return StagePlan(p=p, q=q, scope="spanning", stages=stages)
 
 
-def fgc_plans(p: int, q: int) -> list[StagePlan]:
-    """The plans of levels 1..q of a spanning (p, q) solve.  Raises
-    UnsupportedParameters when p < 1, q < 0 or some level has no plan."""
+# Bounded: an entry holds q plans of at most p stages each.
+@lru_cache(maxsize=32, typed=True)
+def fgc_plans(p: int, q: int) -> tuple[StagePlan, ...]:
+    """The plans of levels 1..q of a spanning (p, q) solve, built once per
+    (p, q).  Raises UnsupportedParameters when p < 1, q < 0 or some level
+    has no plan."""
     if p < 1 or q < 0:
         raise UnsupportedParameters(f"(p, q)=({p}, {q}) is outside the supported set")
-    return [make_fgc_plan(p, level) for level in range(1, q + 1)]
+    return tuple(make_fgc_plan(p, level) for level in range(1, q + 1))
 
 
 def make_flex_st_plan(p: int, q: int, s: int, t: int) -> StagePlan:
@@ -103,7 +107,7 @@ def _stage_cuts(g: FaultGraph, counts: Boundary, plan: StagePlan, stage: int | N
     ``stage`` safe F-boundary edges, or all of them when ``stage`` is None.
     """
     violated = _scope(g, plan) & counts.tight(plan.p, plan.q)
-    if stage is None:
+    if stage is None or not violated:
         return violated
     return violated & counts.exactly(counts.safe, stage)
 
@@ -190,41 +194,43 @@ def _stage_families(
     ]
 
 
-def augment_stages(g: FaultGraph, F: Iterable[int], plan: StagePlan) -> frozenset:
-    """Run the plan's stages, growing F.  F must already be feasible at
-    (plan.p, plan.q - 1).
+def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) -> frozenset:
+    """Run each plan's stages in turn, growing F: a plan lifts F from
+    (plan.p, plan.q - 1) to (plan.p, plan.q), so F must already be
+    feasible at the first plan's (p, q - 1).
 
-    One Boundary of F serves the opening check, every stage's cut set and
-    the closing check; each bought edge is added to it.  Each stage's cut
-    set is read once and handed to its families.
+    One Boundary of F serves every plan: its opening check, every stage's
+    cut set and its closing check; each bought edge is added to it.  Each
+    stage's cut set is read once and handed to its families.
 
     A stage with nothing to cover costs nothing.  A single-pair stage with
     an empty cut set is skipped before its cap flow: the flow depends on F
     alone, so it would either go unused or fail as the next non-empty
     stage's flow fails on the same F; and with no such stage left, F is
     already (p, q)-feasible, so the flow exists."""
-    p, q = plan.p, plan.q
     F = frozenset(F)
     counts = Boundary(g, F)
-    if not _feasible_for(g, counts, plan, q - 1):
-        raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
-    for stage in plan.stages:
-        cuts = _stage_cuts(g, counts, plan, stage)
-        if plan.scope == "st" and not cuts:
-            continue
-        added: set[int] = set()
-        for fam in _stage_families(g, F, plan, stage, cuts):
-            if plan.scope == "st":
-                added |= ring_cover_exact(fam)
-            else:
-                added |= primal_dual_cover(fam).edges
-        for eid in added:  # every family's ground lies outside F
-            counts.add(eid)
-        F = F | added
-    if not _feasible_for(g, counts, plan, q):
-        raise StageCoverFailed(
-            f"stages completed but the result is not ({p}, {q})-feasible"
-        )
+    for plan in plans:
+        p, q = plan.p, plan.q
+        if not _feasible_for(g, counts, plan, q - 1):
+            raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
+        for stage in plan.stages:
+            cuts = _stage_cuts(g, counts, plan, stage)
+            if plan.scope == "st" and not cuts:
+                continue
+            added: set[int] = set()
+            for fam in _stage_families(g, F, plan, stage, cuts):
+                if plan.scope == "st":
+                    added |= ring_cover_exact(fam)
+                else:
+                    added |= primal_dual_cover(fam).edges
+            for eid in added:  # every family's ground lies outside F
+                counts.add(eid)
+            F = F | added
+        if not _feasible_for(g, counts, plan, q):
+            raise StageCoverFailed(
+                f"stages completed but the result is not ({p}, {q})-feasible"
+            )
     return F
 
 
@@ -234,9 +240,10 @@ def flex_base(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> frozenset:
     level-by-level primal-dual of Goemans et al. (SODA 1994), on the
     problem's ``cut_classes``."""
     problem = Problem("flex", flex=tuple(reqs))
-    if g.m <= exact_budget():
+    budget = exact_budget()
+    if g.m <= budget:
         trace.count("flexalg.exact_bases")
-        F, _cost = exact_solve(g, problem)
+        F, _cost = exact_solve(g, problem, budget)
         return F
     trace.count("flexalg.ecsndp_bases")
     return ecsndp_base(g, cut_classes(g, problem))
@@ -248,9 +255,10 @@ def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     """Spanning (p, q) solver for the (p, q) that ``fgc_plans`` accepts.
 
     ``flex_base`` at (p, 0), then one augmentation round per level 1..q
-    following the per-level plan.  The graph is checked (p, q)-feasible
-    first and each level checks its result, so the result is checked at
-    (p, q) for q >= 1; at q = 0 the base is returned as built.
+    following the per-level plan, all in one ``augment_stages`` call.  The
+    graph is checked (p, q)-feasible first and each level checks its
+    result, so the result is checked at (p, q) for q >= 1; at q = 0 the
+    base is returned as built.
     """
     plans = fgc_plans(p, q)
     if g.n < 2:
@@ -259,9 +267,7 @@ def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     if not _feasible_for(g, Boundary(g, g.all_edge_ids()), probe, q):
         raise InfeasibleInstance(f"graph is not ({p}, {q})-feasible")
     F = flex_base(g, fgc_requirements(g.n, p, 0))
-    for plan in plans:
-        F = augment_stages(g, F, plan)
-    return F
+    return augment_stages(g, F, plans) if plans else F
 
 
 def fgc_guarantee(p: int, q: int) -> int:
@@ -289,7 +295,7 @@ def solve_flex_st(g: FaultGraph, s: int, t: int, p: int, q: int) -> frozenset:
     for plan in plans:
         caps = [p + plan.q if e.safe else p for e in g.edges]
         seed = min_cost_flow(g, caps, s, t, p * (p + plan.q)).support()
-        F = augment_stages(g, F | seed, plan)
+        F = augment_stages(g, F | seed, [plan])
     return F
 
 

@@ -135,11 +135,23 @@ class Problem:
             raise ValueError(f"{self.kind} problem with empty requirements")
 
     def is_fgc(self, n: int) -> bool:
-        """All-pairs uniform flex requirements: the spanning problem."""
-        if self.kind != "flex" or uniform_pq(self.flex) is None:
+        """All-pairs uniform flex requirements: the spanning problem.  The
+        pairs are read as a bitmask, pair s < t at bit t(t-1)/2 + s, which
+        must hold all n(n-1)/2 bits and no other."""
+        if self.kind != "flex":
             return False
-        pairs = {(min(r.s, r.t), max(r.s, r.t)) for r in self.flex}
-        return pairs == {(u, v) for u in range(n) for v in range(u + 1, n)}
+        p, q = self.flex[0].p, self.flex[0].q
+        seen = 0
+        for r in self.flex:
+            if r.p != p or r.q != q:
+                return False
+            s, t = r.s, r.t
+            if s > t:
+                s, t = t, s
+            if s < 0 or s == t:
+                return False
+            seen |= 1 << (t * (t - 1) // 2 + s)
+        return seen == (1 << n * (n - 1) // 2) - 1
 
 
 def check_problem_feasible(g: FaultGraph, problem: Problem, H: Iterable[int]):
@@ -161,9 +173,11 @@ def cut_classes(g: FaultGraph, problem: Problem) -> dict[tuple[int, int], int]:
     :func:`_relative_classes`; bulk scenarios none."""
     if problem.kind == "rsndp":
         return _relative_classes(g, problem.relative)
-    lay, reqs = layout_of(g), problem.flex
-    pqs = sorted({(r.p, r.q) for r in reqs})
-    return {pq: lay.scope((r.s, r.t) for r in reqs if (r.p, r.q) == pq) for pq in pqs}
+    pairs: dict[tuple[int, int], list] = {}
+    for r in problem.flex:
+        pairs.setdefault((r.p, r.q), []).append((r.s, r.t))
+    lay = layout_of(g)
+    return {pq: lay.scope(pairs[pq]) for pq in sorted(pairs)}
 
 
 def _relative_classes(g: FaultGraph, reqs: Iterable[RelativeRequirement]) -> dict:

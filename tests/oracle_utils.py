@@ -1065,16 +1065,27 @@ def degree_repair(packing, v: int, t: int, s: int, k: int) -> float:
     """What repairing the singleton cut {v} costs at least at depth k of an
     exact search with ``packing``, with t chosen and s safe edges at v: the
     dearest repair over the spanning classes that find it violated, 0 if
-    none does.  ``_Packing.refresh`` must give every entry bitwise this."""
-    sums, undecided, safe_sums, safe_undecided = packing.vertices[v]
+    none does.  A repair is the cost of the p + q - t cheapest undecided
+    edges at v, or of its p - s cheapest undecided safe edges, whichever is
+    cheaper, summed cheapest first; inf where v has too few.  The edges are
+    listed from the search's order and endpoints, not from its degree
+    tables.  ``_Packing.refresh`` must give every entry bitwise this."""
+    order, costs = packing.order, packing.costs
+    mine = [order[j] for j in range(len(order) - 1, k - 1, -1) if v in packing.ends[j]]
+    mine_safe = [eid for eid in mine if packing.safe[eid]]
+
+    def cheapest(edges, need):
+        if need > len(edges):
+            return float("inf")
+        total = 0.0
+        for eid in edges[:need]:
+            total += costs[eid]
+        return total
+
     worst = 0.0
     for p, pq in packing.spanning:
         if t < pq and s < p:
-            need = pq - t
-            repair = sums[need] if need <= undecided[k] else float("inf")
-            need = p - s
-            if need <= safe_undecided[k] and safe_sums[need] < repair:
-                repair = safe_sums[need]
+            repair = min(cheapest(mine, pq - t), cheapest(mine_safe, p - s))
             if repair > worst:
                 worst = repair
     return worst

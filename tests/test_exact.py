@@ -807,20 +807,26 @@ def test_search_tables_kept_on_the_graph_give_fresh_answers():
         if tables.vertices is not None:
             spanning += 1
             # The degree tables against their definition: running sums of
-            # the cheapest costs, and the incident edges still undecided.
+            # the cheapest costs, and the order positions of the incident
+            # edges, cheapest first, after m and before m + 1 entries of -1.
+            # Position j is at least k exactly when at least j incident
+            # edges are still undecided at depth k.
             order = sorted(range(g.m), key=lambda eid: (-g.cost_of(eid), eid))
-            for v, (sums, undecided, safe_sums, safe_undecided) in enumerate(tables.vertices):
-                for table_sums, table_undecided, edges in (
-                    (sums, undecided, g.incident(v)),
-                    (safe_sums, safe_undecided, [e for e in g.incident(v) if g.edges[e].safe]),
+            for v, (sums, spots, safe_sums, safe_spots) in enumerate(tables.vertices):
+                for table_sums, table_spots, edges in (
+                    (sums, spots, g.incident(v)),
+                    (safe_sums, safe_spots, [e for e in g.incident(v) if g.edges[e].safe]),
                 ):
                     running = [0.0]
                     for c in sorted(g.cost_of(e) for e in edges):
                         running.append(running[-1] + c)
                     assert list(map(float.hex, table_sums)) == list(map(float.hex, running))
-                    assert list(table_undecided) == [
-                        sum(order.index(e) >= k for e in edges) for k in range(g.m + 1)
-                    ]
+                    positions = sorted((order.index(e) for e in edges), reverse=True)
+                    assert list(table_spots) == [g.m, *positions] + [-1] * (g.m + 1)
+                    for k in range(g.m + 1):
+                        undecided = sum(order.index(e) >= k for e in edges)
+                        for j in range(1, g.m + 2):
+                            assert (table_spots[j] >= k) == (undecided >= j)
     assert solved >= 30 and spanning >= 25
 
 

@@ -151,7 +151,7 @@ class TestAugmentStages:
         g = inst.to_graph()
         base, _ = exact_solve(g, Problem("flex", flex=fgc_requirements(g.n, 2, 2)))
         plan = make_fgc_plan(2, 2)
-        out = augment_stages(g, base, plan)
+        out = augment_stages(g, base, [plan])
         assert out == frozenset(base)
 
     def test_per_stage_cover_within_twice_stage_optimum(self):
@@ -193,7 +193,7 @@ class TestAugmentStages:
         g = inst.to_graph()
         plan = make_fgc_plan(2, 2)
         with pytest.raises(BaseNotFeasible):
-            augment_stages(g, frozenset(), plan)
+            augment_stages(g, frozenset(), [plan])
 
     def test_monotone_stage_invariant(self):
         # After stage i no violated cut carries i or fewer safe edges.
@@ -236,7 +236,7 @@ class TestAugmentStages:
                 F = solve_flex_st(g, r.s, r.t, r.p, 1)
                 F |= min_cost_flow(g, caps, r.s, r.t, r.p * (r.p + 2)).support()
             with trace.recording() as counts:
-                out = augment_stages(g, F, plan)
+                out = augment_stages(g, F, [plan])
             assert counts["cuts.boundaries"] == 1
             grown += out != frozenset(F)
         assert grown
@@ -512,7 +512,7 @@ class TestStageCosts:
                         added |= ring_cover_exact(fam)
                     assert g.total_cost(added) <= comb(p * (p + level), i) * opt + 1e-9
                     F = F | added
-                assert F == augment_stages(g, base | seed_set, plan)
+                assert F == augment_stages(g, base | seed_set, [plan])
                 base = F
 
 
