@@ -99,26 +99,88 @@ def _own_nodes(scope):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def container_reads(scope, outer=frozenset()) -> set:
+def _bindings(node):
+    """(target, value) of each target that an assignment binds.  A tuple
+    or list target takes a display of as many values element by element;
+    its elements get None against any other value."""
+    if isinstance(node, ast.Assign):
+        targets, value = node.targets, node.value
+    elif isinstance(node, ast.AnnAssign):
+        targets, value = [node.target], node.value
+    else:
+        return
+    for target in targets:
+        if not isinstance(target, (ast.Tuple, ast.List)):
+            yield target, value
+        elif isinstance(value, (ast.Tuple, ast.List)) and len(value.elts) == len(target.elts):
+            yield from zip(target.elts, value.elts)
+        else:
+            yield from ((elt, None) for elt in target.elts)
+
+
+def _instance_attribute(node, me) -> str | None:
+    """``name`` when the node is ``me.name``, else None."""
+    if me is not None and isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == me:
+        return node.attr
+    return None
+
+
+def _container_targets(nodes, attrs=frozenset(), me=None) -> tuple[set, set]:
+    """(targets bound to a container, AugAssign targets) among the nodes:
+    a target takes a container when its value builds one
+    (:func:`_builds_container`), when its annotation is ``list``, ``set``
+    or ``dict``, or when its value is ``me.name`` for a name in ``attrs``."""
+    held_at, skipped = set(), set()
+    for node in nodes:
+        annotated = isinstance(node, ast.AnnAssign) and _container_annotation(node.annotation)
+        for target, value in _bindings(node):
+            if annotated or _builds_container(value) or _instance_attribute(value, me) in attrs:
+                held_at.add(target)
+        if isinstance(node, ast.AugAssign):
+            skipped.add(node.target)
+    return held_at, skipped
+
+
+def _container_attributes(cls: ast.ClassDef) -> frozenset:
+    """The attributes that the class's methods bind on their first
+    parameter, the instance, when every such binding is a container."""
+    held, other = set(), set()
+    for method in cls.body:
+        if not isinstance(method, FUNCTIONS) or not method.args.args:
+            continue
+        me = method.args.args[0].arg
+        nodes = list(ast.walk(method))
+        held_at, skipped = _container_targets(nodes)
+        for node in nodes:
+            name = _instance_attribute(node, me)
+            if name is not None and isinstance(node.ctx, ast.Store) and node not in skipped:
+                (held if node in held_at else other).add(name)
+    return frozenset(held - other)
+
+
+def _parameters(scope) -> set:
+    """The names of a function's or lambda's parameters."""
+    args = scope.args
+    every = [*args.posonlyargs, *args.args, *args.kwonlyargs, args.vararg, args.kwarg]
+    return {arg.arg for arg in every if arg is not None}
+
+
+def container_reads(scope, outer=frozenset(), attrs=frozenset(), me=None) -> set:
     """The attribute reads under ``scope`` whose receiver is a local that
     every binding makes a list, set or dict: a container it builds
     (:func:`_builds_container`) or a ``list``, ``set`` or ``dict``
     annotation.  A name that the scope does not bind keeps the meaning it
     has in ``outer``, the containers of the enclosing functions; a class
-    body's names do not reach its methods.  Such a read, say
+    body's names do not reach its methods.  In a method, and the functions
+    nested in it, ``me`` names the instance and ``attrs`` the attributes
+    that the class binds to containers alone (:func:`_container_attributes`):
+    a read through such an attribute, ``self.columns.get(...)``, or through
+    a local copied from it, ``columns = self.columns`` and then
+    ``columns.get(...)``, has a container receiver too.  Such a read, say
     ``candidates.remove(e)``, calls the container's method, not a package
     method of the same name."""
     nodes = list(_own_nodes(scope))
-    held_at, skipped = set(), set()  # Name nodes bound to a container, and AugAssign targets
-    for node in nodes:
-        if isinstance(node, ast.Assign) and _builds_container(node.value):
-            held_at.update(node.targets)
-        elif isinstance(node, ast.AnnAssign) and (
-            _container_annotation(node.annotation) or _builds_container(node.value)
-        ):
-            held_at.add(node.target)
-        elif isinstance(node, ast.AugAssign):
-            skipped.add(node.target)
+    held_at, skipped = _container_targets(nodes, attrs, me)
     held, other = set(), set()
     for node in nodes:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
@@ -135,13 +197,20 @@ def container_reads(scope, outer=frozenset()) -> set:
         node
         for node in nodes
         if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in containers
+        and (
+            (isinstance(node.value, ast.Name) and node.value.id in containers)
+            or _instance_attribute(node.value, me) in attrs
+        )
     }
-    inner = outer if isinstance(scope, ast.ClassDef) else containers
     for node in nodes:
-        if isinstance(node, SCOPES):
-            found |= container_reads(node, inner)
+        if isinstance(node, ast.ClassDef):
+            found |= container_reads(node, outer, _container_attributes(node))
+        elif isinstance(scope, ast.ClassDef) and isinstance(node, FUNCTIONS):
+            first = node.args.args[0].arg if node.args.args else None
+            found |= container_reads(node, outer, attrs, first)
+        elif isinstance(node, SCOPES):
+            inner_me = None if me in _parameters(node) else me
+            found |= container_reads(node, containers, attrs, inner_me)
     return found
 
 
@@ -261,6 +330,36 @@ def test_checker_ignores_container_methods():
     # ``remove`` read counts.
     rebound = "def f(g):\n    x = []\n    x = g.boundary()\n    x.remove(1)\n"
     assert unreferenced([lib, user, rebound], public={"cover", "f"}) == ["get"]
+    # An attribute that the class binds to a dict alone, read directly or
+    # through a local copied from it, as ``exact._Packing.bound`` reads
+    # ``columns = self.columns`` in a tuple assignment, is a container
+    # receiver in every method and in the functions nested in them.
+    packing = (
+        "class _Packing:\n"
+        "    def __init__(self):\n"
+        "        self.columns: dict = {}\n"
+        "        self.width = 0\n\n"
+        "    def bound(self, low):\n"
+        "        columns, width = self.columns, self.width\n"
+        "        col = columns.get(low)\n"
+        "        if col is None:\n"
+        "            col = self.columns.get(width)\n\n"
+        "        def later():\n"
+        "            return columns.get(1), self.columns.get(2)\n\n"
+        "        return col, later\n"
+    )
+    run = "from .packing import _Packing\n\ndef run(g):\n    p = _Packing()\n    p.reset(g)\n    return p.bound(1)\n"
+    assert unreferenced([lib, user, packing, run], public={"cover", "run"}) == ["remove", "get"]
+    # Once a method binds it to something else as well, it may hold a
+    # Boundary, and all four ``get`` reads count.
+    reset = "\n    def reset(self, g):\n        self.columns = g.boundary()\n"
+    for read in ("columns.get(low)", "self.columns.get(width)", "columns.get(1), ", "self.columns.get(2)"):
+        assert read in packing
+    assert unreferenced([lib, user, packing + reset, run], public={"cover", "run"}) == ["remove"]
+    # A nested function whose own parameter shadows the instance reads its
+    # own ``self``.
+    shadow = packing.replace("def later():", "def later(self):")
+    assert unreferenced([lib, user, shadow, run], public={"cover", "run"}) == ["remove"]
 
 
 def test_package_code_has_a_package_caller():
