@@ -13,6 +13,8 @@ import pytest
 
 import faultnet
 from faultnet.cuts import (
+    OFFSET_BITS,
+    OFFSETS,
     Boundary,
     Layout,
     all_cuts,
@@ -83,6 +85,33 @@ def test_side_and_packed_layout_at_the_sweep_cap():
         assert lay.compact(lay.side[n - 2] << 1) == sd[n - 2]
     finally:
         side.cache_clear()  # about 24 MB at this n
+
+
+def test_offsets_are_fresh_and_kept_only_while_small():
+    # Every offset equals the formula, whether kept or not.  A layout keeps
+    # at most OFFSETS of them, and none once one offset outgrows
+    # OFFSET_BITS: at n = 24 one would take about 6 MB.
+    for n, width in ((2, 1), (8, 6), (14, 6), (15, 6), (16, 2), (17, 2)):
+        lay = Layout(n, width)
+        ones = sum(1 << (i * width) for i in range((1 << (n - 1)) - 1))
+        top = 1 << (width - 1)
+        for c in [*range(-2, 40), 1, 0, 3]:
+            assert lay.offset(c) == min(max(top - c, 0), top) * ones
+        small = ((1 << (n - 1)) - 1) * width <= OFFSET_BITS
+        assert len(lay._offsets) == (OFFSETS if small else 0)
+    assert Layout(14, 6)._room and not Layout(15, 6)._room
+
+
+def test_singles_are_the_guards_of_the_singleton_cuts():
+    for n in range(1, 9):
+        for width in (1, 3, 6):
+            lay = Layout(n, width)
+            want = 0
+            for v in range(n):
+                index = cut_index(n, 1 << v)
+                if index >= 0:
+                    want |= 1 << (index * width + width - 1)
+            assert lay.singles == want
 
 
 def _random_case(rng):

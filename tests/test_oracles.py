@@ -394,6 +394,58 @@ class TestUniformPq:
         assert not Problem("flex", flex=(a, b, c)).is_fgc(3)
 
 
+def fgc_by_sets(problem: Problem, n: int) -> bool:
+    """``Problem.is_fgc`` by its definition: a flex problem whose pairs
+    share one (p, q) and, as unordered pairs, are every pair of the n
+    vertices and nothing else."""
+    if problem.kind != "flex" or uniform_pq(problem.flex) is None:
+        return False
+    pairs = {(min(r.s, r.t), max(r.s, r.t)) for r in problem.flex}
+    return pairs == set(itertools.combinations(range(n), 2))
+
+
+class TestIsFgc:
+    def test_matches_the_set_definition(self):
+        # Shuffled, reversed (s > t) and duplicated pairs, one pair missing
+        # or one out of range, and mixed (p, q), against the set definition
+        # at every n from 2 to 8 (and at the neighbouring n, which every
+        # one of these lists fails).
+        rng = Random(49)
+        seen = {True: 0, False: 0}
+        for n in range(2, 9):
+            every = list(itertools.combinations(range(n), 2))
+            for trial in range(40):
+                p, q = rng.randint(1, 3), rng.randint(0, 2)
+                pairs = list(every)
+                rng.shuffle(pairs)
+                pairs = [(t, s) if rng.random() < 0.5 else (s, t) for s, t in pairs]
+                pairs += rng.sample(pairs, rng.randint(0, min(3, len(pairs))))
+                shape = trial % 5
+                if shape == 1:
+                    gone = rng.choice(every)
+                    pairs = [pair for pair in pairs if {*pair} != {*gone}]
+                elif shape == 2:
+                    pairs.append((rng.randrange(n), n))
+                reqs = [FlexRequirement(s, t, p, q) for s, t in pairs]
+                if shape == 3 and reqs:
+                    k = rng.randrange(len(reqs))
+                    reqs[k] = replace(reqs[k], q=q + 1)
+                if not reqs:
+                    continue
+                problem = Problem("flex", flex=tuple(reqs))
+                for size in (n - 1, n, n + 1):
+                    want = fgc_by_sets(problem, size)
+                    assert problem.is_fgc(size) == want
+                    seen[want] += 1
+        assert seen[True] >= 100 and seen[False] >= 400
+
+    def test_other_kinds_are_not_fgc(self):
+        bulk = Problem("bulk", scenarios=(BulkScenario(frozenset({0}), ((0, 1),)),))
+        relative = Problem("rsndp", relative=(RelativeRequirement(0, 1, 2),))
+        assert not bulk.is_fgc(2) and not relative.is_fgc(2)
+        assert Problem("flex", flex=fgc_requirements(2, 1, 0)).is_fgc(2)
+
+
 class TestFgcRequirements:
     def test_one_shared_tuple_per_shape(self):
         reqs = fgc_requirements(5, 2, 1)
