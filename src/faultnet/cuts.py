@@ -275,7 +275,7 @@ class Boundary:
         self.layout = layout_of(g)
         self.cross, self._safe = cross, safe = crossing_table(g)
         self.inside = inside = bytearray(g.m)
-        # add, in locals.
+        # The rule of add, with the sums in locals.
         total = safe_total = 0
         for eid in edge_ids:
             cuts = cross[eid]

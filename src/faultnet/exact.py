@@ -306,7 +306,7 @@ class _Tables:
     def degree_tables(self, g: FaultGraph) -> tuple:
         """(vertices, ends), the vertices built on the first call."""
         if self.vertices is None:
-            order, costs, safe, m = self.order, self.costs, self.safe, g.m
+            order, costs, safe, ends, m = self.order, self.costs, self.safe, self.ends, g.m
             sums = [[0.0] for _v in range(g.n)]
             spots = [[m] for _v in range(g.n)]
             safe_sums = [[0.0] for _v in range(g.n)]
@@ -315,7 +315,7 @@ class _Tables:
             # edges first.
             for k in range(m - 1, -1, -1):
                 eid = order[k]
-                for v in self.ends[k]:
+                for v in ends[k]:
                     sums[v].append(sums[v][-1] + costs[eid])
                     spots[v].append(k)
                     if safe[eid]:

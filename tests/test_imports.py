@@ -141,14 +141,24 @@ def _container_targets(nodes, attrs=frozenset(), me=None) -> tuple[set, set]:
     return held_at, skipped
 
 
+def _instance_name(method) -> str | None:
+    """The name of a method's first parameter, the instance; None for a
+    static or class method, or one with no parameter."""
+    if not method.args.args or any(
+        getattr(d, "id", None) in ("staticmethod", "classmethod") for d in method.decorator_list
+    ):
+        return None
+    return method.args.args[0].arg
+
+
 def _container_attributes(cls: ast.ClassDef) -> frozenset:
     """The attributes that the class's methods bind on their first
     parameter, the instance, when every such binding is a container."""
     held, other = set(), set()
     for method in cls.body:
-        if not isinstance(method, FUNCTIONS) or not method.args.args:
+        me = _instance_name(method) if isinstance(method, FUNCTIONS) else None
+        if me is None:
             continue
-        me = method.args.args[0].arg
         nodes = list(ast.walk(method))
         held_at, skipped = _container_targets(nodes)
         for node in nodes:
@@ -202,15 +212,14 @@ def container_reads(scope, outer=frozenset(), attrs=frozenset(), me=None) -> set
             or _instance_attribute(node.value, me) in attrs
         )
     }
+    inner = outer if isinstance(scope, ast.ClassDef) else containers
     for node in nodes:
         if isinstance(node, ast.ClassDef):
-            found |= container_reads(node, outer, _container_attributes(node))
+            found |= container_reads(node, inner, _container_attributes(node))
         elif isinstance(scope, ast.ClassDef) and isinstance(node, FUNCTIONS):
-            first = node.args.args[0].arg if node.args.args else None
-            found |= container_reads(node, outer, attrs, first)
+            found |= container_reads(node, inner, attrs, _instance_name(node))
         elif isinstance(node, SCOPES):
-            inner_me = None if me in _parameters(node) else me
-            found |= container_reads(node, containers, attrs, inner_me)
+            found |= container_reads(node, inner, attrs, None if me in _parameters(node) else me)
     return found
 
 
