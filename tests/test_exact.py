@@ -710,10 +710,10 @@ def test_other_searches_do_the_same_work(name, parent):
 def test_an_all_spanning_dfs_calls_neither_the_checker_nor_repair(monkeypatch):
     # Flex classes alone are tested inline in the DFS, and the degree table
     # is refreshed at the endpoints of one edge per node, with no repair of
-    # the whole table: an FGC search calls first_bad only before its DFS
-    # (the opening question and the greedy seed) and refreshes every vertex
-    # only for the root table.  A scenario search still calls first_bad
-    # from its DFS, which shows that the spy sees it.
+    # the whole table: an FGC search calls first_bad once, for the opening
+    # question (its greedy seed tests the classes inline too), and
+    # refreshes every vertex only for the root table.  A scenario search
+    # still calls first_bad from its DFS, which shows that the spy sees it.
     callers = []
 
     def spy(method):
@@ -738,10 +738,11 @@ def test_an_all_spanning_dfs_calls_neither_the_checker_nor_repair(monkeypatch):
     assert {name for name, _width in from_dfs} == {"refresh"}
     assert 0 < len(from_dfs) <= counts["exact.nodes"]
     assert {width for _name, width in from_dfs} == {2}
-    # Outside it: first_bad, and one whole-table refresh per search, for its
-    # root.
+    # Outside it: one first_bad per search, for the opening question, and
+    # one whole-table refresh per search, for its root.
     others = [(name, width) for name, caller, width in callers if caller != "dfs"]
     assert {name for name, _width in others} == {"first_bad", "refresh"}
+    assert [name for name, _width in others].count("first_bad") == len(insts)
     assert [width for name, width in others if name == "refresh"] == [inst.n for inst in insts]
     callers.clear()
     g, prob, _feasible = _bound_case("bulk", 0)
