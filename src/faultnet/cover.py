@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import lcm
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import trace
-from .cuts import Boundary, all_cuts, crossed, layout_of, masks, predicate, side
+from .cuts import Boundary, all_cuts, masks, predicate, side
 from .errors import NotRingFamily, Uncoverable
 from .graph import FaultGraph, VertexCut, boundary
 from .simplex import SimplexStatus, solve_dense_lp
@@ -64,10 +64,6 @@ class CutFamily:
     def contains(self) -> Callable[[int], bool]:
         return predicate(self.graph.n, self.cuts, self.side)
 
-    def violated(self, A: Iterable[int]) -> int:
-        """The cut set of members that no edge of A crosses."""
-        return self.cuts & ~crossed(self.graph, A)
-
     def minimal(self, cuts: int) -> int:
         """The cut set of the inclusion-minimal members among ``cuts``.
 
@@ -79,10 +75,11 @@ class CutFamily:
         complement of the rest, the cut index reversed.  So the members
         above another one are a few shifts of ``cuts``, and the minimal ones
         are the rest.  No cuts, the state of an empty family and of every
-        finished cover, have no minimal member and need no shifts.
+        finished cover, have no minimal member, and a single cut is its own
+        minimal member; neither needs the shifts.
         """
-        if not cuts:
-            return 0
+        if not cuts & (cuts - 1):  # no cut, or one: it is minimal
+            return cuts
         low, high, dims, width = _orientation(self.graph.n, self.side)
         a, b = cuts & low, cuts & high
         up_a = up_b = 0
@@ -142,7 +139,10 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     den`` in correctly rounded int division, the float of the same
     rational.  The violated cut set is kept from step to step, less each
     chosen edge's crossing set, and each step grows on its minimal members
-    (:meth:`CutFamily.minimal`).
+    (:meth:`CutFamily.minimal`).  Each ground edge's crossing set and cost
+    are read once, into tables that the growth and the reverse delete
+    share: a trial set covers the family when the OR of its edges'
+    crossing sets holds every cut.
 
     A family with no member costs nothing: it returns no edges, a dual
     bound of 0.0 and an empty trace before any table is built.
@@ -155,12 +155,16 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
         trace.count("cover.drops", 0)
         return CoverResult(frozenset(), 0.0, ())
     g = fam.graph
-    cross = {eid: crossed(g, (eid,)) for eid in fam.ground}
-    ratios = {eid: g.cost_of(eid).as_integer_ratio() for eid in fam.ground}
+    sd, edges = side(g.n), g.edges
+    candidates = sorted(fam.ground)
+    cross, ratios = {}, {}
+    for eid in candidates:  # each edge's crossing set and cost, read once
+        e = edges[eid]
+        cross[eid] = sd[e.u] ^ sd[e.v]
+        ratios[eid] = e.cost.as_integer_ratio()
     den = lcm(*(d for _n, d in ratios.values()))
     residual = {eid: num * (den // d) for eid, (num, d) in ratios.items()}
     dual = 0
-    candidates = sorted(fam.ground)
     chosen: list[int] = []
     steps: list[tuple[str, int]] = []
     while active:
@@ -204,7 +208,10 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     kept = list(chosen)
     for eid in reversed(chosen):
         trial = [x for x in kept if x != eid]
-        if not fam.violated(trial):
+        hit = 0
+        for x in trial:
+            hit |= cross[x]
+        if not fam.cuts & ~hit:
             kept = trial
             steps.append(("drop", eid))
     trace.count("cover.covers")
@@ -219,22 +226,31 @@ def ecsndp_base(g: FaultGraph, classes: Mapping[tuple[int, int], int]) -> frozen
     is exceeded.
 
     Level k covers the cuts of the classes with p >= k that carry exactly
-    k-1 chosen edges; for flex pairs, an uncrossable family.
+    k-1 chosen edges; for flex pairs, an uncrossable family.  One Boundary
+    of the chosen edges serves every level, grown by each bought edge, and
+    a level with no such cut builds no family and calls no cover.
     """
     F: frozenset = frozenset()
+    counts = Boundary(g)
+    lay = counts.layout
     for k in range(1, max(p for p, _q in classes) + 1):
         scope = 0
         for (p, _q), cuts in classes.items():
             if p >= k:
                 scope |= cuts
-        lay, total = layout_of(g), Boundary(g, F).total
+        level = scope & lay.exactly(counts.total, k - 1)
+        if not level:
+            continue
         fam = CutFamily(
             graph=g,
-            cuts=lay.compact(scope & lay.exactly(total, k - 1)),
+            cuts=lay.compact(level),
             ground=g.all_edge_ids() - F,
             label=f"ecsndp level {k}",
         )
-        F = F | primal_dual_cover(fam).edges
+        added = primal_dual_cover(fam).edges
+        for eid in added:
+            counts.add(eid)
+        F = F | added
     return F
 
 

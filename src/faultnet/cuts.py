@@ -303,11 +303,6 @@ class Boundary:
                 dead += cross[eid]
         return self.layout.equal(self.total, dead)
 
-    def exactly(self, counts: int, c: int) -> int:
-        """The cut set of cuts whose ``counts`` (``safe`` or ``total``) read
-        exactly c."""
-        return self.layout.compact(self.layout.exactly(counts, c))
-
     def deficient(self, p: int, q: int) -> int:
         """Cuts with fewer than p safe and fewer than p+q edges: the cuts
         that fail (p, q)-flex-connectivity for a pair they separate."""

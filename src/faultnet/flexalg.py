@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from . import trace
 from .cover import CutFamily, ecsndp_base, primal_dual_cover, ring_cover_exact
-from .cuts import Boundary, all_cuts, cut_index, first_mask, masks, separating
+from .cuts import Boundary, cut_index, first_mask, masks
 from .errors import (
     BaseNotFeasible,
     InfeasibleInstance,
@@ -92,29 +92,41 @@ def make_flex_st_plan(p: int, q: int, s: int, t: int) -> StagePlan:
 
 # -- violated-cut machinery ----------------------------------------------------
 
-def _scope(g: FaultGraph, plan: StagePlan) -> int:
-    """The cut set the plan constrains: every cut, or the s-t cuts."""
+def _scope(counts: Boundary, plan: StagePlan) -> int:
+    """The guard set of the cuts the plan constrains: every cut, or the s-t
+    cuts."""
     if plan.scope == "spanning":
-        return all_cuts(g.n)
-    return separating(g.n, plan.s, plan.t)
+        return counts.layout.guards
+    return counts.layout.scope(((plan.s, plan.t),))
 
 
-def _stage_cuts(g: FaultGraph, counts: Boundary, plan: StagePlan, stage: int | None) -> int:
-    """The cut set one stage covers, for the set F that ``counts`` holds.
+def _violated(counts: Boundary, plan: StagePlan) -> int:
+    """The guard set of the plan's violated cuts for the set F that
+    ``counts`` holds: the in-scope cuts whose F-boundary has exactly p+q-1
+    edges, fewer than p of them safe."""
+    lay = counts.layout
+    return (
+        _scope(counts, plan)
+        & lay.exactly(counts.total, plan.p + plan.q - 1)
+        & ~lay.at_least(counts.safe, plan.p)
+    )
 
-    The violated cuts are the in-scope cuts whose F-boundary has exactly
-    p+q-1 edges, fewer than p of them safe.  The stage covers those with
-    ``stage`` safe F-boundary edges, or all of them when ``stage`` is None.
-    """
-    violated = _scope(g, plan) & counts.tight(plan.p, plan.q)
+
+def _stage_guards(counts: Boundary, violated: int, stage: int | None) -> int:
+    """The guard set of the cuts of ``violated`` that one stage covers:
+    those with ``stage`` safe F-boundary edges, or all of them when
+    ``stage`` is None."""
     if stage is None or not violated:
         return violated
-    return violated & counts.exactly(counts.safe, stage)
+    return violated & counts.layout.exactly(counts.safe, stage)
 
 
-def _feasible_for(g: FaultGraph, counts: Boundary, plan: StagePlan, q: int) -> bool:
-    """Whether the set that ``counts`` holds is (plan.p, q)-feasible in scope."""
-    return not _scope(g, plan) & counts.deficient(plan.p, q)
+def _feasible_for(counts: Boundary, plan: StagePlan, q: int) -> bool:
+    """Whether the set that ``counts`` holds is (plan.p, q)-feasible in
+    scope: no in-scope cut has fewer than p safe and fewer than p+q edges."""
+    lay = counts.layout
+    enough = lay.at_least(counts.safe, plan.p) | lay.at_least(counts.total, plan.p + q)
+    return not _scope(counts, plan) & ~enough
 
 
 def _cap_flow_paths(g: FaultGraph, F: frozenset, plan: StagePlan) -> list[tuple[int, ...]]:
@@ -199,27 +211,37 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) 
     (plan.p, plan.q - 1) to (plan.p, plan.q), so F must already be
     feasible at the first plan's (p, q - 1).
 
-    One Boundary of F serves every plan: its opening check, every stage's
-    cut set and its closing check; each bought edge is added to it.  Each
-    stage's cut set is read once and handed to its families.
+    One Boundary of F serves every plan: its opening check, its violated
+    cuts, every stage's share of them and its closing check; each bought
+    edge is added to it.  All of these are guard sets of that Boundary's
+    layout.  The violated cuts are read when a plan opens and again after
+    each stage that bought edges, and only a stage with cuts to cover
+    decodes its share into a cut set, once, for its families.  A plan's
+    closing check answers the next plan's opening check when that plan
+    lifts the same scope and p from the level just reached.
 
-    A stage with nothing to cover costs nothing.  A single-pair stage with
-    an empty cut set is skipped before its cap flow: the flow depends on F
-    alone, so it would either go unused or fail as the next non-empty
-    stage's flow fails on the same F; and with no such stage left, F is
-    already (p, q)-feasible, so the flow exists."""
+    A stage with nothing to cover costs nothing: it builds no family and
+    calls no cover, in either scope.  For a single-pair stage that also
+    skips the cap flow: the flow depends on F alone, so it would either go
+    unused or fail as the next non-empty stage's flow fails on the same F;
+    and with no such stage left, F is already (p, q)-feasible, so the flow
+    exists."""
     F = frozenset(F)
     counts = Boundary(g, F)
+    compact = counts.layout.compact
+    reached = None  # (scope, s, t, p, q) of the last closing check
     for plan in plans:
         p, q = plan.p, plan.q
-        if not _feasible_for(g, counts, plan, q - 1):
+        key = (plan.scope, plan.s, plan.t, p)
+        if reached != (*key, q - 1) and not _feasible_for(counts, plan, q - 1):
             raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
+        violated = _violated(counts, plan)
         for stage in plan.stages:
-            cuts = _stage_cuts(g, counts, plan, stage)
-            if plan.scope == "st" and not cuts:
+            guards = _stage_guards(counts, violated, stage)
+            if not guards:
                 continue
             added: set[int] = set()
-            for fam in _stage_families(g, F, plan, stage, cuts):
+            for fam in _stage_families(g, F, plan, stage, compact(guards)):
                 if plan.scope == "st":
                     added |= ring_cover_exact(fam)
                 else:
@@ -227,10 +249,12 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) 
             for eid in added:  # every family's ground lies outside F
                 counts.add(eid)
             F = F | added
-        if not _feasible_for(g, counts, plan, q):
+            violated = _violated(counts, plan)
+        if not _feasible_for(counts, plan, q):
             raise StageCoverFailed(
                 f"stages completed but the result is not ({p}, {q})-feasible"
             )
+        reached = (*key, q)
     return F
 
 
@@ -264,7 +288,7 @@ def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     if g.n < 2:
         return frozenset()
     probe = StagePlan(p=p, q=q, scope="spanning")
-    if not _feasible_for(g, Boundary(g, g.all_edge_ids()), probe, q):
+    if not _feasible_for(Boundary(g, g.all_edge_ids()), probe, q):
         raise InfeasibleInstance(f"graph is not ({p}, {q})-feasible")
     F = flex_base(g, fgc_requirements(g.n, p, 0))
     return augment_stages(g, F, plans) if plans else F
@@ -321,7 +345,8 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
     caps = [2 if e.safe else 1 for e in g.edges]
     seed = min_cost_flow(g, caps, s, t, 4).support()
     plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
-    violated = _stage_cuts(g, Boundary(g, seed), plan, None)
+    counts = Boundary(g, seed)
+    violated = counts.layout.compact(_violated(counts, plan))
     if not violated:
         return seed
     seed_caps = [caps[eid] if eid in seed else 0 for eid in range(g.m)]

@@ -36,9 +36,14 @@ out without listing any, ``solve_lp`` adds a model's rows at once to a
 fresh dual simplex, ``degree_repair`` is the exact search's degree-table
 rule that ``_Packing.refresh`` must match bit for bit, and
 ``boundary_counts``, ``layout_count``, ``tree_edges``, ``unsafe_ids`` and
-``safety`` read one cut's counts, a tree's edges and edge labels, and
-``remove`` takes an edge out of a ``Boundary``.  ``stage_cuts`` reads a
-flexible stage's cut set off a Boundary of its own.
+``safety`` read one cut's counts, a tree's edges and edge labels,
+``remove`` takes an edge out of a ``Boundary`` and ``exactly`` reads the
+cut set of one count off it.  ``stage_cuts`` reads a flexible stage's cut
+set off a Boundary of its own, and
+``compact_stage_cuts`` and ``compact_feasible_for`` keep the stage loop's
+earlier cut-set form of a stage's cut set and of a feasibility check, the
+references for the guard-set form it runs on.  ``violated`` reads the
+members of a family that an edge set leaves uncrossed.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ import numpy as np
 from faultnet import bulk, flexalg, simplex
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult, CutFamily, primal_dual_cover
-from faultnet.cuts import Boundary, crossed, cut_index, separating
+from faultnet.cuts import Boundary, all_cuts, crossed, cut_index, separating
 from faultnet.errors import (
     InfeasibleAugmentation,
     LpInfeasible,
@@ -998,7 +1003,7 @@ def per_requirement_ecsndp_base(g: FaultGraph, reqs) -> frozenset:
             if r.p >= k:
                 scope |= separating(g.n, r.s, r.t)
         counts = Boundary(g, F)
-        level = scope & counts.exactly(counts.total, k - 1)
+        level = scope & exactly(counts, counts.total, k - 1)
         fam = CutFamily(
             graph=g,
             cuts=level,
@@ -1040,10 +1045,48 @@ def layout_count(layout, counts: int, index: int) -> int:
 
 
 def stage_cuts(g: FaultGraph, F: Iterable[int], plan, stage) -> int:
-    """``flexalg._stage_cuts`` on a Boundary of F built for the call: the
-    cut set that ``augment_stages`` hands the stage's families, and with
-    ``stage`` None every violated cut."""
-    return flexalg._stage_cuts(g, Boundary(g, F), plan, stage)
+    """``flexalg._stage_guards`` of the plan's violated cuts on a Boundary
+    of F built for the call, as a cut set: the cut set that
+    ``augment_stages`` hands the stage's families, and with ``stage`` None
+    every violated cut."""
+    counts = Boundary(g, F)
+    violated = flexalg._violated(counts, plan)
+    return counts.layout.compact(flexalg._stage_guards(counts, violated, stage))
+
+
+def compact_scope(g: FaultGraph, plan) -> int:
+    """The cut set a stage plan constrains: every cut, or the s-t cuts."""
+    if plan.scope == "spanning":
+        return all_cuts(g.n)
+    return separating(g.n, plan.s, plan.t)
+
+
+def compact_stage_cuts(g: FaultGraph, counts: Boundary, plan, stage) -> int:
+    """The cut set one stage covers, read on cut sets: the in-scope tight
+    cuts of ``counts``, with ``stage`` safe edges unless ``stage`` is None.
+    The reference for ``flexalg._violated`` and ``flexalg._stage_guards``,
+    which stay on guard sets."""
+    violated = compact_scope(g, plan) & counts.tight(plan.p, plan.q)
+    if stage is None or not violated:
+        return violated
+    return violated & exactly(counts, counts.safe, stage)
+
+
+def compact_feasible_for(g: FaultGraph, counts: Boundary, plan, q: int) -> bool:
+    """Whether the set that ``counts`` holds is (plan.p, q)-feasible in
+    scope, read on cut sets: the reference for ``flexalg._feasible_for``."""
+    return not compact_scope(g, plan) & counts.deficient(plan.p, q)
+
+
+def violated(fam: CutFamily, A: Iterable[int]) -> int:
+    """The cut set of the members of ``fam`` that no edge of A crosses."""
+    return fam.cuts & ~crossed(fam.graph, A)
+
+
+def exactly(counts: Boundary, packed: int, c: int) -> int:
+    """The cut set of cuts whose ``packed`` counts (``counts.safe`` or
+    ``counts.total``) read exactly c."""
+    return counts.layout.compact(counts.layout.exactly(packed, c))
 
 
 def remove(counts: Boundary, eid: int) -> None:

@@ -39,6 +39,7 @@ from oracle_utils import (
     per_requirement_ecsndp_base,
     stage_cuts,
     uncross_pair_ok,
+    violated,
 )
 from test_acceptance import FALLBACK_CONFIGS, _fgc_inst, _ratio_shape
 
@@ -219,8 +220,8 @@ class TestPrimalDual:
         def refused(*_args):
             raise AssertionError("an empty cover read its ground")
 
-        monkeypatch.setattr(cover, "crossed", refused)
-        monkeypatch.setattr(FaultGraph, "cost_of", refused)
+        monkeypatch.setattr(cover, "side", refused)
+        monkeypatch.setattr(cover, "lcm", refused)
         with trace.recording() as counts:
             result = primal_dual_cover(fam)
         assert result == CoverResult(frozenset(), 0.0, ())
@@ -245,7 +246,7 @@ class TestMinimalMembers:
                     )
                     fam = CutFamily(graph=g, cuts=cuts, ground=g.all_edge_ids(), side=side)
                     A = rng.sample(range(g.m), rng.randint(0, 2))
-                    got = masks(n, fam.minimal(fam.violated(A)), side)
+                    got = masks(n, fam.minimal(violated(fam, A)), side)
                     assert got == sorted(_minimal_violated(fam, A)), (
                         side,
                         bin(cuts),

@@ -27,7 +27,7 @@ from faultnet.cuts import (
     side,
 )
 from faultnet.graph import MAX_SWEEP_N, FaultGraph
-from oracle_utils import boundary_counts, layout_count, remove
+from oracle_utils import boundary_counts, exactly, layout_count, remove
 
 
 def bit(cuts, mask):
@@ -137,9 +137,9 @@ def test_packed_counts_match_single_cut_counts_under_adds_and_removes():
             for mask in range(1, 1 << (n - 1)):
                 safe, total = boundary_counts(g, kept, mask)
                 assert bit(at_least(counts, counts.total, c), mask) == (total >= c)
-                assert bit(counts.exactly(counts.total, c), mask) == (total == c)
+                assert bit(exactly(counts, counts.total, c), mask) == (total == c)
                 assert bit(at_least(counts, counts.safe, c), mask) == (safe >= c)
-                assert bit(counts.exactly(counts.safe, c), mask) == (safe == c)
+                assert bit(exactly(counts, counts.safe, c), mask) == (safe == c)
                 s, t = rng.sample(range(n), 2)
                 sep = bool((mask >> s) & 1) != bool((mask >> t) & 1)
                 assert bit(separating(n, s, t), mask) == sep
@@ -244,8 +244,8 @@ def test_thresholds_at_the_field_width_edges():
                         safe, total = boundary_counts(g, members, mask)
                         assert bit(at_least(counts, counts.total, c), mask) == (total >= c)
                         assert bit(at_least(counts, counts.safe, c), mask) == (safe >= c)
-                        assert bit(counts.exactly(counts.total, c), mask) == (total == c)
-                        assert bit(counts.exactly(counts.safe, c), mask) == (safe == c)
+                        assert bit(exactly(counts, counts.total, c), mask) == (total == c)
+                        assert bit(exactly(counts, counts.safe, c), mask) == (safe == c)
                         for q in (0, 1, 2):
                             short = safe < c and total < c + q
                             assert bit(counts.deficient(c, q), mask) == short
