@@ -8,11 +8,12 @@ from faultnet import cover, trace
 from faultnet.cover import (
     CoverResult,
     CutFamily,
+    ecsndp_base,
     exact_cover,
     primal_dual_cover,
     ring_cover_exact,
 )
-from faultnet.cuts import all_cuts, cut_index, masks, predicate
+from faultnet.cuts import all_cuts, cut_index, layout_of, masks, predicate
 from faultnet.errors import NotRingFamily, Uncoverable
 from faultnet.exact import exact_solve
 from faultnet.flexalg import fgc_plans, flex_base, make_fgc_plan, _stage_families, solve_fgc
@@ -565,3 +566,28 @@ class TestListReference:
                     solve_fgc(g, p, q)
         assert all(label.startswith("ecsndp level") for label in levels)
         assert len(levels) == sum(p for p, _q in FALLBACK_CONFIGS) * 10
+
+    def test_a_level_with_no_cut_calls_no_cover(self, monkeypatch):
+        # Classes on the cuts B = {0}, C = {0, 1} and D = {0, 2} of a 4-vertex
+        # graph: B at p = 3, C and D at p = 2.  Level 1 buys edge 0, (0, 3),
+        # which crosses all three.  Level 2 buys edge 1, (0, 2), for B and C,
+        # then edge 2, (0, 1), for D, so B has three chosen edges and level
+        # 3, the cuts of B's class with exactly two, has none.
+        g = FaultGraph(4, [(0, 3, 1.0, "safe"), (0, 2, 5.0, "safe"), (0, 1, 5.0, "safe")])
+        width = layout_of(g).width
+
+        def guards(*sides):
+            return sum(1 << (cut_index(4, mask) + 1) * width - 1 for mask in sides)
+
+        families = []
+
+        def recorded(fam):
+            families.append(fam)
+            return primal_dual_cover(fam)
+
+        monkeypatch.setattr(cover, "primal_dual_cover", recorded)
+        with trace.recording() as counts:
+            base = ecsndp_base(g, {(2, 0): guards(0b011, 0b101), (3, 0): guards(0b001)})
+        assert base == {0, 1, 2}
+        assert [fam.label for fam in families] == ["ecsndp level 1", "ecsndp level 2"]
+        assert counts["cover.covers"] == 2 and counts["cuts.boundaries"] == 1

@@ -1,16 +1,18 @@
 import ast
 import itertools
 from math import comb
+from random import Random
 
 import pytest
 
 from faultnet import flexalg, trace
-from faultnet.cover import CutFamily, ring_cover_exact
-from faultnet.cuts import cut_index, predicate
+from faultnet.cover import CutFamily, primal_dual_cover, ring_cover_exact
+from faultnet.cuts import Boundary, Layout, cut_index, predicate
 from faultnet.errors import (
     BaseNotFeasible,
     InfeasibleInstance,
     ParameterConditionViolated,
+    StageCoverFailed,
     UnsupportedParameters,
 )
 from faultnet.exact import exact_solve
@@ -23,6 +25,7 @@ from faultnet.flexalg import (
     augment_stages,
     fgc_guarantee,
     fgc_plans,
+    flex_base,
     flex_st_guarantee,
     make_fgc_plan,
     make_flex_st_plan,
@@ -40,7 +43,15 @@ from faultnet.oracles import (
     is_flex_feasible,
     violated_cuts_flex_aug,
 )
-from oracle_utils import boundary_counts, kruskal_mst_cost, membership_ciq, stage_cuts
+from oracle_utils import (
+    boundary_counts,
+    compact_feasible_for,
+    compact_stage_cuts,
+    kruskal_mst_cost,
+    membership_ciq,
+    random_graph,
+    stage_cuts,
+)
 
 
 def fgc_instance(seed, n=6, m=14, p=2, q=2, skeleton="mixed", safe_prob=0.5):
@@ -79,6 +90,42 @@ def st_instance(seed, n=6, m=16, p=2, q=2, safe_prob=0.4):
             "safe_prob": safe_prob,
         },
     )
+
+
+def supported_fgc_plans(top=4):
+    """Every level plan of ``fgc_plans(p, q)`` for p, q <= ``top``, once each."""
+    plans = {}
+    for p in range(1, top + 1):
+        for q in range(top + 1):
+            try:
+                for plan in fgc_plans(p, q):
+                    plans[plan.p, plan.q] = plan
+            except UnsupportedParameters:
+                continue
+    return list(plans.values())
+
+
+def per_stage_reference(g, F, plans):
+    """The spanning stage loop as it read before it skipped empty stages:
+    cut sets in place of guard sets, an opening and a closing check per
+    plan, and a family and a cover for every stage, empty or not."""
+    F = frozenset(F)
+    counts = Boundary(g, F)
+    for plan in plans:
+        p, q = plan.p, plan.q
+        if not compact_feasible_for(g, counts, plan, q - 1):
+            raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
+        for stage in plan.stages:
+            cuts = compact_stage_cuts(g, counts, plan, stage)
+            added = set()
+            for fam in _stage_families(g, F, plan, stage, cuts):
+                added |= primal_dual_cover(fam).edges
+            for eid in added:
+                counts.add(eid)
+            F = F | added
+        if not compact_feasible_for(g, counts, plan, q):
+            raise StageCoverFailed(f"stages completed but the result is not ({p}, {q})-feasible")
+    return F
 
 
 class TestSolveFgc:
@@ -240,6 +287,103 @@ class TestAugmentStages:
             assert counts["cuts.boundaries"] == 1
             grown += out != frozenset(F)
         assert grown
+
+
+    def test_stages_with_nothing_to_cover_call_no_cover(self, monkeypatch):
+        # Seeded FGC instances at every supported (p, q) with q >= 1, from
+        # the (p, 0) base that solve_fgc starts from: the stage loop hands
+        # primal_dual_cover only families with members, and its answer is
+        # the per-stage reference's, which also covers the empty stages.
+        families = []
+
+        def recorded(fam):
+            families.append(fam)
+            return primal_dual_cover(fam)
+
+        monkeypatch.setattr(flexalg, "primal_dual_cover", recorded)
+        solves = reference_covers = 0
+        for p, q in sorted({(plan.p, plan.q) for plan in supported_fgc_plans()}):
+            for seed in range(3):
+                g = fgc_instance(seed + 10 * p + q, n=5, m=12, p=p, q=q).to_graph()
+                if not is_flex_feasible(g, fgc_requirements(g.n, p, q), g.all_edge_ids())[0]:
+                    continue
+                base = flex_base(g, fgc_requirements(g.n, p, 0))
+                with trace.recording() as counts:
+                    want = per_stage_reference(g, base, fgc_plans(p, q))
+                reference_covers += counts["cover.covers"]
+                assert augment_stages(g, base, fgc_plans(p, q)) == want
+                solves += 1
+        assert solves >= 30
+        assert families and all(fam.members for fam in families)
+        assert reference_covers > len(families)
+
+
+    def test_nothing_to_cover_decodes_no_cut_set(self, monkeypatch):
+        # On a set with nothing violated at any level, the checks and the
+        # empty stages stay on guard sets: no cut set is decoded.
+        def refused(*_args):
+            raise AssertionError("a cut set was decoded")
+
+        for p, q in ((2, 3), (3, 2), (4, 3)):
+            g = fgc_instance(3, p=p, q=q).to_graph()
+            F = g.all_edge_ids()
+            assert is_flex_feasible(g, fgc_requirements(g.n, p, q), F)[0]
+            Boundary(g, F)  # the layout, built before compact is refused
+            with monkeypatch.context() as mp:
+                mp.setattr(Layout, "compact", refused)
+                assert augment_stages(g, F, fgc_plans(p, q)) == F
+
+    def test_a_closing_check_answers_the_next_opening_check(self, monkeypatch):
+        # Levels 1..3 of one call: the opening check at level 0, then one
+        # closing check per level, which the next level opens on.
+        checks = []
+        feasible_for = flexalg._feasible_for
+
+        def recorded(counts, plan, q):
+            checks.append((plan.q, q))
+            return feasible_for(counts, plan, q)
+
+        monkeypatch.setattr(flexalg, "_feasible_for", recorded)
+        for p in (1, 3):
+            g = fgc_instance(7, p=p, q=3).to_graph()
+            base = flex_base(g, fgc_requirements(g.n, p, 0))
+            checks.clear()
+            augment_stages(g, base, fgc_plans(p, 3))
+            assert checks == [(1, 0), (1, 1), (2, 2), (3, 3)]
+
+
+class TestStageGuardSets:
+    """The stage loop's guard-set reads against the cut-set forms they
+    replaced, ``compact_stage_cuts`` and ``compact_feasible_for``."""
+
+    def test_guard_sets_match_the_cut_set_forms(self):
+        plans = supported_fgc_plans()
+        for p in range(1, 5):
+            for q in range(1, 5):
+                if p + q > p * q / 2:
+                    plans.append(make_flex_st_plan(p, q, 0, 1))
+                    plans.append(make_flex_st_plan(p, q, 2, 0))
+        assert {plan.scope for plan in plans} == {"spanning", "st"}
+        seen = {"violated": 0, "clear": 0, "feasible": 0, "short": 0}
+        for seed in range(24):
+            rng = Random(seed)
+            n = rng.randint(3, 6)
+            g = random_graph(seed, n, rng.randint(n, 4 * n), safe_prob=rng.random())
+            sets = [(), g.all_edge_ids(), [eid for eid in range(g.m) if rng.random() < 0.6]]
+            for F in sets:
+                counts = Boundary(g, F)
+                compact = counts.layout.compact
+                for plan in plans:
+                    violated = flexalg._violated(counts, plan)
+                    for stage in (None, *range(plan.p)):
+                        got = compact(flexalg._stage_guards(counts, violated, stage))
+                        assert got == compact_stage_cuts(g, counts, plan, stage), (seed, plan, stage)
+                    seen["violated" if violated else "clear"] += 1
+                    for level in range(plan.q + 1):
+                        verdict = flexalg._feasible_for(counts, plan, level)
+                        assert verdict == compact_feasible_for(g, counts, plan, level), (seed, plan, level)
+                        seen["feasible" if verdict else "short"] += 1
+        assert min(seen.values()) >= 50, seen
 
 
 class TestSolveFlexSt:
