@@ -158,7 +158,7 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     sd, edges = side(g.n), g.edges
     candidates = sorted(fam.ground)
     cross, ratios = {}, {}
-    for eid in candidates:  # each edge's crossing set and cost, read once
+    for eid in candidates:
         e = edges[eid]
         cross[eid] = sd[e.u] ^ sd[e.v]
         ratios[eid] = e.cost.as_integer_ratio()
