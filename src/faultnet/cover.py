@@ -168,26 +168,26 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     chosen: list[int] = []
     steps: list[tuple[str, int]] = []
     while active:
-        # load = number of active cuts an edge would cross
-        loads = {}
+        # load = number of active cuts an edge would cross, and
+        # delta = r / l, the least residual / load
+        loads = []
         reached = 0
+        r, l = None, 1
         for eid in candidates:
             x = cross[eid]
+            reached |= x
             load = (x & active).bit_count()
             if load:
-                loads[eid] = load
-            reached |= x
+                loads.append((eid, load))
+                res = residual[eid]
+                if r is None or res * l < r * load:
+                    r, l = res, load
         if active & ~reached:
             mask = masks(g.n, active & ~reached, fam.side)[0]
             raise Uncoverable(
                 f"violated cut {VertexCut(g.n, mask).vertices()} has no "
                 f"candidate edge ({fam.label})"
             )
-        # delta = r / l, the least residual / load
-        r, l = None, 1
-        for eid, load in loads.items():
-            if r is None or residual[eid] * l < r * load:
-                r, l = residual[eid], load
         if l > 1:
             for eid in residual:
                 residual[eid] *= l
@@ -195,9 +195,9 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
             den *= l
         dual += r * active.bit_count()
         tight = None
-        for eid, load in loads.items():
-            residual[eid] -= r * load
-            if residual[eid] <= 0 and tight is None:
+        for eid, load in loads:
+            res = residual[eid] = residual[eid] - r * load
+            if res <= 0 and tight is None:
                 tight = eid
         candidates.remove(tight)
         violated &= ~cross[tight]
