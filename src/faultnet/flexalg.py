@@ -212,11 +212,14 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) 
     feasible at the first plan's (p, q - 1).
 
     One Boundary of F serves every plan: its opening check, its violated
-    cuts, every stage's share of them and its closing check; each bought
-    edge is added to it.  All of these are guard sets of that Boundary's
-    layout.  The violated cuts are read when a plan opens and again after
-    each stage that bought edges, and only a stage with cuts to cover
-    decodes its share into a cut set, once, for its families.  A plan's
+    cuts and every stage's share of them; each bought edge is added to it.
+    All of these are guard sets of that Boundary's layout.  The violated
+    cuts are read when a plan opens and again after each stage that bought
+    edges, and only a stage with cuts to cover decodes its share into a
+    cut set, once, for its families.  Those read last are the closing
+    check: F stays (p, q - 1)-feasible as it grows, so a cut with fewer
+    than p safe and fewer than p + q edges has exactly p + q - 1, and F is
+    (p, q)-feasible exactly when no violated cut is left.  A plan's
     closing check answers the next plan's opening check when that plan
     lifts the same scope and p from the level just reached.
 
@@ -250,7 +253,7 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) 
                 counts.add(eid)
             F = F | added
             violated = _violated(counts, plan)
-        if not _feasible_for(counts, plan, q):
+        if violated:
             raise StageCoverFailed(
                 f"stages completed but the result is not ({p}, {q})-feasible"
             )

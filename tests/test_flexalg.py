@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from faultnet import flexalg, trace
-from faultnet.cover import CutFamily, primal_dual_cover, ring_cover_exact
+from faultnet.cover import CoverResult, CutFamily, primal_dual_cover, ring_cover_exact
 from faultnet.cuts import Boundary, Layout, cut_index, predicate
 from faultnet.errors import (
     BaseNotFeasible,
@@ -334,8 +334,9 @@ class TestAugmentStages:
                 assert augment_stages(g, F, fgc_plans(p, q)) == F
 
     def test_a_closing_check_answers_the_next_opening_check(self, monkeypatch):
-        # Levels 1..3 of one call: the opening check at level 0, then one
-        # closing check per level, which the next level opens on.
+        # Levels 1..3 of one call: one feasibility check, the opening one at
+        # level 0.  Each level closes on its violated cuts, and the next
+        # level opens on that.
         checks = []
         feasible_for = flexalg._feasible_for
 
@@ -348,8 +349,39 @@ class TestAugmentStages:
             g = fgc_instance(7, p=p, q=3).to_graph()
             base = flex_base(g, fgc_requirements(g.n, p, 0))
             checks.clear()
-            augment_stages(g, base, fgc_plans(p, 3))
-            assert checks == [(1, 0), (1, 1), (2, 2), (3, 3)]
+            out = augment_stages(g, base, fgc_plans(p, 3))
+            assert checks == [(1, 0)]
+            assert is_flex_feasible(g, fgc_requirements(g.n, p, 3), out)[0]
+
+    def test_a_plan_that_lifts_another_p_opens_with_its_own_check(self):
+        # The (2, 1) plan's closing check says nothing about (3, 1), which
+        # the (3, 2) plan opens on.
+        g = fgc_instance(7, p=3, q=2).to_graph()
+        F = flex_base(g, fgc_requirements(g.n, 2, 0))
+        assert not is_flex_feasible(g, fgc_requirements(g.n, 3, 1), F)[0]
+        with pytest.raises(BaseNotFeasible):
+            augment_stages(g, F, [make_fgc_plan(2, 1), make_fgc_plan(3, 2)])
+
+    @pytest.mark.parametrize("scope", ("spanning", "st"))
+    def test_a_violated_cut_left_fails_the_closing_check(self, scope, monkeypatch):
+        # Covers that buy nothing leave the violated cuts in place.
+        monkeypatch.setattr(flexalg, "primal_dual_cover", lambda fam: CoverResult(frozenset(), 0.0, ()))
+        monkeypatch.setattr(flexalg, "ring_cover_exact", lambda fam: frozenset())
+        if scope == "spanning":
+            g = fgc_instance(7, p=3, q=2).to_graph()
+            F = flex_base(g, fgc_requirements(g.n, 3, 0))
+            plans = fgc_plans(3, 2)
+        else:
+            inst = st_instance(1)
+            g, r = inst.to_graph(), inst.problem.flex[0]
+            # Level 2 as solve_flex_st runs it: level 1, then the seeding.
+            caps = [r.p + 2 if e.safe else r.p for e in g.edges]
+            F = solve_flex_st(g, r.s, r.t, r.p, 1)
+            F |= min_cost_flow(g, caps, r.s, r.t, r.p * (r.p + 2)).support()
+            plans = [make_flex_st_plan(r.p, 2, r.s, r.t)]
+        assert flexalg._violated(Boundary(g, F), plans[0])
+        with pytest.raises(StageCoverFailed):
+            augment_stages(g, F, plans)
 
 
 class TestStageGuardSets:
