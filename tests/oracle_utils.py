@@ -39,11 +39,12 @@ rule that ``_Packing.refresh`` must match bit for bit, and
 ``safety`` read one cut's counts, a tree's edges and edge labels,
 ``remove`` takes an edge out of a ``Boundary`` and ``exactly`` reads the
 cut set of one count off it.  ``stage_cuts`` reads a flexible stage's cut
-set off a Boundary of its own, and
+set off a Boundary of its own, and ``compact_scope``,
 ``compact_stage_cuts`` and ``compact_feasible_for`` keep the stage loop's
-earlier cut-set form of a stage's cut set and of a feasibility check, the
-references for the guard-set form it runs on.  ``violated`` reads the
-members of a family that an edge set leaves uncrossed.
+earlier cut-set form of a plan's scope, a stage's cut set and a
+feasibility check, the references for the guard-set form it runs on.
+``violated`` reads the members of a family that an edge set leaves
+uncrossed.
 """
 
 from __future__ import annotations
