@@ -8,9 +8,10 @@ Two engines back every augmentation step in the package:
 * :func:`ring_cover_exact` - exact minimum-cost cover for ring families
   (closure-verified), via branch and bound with an LP bound at the root.
 
-Plus :func:`ecsndp_base`, the primal-dual (p_i, 0) base on cut classes
-that the flexible solvers use above the exact search budget, and
-:func:`exact_cover`, the shared exact set-cover search.
+Plus :func:`exact_cover`, the shared exact set-cover search.  The
+primal-dual (p_i, 0) base that the flexible solvers use above the exact
+search budget runs its levels as stage plans in
+:func:`faultnet.flexalg.augment_stages`.
 
 A :class:`CutFamily` is one kernel cut set (see :mod:`faultnet.cuts`),
 optionally oriented by one vertex.  Its members and its membership test
@@ -31,7 +32,7 @@ from math import lcm
 from typing import Callable, Mapping, Sequence
 
 from . import trace
-from .cuts import Boundary, all_cuts, masks, predicate, side
+from .cuts import all_cuts, masks, predicate, side
 from .errors import NotRingFamily, Uncoverable
 from .graph import FaultGraph, VertexCut, boundary
 from .simplex import SimplexStatus, solve_dense_lp
@@ -218,40 +219,6 @@ def primal_dual_cover(fam: CutFamily) -> CoverResult:
     trace.count("cover.steps", len(chosen))
     trace.count("cover.drops", len(chosen) - len(kept))
     return CoverResult(frozenset(kept), dual / den, tuple(steps))
-
-
-def ecsndp_base(g: FaultGraph, classes: Mapping[tuple[int, int], int]) -> frozenset:
-    """Levelwise primal-dual base for the (p, 0) ``classes`` of
-    :func:`faultnet.oracles.cut_classes`, used when the exact search budget
-    is exceeded.
-
-    Level k covers the cuts of the classes with p >= k that carry exactly
-    k-1 chosen edges; for flex pairs, an uncrossable family.  One Boundary
-    of the chosen edges serves every level, grown by each bought edge, and
-    a level with no such cut builds no family and calls no cover.
-    """
-    F: frozenset = frozenset()
-    counts = Boundary(g)
-    lay = counts.layout
-    for k in range(1, max(p for p, _q in classes) + 1):
-        scope = 0
-        for (p, _q), cuts in classes.items():
-            if p >= k:
-                scope |= cuts
-        level = scope & lay.exactly(counts.total, k - 1)
-        if not level:
-            continue
-        fam = CutFamily(
-            graph=g,
-            cuts=lay.compact(level),
-            ground=g.all_edge_ids() - F,
-            label=f"ecsndp level {k}",
-        )
-        added = primal_dual_cover(fam).edges
-        for eid in added:
-            counts.add(eid)
-        F = F | added
-    return F
 
 
 # -- exact covering -----------------------------------------------------------

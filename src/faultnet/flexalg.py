@@ -1,10 +1,11 @@
 """Constant-factor algorithms for flexible connectivity.
 
 Spanning case (solve_fgc): a base at level (p, 0) from flex_base (the exact
-optimum within the search budget, else the primal-dual ecsndp_base), then
-one augmentation round per unsafe-failure level as make_fgc_plan lays it
-out.  That is the solver's only (p, q) case split: its supported set
-(fgc_plans) and its guarantee (fgc_guarantee) are read off the plans.
+optimum within the search budget, else the primal-dual on cut classes, one
+plan per level), then one augmentation round per unsafe-failure level as
+make_fgc_plan lays it out.  That is the solver's only (p, q) case split: its
+supported set (fgc_plans) and its guarantee (fgc_guarantee) are read off
+the plans.  augment_stages runs the levels of both.
 
 Single-pair case (solve_flex_st, solve_flex_st_22): each round seeds the
 partial solution with the support of a min-cost flow under capacities
@@ -22,7 +23,7 @@ from math import comb
 from typing import Iterable, Sequence
 
 from . import trace
-from .cover import CutFamily, ecsndp_base, primal_dual_cover, ring_cover_exact
+from .cover import CutFamily, primal_dual_cover, ring_cover_exact
 from .cuts import Boundary, cut_index, first_mask, masks
 from .errors import (
     BaseNotFeasible,
@@ -42,17 +43,20 @@ class StagePlan:
     """Per-level augmentation plan: target (p, q), scope, ordered stages.
 
     A stage is the safe-boundary count of the violated cuts it covers, or
-    None for all violated cuts at once.  The scope picks the cover engine:
-    spanning stages are one primal-dual family each, s-t stages are ring
-    families covered exactly.  Stages 0..p-1 are a ``range``, of any p.
+    None for all violated cuts at once.  The scope is the cuts the plan
+    constrains: every cut, the s-t cuts, or the guard set ``guards`` (a
+    fallback base level, p = k and q = 0).  It picks the cover engine:
+    s-t stages are ring families covered exactly, the others one
+    primal-dual family each.  Stages 0..p-1 are a ``range``, of any p.
     """
 
     p: int
     q: int
-    scope: str  # "spanning" | "st"
+    scope: str  # "spanning" | "st" | "cuts"
     s: int = 0
     t: int = 0
     stages: Sequence[int | None] = ()
+    guards: int = 0
 
 
 def make_fgc_plan(p: int, q: int) -> StagePlan:
@@ -93,11 +97,13 @@ def make_flex_st_plan(p: int, q: int, s: int, t: int) -> StagePlan:
 # -- violated-cut machinery ----------------------------------------------------
 
 def _scope(counts: Boundary, plan: StagePlan) -> int:
-    """The guard set of the cuts the plan constrains: every cut, or the s-t
-    cuts."""
+    """The guard set of the cuts the plan constrains: every cut, the s-t
+    cuts, or the plan's own guard set."""
     if plan.scope == "spanning":
         return counts.layout.guards
-    return counts.layout.scope(((plan.s, plan.t),))
+    if plan.scope == "st":
+        return counts.layout.scope(((plan.s, plan.t),))
+    return plan.guards
 
 
 def _violated(counts: Boundary, plan: StagePlan) -> int:
@@ -127,6 +133,16 @@ def _feasible_for(counts: Boundary, plan: StagePlan, q: int) -> bool:
     lay = counts.layout
     enough = lay.at_least(counts.safe, plan.p) | lay.at_least(counts.total, plan.p + q)
     return not _scope(counts, plan) & ~enough
+
+
+def _answers(reached: tuple[int, int, int], scope: int, p: int, q: int) -> bool:
+    """Whether a passed (p_r, q_r) check on the guard set ``done``, with
+    ``reached`` = (done, p_r, q_r), implies a (p, q) check on ``scope``.
+    The passed check leaves every cut min(p_r, p_r + q_r) edges or more."""
+    done, p_r, q_r = reached
+    return not scope & ~done and (
+        p_r >= p and p_r + q_r >= p + q or min(p_r, p_r + q_r) >= p + q
+    )
 
 
 def _cap_flow_paths(g: FaultGraph, F: frozenset, plan: StagePlan) -> list[tuple[int, ...]]:
@@ -195,15 +211,12 @@ def _stage_families(
     """The families that cover ``cuts``, the cut set of the stage."""
     if plan.scope == "st":
         return _ring_families(g, F, plan, stage, cuts)
-    label = "all-violated" if stage is None else f"safe={stage}"
-    return [
-        CutFamily(
-            graph=g,
-            cuts=cuts,
-            ground=g.all_edge_ids() - F,
-            label=f"spanning({plan.p},{plan.q}) {label}",
-        )
-    ]
+    if plan.scope == "cuts":
+        label = f"ecsndp level {plan.p}"
+    else:
+        share = "all-violated" if stage is None else f"safe={stage}"
+        label = f"spanning({plan.p},{plan.q}) {share}"
+    return [CutFamily(graph=g, cuts=cuts, ground=g.all_edge_ids() - F, label=label)]
 
 
 def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) -> frozenset:
@@ -220,11 +233,12 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) 
     check: F stays (p, q - 1)-feasible as it grows, so a cut with fewer
     than p safe and fewer than p + q edges has exactly p + q - 1, and F is
     (p, q)-feasible exactly when no violated cut is left.  A plan's
-    closing check answers the next plan's opening check when that plan
-    lifts the same scope and p from the level just reached.
+    closing check answers the next plan's opening check when it implies
+    it: a plan that lifts the same scope and p from the level just
+    reached, or a fallback base level, opens on no check of its own.
 
     A stage with nothing to cover costs nothing: it builds no family and
-    calls no cover, in either scope.  For a single-pair stage that also
+    calls no cover, in any scope.  For a single-pair stage that also
     skips the cap flow: the flow depends on F alone, so it would either go
     unused or fail as the next non-empty stage's flow fails on the same F;
     and with no such stage left, F is already (p, q)-feasible, so the flow
@@ -232,11 +246,12 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) 
     F = frozenset(F)
     counts = Boundary(g, F)
     compact = counts.layout.compact
-    reached = None  # (scope, s, t, p, q) of the last closing check
+    reached = None  # (scope, p, q) of the last closing check
     for plan in plans:
         p, q = plan.p, plan.q
-        key = (plan.scope, plan.s, plan.t, p)
-        if reached != (*key, q - 1) and not _feasible_for(counts, plan, q - 1):
+        scope = _scope(counts, plan)
+        answered = reached and _answers(reached, scope, p, q - 1)
+        if not answered and not _feasible_for(counts, plan, q - 1):
             raise BaseNotFeasible(f"input edges are not ({p}, {q - 1})-feasible")
         violated = _violated(counts, plan)
         for stage in plan.stages:
@@ -257,15 +272,17 @@ def augment_stages(g: FaultGraph, F: Iterable[int], plans: Sequence[StagePlan]) 
             raise StageCoverFailed(
                 f"stages completed but the result is not ({p}, {q})-feasible"
             )
-        reached = (*key, q)
+        reached = (scope, p, q)
     return F
 
 
 def flex_base(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> frozenset:
     """A (p_i, 0) base for the flexible solvers: the exact optimum when the
-    edge count is within ``exact_budget()``, otherwise ``ecsndp_base``, the
-    level-by-level primal-dual of Goemans et al. (SODA 1994), on the
-    problem's ``cut_classes``."""
+    edge count is within ``exact_budget()``, otherwise the level-by-level
+    primal-dual of Goemans et al. (SODA 1994) on the problem's
+    ``cut_classes``.  Level k is a one-stage plan on the "cuts" scope of
+    the classes with p >= k, whose violated cuts have exactly k - 1 chosen
+    edges: on flex pairs, an uncrossable family."""
     problem = Problem("flex", flex=tuple(reqs))
     budget = exact_budget()
     if g.m <= budget:
@@ -273,7 +290,15 @@ def flex_base(g: FaultGraph, reqs: Sequence[FlexRequirement]) -> frozenset:
         F, _cost = exact_solve(g, problem, budget)
         return F
     trace.count("flexalg.ecsndp_bases")
-    return ecsndp_base(g, cut_classes(g, problem))
+    classes = cut_classes(g, problem)
+    plans = []
+    for k in range(1, max(p for p, _q in classes) + 1):
+        guards = 0
+        for (p, _q), cuts in classes.items():
+            if p >= k:
+                guards |= cuts
+        plans.append(StagePlan(p=k, q=0, scope="cuts", stages=(None,), guards=guards))
+    return augment_stages(g, frozenset(), plans)
 
 
 # -- spanning solver -----------------------------------------------------------

@@ -1,9 +1,10 @@
 """Ground-truth feasibility oracles, and the one place requirements become
-cuts: :func:`cut_classes`, which the exact search tests and
-``cover.ecsndp_base`` covers, and the drivers' three level oracles, bulk
-(``_violations_of_level``), relative (``_relative_violations``) and
-flexible (``_flex_violations``), each a factory of ``violations(H,
-counts)`` that decodes cuts into edge sets with ``_cut_boundaries``.
+cuts: :func:`cut_classes`, which the exact search tests and the fallback
+base of ``flexalg.flex_base`` covers, and the drivers' three level
+oracles, bulk (``_violations_of_level``), relative
+(``_relative_violations``) and flexible (``_flex_violations``), each a
+factory of ``violations(H, counts)`` that decodes cuts into edge sets
+with ``_cut_boundaries``.
 
 Three fault models share the same verification style: exhaustively sweep the
 relevant failure/cut space and either certify feasibility or return a

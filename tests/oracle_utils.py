@@ -29,10 +29,11 @@ tests called, with the same behaviour: ``check_uncrossable`` tests a
 family for uncrossability pair by pair over the whole cut domain, with
 ``uncross_pair_ok`` the definition for one pair, and
 ``per_requirement_ecsndp_base`` is the fallback (p_i, 0) base as it
-scoped each level from the requirements, the reference for
-``cover.ecsndp_base`` on cut classes.  ``expand_flex_to_bulk`` lists the
-scenarios of the flex-to-bulk reduction that ``solve_flex_sndp`` carries
-out without listing any, ``solve_lp`` adds a model's rows at once to a
+scoped each level from the requirements, and ``ecsndp_base`` the same
+base on cut classes, with a loop of its own: the references for
+``flexalg.flex_base``, which runs the levels as stage plans.
+``expand_flex_to_bulk`` lists the scenarios of the flex-to-bulk reduction
+that ``solve_flex_sndp`` carries out without listing any, ``solve_lp`` adds a model's rows at once to a
 fresh dual simplex, ``degree_repair`` is the exact search's degree-table
 rule that ``_Packing.refresh`` must match bit for bit, and
 ``boundary_counts``, ``layout_count``, ``tree_edges``, ``unsafe_ids`` and
@@ -60,7 +61,7 @@ import numpy as np
 from faultnet import bulk, flexalg, simplex
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult, CutFamily, primal_dual_cover
-from faultnet.cuts import Boundary, all_cuts, crossed, cut_index, separating
+from faultnet.cuts import Boundary, all_cuts, crossed, cut_index, layout_of, separating
 from faultnet.errors import (
     InfeasibleAugmentation,
     LpInfeasible,
@@ -992,7 +993,7 @@ def check_uncrossable(fam: CutFamily) -> tuple[bool, tuple[VertexCut, VertexCut]
 def per_requirement_ecsndp_base(g: FaultGraph, reqs) -> frozenset:
     """Levelwise primal-dual base for p_i-edge-connectivity between each
     requirement's pair (s, t), scoped from the requirements at every
-    level: ``cover.ecsndp_base`` as it read before it took cut classes.
+    level: the fallback base as it read before it took cut classes.
 
     Level k covers the cuts that separate a pair with p_i >= k and carry
     exactly k-1 chosen edges, an uncrossable family.
@@ -1012,6 +1013,41 @@ def per_requirement_ecsndp_base(g: FaultGraph, reqs) -> frozenset:
             label=f"ecsndp level {k}",
         )
         F = F | primal_dual_cover(fam).edges
+    return F
+
+
+def ecsndp_base(g: FaultGraph, classes) -> frozenset:
+    """Levelwise primal-dual base for the (p, 0) ``classes`` of
+    ``oracles.cut_classes``: ``cover.ecsndp_base`` as it read before
+    ``flexalg.flex_base`` ran its levels as stage plans, the reference for
+    that base.
+
+    Level k covers the cuts of the classes with p >= k that carry exactly
+    k-1 chosen edges.  One Boundary of the chosen edges serves every level,
+    grown by each bought edge, and a level with no such cut builds no
+    family and calls no cover.
+    """
+    F: frozenset = frozenset()
+    counts = Boundary(g)
+    lay = counts.layout
+    for k in range(1, max(p for p, _q in classes) + 1):
+        scope = 0
+        for (p, _q), cuts in classes.items():
+            if p >= k:
+                scope |= cuts
+        level = scope & lay.exactly(counts.total, k - 1)
+        if not level:
+            continue
+        fam = CutFamily(
+            graph=g,
+            cuts=lay.compact(level),
+            ground=g.all_edge_ids() - F,
+            label=f"ecsndp level {k}",
+        )
+        added = primal_dual_cover(fam).edges
+        for eid in added:
+            counts.add(eid)
+        F = F | added
     return F
 
 
@@ -1056,10 +1092,13 @@ def stage_cuts(g: FaultGraph, F: Iterable[int], plan, stage) -> int:
 
 
 def compact_scope(g: FaultGraph, plan) -> int:
-    """The cut set a stage plan constrains: every cut, or the s-t cuts."""
+    """The cut set a stage plan constrains: every cut, the s-t cuts, or
+    the cut set of the plan's own guard set."""
     if plan.scope == "spanning":
         return all_cuts(g.n)
-    return separating(g.n, plan.s, plan.t)
+    if plan.scope == "st":
+        return separating(g.n, plan.s, plan.t)
+    return layout_of(g).compact(plan.guards)
 
 
 def compact_stage_cuts(g: FaultGraph, counts: Boundary, plan, stage) -> int:

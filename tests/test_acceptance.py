@@ -191,7 +191,7 @@ def test_criterion_2_ratio_ceilings(kind, p, q, guarantee):
 
 
 # Above the exact-search budget solve_fgc builds its (p, 0) base with the
-# levelwise primal-dual cover.ecsndp_base.  A zero budget, set around
+# levelwise primal-dual of flexalg.flex_base.  A zero budget, set around
 # solve_fgc only, forces that path on the first criterion-2 instances of
 # each (p, q), whose optimum the exact search still reaches.  The base has
 # no factor-2 guarantee, so no ceiling is asserted.
@@ -220,7 +220,7 @@ def test_criterion_2_fallback_base_is_feasible_and_never_beats_the_optimum():
             count += 1
     elapsed = time.perf_counter() - start
     print(
-        f"\ncriterion 2 fallback: PASS ecsndp_base on {count} instances, all "
+        f"\ncriterion 2 fallback: PASS fallback base on {count} instances, all "
         f"feasible, worst ratio {worst:.3f}, {elapsed:.1f}s"
     )
 

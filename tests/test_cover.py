@@ -4,11 +4,10 @@ from random import Random
 
 import pytest
 
-from faultnet import cover, trace
+from faultnet import cover, flexalg, trace
 from faultnet.cover import (
     CoverResult,
     CutFamily,
-    ecsndp_base,
     exact_cover,
     primal_dual_cover,
     ring_cover_exact,
@@ -25,7 +24,9 @@ from faultnet.instances import (
     generate,
 )
 from faultnet.oracles import (
+    FlexRequirement,
     Problem,
+    cut_classes,
     fgc_requirements,
     is_flex_feasible,
     violated_cuts_flex_aug,
@@ -35,6 +36,7 @@ from oracle_utils import (
     boundary_counts,
     brute_set_cover,
     check_uncrossable,
+    ecsndp_base,
     list_primal_dual_cover,
     membership_ciq,
     per_requirement_ecsndp_base,
@@ -518,13 +520,17 @@ class TestListReference:
 
     def test_fallback_base_on_mixed_requirements(self):
         # Flex-sndp instances with (p_i, 0) pairs of mixed p_i, with the
-        # exact search budget at 0 so that flex_base runs cover.ecsndp_base
+        # exact search budget at 0 so that flex_base runs its level plans
         # on the pairs' cut classes.  The base must be the one that scoping
-        # each level from the requirements gives, and (p_i, 0)-feasible.
-        mixed = 0
-        for seed in range(36):
+        # each level from the requirements gives, and the class loop's
+        # reference, and (p_i, 0)-feasible.  Seeds 0-35 at n = 5-7 have a
+        # cut at every level; the three at n = 4-6 each have a level with
+        # none.
+        cases = [(seed, 5, 7) for seed in range(36)] + [(seed, 4, 6) for seed in (617, 1462, 2020)]
+        mixed = empty = 0
+        for seed, low, high in cases:
             rng = Random(seed)
-            n = rng.randint(5, 7)
+            n = rng.randint(low, high)
             pairs = []
             while len({p for *_st, p, _q in pairs}) < 2:
                 s, t = rng.sample(range(n), 2)
@@ -543,13 +549,33 @@ class TestListReference:
                 base = flex_base(g, reqs)
             assert counts["flexalg.ecsndp_bases"] == 1 and counts["flexalg.exact_bases"] == 0
             assert base == per_requirement_ecsndp_base(g, reqs)
+            assert base == ecsndp_base(g, cut_classes(g, inst.problem))
             assert is_flex_feasible(g, reqs, base)[0]
             mixed += len({r.p for r in reqs}) > 1
-        assert mixed == 36
+            empty += max(r.p for r in reqs) - counts["cover.covers"]
+        assert mixed == len(cases)
+        assert empty == 3
+
+    def test_fallback_base_matches_the_class_loop(self):
+        # The criterion-2 fallback instances at (p, 0), with the exact
+        # search budget at 0: the level plans give the base of the class
+        # loop they replaced, one level and one cover per p.
+        for p, q in FALLBACK_CONFIGS:
+            for idx in range(10):
+                n, m, skeleton = _ratio_shape("fgc", p, q, idx)
+                g = _fgc_inst(idx * 7919 + p * 131 + q * 17, p, q, n, m, skeleton).to_graph()
+                problem = Problem("flex", flex=fgc_requirements(g.n, p, 0))
+                with pytest.MonkeyPatch.context() as mp, trace.recording() as counts:
+                    mp.setenv("FAULTNET_EXACT_BUDGET", "0")
+                    base = flex_base(g, problem.flex)
+                assert counts["flexalg.ecsndp_bases"] == 1 and counts["cover.covers"] == p
+                assert base == ecsndp_base(g, cut_classes(g, problem)), (p, q, idx)
 
     def test_every_fallback_base_level(self):
         # The criterion-2 fallback instances, with the exact search budget
-        # at 0 so that solve_fgc runs cover.ecsndp_base.
+        # at 0 so that solve_fgc runs the fallback base.  Its levels and
+        # the augmentation stages both cover through the name in flexalg;
+        # the base levels carry the "ecsndp level k" label.
         levels = []
 
         def checked(fam):
@@ -562,32 +588,38 @@ class TestListReference:
                 g = _fgc_inst(idx * 7919 + p * 131 + q * 17, p, q, n, m, skeleton).to_graph()
                 with pytest.MonkeyPatch.context() as mp:
                     mp.setenv("FAULTNET_EXACT_BUDGET", "0")
-                    mp.setattr(cover, "primal_dual_cover", checked)
+                    mp.setattr(flexalg, "primal_dual_cover", checked)
                     solve_fgc(g, p, q)
-        assert all(label.startswith("ecsndp level") for label in levels)
-        assert len(levels) == sum(p for p, _q in FALLBACK_CONFIGS) * 10
+        base_levels = [label for label in levels if label.startswith("ecsndp level")]
+        assert len(base_levels) == sum(p for p, _q in FALLBACK_CONFIGS) * 10
+        assert all(label.startswith("spanning(") for label in levels if label not in base_levels)
 
     def test_a_level_with_no_cut_calls_no_cover(self, monkeypatch):
         # Classes on the cuts B = {0}, C = {0, 1} and D = {0, 2} of a 4-vertex
         # graph: B at p = 3, C and D at p = 2.  Level 1 buys edge 0, (0, 3),
         # which crosses all three.  Level 2 buys edge 1, (0, 2), for B and C,
         # then edge 2, (0, 1), for D, so B has three chosen edges and level
-        # 3, the cuts of B's class with exactly two, has none.
+        # 3, the cuts of B's class with exactly two, has none.  No pair
+        # gives these classes, so flex_base reads them in place of the
+        # requirement's.
         g = FaultGraph(4, [(0, 3, 1.0, "safe"), (0, 2, 5.0, "safe"), (0, 1, 5.0, "safe")])
         width = layout_of(g).width
 
         def guards(*sides):
             return sum(1 << (cut_index(4, mask) + 1) * width - 1 for mask in sides)
 
+        classes = {(2, 0): guards(0b011, 0b101), (3, 0): guards(0b001)}
         families = []
 
         def recorded(fam):
             families.append(fam)
             return primal_dual_cover(fam)
 
-        monkeypatch.setattr(cover, "primal_dual_cover", recorded)
+        monkeypatch.setenv("FAULTNET_EXACT_BUDGET", "0")
+        monkeypatch.setattr(flexalg, "cut_classes", lambda _g, _problem: classes)
+        monkeypatch.setattr(flexalg, "primal_dual_cover", recorded)
         with trace.recording() as counts:
-            base = ecsndp_base(g, {(2, 0): guards(0b011, 0b101), (3, 0): guards(0b001)})
-        assert base == {0, 1, 2}
+            base = flex_base(g, [FlexRequirement(0, 3, 3, 0)])
+        assert base == {0, 1, 2} == ecsndp_base(g, classes)
         assert [fam.label for fam in families] == ["ecsndp level 1", "ecsndp level 2"]
         assert counts["cover.covers"] == 2 and counts["cuts.boundaries"] == 1

@@ -105,6 +105,16 @@ def supported_fgc_plans(top=4):
     return list(plans.values())
 
 
+def random_base_levels(rng, g):
+    """Fallback base levels k = 1..3, each on a random guard set of g's
+    layout."""
+    guards = Boundary(g).layout.guards
+    return [
+        StagePlan(p=k, q=0, scope="cuts", stages=(None,), guards=guards & rng.getrandbits(guards.bit_length()))
+        for k in (1, 2, 3)
+    ]
+
+
 def per_stage_reference(g, F, plans):
     """The spanning stage loop as it read before it skipped empty stages:
     cut sets in place of guard sets, an opening and a closing check per
@@ -336,12 +346,14 @@ class TestAugmentStages:
     def test_a_closing_check_answers_the_next_opening_check(self, monkeypatch):
         # Levels 1..3 of one call: one feasibility check, the opening one at
         # level 0.  Each level closes on its violated cuts, and the next
-        # level opens on that.
+        # level opens on that.  The fallback base's levels 1..p do the
+        # same: one check, level 1's opening one at (1, -1), since each
+        # level's (k, 0) check implies level k + 1's opening (k + 1, -1).
         checks = []
         feasible_for = flexalg._feasible_for
 
         def recorded(counts, plan, q):
-            checks.append((plan.q, q))
+            checks.append((plan.p, plan.q, q))
             return feasible_for(counts, plan, q)
 
         monkeypatch.setattr(flexalg, "_feasible_for", recorded)
@@ -350,8 +362,17 @@ class TestAugmentStages:
             base = flex_base(g, fgc_requirements(g.n, p, 0))
             checks.clear()
             out = augment_stages(g, base, fgc_plans(p, 3))
-            assert checks == [(1, 0)]
+            assert checks == [(p, 1, 0)]
             assert is_flex_feasible(g, fgc_requirements(g.n, p, 3), out)[0]
+        monkeypatch.setenv("FAULTNET_EXACT_BUDGET", "0")
+        for p in (1, 2, 3):
+            g = fgc_instance(7, p=p, q=0).to_graph()
+            checks.clear()
+            with trace.recording() as counts:
+                base = flex_base(g, fgc_requirements(g.n, p, 0))
+            assert counts["flexalg.ecsndp_bases"] == 1 and counts["cover.covers"] == p
+            assert checks == [(1, 0, -1)]
+            assert is_flex_feasible(g, fgc_requirements(g.n, p, 0), base)[0]
 
     def test_a_plan_that_lifts_another_p_opens_with_its_own_check(self):
         # The (2, 1) plan's closing check says nothing about (3, 1), which
@@ -395,27 +416,55 @@ class TestStageGuardSets:
                 if p + q > p * q / 2:
                     plans.append(make_flex_st_plan(p, q, 0, 1))
                     plans.append(make_flex_st_plan(p, q, 2, 0))
-        assert {plan.scope for plan in plans} == {"spanning", "st"}
         seen = {"violated": 0, "clear": 0, "feasible": 0, "short": 0}
         for seed in range(24):
             rng = Random(seed)
             n = rng.randint(3, 6)
             g = random_graph(seed, n, rng.randint(n, 4 * n), safe_prob=rng.random())
             sets = [(), g.all_edge_ids(), [eid for eid in range(g.m) if rng.random() < 0.6]]
+            base_levels = random_base_levels(rng, g)
+            assert {plan.scope for plan in plans + base_levels} == {"spanning", "st", "cuts"}
             for F in sets:
                 counts = Boundary(g, F)
                 compact = counts.layout.compact
-                for plan in plans:
+                for plan in plans + base_levels:
                     violated = flexalg._violated(counts, plan)
                     for stage in (None, *range(plan.p)):
                         got = compact(flexalg._stage_guards(counts, violated, stage))
                         assert got == compact_stage_cuts(g, counts, plan, stage), (seed, plan, stage)
                     seen["violated" if violated else "clear"] += 1
-                    for level in range(plan.q + 1):
+                    for level in range(-1, plan.q + 1):
                         verdict = flexalg._feasible_for(counts, plan, level)
                         assert verdict == compact_feasible_for(g, counts, plan, level), (seed, plan, level)
                         seen["feasible" if verdict else "short"] += 1
         assert min(seen.values()) >= 50, seen
+
+    def test_a_check_answers_only_checks_it_implies(self):
+        # Wherever a passed check on one plan answers a check on another,
+        # the other check passes too: random sets, the plans of every
+        # scope, and every level from -1 up.
+        answered = 0
+        for seed in range(24):
+            rng = Random(seed)
+            n = rng.randint(3, 6)
+            g = random_graph(seed, n, rng.randint(n, 4 * n), safe_prob=rng.random())
+            plans = supported_fgc_plans(3) + random_base_levels(rng, g)
+            plans += [make_flex_st_plan(2, 1, 0, 1), make_flex_st_plan(1, 2, 1, 2)]
+            counts = Boundary(g, [eid for eid in range(g.m) if rng.random() < 0.7])
+            passed = [
+                (flexalg._scope(counts, plan), plan.p, level)
+                for plan in plans
+                for level in range(-1, plan.q + 1)
+                if flexalg._feasible_for(counts, plan, level)
+            ]
+            for reached in passed:
+                for plan in plans:
+                    for level in range(-1, plan.q + 1):
+                        if flexalg._answers(reached, flexalg._scope(counts, plan), plan.p, level):
+                            verdict = flexalg._feasible_for(counts, plan, level)
+                            assert verdict, (seed, reached, plan, level)
+                            answered += 1
+        assert answered >= 1000
 
 
 class TestSolveFlexSt:
