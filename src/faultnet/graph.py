@@ -194,9 +194,6 @@ class VertexCut:
     def vertices(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if (self.mask >> v) & 1)
 
-    def contains(self, v: int) -> bool:
-        return bool((self.mask >> v) & 1)
-
 
 def boundary(g: FaultGraph, F: Iterable[int], S) -> frozenset:
     """Edges of F with exactly one endpoint in S.

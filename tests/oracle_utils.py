@@ -38,8 +38,9 @@ fresh dual simplex, ``degree_repair`` is the exact search's degree-table
 rule that ``_Packing.refresh`` must match bit for bit, and
 ``boundary_counts``, ``layout_count``, ``tree_edges``, ``unsafe_ids`` and
 ``safety`` read one cut's counts, a tree's edges and edge labels,
-``remove`` takes an edge out of a ``Boundary`` and ``exactly`` reads the
-cut set of one count off it.  ``stage_cuts`` reads a flexible stage's cut
+``remove`` takes an edge out of a ``Boundary``, ``exactly`` reads the
+cut set of one count off it and ``contains`` asks whether a vertex lies
+on a ``VertexCut``'s side.  ``stage_cuts`` reads a flexible stage's cut
 set off a Boundary of its own, and ``compact_scope``,
 ``compact_stage_cuts`` and ``compact_feasible_for`` keep the stage loop's
 earlier cut-set form of a plan's scope, a stage's cut set and a
@@ -1137,6 +1138,11 @@ def remove(counts: Boundary, eid: int) -> None:
     if counts._safe[eid]:
         counts.safe -= cuts
     counts.inside[eid] = 0
+
+
+def contains(cut: VertexCut, v: int) -> bool:
+    """Whether vertex v lies on the side S that ``cut`` holds."""
+    return bool((cut.mask >> v) & 1)
 
 
 def tree_edges(tree) -> frozenset:

@@ -8,8 +8,10 @@ No linter ships with the project, so these walk each module's syntax tree:
   property of a package class other than a dunder, is referenced somewhere
   in the package other than at its own definition, or is a public name in
   ``faultnet.__all__``; a read through a local list, set or dict, such as
-  ``candidates.remove(e)``, does not count.  Code that only tests call
-  belongs in the tests;
+  ``candidates.remove(e)``, does not count, and a read through a receiver
+  whose class the source states, such as ``counts = Boundary(g)`` and
+  then ``counts.add(e)``, counts for that class alone.  Code that only
+  tests call belongs in the tests;
 - every backticked dotted name in ``README.md``, such as ``graph.boundary``
   or ``faultnet.cuts``, resolves to a package module or attribute;
 - the counter names that the package passes to ``trace.count`` are the
@@ -69,6 +71,7 @@ def _names(node, attributes_only: bool = False, skip=frozenset()) -> list[str]:
 
 
 CONTAINERS = {"list", "set", "dict"}
+CONTAINER = "<container>"  # the receiver kind of a list, set or dict
 CONTAINER_CALLS = CONTAINERS | {"sorted", "bytearray"}
 CONTAINER_VALUES = (ast.List, ast.Set, ast.Dict, ast.ListComp, ast.SetComp, ast.DictComp)
 SCOPES = (*FUNCTIONS, ast.Lambda, ast.ClassDef)
@@ -125,47 +128,105 @@ def _instance_attribute(node, me) -> str | None:
     return None
 
 
-def _container_targets(nodes, attrs=frozenset(), me=None) -> tuple[set, set]:
-    """(targets bound to a container, AugAssign targets) among the nodes:
-    a target takes a container when its value builds one
-    (:func:`_builds_container`), when its annotation is ``list``, ``set``
-    or ``dict``, or when its value is ``me.name`` for a name in ``attrs``."""
-    held_at, skipped = set(), set()
+def _named(node) -> str | None:
+    """The name an annotation or a callee spells: ``Boundary``,
+    ``cuts.Boundary`` or ``"Boundary"``."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _stated_kind(annotation, classes) -> str | None:
+    """The receiver kind an annotation states: ``CONTAINER`` for ``list``,
+    ``set`` or ``dict``, subscripted or not, or the package class it
+    names."""
+    if annotation is None:
+        return None
+    if _container_annotation(annotation):
+        return CONTAINER
+    name = _named(annotation)
+    return name if name in classes else None
+
+
+def package_kinds(trees) -> tuple[frozenset, dict]:
+    """(classes, makers) of the package's syntax trees: the names of its
+    top-level classes, and {callable: kind} for each class, whose call
+    makes one of its own, and each top-level function whose return
+    annotation states a kind (:func:`_stated_kind`)."""
+    classes = frozenset(
+        stmt.name for tree in trees for stmt in tree.body if isinstance(stmt, ast.ClassDef)
+    )
+    makers = {name: name for name in classes}
+    for tree in trees:
+        for stmt in tree.body:
+            kind = _stated_kind(stmt.returns, classes) if isinstance(stmt, FUNCTIONS) else None
+            if kind is not None:
+                makers[stmt.name] = kind
+    return classes, makers
+
+
+def _agreed(bound: dict) -> dict:
+    """{name: kind} of the names in ``bound``, {name: set of kinds}, that
+    every binding gives one kind, None standing for no known kind."""
+    return {
+        name: next(iter(kinds))
+        for name, kinds in bound.items()
+        if len(kinds) == 1 and None not in kinds
+    }
+
+
+def _typed_targets(nodes, package, attrs: dict, me) -> tuple[dict, set]:
+    """({target: kind} of the targets whose binding states a kind, AugAssign
+    targets) among the nodes.  A binding states the kind that its
+    annotation states (:func:`_stated_kind`), ``CONTAINER`` when its value
+    builds a container (:func:`_builds_container`), the kind of a package
+    maker its value calls (:func:`package_kinds`), or the kind in ``attrs``
+    of ``me.name`` when that is its value."""
+    classes, makers = package
+    kinds, skipped = {}, set()
     for node in nodes:
-        annotated = isinstance(node, ast.AnnAssign) and _container_annotation(node.annotation)
+        stated = _stated_kind(node.annotation, classes) if isinstance(node, ast.AnnAssign) else None
         for target, value in _bindings(node):
-            if annotated or _builds_container(value) or _instance_attribute(value, me) in attrs:
-                held_at.add(target)
+            if stated is not None:
+                kind = stated
+            elif _builds_container(value):
+                kind = CONTAINER
+            elif isinstance(value, ast.Call):
+                kind = makers.get(_named(value.func))
+            else:
+                kind = attrs.get(_instance_attribute(value, me))
+            if kind is not None:
+                kinds[target] = kind
         if isinstance(node, ast.AugAssign):
             skipped.add(node.target)
-    return held_at, skipped
+    return kinds, skipped
 
 
 def _instance_name(method) -> str | None:
-    """The name of a method's first parameter, the instance; None for a
-    static or class method, or one with no parameter."""
-    if not method.args.args or any(
-        getattr(d, "id", None) in ("staticmethod", "classmethod") for d in method.decorator_list
-    ):
+    """The name of a method's first parameter, the instance or, in a class
+    method, the class; None for a static method, or one with no
+    parameter."""
+    decorators = {getattr(d, "id", None) for d in method.decorator_list}
+    if not method.args.args or "staticmethod" in decorators:
         return None
     return method.args.args[0].arg
 
 
-def _container_attributes(cls: ast.ClassDef) -> frozenset:
-    """The attributes that the class's methods bind on their first
-    parameter, the instance, when every such binding is a container."""
-    held, other = set(), set()
+def _attribute_kinds(cls: ast.ClassDef, package) -> dict:
+    """{attribute: kind} of the attributes that the class's methods bind on
+    their first parameter, when every such binding states one kind."""
+    bound: dict[str, set] = {}
     for method in cls.body:
         me = _instance_name(method) if isinstance(method, FUNCTIONS) else None
         if me is None:
             continue
         nodes = list(ast.walk(method))
-        held_at, skipped = _container_targets(nodes)
+        typed, skipped = _typed_targets(nodes, package, {}, None)
         for node in nodes:
             name = _instance_attribute(node, me)
             if name is not None and isinstance(node.ctx, ast.Store) and node not in skipped:
-                (held if node in held_at else other).add(name)
-    return frozenset(held - other)
+                bound.setdefault(name, set()).add(typed.get(node))
+    return _agreed(bound)
 
 
 def _parameters(scope) -> set:
@@ -175,88 +236,104 @@ def _parameters(scope) -> set:
     return {arg.arg for arg in every if arg is not None}
 
 
-def container_reads(scope, outer=frozenset(), attrs=frozenset(), me=None) -> set:
-    """The attribute reads under ``scope`` whose receiver is a local that
-    every binding makes a list, set or dict: a container it builds
-    (:func:`_builds_container`) or a ``list``, ``set`` or ``dict``
-    annotation.  A name that the scope does not bind keeps the meaning it
-    has in ``outer``, the containers of the enclosing functions; a class
-    body's names do not reach its methods.  In a method, and the functions
-    nested in it, ``me`` names the instance and ``attrs`` the attributes
-    that the class binds to containers alone (:func:`_container_attributes`):
-    a read through such an attribute, ``self.columns.get(...)``, or through
-    a local copied from it, ``columns = self.columns`` and then
-    ``columns.get(...)``, has a container receiver too.  Such a read, say
-    ``candidates.remove(e)``, calls the container's method, not a package
-    method of the same name."""
+def receiver_kinds(scope, package, outer: dict, attrs: dict, me=None) -> dict:
+    """{attribute read: kind} of the attribute reads under ``scope`` whose
+    receiver has a known kind: ``CONTAINER`` for a list, set or dict, or
+    the name of a package class.  ``package`` is :func:`package_kinds`.
+
+    A local has the kind that every one of its bindings states
+    (:func:`_typed_targets`), a parameter the kind its annotation states.
+    A name that the scope does not bind keeps the kind it has in
+    ``outer``, the kinds of the enclosing functions; a class body's names
+    do not reach its methods.  In a method, and the functions nested in
+    it, ``me`` names the instance (in a class method, the class), whose
+    kind is the class, and ``attrs`` the kinds of the attributes that the
+    class binds on it (:func:`_attribute_kinds`): a read through such an
+    attribute, ``self.columns.get(...)``, or through a local copied from
+    it, ``columns = self.columns`` and then ``columns.get(...)``, has that
+    kind.  A read through a container, say ``candidates.remove(e)``,
+    calls the container's method, and a read through a package class's
+    instance calls that class's method, not a package method of the same
+    name on another class."""
     nodes = list(_own_nodes(scope))
-    held_at, skipped = _container_targets(nodes, attrs, me)
-    held, other = set(), set()
+    typed, skipped = _typed_targets(nodes, package, attrs, me)
+    bound: dict[str, set] = {}
     for node in nodes:
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
-            if node in held_at:
-                held.add(node.id)
-            elif node not in skipped:
-                other.add(node.id)
-        elif isinstance(node, ast.arg):
-            (held if _container_annotation(node.annotation) else other).add(node.arg)
+            if node not in skipped:
+                bound.setdefault(node.id, set()).add(typed.get(node))
+        elif isinstance(node, ast.arg) and node.arg != me:
+            bound.setdefault(node.arg, set()).add(_stated_kind(node.annotation, package[0]))
         elif isinstance(node, (*FUNCTIONS, ast.ClassDef)):
-            other.add(node.name)
-    containers = (held | set(outer)) - other
-    found = {
-        node
-        for node in nodes
-        if isinstance(node, ast.Attribute)
-        and (
-            (isinstance(node.value, ast.Name) and node.value.id in containers)
-            or _instance_attribute(node.value, me) in attrs
-        )
-    }
-    inner = outer if isinstance(scope, ast.ClassDef) else containers
+            bound.setdefault(node.name, set()).add(None)
+    kinds = {name: kind for name, kind in outer.items() if name not in bound} | _agreed(bound)
+    found = {}
+    for node in nodes:
+        if isinstance(node, ast.Attribute):
+            receiver = node.value
+            if isinstance(receiver, ast.Name):
+                kind = kinds.get(receiver.id)
+            else:
+                kind = attrs.get(_instance_attribute(receiver, me))
+            if kind is not None:
+                found[node] = kind
+    inner = outer if isinstance(scope, ast.ClassDef) else kinds
     for node in nodes:
         if isinstance(node, ast.ClassDef):
-            found |= container_reads(node, inner, _container_attributes(node))
+            found |= receiver_kinds(node, package, inner, _attribute_kinds(node, package))
         elif isinstance(scope, ast.ClassDef) and isinstance(node, FUNCTIONS):
-            found |= container_reads(node, inner, attrs, _instance_name(node))
+            instance = _instance_name(node)
+            own = inner if instance is None else {**inner, instance: scope.name}
+            found |= receiver_kinds(node, package, own, attrs, instance)
         elif isinstance(node, SCOPES):
-            found |= container_reads(node, inner, attrs, None if me in _parameters(node) else me)
+            found |= receiver_kinds(node, package, inner, attrs, None if me in _parameters(node) else me)
     return found
 
 
 def unreferenced(sources: list[str], public) -> list[str]:
     """Top-level functions and classes of the given modules, and the
-    methods and properties of those classes other than dunders, that no
-    code outside their own definition names, and that ``public`` does not
-    list.  A top-level name counts when read as a variable or as an
-    attribute, a method only as an attribute, since a variable of the same
-    name is not a call of it.  An attribute read whose receiver is a local
-    list, set or dict (:func:`container_reads`) is not a reference.
-    Imports are not references."""
+    methods and properties of those classes other than dunders, as
+    ``Class.method``, that no code outside their own definition names, and
+    that ``public`` does not list.  A top-level name counts when read as a
+    variable or as an attribute, a method only as an attribute, since a
+    variable of the same name is not a call of it.  An attribute read
+    whose receiver is a list, set or dict (:func:`receiver_kinds`) is not a
+    reference, one whose receiver's class is known counts for that class
+    alone, and any other counts for every class.  Imports are not
+    references."""
+    trees = [ast.parse(source) for source in sources]
+    package = package_kinds(trees)
     top, methods = [], []
-    seen, attributes = Counter(), Counter()
-    for source in sources:
-        tree = ast.parse(source)
-        skip = container_reads(tree)
+    seen = Counter()
+    reads: dict[str, list] = {}  # attribute -> [(read, receiver kind or None)]
+    for tree in trees:
+        kinds = receiver_kinds(tree, package, {}, {})
+        skip = {node for node, kind in kinds.items() if kind == CONTAINER}
         seen.update(_names(tree, skip=skip))
-        attributes.update(_names(tree, attributes_only=True, skip=skip))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node not in skip:
+                reads.setdefault(node.attr, []).append((node, kinds.get(node)))
         for stmt in tree.body:
             if not isinstance(stmt, DEFINITIONS):
                 continue
             top.append(stmt.name)
             seen.subtract(name for name in _names(stmt, skip=skip) if name == stmt.name)
             if isinstance(stmt, ast.ClassDef):
-                for item in stmt.body:
-                    if isinstance(item, FUNCTIONS) and not (
-                        item.name.startswith("__") and item.name.endswith("__")
-                    ):
-                        methods.append(item.name)
-                        attributes.subtract(
-                            name
-                            for name in _names(item, attributes_only=True, skip=skip)
-                            if name == item.name
-                        )
+                methods += [
+                    (stmt.name, item)
+                    for item in stmt.body
+                    if isinstance(item, FUNCTIONS)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                ]
+
+    def called(cls: str, method) -> bool:
+        own = set(ast.walk(method))
+        return any(
+            kind in (None, cls) and node not in own for node, kind in reads.get(method.name, ())
+        )
+
     orphans = [name for name in top if seen[name] <= 0] + [
-        name for name in methods if attributes[name] <= 0
+        f"{cls}.{method.name}" for cls, method in methods if not called(cls, method)
     ]
     return [name for name in orphans if name not in public]
 
@@ -290,8 +367,8 @@ def test_checker_sees_an_orphan():
         "from . import lib\n\n"
         "def run(spare):\n    return lib.helper() + lib.Public().used() + spare\n"
     )
-    assert unreferenced([lib, user], public={"Public", "run"}) == ["orphan", "lonely", "spare"]
-    assert unreferenced([lib, user], public={"Public", "run", "orphan", "lonely", "spare"}) == []
+    assert unreferenced([lib, user], public={"Public", "run"}) == ["orphan", "Public.lonely", "Public.spare"]
+    assert unreferenced([lib, user], public={"Public", "run", "orphan", "Public.lonely", "Public.spare"}) == []
 
 
 def test_checker_ignores_container_methods():
@@ -334,11 +411,11 @@ def test_checker_ignores_container_methods():
         "        candidates.remove(11)\n\n"
         "    return undo\n"
     )
-    assert unreferenced([lib, user], public={"cover"}) == ["remove", "get"]
+    assert unreferenced([lib, user], public={"cover"}) == ["Boundary.remove", "Boundary.get"]
     # A local bound to something else as well may hold a Boundary: its
     # ``remove`` read counts.
     rebound = "def f(g):\n    x = []\n    x = g.boundary()\n    x.remove(1)\n"
-    assert unreferenced([lib, user, rebound], public={"cover", "f"}) == ["get"]
+    assert unreferenced([lib, user, rebound], public={"cover", "f"}) == ["Boundary.get"]
     # An attribute that the class binds to a dict alone, read directly or
     # through a local copied from it, as ``exact._Packing.bound`` reads
     # ``columns = self.columns`` in a tuple assignment, is a container
@@ -358,17 +435,78 @@ def test_checker_ignores_container_methods():
         "        return col, later\n"
     )
     run = "from .packing import _Packing\n\ndef run(g):\n    p = _Packing()\n    p.reset(g)\n    return p.bound(1)\n"
-    assert unreferenced([lib, user, packing, run], public={"cover", "run"}) == ["remove", "get"]
+    assert unreferenced([lib, user, packing, run], public={"cover", "run"}) == ["Boundary.remove", "Boundary.get"]
     # Once a method binds it to something else as well, it may hold a
     # Boundary, and all four ``get`` reads count.
     reset = "\n    def reset(self, g):\n        self.columns = g.boundary()\n"
     for read in ("columns.get(low)", "self.columns.get(width)", "columns.get(1), ", "self.columns.get(2)"):
         assert read in packing
-    assert unreferenced([lib, user, packing + reset, run], public={"cover", "run"}) == ["remove"]
+    assert unreferenced([lib, user, packing + reset, run], public={"cover", "run"}) == ["Boundary.remove"]
     # A nested function whose own parameter shadows the instance reads its
     # own ``self``.
     shadow = packing.replace("def later():", "def later(self):")
-    assert unreferenced([lib, user, shadow, run], public={"cover", "run"}) == ["remove"]
+    assert unreferenced([lib, user, shadow, run], public={"cover", "run"}) == ["Boundary.remove"]
+
+
+def test_checker_resolves_a_receivers_class():
+    # Two dead methods that a live one of the same name hid from a guard
+    # that matched reads by attribute name: ``Boundary.remove`` behind
+    # ``list.remove``, here on the list a package function is annotated to
+    # return, and ``Boundary.exactly`` behind ``Layout.exactly``, read
+    # through a local bound by ``layout_of``, annotated to return a Layout,
+    # as ``oracles._relative_classes`` reads it.
+    lib = (
+        "class Layout:\n"
+        "    def exactly(self, counts, c):\n        return counts == c\n\n"
+        "class Boundary:\n"
+        "    def __init__(self, g):\n        self.layout = layout_of(g)\n\n"
+        "    def add(self, eid):\n        pass\n\n"
+        "    def remove(self, eid):\n        pass\n\n"
+        "    def exactly(self, c):\n        return c\n\n"
+        "def layout_of(g) -> Layout:\n    return Layout()\n\n"
+        "def masks(n) -> list[int]:\n    return list(range(n))\n"
+    )
+    user = (
+        "from .lib import Boundary, Layout, layout_of, masks\n\n"
+        "def cover(g, n):\n"
+        "    counts = Boundary(g)\n"
+        "    counts.add(1)\n"
+        "    picks = masks(n)\n"
+        "    picks.remove(2)\n"
+        "    lay = layout_of(g)\n"
+        "    return lay.exactly(3, 4)\n"
+    )
+    dead = ["Boundary.remove", "Boundary.exactly"]
+    assert unreferenced([lib, user], public={"cover"}) == dead
+    # A constructor call, a local's annotation and a parameter's state a
+    # class just as the annotated return does.
+    for source in (
+        user.replace("lay = layout_of(g)", "lay = Layout()"),
+        user.replace("lay = layout_of(g)", "lay: Layout = g.layout"),
+        user.replace("(g, n):", "(g, n, lay: 'Layout'):").replace("    lay = layout_of(g)\n", ""),
+    ):
+        assert unreferenced([lib, source], public={"cover"}) == dead
+    # In a class's own methods the instance and, in a class method, the
+    # class have the class's kind, and so does an attribute that it binds
+    # to an instance of one: ``self.remove`` and ``cls.make`` read Pool's
+    # methods, ``self.layout.exactly`` Layout's.
+    pool = (
+        "from .lib import layout_of\n\n"
+        "class Pool:\n"
+        "    def __init__(self, g):\n        self.layout = layout_of(g)\n\n"
+        "    @classmethod\n    def make(cls, g):\n        return cls(g)\n\n"
+        "    @classmethod\n    def empty(cls, g):\n        return cls.make(g)\n\n"
+        "    def drop(self, x):\n        self.remove(x)\n        return self.layout.exactly(x, 0)\n\n"
+        "    def remove(self, x):\n        pass\n"
+    )
+    assert unreferenced([lib, user, pool], public={"cover", "Pool"}) == [
+        *dead, "Pool.empty", "Pool.drop"
+    ]
+    # A read through a receiver of no known kind counts for every class:
+    # the receiver of ``x.remove`` may be a Boundary, and the local bound
+    # to an attribute of one is not resolved.
+    loose = "def loose(x, counts):\n    x.remove(5)\n    lay = counts.layout\n    return lay.exactly(6)\n"
+    assert unreferenced([lib, user, loose], public={"cover", "loose"}) == []
 
 
 def test_package_code_has_a_package_caller():
