@@ -16,8 +16,11 @@ field of each cut it crosses) and removing one is a subtract.  A threshold
 test adds a per-field offset and keeps the guard bits: count + 2^(w-1) - c
 carries into the guard exactly when count >= c, and never into the next
 field.  The answer is a *guard set*, the packed twin of a cut set; the
-exact search works on guard sets throughout and :meth:`Layout.compact`
-turns one into a cut set in one linear pass.  A failure set F cuts off a
+package works on guard sets and :meth:`Layout.compact` turns one into a
+cut set in one linear pass, only for a cover family or a witness.  The
+flexible cut rule has one statement, :meth:`Boundary.deficient` and
+:meth:`Boundary.tight` (the exact search inlines the first, for speed),
+and a pair's cuts one, :meth:`Layout.scope`.  A failure set F cuts off a
 pair in an edge set H when a cut that separates the pair is crossed only by
 edges of F; :meth:`Boundary.cut_off` answers that for every cut at once.
 Questions about one given mask go only to :func:`faultnet.graph.boundary`.
@@ -169,22 +172,6 @@ def all_cuts(n: int) -> int:
     return (1 << ((1 << (n - 1)) - 1)) - 1
 
 
-def separating(n: int, s: int, t: int) -> int:
-    """The cut set of cuts that separate s from t."""
-    sd = side(n)
-    return sd[s] ^ sd[t]
-
-
-def crossed(g: FaultGraph, edge_ids: Iterable[int]) -> int:
-    """The cut set of cuts crossed by at least one of the edges."""
-    sd = side(g.n)
-    out = 0
-    for eid in edge_ids:
-        e = g.edges[eid]
-        out |= sd[e.u] ^ sd[e.v]
-    return out
-
-
 def cut_index(n: int, mask: int) -> int:
     """Bit of the cut with side ``mask`` (either side); -1 for no cut."""
     full = (1 << n) - 1
@@ -304,14 +291,13 @@ class Boundary:
         return self.layout.equal(self.total, dead)
 
     def deficient(self, p: int, q: int) -> int:
-        """Cuts with fewer than p safe and fewer than p+q edges: the cuts
-        that fail (p, q)-flex-connectivity for a pair they separate."""
+        """Guard set of the cuts with fewer than p safe and fewer than p+q
+        edges, which fail (p, q)-flex-connectivity for a pair they separate."""
         lay = self.layout
-        enough = lay.at_least(self.safe, p) | lay.at_least(self.total, p + q)
-        return lay.compact(lay.guards ^ enough)
+        return lay.guards ^ (lay.at_least(self.safe, p) | lay.at_least(self.total, p + q))
 
     def tight(self, p: int, q: int) -> int:
-        """Cuts with exactly p+q-1 edges, fewer than p of them safe: the
-        cuts that lifting (p, q-1) to (p, q) must cover."""
+        """Guard set of the cuts with exactly p+q-1 edges, fewer than p of
+        them safe: the cuts that lifting (p, q-1) to (p, q) must cover."""
         lay = self.layout
-        return lay.compact(lay.exactly(self.total, p + q - 1) & ~lay.at_least(self.safe, p))
+        return lay.exactly(self.total, p + q - 1) & ~lay.at_least(self.safe, p)

@@ -108,14 +108,8 @@ def _scope(counts: Boundary, plan: StagePlan) -> int:
 
 def _violated(counts: Boundary, plan: StagePlan) -> int:
     """The guard set of the plan's violated cuts for the set F that
-    ``counts`` holds: the in-scope cuts whose F-boundary has exactly p+q-1
-    edges, fewer than p of them safe."""
-    lay = counts.layout
-    return (
-        _scope(counts, plan)
-        & lay.exactly(counts.total, plan.p + plan.q - 1)
-        & ~lay.at_least(counts.safe, plan.p)
-    )
+    ``counts`` holds: the in-scope cuts that ``Boundary.tight`` gives."""
+    return _scope(counts, plan) & counts.tight(plan.p, plan.q)
 
 
 def _stage_guards(counts: Boundary, violated: int, stage: int | None) -> int:
@@ -129,10 +123,8 @@ def _stage_guards(counts: Boundary, violated: int, stage: int | None) -> int:
 
 def _feasible_for(counts: Boundary, plan: StagePlan, q: int) -> bool:
     """Whether the set that ``counts`` holds is (plan.p, q)-feasible in
-    scope: no in-scope cut has fewer than p safe and fewer than p+q edges."""
-    lay = counts.layout
-    enough = lay.at_least(counts.safe, plan.p) | lay.at_least(counts.total, plan.p + q)
-    return not _scope(counts, plan) & ~enough
+    scope: no in-scope cut is one that ``Boundary.deficient`` gives."""
+    return not _scope(counts, plan) & counts.deficient(plan.p, q)
 
 
 def _answers(reached: tuple[int, int, int], scope: int, p: int, q: int) -> bool:
@@ -315,8 +307,7 @@ def solve_fgc(g: FaultGraph, p: int, q: int) -> frozenset:
     plans = fgc_plans(p, q)
     if g.n < 2:
         return frozenset()
-    probe = StagePlan(p=p, q=q, scope="spanning")
-    if not _feasible_for(Boundary(g, g.all_edge_ids()), probe, q):
+    if Boundary(g, g.all_edge_ids()).deficient(p, q):
         raise InfeasibleInstance(f"graph is not ({p}, {q})-feasible")
     F = flex_base(g, fgc_requirements(g.n, p, 0))
     return augment_stages(g, F, plans) if plans else F
@@ -372,9 +363,9 @@ def solve_flex_st_22(g: FaultGraph, s: int, t: int) -> frozenset:
         raise InfeasibleInstance("graph is not (2, 2)-flex-connected for the pair")
     caps = [2 if e.safe else 1 for e in g.edges]
     seed = min_cost_flow(g, caps, s, t, 4).support()
-    plan = StagePlan(p=2, q=2, scope="st", s=s, t=t)
     counts = Boundary(g, seed)
-    violated = counts.layout.compact(_violated(counts, plan))
+    lay = counts.layout
+    violated = lay.compact(lay.scope(((s, t),)) & counts.tight(2, 2))
     if not violated:
         return seed
     seed_caps = [caps[eid] if eid in seed else 0 for eid in range(g.m)]

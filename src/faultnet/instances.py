@@ -166,7 +166,10 @@ def parse(text: str) -> InstanceFile:
     if head[1] != str(FORMAT_VERSION):
         raise ParseError(f"unsupported format header {head!r}")
     n = number(expect("vertices", 2)[1])
-    m = number(expect("edges", 2)[1])
+    edges = expect("edges", 2)
+    m = number(edges[1])
+    if m < 0:
+        raise ParseError(f"bad 'edges' line {' '.join(edges)!r}: the edge count is negative")
     specs = []
     total = 0.0
     for i in range(m):

@@ -3,8 +3,10 @@ cuts: :func:`cut_classes`, which the exact search tests and the fallback
 base of ``flexalg.flex_base`` covers, and the drivers' three level
 oracles, bulk (``_violations_of_level``), relative
 (``_relative_violations``) and flexible (``_flex_violations``), each a
-factory of ``violations(H, counts)`` that decodes cuts into edge sets
-with ``_cut_boundaries``.
+factory of ``violations(H, counts)``.  The oracles read a pair's cuts
+from ``Layout.scope`` and the flexible rule from ``Boundary.deficient``
+and ``Boundary.tight``, all guard sets; ``_cut_boundaries`` is the one
+decoder of guard sets into edge sets.
 
 Three fault models share the same verification style: exhaustively sweep the
 relevant failure/cut space and either certify feasibility or return a
@@ -37,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import trace
 from .cover import CutFamily
-from .cuts import Boundary, crossing_table, first_mask, layout_of, masks, separating
+from .cuts import Boundary, crossing_table, first_mask, layout_of, masks
 from .errors import BaseNotFeasible, PriorLevelNotSatisfied
 from .graph import (
     FaultGraph,
@@ -227,7 +229,7 @@ def _relative_classes(g: FaultGraph, reqs: Iterable[RelativeRequirement]) -> dic
         if scope & ~crossed:
             continue
         light = scope & ~lay.at_least(whole, r)
-        boundaries = {F for F, _ in _cut_boundaries(g, g.all_edge_ids(), [(pair, lay.compact(light))])}
+        boundaries = {F for F, _ in _cut_boundaries(g, g.all_edge_ids(), [(pair, light)])}
         minimal: list[frozenset] = []
         covered = 0
         for cut_set in sorted(boundaries, key=len):
@@ -282,11 +284,13 @@ def is_flex_feasible(
     requirement, with B the worst unsafe edges on the violating boundary.
     """
     H = frozenset(H)
-    deficient = cache(Boundary(g, H).deficient)
+    counts = Boundary(g, H)
+    lay = counts.layout
+    deficient = cache(counts.deficient)
     for req in reqs:
-        bad = separating(g.n, req.s, req.t) & deficient(req.p, req.q)
+        bad = lay.scope(((req.s, req.t),)) & deficient(req.p, req.q)
         if bad:
-            mask = first_mask(g.n, bad, req.s)
+            mask = first_mask(g.n, lay.compact(bad), req.s)
             bad_unsafe = sorted(
                 eid for eid in boundary(g, H, mask) if not g.edges[eid].safe
             )
@@ -334,7 +338,7 @@ def is_rsndp_feasible(
         scope = lay.scope([(req.s, req.t)])
         light = scope & ~lay.at_least(counts.total, req.r)
         if light and not apart & scope:
-            for F, _ in _cut_boundaries(g, H, [((req.s, req.t), lay.compact(light))]):
+            for F, _ in _cut_boundaries(g, H, [((req.s, req.t), light)]):
                 if not whole.cut_off(F) & scope:
                     bad.append(((len(F), sorted(F), i), RsndpWitness(req, F)))
     if bad:
@@ -366,13 +370,14 @@ def violated_cuts_flex_aug(
     if not ok:
         raise BaseNotFeasible(f"F1 is not (p, q-1)-feasible: {witness}")
     counts = Boundary(g, F1)
+    lay = counts.layout
     violated = 0
     for r in reqs:
         if r.q >= 1:
-            violated |= separating(g.n, r.s, r.t) & counts.tight(r.p, r.q)
+            violated |= lay.scope(((r.s, r.t),)) & counts.tight(r.p, r.q)
     return CutFamily(
         graph=g,
-        cuts=violated,
+        cuts=lay.compact(violated),
         ground=g.all_edge_ids() - F1,
         label=f"flex-aug({len(reqs)} reqs)",
         side=reqs[0].s if len(reqs) == 1 else None,
@@ -423,8 +428,7 @@ def _check_prior_levels(
         if bad:
             bad &= counts.cut_off(sc.fail)
         if bad:
-            cuts = lay.compact(bad)
-            scoped = [(pair, cuts & separating(g.n, *pair)) for pair in sc.pairs]
+            scoped = [(pair, bad & lay.scope((pair,))) for pair in sc.pairs]
             F, pair = min(_cut_boundaries(g, H, scoped), key=lambda fp: len(fp[0]))
             raise PriorLevelNotSatisfied(f"pair {pair} cut by sub-failure {tuple(sorted(F))}")
 
@@ -462,7 +466,7 @@ def _violations_of_level(
                     dead_of[pair] = dead_of.get(pair, 0) | (dead & scope_of[pair])
         if not dead_of:
             return []
-        return _cut_boundaries(g, H, [(pair, lay.compact(dead)) for pair, dead in dead_of.items()])
+        return _cut_boundaries(g, H, dead_of.items())
 
     return violations
 
@@ -502,10 +506,10 @@ def _relative_violations(
     def violations(H: frozenset, counts: Boundary) -> list[tuple[frozenset, tuple[int, int]]]:
         trace.count("oracles.level_evaluations")
         exact = lay.exactly(counts.total, level)
-        cuts_of = [(pair, lay.compact(exact & scope)) for pair, scope in scope_of.items()]
+        guards_of = [(pair, exact & scope) for pair, scope in scope_of.items()]
         return [
             (F, pair)
-            for F, pair in _cut_boundaries(g, H, cuts_of)
+            for F, pair in _cut_boundaries(g, H, guards_of)
             if not cut_off(F) & scope_of[pair]
         ]
 
@@ -523,20 +527,23 @@ def _flex_violations(
     by Menger, exactly the H-boundary of an s-t cut with p_i + round - 1
     edges of H, fewer than p_i of them safe: a tight cut of the kernel.
     """
-    active = [((r.s, r.t), r.p, separating(g.n, r.s, r.t)) for r in reqs if r.q >= round_index]
+    lay = layout_of(g)
+    active = [((r.s, r.t), r.p, lay.scope(((r.s, r.t),))) for r in reqs if r.q >= round_index]
 
     def violations(H: frozenset, counts: Boundary) -> list[tuple[frozenset, tuple[int, int]]]:
-        tight = [(pair, cuts & counts.tight(p, round_index)) for pair, p, cuts in active]
+        tight = [(pair, scope & counts.tight(p, round_index)) for pair, p, scope in active]
         return _cut_boundaries(g, H, tight)
 
     return violations
 
 
 def _cut_boundaries(
-    g: FaultGraph, H: frozenset, cuts_of: Iterable[tuple[tuple[int, int], int]]
+    g: FaultGraph, H: frozenset, guards_of: Iterable[tuple[tuple[int, int], int]]
 ) -> list[tuple[frozenset, tuple[int, int]]]:
-    """The distinct (δ_H(S), pair) of each cut S in the cut set of each
-    (pair, cut set), sorted by edge ids and then pair."""
+    """The distinct (δ_H(S), pair) of each cut S in the guard set of each
+    (pair, guard set), sorted by edge ids and then pair."""
+    compact = layout_of(g).compact
+    cuts_of = [(pair, compact(guards)) for pair, guards in guards_of]
     out = {(boundary(g, H, mask), pair) for pair, cuts in cuts_of for mask in masks(g.n, cuts)}
     return sorted(out, key=lambda fp: (sorted(fp[0]), fp[1]))
 

@@ -38,10 +38,12 @@ fresh dual simplex, ``degree_repair`` is the exact search's degree-table
 rule that ``_Packing.refresh`` must match bit for bit, and
 ``boundary_counts``, ``layout_count``, ``tree_edges``, ``unsafe_ids`` and
 ``safety`` read one cut's counts, a tree's edges and edge labels,
-``remove`` takes an edge out of a ``Boundary``, ``exactly`` reads the
-cut set of one count off it and ``contains`` asks whether a vertex lies
-on a ``VertexCut``'s side.  ``stage_cuts`` reads a flexible stage's cut
-set off a Boundary of its own, and ``compact_scope``,
+``separating`` and ``crossed`` give the cut sets of a pair's cuts and of
+the cuts some edge crosses, ``remove`` takes an edge out of a
+``Boundary``, ``exactly`` reads the cut set of one count off it and
+``contains`` asks whether a vertex lies on a ``VertexCut``'s side.
+``stage_cuts`` reads a flexible stage's cut set off a Boundary of its
+own, and ``compact_scope``,
 ``compact_stage_cuts`` and ``compact_feasible_for`` keep the stage loop's
 earlier cut-set form of a plan's scope, a stage's cut set and a
 feasibility check, the references for the guard-set form it runs on.
@@ -62,7 +64,7 @@ import numpy as np
 from faultnet import bulk, flexalg, simplex
 from faultnet.bulk import HittingInstance
 from faultnet.cover import CoverResult, CutFamily, primal_dual_cover
-from faultnet.cuts import Boundary, all_cuts, crossed, cut_index, layout_of, separating
+from faultnet.cuts import Boundary, all_cuts, cut_index, layout_of, side
 from faultnet.errors import (
     InfeasibleAugmentation,
     LpInfeasible,
@@ -1107,7 +1109,7 @@ def compact_stage_cuts(g: FaultGraph, counts: Boundary, plan, stage) -> int:
     cuts of ``counts``, with ``stage`` safe edges unless ``stage`` is None.
     The reference for ``flexalg._violated`` and ``flexalg._stage_guards``,
     which stay on guard sets."""
-    violated = compact_scope(g, plan) & counts.tight(plan.p, plan.q)
+    violated = compact_scope(g, plan) & counts.layout.compact(counts.tight(plan.p, plan.q))
     if stage is None or not violated:
         return violated
     return violated & exactly(counts, counts.safe, stage)
@@ -1116,7 +1118,7 @@ def compact_stage_cuts(g: FaultGraph, counts: Boundary, plan, stage) -> int:
 def compact_feasible_for(g: FaultGraph, counts: Boundary, plan, q: int) -> bool:
     """Whether the set that ``counts`` holds is (plan.p, q)-feasible in
     scope, read on cut sets: the reference for ``flexalg._feasible_for``."""
-    return not compact_scope(g, plan) & counts.deficient(plan.p, q)
+    return not compact_scope(g, plan) & counts.layout.compact(counts.deficient(plan.p, q))
 
 
 def violated(fam: CutFamily, A: Iterable[int]) -> int:
@@ -1128,6 +1130,23 @@ def exactly(counts: Boundary, packed: int, c: int) -> int:
     """The cut set of cuts whose ``packed`` counts (``counts.safe`` or
     ``counts.total``) read exactly c."""
     return counts.layout.compact(counts.layout.exactly(packed, c))
+
+
+def separating(n: int, s: int, t: int) -> int:
+    """The cut set of cuts that separate s from t: the cut-set twin of
+    ``Layout.scope`` for one pair."""
+    sd = side(n)
+    return sd[s] ^ sd[t]
+
+
+def crossed(g: FaultGraph, edge_ids: Iterable[int]) -> int:
+    """The cut set of cuts crossed by at least one of the edges."""
+    sd = side(g.n)
+    out = 0
+    for eid in edge_ids:
+        e = g.edges[eid]
+        out |= sd[e.u] ^ sd[e.v]
+    return out
 
 
 def remove(counts: Boundary, eid: int) -> None:

@@ -167,6 +167,12 @@ def _instance_lines(
     return [*head, edge, "e 2 0 2 1.0 safe", *problem, "end"]
 
 
+def _negative_edges_lines(*problem):
+    """A 3-vertex instance file that claims -2 edges, lists none, and has
+    the given problem lines."""
+    return ["faultnet-instance 1", "vertices 3", "edges -2", *problem, "end"]
+
+
 def _parallel_lines(per_side, failed):
     """A 3-vertex file of ``per_side`` parallel safe 0-1 edges and as many
     1-2 edges, with one bulk scenario for pair 0-2 that fails ``failed`` of
@@ -292,6 +298,11 @@ class TestCli:
             (["exact"], ["faultnet-instance 2", *_instance_lines()[1:]]),
             (["exact"], _instance_lines()[:5]),
             (["exact"], _instance_lines()[:-1]),
+            # A negative edge count used to parse as a 0-edge instance, and
+            # a flex block to be refused for its q.
+            (["exact"], _negative_edges_lines("problem flex", "flexpair 0 2 1 0")),
+            (["exact"], _negative_edges_lines("problem bulk", "scenario - | 0-2")),
+            (["solve", "--alg", "rsndp"], _negative_edges_lines("problem rsndp", "relpair 0 2 1")),
         ],
         ids=[
             "nan-cost",
@@ -306,6 +317,9 @@ class TestCli:
             "wrong-version",
             "cut-short-in-the-edges",
             "no-end-line",
+            "negative-edges-flex",
+            "negative-edges-bulk",
+            "negative-edges-rsndp",
         ],
     )
     def test_invalid_instance_is_a_parse_error(self, tmp_path, capsys, command, lines):
@@ -317,7 +331,7 @@ class TestCli:
         assert main([command[0], str(path), *command[1:]]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("parse error:")
+        assert captured.err.startswith("parse error:") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "payload",

@@ -23,15 +23,20 @@ from faultnet.cuts import (
     first_mask,
     masks,
     predicate,
-    separating,
     side,
 )
 from faultnet.graph import MAX_SWEEP_N, FaultGraph
-from oracle_utils import boundary_counts, exactly, layout_count, remove
+from oracle_utils import boundary_counts, exactly, layout_count, remove, separating
 
 
 def bit(cuts, mask):
     return (cuts >> (mask - 1)) & 1 == 1
+
+
+def guard_bit(lay, guards, mask):
+    """Whether the guard set holds the cut named by ``mask``: the top bit
+    of the cut's field, read with no decode."""
+    return (guards >> (mask * lay.width - 1)) & 1 == 1
 
 
 def at_least(counts, packed, c):
@@ -247,10 +252,12 @@ def test_thresholds_at_the_field_width_edges():
                         assert bit(exactly(counts, counts.total, c), mask) == (total == c)
                         assert bit(exactly(counts, counts.safe, c), mask) == (safe == c)
                         for q in (0, 1, 2):
+                            deficient, tight = counts.deficient(c, q), counts.tight(c, q)
+                            assert (deficient | tight) & ~lay.guards == 0
                             short = safe < c and total < c + q
-                            assert bit(counts.deficient(c, q), mask) == short
-                            tight = total == c + q - 1 and safe < c
-                            assert bit(counts.tight(c, q), mask) == tight
+                            assert guard_bit(lay, deficient, mask) == short
+                            lift = total == c + q - 1 and safe < c
+                            assert guard_bit(lay, tight, mask) == lift
                 if step < m:
                     remove(counts, step)
             assert counts.total == counts.safe == 0

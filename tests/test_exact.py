@@ -7,7 +7,7 @@ import pytest
 
 from faultnet import oracles, trace
 from faultnet.cli import main
-from faultnet.cuts import Boundary, crossed, cut_index, layout_of
+from faultnet.cuts import Boundary, cut_index, layout_of
 from faultnet.errors import BudgetExceeded, EnumerationTooLarge, InfeasibleInstance
 from faultnet.exact import _Checker, _Packing, _Tables, exact_solve
 from faultnet.flexalg import solve_fgc
@@ -27,6 +27,7 @@ from oracle_utils import (
     brute_connected,
     brute_flex_feasible,
     brute_rsndp_feasible,
+    crossed,
     degree_repair,
     dijkstra_cost,
     global_flex_oracle,
@@ -430,6 +431,40 @@ def test_a_packing_holds_while_the_excluded_edge_is_no_candidate():
             assert (child[0].hex(), child[1]) == (bound.hex(), packed)
             held += 1
     assert held >= 10 and candidate >= 10
+
+
+def test_first_bad_states_the_kernels_flexible_rule():
+    # The search keeps an inline copy of Boundary.deficient.  For each flex
+    # class alone, the bad guard set that first_bad gives must be the
+    # class's scope and the kernel's deficient cuts, bit for bit, with no
+    # decode, on sets that pass and sets that fail.
+    passed = failed = 0
+    for seed in range(24):
+        rng = Random(500 + seed)
+        n = rng.randint(3, 6)
+        g = random_graph(seed, n, rng.randint(n, 3 * n))
+        reqs = [
+            FlexRequirement(*rng.sample(range(n), 2), rng.randint(1, 3), rng.randint(0, 2))
+            for _ in range(rng.randint(1, 5))
+        ]
+        by_class: dict = {}
+        for r in reqs:
+            by_class.setdefault((r.p, r.q), []).append(r)
+        checkers = {pq: _Checker(g, Problem("flex", flex=tuple(rs))) for pq, rs in by_class.items()}
+        for _ in range(20):
+            keep = rng.choice((0.3, 0.6, 0.9, 1.0))
+            counts = Boundary(g, (eid for eid in range(g.m) if rng.random() < keep))
+            for (p, q), checker in checkers.items():
+                [(scope, *_rest)] = checker.classes
+                want = scope & counts.deficient(p, q)
+                got = checker.first_bad(counts.total, counts.safe, counts.inside)
+                if want:
+                    assert got == (want, (p, q), frozenset())
+                    failed += 1
+                else:
+                    assert got is None
+                    passed += 1
+    assert passed >= 200 and failed >= 200
 
 
 @pytest.mark.parametrize("name", ("bulk", "rsndp"))

@@ -7,11 +7,12 @@ No linter ships with the project, so these walk each module's syntax tree:
 - every top-level function or class of the package, and every method or
   property of a package class other than a dunder, is referenced somewhere
   in the package other than at its own definition, or is a public name in
-  ``faultnet.__all__``; a read through a local list, set or dict, such as
-  ``candidates.remove(e)``, does not count, and a read through a receiver
-  whose class the source states, such as ``counts = Boundary(g)`` and
-  then ``counts.add(e)``, counts for that class alone.  Code that only
-  tests call belongs in the tests;
+  ``faultnet.__all__``; a function's own variable of the same name, read
+  in that function or one nested in it, does not count, nor does a read
+  through a local list, set or dict, such as ``candidates.remove(e)``,
+  and a read through a receiver whose class the source states, such as
+  ``counts = Boundary(g)`` and then ``counts.add(e)``, counts for that
+  class alone.  Code that only tests call belongs in the tests;
 - every backticked dotted name in ``README.md``, such as ``graph.boundary``
   or ``faultnet.cuts``, resolves to a package module or attribute;
 - the counter names that the package passes to ``trace.count`` are the
@@ -236,6 +237,29 @@ def _parameters(scope) -> set:
     return {arg.arg for arg in every if arg is not None}
 
 
+def local_reads(scope, local=frozenset()) -> list:
+    """The ``Name`` nodes under ``scope`` that name a variable of a
+    function around them: a parameter of that function, or a name that an
+    assignment or a nested ``def`` or ``class`` binds in it, read there or
+    in a function nested in it.  ``local`` holds the variables of the
+    functions that enclose ``scope``; a class body's names do not reach
+    its methods.  An import binds no variable here, since it refers to
+    what it imports."""
+    nodes = list(_own_nodes(scope))
+    if isinstance(scope, (*FUNCTIONS, ast.Lambda)):
+        local = local | _parameters(scope)
+        for node in nodes:
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                local |= {node.id}
+            elif isinstance(node, DEFINITIONS):
+                local |= {node.name}
+    found = [node for node in nodes if isinstance(node, ast.Name) and node.id in local]
+    for node in nodes:
+        if isinstance(node, SCOPES):
+            found += local_reads(node, local)
+    return found
+
+
 def receiver_kinds(scope, package, outer: dict, attrs: dict, me=None) -> dict:
     """{attribute read: kind} of the attribute reads under ``scope`` whose
     receiver has a known kind: ``CONTAINER`` for a list, set or dict, or
@@ -296,7 +320,9 @@ def unreferenced(sources: list[str], public) -> list[str]:
     ``Class.method``, that no code outside their own definition names, and
     that ``public`` does not list.  A top-level name counts when read as a
     variable or as an attribute, a method only as an attribute, since a
-    variable of the same name is not a call of it.  An attribute read
+    variable of the same name is not a call of it.  A function's own
+    variable does not count for the top-level name it shadows, in that
+    function or one nested in it (:func:`local_reads`).  An attribute read
     whose receiver is a list, set or dict (:func:`receiver_kinds`) is not a
     reference, one whose receiver's class is known counts for that class
     alone, and any other counts for every class.  Imports are not
@@ -309,6 +335,7 @@ def unreferenced(sources: list[str], public) -> list[str]:
     for tree in trees:
         kinds = receiver_kinds(tree, package, {}, {})
         skip = {node for node, kind in kinds.items() if kind == CONTAINER}
+        skip.update(local_reads(tree))
         seen.update(_names(tree, skip=skip))
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute) and node not in skip:
@@ -350,13 +377,16 @@ def test_no_unused_imports(path):
 
 def test_checker_sees_an_orphan():
     # ``orphan`` calls only itself; ``helper`` is called from another module
-    # through an attribute; ``Public`` is listed as public.  Of its methods,
-    # ``lonely`` calls only itself, ``used`` is read through an instance,
-    # ``spare`` is a property that no code reads, only a variable of its
-    # name, and ``__len__`` is a dunder.
+    # through an attribute; ``shadowed`` is never called, only shadowed by
+    # a parameter and by a local that a nested function reads; ``Public``
+    # is listed as public.  Of its methods, ``lonely`` calls only itself,
+    # ``used`` is read through an instance, ``spare`` is a property that
+    # no code reads, only a variable of its name, and ``__len__`` is a
+    # dunder.
     lib = (
         "def orphan(n):\n    return orphan(n - 1) if n else 0\n\n"
         "def helper():\n    return 1\n\n"
+        "def shadowed():\n    return 3\n\n"
         "class Public:\n"
         "    def __len__(self):\n        return 0\n\n"
         "    def lonely(self, n):\n        return self.lonely(n - 1) if n else 0\n\n"
@@ -365,10 +395,19 @@ def test_checker_sees_an_orphan():
     )
     user = (
         "from . import lib\n\n"
-        "def run(spare):\n    return lib.helper() + lib.Public().used() + spare\n"
+        "def run(spare):\n    return lib.helper() + lib.Public().used() + spare\n\n"
+        "def given(shadowed):\n    return shadowed\n\n"
+        "def kept(n):\n    shadowed = n + 1\n\n"
+        "    def inner():\n        return shadowed\n\n"
+        "    return inner()\n"
     )
-    assert unreferenced([lib, user], public={"Public", "run"}) == ["orphan", "Public.lonely", "Public.spare"]
-    assert unreferenced([lib, user], public={"Public", "run", "orphan", "Public.lonely", "Public.spare"}) == []
+    users = {"Public", "run", "given", "kept"}
+    orphans = ["orphan", "shadowed", "Public.lonely", "Public.spare"]
+    assert unreferenced([lib, user], public=users) == orphans
+    assert unreferenced([lib, user], public=users | set(orphans)) == []
+    # A call of the top-level function from a function of its own counts.
+    called = user + "\ndef call():\n    return lib.shadowed()\n"
+    assert unreferenced([lib, called], public=users | {"call"}) == [o for o in orphans if o != "shadowed"]
 
 
 def test_checker_ignores_container_methods():
